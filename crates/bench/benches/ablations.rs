@@ -1,7 +1,6 @@
-//! Ablation benches for the design choices called out in DESIGN.md:
+//! Ablation benches for two design choices:
 //!
 //! * participation-code density (how many tags collide per slot),
-//! * OMP vs ISTA as the stage-3 sparse solver,
 //! * bucket pruning on/off (solve over the full temporary-id space instead).
 
 use backscatter_codes::sparse_matrix::SparseBinaryMatrix;

@@ -1,5 +1,5 @@
 //! Micro-benchmarks of the decoding kernels: the belief-propagation
-//! bit-flipping decoder (§6c) and the two sparse-recovery solvers (§5.1-C).
+//! bit-flipping decoder (§6c) and the OMP sparse-recovery solver (§5.1-C).
 
 use backscatter_codes::message::Message;
 use backscatter_codes::sparse_matrix::SparseBinaryMatrix;
@@ -7,7 +7,6 @@ use backscatter_phy::complex::Complex;
 use backscatter_prng::{NodeSeed, Rng64, Xoshiro256};
 use buzz::bp::BitFlippingDecoder;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sparse_recovery::ista::{IstaConfig, IstaSolver};
 use sparse_recovery::omp::{OmpConfig, OmpSolver};
 
 /// Builds a ready-to-decode collision problem with `k` nodes and `slots`
@@ -84,15 +83,6 @@ fn bench_decoders(c: &mut Criterion) {
             |b, _| {
                 let (a, y) = build_cs_problem(n, k, m);
                 let solver = OmpSolver::new(OmpConfig::for_sparsity(k)).unwrap();
-                b.iter(|| solver.solve(&a, &y).unwrap());
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("ista", format!("{n}x{k}")),
-            &(n, k),
-            |b, _| {
-                let (a, y) = build_cs_problem(n, k, m);
-                let solver = IstaSolver::new(IstaConfig::paper_default()).unwrap();
                 b.iter(|| solver.solve(&a, &y).unwrap());
             },
         );

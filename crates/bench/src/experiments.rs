@@ -438,10 +438,9 @@ pub fn fig11(locations: u64, base_seed: u64, threads: usize) -> ExperimentReport
 ///
 /// This is the full-protocol workload exercising the CS bucketing and the
 /// decoder at K = 100+: Buzz runs with the worklist decode schedule
-/// (`DecodeSchedule::Worklist`, the repo default), the incremental
-/// sparse-recovery refits with the pruned correlation ledger (what makes
-/// the K = 300 identification tractable), a fixed 16-ids-per-bucket
-/// temporary-id space, and ~4 expected colliders per slot (participation
+/// (`DecodeSchedule::Worklist`, the repo default), a fixed
+/// 16-ids-per-bucket temporary-id space (which grows after each id-collision
+/// restart), and ~4 expected colliders per slot (participation
 /// `p ≈ 4/K`).  CDMA is omitted — its chip-level simulation is
 /// `O(K²·chips)` per message and unusable at K = 150+.
 ///
@@ -476,7 +475,6 @@ pub fn fig11_large(locations: u64, base_seed: u64, threads: usize) -> Experiment
     let buzz = BuzzProtocol::new(BuzzConfig {
         identification: IdentificationConfig {
             ids_per_bucket: Some(16),
-            large_population: true,
             ..IdentificationConfig::default()
         },
         transfer: TransferConfig {

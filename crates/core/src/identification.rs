@@ -25,9 +25,7 @@ use backscatter_sim::medium::Medium;
 use backscatter_sim::scenario::Scenario;
 use sparse_recovery::buckets::BucketHasher;
 use sparse_recovery::kest::{KEstimate, KEstimator, KEstimatorConfig};
-use sparse_recovery::omp::{
-    prune_insignificant, prune_insignificant_incremental, OmpConfig, OmpSolver,
-};
+use sparse_recovery::omp::{prune_insignificant, OmpConfig, OmpSolver};
 
 use crate::{BuzzError, BuzzResult};
 
@@ -40,7 +38,10 @@ pub struct IdentificationConfig {
     /// Bucket multiplier `c` (the paper uses 10): stage 2 uses `c·K̂` buckets.
     pub c: u64,
     /// Whether `a` (ids per bucket) equals `K̂` (the paper's choice) or a fixed
-    /// value.
+    /// value.  With `a = K̂` the id space (`a·c·K̂`) grows as `K̂²` and the odds
+    /// that two tags draw the same temporary id do not depend on K.  A fixed
+    /// `a` makes the space linear in `K̂`, so at K = 100+ birthday collisions
+    /// recur; each restart after a collision then grows `K̂` by half.
     pub ids_per_bucket: Option<u64>,
     /// Number of stage-3 measurements as a multiple of `K̂·log₂(a)` (1.0 is the
     /// information-theoretic scaling; a little head-room buys robustness).
@@ -49,14 +50,6 @@ pub struct IdentificationConfig {
     pub sensing_probability: f64,
     /// Magnitude-pruning fraction applied to the sparse solution.
     pub prune_fraction: f64,
-    /// Enables the large-population (K = 100+) pipeline: incremental
-    /// (Cholesky-based) sparse-recovery refits instead of the historical
-    /// direct solver, and temporary-id-space growth when a round restarts on
-    /// an id collision (a fixed `ids_per_bucket` space otherwise stays
-    /// collision-prone at birthday-bound populations).  Off by default: the
-    /// direct pipeline is kept bit-identical for the paper's K ≤ 16
-    /// figures.
-    pub large_population: bool,
     /// Maximum protocol restarts when tags draw colliding temporary ids.
     pub max_rounds: usize,
     /// Air-interface timing used for the Fig. 14 accounting.
@@ -72,7 +65,6 @@ impl Default for IdentificationConfig {
             measurement_factor: 2.5,
             sensing_probability: 0.5,
             prune_fraction: 0.02,
-            large_population: false,
             max_rounds: 8,
             timing: LinkTiming::paper_default(),
         }
@@ -309,7 +301,7 @@ impl Identifier {
                 // (the paper: "the reader starts over").  Account the trigger.
                 time_s += timing.downlink_s(ReaderCommand::BuzzTrigger.bits()) + timing.t1_s;
                 slots.reader_commands += 1;
-                if self.config.large_population {
+                if self.config.ids_per_bucket.is_some() {
                     // With a fixed ids-per-bucket factor the id space is
                     // linear in K̂ and birthday collisions recur at K = 100+;
                     // grow the space so restarts actually converge.
@@ -401,7 +393,6 @@ impl Identifier {
             let solver = OmpSolver::new(OmpConfig {
                 max_sparsity,
                 residual_tolerance: 1e-4,
-                incremental_refit: self.config.large_population,
             })?;
             let raw_solution = solver.solve(&a_reduced, &measurements)?;
 
@@ -409,23 +400,13 @@ impl Identifier {
             // by noise (a phantom tag in the discovered set would stall the
             // data phase), then apply a light relative-magnitude prune against
             // gross outliers.
-            let solution = if self.config.large_population {
-                prune_insignificant_incremental(
-                    &a_reduced,
-                    &measurements,
-                    &raw_solution,
-                    medium.noise_power(),
-                    4.0,
-                )?
-            } else {
-                prune_insignificant(
-                    &a_reduced,
-                    &measurements,
-                    &raw_solution,
-                    medium.noise_power(),
-                    4.0,
-                )?
-            };
+            let solution = prune_insignificant(
+                &a_reduced,
+                &measurements,
+                &raw_solution,
+                medium.noise_power(),
+                4.0,
+            )?;
             let max_mag = solution
                 .values
                 .iter()
@@ -552,6 +533,31 @@ mod tests {
                 outcome.discovered.len(),
                 k,
                 outcome.is_exact()
+            );
+        }
+    }
+
+    #[test]
+    fn pruning_keeps_every_real_tag_in_one_round() {
+        // Single-round sessions where dropping every insignificant support
+        // entry of a prune round at once, instead of only the weakest, loses
+        // a real tag (3 of 4, 7 of 8 and 15 of 16 found).
+        for (k, scenario_seed, medium_seed) in
+            [(4, 5015, 65250), (8, 5005, 65256), (16, 5016, 65277)]
+        {
+            let mut scenario = ScenarioBuilder::paper_uplink(k, scenario_seed)
+                .build()
+                .unwrap();
+            let mut medium = scenario.medium(medium_seed).unwrap();
+            let outcome = Identifier::new(IdentificationConfig::default())
+                .unwrap()
+                .run(&mut scenario, &mut medium)
+                .unwrap();
+            assert_eq!(outcome.rounds, 1, "k = {k}");
+            assert!(
+                outcome.is_exact(),
+                "k = {k}: discovered {} of {k}",
+                outcome.discovered.len()
             );
         }
     }

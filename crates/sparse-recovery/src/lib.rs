@@ -10,32 +10,28 @@
 //! * [`buckets`] — hashing the temporary-id space into `c·K` buckets and
 //!   pruning ids that hash to empty buckets (stage 2, §5.1-B),
 //! * [`omp`] — Orthogonal Matching Pursuit, the sparse solver used for the
-//!   final small compressive-sensing decode (stage 3, §5.1-C),
-//! * [`ista`] — an ISTA (iterative soft-thresholding) basis-pursuit-denoise
-//!   solver, provided as the alternative solver for the ablation study,
-//! * [`linalg`] — the small dense complex least-squares kernel both solvers
-//!   share,
+//!   final small compressive-sensing decode (stage 3, §5.1-C), and the
+//!   noise-aware prune of its support,
+//! * [`linalg`] — the small dense kernels behind OMP's refits,
 //! * [`diagnostics`] — support-recovery metrics used by the tests and the
 //!   experiment harness.
 //!
 //! The paper's implementation used a Matlab interior-point L1 solver (CVX);
-//! OMP and ISTA recover the same K-sparse vectors in this measurement regime
-//! (`M ≈ K·log a` random binary measurements) and run in milliseconds in pure
-//! Rust, which is why they are substituted here (see DESIGN.md).
+//! OMP recovers the same K-sparse vectors in this measurement regime
+//! (`M ≈ K·log a` random binary measurements) and runs in milliseconds in
+//! pure Rust, which is why it is substituted here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod buckets;
 pub mod diagnostics;
-pub mod ista;
 pub mod kest;
 pub mod linalg;
 pub mod omp;
 
 pub use buckets::BucketHasher;
 pub use diagnostics::SupportRecovery;
-pub use ista::{IstaConfig, IstaSolver};
 pub use kest::{KEstimate, KEstimator, KEstimatorConfig};
 pub use linalg::ComplexMatrix;
 pub use omp::{OmpConfig, OmpSolver, SparseSolution};

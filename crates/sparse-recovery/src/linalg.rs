@@ -1,9 +1,11 @@
 //! Small dense complex linear algebra.
 //!
-//! The sparse solvers only ever solve *small* dense systems: OMP's
-//! least-squares refit is over the current support (at most K ≈ tens of
-//! columns), so a straightforward Gaussian elimination with partial pivoting
-//! on the normal equations is both sufficient and dependency-free.
+//! Every system solved here is *small*: OMP's refit and the significance
+//! prune work over the current support (at most `2K̂` columns), and the data
+//! phase's channel refits over the tags it has locked.  [`GrowingCholesky`]
+//! factors the real Gram of binary columns one column at a time; it is OMP's
+//! refit and the prune's leave-one-out scorer.  [`solve_square`] is Gaussian
+//! elimination with partial pivoting for the data phase's complex systems.
 
 use backscatter_phy::complex::Complex;
 
@@ -184,7 +186,8 @@ pub fn solve_square(m: &ComplexMatrix, b: &[Complex]) -> RecoveryResult<Vec<Comp
 }
 
 /// Solves the least-squares problem `min ‖A·x − y‖₂` for a (possibly tall)
-/// matrix `A` via the normal equations `AᴴA·x = Aᴴy`.
+/// matrix `A` via the normal equations `AᴴA·x = Aᴴy`: the dense reference
+/// the tests pin [`GrowingCholesky`] and the leave-one-out prune to.
 ///
 /// A tiny Tikhonov term (`1e-12`) keeps nearly-collinear supports solvable,
 /// which matters when two tags happen to pick very similar transmit patterns.
@@ -192,7 +195,11 @@ pub fn solve_square(m: &ComplexMatrix, b: &[Complex]) -> RecoveryResult<Vec<Comp
 /// # Errors
 ///
 /// Propagates dimension mismatches and singular systems.
-pub fn solve_least_squares(a: &ComplexMatrix, y: &[Complex]) -> RecoveryResult<Vec<Complex>> {
+#[cfg(test)]
+pub(crate) fn solve_least_squares(
+    a: &ComplexMatrix,
+    y: &[Complex],
+) -> RecoveryResult<Vec<Complex>> {
     if y.len() != a.rows() {
         return Err(RecoveryError::DimensionMismatch {
             expected: a.rows(),
@@ -221,12 +228,11 @@ pub fn solve_least_squares(a: &ComplexMatrix, y: &[Complex]) -> RecoveryResult<V
 /// symmetric positive-definite Gram matrix, solved against complex
 /// right-hand sides.
 ///
-/// This is the large-population refit engine: OMP over a binary sensing
-/// matrix has a *real* Gram (entries are shared-row counts), so growing the
-/// support by one column costs one forward substitution (`O(s²)`) instead of
-/// rebuilding and re-eliminating the whole normal system (`O(m·s² + s³)`),
-/// and each refit is two triangular solves.  Small problems keep using
-/// [`solve_least_squares`] — the historical direct path — bit for bit.
+/// OMP over a binary sensing matrix has a *real* Gram (entries are
+/// shared-row counts), so growing the support by one column costs one
+/// forward substitution (`O(s²)`) instead of rebuilding and re-eliminating
+/// the whole normal system (`O(m·s² + s³)`), and each refit is two
+/// triangular solves.
 #[derive(Debug, Clone, Default)]
 pub struct GrowingCholesky {
     /// Lower-triangular factor; row `i` stores `L[i][0..=i]`.

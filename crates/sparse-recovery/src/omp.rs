@@ -6,6 +6,11 @@
 //! coefficients.  OMP recovers the support greedily: at each iteration it
 //! picks the column most correlated with the current residual, refits all
 //! selected columns by least squares, and subtracts the fit from the residual.
+//! The selection runs over incrementally maintained correlations (a
+//! correlation ledger, below) and the refit grows one Cholesky factor of the
+//! support's Gram ([`GrowingCholesky`]), so a pick costs `O(N' + s²)` plus
+//! the residual update instead of a scan of every column's rows and a
+//! rebuilt normal system.
 //!
 //! For the random binary matrices Buzz produces (`M ≈ K·log a` rows), OMP
 //! recovers the support exactly at the noise levels of interest, and its cost
@@ -14,7 +19,7 @@
 use backscatter_codes::sparse_matrix::SparseBinaryMatrix;
 use backscatter_phy::complex::Complex;
 
-use crate::linalg::{solve_least_squares, ComplexMatrix, GrowingCholesky};
+use crate::linalg::GrowingCholesky;
 use crate::{RecoveryError, RecoveryResult};
 
 /// Configuration of the OMP solver.
@@ -26,14 +31,6 @@ pub struct OmpConfig {
     /// Stop early once the residual energy falls below this fraction of the
     /// measurement energy.
     pub residual_tolerance: f64,
-    /// Use the incrementally grown Cholesky refit
-    /// ([`crate::linalg::GrowingCholesky`]) instead of rebuilding the normal
-    /// equations from scratch each iteration.  At K = 100+ populations the
-    /// direct refit is `O(m·s² + s³)` *per picked column* and dominates the
-    /// identification phase; the incremental refit grows the factor in
-    /// `O(s²)`.  Off by default: the direct path is the historical solver
-    /// and stays bit-identical for previously recorded runs.
-    pub incremental_refit: bool,
 }
 
 impl OmpConfig {
@@ -45,17 +42,6 @@ impl OmpConfig {
         Self {
             max_sparsity: (k_hat + k_hat / 2).max(1),
             residual_tolerance: 1e-4,
-            incremental_refit: false,
-        }
-    }
-
-    /// [`OmpConfig::for_sparsity`] with the incremental large-population
-    /// refit enabled.
-    #[must_use]
-    pub fn for_large_population(k_hat: usize) -> Self {
-        Self {
-            incremental_refit: true,
-            ..Self::for_sparsity(k_hat)
         }
     }
 
@@ -136,12 +122,21 @@ impl SparseSolution {
 
 /// Removes support entries that do not significantly improve the fit.
 ///
-/// For each candidate entry the support is refit by least squares *without*
-/// it; if the residual energy increases by less than
-/// `significance · noise_power · M` the entry is explaining noise (or greedy
-/// over-fitting) rather than a real tag, and it is dropped.  The procedure
-/// repeats — always removing the least significant entry first — until every
-/// remaining entry is significant, then refits the surviving support.
+/// An entry whose removal increases the least-squares residual energy by
+/// less than `significance · noise_power · M` is explaining noise (or greedy
+/// over-fitting) rather than a real tag.  Each round removes only the least
+/// significant entry — the first minimum in support order, when it falls
+/// strictly below the threshold — then refits and re-judges the survivors,
+/// until every remaining entry is significant.  Removing one entry can make
+/// another significant, so the weakest goes alone.
+///
+/// A round scores every entry at once with the exact leave-one-out identity
+/// `ΔE_j = |v_j|² / (G⁻¹)_{jj}`: the support's Gram (shared-row counts) is
+/// built once, and each round factors the surviving sub-block with a
+/// [`GrowingCholesky`] — `O(s³)` per round instead of one least-squares
+/// refit per candidate.  The returned values are the last round's refit.  A
+/// numerically dependent entry explains nothing the rest of the support does
+/// not, and is dropped before its round is scored.
 ///
 /// This is the reader-side guard against declaring phantom tags: a phantom in
 /// the discovered set would stall the rateless data phase, because no tag ever
@@ -149,7 +144,8 @@ impl SparseSolution {
 ///
 /// # Errors
 ///
-/// Propagates dimension mismatches from the least-squares refits.
+/// Returns [`RecoveryError::DimensionMismatch`] unless `y` has one entry per
+/// row of `a`.
 pub fn prune_insignificant(
     a: &SparseBinaryMatrix,
     y: &[Complex],
@@ -164,51 +160,60 @@ pub fn prune_insignificant(
         });
     }
     let y_energy: f64 = y.iter().map(|s| s.norm_sqr()).sum();
-    let mut support = solution.support.clone();
+    let threshold = significance * noise_power * a.rows() as f64;
+    let s = solution.support.len();
+    let gram = support_gram(a, &solution.support);
+    let rhs: Vec<Complex> = solution
+        .support
+        .iter()
+        .map(|&col| a.col(col).iter().map(|&r| y[r]).sum())
+        .collect();
 
-    // Least-squares residual energy for a given support set.
-    let residual_energy = |support: &[usize]| -> RecoveryResult<(f64, Vec<Complex>)> {
-        if support.is_empty() {
-            return Ok((y_energy, Vec::new()));
-        }
-        let mut sub = ComplexMatrix::zeros(a.rows(), support.len());
-        for (j, &col) in support.iter().enumerate() {
-            for &r in a.col(col) {
-                sub.set(r, j, Complex::ONE);
+    // Positions into `solution.support` that are still in the support.
+    let mut alive: Vec<usize> = (0..s).collect();
+    let mut values: Vec<Complex> = Vec::new();
+    while !alive.is_empty() {
+        let mut chol = GrowingCholesky::new();
+        let mut dependent = None;
+        for (j, &p) in alive.iter().enumerate() {
+            let cross: Vec<f64> = alive[..j].iter().map(|&q| gram[p * s + q]).collect();
+            // The +1e-12 ridge matches the OMP refit's Gram diagonal.
+            if !chol.push(&cross, gram[p * s + p] + 1e-12)? {
+                dependent = Some(j);
+                break;
             }
         }
-        let values = solve_least_squares(&sub, y)?;
-        let fit = sub.mul_vec(&values)?;
-        let energy = y.iter().zip(&fit).map(|(&m, &f)| (m - f).norm_sqr()).sum();
-        Ok((energy, values))
-    };
-
-    let threshold = significance * noise_power * a.rows() as f64;
-    loop {
-        if support.is_empty() {
-            break;
+        if let Some(j) = dependent {
+            alive.remove(j);
+            continue;
         }
-        let (full_energy, _) = residual_energy(&support)?;
-        // Find the entry whose removal hurts the fit the least.
+        let sub_rhs: Vec<Complex> = alive.iter().map(|&p| rhs[p]).collect();
+        values = chol.solve(&sub_rhs)?;
+        let inv_diag = chol.inverse_diagonal();
         let mut weakest: Option<(usize, f64)> = None;
-        for idx in 0..support.len() {
-            let mut without: Vec<usize> = support.clone();
-            without.remove(idx);
-            let (energy_without, _) = residual_energy(&without)?;
-            let contribution = energy_without - full_energy;
+        for (j, (v, &d)) in values.iter().zip(&inv_diag).enumerate() {
+            let contribution = v.norm_sqr() / d;
             if weakest.is_none_or(|(_, c)| contribution < c) {
-                weakest = Some((idx, contribution));
+                weakest = Some((j, contribution));
             }
         }
         match weakest {
-            Some((idx, contribution)) if contribution < threshold => {
-                support.remove(idx);
+            Some((j, contribution)) if contribution < threshold => {
+                alive.remove(j);
+                values.clear();
             }
             _ => break,
         }
     }
 
-    let (final_energy, values) = residual_energy(&support)?;
+    let support: Vec<usize> = alive.iter().map(|&p| solution.support[p]).collect();
+    let mut residual: Vec<Complex> = y.to_vec();
+    for (&col, &v) in support.iter().zip(&values) {
+        for &r in a.col(col) {
+            residual[r] -= v;
+        }
+    }
+    let final_energy: f64 = residual.iter().map(|s| s.norm_sqr()).sum();
     Ok(SparseSolution {
         support,
         values,
@@ -220,134 +225,37 @@ pub fn prune_insignificant(
     })
 }
 
-/// [`prune_insignificant`] for large supports: the same "drop entries whose
-/// removal barely hurts the fit" contract, computed with the exact
-/// leave-one-out identity `ΔE_j = |v_j|² / (G⁻¹)_{jj}` over one Cholesky
-/// factorization per round instead of one full least-squares refit per
-/// *candidate* — `O(rounds·(m·s + s³))` instead of `O(rounds·s·m·s²)`.
-/// Entries below the significance threshold are dropped a round at a time
-/// (all insignificant entries of the round together), then the survivors are
-/// refit and re-judged until the support is stable.
-///
-/// # Errors
-///
-/// Propagates dimension mismatches.
-pub fn prune_insignificant_incremental(
-    a: &SparseBinaryMatrix,
-    y: &[Complex],
-    solution: &SparseSolution,
-    noise_power: f64,
-    significance: f64,
-) -> RecoveryResult<SparseSolution> {
-    if y.len() != a.rows() {
-        return Err(RecoveryError::DimensionMismatch {
-            expected: a.rows(),
-            actual: y.len(),
-        });
+/// The `s × s` Gram of the binary columns `support` (row-major, full):
+/// shared-row counts off the diagonal, column weights on it.  Accumulated
+/// row-wise, so the cost tracks the matrix's occupancy, not `s²·deg`.
+fn support_gram(a: &SparseBinaryMatrix, support: &[usize]) -> Vec<f64> {
+    let s = support.len();
+    let mut position = vec![usize::MAX; a.cols()];
+    for (p, &col) in support.iter().enumerate() {
+        position[col] = p;
     }
-    let y_energy: f64 = y.iter().map(|s| s.norm_sqr()).sum();
-    let mut support = solution.support.clone();
-    let threshold = significance * noise_power * a.rows() as f64;
-
-    // Factors the support's Gram (shared-row counts, accumulated row-wise so
-    // the cost tracks the matrix's occupancy, not `s²·deg`) and solves the
-    // normal equations.  A numerically dependent column is reported back by
-    // index so the caller can drop it — it explains nothing the rest of the
-    // support does not.
-    let refit =
-        |support: &[usize]| -> RecoveryResult<Result<(GrowingCholesky, Vec<Complex>), usize>> {
-            let s = support.len();
-            let mut col_index = vec![usize::MAX; a.cols()];
-            for (idx, &col) in support.iter().enumerate() {
-                col_index[col] = idx;
-            }
-            let mut gram = vec![0.0f64; s * s];
-            let mut in_row: Vec<usize> = Vec::new();
-            for r in 0..a.rows() {
-                in_row.clear();
-                in_row.extend(a.row(r).iter().filter_map(|&c| {
-                    let idx = col_index[c];
-                    (idx != usize::MAX).then_some(idx)
-                }));
-                for (i, &p) in in_row.iter().enumerate() {
-                    for &q in &in_row[i + 1..] {
-                        let (lo, hi) = if p < q { (p, q) } else { (q, p) };
-                        gram[hi * s + lo] += 1.0;
-                    }
-                }
-            }
-            let mut chol = GrowingCholesky::new();
-            for (j, &col) in support.iter().enumerate() {
-                let cross: Vec<f64> = (0..j).map(|i| gram[j * s + i]).collect();
-                if !chol.push(&cross, a.col(col).len() as f64 + 1e-12)? {
-                    return Ok(Err(j));
-                }
-            }
-            let rhs: Vec<Complex> = support
+    let mut gram = vec![0.0f64; s * s];
+    let mut in_row: Vec<usize> = Vec::new();
+    for r in 0..a.rows() {
+        in_row.clear();
+        in_row.extend(
+            a.row(r)
                 .iter()
-                .map(|&col| a.col(col).iter().map(|&r| y[r]).sum())
-                .collect();
-            let values = chol.solve(&rhs)?;
-            Ok(Ok((chol, values)))
-        };
-
-    let mut final_values: Vec<Complex> = Vec::new();
-    while !support.is_empty() {
-        let (chol, values) = match refit(&support)? {
-            Ok(fit) => fit,
-            Err(dependent) => {
-                support.remove(dependent);
-                continue;
+                .map(|&c| position[c])
+                .filter(|&p| p != usize::MAX),
+        );
+        for (i, &p) in in_row.iter().enumerate() {
+            gram[p * s + p] += 1.0;
+            for &q in &in_row[i + 1..] {
+                gram[p * s + q] += 1.0;
+                gram[q * s + p] += 1.0;
             }
-        };
-        let inv_diag = chol.inverse_diagonal();
-        let keep: Vec<bool> = values
-            .iter()
-            .zip(&inv_diag)
-            .map(|(v, &d)| v.norm_sqr() / d.max(1e-300) >= threshold)
-            .collect();
-        if keep.iter().all(|&k| k) {
-            final_values = values;
-            break;
-        }
-        let mut idx = 0;
-        support.retain(|_| {
-            let k = keep[idx];
-            idx += 1;
-            k
-        });
-        final_values.clear();
-    }
-    if support.is_empty() {
-        return Ok(SparseSolution {
-            support,
-            values: Vec::new(),
-            relative_residual: if y_energy > 0.0 { 1.0 } else { 0.0 },
-        });
-    }
-    // A non-empty support can only leave the loop through the all-kept
-    // break, which stored that round's refit.
-    debug_assert_eq!(final_values.len(), support.len());
-    // Residual energy of the final fit.
-    let mut residual: Vec<Complex> = y.to_vec();
-    for (&col, &v) in support.iter().zip(&final_values) {
-        for &r in a.col(col) {
-            residual[r] -= v;
         }
     }
-    let final_energy: f64 = residual.iter().map(|s| s.norm_sqr()).sum();
-    Ok(SparseSolution {
-        support,
-        values: final_values,
-        relative_residual: if y_energy > 0.0 {
-            final_energy / y_energy
-        } else {
-            0.0
-        },
-    })
+    gram
 }
 
-/// The pruned candidate scan behind large-population OMP.
+/// The pruned candidate scan behind OMP's column selection.
 ///
 /// The exhaustive scan walks every candidate column's rows per iteration —
 /// `O(nnz)` each time, the identification bottleneck at K = 300+ where the
@@ -580,6 +488,14 @@ impl OmpSolver {
 
     /// Recovers a sparse complex vector `z` from `y ≈ A·z`.
     ///
+    /// Each iteration picks the unselected column with the largest
+    /// normalized correlation `|Σ_{r∈col} residual_r| / √deg` (the first
+    /// maximum in column order), grows the Cholesky factor of the support's
+    /// Gram by that column, and refits.  It stops at `max_sparsity` picks,
+    /// when no column correlates with the residual, when a pick is
+    /// numerically dependent on the support, or once the residual energy
+    /// falls below `residual_tolerance` of the measurement energy.
+    ///
     /// # Errors
     ///
     /// Returns [`RecoveryError::DimensionMismatch`] if `y` does not have one
@@ -605,87 +521,7 @@ impl OmpSolver {
                 relative_residual: 0.0,
             });
         }
-        if self.config.incremental_refit {
-            return self.solve_incremental(a, y, y_energy);
-        }
 
-        let mut residual: Vec<Complex> = y.to_vec();
-        let mut support: Vec<usize> = Vec::new();
-        let mut values: Vec<Complex> = Vec::new();
-
-        for _ in 0..self.config.max_sparsity.min(a.cols()) {
-            // Correlate every unselected column with the residual.  Columns
-            // are binary, so the correlation is just the sum of residual
-            // entries over the column's rows, normalized by √(column weight).
-            let mut best: Option<(usize, f64)> = None;
-            for col in 0..a.cols() {
-                if support.contains(&col) {
-                    continue;
-                }
-                let rows = a.col(col);
-                if rows.is_empty() {
-                    continue;
-                }
-                let corr: Complex = rows.iter().map(|&r| residual[r]).sum();
-                let score = corr.abs() / (rows.len() as f64).sqrt();
-                if best.is_none_or(|(_, s)| score > s) {
-                    best = Some((col, score));
-                }
-            }
-            let Some((chosen, score)) = best else { break };
-            if score <= 1e-12 {
-                break;
-            }
-            support.push(chosen);
-
-            // Least-squares refit over the chosen support.
-            let mut sub = ComplexMatrix::zeros(a.rows(), support.len());
-            for (j, &col) in support.iter().enumerate() {
-                for &r in a.col(col) {
-                    sub.set(r, j, Complex::ONE);
-                }
-            }
-            values = match solve_least_squares(&sub, y) {
-                Ok(v) => v,
-                Err(RecoveryError::SingularSystem) => {
-                    // The newly-added column is (numerically) dependent on the
-                    // existing support; drop it and stop growing.
-                    support.pop();
-                    break;
-                }
-                Err(e) => return Err(e),
-            };
-
-            // Update the residual.
-            let fit = sub.mul_vec(&values)?;
-            residual = y.iter().zip(&fit).map(|(&m, &f)| m - f).collect();
-            let res_energy: f64 = residual.iter().map(|s| s.norm_sqr()).sum();
-            if res_energy / y_energy < self.config.residual_tolerance {
-                break;
-            }
-        }
-
-        let res_energy: f64 = residual.iter().map(|s| s.norm_sqr()).sum();
-        Ok(SparseSolution {
-            support,
-            values,
-            relative_residual: res_energy / y_energy,
-        })
-    }
-
-    /// The large-population path: identical selection and stopping rules,
-    /// but the per-iteration least-squares refit grows a real Cholesky
-    /// factor of the (binary-column) Gram instead of rebuilding and
-    /// re-eliminating the normal equations from scratch, and the
-    /// correlation scan runs over the pruned candidate ledger
-    /// ([`CorrelationLedger`]) instead of touching every column's rows each
-    /// iteration.
-    fn solve_incremental(
-        &self,
-        a: &SparseBinaryMatrix,
-        y: &[Complex],
-        y_energy: f64,
-    ) -> RecoveryResult<SparseSolution> {
         let n = a.cols();
         let mut selected = vec![false; n];
         let mut support: Vec<usize> = Vec::new();
@@ -696,8 +532,7 @@ impl OmpSolver {
         let mut ledger = CorrelationLedger::new(a, &residual);
 
         for _ in 0..self.config.max_sparsity.min(n) {
-            // Same correlation score and tie-breaking as the direct path:
-            // the ledger exactly re-scores every candidate within its drift
+            // The ledger exactly re-scores every candidate within its drift
             // margin of the maintained top, so the pick is provably the
             // exhaustive scan's.
             let Some((chosen, score)) = ledger.select_exact(a, &residual, &selected) else {
@@ -713,10 +548,10 @@ impl OmpSolver {
             let cross: Vec<f64> = (0..support.len())
                 .map(|s| ledger.gram_rows[s * n + chosen] as f64)
                 .collect();
-            // The +1e-12 ridge matches the direct path's Gram diagonal.
+            // A tiny ridge on the diagonal keeps nearly collinear supports
+            // solvable.
             if !chol.push(&cross, a.col(chosen).len() as f64 + 1e-12)? {
-                // Numerically dependent column: stop growing, exactly as the
-                // direct path does on a singular refit.
+                // Numerically dependent column: stop growing.
                 break;
             }
             selected[chosen] = true;
@@ -749,6 +584,7 @@ impl OmpSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::linalg::{solve_least_squares, ComplexMatrix};
     use backscatter_prng::{NodeSeed, Rng64, Xoshiro256};
     use proptest::prelude::*;
 
@@ -883,7 +719,6 @@ mod tests {
         let solver = OmpSolver::new(OmpConfig {
             max_sparsity: 12,
             residual_tolerance: 1e-6,
-            incremental_refit: false,
         })
         .unwrap();
         let raw = solver.solve(&a, &y).unwrap();
@@ -895,49 +730,110 @@ mod tests {
         assert_eq!(refined.values.len(), refined.support.len());
     }
 
+    /// The dense remove-one-at-a-time prune: one least-squares refit of the
+    /// support without each candidate per round, dropping the first
+    /// weakest entry while it is insignificant.  The reference
+    /// [`prune_insignificant`]'s leave-one-out schedule is pinned to.
+    fn prune_insignificant_dense(
+        a: &SparseBinaryMatrix,
+        y: &[Complex],
+        solution: &SparseSolution,
+        noise_power: f64,
+        significance: f64,
+    ) -> SparseSolution {
+        let y_energy: f64 = y.iter().map(|s| s.norm_sqr()).sum();
+        let residual_energy = |support: &[usize]| -> (f64, Vec<Complex>) {
+            if support.is_empty() {
+                return (y_energy, Vec::new());
+            }
+            let mut sub = ComplexMatrix::zeros(a.rows(), support.len());
+            for (j, &col) in support.iter().enumerate() {
+                for &r in a.col(col) {
+                    sub.set(r, j, Complex::ONE);
+                }
+            }
+            let values = solve_least_squares(&sub, y).unwrap();
+            let fit = sub.mul_vec(&values).unwrap();
+            let energy = y.iter().zip(&fit).map(|(&m, &f)| (m - f).norm_sqr()).sum();
+            (energy, values)
+        };
+        let threshold = significance * noise_power * a.rows() as f64;
+        let mut support = solution.support.clone();
+        while !support.is_empty() {
+            let (full_energy, _) = residual_energy(&support);
+            let mut weakest: Option<(usize, f64)> = None;
+            for idx in 0..support.len() {
+                let mut without = support.clone();
+                without.remove(idx);
+                let contribution = residual_energy(&without).0 - full_energy;
+                if weakest.is_none_or(|(_, c)| contribution < c) {
+                    weakest = Some((idx, contribution));
+                }
+            }
+            match weakest {
+                Some((idx, contribution)) if contribution < threshold => {
+                    support.remove(idx);
+                }
+                _ => break,
+            }
+        }
+        let (final_energy, values) = residual_energy(&support);
+        SparseSolution {
+            support,
+            values,
+            relative_residual: final_energy / y_energy,
+        }
+    }
+
     proptest! {
-        /// The incremental (leave-one-out + batched rounds) pruning must
-        /// agree with the dense remove-one-at-a-time pruning on the stage-3
-        /// regime it replaces it in: same surviving support, matching refit
-        /// values.  (The two schedules could in principle diverge on
-        /// entries sitting exactly at the significance threshold; random
-        /// continuous channels keep every entry clearly on one side.)
+        /// The leave-one-out prune keeps the dense prune's schedule: same
+        /// surviving support, matching refit values.  Two shapes: generous
+        /// measurements (`M = 20·K`), and stage 3 as identification runs it
+        /// (`≈ K²` candidates, `M ≈ 2.5·K·log₂K` rows, `2K` picks, noise at
+        /// the uplink's 22 dB median SNR, significance 4).  Stage 3 is where
+        /// dropping every insignificant entry of a round at once, instead of
+        /// only the weakest, loses real tags.
         #[test]
         fn incremental_pruning_matches_dense_pruning(
             seed in 0u64..100_000,
-            n_cols in 40usize..160,
-            k in 2usize..8,
+            k in 2usize..13,
+            stage3 in any::<bool>(),
             noise_step in 1usize..4,
         ) {
-            let noise = noise_step as f64 * 0.02;
-            let rows = 20 * k;
+            let k = if stage3 { k } else { k.min(7) };
+            let (n_cols, rows, noise, significance) = if stage3 {
+                let rows = (2.5 * k as f64 * (k as f64).log2()).ceil() as usize;
+                // `make_problem`'s channels have median |h|² ≈ 0.64; the SNR
+                // is 19, 22 or 25 dB.
+                let snr_db = 19.0 + 3.0 * (noise_step - 1) as f64;
+                let noise_power = 0.64 / 10f64.powf(snr_db / 10.0);
+                ((k * k).max(4 * k), rows.max(16), (6.0 * noise_power).sqrt(), 4.0)
+            } else {
+                (40 + seed as usize % 120, 20 * k, noise_step as f64 * 0.02, 3.0)
+            };
             let (a, y, _support, _values) = make_problem(n_cols, k, rows, seed, noise);
-            // Generous head-room so the raw solve over-fits spurious columns
-            // for the pruning to remove.
+            // Head-room so the raw solve over-fits spurious columns for the
+            // pruning to remove.
             let solver = OmpSolver::new(OmpConfig {
                 max_sparsity: 2 * k,
                 residual_tolerance: 1e-6,
-                incremental_refit: false,
             }).unwrap();
             let raw = solver.solve(&a, &y).unwrap();
+            // Uniform noise of amplitude ±noise/2 per component has this power.
             let noise_power = noise * noise / 6.0;
-            let dense = prune_insignificant(&a, &y, &raw, noise_power, 3.0).unwrap();
-            let incremental =
-                prune_insignificant_incremental(&a, &y, &raw, noise_power, 3.0).unwrap();
-            prop_assert_eq!(dense.sorted_support(), incremental.sorted_support());
-            let mut dense_pairs: Vec<(usize, Complex)> =
-                dense.support.iter().copied().zip(dense.values.iter().copied()).collect();
-            let mut inc_pairs: Vec<(usize, Complex)> =
-                incremental.support.iter().copied().zip(incremental.values.iter().copied()).collect();
-            dense_pairs.sort_by_key(|&(col, _)| col);
-            inc_pairs.sort_by_key(|&(col, _)| col);
-            for ((dc, dv), (ic, iv)) in dense_pairs.iter().zip(&inc_pairs) {
-                prop_assert_eq!(dc, ic);
+            let dense = prune_insignificant_dense(&a, &y, &raw, noise_power, significance);
+            let loo = prune_insignificant(&a, &y, &raw, noise_power, significance).unwrap();
+            prop_assert_eq!(&dense.support, &loo.support);
+            for ((col, dv), lv) in dense.support.iter().zip(&dense.values).zip(&loo.values) {
                 prop_assert!(
-                    (*dv - *iv).abs() < 1e-6 * (1.0 + dv.abs()),
-                    "column {}: {:?} vs {:?}", dc, dv, iv
+                    (*dv - *lv).abs() < 1e-6 * (1.0 + dv.abs()),
+                    "column {}: {:?} vs {:?}", col, dv, lv
                 );
             }
+            prop_assert!(
+                (dense.relative_residual - loo.relative_residual).abs() < 1e-9,
+                "residual {} vs {}", dense.relative_residual, loo.relative_residual
+            );
         }
     }
 
@@ -952,6 +848,25 @@ mod tests {
         assert!(prune_insignificant(&a, &[Complex::ZERO; 2], &empty, 1.0, 3.0).is_err());
         let ok = prune_insignificant(&a, &[Complex::ZERO; 3], &empty, 1.0, 3.0).unwrap();
         assert!(ok.support.is_empty());
+    }
+
+    #[test]
+    fn prune_insignificant_drops_a_dependent_column() {
+        // Columns 0 and 1 cover the same rows: the second explains nothing
+        // the first does not, and its Cholesky pivot is only the ridge.
+        let ones = [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1), (3, 2)];
+        let a = SparseBinaryMatrix::from_ones(4, 3, &ones).unwrap();
+        let raw = SparseSolution {
+            support: vec![0, 1, 2],
+            values: vec![Complex::ONE; 3],
+            relative_residual: 0.0,
+        };
+        let pruned = prune_insignificant(&a, &[Complex::ONE; 4], &raw, 1e-6, 3.0).unwrap();
+        assert_eq!(pruned.support, vec![0, 2]);
+        for v in &pruned.values {
+            assert!((*v - Complex::ONE).abs() < 1e-9, "{v:?}");
+        }
+        assert!(pruned.relative_residual < 1e-12);
     }
 
     #[test]
@@ -970,9 +885,9 @@ mod tests {
         assert_eq!(clipped[1], Complex::I);
     }
 
-    /// The pre-pruner incremental solver: exhaustive correlation scan every
-    /// iteration, otherwise byte-for-byte the arithmetic of
-    /// `solve_incremental`.  The reference the pruned scan is pinned to.
+    /// The pre-pruner solver: exhaustive correlation scan every iteration,
+    /// otherwise byte-for-byte the arithmetic of [`OmpSolver::solve`].  The
+    /// reference the pruned scan is pinned to.
     fn solve_incremental_reference(
         config: &OmpConfig,
         a: &SparseBinaryMatrix,
@@ -1068,7 +983,6 @@ mod tests {
             let config = OmpConfig {
                 max_sparsity: (k + headroom * k).max(1),
                 residual_tolerance: 1e-4,
-                incremental_refit: true,
             };
             let solver = OmpSolver::new(config).unwrap();
             let pruned = solver.solve(&a, &y).unwrap();
