@@ -3,10 +3,13 @@
 //! K ≫ 16; this suite is the stepping stone the ROADMAP's K = 100+ workload
 //! builds on).
 //!
-//! Participation is held at ~4 expected colliders per slot regardless of K
-//! (`p = 4/K`), matching how the rateless code provisions its collision size,
-//! so the workload isolates how decode cost scales with the *population*
-//! rather than with collision density.
+//! Most entries hold participation at ~4 expected colliders per slot
+//! regardless of K (`p = 4/K`), so they isolate how decode cost scales with
+//! the *population* rather than with collision density.  That is not what
+//! the protocol runs at large K: `ParticipationCode::for_population` clamps
+//! `p` to `[0.15, 0.85]`, so a target of 4 colliders gives `0.15·K` per slot
+//! from K = 27 up (15 at K = 100, 22.5 at K = 150).  The
+//! `session_worklist_dense` entries measure that regime.
 //!
 //! A reference measurement for this suite lives in
 //! `benches/decoders_large_k.baseline.json`; rerun with
@@ -180,6 +183,16 @@ fn bench_decoders_large_k(c: &mut Criterion) {
     for &k in &[100usize, 150] {
         let (channels, bits, stream) = build_slot_stream(k, 3 * k, 4.0);
         group.bench_with_input(BenchmarkId::new("session_worklist", k), &k, |b, _| {
+            b.iter(|| run_session(&channels, bits, &stream, DecodeSchedule::Worklist));
+        });
+    }
+    // The regime the protocol actually runs at K ≥ 27: the participation
+    // floor holds p at 0.15, so 15 and 22.5 nodes collide per slot.  Every
+    // flip touches most gains, the pair scan runs flat, and the sweep's
+    // parallel gate engages.
+    for &k in &[100usize, 150] {
+        let (channels, bits, stream) = build_slot_stream(k, 3 * k, 0.15 * k as f64);
+        group.bench_with_input(BenchmarkId::new("session_worklist_dense", k), &k, |b, _| {
             b.iter(|| run_session(&channels, bits, &stream, DecodeSchedule::Worklist));
         });
     }

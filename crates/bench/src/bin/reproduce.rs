@@ -33,12 +33,12 @@
 use std::io::Write as _;
 use std::path::Path;
 
+use buzz::executor::available_threads;
 use buzz_bench::experiments;
 use buzz_bench::orchestrate::{
     diff as runbook_diff, figures_json, GridDynamics, GridOptions, JobArtifact, Runbook, Shard,
     SweepPlan,
 };
-use buzz_bench::parallelism;
 use buzz_bench::report::reports_to_json;
 use buzz_bench::ExperimentReport;
 
@@ -77,7 +77,7 @@ impl CommonFlags {
             plan: "all".to_string(),
             locations: experiments::DEFAULT_LOCATIONS,
             seed: BASE_SEED,
-            threads: parallelism::available_threads(),
+            threads: available_threads(),
             grid: GridOptions::default(),
             shard: Shard::full(),
             out: None,

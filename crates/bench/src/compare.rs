@@ -11,7 +11,7 @@
 //!   "FSA with Buzz's K̂" gets its estimate).
 //! * **grid** — one scenario per `(parameter, location)` cell, built by a
 //!   caller closure; one or more noise realizations ("traces") per cell.
-//! * **execution** — cells shard across [`parallel_map`] worker threads
+//! * **execution** — cells shard across [`work_steal_map`] worker threads
 //!   exactly as the hand-written experiments did, and the ordered per-cell
 //!   results are folded in serial order, so report output stays
 //!   byte-identical for every `--threads` value.
@@ -20,9 +20,8 @@
 //! every figure is one [`Protocol`] impl.
 
 use backscatter_sim::scenario::Scenario;
+use buzz::executor::work_steal_map;
 use buzz::session::{Protocol, SessionOutcome};
-
-use crate::parallelism::parallel_map;
 
 /// The outcomes of one `(parameter, location, trace)` cell, index-aligned
 /// with the protocol panel that produced them.
@@ -77,7 +76,7 @@ where
         .iter()
         .flat_map(|&param| (0..locations).map(move |location| (param, location)))
         .collect();
-    let per_cell: Vec<Vec<ComparisonCell>> = parallel_map(threads, cells, |(param, location)| {
+    let per_cell: Vec<Vec<ComparisonCell>> = work_steal_map(threads, cells, |(param, location)| {
         let mut scenario = scenario_of(param, location);
         trace_seeds_of(location)
             .into_iter()

@@ -9,7 +9,7 @@
 //! [`crate::compare::compare`] runner, followed by a per-figure fold of the
 //! ordered cells.  Each cell of the grid is an independent
 //! `(ScenarioConfig, seed)` run, so the runner shards cells across worker
-//! threads ([`crate::parallelism::parallel_map`]) and the fold *replays* the
+//! threads ([`buzz::executor::work_steal_map`]) and the fold *replays* the
 //! serial accumulation order over the ordered per-cell results.  Because
 //! every float is added in exactly the sequence the serial loop would use,
 //! report output is byte-identical for every `threads` value — `threads = 1`
@@ -31,6 +31,7 @@ use backscatter_sim::faults::{
 use backscatter_sim::medium::{Medium, MediumConfig};
 use backscatter_sim::scenario::ScenarioBuilder;
 use buzz::bp::DecodeSchedule;
+use buzz::executor::work_steal_map;
 use buzz::identification::IdentificationConfig;
 use buzz::protocol::{BuzzConfig, BuzzProtocol};
 use buzz::recovery::{RecoveryConfig, ResilientBuzzProtocol};
@@ -40,7 +41,6 @@ use buzz::transfer::TransferConfig;
 use sparse_recovery::kest::{KEstimator, KEstimatorConfig};
 
 use crate::compare::{compare, ComparisonCell};
-use crate::parallelism::parallel_map;
 use crate::report::ExperimentReport;
 
 /// The FullPass compat pin for the paper's K ≤ 16 figures: the worklist
@@ -897,7 +897,7 @@ fn fleet_config(readers: usize, population: usize, base_seed: u64) -> FleetConfi
 /// Unlike those figures this one does not average over locations — the fleet
 /// run is itself the ensemble (hundreds of sessions per cell of the grid) —
 /// so `locations` does not appear; `threads` shards sessions across the
-/// fleet crate's work-stealing executor with byte-identical output.
+/// repository's work-stealing executor with byte-identical output.
 #[must_use]
 pub fn fig_fleet(base_seed: u64, threads: usize) -> ExperimentReport {
     let mut report = ExperimentReport::new(
@@ -1113,7 +1113,7 @@ pub fn lemma51(base_seed: u64, threads: usize) -> ExperimentReport {
         .collect();
     // One shard per (K, s) cell; every trial derives its stream from the
     // explicit seed, so cells are independent.
-    let rows = parallel_map(threads, cells, |(k, s)| {
+    let rows = work_steal_map(threads, cells, |(k, s)| {
         let trials = 30u64;
         let mut sum_k = 0.0;
         let mut sum_err = 0.0;

@@ -30,7 +30,7 @@
 pub mod compare;
 pub mod experiments;
 pub mod orchestrate;
-pub mod parallelism;
+mod parallelism;
 pub mod report;
 
 pub use compare::{compare, ComparisonCell};

@@ -13,9 +13,9 @@
 //!   round-trip [`std::fmt::Display`] formatting, which is deterministic
 //!   across platforms and re-parses to the identical bit pattern.
 //! * [`CanonicalJson::parse`] — a small recursive-descent parser accepting
-//!   standard JSON; for any value `v`, `parse(serialize(v)) == v` and
-//!   `serialize(parse(serialize(v))) == serialize(v)` (pinned by unit tests
-//!   and a property test).
+//!   standard JSON nested at most [`MAX_NESTING`] deep; for any value `v`,
+//!   `parse(serialize(v)) == v` and `serialize(parse(serialize(v))) ==
+//!   serialize(v)` (pinned by unit tests and a property test).
 //!
 //! Content addressing uses [`content_hash`]: FNV-1a over the canonical
 //! bytes, finalized through a SplitMix64 round for avalanche, rendered as
@@ -26,6 +26,12 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use backscatter_prng::{Rng64, SplitMix64};
+
+/// The deepest array/object nesting [`CanonicalJson::parse`] accepts.  The
+/// parser recurses once per level, so without a bound a hostile input of
+/// nested brackets would overflow the stack and abort the process; every
+/// artifact this crate writes nests a handful of levels deep.
+pub const MAX_NESTING: usize = 128;
 
 /// A JSON value with canonical (sorted-key, byte-stable) serialization.
 #[derive(Debug, Clone, PartialEq)]
@@ -161,11 +167,12 @@ impl CanonicalJson {
     ///
     /// Numbers with a `.`, `e`, or `E` parse as [`CanonicalJson::Float`];
     /// bare integers that fit `i64` parse as [`CanonicalJson::Int`].
-    /// Duplicate object keys resolve last-wins.
+    /// Duplicate object keys resolve last-wins.  Input nested deeper than
+    /// [`MAX_NESTING`] is an error, not a stack overflow.
     pub fn parse(text: &str) -> Result<Self, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing bytes at offset {pos}"));
@@ -211,8 +218,15 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<CanonicalJson, String> {
+/// Parses one value whose enclosing arrays/objects are `depth` levels deep.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<CanonicalJson, String> {
     skip_ws(bytes, pos);
+    if matches!(bytes.get(*pos), Some(b'[' | b'{')) && depth >= MAX_NESTING {
+        return Err(format!(
+            "nesting deeper than {MAX_NESTING} at offset {pos}",
+            pos = *pos
+        ));
+    }
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'n') => parse_literal(bytes, pos, "null", CanonicalJson::Null),
@@ -228,7 +242,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<CanonicalJson, String> {
                 return Ok(CanonicalJson::Array(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -253,7 +267,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<CanonicalJson, String> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 map.insert(key, value);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -433,6 +447,21 @@ mod tests {
         for bad in ["", "{", "[1,]", "tru", "\"unterminated", "{\"a\" 1}", "1 2"] {
             assert!(CanonicalJson::parse(bad).is_err(), "`{bad}` parsed");
         }
+    }
+
+    #[test]
+    fn parse_bounds_nesting_depth() {
+        let hostile = "[".repeat(100_000);
+        assert!(CanonicalJson::parse(&hostile).is_err());
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(CanonicalJson::parse(&nested(MAX_NESTING)).is_ok());
+        assert!(CanonicalJson::parse(&nested(MAX_NESTING + 1)).is_err());
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_NESTING + 1),
+            "}".repeat(MAX_NESTING + 1)
+        );
+        assert!(CanonicalJson::parse(&objects).is_err());
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //! [`run_shard`] executes any contiguous [`Shard`] of a plan's job list.
 //! Jobs run sequentially within the shard; each job shards its own scenario
 //! matrix across `threads` workers through the experiment machinery it
-//! already uses ([`crate::parallelism::parallel_map`] for the figure grids,
-//! the fleet crate's work-stealing executor for `fig_fleet`), so output is
-//! byte-identical for every `threads` value *and* every shard split.
+//! already uses (the one work-stealing executor,
+//! [`buzz::executor::work_steal_map`], behind the figure grids and
+//! `fig_fleet` alike), so output is byte-identical for every `threads` value
+//! *and* every shard split.
 
 use backscatter_baselines::session::TdmaProtocol;
 use backscatter_sim::dynamics::CorrelatedFading;

@@ -1,92 +1,22 @@
-//! A hand-rolled deterministic parallel executor for the experiment matrix.
+//! The harness's determinism contract across thread counts.
 //!
-//! The container has no access to crates.io (so no rayon); this module
-//! provides the one primitive the harness needs: run a list of independent
-//! work items on a scoped thread pool and return the results **in input
-//! order**, regardless of how the OS schedules the workers.  Experiments
-//! shard their `locations × parameters` scenario matrix through
-//! [`parallel_map`], then fold the ordered partial results exactly as the
-//! serial loop would — which is what keeps `--threads N` output byte-identical
-//! to `--threads 1` (the determinism contract of
-//! `tests/manifest_integrity.rs` extended across thread counts).
-//!
-//! Work is distributed dynamically (a shared cursor, not pre-chunking) so a
-//! straggler scenario cannot serialize the run, and workers are plain
-//! `std::thread::scope` threads, so a panic in any item propagates to the
-//! caller at join time instead of being silently dropped.
-
-use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-/// The default worker count: one per available hardware thread.
-#[must_use]
-pub fn available_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1)
-}
-
-/// Applies `f` to every item, using up to `threads` worker threads, and
-/// returns the results in the order of `items`.
-///
-/// * `threads <= 1` (or a single item) runs inline on the caller's thread —
-///   bit-for-bit the behaviour of the plain serial loop, with no pool set up.
-/// * `f` must be deterministic for the output-identity guarantee to mean
-///   anything; everything in this crate derives its randomness from explicit
-///   seeds, so that holds by construction.
-pub fn parallel_map<T, R, F>(threads: usize, items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    if threads <= 1 || items.len() <= 1 {
-        return items.into_iter().map(f).collect();
-    }
-    let workers = threads.min(items.len());
-    // Items move into per-slot cells so workers can claim them by index
-    // without a queue lock on the hot path; the cursor is a single atomic.
-    let cells: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let results: Vec<Mutex<Option<R>>> = (0..cells.len()).map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                if idx >= cells.len() {
-                    break;
-                }
-                let item = cells[idx]
-                    .lock()
-                    .expect("work cell poisoned")
-                    .take()
-                    .expect("work item claimed twice");
-                let out = f(item);
-                *results[idx].lock().expect("result cell poisoned") = Some(out);
-            });
-        }
-    });
-    results
-        .into_iter()
-        .map(|cell| {
-            cell.into_inner()
-                .expect("result cell poisoned")
-                .expect("worker skipped an item")
-        })
-        .collect()
-}
+//! Experiments shard their `locations × parameters` scenario matrix through
+//! the repository's one executor, [`buzz::executor::work_steal_map`], then
+//! fold the ordered partial results exactly as the serial loop would — which
+//! is what keeps `reproduce --threads N` output byte-identical to
+//! `--threads 1`.  This module defines no pool of its own: its tests pin the
+//! properties of the executor that the harness's fold relies on.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use buzz::executor::work_steal_map;
 
     #[test]
     fn preserves_input_order_for_any_thread_count() {
         let items: Vec<u64> = (0..97).collect();
         let expected: Vec<u64> = items.iter().map(|&x| x * x + 1).collect();
         for threads in [1usize, 2, 3, 8, 200] {
-            let got = parallel_map(threads, items.clone(), |x| x * x + 1);
+            let got = work_steal_map(threads, items.clone(), |x| x * x + 1);
             assert_eq!(got, expected, "threads = {threads}");
         }
     }
@@ -105,8 +35,8 @@ mod tests {
             acc
         };
         let items: Vec<u64> = (0..40).collect();
-        let serial = parallel_map(1, items.clone(), work);
-        let parallel = parallel_map(4, items.clone(), work);
+        let serial = work_steal_map(1, items.clone(), work);
+        let parallel = work_steal_map(4, items, work);
         // Bitwise comparison, not approximate.
         let serial_bits: Vec<u64> = serial.iter().map(|f| f.to_bits()).collect();
         let parallel_bits: Vec<u64> = parallel.iter().map(|f| f.to_bits()).collect();
@@ -116,20 +46,15 @@ mod tests {
     #[test]
     fn handles_empty_and_singleton_inputs() {
         let empty: Vec<u32> = Vec::new();
-        assert!(parallel_map(4, empty, |x: u32| x).is_empty());
-        assert_eq!(parallel_map(4, vec![7u32], |x| x + 1), vec![8]);
+        assert!(work_steal_map(4, empty, |x: u32| x).is_empty());
+        assert_eq!(work_steal_map(4, vec![7u32], |x| x + 1), vec![8]);
     }
 
     #[test]
     fn more_threads_than_items_is_fine() {
         assert_eq!(
-            parallel_map(64, vec![1u32, 2, 3], |x| x * 10),
+            work_steal_map(64, vec![1u32, 2, 3], |x| x * 10),
             vec![10, 20, 30]
         );
-    }
-
-    #[test]
-    fn available_threads_is_positive() {
-        assert!(available_threads() >= 1);
     }
 }

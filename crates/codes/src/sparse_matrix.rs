@@ -20,9 +20,11 @@
 //! Matrices that drive the bit-flipping decoder additionally maintain a
 //! per-column *neighbour index* (see [`SparseBinaryMatrix::track_neighbors`]):
 //! for every column, the other columns sharing at least one row, with the
-//! shared-row multiplicity.  This turns the decoder's
+//! shared-row multiplicity, plus each column's largest multiplicity and the
+//! number of colliding column pairs.  This turns the decoder's
 //! neighbour-of-neighbour touch set and pair-flip search from quadratic scans
-//! into direct list walks.
+//! into direct list walks, and gives the pair search the per-node bound it
+//! prunes with.
 
 use backscatter_prng::NodeSeed;
 
@@ -42,9 +44,55 @@ pub struct SparseBinaryMatrix {
     col_ptr: Vec<usize>,
     /// Concatenated row indices of the ones, sorted within each column.
     col_rows: Vec<usize>,
-    /// When enabled, `neighbors[c]` lists every other column sharing ≥ 1 row
-    /// with `c` as `(column, shared_row_count)`, sorted by column.
-    neighbors: Option<Vec<Vec<(usize, usize)>>>,
+    /// The per-column neighbour index, when enabled.
+    neighbors: Option<NeighborIndex>,
+}
+
+/// Which columns share rows, maintained incrementally as rows arrive.
+#[derive(Debug, Clone)]
+struct NeighborIndex {
+    /// `lists[c]` holds every other column sharing ≥ 1 row with `c` as
+    /// `(column, shared_row_count)`, sorted by column.
+    lists: Vec<Vec<(usize, usize)>>,
+    /// `max_shared[c]`: the largest shared-row count in `lists[c]` (0 for a
+    /// column that shares no row).
+    max_shared: Vec<usize>,
+    /// Number of distinct column pairs sharing ≥ 1 row.
+    pairs: usize,
+}
+
+impl NeighborIndex {
+    fn new(cols: usize) -> Self {
+        Self {
+            lists: vec![Vec::new(); cols],
+            max_shared: vec![0; cols],
+            pairs: 0,
+        }
+    }
+
+    /// Records one more shared row between columns `a` and `b` in both
+    /// neighbour lists (each kept sorted by column index), bumping the
+    /// per-column maxima and, for a first shared row, the pair count.
+    fn link(&mut self, a: usize, b: usize) {
+        debug_assert_ne!(a, b);
+        for (from, to) in [(a, b), (b, a)] {
+            let list = &mut self.lists[from];
+            let shared = match list.binary_search_by_key(&to, |&(c, _)| c) {
+                Ok(i) => {
+                    list[i].1 += 1;
+                    list[i].1
+                }
+                Err(i) => {
+                    list.insert(i, (to, 1));
+                    1
+                }
+            };
+            self.max_shared[from] = self.max_shared[from].max(shared);
+            if shared == 1 && from == a {
+                self.pairs += 1;
+            }
+        }
+    }
 }
 
 /// Equality is defined on the logical entry set (the CSC view and neighbour
@@ -218,10 +266,10 @@ impl SparseBinaryMatrix {
             Ok(_) => return Ok(()),
             Err(offset) => self.row_ptr[row] + offset,
         };
-        if let Some(neighbors) = &mut self.neighbors {
+        if let Some(index) = &mut self.neighbors {
             let seg = &self.row_cols[self.row_ptr[row]..self.row_ptr[row + 1]];
             for &other in seg {
-                link_neighbors(neighbors, col, other);
+                index.link(col, other);
             }
         }
         self.row_cols.insert(row_pos, col);
@@ -304,16 +352,16 @@ impl SparseBinaryMatrix {
     /// participation matrices (a handful of colliders per slot), not for dense
     /// sensing matrices.
     pub fn track_neighbors(&mut self) {
-        let mut neighbors = vec![Vec::new(); self.cols];
+        let mut index = NeighborIndex::new(self.cols);
         for row in 0..self.rows {
             let seg = &self.row_cols[self.row_ptr[row]..self.row_ptr[row + 1]];
             for (i, &a) in seg.iter().enumerate() {
                 for &b in &seg[i + 1..] {
-                    link_neighbors(&mut neighbors, a, b);
+                    index.link(a, b);
                 }
             }
         }
-        self.neighbors = Some(neighbors);
+        self.neighbors = Some(index);
     }
 
     /// The columns sharing at least one row with `col`, as
@@ -323,8 +371,27 @@ impl SparseBinaryMatrix {
     /// an empty list.
     #[must_use]
     pub fn neighbors(&self, col: usize) -> Option<&[(usize, usize)]> {
-        let lists = self.neighbors.as_ref()?;
-        Some(lists.get(col).map_or(&[], Vec::as_slice))
+        let index = self.neighbors.as_ref()?;
+        Some(index.lists.get(col).map_or(&[], Vec::as_slice))
+    }
+
+    /// The largest shared-row count between `col` and any other column
+    /// (the maximum multiplicity in its neighbour list): 0 for a column
+    /// sharing no row, an out-of-range column, or when neighbour tracking
+    /// is disabled.
+    #[must_use]
+    pub fn max_shared(&self, col: usize) -> usize {
+        self.neighbors
+            .as_ref()
+            .and_then(|index| index.max_shared.get(col).copied())
+            .unwrap_or(0)
+    }
+
+    /// How many distinct column pairs share at least one row (half the
+    /// total neighbour-list length); 0 when neighbour tracking is disabled.
+    #[must_use]
+    pub fn colliding_pairs(&self) -> usize {
+        self.neighbors.as_ref().map_or(0, |index| index.pairs)
     }
 
     /// Like [`SparseBinaryMatrix::neighbors`] but collapsing "tracking
@@ -361,10 +428,10 @@ impl SparseBinaryMatrix {
         let mut sorted = cols_with_one.to_vec();
         sorted.sort_unstable();
         sorted.dedup();
-        if let Some(neighbors) = &mut self.neighbors {
+        if let Some(index) = &mut self.neighbors {
             for (i, &a) in sorted.iter().enumerate() {
                 for &b in &sorted[i + 1..] {
-                    link_neighbors(neighbors, a, b);
+                    index.link(a, b);
                 }
             }
         }
@@ -442,19 +509,6 @@ impl SparseBinaryMatrix {
         Ok((0..self.rows)
             .map(|r| self.row(r).iter().map(|&c| x[c]).sum())
             .collect())
-    }
-}
-
-/// Records one more shared row between columns `a` and `b` in both neighbour
-/// lists (each kept sorted by column index).
-fn link_neighbors(neighbors: &mut [Vec<(usize, usize)>], a: usize, b: usize) {
-    debug_assert_ne!(a, b);
-    for (from, to) in [(a, b), (b, a)] {
-        let list = &mut neighbors[from];
-        match list.binary_search_by_key(&to, |&(c, _)| c) {
-            Ok(i) => list[i].1 += 1,
-            Err(i) => list.insert(i, (to, 1)),
-        }
     }
 }
 
@@ -613,6 +667,26 @@ mod tests {
         m.set(0, 2).unwrap();
         assert_eq!(m.neighbors(2).unwrap(), &[(0, 1), (1, 1)]);
         assert!(m.neighbors(99).unwrap().is_empty());
+        // Per-column maxima and the pair count ride along.
+        assert_eq!(
+            [0, 1, 2, 3].map(|c| m.max_shared(c)),
+            [2, 2, 1, 1],
+            "max shared rows per column"
+        );
+        assert_eq!(
+            m.colliding_pairs(),
+            5,
+            "{{0,1}} {{0,2}} {{0,3}} {{1,2}} {{1,3}}"
+        );
+        assert_eq!(m.max_shared(99), 0);
+    }
+
+    #[test]
+    fn collision_summaries_read_zero_without_tracking() {
+        let mut m = SparseBinaryMatrix::zeros(0, 3);
+        m.push_row(&[0, 1, 2]).unwrap();
+        assert_eq!(m.max_shared(0), 0);
+        assert_eq!(m.colliding_pairs(), 0);
     }
 
     #[test]
@@ -628,9 +702,17 @@ mod tests {
         for row in 0..40 {
             incremental.push_row(reference.row(row)).unwrap();
         }
+        let mut list_entries = 0;
         for c in 0..10 {
-            assert_eq!(incremental.neighbors(c), reference.neighbors(c), "col {c}");
+            let list = reference.neighbors(c).unwrap();
+            assert_eq!(incremental.neighbors(c), Some(list), "col {c}");
+            let max = list.iter().map(|&(_, shared)| shared).max().unwrap_or(0);
+            assert_eq!(incremental.max_shared(c), max, "col {c}");
+            assert_eq!(reference.max_shared(c), max, "col {c}");
+            list_entries += list.len();
         }
+        assert_eq!(incremental.colliding_pairs(), list_entries / 2);
+        assert_eq!(reference.colliding_pairs(), list_entries / 2);
     }
 
     #[test]

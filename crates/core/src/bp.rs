@@ -41,6 +41,42 @@
 //! endpoints were perturbed since the last query are re-examined, instead of
 //! walking every unlocked node's neighbour list per descent.
 //!
+//! # The dense regime
+//!
+//! The participation floor (`p ≥ 0.15`, see
+//! [`crate::rateless::ParticipationCode::for_population`]) puts `0.15·K`
+//! colliders in every slot once K ≥ 27, so a large session's collision graph
+//! is nearly complete: every flip touches most gains, no tag can lock for a
+//! long while, every position stays dirty, and the pair cache keeps falling
+//! back to its flat scan.  Three exact measures keep that regime cheap —
+//! none changes a decoded bit:
+//!
+//! * **Pruned pair scan** (`PositionState::best_pair_flat`).  A pair can
+//!   only beat zero joint gain if one endpoint's `−G` is below
+//!   `max_shared·|h|²` (its largest shared-slot count, kept per column by
+//!   [`SparseBinaryMatrix::max_shared`]), so only pairs with such an
+//!   endpoint are evaluated — 42 % of the unlocked nodes per query over a
+//!   `large_k` benchmark pass, leaving 40 % of the pair evaluations — with
+//!   the historical expression and lexicographic tie-breaks.  The scan returns
+//!   exactly the pair the exhaustive scan returns; FullPass uses it too.
+//! * **Batched gain refresh.**  A flip that touches at least `K/4` nodes
+//!   rebuilds the tournament tree once instead of re-running as many point
+//!   updates; the tree is a pure function of its leaves.
+//! * **Position-parallel sweep.**  The dirty positions of a sweep are
+//!   independent, so once the matrix has `PARALLEL_SWEEP_MIN_PAIRS` (4,096)
+//!   colliding pairs ([`SparseBinaryMatrix::colliding_pairs`]) their
+//!   descents and cold-restart batteries run on every available hardware
+//!   thread through [`crate::executor::work_steal_map`], and the frames and
+//!   the slot-power ledger are folded serially in position order, so the
+//!   outcome is bit-identical at any worker count.  No option selects the
+//!   worker count.  The workers allocate nothing: the cold-restart scratch
+//!   is built by the calling thread and re-seeded in place, and every buffer
+//!   a descent touches lives in its state.  Allocating on the workers wakes
+//!   glibc's per-thread arenas: a variant that built the cold-restart
+//!   states on the workers peaked at 7.45 MB in a 40 s `large_k` benchmark
+//!   run, against 6.12–6.38 MB with caller-owned scratch and 5.94–6.15 MB
+//!   for the serial decoder.
+//!
 //! # Decode scheduling
 //!
 //! [`DecodeSchedule`] selects how `decode` spends that machinery:
@@ -65,11 +101,14 @@
 //!   `positions × nodes`, the difference between K = 16 and K = 150 being
 //!   practical.
 
+use std::sync::Mutex;
+
 use backscatter_codes::message::Message;
 use backscatter_codes::sparse_matrix::SparseBinaryMatrix;
 use backscatter_phy::complex::Complex;
 use backscatter_prng::{Rng64, SplitMix64, Xoshiro256};
 
+use crate::executor::{available_threads, work_steal_map};
 use crate::max_tracker::MaxTracker;
 use crate::{BuzzError, BuzzResult};
 
@@ -224,11 +263,26 @@ struct PositionState {
     touched: Vec<usize>,
     /// Scratch: membership mask for `touched`.
     touched_mark: Vec<bool>,
+    /// Scratch: each node's role in the current flat pair scan (see
+    /// [`PositionState::best_pair_flat`]).
+    pair_roles: Vec<PairRole>,
     /// Dirty-pair worklist for [`PositionState::best_pair`], enabled only on
-    /// the worklist schedule's persistent states (`None` keeps the exhaustive
+    /// the worklist schedule's persistent states (`None` keeps the flat
     /// scan, which FullPass and the cold-restart battery rely on for
     /// byte-identical trajectories).
     pairs: Option<PairCache>,
+}
+
+/// A node's role in one flat pair scan.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum PairRole {
+    /// Locked: belongs to no pair.
+    Locked,
+    /// Unlocked, but so far below its pair bound that it can only win
+    /// paired with a [`PairRole::Candidate`].
+    Partner,
+    /// Unlocked and close enough to its pair bound to head a winning pair.
+    Candidate,
 }
 
 /// The dirty-pair worklist behind [`PositionState::best_pair`].
@@ -255,7 +309,7 @@ struct PositionState {
 /// queries), and no dirty-set scheme can beat a flat scan it must nearly
 /// reproduce.  The cache is therefore adaptive with hysteresis: a query
 /// whose recorded set covers a sizeable fraction of the population takes
-/// the flat exhaustive scan and marks the cache *stale* (recording becomes
+/// the (pruned) flat scan and marks the cache *stale* (recording becomes
 /// a no-op), while the first sparse query after staleness pays one full
 /// rebuild and every subsequent sparse query — the lock-pin and
 /// refit-delta revisits the worklist schedule actually produces — walks
@@ -307,6 +361,20 @@ impl PairCache {
         }
     }
 
+    /// Returns the cache to its newborn stale state in place (no
+    /// allocation), keeping the cumulative evaluation counter.
+    fn reset(&mut self) {
+        self.best_gain.fill(f64::NEG_INFINITY);
+        self.best_partner.fill(usize::MAX);
+        self.tracker.rebuild(&self.best_gain);
+        self.stale = true;
+        self.clear_perturbed();
+        for &d in &self.dirty {
+            self.dirty_mark[d] = false;
+        }
+        self.dirty.clear();
+    }
+
     /// Records a perturbed node (idempotent, `O(1)` — the hot path).
     fn record(&mut self, node: usize) {
         if !self.perturbed_mark[node] {
@@ -345,6 +413,16 @@ impl PairCache {
 /// escalation.
 const COLD_RESTARTS: u64 = 4;
 
+/// Colliding-pair count of the participation matrix from which a worklist
+/// sweep descends its dirty positions on parallel workers.  Below it a
+/// sweep's descents are too cheap to pay for a thread scope (60–85 µs for
+/// two workers on a 2-core x86-64 VM): every K ≤ 16 session (at most 120
+/// pairs) and the sparse
+/// `p = 4/K` sessions stay serial, while the dense sessions of large
+/// populations — where one descent touches nearly every gain — cross it
+/// after a few dozen slots.
+const PARALLEL_SWEEP_MIN_PAIRS: usize = 4096;
+
 /// The O(1) flip-gain formula: `2·Re(S · conj(c)) − deg·|c|²` for a node with
 /// residual sum `S`, flip change `c = ±h`, and `deg` participating slots.
 fn flip_gain(s: Complex, c: Complex, deg: usize) -> f64 {
@@ -356,14 +434,24 @@ impl PositionState {
     /// (`position`, `restart`).  Later restarts re-seed the same allocations
     /// through [`PositionState::reinit`] instead of rebuilding from scratch.
     fn new(decoder: &BitFlippingDecoder, position: usize, restart: u64) -> Self {
+        let mut state = Self::unseeded(decoder);
+        state.reinit(decoder, position, restart);
+        state
+    }
+
+    /// Allocates every buffer a state sized for `decoder` needs, with
+    /// placeholder contents: [`PositionState::reinit`] must seed it before
+    /// use.  This is the scratch the sweep's cold-restart battery re-seeds,
+    /// built on the calling thread so the sweep's workers never allocate.
+    fn unseeded(decoder: &BitFlippingDecoder) -> Self {
         let k = decoder.channels.len();
         let l = decoder.d.rows();
-        // The tracker is seeded from the placeholder gains and immediately
-        // re-run by `reinit`; building it from the gains buffer avoids a
-        // throwaway allocation.
+        // The tracker is seeded from the placeholder gains and re-run by
+        // `reinit`; building it from the gains buffer avoids a throwaway
+        // allocation.
         let gains = vec![f64::NEG_INFINITY; k];
         let tracker = MaxTracker::new(&gains);
-        let mut state = Self {
+        Self {
             b: vec![false; k],
             residual: vec![Complex::ZERO; l],
             residual_sums: vec![Complex::ZERO; k],
@@ -371,22 +459,18 @@ impl PositionState {
             tracker,
             touched: Vec::with_capacity(k),
             touched_mark: vec![false; k],
+            pair_roles: vec![PairRole::Locked; k],
             pairs: None,
-        };
-        state.reinit(decoder, position, restart);
-        state
+        }
     }
 
-    /// Enables (or resets) the dirty-pair worklist — worklist persistent
-    /// states only; the next [`PositionState::best_pair`] query builds the
-    /// cache.  A pre-existing cache's evaluation counter carries over, so
-    /// the public cumulative [`BitFlippingDecoder::worklist_pair_evaluations`]
-    /// never decreases across resets.
+    /// Enables the dirty-pair worklist — worklist persistent states only;
+    /// the next [`PositionState::best_pair`] query builds the cache.  Later
+    /// resets go through [`PairCache::reset`], which keeps the evaluation
+    /// counter, so the public cumulative
+    /// [`BitFlippingDecoder::worklist_pair_evaluations`] never decreases.
     fn enable_pair_cache(&mut self) {
-        let evaluations = self.pairs.as_ref().map_or(0, |c| c.evaluations);
-        let mut cache = PairCache::new(self.b.len());
-        cache.evaluations = evaluations;
-        self.pairs = Some(cache);
+        self.pairs = Some(PairCache::new(self.b.len()));
     }
 
     /// Records that `node`'s gain, bit, or lock status moved: every pair
@@ -452,8 +536,8 @@ impl PositionState {
         // Every gain was just re-derived; a pair cache (not used on the
         // restart path today, but `reinit` must stay a full re-seed) starts
         // over stale, keeping its cumulative evaluation count.
-        if self.pairs.is_some() {
-            self.enable_pair_cache();
+        if let Some(cache) = self.pairs.as_mut() {
+            cache.reset();
         }
     }
 
@@ -489,13 +573,24 @@ impl PositionState {
     /// Drains the touched queue, re-deriving each queued node's gain and
     /// pushing it into the tournament tree (and queueing the node's pairs for
     /// re-examination when a pair cache is live).
+    ///
+    /// A batch touching at least a quarter of the nodes — every flip, once
+    /// slots carry dozens of colliders — rebuilds the tree once instead of
+    /// re-running that many `O(log K)` tournament paths.  The tree is a pure
+    /// function of its leaves, so both routes leave the same argmax.
     fn refresh_touched(&mut self, decoder: &BitFlippingDecoder) {
+        let batched = self.touched.len() * 4 >= self.gains.len();
         while let Some(node) = self.touched.pop() {
             self.touched_mark[node] = false;
             let g = self.gain_of(decoder, node);
             self.gains[node] = g;
-            self.tracker.set(node, g);
+            if !batched {
+                self.tracker.set(node, g);
+            }
             self.note_pair_perturbed(node);
+        }
+        if batched {
+            self.tracker.rebuild(&self.gains);
         }
     }
 
@@ -568,10 +663,10 @@ impl PositionState {
     /// is adaptive: dense perturbation sets take the flat scan (cache goes
     /// stale), sparse ones re-walk only the dirtied owners — see the
     /// [`PairCache`] docs.  Without one the flat scan runs unconditionally,
-    /// byte-identical to the historical decoder.
+    /// returning exactly the pair the historical exhaustive scan returns.
     fn best_pair(&mut self, decoder: &BitFlippingDecoder) -> Option<[usize; 2]> {
         let Some(mut cache) = self.pairs.take() else {
-            return self.best_pair_exhaustive(decoder).0;
+            return self.best_pair_flat(decoder).0;
         };
         let k = self.b.len();
         if cache.is_dense(k) {
@@ -579,7 +674,7 @@ impl PositionState {
             // would nearly reproduce.  The cached bests now lag reality.
             cache.stale = true;
             cache.clear_perturbed();
-            let (result, evaluated) = self.best_pair_exhaustive(decoder);
+            let (result, evaluated) = self.best_pair_flat(decoder);
             cache.evaluations += evaluated;
             self.pairs = Some(cache);
             return result;
@@ -653,9 +748,89 @@ impl PositionState {
         (best, partner)
     }
 
+    /// The flat pair scan: the best joint flip over every colliding pair of
+    /// unlocked nodes, lexicographically first among equal gains, or `None`
+    /// when no pair gains more than `1e-9`.  Also returns how many pairs it
+    /// evaluated, for the cache's counter.
+    ///
+    /// The scan skips pairs that provably cannot win.  With `m_i` the
+    /// largest number of slots node `i` shares with any other node, and
+    /// `n_il ≤ min(m_i, m_l)`, `|Re(c_i·conj(c_l))| ≤ |h_i|·|h_l|`:
+    ///
+    /// ```text
+    /// G_i + G_l − 2·n_il·Re(c_i·conj(c_l))
+    ///     ≤ G_i + G_l + 2·n_il·|h_i|·|h_l|
+    ///     ≤ 2·|h_i|·|h_l|·(n_il − √(m_i·m_l))   when −G ≥ m·|h|² at both ends
+    ///     ≤ 0,
+    /// ```
+    ///
+    /// so a pair can only win if one endpoint is a *candidate* — `−G_i`
+    /// below `m_i·|h_i|²` plus a relative slack that covers the rounding of
+    /// the computed gain — and only pairs with a candidate endpoint are
+    /// evaluated, each with the historical expression in (lower, higher)
+    /// index order.  The result is exactly the exhaustive scan's
+    /// ([`PositionState::best_pair_exhaustive`] in the tests), while the
+    /// dense collisions of large sessions leave most nodes far below their
+    /// bound.  The candidate mask lives in the state, so the scan allocates
+    /// nothing.
+    fn best_pair_flat(&mut self, decoder: &BitFlippingDecoder) -> (Option<[usize; 2]>, u64) {
+        /// Relative slack of the candidate test.  It dwarfs the `~1e-15`
+        /// relative rounding of a computed joint gain, so pruned pairs stay
+        /// below zero, and only ever admits extra candidates.
+        const SLACK: f64 = 1e-9;
+        for (i, role) in self.pair_roles.iter_mut().enumerate() {
+            *role = if decoder.locked[i].is_some() {
+                PairRole::Locked
+            } else {
+                let g = self.gains[i];
+                let bound = decoder.d.max_shared(i) as f64 * decoder.channels[i].norm_sqr();
+                if g + bound > -SLACK * (1.0 + g.abs()) {
+                    PairRole::Candidate
+                } else {
+                    PairRole::Partner
+                }
+            };
+        }
+        let mut best: Option<(f64, [usize; 2])> = None;
+        let mut evaluated = 0u64;
+        for c in 0..self.b.len() {
+            if self.pair_roles[c] != PairRole::Candidate {
+                continue;
+            }
+            let cc = self.change_of(decoder, c);
+            for &(l, shared) in decoder.d.neighbors_or_empty(c) {
+                // Candidate–candidate pairs are evaluated once, from their
+                // lower endpoint.
+                match self.pair_roles[l] {
+                    PairRole::Locked => continue,
+                    PairRole::Candidate if l < c => continue,
+                    _ => {}
+                }
+                evaluated += 1;
+                let cl = self.change_of(decoder, l);
+                let ((i, ci), (j, cj)) = if c < l {
+                    ((c, cc), (l, cl))
+                } else {
+                    ((l, cl), (c, cc))
+                };
+                let cross = ci.re * cj.re + ci.im * cj.im;
+                let joint_gain = self.gains[i] + self.gains[j] - 2.0 * shared as f64 * cross;
+                if joint_gain > 1e-9
+                    && best.as_ref().is_none_or(|&(g, pair)| {
+                        joint_gain > g || (joint_gain == g && [i, j] < pair)
+                    })
+                {
+                    best = Some((joint_gain, [i, j]));
+                }
+            }
+        }
+        (best.map(|(_, pair)| pair), evaluated)
+    }
+
     /// The historical exhaustive pair scan (every unlocked node's neighbour
-    /// list per call); kept bit-for-bit for FullPass and cold-restart states.
-    /// Also returns how many pairs it evaluated, for the cache's counter.
+    /// list per call), the reference [`PositionState::best_pair_flat`] is
+    /// pinned to.  Also returns how many pairs it evaluated.
+    #[cfg(test)]
     fn best_pair_exhaustive(&self, decoder: &BitFlippingDecoder) -> (Option<[usize; 2]>, u64) {
         let mut best: Option<(f64, [usize; 2])> = None;
         let mut evaluated = 0u64;
@@ -971,7 +1146,15 @@ impl BitFlippingDecoder {
 
     /// The worklist decode: persistent per-position states, only dirty
     /// positions revisited.  See the module docs for the dirtiness rules.
+    /// Dense sweeps run on every available hardware thread.
     pub(crate) fn decode_worklist(&mut self) -> BuzzResult<DecodeState> {
+        self.decode_worklist_on(available_threads())
+    }
+
+    /// [`BitFlippingDecoder::decode_worklist`] with up to `workers` threads
+    /// per sweep.  The outcome does not depend on `workers`; the tests pin
+    /// that by decoding the same session at several counts.
+    fn decode_worklist_on(&mut self, workers: usize) -> BuzzResult<DecodeState> {
         let p = self.message_bits;
         // The worklist is detached from `self` while decoding so the states
         // can be mutated against `&self` context (locks are applied between
@@ -1005,46 +1188,16 @@ impl BitFlippingDecoder {
             wl.dirty.fill(true);
         }
 
+        // Whether this session's sweeps are dense enough to run in parallel
+        // (the matrix only grows, so the answer is fixed within the call).
+        let workers = if self.d.colliding_pairs() >= PARALLEL_SWEEP_MIN_PAIRS {
+            workers
+        } else {
+            1
+        };
         let mut newly_decoded = Vec::new();
         loop {
-            // Descend the dirty positions (in position order, so the schedule
-            // is deterministic); skip everything that provably converged.
-            for position in 0..p {
-                if !(wl.dirty[position] || self.force_full_worklist) {
-                    continue;
-                }
-                wl.dirty[position] = false;
-                wl.visits[position] += 1;
-                let state = &mut wl.positions[position];
-                self.descend(state);
-                if escalate {
-                    for restart in 0..COLD_RESTARTS {
-                        let mut cold = PositionState::new(self, position, restart);
-                        self.descend(&mut cold);
-                        if cold.error() < state.error() {
-                            // The adopted cold state ran on the exhaustive
-                            // pair scan; carry the replaced state's cache
-                            // over (preserving the cumulative evaluation
-                            // counter) and re-arm it for the calls that
-                            // follow.
-                            cold.pairs = state.pairs.take();
-                            *state = cold;
-                            state.enable_pair_cache();
-                        }
-                    }
-                }
-                // Refresh the candidate frame column and the slot-power
-                // ledger for this position (the ledger is diffed, so clean
-                // positions contribute their cached values for free).
-                for (node, frame) in wl.frames.iter_mut().enumerate() {
-                    frame[position] = state.b[node];
-                }
-                for (j, cached) in wl.position_slot_power[position].iter_mut().enumerate() {
-                    let power = state.residual[j].norm_sqr();
-                    wl.slot_power_total[j] += power - *cached;
-                    *cached = power;
-                }
-            }
+            self.sweep(&mut wl, escalate, workers);
             // The cold battery belongs to the call's first sweep only:
             // re-running it in later passes would race against a *changed*
             // locked set and could move positions the dirty tracking never
@@ -1096,6 +1249,106 @@ impl BitFlippingDecoder {
         };
         self.worklist = Some(wl);
         Ok(state)
+    }
+
+    /// One sweep of the worklist schedule: descends every dirty position
+    /// (skipping everything that provably converged) and, under `escalate`,
+    /// races each against the cold-restart battery, then refreshes the
+    /// candidate frames and the slot-power ledger.
+    ///
+    /// The descents are independent — each reads only the immutable decoder
+    /// and its own [`PositionState`] — so they run on up to `workers`
+    /// threads through the work-stealing executor, and the frames and the
+    /// ledger are folded afterwards, serially and in position order.  The
+    /// sweep's outcome is therefore bit-identical at any worker count.
+    ///
+    /// Workers allocate nothing: the cold-restart scratch (one state per
+    /// concurrently running descent) is built here and re-seeded by
+    /// [`PositionState::reinit`], and every buffer a descent touches is
+    /// preallocated in its state.  Allocating on the workers would wake
+    /// glibc's per-thread arenas and raise peak RSS (see the module docs).
+    fn sweep(&self, wl: &mut WorklistState, escalate: bool, workers: usize) {
+        let WorklistState {
+            positions,
+            dirty,
+            visits,
+            frames,
+            position_slot_power,
+            slot_power_total,
+            ..
+        } = wl;
+        let mut work: Vec<(usize, &mut PositionState)> = Vec::with_capacity(positions.len());
+        for (position, state) in positions.iter_mut().enumerate() {
+            if dirty[position] || self.force_full_worklist {
+                dirty[position] = false;
+                visits[position] += 1;
+                work.push((position, state));
+            }
+        }
+        let concurrent = workers.min(work.len()).max(1);
+        let scratch = Mutex::new(if escalate {
+            (0..concurrent)
+                .map(|_| PositionState::unseeded(self))
+                .collect()
+        } else {
+            Vec::new()
+        });
+        let swept = work_steal_map(workers, work, |(position, state)| {
+            self.descend(state);
+            if escalate {
+                let mut cold = scratch
+                    .lock()
+                    .expect("scratch pool lock poisoned")
+                    .pop()
+                    .expect("one scratch state per concurrent descent");
+                self.race_cold_restarts(position, state, &mut cold);
+                scratch
+                    .lock()
+                    .expect("scratch pool lock poisoned")
+                    .push(cold);
+            }
+            position
+        });
+        for position in swept {
+            // Refresh the candidate frame column and the slot-power ledger
+            // for this position (the ledger is diffed, so clean positions
+            // contribute their cached values for free).
+            let state = &positions[position];
+            for (node, frame) in frames.iter_mut().enumerate() {
+                frame[position] = state.b[node];
+            }
+            for (j, cached) in position_slot_power[position].iter_mut().enumerate() {
+                let power = state.residual[j].norm_sqr();
+                slot_power_total[j] += power - *cached;
+                *cached = power;
+            }
+        }
+    }
+
+    /// Races `state` against the cold-restart battery (exactly the descents
+    /// a FullPass call runs for `position`) and keeps the best minimum.
+    /// `cold` is scratch of the state's shape, re-seeded for every restart.
+    fn race_cold_restarts(
+        &self,
+        position: usize,
+        state: &mut PositionState,
+        cold: &mut PositionState,
+    ) {
+        for restart in 0..COLD_RESTARTS {
+            cold.reinit(self, position, restart);
+            self.descend(cold);
+            if cold.error() < state.error() {
+                // Adopt the cold state by swapping buffers.  It ran on the
+                // flat pair scan, so the replaced state's cache moves over
+                // (keeping its cumulative evaluation counter) and is reset
+                // in place for the calls that follow.
+                std::mem::swap(state, cold);
+                state.pairs = cold.pairs.take();
+                if let Some(cache) = state.pairs.as_mut() {
+                    cache.reset();
+                }
+            }
+        }
     }
 
     /// Pins the freshly locked nodes into every persistent position state:
@@ -2335,6 +2588,103 @@ mod tests {
                 }
             }
         }
+    }
+
+    proptest! {
+        /// The pruned flat scan is exact: after any flip sequence, with any
+        /// set of locked nodes, and at the descent's local minimum (where
+        /// the decoder actually asks for a pair), it returns the *same pair*
+        /// as the historical exhaustive scan — not merely an equal gain.
+        /// Dense problems (p = 0.15–0.6, up to 64 nodes) put many nodes near
+        /// their pair bound; sparse ones (p = 4/K) leave most far below it.
+        #[test]
+        fn pruned_pair_scan_returns_the_exhaustive_scans_pair(
+            seed in 0u64..1_000_000,
+            k in 2usize..65,
+            slots in 2usize..40,
+            density in 0usize..4,
+            lock_seed in any::<u64>(),
+            flips in proptest::collection::vec(any::<u8>(), 0..24),
+        ) {
+            let p = [0.15, 0.3, 0.6, (4.0 / k as f64).min(1.0)][density];
+            let channels = diverse_channels(k, seed ^ 0x9a1e);
+            let (mut decoder, frames) = make_problem(&channels, slots, p, 0.03, seed % 500);
+            let mut lock_rng = Xoshiro256::seed_from_u64(lock_seed);
+            for (locked, frame) in decoder.locked.iter_mut().zip(&frames) {
+                if lock_rng.next_f64() < 0.2 {
+                    *locked = Some(frame.clone());
+                }
+            }
+            let mut state = PositionState::new(&decoder, (seed % 37) as usize, seed % 4);
+            for &f in &flips {
+                state.flip_all(&decoder, &[f as usize % k]);
+                let reference = state.best_pair_exhaustive(&decoder).0;
+                prop_assert_eq!(state.best_pair_flat(&decoder).0, reference);
+            }
+            decoder.descend(&mut state);
+            let reference = state.best_pair_exhaustive(&decoder).0;
+            prop_assert_eq!(state.best_pair_flat(&decoder).0, reference);
+        }
+    }
+
+    #[test]
+    fn sweep_is_bit_identical_at_any_worker_count() {
+        // A dense, noisy K = 150 session at the participation floor, run to
+        // completion: the colliding-pair count crosses the sweep's gate
+        // early, and the stall detector fires at least one cold-restart
+        // battery.  Every call's outcome and refitted channels must not
+        // depend on how many workers the sweeps ran on.
+        let k = 150;
+        let seed = 8u64;
+        let noise = 0.03;
+        let channels = diverse_channels(k, seed);
+        let frames: Vec<Vec<bool>> = (0..k)
+            .map(|i| {
+                Message::standard_32bit(seed * 100 + i as u64)
+                    .unwrap()
+                    .framed()
+            })
+            .collect();
+        let seeds: Vec<NodeSeed> = (0..k as u64).map(|i| NodeSeed(seed * 77 + i)).collect();
+        let fresh = || {
+            BitFlippingDecoder::new(channels.clone(), frames[0].len(), noise * noise / 6.0).unwrap()
+        };
+        let mut decoders = [fresh(), fresh(), fresh()];
+        let mut noise_rng = Xoshiro256::seed_from_u64(seed ^ 0xabcdef);
+        let mut gated = false;
+        let mut done = false;
+        for slot in 0..3 * k as u64 {
+            let (participants, symbols) = make_slot(
+                &channels,
+                &frames,
+                &seeds,
+                slot,
+                0.15,
+                noise,
+                &mut noise_rng,
+            );
+            let mut outcomes = Vec::new();
+            for (workers, decoder) in (1..).zip(decoders.iter_mut()) {
+                decoder.add_slot(&participants, symbols.clone()).unwrap();
+                outcomes.push(decoder.decode_worklist_on(workers).unwrap());
+            }
+            for (decoder, outcome) in decoders.iter().zip(&outcomes).skip(1) {
+                assert_eq!(outcome, &outcomes[0], "slot {slot}");
+                assert_eq!(decoder.channels, decoders[0].channels, "slot {slot}");
+            }
+            gated |= decoders[0].d.colliding_pairs() >= PARALLEL_SWEEP_MIN_PAIRS;
+            if outcomes[0].all_decoded() {
+                done = true;
+                break;
+            }
+        }
+        assert!(done, "setup: the session decodes within 3K slots");
+        assert!(gated, "setup: the sweep's gate engaged");
+        let escalated = decoders[0]
+            .worklist
+            .as_deref()
+            .is_some_and(|wl| wl.next_escalation_rows > 0);
+        assert!(escalated, "setup: a cold-restart battery fired");
     }
 
     #[test]

@@ -1,32 +1,48 @@
-//! Deterministic work-stealing executor for uneven session costs.
+//! The repository's one thread pool: a deterministic work-stealing map.
 //!
-//! The bench harness's `parallel_map` hands threads work through one shared
-//! atomic cursor — perfect when items cost roughly the same, but a fleet's
-//! sessions do not: a clean cell decodes in a fraction of the time a
-//! recovery-heavy cell takes, and a single expensive session at the end of
-//! the queue can leave every other worker idle.  This module generalizes the
-//! cursor to *per-worker deques with stealing*: each worker starts with a
-//! contiguous block of the items (good locality, zero contention on the
-//! happy path) and, when its own deque drains, steals from the back of the
-//! longest remaining deque.
+//! Work items rarely cost the same: a fleet's clean cell decodes in a
+//! fraction of the time a recovery-heavy cell takes, a figure grid mixes
+//! cheap and expensive scenarios, and the bit positions of one decode sweep
+//! converge at different speeds.  A static partition would leave workers idle
+//! behind one expensive item, so each worker starts with a contiguous block
+//! of the items (good locality, zero contention on the happy path) and, when
+//! its own deque drains, steals from the back of the longest remaining deque.
 //!
-//! Determinism is preserved the same way `parallel_map` preserves it:
-//! stealing only changes *which thread* runs an item and *when* — never the
-//! item's input (each closure call sees only its own item) nor where its
-//! result lands (results are written to the item's original index).  So for
-//! a pure closure the output vector is byte-identical for every thread
-//! count, which is what lets `fig_fleet` honour the repo-wide
-//! `--threads N == --threads 1` contract.
+//! Determinism: stealing only changes *which thread* runs an item and
+//! *when* — never the item's input (each closure call sees only its own
+//! item) nor where its result lands (results are written to the item's
+//! original index).  So for a pure closure the output vector is
+//! byte-identical for every thread count, which is what lets every
+//! `reproduce` figure, `fig_fleet`, and the decoder's position-parallel sweep
+//! ([`crate::bp`]) honour the repo-wide `--threads N == --threads 1`
+//! contract.
 
 use std::collections::VecDeque;
-use std::sync::Mutex;
+use std::num::NonZeroUsize;
+use std::sync::{Mutex, OnceLock};
+
+/// The default worker count: one per hardware thread available to the
+/// process (1 when the platform cannot tell).  Queried once and cached —
+/// the decoder consults it on every decode call, and the query reads the
+/// scheduler affinity and cgroup quota.
+#[must_use]
+pub fn available_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(NonZeroUsize::get)
+            .unwrap_or(1)
+    })
+}
 
 /// Maps `f` over `items` using up to `threads` work-stealing workers,
 /// returning results in input order.
 ///
 /// With `threads <= 1` (or at most one item) the map runs inline on the
 /// caller's thread with no synchronization at all. The closure only needs
-/// `Sync` (shared by reference across workers), mirroring `parallel_map`.
+/// `Sync` (shared by reference across workers).  Every buffer the map
+/// itself needs is allocated on the calling thread, so a closure that
+/// allocates nothing keeps the workers allocation-free.
 pub fn work_steal_map<T, R, F>(threads: usize, items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
@@ -167,5 +183,10 @@ mod tests {
     fn more_threads_than_items_is_fine() {
         let out = work_steal_map(32, (0..5).collect::<Vec<_>>(), |x| x + 100);
         assert_eq!(out, vec![100, 101, 102, 103, 104]);
+    }
+
+    #[test]
+    fn available_threads_is_positive() {
+        assert!(available_threads() >= 1);
     }
 }

@@ -25,6 +25,9 @@
 //!   and [`session::SessionOutcome`] type every compared scheme (Buzz and
 //!   the TDMA/CDMA/FSA baselines) speaks, so comparison harnesses are
 //!   written once against `&[&dyn session::Protocol]`.
+//! * **Executor** ([`executor`]): the deterministic work-stealing thread
+//!   pool every parallel loop in the repository runs on — figure grids,
+//!   fleets, and the decoder's position-parallel sweep.
 //! * **Toy example** ([`toy`]): the §3.2 illustration (Tables 1 and 2) of why
 //!   designing for collisions improves id distinguishability.
 //!
@@ -57,6 +60,7 @@
 #![warn(missing_docs)]
 
 pub mod bp;
+pub mod executor;
 pub mod identification;
 pub mod max_tracker;
 pub mod metrics;

@@ -27,8 +27,13 @@ use crate::{BuzzError, BuzzResult};
 /// Configuration of the data-transfer phase.
 #[derive(Debug, Clone, Copy)]
 pub struct TransferConfig {
-    /// Expected number of colliding tags per slot (drives the participation
-    /// probability through [`ParticipationCode::for_population`]).
+    /// Target number of colliding tags per slot.  It drives the
+    /// participation probability `target / K` through
+    /// [`ParticipationCode::for_population`], which clamps it to
+    /// `[0.15, 0.85]` — so the target is met only while it lies between
+    /// `0.15·K` and `0.85·K`.  At large K the floor binds: a target of 4
+    /// gives `0.15·K` colliders per slot from K = 27 up (15 at K = 100, 30
+    /// at K = 200).
     pub target_collision_size: f64,
     /// Slot budget as a multiple of the number of tags (the rateless phase
     /// aborts after `budget_factor · K` slots).

@@ -12,12 +12,10 @@
 //!   global identity and undelivered message state across sessions, arrive
 //!   and depart between epochs (`TagChurn`-style presence), and expire
 //!   messages that have been carried too long,
-//! * [`executor`] — a deterministic work-stealing thread pool that
-//!   generalizes the bench harness's shared-cursor `parallel_map` to the
-//!   uneven per-session cost of a fleet (a stalled decode must not idle the
-//!   other workers),
 //! * [`warehouse`] — the epoch loop: deterministic tag→reader assignment,
-//!   parallel session execution, an event-ordered merge of the completions,
+//!   parallel session execution on the repository's work-stealing executor
+//!   ([`buzz::executor::work_steal_map`]: a stalled decode must not idle the
+//!   other workers), an event-ordered merge of the completions,
 //!   and the aggregate [`FleetOutcome`] headline — total msgs/s, p50/p99
 //!   session latency, energy per delivered message, per-reader utilization.
 //!
@@ -28,11 +26,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod executor;
 pub mod population;
 pub mod warehouse;
 
-pub use executor::work_steal_map;
 pub use population::{FleetTagState, PendingMessage, Population};
 pub use warehouse::{run_fleet, FleetConfig, FleetOutcome, SessionRecord};
 

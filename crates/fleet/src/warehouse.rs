@@ -21,9 +21,9 @@
 
 use backscatter_prng::{Rng64, SplitMix64, Xoshiro256};
 use backscatter_sim::{PersistentTag, Scenario};
+use buzz::executor::work_steal_map;
 use buzz::session::{Protocol, SessionOutcome};
 
-use crate::executor::work_steal_map;
 use crate::population::Population;
 use crate::{FleetError, FleetResult};
 
