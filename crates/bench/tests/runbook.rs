@@ -283,4 +283,17 @@ fn reproduce_binary_shard_merge_diff_pipeline() {
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(stderr.contains("unknown experiment `fig99`"));
     assert!(stderr.contains("fig11_large") && stderr.contains("headline"));
+
+    // A `--json` path that cannot be written fails the run: its parent is a
+    // regular file, so exit 1 and no `wrote` line.
+    let not_a_dir = path("not-a-dir");
+    std::fs::write(&not_a_dir, "").unwrap();
+    let json = format!("{not_a_dir}/r.json");
+    let output = Command::new(bin)
+        .args(["table12", "--json", &json])
+        .output()
+        .unwrap();
+    assert_eq!(output.status.code(), Some(1));
+    assert!(!String::from_utf8_lossy(&output.stdout).contains("wrote"));
+    assert!(String::from_utf8_lossy(&output.stderr).contains("not-a-dir"));
 }

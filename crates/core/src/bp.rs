@@ -21,8 +21,8 @@
 //!
 //! # Hot-path design
 //!
-//! The greedy descent never recomputes a gain from scratch.  Each position
-//! keeps a `PositionState`: the slot residuals `r_j`, per-node residual sums
+//! The greedy descent never re-walks a node's slots to derive a gain.  Each
+//! position keeps a `PositionState`: the slot residuals `r_j`, per-node residual sums
 //! `S_i = Σ_{j ∈ col(i)} r_j`, and gains derived from `S_i` in `O(1)` via
 //!
 //! ```text
@@ -31,15 +31,13 @@
 //!
 //! (algebraically identical to `Σ_j |r_j|² − |r_j − c_i|²`).  A flip of node
 //! `f` touches only the slots in `col(f)` and the nodes in those slots' rows:
-//! residuals and sums absorb the `−c_f` delta, touched gains refresh in
-//! `O(1)` each, and a tournament tree ([`MaxTracker`]) answers the next argmax
-//! in `O(1)`.  The pair-flip escape uses the participation matrix's neighbour
+//! residuals and sums absorb the `−c_f` delta, the gains that moved refresh
+//! in `O(1)` each, and a tournament tree ([`MaxTracker`]) answers the next
+//! argmax in `O(1)`.  The pair-flip escape uses the participation matrix's neighbour
 //! index (columns sharing ≥ 1 slot, with multiplicity), so it costs one `O(1)`
 //! evaluation per *colliding* pair instead of a residual walk over every
-//! `(i, l)` combination — and on the worklist schedule's persistent states
-//! the pair scan is itself worklist-driven (`PairCache`): only pairs whose
-//! endpoints were perturbed since the last query are re-examined, instead of
-//! walking every unlocked node's neighbour list per descent.
+//! `(i, l)` combination.  Every schedule — FullPass, the worklist's
+//! persistent states and the cold-restart battery — asks the same pair scan.
 //!
 //! # The dense regime
 //!
@@ -47,21 +45,29 @@
 //! [`crate::rateless::ParticipationCode::for_population`]) puts `0.15·K`
 //! colliders in every slot once K ≥ 27, so a large session's collision graph
 //! is nearly complete: every flip touches most gains, no tag can lock for a
-//! long while, every position stays dirty, and the pair cache keeps falling
-//! back to its flat scan.  Three exact measures keep that regime cheap —
-//! none changes a decoded bit:
+//! long while, and every position stays dirty.  Three exact measures keep
+//! that regime cheap — none changes a decoded bit:
 //!
-//! * **Pruned pair scan** (`PositionState::best_pair_flat`).  A pair can
+//! * **One pruned pair scan** (`PositionState::best_pair`).  A pair can
 //!   only beat zero joint gain if one endpoint's `−G` is below
 //!   `max_shared·|h|²` (its largest shared-slot count, kept per column by
-//!   [`SparseBinaryMatrix::max_shared`]), so only pairs with such an
-//!   endpoint are evaluated — 42 % of the unlocked nodes per query over a
-//!   `large_k` benchmark pass, leaving 40 % of the pair evaluations — with
-//!   the historical expression and lexicographic tie-breaks.  The scan returns
-//!   exactly the pair the exhaustive scan returns; FullPass uses it too.
-//! * **Batched gain refresh.**  A flip that touches at least `K/4` nodes
-//!   rebuilds the tournament tree once instead of re-running as many point
-//!   updates; the tree is a pure function of its leaves.
+//!   [`SparseBinaryMatrix::max_shared`]), so only such *candidate* endpoints
+//!   walk their neighbour lists.  The walk has no per-partner branch: it
+//!   reads each partner's signed change `c_l = ±h_l` from a table filled
+//!   once per scan, locked partners drop out through their `−∞` gains, and
+//!   candidate–candidate pairs are met from both ends.  `+` and `×` commute
+//!   exactly in IEEE arithmetic, so a pair's joint gain has the same bits
+//!   from either end, and the lexicographic tie-break makes the scan return
+//!   exactly the pair the exhaustive scan returns.
+//! * **Linear gain recompute.**  A flip whose reach (the flipped nodes'
+//!   neighbour-list lengths plus one each) covers at least `K/4` nodes
+//!   updates the residuals and sums without touched-marking, recomputes all
+//!   K gains in one pass and rebuilds the tournament tree once.  This is
+//!   exact because of the state's gain invariant: every stored gain always
+//!   equals `PositionState::gain_of` of its node, bit for bit, so
+//!   recomputing an untouched gain rewrites the same bits.  Every
+//!   `c_i = h_i·(1 − 2·b_i)` is the channel times an exact `±1.0`, so the
+//!   recompute, the point updates and the pair scan share one signed change.
 //! * **Position-parallel sweep.**  The dirty positions of a sweep are
 //!   independent, so once the matrix has `PARALLEL_SWEEP_MIN_PAIRS` (4,096)
 //!   colliding pairs ([`SparseBinaryMatrix::colliding_pairs`]) their
@@ -95,8 +101,8 @@
 //!   positions are skipped entirely — skipping is provably a no-op, because
 //!   a skipped position's state is a descent fixed point and `descend` on a
 //!   fixed point performs zero flips — and the [`MaxTracker`] absorbs every
-//!   partial update (`append_row`, lock pinning, refit deltas) point-wise
-//!   instead of being rebuilt.  This is what makes the rateless loop's cost
+//!   sparse partial update (`append_row`, lock pinning, refit deltas that
+//!   reach few nodes) point-wise instead of being rebuilt.  This is what makes the rateless loop's cost
 //!   per slot proportional to the *perturbed* neighbourhood rather than to
 //!   `positions × nodes`, the difference between K = 16 and K = 150 being
 //!   practical.
@@ -238,10 +244,15 @@ impl DecodeState {
 /// All four views are kept consistent under [`PositionState::flip_all`]:
 /// `residual[j]` absorbs the flipped node's channel delta for its slots,
 /// `residual_sums[i]` absorbs the same delta once per shared slot, and the
-/// gains of every touched node (the flipped node and its graph neighbours)
-/// are re-derived from `residual_sums` in `O(1)` and pushed into the
-/// tournament tree.  Nothing is ever recomputed by walking a node's full
+/// gains are re-derived from `residual_sums` in `O(1)` each and mirrored in
+/// the tournament tree.  Nothing is ever recomputed by walking a node's full
 /// slot list after initialization.
+///
+/// Gain invariant: between operations every `gains[i]` has exactly the bits
+/// of [`PositionState::gain_of`]`(i)`.  Every operation that moves a node's
+/// residual sum, bit, slot count, channel or lock re-derives that node's
+/// gain through `gain_of`, which is what lets a dense flip recompute all
+/// gains instead of tracking which ones moved.
 ///
 /// The state holds no reference to its decoder — every method takes the
 /// decoder as a parameter — so the worklist schedule can keep one state per
@@ -263,148 +274,9 @@ struct PositionState {
     touched: Vec<usize>,
     /// Scratch: membership mask for `touched`.
     touched_mark: Vec<bool>,
-    /// Scratch: each node's role in the current flat pair scan (see
-    /// [`PositionState::best_pair_flat`]).
-    pair_roles: Vec<PairRole>,
-    /// Dirty-pair worklist for [`PositionState::best_pair`], enabled only on
-    /// the worklist schedule's persistent states (`None` keeps the flat
-    /// scan, which FullPass and the cold-restart battery rely on for
-    /// byte-identical trajectories).
-    pairs: Option<PairCache>,
-}
-
-/// A node's role in one flat pair scan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PairRole {
-    /// Locked: belongs to no pair.
-    Locked,
-    /// Unlocked, but so far below its pair bound that it can only win
-    /// paired with a [`PairRole::Candidate`].
-    Partner,
-    /// Unlocked and close enough to its pair bound to head a winning pair.
-    Candidate,
-}
-
-/// The dirty-pair worklist behind [`PositionState::best_pair`].
-///
-/// Every colliding pair `(i, l)` with `i < l` is *owned* by its smaller
-/// endpoint `i`; per owner the cache stores the best joint flip gain over the
-/// pairs it owns (and the partner achieving it), mirrored into a tournament
-/// tree so the global best pair is an `O(1)` lookup.  A pair's joint gain
-/// `G_i + G_l − 2·n_il·Re(c_i·conj(c_l))` moves exactly when an endpoint's
-/// gain, candidate bit, or lock status moves, or when a new slot changes the
-/// shared count `n_il`.
-///
-/// The bookkeeping is two-stage so the flip hot path stays `O(1)` per
-/// perturbation: whenever a node's gain is re-derived
-/// ([`PositionState::note_pair_perturbed`]) the node is *recorded*, and the
-/// next [`PositionState::best_pair`] query expands the recorded set into
-/// dirty owners through the CSC neighbour index — once per node no matter
-/// how many flips touched it — and re-walks only those owners' neighbour
-/// lists.  Locked endpoints carry `−∞` gains, so their pairs sink out of
-/// the tournament without an explicit filter.
-///
-/// Mid-descent the perturbation sets are *dense* (a single flip touches a
-/// whole collision neighbourhood, and several flips land between pair
-/// queries), and no dirty-set scheme can beat a flat scan it must nearly
-/// reproduce.  The cache is therefore adaptive with hysteresis: a query
-/// whose recorded set covers a sizeable fraction of the population takes
-/// the (pruned) flat scan and marks the cache *stale* (recording becomes
-/// a no-op), while the first sparse query after staleness pays one full
-/// rebuild and every subsequent sparse query — the lock-pin and
-/// refit-delta revisits the worklist schedule actually produces — walks
-/// only the dirtied owners.  Cost is `min(flat, dirty)` per query up to a
-/// one-query lag.
-///
-/// The sparse scan re-examines only pairs touching perturbed slots —
-/// [`BitFlippingDecoder::worklist_pair_evaluations`] counts every pair-gain
-/// evaluation (flat scans included), and the scheduler tests pin that the
-/// counter freezes when nothing perturbing arrives.
-#[derive(Debug, Clone)]
-struct PairCache {
-    /// Best joint gain over the pairs each owner node owns (`−∞` when none).
-    best_gain: Vec<f64>,
-    /// The partner achieving `best_gain` (`usize::MAX` when none).
-    best_partner: Vec<usize>,
-    /// Tournament tree mirroring `best_gain`.
-    tracker: MaxTracker,
-    /// Whether the cached bests lag reality (dense queries bypass them).
-    stale: bool,
-    /// Nodes whose gain/bit/lock moved since the last query (`O(1)` to
-    /// record; expanded into owners at query time).
-    perturbed: Vec<usize>,
-    /// Membership mask for `perturbed`.
-    perturbed_mark: Vec<bool>,
-    /// Owners whose cached best must be recomputed (query-time scratch).
-    dirty: Vec<usize>,
-    /// Membership mask for `dirty`.
-    dirty_mark: Vec<bool>,
-    /// Pair-gain evaluations performed so far (the "only dirtied pairs are
-    /// re-examined" observable).
-    evaluations: u64,
-}
-
-impl PairCache {
-    /// A cache born stale: the first sparse query rebuilds the tournament.
-    fn new(k: usize) -> Self {
-        let best_gain = vec![f64::NEG_INFINITY; k];
-        Self {
-            tracker: MaxTracker::new(&best_gain),
-            best_gain,
-            best_partner: vec![usize::MAX; k],
-            stale: true,
-            perturbed: Vec::with_capacity(k),
-            perturbed_mark: vec![false; k],
-            dirty: Vec::with_capacity(k),
-            dirty_mark: vec![false; k],
-            evaluations: 0,
-        }
-    }
-
-    /// Returns the cache to its newborn stale state in place (no
-    /// allocation), keeping the cumulative evaluation counter.
-    fn reset(&mut self) {
-        self.best_gain.fill(f64::NEG_INFINITY);
-        self.best_partner.fill(usize::MAX);
-        self.tracker.rebuild(&self.best_gain);
-        self.stale = true;
-        self.clear_perturbed();
-        for &d in &self.dirty {
-            self.dirty_mark[d] = false;
-        }
-        self.dirty.clear();
-    }
-
-    /// Records a perturbed node (idempotent, `O(1)` — the hot path).
-    fn record(&mut self, node: usize) {
-        if !self.perturbed_mark[node] {
-            self.perturbed_mark[node] = true;
-            self.perturbed.push(node);
-        }
-    }
-
-    /// Queues an owner for a refresh (idempotent).
-    fn mark_dirty(&mut self, node: usize) {
-        if !self.dirty_mark[node] {
-            self.dirty_mark[node] = true;
-            self.dirty.push(node);
-        }
-    }
-
-    /// Drops the recorded perturbations (their information is subsumed by a
-    /// flat scan or full rebuild).
-    fn clear_perturbed(&mut self) {
-        for &p in &self.perturbed {
-            self.perturbed_mark[p] = false;
-        }
-        self.perturbed.clear();
-    }
-
-    /// Whether the recorded set covers enough of the population that a flat
-    /// scan is at least as cheap as expansion + dirty refresh.
-    fn is_dense(&self, k: usize) -> bool {
-        self.perturbed.len() * 4 >= k
-    }
+    /// Scratch: each node's signed change `c_i = ±h_i`, filled by every
+    /// [`PositionState::best_pair`] scan.
+    changes: Vec<Complex>,
 }
 
 /// Cold restarts per position: one deterministic all-zeros start plus three
@@ -427,6 +299,17 @@ const PARALLEL_SWEEP_MIN_PAIRS: usize = 4096;
 /// residual sum `S`, flip change `c = ±h`, and `deg` participating slots.
 fn flip_gain(s: Complex, c: Complex, deg: usize) -> f64 {
     2.0 * (s.re * c.re + s.im * c.im) - deg as f64 * c.norm_sqr()
+}
+
+/// The signal change `c = h·(1 − 2·bit)` flipping a node with channel `h`
+/// and candidate `bit` causes in its slots.  Multiplying by an exact `±1.0`
+/// gives the same bits as negating the channel, without a branch.
+///
+/// The sign belongs on the channel, not on the gain's dot product: a zero
+/// dot product negated is `−0.0`, while `flip_gain` on the negated channel
+/// can give `+0.0`, so the two disagree on the sign of a zero gain.
+fn signed_change(h: Complex, bit: bool) -> Complex {
+    h.scale(1.0 - 2.0 * f64::from(u8::from(bit)))
 }
 
 impl PositionState {
@@ -459,27 +342,7 @@ impl PositionState {
             tracker,
             touched: Vec::with_capacity(k),
             touched_mark: vec![false; k],
-            pair_roles: vec![PairRole::Locked; k],
-            pairs: None,
-        }
-    }
-
-    /// Enables the dirty-pair worklist — worklist persistent states only;
-    /// the next [`PositionState::best_pair`] query builds the cache.  Later
-    /// resets go through [`PairCache::reset`], which keeps the evaluation
-    /// counter, so the public cumulative
-    /// [`BitFlippingDecoder::worklist_pair_evaluations`] never decreases.
-    fn enable_pair_cache(&mut self) {
-        self.pairs = Some(PairCache::new(self.b.len()));
-    }
-
-    /// Records that `node`'s gain, bit, or lock status moved: every pair
-    /// containing it must be re-examined before the next pair query.  `O(1)`
-    /// — owner expansion happens lazily in [`PositionState::best_pair`].
-    /// No-op without a cache (FullPass, cold restarts).
-    fn note_pair_perturbed(&mut self, node: usize) {
-        if let Some(cache) = self.pairs.as_mut() {
-            cache.record(node);
+            changes: vec![Complex::ZERO; k],
         }
     }
 
@@ -518,48 +381,38 @@ impl PositionState {
         for (i, sum) in self.residual_sums.iter_mut().enumerate() {
             *sum = decoder.d.col(i).iter().map(|&j| self.residual[j]).sum();
         }
-        for i in 0..self.gains.len() {
-            self.gains[i] = if decoder.locked[i].is_some() {
-                f64::NEG_INFINITY
-            } else {
-                let c = if self.b[i] {
-                    -decoder.channels[i]
-                } else {
-                    decoder.channels[i]
-                };
-                flip_gain(self.residual_sums[i], c, decoder.d.col(i).len())
-            };
-        }
-        self.tracker.rebuild(&self.gains);
+        self.recompute_gains(decoder);
         self.touched.clear();
         self.touched_mark.fill(false);
-        // Every gain was just re-derived; a pair cache (not used on the
-        // restart path today, but `reinit` must stay a full re-seed) starts
-        // over stale, keeping its cumulative evaluation count.
-        if let Some(cache) = self.pairs.as_mut() {
-            cache.reset();
-        }
     }
 
     /// The signal change flipping `node` would cause in its slots.
     fn change_of(&self, decoder: &BitFlippingDecoder, node: usize) -> Complex {
-        if self.b[node] {
-            -decoder.channels[node]
-        } else {
-            decoder.channels[node]
-        }
+        signed_change(decoder.channels[node], self.b[node])
     }
 
-    /// O(1) gain of flipping `node`, derived from its residual sum.
+    /// O(1) gain of flipping `node`, derived from its residual sum (−∞ for
+    /// a locked node).
     fn gain_of(&self, decoder: &BitFlippingDecoder, node: usize) -> f64 {
-        if decoder.locked[node].is_some() {
-            return f64::NEG_INFINITY;
-        }
-        flip_gain(
+        let gain = flip_gain(
             self.residual_sums[node],
             self.change_of(decoder, node),
             decoder.d.col(node).len(),
-        )
+        );
+        if decoder.locked[node].is_some() {
+            f64::NEG_INFINITY
+        } else {
+            gain
+        }
+    }
+
+    /// Re-derives every gain in one linear pass and rebuilds the tournament
+    /// tree once.
+    fn recompute_gains(&mut self, decoder: &BitFlippingDecoder) {
+        for node in 0..self.gains.len() {
+            self.gains[node] = self.gain_of(decoder, node);
+        }
+        self.tracker.rebuild(&self.gains);
     }
 
     /// Queues `node` for a gain refresh (idempotent within one flip batch).
@@ -570,45 +423,85 @@ impl PositionState {
         }
     }
 
-    /// Drains the touched queue, re-deriving each queued node's gain and
-    /// pushing it into the tournament tree (and queueing the node's pairs for
-    /// re-examination when a pair cache is live).
-    ///
-    /// A batch touching at least a quarter of the nodes — every flip, once
-    /// slots carry dozens of colliders — rebuilds the tree once instead of
-    /// re-running that many `O(log K)` tournament paths.  The tree is a pure
-    /// function of its leaves, so both routes leave the same argmax.
-    fn refresh_touched(&mut self, decoder: &BitFlippingDecoder) {
-        let batched = self.touched.len() * 4 >= self.gains.len();
-        while let Some(node) = self.touched.pop() {
-            self.touched_mark[node] = false;
-            let g = self.gain_of(decoder, node);
-            self.gains[node] = g;
-            if !batched {
-                self.tracker.set(node, g);
-            }
-            self.note_pair_perturbed(node);
-        }
-        if batched {
-            self.tracker.rebuild(&self.gains);
-        }
+    /// Whether moving `nodes` can move at least a quarter of the gains: their
+    /// reach, each node's neighbour-list length plus one, is at least `K/4`.
+    /// Such a batch is cheaper to absorb by [`PositionState::recompute_gains`]
+    /// than by queueing and refreshing the touched nodes one by one.
+    fn reaches_dense(&self, decoder: &BitFlippingDecoder, nodes: &[usize]) -> bool {
+        let reach: usize = nodes
+            .iter()
+            .map(|&node| decoder.d.neighbors_or_empty(node).len() + 1)
+            .sum();
+        reach * 4 >= self.gains.len()
     }
 
-    /// Applies the flips in `nodes` and refreshes every touched gain.
-    fn flip_all(&mut self, decoder: &BitFlippingDecoder, nodes: &[usize]) {
-        for &node in nodes {
-            let change = self.change_of(decoder, node);
-            self.b[node] = !self.b[node];
-            self.mark_touched(node);
-            for &j in decoder.d.col(node) {
-                self.residual[j] -= change;
-                for &i in decoder.d.row(j) {
-                    self.residual_sums[i] -= change;
+    /// Subtracts `delta` from the residual of every slot `node` transmits in
+    /// and from the residual sums of those slots' participants, queueing the
+    /// participants for a gain refresh unless `dense`.
+    fn shift_slots(
+        &mut self,
+        decoder: &BitFlippingDecoder,
+        node: usize,
+        delta: Complex,
+        dense: bool,
+    ) {
+        for &j in decoder.d.col(node) {
+            self.residual[j] -= delta;
+            for &i in decoder.d.row(j) {
+                self.residual_sums[i] -= delta;
+                if !dense {
                     self.mark_touched(i);
                 }
             }
         }
-        self.refresh_touched(decoder);
+    }
+
+    /// Re-derives the gains the preceding [`PositionState::shift_slots`]
+    /// calls moved: all of them under `dense`, otherwise each queued node's,
+    /// pushed point-wise into the tournament tree.  By the gain invariant
+    /// both routes leave the same bits.
+    fn refresh_gains(&mut self, decoder: &BitFlippingDecoder, dense: bool) {
+        if dense {
+            self.recompute_gains(decoder);
+            return;
+        }
+        while let Some(node) = self.touched.pop() {
+            self.touched_mark[node] = false;
+            let g = self.gain_of(decoder, node);
+            self.gains[node] = g;
+            self.tracker.set(node, g);
+        }
+    }
+
+    /// Applies the flips in `nodes` and re-derives every gain they move.
+    fn flip_all(&mut self, decoder: &BitFlippingDecoder, nodes: &[usize]) {
+        let dense = self.reaches_dense(decoder, nodes);
+        self.flip_via(decoder, nodes, dense);
+    }
+
+    /// [`PositionState::flip_all`] with the refresh route chosen by the
+    /// caller.
+    fn flip_via(&mut self, decoder: &BitFlippingDecoder, nodes: &[usize], dense: bool) {
+        for &node in nodes {
+            let change = self.change_of(decoder, node);
+            self.b[node] = !self.b[node];
+            // A node in no slot is in no row, but its flip still moves the
+            // sign of its own (zero) gain.
+            if !dense {
+                self.mark_touched(node);
+            }
+            self.shift_slots(decoder, node, change, dense);
+        }
+        self.refresh_gains(decoder, dense);
+    }
+
+    /// Absorbs a channel-estimate change `delta` of a node whose candidate
+    /// bit here is 1 (a refit of a locked node): the slots it transmits in
+    /// lose `delta` more of their residual.
+    fn shift_channel(&mut self, decoder: &BitFlippingDecoder, node: usize, delta: Complex) {
+        let dense = self.reaches_dense(decoder, &[node]);
+        self.shift_slots(decoder, node, delta, dense);
+        self.refresh_gains(decoder, dense);
     }
 
     /// Absorbs one freshly appended participation row (`row` must be the
@@ -635,10 +528,6 @@ impl PositionState {
             let g = self.gain_of(decoder, i);
             self.gains[i] = g;
             self.tracker.set(i, g);
-            // The new row moves the participants' gains *and* the shared-slot
-            // counts of every pair among them; both owners live in the
-            // participants' neighbour lists.
-            self.note_pair_perturbed(i);
             any_unlocked |= decoder.locked[i].is_none();
         }
         any_unlocked
@@ -658,100 +547,9 @@ impl PositionState {
     /// `G_{i,l} = G_i + G_l − 2·n_{il}·Re(c_i · conj(c_l))`, so each candidate
     /// pair costs O(1) via the neighbour index (non-colliding pairs have no
     /// cross term and cannot beat their individual, non-positive, gains).
-    ///
-    /// With a [`PairCache`] attached (worklist persistent states) the scan
-    /// is adaptive: dense perturbation sets take the flat scan (cache goes
-    /// stale), sparse ones re-walk only the dirtied owners — see the
-    /// [`PairCache`] docs.  Without one the flat scan runs unconditionally,
-    /// returning exactly the pair the historical exhaustive scan returns.
-    fn best_pair(&mut self, decoder: &BitFlippingDecoder) -> Option<[usize; 2]> {
-        let Some(mut cache) = self.pairs.take() else {
-            return self.best_pair_flat(decoder).0;
-        };
-        let k = self.b.len();
-        if cache.is_dense(k) {
-            // Dense: nothing dirty-set-shaped can beat the flat scan it
-            // would nearly reproduce.  The cached bests now lag reality.
-            cache.stale = true;
-            cache.clear_perturbed();
-            let (result, evaluated) = self.best_pair_flat(decoder);
-            cache.evaluations += evaluated;
-            self.pairs = Some(cache);
-            return result;
-        }
-        if cache.stale {
-            // First sparse query after staleness: one full rebuild (flat
-            // scan's worth of work), then sparse queries are cheap.
-            cache.clear_perturbed();
-            cache.dirty.clear();
-            cache.dirty_mark.fill(false);
-            for i in 0..k {
-                let (best, partner) = self.refresh_pair_owner(decoder, &mut cache.evaluations, i);
-                cache.best_gain[i] = best;
-                cache.best_partner[i] = partner;
-            }
-            cache.tracker.rebuild(&cache.best_gain);
-            cache.stale = false;
-        } else {
-            // Expand the recorded perturbations into dirty owners — each
-            // perturbed node walks its neighbour list exactly once per
-            // query, however many flips touched it since the last one.
-            while let Some(p) = cache.perturbed.pop() {
-                cache.perturbed_mark[p] = false;
-                cache.mark_dirty(p);
-                for &(l, _) in decoder.d.neighbors_or_empty(p) {
-                    if l < p {
-                        cache.mark_dirty(l);
-                    }
-                }
-            }
-            while let Some(i) = cache.dirty.pop() {
-                cache.dirty_mark[i] = false;
-                let (best, partner) = self.refresh_pair_owner(decoder, &mut cache.evaluations, i);
-                cache.best_gain[i] = best;
-                cache.best_partner[i] = partner;
-                cache.tracker.set(i, best);
-            }
-        }
-        let (owner, gain) = cache.tracker.best();
-        let result = (gain > 1e-9).then(|| [owner, cache.best_partner[owner]]);
-        self.pairs = Some(cache);
-        result
-    }
-
-    /// Re-derives one owner's best owned pair (partner index > owner), the
-    /// shared kernel of the rebuild and dirty-refresh paths.
-    fn refresh_pair_owner(
-        &self,
-        decoder: &BitFlippingDecoder,
-        evaluations: &mut u64,
-        i: usize,
-    ) -> (f64, usize) {
-        let mut best = f64::NEG_INFINITY;
-        let mut partner = usize::MAX;
-        if decoder.locked[i].is_none() {
-            let ci = self.change_of(decoder, i);
-            for &(l, shared) in decoder.d.neighbors_or_empty(i) {
-                if l <= i || decoder.locked[l].is_some() {
-                    continue;
-                }
-                *evaluations += 1;
-                let cl = self.change_of(decoder, l);
-                let cross = ci.re * cl.re + ci.im * cl.im;
-                let joint = self.gains[i] + self.gains[l] - 2.0 * shared as f64 * cross;
-                if joint > best {
-                    best = joint;
-                    partner = l;
-                }
-            }
-        }
-        (best, partner)
-    }
-
-    /// The flat pair scan: the best joint flip over every colliding pair of
+    /// The result is the best joint flip over every colliding pair of
     /// unlocked nodes, lexicographically first among equal gains, or `None`
-    /// when no pair gains more than `1e-9`.  Also returns how many pairs it
-    /// evaluated, for the cache's counter.
+    /// when no pair gains more than `1e-9`.
     ///
     /// The scan skips pairs that provably cannot win.  With `m_i` the
     /// largest number of slots node `i` shares with any other node, and
@@ -766,74 +564,55 @@ impl PositionState {
     ///
     /// so a pair can only win if one endpoint is a *candidate* — `−G_i`
     /// below `m_i·|h_i|²` plus a relative slack that covers the rounding of
-    /// the computed gain — and only pairs with a candidate endpoint are
-    /// evaluated, each with the historical expression in (lower, higher)
-    /// index order.  The result is exactly the exhaustive scan's
-    /// ([`PositionState::best_pair_exhaustive`] in the tests), while the
-    /// dense collisions of large sessions leave most nodes far below their
-    /// bound.  The candidate mask lives in the state, so the scan allocates
-    /// nothing.
-    fn best_pair_flat(&mut self, decoder: &BitFlippingDecoder) -> (Option<[usize; 2]>, u64) {
+    /// the computed gain — and only candidates walk their neighbour lists.
+    /// A locked node's `−∞` gain fails the candidate test and sinks every
+    /// joint gain it enters, and a pair of candidates is simply evaluated
+    /// from both ends: the joint gain is a sum of commuted IEEE products and
+    /// sums, so both ends compute the same bits.  The result is exactly the
+    /// exhaustive scan's ([`PositionState::best_pair_exhaustive`] in the
+    /// tests), while the dense collisions of large sessions leave most nodes
+    /// far below their bound.  The signed-change table lives in the state,
+    /// so the scan allocates nothing.
+    fn best_pair(&mut self, decoder: &BitFlippingDecoder) -> Option<[usize; 2]> {
         /// Relative slack of the candidate test.  It dwarfs the `~1e-15`
         /// relative rounding of a computed joint gain, so pruned pairs stay
         /// below zero, and only ever admits extra candidates.
         const SLACK: f64 = 1e-9;
-        for (i, role) in self.pair_roles.iter_mut().enumerate() {
-            *role = if decoder.locked[i].is_some() {
-                PairRole::Locked
-            } else {
-                let g = self.gains[i];
-                let bound = decoder.d.max_shared(i) as f64 * decoder.channels[i].norm_sqr();
-                if g + bound > -SLACK * (1.0 + g.abs()) {
-                    PairRole::Candidate
-                } else {
-                    PairRole::Partner
-                }
-            };
+        for (node, change) in self.changes.iter_mut().enumerate() {
+            *change = signed_change(decoder.channels[node], self.b[node]);
         }
-        let mut best: Option<(f64, [usize; 2])> = None;
-        let mut evaluated = 0u64;
+        let mut best_gain = 1e-9;
+        let mut best: Option<[usize; 2]> = None;
         for c in 0..self.b.len() {
-            if self.pair_roles[c] != PairRole::Candidate {
+            let gc = self.gains[c];
+            let bound = decoder.d.max_shared(c) as f64 * decoder.channels[c].norm_sqr();
+            let candidate = gc + bound > -SLACK * (1.0 + gc.abs());
+            if !candidate {
                 continue;
             }
-            let cc = self.change_of(decoder, c);
+            let cc = self.changes[c];
             for &(l, shared) in decoder.d.neighbors_or_empty(c) {
-                // Candidate–candidate pairs are evaluated once, from their
-                // lower endpoint.
-                match self.pair_roles[l] {
-                    PairRole::Locked => continue,
-                    PairRole::Candidate if l < c => continue,
-                    _ => {}
-                }
-                evaluated += 1;
-                let cl = self.change_of(decoder, l);
-                let ((i, ci), (j, cj)) = if c < l {
-                    ((c, cc), (l, cl))
-                } else {
-                    ((l, cl), (c, cc))
-                };
-                let cross = ci.re * cj.re + ci.im * cj.im;
-                let joint_gain = self.gains[i] + self.gains[j] - 2.0 * shared as f64 * cross;
-                if joint_gain > 1e-9
-                    && best.as_ref().is_none_or(|&(g, pair)| {
-                        joint_gain > g || (joint_gain == g && [i, j] < pair)
-                    })
-                {
-                    best = Some((joint_gain, [i, j]));
+                let cl = self.changes[l];
+                let cross = cc.re * cl.re + cc.im * cl.im;
+                let joint_gain = gc + self.gains[l] - 2.0 * shared as f64 * cross;
+                if joint_gain >= best_gain {
+                    let pair = if c < l { [c, l] } else { [l, c] };
+                    if joint_gain > best_gain || best.is_some_and(|b| pair < b) {
+                        best_gain = joint_gain;
+                        best = Some(pair);
+                    }
                 }
             }
         }
-        (best.map(|(_, pair)| pair), evaluated)
+        best
     }
 
     /// The historical exhaustive pair scan (every unlocked node's neighbour
-    /// list per call), the reference [`PositionState::best_pair_flat`] is
-    /// pinned to.  Also returns how many pairs it evaluated.
+    /// list per call), the reference [`PositionState::best_pair`] is pinned
+    /// to.
     #[cfg(test)]
-    fn best_pair_exhaustive(&self, decoder: &BitFlippingDecoder) -> (Option<[usize; 2]>, u64) {
+    fn best_pair_exhaustive(&self, decoder: &BitFlippingDecoder) -> Option<[usize; 2]> {
         let mut best: Option<(f64, [usize; 2])> = None;
-        let mut evaluated = 0u64;
         for i in 0..self.b.len() {
             if decoder.locked[i].is_some() {
                 continue;
@@ -843,7 +622,6 @@ impl PositionState {
                 if l <= i || decoder.locked[l].is_some() {
                     continue;
                 }
-                evaluated += 1;
                 let cl = self.change_of(decoder, l);
                 let cross = ci.re * cl.re + ci.im * cl.im;
                 let joint_gain = self.gains[i] + self.gains[l] - 2.0 * shared as f64 * cross;
@@ -852,7 +630,7 @@ impl PositionState {
                 }
             }
         }
-        (best.map(|(_, pair)| pair), evaluated)
+        best.map(|(_, pair)| pair)
     }
 
     /// Total residual error of the current assignment.
@@ -996,22 +774,6 @@ impl BitFlippingDecoder {
     #[must_use]
     pub fn worklist_position_visits(&self) -> Option<&[u64]> {
         self.worklist.as_deref().map(|wl| wl.visits.as_slice())
-    }
-
-    /// Total pair-gain evaluations performed by the worklist schedule's
-    /// dirty-pair scan, summed over bit positions (`None` before the first
-    /// worklist decode, or under [`DecodeSchedule::FullPass`]).  A decode
-    /// call that perturbs nothing re-examines no pairs and leaves the count
-    /// unchanged — the observable behind "only dirtied pairs are visited".
-    #[must_use]
-    pub fn worklist_pair_evaluations(&self) -> Option<u64> {
-        self.worklist.as_deref().map(|wl| {
-            wl.positions
-                .iter()
-                .filter_map(|p| p.pairs.as_ref())
-                .map(|c| c.evaluations)
-                .sum()
-        })
     }
 
     /// Cumulative number of message-passing sweeps performed across all
@@ -1338,15 +1100,8 @@ impl BitFlippingDecoder {
             cold.reinit(self, position, restart);
             self.descend(cold);
             if cold.error() < state.error() {
-                // Adopt the cold state by swapping buffers.  It ran on the
-                // flat pair scan, so the replaced state's cache moves over
-                // (keeping its cumulative evaluation counter) and is reset
-                // in place for the calls that follow.
+                // Adopt the cold state by swapping buffers.
                 std::mem::swap(state, cold);
-                state.pairs = cold.pairs.take();
-                if let Some(cache) = state.pairs.as_mut() {
-                    cache.reset();
-                }
             }
         }
     }
@@ -1370,7 +1125,6 @@ impl BitFlippingDecoder {
                 } else {
                     state.gains[node] = f64::NEG_INFINITY;
                     state.tracker.set(node, f64::NEG_INFINITY);
-                    state.note_pair_perturbed(node);
                 }
             }
             // The candidate frame of a locked node is its verified frame.
@@ -1478,7 +1232,6 @@ impl BitFlippingDecoder {
             let gain = state.gain_of(self, node);
             state.gains[node] = gain;
             state.tracker.set(node, gain);
-            state.note_pair_perturbed(node);
             wl.dirty[position] = true;
         }
         // The erased bits need fresh evidence-driven descents; treat the
@@ -1503,15 +1256,7 @@ impl BitFlippingDecoder {
                 if !bit {
                     continue;
                 }
-                let state = &mut wl.positions[position];
-                for &j in self.d.col(node) {
-                    state.residual[j] -= delta;
-                    for &i in self.d.row(j) {
-                        state.residual_sums[i] -= delta;
-                        state.mark_touched(i);
-                    }
-                }
-                state.refresh_touched(self);
+                wl.positions[position].shift_channel(self, node, delta);
                 wl.dirty[position] = true;
             }
         }
@@ -1940,11 +1685,7 @@ impl WorklistState {
         let p = decoder.message_bits;
         let l = decoder.d.rows();
         let positions: Vec<PositionState> = (0..p)
-            .map(|position| {
-                let mut state = PositionState::new(decoder, position, 0);
-                state.enable_pair_cache();
-                state
-            })
+            .map(|position| PositionState::new(decoder, position, 0))
             .collect();
         let mut frames = vec![vec![false; p]; k];
         for (position, state) in positions.iter().enumerate() {
@@ -2531,67 +2272,8 @@ mod tests {
         assert_eq!(pinned.schedule(), DecodeSchedule::FullPass);
     }
 
-    /// Joint pair gain straight from the cached formula, for comparing the
-    /// two pair-scan implementations.
-    fn joint_gain_of(
-        decoder: &BitFlippingDecoder,
-        state: &PositionState,
-        [i, l]: [usize; 2],
-    ) -> f64 {
-        let shared = decoder
-            .d
-            .neighbors_or_empty(i)
-            .iter()
-            .find(|&&(n, _)| n == l)
-            .map_or(0, |&(_, s)| s);
-        let ci = state.change_of(decoder, i);
-        let cl = state.change_of(decoder, l);
-        let cross = ci.re * cl.re + ci.im * cl.im;
-        state.gains[i] + state.gains[l] - 2.0 * shared as f64 * cross
-    }
-
     proptest! {
-        /// The dirty-pair worklist must agree with the exhaustive scan after
-        /// any flip sequence: same "escape pair exists" verdict, and the
-        /// returned pairs carry the exact same joint gain (tie-breaks may
-        /// pick a different equal-gain pair, which never changes a descent's
-        /// error trajectory).  Sparse problems at larger K exercise the
-        /// cached dirty-owner path; dense small-K ones the adaptive flat
-        /// fallback and the stale→rebuild transition.
-        #[test]
-        fn pair_cache_matches_exhaustive_scan(
-            seed in 0u64..1_000_000,
-            k in 2usize..24,
-            slots in 2usize..18,
-            flips in proptest::collection::vec(any::<u8>(), 0..24),
-        ) {
-            let p = if seed % 2 == 0 { 0.6 } else { 0.15 };
-            let channels = diverse_channels(k, seed ^ 0xca11);
-            let (decoder, _frames) = make_problem(&channels, slots, p, 0.03, seed % 500);
-            let mut state = PositionState::new(&decoder, (seed % 37) as usize, 0);
-            state.enable_pair_cache();
-            for &f in &flips {
-                state.flip_all(&decoder, &[f as usize % k]);
-                let cached = state.best_pair(&decoder);
-                let exhaustive = state.best_pair_exhaustive(&decoder).0;
-                match (cached, exhaustive) {
-                    (None, None) => {}
-                    (Some(c), Some(e)) => {
-                        let gc = joint_gain_of(&decoder, &state, c);
-                        let ge = joint_gain_of(&decoder, &state, e);
-                        prop_assert!(
-                            gc.to_bits() == ge.to_bits() || c == e,
-                            "cached {:?} ({}) vs exhaustive {:?} ({})", c, gc, e, ge
-                        );
-                    }
-                    (c, e) => prop_assert!(false, "cached {:?} vs exhaustive {:?}", c, e),
-                }
-            }
-        }
-    }
-
-    proptest! {
-        /// The pruned flat scan is exact: after any flip sequence, with any
+        /// The pruned pair scan is exact: after any flip sequence, with any
         /// set of locked nodes, and at the descent's local minimum (where
         /// the decoder actually asks for a pair), it returns the *same pair*
         /// as the historical exhaustive scan — not merely an equal gain.
@@ -2618,13 +2300,132 @@ mod tests {
             let mut state = PositionState::new(&decoder, (seed % 37) as usize, seed % 4);
             for &f in &flips {
                 state.flip_all(&decoder, &[f as usize % k]);
-                let reference = state.best_pair_exhaustive(&decoder).0;
-                prop_assert_eq!(state.best_pair_flat(&decoder).0, reference);
+                let reference = state.best_pair_exhaustive(&decoder);
+                prop_assert_eq!(state.best_pair(&decoder), reference);
             }
             decoder.descend(&mut state);
-            let reference = state.best_pair_exhaustive(&decoder).0;
-            prop_assert_eq!(state.best_pair_flat(&decoder).0, reference);
+            let reference = state.best_pair_exhaustive(&decoder);
+            prop_assert_eq!(state.best_pair(&decoder), reference);
         }
+    }
+
+    proptest! {
+        /// The linear gain recompute is exact: after random single and pair
+        /// flips, with a fifth of the nodes locked, recomputing every gain
+        /// leaves the same bits as refreshing only the touched ones, and the
+        /// same best single flip.  Random restarts give unseen nodes (no
+        /// slot yet) a `1` bit, whose zero gain carries the sign
+        /// `signed_change` must reproduce.
+        #[test]
+        fn dense_gain_recompute_matches_point_updates(
+            seed in 0u64..1_000_000,
+            k in 2usize..65,
+            slots in 1usize..40,
+            density in 0usize..4,
+            lock_seed in any::<u64>(),
+            flips in proptest::collection::vec(any::<u32>(), 1..24),
+        ) {
+            let p = [0.15, 0.3, 0.6, (4.0 / k as f64).min(1.0)][density];
+            let channels = diverse_channels(k, seed ^ 0xde45e);
+            let (mut decoder, frames) = make_problem(&channels, slots, p, 0.03, seed % 500);
+            let mut lock_rng = Xoshiro256::seed_from_u64(lock_seed);
+            for (locked, frame) in decoder.locked.iter_mut().zip(&frames) {
+                if lock_rng.next_f64() < 0.2 {
+                    *locked = Some(frame.clone());
+                }
+            }
+            let mut dense = PositionState::new(&decoder, (seed % 37) as usize, seed % 4);
+            let mut point = dense.clone();
+            for &f in &flips {
+                let first = f as usize % k;
+                let second = (f >> 16) as usize % k;
+                let nodes = if f & 0x8000 != 0 && second != first {
+                    vec![first, second]
+                } else {
+                    vec![first]
+                };
+                dense.flip_via(&decoder, &nodes, true);
+                point.flip_via(&decoder, &nodes, false);
+                let dense_bits: Vec<u64> = dense.gains.iter().map(|g| g.to_bits()).collect();
+                let point_bits: Vec<u64> = point.gains.iter().map(|g| g.to_bits()).collect();
+                prop_assert_eq!(dense_bits, point_bits, "flip {:?}", nodes);
+                prop_assert_eq!(dense.best_single(), point.best_single(), "flip {:?}", nodes);
+            }
+        }
+    }
+
+    #[test]
+    fn stored_gains_equal_gain_of_through_locks_audits_and_refits() {
+        // The gain invariant the linear recompute relies on, over a whole
+        // dense, noisy worklist session: after every decode call, every
+        // persistent state's stored gains carry exactly `gain_of`'s bits.
+        // Node 0's channel turns mid-session, so its lock goes stale and the
+        // audit erases it; node K − 1 is a phantom that never transmits, so
+        // its gain stays a signed zero, which the cold-restart battery's
+        // random starts flip.
+        let (k, p, noise, seed) = (40usize, 0.3, 0.2, 6u64);
+        let truth = diverse_channels(k, seed);
+        let frames: Vec<Vec<bool>> = (0..k)
+            .map(|i| {
+                Message::standard_32bit(seed * 100 + i as u64)
+                    .unwrap()
+                    .framed()
+            })
+            .collect();
+        let seeds: Vec<NodeSeed> = (0..k as u64).map(|i| NodeSeed(seed * 77 + i)).collect();
+        let phantom = k - 1;
+        let mut decoder =
+            BitFlippingDecoder::new(truth.clone(), frames[0].len(), noise * noise / 6.0).unwrap();
+        let mut noise_rng = Xoshiro256::seed_from_u64(seed ^ 0xabcdef);
+        let (mut locks, mut erasures, mut refits) = (0, 0, 0);
+        let mut decoded = vec![false; k];
+        for slot in 0..6 * k as u64 {
+            let mut channels = truth.clone();
+            if slot >= 12 {
+                channels[0] *= Complex::from_polar(1.0, 2.5);
+            }
+            let participants: Vec<bool> = (0..k)
+                .map(|i| i != phantom && seeds[i].participates_in_slot(slot, p))
+                .collect();
+            let symbols: Vec<Complex> = (0..frames[0].len())
+                .map(|pos| {
+                    let mut y = Complex::ZERO;
+                    for i in 0..k {
+                        if participants[i] && frames[i][pos] {
+                            y += channels[i];
+                        }
+                    }
+                    y + Complex::new(
+                        (noise_rng.next_f64() - 0.5) * noise,
+                        (noise_rng.next_f64() - 0.5) * noise,
+                    )
+                })
+                .collect();
+            decoder.add_slot(&participants, symbols).unwrap();
+            let estimates = decoder.channels.clone();
+            let outcome = decoder.decode().unwrap();
+            let wl = decoder.worklist.as_deref().expect("worklist decode");
+            for (position, state) in wl.positions.iter().enumerate() {
+                for node in 0..k {
+                    assert_eq!(
+                        state.gains[node].to_bits(),
+                        state.gain_of(&decoder, node).to_bits(),
+                        "slot {slot}, position {position}, node {node}"
+                    );
+                }
+            }
+            refits += usize::from(decoder.channels != estimates);
+            locks += outcome.newly_decoded.len();
+            for (was, now) in decoded.iter_mut().zip(&outcome.decoded_payloads) {
+                erasures += usize::from(*was && now.is_none());
+                *was = now.is_some();
+            }
+        }
+        let reach = decoder.d.neighbors_or_empty(phantom - 1).len() + 1;
+        assert!(reach * 4 >= k, "setup: flips take the linear recompute");
+        assert!(locks > 0, "setup: a node locked");
+        assert!(erasures > 0, "setup: the audit erased a lock");
+        assert!(refits > 0, "setup: a channel refit moved an estimate");
     }
 
     #[test]
@@ -2685,41 +2486,6 @@ mod tests {
             .as_deref()
             .is_some_and(|wl| wl.next_escalation_rows > 0);
         assert!(escalated, "setup: a cold-restart battery fired");
-    }
-
-    #[test]
-    fn pair_scan_visits_only_dirtied_pairs() {
-        // The satellite counter test mirroring `worklist_skips_converged
-        // _positions`: once the session has converged, slots that cannot
-        // perturb any unlocked gain (empty slots, all-locked collisions)
-        // must not re-examine a single pair — the evaluation counter
-        // freezes exactly like the position-visit counter does.
-        let channels = diverse_channels(4, 5);
-        let (decoder, _frames) = make_problem(&channels, 14, 0.7, 0.0, 5);
-        let mut decoder = decoder.with_schedule(DecodeSchedule::Worklist);
-        let state = decoder.decode().unwrap();
-        assert!(state.all_decoded(), "setup: everyone decodes noiselessly");
-        let evaluations_after_decode = decoder.worklist_pair_evaluations().unwrap();
-        assert!(
-            evaluations_after_decode > 0,
-            "the converging decode must have examined some pairs"
-        );
-
-        let p = decoder.message_bits;
-        decoder
-            .add_slot(&[false; 4], vec![Complex::ZERO; p])
-            .unwrap();
-        decoder.decode().unwrap();
-        decoder
-            .add_slot(&[true; 4], vec![Complex::new(0.3, -0.1); p])
-            .unwrap();
-        let after = decoder.decode().unwrap();
-        assert!(after.all_decoded());
-        assert_eq!(
-            decoder.worklist_pair_evaluations().unwrap(),
-            evaluations_after_decode,
-            "pairs were re-examined without any perturbation"
-        );
     }
 
     #[test]
