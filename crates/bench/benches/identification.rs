@@ -1,8 +1,11 @@
 //! Fig. 14 as a Criterion bench: identification latency (wall-clock of the
 //! simulated protocol run, which is dominated by the reader-side decoding the
-//! paper worries about in §5.1) for Buzz vs Framed Slotted Aloha.
+//! paper worries about in §5.1) for Buzz vs Framed Slotted Aloha, plus the
+//! stage-3 sensing-matrix build on its own.
 
 use backscatter_baselines::identification::fsa_identification;
+use backscatter_codes::sparse_matrix::SparseBinaryMatrix;
+use backscatter_prng::NodeSeed;
 use backscatter_sim::scenario::ScenarioBuilder;
 use buzz::identification::{IdentificationConfig, Identifier};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -31,6 +34,18 @@ fn bench_identification(c: &mut Criterion) {
                 fsa_identification(&scenario, 7).unwrap()
             });
         });
+    }
+    // The reader's reduced sensing matrix A′, labelled `<candidate ids> x
+    // <slots>`.  128×96 is about the median stage-3 shape of the `paper_mix`
+    // benchmark workload (108 × 88 on seed 3001), 905×483 about the shape of
+    // `buzz/16`'s session above (904 × 482).
+    for &(ids, slots) in &[(128usize, 96usize), (905, 483)] {
+        let seeds: Vec<NodeSeed> = (0..ids as u64).map(|i| NodeSeed(31 * i + 5)).collect();
+        group.bench_with_input(
+            BenchmarkId::new("sensing_matrix", format!("{ids}x{slots}")),
+            &seeds,
+            |b, seeds| b.iter(|| SparseBinaryMatrix::from_sensing_seeds(slots, seeds, 0.5)),
+        );
     }
     group.finish();
 }

@@ -96,9 +96,13 @@ impl CommonFlags {
             match arg.as_str() {
                 "--plan" => flags.plan = value("--plan")?,
                 "--locations" => {
+                    // Every figure averages over its locations: zero of them
+                    // would print NaN rows.
                     flags.locations = value("--locations")?
                         .parse()
-                        .map_err(|_| "bad --locations".to_string())?;
+                        .ok()
+                        .filter(|&n: &u64| n > 0)
+                        .ok_or_else(|| "bad --locations".to_string())?;
                 }
                 "--seed" => {
                     flags.seed = value("--seed")?

@@ -217,6 +217,15 @@ pub struct SweepPlan {
     pub jobs: Vec<Job>,
 }
 
+/// Every figure averages over its locations, so a plan needs at least one
+/// (zero would fill the tables with NaN).
+fn check_locations(locations: u64) -> Result<(), String> {
+    if locations == 0 {
+        return Err("a plan needs at least one location".into());
+    }
+    Ok(())
+}
+
 impl SweepPlan {
     /// The `all` plan: every registered figure, in `reproduce all` order.
     #[must_use]
@@ -233,7 +242,12 @@ impl SweepPlan {
     }
 
     /// A plan over an explicit figure subset (ids or aliases).
+    ///
+    /// # Errors
+    ///
+    /// Unknown or repeated figures, an empty list, and zero locations.
     pub fn figure_list(list: &str, locations: u64, base_seed: u64) -> Result<Self, String> {
+        check_locations(locations)?;
         let mut jobs = Vec::new();
         let mut ids = Vec::new();
         for name in list.split(',').map(str::trim).filter(|s| !s.is_empty()) {
@@ -292,12 +306,18 @@ impl SweepPlan {
 
     /// Builds a plan from a CLI `--plan` value: `all`, `grid`, or a
     /// comma-separated figure list.
+    ///
+    /// # Errors
+    ///
+    /// Zero locations, and the errors of [`SweepPlan::uplink_grid`] and
+    /// [`SweepPlan::figure_list`].
     pub fn from_name(
         name: &str,
         locations: u64,
         base_seed: u64,
         grid: &GridOptions,
     ) -> Result<Self, String> {
+        check_locations(locations)?;
         match name {
             "all" => Ok(Self::all(locations, base_seed)),
             "grid" => Self::uplink_grid(grid, locations, base_seed),

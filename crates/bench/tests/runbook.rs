@@ -2,7 +2,7 @@
 //! and the shard/merge byte-identity contract — both in-process and through
 //! the `reproduce` binary exactly as CI drives it.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use buzz_bench::experiments;
@@ -162,6 +162,19 @@ proptest! {
     }
 }
 
+#[test]
+fn plans_reject_zero_locations() {
+    let grid = GridOptions::default();
+    for name in ["all", "grid", "table12,fig10"] {
+        assert!(
+            SweepPlan::from_name(name, 0, 2012, &grid).is_err(),
+            "plan `{name}`"
+        );
+        assert!(SweepPlan::from_name(name, 1, 2012, &grid).is_ok());
+    }
+    assert!(SweepPlan::figure_list("fig10", 0, 2012).is_err());
+}
+
 /// A cheap four-figure plan for merge tests (sub-second figures only).
 fn small_plan() -> SweepPlan {
     SweepPlan::figure_list("table12,fig8,fig9,lemma51", 1, 2012).unwrap()
@@ -283,6 +296,32 @@ fn reproduce_binary_shard_merge_diff_pipeline() {
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(stderr.contains("unknown experiment `fig99`"));
     assert!(stderr.contains("fig11_large") && stderr.contains("headline"));
+
+    // Zero locations would average over nothing: every form rejects the
+    // flag before running, exits 2, and writes nothing.
+    let zero_out = path("zero-locations");
+    for args in [
+        &["headline", "--locations", "0"][..],
+        &["fig10", "--locations", "0"][..],
+        &[
+            "run",
+            "--plan",
+            "all",
+            "--locations",
+            "0",
+            "--out",
+            &zero_out,
+        ][..],
+    ] {
+        let output = Command::new(bin).args(args).output().unwrap();
+        assert_eq!(output.status.code(), Some(2), "reproduce {args:?}");
+        assert!(String::from_utf8_lossy(&output.stderr).contains("bad --locations"));
+        assert!(
+            output.stdout.is_empty(),
+            "reproduce {args:?} printed a table"
+        );
+    }
+    assert!(!Path::new(&zero_out).exists());
 
     // A `--json` path that cannot be written fails the run: its parent is a
     // regular file, so exit 1 and no `wrote` line.

@@ -17,6 +17,13 @@
 //! walks on contiguous memory instead of chasing one heap allocation per
 //! row/column.
 //!
+//! Seed-generated matrices (`A`, `D`) are built column by column: a column is
+//! one seed's decisions over the slots, with the seed hashed once, and it
+//! comes out with its rows ascending.  That is the CSC view as generated; the
+//! CSR view is one counting pass over it.  No coordinate list is built or
+//! sorted, except by [`SparseBinaryMatrix::from_ones`], whose input has no
+//! order.
+//!
 //! Matrices that drive the bit-flipping decoder additionally maintain a
 //! per-column *neighbour index* (see [`SparseBinaryMatrix::track_neighbors`]):
 //! for every column, the other columns sharing at least one row, with the
@@ -124,8 +131,76 @@ impl SparseBinaryMatrix {
         }
     }
 
+    /// Builds both flat indices from the CSC view alone: column `c` holds
+    /// the rows `col_rows[col_ptr[c]..col_ptr[c + 1]]`, ascending and
+    /// distinct.  The CSR view comes from one counting pass over the columns
+    /// in ascending order, which leaves every row segment sorted by column,
+    /// so nothing is sorted or deduplicated.
+    fn from_csc(rows: usize, col_ptr: Vec<usize>, col_rows: Vec<usize>) -> Self {
+        let cols = col_ptr.len() - 1;
+        let mut row_ptr = vec![0usize; rows + 1];
+        for &r in &col_rows {
+            row_ptr[r + 1] += 1;
+        }
+        for r in 0..rows {
+            row_ptr[r + 1] += row_ptr[r];
+        }
+        let mut row_cols = vec![0usize; col_rows.len()];
+        let mut next_in_row = row_ptr[..rows].to_vec();
+        for c in 0..cols {
+            for &r in &col_rows[col_ptr[c]..col_ptr[c + 1]] {
+                row_cols[next_in_row[r]] = c;
+                next_in_row[r] += 1;
+            }
+        }
+        Self {
+            rows,
+            cols,
+            row_ptr,
+            row_cols,
+            col_ptr,
+            col_rows,
+            neighbors: None,
+        }
+    }
+
+    /// The one builder behind [`Self::from_seeds`] and
+    /// [`Self::from_sensing_seeds`]: column `c` is `fill(seeds[c], p, ·)`
+    /// over slots `0..slots`.  Columns are generated in ascending order and
+    /// each column's rows come out ascending, which is exactly the CSC view,
+    /// so the CSR view is one counting pass away ([`Self::from_csc`]).  The
+    /// column forms hash each seed once, not once per entry.
+    fn from_seed_columns(
+        slots: usize,
+        seeds: &[NodeSeed],
+        p: f64,
+        fill: fn(NodeSeed, f64, &mut [bool]),
+    ) -> Self {
+        let mut column = vec![false; slots];
+        let mut col_ptr = Vec::with_capacity(seeds.len() + 1);
+        col_ptr.push(0);
+        // Reserve the expected entry count plus four binomial standard
+        // deviations, so the entry list almost never regrows (a regrowth
+        // doubles its peak memory).
+        let expected = slots as f64 * seeds.len() as f64 * p.clamp(0.0, 1.0);
+        let mut col_rows = Vec::with_capacity((expected + 4.0 * expected.sqrt() + 16.0) as usize);
+        for &seed in seeds {
+            fill(seed, p, &mut column);
+            col_rows.extend(
+                column
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(row, &one)| one.then_some(row)),
+            );
+            col_ptr.push(col_rows.len());
+        }
+        Self::from_csc(slots, col_ptr, col_rows)
+    }
+
     /// Builds both flat indices from an unsorted coordinate list in one pass
     /// (duplicates allowed; out-of-range coordinates must be pre-checked).
+    /// Only [`Self::from_ones`] has an unordered entry list; every other
+    /// builder produces the CSC view directly.
     fn from_coo(rows: usize, cols: usize, ones: &mut Vec<(usize, usize)>) -> Self {
         ones.sort_unstable();
         ones.dedup();
@@ -192,37 +267,26 @@ impl SparseBinaryMatrix {
     /// data-phase participation matrix `D`.
     ///
     /// Both the simulator's tags and the reader's decoder call this with the
-    /// same seeds, so they construct the same matrix independently.
+    /// same seeds, so they construct the same matrix independently.  Entry
+    /// `(slot, node)` equals [`NodeSeed::participates_in_slot`]; each column
+    /// is generated whole by [`NodeSeed::participation_column`].
     #[must_use]
     pub fn from_seeds(slots: usize, seeds: &[NodeSeed], p: f64) -> Self {
-        let mut coo = Vec::new();
-        for (col, seed) in seeds.iter().enumerate() {
-            for row in 0..slots {
-                if seed.participates_in_slot(row as u64, p) {
-                    coo.push((row, col));
-                }
-            }
-        }
-        Self::from_coo(slots, seeds.len(), &mut coo)
+        Self::from_seed_columns(slots, seeds, p, NodeSeed::participation_column)
     }
 
     /// Builds the identification-phase sensing matrix `A`: entry `(slot, id)`
     /// is 1 when the id's seed transmits a "1" in that slot of the
     /// compressive-sensing stage (probability `p`, typically 0.5).
     ///
-    /// Uses [`NodeSeed::sensing_in_slot`], which is domain-separated from the
-    /// data-phase stream so `A` and `D` are independent.
+    /// Entry `(slot, id)` equals [`NodeSeed::sensing_in_slot`], which is
+    /// domain-separated from the data-phase stream so `A` and `D` are
+    /// independent; each column is generated whole by
+    /// [`NodeSeed::sensing_column`].  Cost: one hash per entry and one
+    /// counting pass, with no coordinate list and no sort.
     #[must_use]
     pub fn from_sensing_seeds(slots: usize, seeds: &[NodeSeed], p: f64) -> Self {
-        let mut coo = Vec::new();
-        for (col, seed) in seeds.iter().enumerate() {
-            for row in 0..slots {
-                if seed.sensing_in_slot(row as u64, p) {
-                    coo.push((row, col));
-                }
-            }
-        }
-        Self::from_coo(slots, seeds.len(), &mut coo)
+        Self::from_seed_columns(slots, seeds, p, NodeSeed::sensing_column)
     }
 
     /// Number of rows.
@@ -484,13 +548,14 @@ impl SparseBinaryMatrix {
                 });
             }
         }
-        let mut coo = Vec::new();
-        for (new_col, &old_col) in columns.iter().enumerate() {
-            for &row in self.col(old_col) {
-                coo.push((row, new_col));
-            }
+        let mut col_ptr = Vec::with_capacity(columns.len() + 1);
+        col_ptr.push(0);
+        let mut col_rows = Vec::new();
+        for &old_col in columns {
+            col_rows.extend_from_slice(self.col(old_col));
+            col_ptr.push(col_rows.len());
         }
-        Ok(Self::from_coo(self.rows, columns.len(), &mut coo))
+        Ok(Self::from_csc(self.rows, col_ptr, col_rows))
     }
 
     /// Multiplies the matrix by a real vector (`y = M · x`), used by tests and
@@ -515,6 +580,7 @@ impl SparseBinaryMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn zeros_has_no_entries() {
@@ -603,6 +669,84 @@ mod tests {
         }
         let d = SparseBinaryMatrix::from_seeds(40, &seeds, 0.5);
         assert_ne!(a, d);
+    }
+
+    /// Reference seed builder: one per-slot decision per entry into a
+    /// `(row, col)` list, then [`SparseBinaryMatrix::from_coo`]'s sort.
+    fn coo_seed_reference(
+        slots: usize,
+        seeds: &[NodeSeed],
+        p: f64,
+        decide: fn(NodeSeed, u64, f64) -> bool,
+    ) -> SparseBinaryMatrix {
+        let mut coo = Vec::new();
+        for (col, &seed) in seeds.iter().enumerate() {
+            for row in 0..slots {
+                if decide(seed, row as u64, p) {
+                    coo.push((row, col));
+                }
+            }
+        }
+        SparseBinaryMatrix::from_coo(slots, seeds.len(), &mut coo)
+    }
+
+    /// Every view of `m` equals `reference`'s: CSR, CSC and `get`.
+    fn assert_same_views(m: &SparseBinaryMatrix, reference: &SparseBinaryMatrix) {
+        assert_eq!((m.rows, m.cols), (reference.rows, reference.cols));
+        assert_eq!(m.row_ptr, reference.row_ptr, "CSR offsets");
+        assert_eq!(m.row_cols, reference.row_cols, "CSR columns");
+        assert_eq!(m.col_ptr, reference.col_ptr, "CSC offsets");
+        assert_eq!(m.col_rows, reference.col_rows, "CSC rows");
+        for r in 0..m.rows {
+            for c in 0..m.cols {
+                assert_eq!(m.get(r, c), reference.get(r, c), "entry ({r}, {c})");
+            }
+        }
+    }
+
+    proptest! {
+        /// The column-major seed builders equal the COO reference in every
+        /// view, including no seeds, no slots, and the clamped
+        /// probabilities.
+        #[test]
+        fn seed_builders_match_the_coo_builder(
+            first_id in any::<u64>(),
+            n_seeds in 0usize..40,
+            slots in 0usize..200,
+            p_case in 0usize..6,
+            p_random in 0.0f64..1.0,
+        ) {
+            let p = [0.0, 1.0, 0.5, p_random, -0.25, 1.25][p_case];
+            let seeds: Vec<NodeSeed> = (0..n_seeds as u64)
+                .map(|i| NodeSeed(first_id.wrapping_add(i.wrapping_mul(7919))))
+                .collect();
+            assert_same_views(
+                &SparseBinaryMatrix::from_seeds(slots, &seeds, p),
+                &coo_seed_reference(slots, &seeds, p, NodeSeed::participates_in_slot),
+            );
+            assert_same_views(
+                &SparseBinaryMatrix::from_sensing_seeds(slots, &seeds, p),
+                &coo_seed_reference(slots, &seeds, p, NodeSeed::sensing_in_slot),
+            );
+        }
+    }
+
+    #[test]
+    fn seed_builders_handle_empty_shapes() {
+        let seeds: Vec<NodeSeed> = (0..5).map(NodeSeed).collect();
+        for (slots, seeds) in [(0, &seeds[..]), (30, &[][..]), (0, &[][..])] {
+            for p in [0.0, 0.5, 1.0] {
+                let m = SparseBinaryMatrix::from_sensing_seeds(slots, seeds, p);
+                assert_same_views(
+                    &m,
+                    &coo_seed_reference(slots, seeds, p, NodeSeed::sensing_in_slot),
+                );
+                assert_eq!(m.nnz(), 0);
+            }
+        }
+        let full = SparseBinaryMatrix::from_seeds(9, &seeds, 1.0);
+        assert_eq!(full.nnz(), 45);
+        assert_eq!(SparseBinaryMatrix::from_seeds(9, &seeds, 0.0).nnz(), 0);
     }
 
     #[test]
@@ -724,6 +868,10 @@ mod tests {
         assert!(reduced.get(2, 0)); // old column 3, row 2
         assert!(reduced.get(1, 1)); // old column 1, row 1
         assert!(!reduced.get(0, 1));
+        assert_same_views(
+            &reduced,
+            &SparseBinaryMatrix::from_ones(3, 2, &[(0, 0), (2, 0), (1, 1)]).unwrap(),
+        );
         assert!(m.select_columns(&[4]).is_err());
     }
 

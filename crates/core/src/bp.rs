@@ -1457,23 +1457,28 @@ impl BitFlippingDecoder {
     fn reestimate_channels(&mut self, candidates: Option<&[Vec<bool>]>) -> Vec<(usize, Complex)> {
         let k = self.channels.len();
         let p = self.message_bits;
-        let eligible_slots: Vec<usize> = (0..self.d.rows())
-            .filter(|&j| {
-                let row = self.d.row(j);
-                let unlocked = row.iter().filter(|&&i| self.locked[i].is_none()).count();
-                unlocked == 0 || (candidates.is_some() && 2 * unlocked < row.len())
-            })
-            .collect();
+        // Each eligible slot's locked participants, in row order, collected
+        // once: `locked_in[locked_ptr[e]..locked_ptr[e + 1]]` belongs to
+        // `eligible_slots[e]`.
+        let mut eligible = vec![false; self.d.rows()];
+        let mut eligible_slots: Vec<usize> = Vec::new();
+        let mut locked_in: Vec<usize> = Vec::new();
+        let mut locked_ptr: Vec<usize> = vec![0];
+        for (j, is_eligible) in eligible.iter_mut().enumerate() {
+            let row = self.d.row(j);
+            let unlocked = row.iter().filter(|&&i| self.locked[i].is_none()).count();
+            if unlocked == 0 || (candidates.is_some() && 2 * unlocked < row.len()) {
+                *is_eligible = true;
+                eligible_slots.push(j);
+                locked_in.extend(row.iter().copied().filter(|&i| self.locked[i].is_some()));
+                locked_ptr.push(locked_in.len());
+            }
+        }
         if eligible_slots.is_empty() {
             return Vec::new();
         }
         let involved: Vec<usize> = (0..k)
-            .filter(|&i| {
-                self.locked[i].is_some()
-                    && eligible_slots
-                        .iter()
-                        .any(|&j| self.d.col(i).binary_search(&j).is_ok())
-            })
+            .filter(|&i| self.locked[i].is_some() && self.d.col(i).iter().any(|&j| eligible[j]))
             .collect();
         if involved.is_empty() {
             return Vec::new();
@@ -1489,15 +1494,19 @@ impl BitFlippingDecoder {
         let mut gram = sparse_recovery::linalg::ComplexMatrix::zeros(n, n);
         let mut gram_real = vec![vec![0.0f64; n]; n];
         let mut rhs = vec![Complex::ZERO; n];
-        for &j in &eligible_slots {
+        let mut active: Vec<usize> = Vec::new();
+        for (e, &j) in eligible_slots.iter().enumerate() {
             let cols = self.d.row(j);
-            let has_unlocked = cols.iter().any(|&i| self.locked[i].is_none());
+            let locked_here = &locked_in[locked_ptr[e]..locked_ptr[e + 1]];
+            let has_unlocked = locked_here.len() < cols.len();
             for pos in 0..p {
-                let active: Vec<usize> = cols
-                    .iter()
-                    .copied()
-                    .filter(|&i| self.locked[i].as_ref().is_some_and(|frame| frame[pos]))
-                    .collect();
+                active.clear();
+                active.extend(
+                    locked_here
+                        .iter()
+                        .copied()
+                        .filter(|&i| self.locked[i].as_ref().is_some_and(|frame| frame[pos])),
+                );
                 // Best-guess interference of the (minority) unlocked
                 // participants; zero on locked-only slots, keeping the
                 // `FullPass` compat path bit-identical.
@@ -1511,17 +1520,13 @@ impl BitFlippingDecoder {
                         }
                     }
                 }
+                // Every active node is locked and in an eligible slot, so
+                // it is involved.
                 for &i in &active {
                     let ii = index_of_node[i];
-                    if ii == usize::MAX {
-                        continue;
-                    }
                     rhs[ii] += observation;
                     for &l in &active {
-                        let ll = index_of_node[l];
-                        if ll != usize::MAX {
-                            gram_real[ii][ll] += 1.0;
-                        }
+                        gram_real[ii][index_of_node[l]] += 1.0;
                     }
                 }
             }
@@ -2426,6 +2431,178 @@ mod tests {
         assert!(locks > 0, "setup: a node locked");
         assert!(erasures > 0, "setup: the audit erased a lock");
         assert!(refits > 0, "setup: a channel refit moved an estimate");
+    }
+
+    /// Reference channel refit: an `active` list allocated per (slot,
+    /// position), and a binary search of every locked column per eligible
+    /// slot.
+    fn reestimate_channels_reference(
+        decoder: &mut BitFlippingDecoder,
+        candidates: Option<&[Vec<bool>]>,
+    ) -> Vec<(usize, Complex)> {
+        let k = decoder.channels.len();
+        let p = decoder.message_bits;
+        let eligible_slots: Vec<usize> = (0..decoder.d.rows())
+            .filter(|&j| {
+                let row = decoder.d.row(j);
+                let unlocked = row.iter().filter(|&&i| decoder.locked[i].is_none()).count();
+                unlocked == 0 || (candidates.is_some() && 2 * unlocked < row.len())
+            })
+            .collect();
+        if eligible_slots.is_empty() {
+            return Vec::new();
+        }
+        let involved: Vec<usize> = (0..k)
+            .filter(|&i| {
+                decoder.locked[i].is_some()
+                    && eligible_slots
+                        .iter()
+                        .any(|&j| decoder.d.col(i).binary_search(&j).is_ok())
+            })
+            .collect();
+        if involved.is_empty() {
+            return Vec::new();
+        }
+        let n = involved.len();
+        let mut index_of_node = vec![usize::MAX; k];
+        for (idx, &node) in involved.iter().enumerate() {
+            index_of_node[node] = idx;
+        }
+        let mut gram = sparse_recovery::linalg::ComplexMatrix::zeros(n, n);
+        let mut gram_real = vec![vec![0.0f64; n]; n];
+        let mut rhs = vec![Complex::ZERO; n];
+        for &j in &eligible_slots {
+            let cols = decoder.d.row(j);
+            let has_unlocked = cols.iter().any(|&i| decoder.locked[i].is_none());
+            for pos in 0..p {
+                let active: Vec<usize> = cols
+                    .iter()
+                    .copied()
+                    .filter(|&i| decoder.locked[i].as_ref().is_some_and(|frame| frame[pos]))
+                    .collect();
+                let mut observation = decoder.y[j][pos];
+                if has_unlocked {
+                    if let Some(frames) = candidates {
+                        for &i in cols {
+                            if decoder.locked[i].is_none() && frames[i][pos] {
+                                observation -= decoder.channels[i];
+                            }
+                        }
+                    }
+                }
+                for &i in &active {
+                    let ii = index_of_node[i];
+                    if ii == usize::MAX {
+                        continue;
+                    }
+                    rhs[ii] += observation;
+                    for &l in &active {
+                        let ll = index_of_node[l];
+                        if ll != usize::MAX {
+                            gram_real[ii][ll] += 1.0;
+                        }
+                    }
+                }
+            }
+        }
+        for i in 0..n {
+            for l in 0..n {
+                let mut v = Complex::new(gram_real[i][l], 0.0);
+                if i == l {
+                    v += Complex::new(1e-6, 0.0);
+                }
+                gram.set(i, l, v);
+            }
+        }
+        let Ok(refit) = sparse_recovery::linalg::solve_square(&gram, &rhs) else {
+            return Vec::new();
+        };
+        let mut changes = Vec::new();
+        for (slot_in_refit, &node) in involved.iter().enumerate() {
+            let candidate = refit[slot_in_refit];
+            if candidate.is_finite() && gram_real[slot_in_refit][slot_in_refit] >= (2 * p) as f64 {
+                let delta = candidate - decoder.channels[node];
+                if delta.re != 0.0 || delta.im != 0.0 {
+                    changes.push((node, delta));
+                }
+                decoder.channels[node] = candidate;
+            }
+        }
+        changes
+    }
+
+    #[test]
+    fn channel_refit_matches_the_allocating_reference_bit_for_bit() {
+        // After every decode call of a noisy session that locks nodes, the
+        // refit (with the call's candidate frames, and without) returns the
+        // reference's `(node, delta)` list and leaves the same channels,
+        // bit for bit.  Node K − 1 is a phantom that never transmits, so the
+        // session never completes and later calls refit around locks.
+        let (k, p, noise, seed) = (24usize, 0.3, 0.15, 11u64);
+        let phantom = k - 1;
+        let truth = diverse_channels(k, seed);
+        let frames: Vec<Vec<bool>> = (0..k)
+            .map(|i| {
+                Message::standard_32bit(seed * 100 + i as u64)
+                    .unwrap()
+                    .framed()
+            })
+            .collect();
+        let seeds: Vec<NodeSeed> = (0..k as u64).map(|i| NodeSeed(seed * 31 + i)).collect();
+        let mut decoder =
+            BitFlippingDecoder::new(truth.clone(), frames[0].len(), noise * noise / 6.0).unwrap();
+        let mut noise_rng = Xoshiro256::seed_from_u64(seed ^ 0x5eed);
+        let bits = |changes: &[(usize, Complex)]| -> Vec<(usize, u64, u64)> {
+            changes
+                .iter()
+                .map(|&(node, d)| (node, d.re.to_bits(), d.im.to_bits()))
+                .collect()
+        };
+        let channel_bits = |d: &BitFlippingDecoder| -> Vec<(u64, u64)> {
+            d.channels
+                .iter()
+                .map(|c| (c.re.to_bits(), c.im.to_bits()))
+                .collect()
+        };
+        let (mut refits_with_locks, mut nonempty) = (0, 0);
+        let mut candidate_frames: Option<Vec<Vec<bool>>> = None;
+        for slot in 0..4 * k as u64 {
+            let participants: Vec<bool> = (0..k)
+                .map(|i| i != phantom && seeds[i].participates_in_slot(slot, p))
+                .collect();
+            let symbols: Vec<Complex> = (0..frames[0].len())
+                .map(|pos| {
+                    let mut y = Complex::ZERO;
+                    for i in 0..k {
+                        if participants[i] && frames[i][pos] {
+                            y += truth[i];
+                        }
+                    }
+                    y + Complex::new(
+                        (noise_rng.next_f64() - 0.5) * noise,
+                        (noise_rng.next_f64() - 0.5) * noise,
+                    )
+                })
+                .collect();
+            decoder.add_slot(&participants, symbols).unwrap();
+            // The previous call's candidate frames against the new slot's
+            // evidence: the state the next call's refit starts from.
+            if let Some(frames) = &candidate_frames {
+                refits_with_locks += usize::from(decoder.locked.iter().any(Option::is_some));
+                for candidates in [Some(&frames[..]), None] {
+                    let mut fast = decoder.clone();
+                    let mut reference = decoder.clone();
+                    let changes = fast.reestimate_channels(candidates);
+                    let expected = reestimate_channels_reference(&mut reference, candidates);
+                    assert_eq!(bits(&changes), bits(&expected), "slot {slot}");
+                    assert_eq!(channel_bits(&fast), channel_bits(&reference), "slot {slot}");
+                    nonempty += usize::from(!changes.is_empty());
+                }
+            }
+            candidate_frames = Some(decoder.decode().unwrap().candidate_frames);
+        }
+        assert!(refits_with_locks > k, "setup: refits around locks");
+        assert!(nonempty > k, "setup: refits moved channels");
     }
 
     #[test]

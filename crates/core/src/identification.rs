@@ -370,15 +370,15 @@ impl Identifier {
                 &candidate_seeds,
                 self.config.sensing_probability,
             );
-            // ...and the on-air measurements produced by the actual tags.
+            // ...and the on-air measurements produced by the actual tags,
+            // each transmitting its own column of the full matrix A.
+            let mut tag_columns = vec![false; assignments.len() * m];
+            for (column, &id) in tag_columns.chunks_exact_mut(m).zip(&assignments) {
+                NodeSeed(id).sensing_column(self.config.sensing_probability, column);
+            }
             let mut measurements: Vec<Complex> = Vec::with_capacity(m);
             for slot in 0..m {
-                let bits: Vec<bool> = assignments
-                    .iter()
-                    .map(|&id| {
-                        NodeSeed(id).sensing_in_slot(slot as u64, self.config.sensing_probability)
-                    })
-                    .collect();
+                let bits: Vec<bool> = tag_columns.iter().skip(slot).step_by(m).copied().collect();
                 slots.compressive += 1;
                 time_s += timing.uplink_symbol_s();
                 medium.begin_slot(slot_clock);

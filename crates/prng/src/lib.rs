@@ -53,8 +53,7 @@ pub trait Rng64 {
     /// Uses the conventional 53-bit mantissa construction so the result is
     /// exactly reproducible on any IEEE-754 platform.
     fn next_f64(&mut self) -> f64 {
-        // 53 high bits / 2^53.
-        (self.next_u64() >> 11) as f64 * (1.0 / ((1u64 << 53) as f64))
+        unit_f64(self.next_u64())
     }
 
     /// Returns a single fair pseudorandom bit.
@@ -99,6 +98,12 @@ pub trait Rng64 {
             rem.copy_from_slice(&bytes[..rem.len()]);
         }
     }
+}
+
+/// Maps 64 random bits to `[0, 1)` as [`Rng64::next_f64`] does: the 53 high
+/// bits over 2^53.
+fn unit_f64(bits: u64) -> f64 {
+    (bits >> 11) as f64 * (1.0 / ((1u64 << 53) as f64))
 }
 
 #[cfg(test)]

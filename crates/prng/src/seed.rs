@@ -9,8 +9,17 @@
 //! 3. the *data phase* stream, seeded by the node's temporary id **and** the
 //!    slot index (§6(a) of the paper), which lets the reader regenerate any
 //!    row of the participation matrix `D` without replaying earlier slots.
+//!
+//! The identification stream's sensing decisions are keyed per `(id, slot)`
+//! the same way as the data phase's.  Both are one decision, the first draw
+//! of the generator seeded with `mix(domain, mix(id, slot))` compared
+//! against `p`, computed by one private first-draw helper.  It hashes to
+//! xoshiro256**'s first output ([`Xoshiro256::first_output`]) without
+//! seeding a generator, and the column forms ([`NodeSeed::sensing_column`],
+//! [`NodeSeed::participation_column`]) hash the id once per column
+//! ([`SplitMix64::mix_head`]) instead of once per slot.
 
-use crate::{BiasedBits, Rng64, SplitMix64, Xoshiro256};
+use crate::{unit_f64, BiasedBits, SplitMix64, Xoshiro256};
 
 /// Domain-separation constants so the three streams never alias.
 const DOMAIN_IDENTIFICATION: u64 = 0x4944_454e_5449_4659; // "IDENTIFY"
@@ -56,10 +65,17 @@ impl NodeSeed {
     ///
     /// Both the tag model and the reader's decoder call this same function, so
     /// the participation matrix is identical on both sides by construction.
+    /// The decision is the first `f64` of [`NodeSeed::data_slot_rng`]`(slot)`
+    /// compared against `p` clamped to `[0, 1]`.
     #[must_use]
     pub fn participates_in_slot(self, slot: u64, p: f64) -> bool {
-        let mut rng = self.data_slot_rng(slot);
-        rng.next_f64() < p.clamp(0.0, 1.0)
+        self.slot_decision(DOMAIN_DATA, slot, p)
+    }
+
+    /// [`NodeSeed::participates_in_slot`] for slots `0..column.len()`, written
+    /// into `column`: this node's column of the participation matrix `D`.
+    pub fn participation_column(self, p: f64, column: &mut [bool]) {
+        self.slot_column(DOMAIN_DATA, p, column);
     }
 
     /// Returns whether this node transmits a "1" in the given slot of the
@@ -72,10 +88,45 @@ impl NodeSeed {
     /// same temporary id.
     #[must_use]
     pub fn sensing_in_slot(self, slot: u64, p: f64) -> bool {
-        let mixed = SplitMix64::mix(DOMAIN_IDENTIFICATION, SplitMix64::mix(self.0, slot));
-        let mut rng = Xoshiro256::seed_from_u64(mixed);
-        rng.next_f64() < p.clamp(0.0, 1.0)
+        self.slot_decision(DOMAIN_IDENTIFICATION, slot, p)
     }
+
+    /// [`NodeSeed::sensing_in_slot`] for slots `0..column.len()`, written into
+    /// `column`: this id's column of the sensing matrix `A`.
+    pub fn sensing_column(self, p: f64, column: &mut [bool]) {
+        self.slot_column(DOMAIN_IDENTIFICATION, p, column);
+    }
+
+    fn slot_decision(self, domain: u64, slot: u64, p: f64) -> bool {
+        first_draw_below(
+            SplitMix64::mix_head(domain),
+            SplitMix64::mix_head(self.0),
+            slot,
+            p.clamp(0.0, 1.0),
+        )
+    }
+
+    /// The column form of [`NodeSeed::slot_decision`]: both heads and the
+    /// clamp are computed once, not once per slot.
+    fn slot_column(self, domain: u64, p: f64, column: &mut [bool]) {
+        let domain_head = SplitMix64::mix_head(domain);
+        let id_head = SplitMix64::mix_head(self.0);
+        let p = p.clamp(0.0, 1.0);
+        for (slot, bit) in column.iter_mut().enumerate() {
+            *bit = first_draw_below(domain_head, id_head, slot as u64, p);
+        }
+    }
+}
+
+/// The one per-slot decision behind both slot-keyed streams (data-phase
+/// participation and identification sensing): the first `f64` of the
+/// generator seeded with `mix(domain, mix(id, slot))` falls below `p`.
+/// Callers pass `mix_head(domain)`, `mix_head(id)` and `p` already clamped
+/// to `[0, 1]`, so a column pays one full hash per slot instead of a seeded
+/// generator.
+fn first_draw_below(domain_head: u64, id_head: u64, slot: u64, p: f64) -> bool {
+    let seed = SplitMix64::mix_tail(domain_head, SplitMix64::mix_tail(id_head, slot));
+    unit_f64(Xoshiro256::first_output(seed)) < p
 }
 
 /// A factory producing per-slot biased bit decisions for a node.
@@ -135,6 +186,8 @@ impl SlotSeeded {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Rng64;
+    use proptest::prelude::*;
 
     #[test]
     fn streams_are_domain_separated() {
@@ -197,6 +250,42 @@ mod tests {
         // And the sensing stream is itself reproducible.
         for s in 0..64u64 {
             assert_eq!(seed.sensing_in_slot(s, 0.3), seed.sensing_in_slot(s, 0.3));
+        }
+    }
+
+    /// Reference per-slot decision: a fully seeded generator per
+    /// `(id, slot)`, whose first `f64` is compared against `p`.
+    fn decision_reference(domain: u64, id: u64, slot: u64, p: f64) -> bool {
+        let mixed = SplitMix64::mix(domain, SplitMix64::mix(id, slot));
+        Xoshiro256::seed_from_u64(mixed).next_f64() < p.clamp(0.0, 1.0)
+    }
+
+    proptest! {
+        /// Both column forms equal their per-slot decisions, and those equal
+        /// the fully seeded reference, at every `p` the clamp must handle.
+        #[test]
+        fn column_forms_match_per_slot_decisions(
+            id in any::<u64>(),
+            m in 0usize..700,
+            p_case in 0usize..7,
+            p_random in 0.0f64..1.0,
+        ) {
+            let p = [0.0, 0.5, 1.0, p_random, -0.5, 1.5, f64::NAN][p_case];
+            let seed = NodeSeed(id);
+            let mut sensing = vec![false; m];
+            let mut participation = vec![true; m];
+            seed.sensing_column(p, &mut sensing);
+            seed.participation_column(p, &mut participation);
+            for slot in 0..m {
+                let s = slot as u64;
+                prop_assert_eq!(sensing[slot], seed.sensing_in_slot(s, p));
+                prop_assert_eq!(participation[slot], seed.participates_in_slot(s, p));
+                prop_assert_eq!(
+                    sensing[slot],
+                    decision_reference(DOMAIN_IDENTIFICATION, id, s, p)
+                );
+                prop_assert_eq!(participation[slot], decision_reference(DOMAIN_DATA, id, s, p));
+            }
         }
     }
 

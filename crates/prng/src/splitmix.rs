@@ -29,20 +29,34 @@ impl SplitMix64 {
     ///
     /// The combination is *not* commutative: `mix(a, b) != mix(b, a)` in
     /// general, which is intentional (node 3 / slot 5 must differ from node 5
-    /// / slot 3).
+    /// / slot 3).  It is [`SplitMix64::mix_tail`] over
+    /// [`SplitMix64::mix_head`], so a caller mixing one `a` with many `b`s
+    /// can hash `a` once.
     #[must_use]
     pub fn mix(a: u64, b: u64) -> u64 {
-        let mut g = SplitMix64::new(a ^ 0x9e37_79b9_7f4a_7c15u64.rotate_left(17));
-        let first = g.next_u64();
-        let mut g2 = SplitMix64::new(first.wrapping_add(b));
-        g2.next_u64()
+        Self::mix_tail(Self::mix_head(a), b)
+    }
+
+    /// The half of [`SplitMix64::mix`] that depends only on its first word.
+    #[must_use]
+    pub fn mix_head(a: u64) -> u64 {
+        SplitMix64::new(a ^ GOLDEN_GAMMA.rotate_left(17)).next_u64()
+    }
+
+    /// Finishes [`SplitMix64::mix`]: `mix_tail(mix_head(a), b) == mix(a, b)`.
+    #[must_use]
+    pub fn mix_tail(head: u64, b: u64) -> u64 {
+        SplitMix64::new(head.wrapping_add(b)).next_u64()
     }
 }
+
+/// The Weyl-sequence increment of the reference implementation.
+const GOLDEN_GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
 
 impl Rng64 for SplitMix64 {
     fn next_u64(&mut self) -> u64 {
         // Constants from the reference implementation.
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        self.state = self.state.wrapping_add(GOLDEN_GAMMA);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -53,6 +67,7 @@ impl Rng64 for SplitMix64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// Reference outputs for seed 1234567, from the canonical C implementation
     /// (Vigna, <https://prng.di.unimi.it/splitmix64.c>).
@@ -88,5 +103,23 @@ mod tests {
     #[test]
     fn mix_is_deterministic() {
         assert_eq!(SplitMix64::mix(17, 99), SplitMix64::mix(17, 99));
+    }
+
+    /// Reference `mix`: two throwaway generators, no head/tail split.  Every
+    /// seed in the workspace derives from this stream.
+    fn mix_reference(a: u64, b: u64) -> u64 {
+        let mut g = SplitMix64::new(a ^ 0x9e37_79b9_7f4a_7c15u64.rotate_left(17));
+        let first = g.next_u64();
+        let mut g2 = SplitMix64::new(first.wrapping_add(b));
+        g2.next_u64()
+    }
+
+    proptest! {
+        #[test]
+        fn head_and_tail_compose_to_mix(a in any::<u64>(), b in any::<u64>()) {
+            let head = SplitMix64::mix_head(a);
+            prop_assert_eq!(SplitMix64::mix_tail(head, b), SplitMix64::mix(a, b));
+            prop_assert_eq!(SplitMix64::mix(a, b), mix_reference(a, b));
+        }
     }
 }

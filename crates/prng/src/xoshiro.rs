@@ -39,6 +39,18 @@ impl Xoshiro256 {
         }
     }
 
+    /// The first output of [`Xoshiro256::seed_from_u64`]`(seed)`, computed
+    /// without the other three state words: xoshiro256**'s first output
+    /// reads only `s[1]`, the seed's second SplitMix64 draw.  Per-slot
+    /// decisions that need one draw per seed use this instead of a full
+    /// seeding.
+    #[must_use]
+    pub fn first_output(seed: u64) -> u64 {
+        let mut sm = SplitMix64::new(seed);
+        let _s0 = sm.next_u64();
+        scramble(sm.next_u64())
+    }
+
     /// Returns the current internal state (useful for tests and snapshots).
     #[must_use]
     pub fn state(&self) -> [u64; 4] {
@@ -71,9 +83,14 @@ impl Xoshiro256 {
     }
 }
 
+/// The `**` scrambler: the output function applied to `s[1]`.
+fn scramble(s1: u64) -> u64 {
+    s1.wrapping_mul(5).rotate_left(7).wrapping_mul(9)
+}
+
 impl Rng64 for Xoshiro256 {
     fn next_u64(&mut self) -> u64 {
-        let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
+        let result = scramble(self.s[1]);
         let t = self.s[1] << 17;
 
         self.s[2] ^= self.s[0];
@@ -90,6 +107,7 @@ impl Rng64 for Xoshiro256 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// The first outputs from state {1, 2, 3, 4} can be computed by hand from
     /// the xoshiro256** update rule: the very first output is
@@ -128,6 +146,16 @@ mod tests {
         let sa: Vec<u64> = (0..32).map(|_| a.next_u64()).collect();
         let sb: Vec<u64> = (0..32).map(|_| b.next_u64()).collect();
         assert_ne!(sa, sb);
+    }
+
+    proptest! {
+        #[test]
+        fn first_output_is_the_seeded_generators_first_output(seed in any::<u64>()) {
+            prop_assert_eq!(
+                Xoshiro256::first_output(seed),
+                Xoshiro256::seed_from_u64(seed).next_u64()
+            );
+        }
     }
 
     #[test]

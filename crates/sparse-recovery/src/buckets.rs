@@ -18,9 +18,11 @@ use crate::{RecoveryError, RecoveryResult};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BucketHasher {
     num_buckets: u64,
-    /// Protocol round number, mixed into the hash so a restarted round (after
-    /// a failed K estimate) re-scatters the ids.
-    round: u64,
+    /// [`SplitMix64::mix_head`] of the round's salt, hashed once here so
+    /// [`BucketHasher::bucket_of`] costs one mix per id.  The protocol round
+    /// number is in the salt, so a restarted round (after a failed K
+    /// estimate) re-scatters the ids.
+    head: u64,
 }
 
 impl BucketHasher {
@@ -33,7 +35,10 @@ impl BucketHasher {
         if num_buckets == 0 {
             return Err(RecoveryError::InvalidParameter("need at least one bucket"));
         }
-        Ok(Self { num_buckets, round })
+        Ok(Self {
+            num_buckets,
+            head: SplitMix64::mix_head(round ^ 0xb0c4e7),
+        })
     }
 
     /// The Buzz sizing rule: `c · K̂` buckets (the paper uses `c = 10`).
@@ -59,7 +64,7 @@ impl BucketHasher {
     /// The bucket a temporary id hashes to.
     #[must_use]
     pub fn bucket_of(&self, temporary_id: u64) -> u64 {
-        SplitMix64::mix(self.round ^ 0xb0c4e7, temporary_id) % self.num_buckets
+        SplitMix64::mix_tail(self.head, temporary_id) % self.num_buckets
     }
 
     /// Given which bucket slots the reader observed occupied, returns the
@@ -118,6 +123,17 @@ mod tests {
             let b = h.bucket_of(id);
             assert!(b < 100);
             assert_eq!(b, h.bucket_of(id));
+        }
+    }
+
+    #[test]
+    fn hoisted_head_matches_the_full_mix() {
+        for round in [0u64, 1, 7] {
+            let h = BucketHasher::new(97, round).unwrap();
+            for id in (0..5_000u64).chain([u64::MAX - 1, u64::MAX]) {
+                let full = SplitMix64::mix(round ^ 0xb0c4e7, id) % 97;
+                assert_eq!(h.bucket_of(id), full, "round {round}, id {id}");
+            }
         }
     }
 

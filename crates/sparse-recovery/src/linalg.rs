@@ -295,6 +295,13 @@ impl GrowingCholesky {
         Ok(true)
     }
 
+    /// Shrinks the factorization to its first `len` columns (no-op when it
+    /// has fewer).  The kept rows are exactly the factor of that leading
+    /// block of the Gram, as if only those columns had been pushed.
+    pub fn truncate(&mut self, len: usize) {
+        self.rows.truncate(len);
+    }
+
     /// Solves `G·x = b` for a complex right-hand side via two triangular
     /// solves (the factor is real, so real and imaginary parts share it).
     ///

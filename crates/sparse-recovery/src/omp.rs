@@ -131,16 +131,19 @@ impl SparseSolution {
 /// another significant, so the weakest goes alone.
 ///
 /// A round scores every entry at once with the exact leave-one-out identity
-/// `ΔE_j = |v_j|² / (G⁻¹)_{jj}`: the support's Gram (shared-row counts) is
-/// built once, and each round factors the surviving sub-block with a
-/// [`GrowingCholesky`] — `O(s³)` per round instead of one least-squares
-/// refit per candidate.  The returned values are the last round's refit.  A
-/// numerically dependent entry explains nothing the rest of the support does
-/// not, and is dropped before its round is scored.
+/// `ΔE_j = |v_j|² / (G⁻¹)_{jj}`: the support's Gram (shared-row counts, by
+/// popcount over row bitmaps) is built once, and the surviving sub-block is
+/// factored with a [`GrowingCholesky`] — `O(s³)` per round instead of one
+/// least-squares refit per candidate.  Across rounds the factor keeps its
+/// rows for the entries before a removed one, which are the same arithmetic
+/// a fresh factorization would repeat.  The returned values are the last
+/// round's refit.  A numerically dependent entry explains nothing the rest
+/// of the support does not, and is dropped before its round is scored.
 ///
 /// This is the reader-side guard against declaring phantom tags: a phantom in
 /// the discovered set would stall the rateless data phase, because no tag ever
-/// transmits for it.
+/// transmits for it.  The support's columns are distinct, as
+/// [`OmpSolver::solve`] returns them.
 ///
 /// # Errors
 ///
@@ -161,50 +164,13 @@ pub fn prune_insignificant(
     }
     let y_energy: f64 = y.iter().map(|s| s.norm_sqr()).sum();
     let threshold = significance * noise_power * a.rows() as f64;
-    let s = solution.support.len();
     let gram = support_gram(a, &solution.support);
     let rhs: Vec<Complex> = solution
         .support
         .iter()
         .map(|&col| a.col(col).iter().map(|&r| y[r]).sum())
         .collect();
-
-    // Positions into `solution.support` that are still in the support.
-    let mut alive: Vec<usize> = (0..s).collect();
-    let mut values: Vec<Complex> = Vec::new();
-    while !alive.is_empty() {
-        let mut chol = GrowingCholesky::new();
-        let mut dependent = None;
-        for (j, &p) in alive.iter().enumerate() {
-            let cross: Vec<f64> = alive[..j].iter().map(|&q| gram[p * s + q]).collect();
-            // The +1e-12 ridge matches the OMP refit's Gram diagonal.
-            if !chol.push(&cross, gram[p * s + p] + 1e-12)? {
-                dependent = Some(j);
-                break;
-            }
-        }
-        if let Some(j) = dependent {
-            alive.remove(j);
-            continue;
-        }
-        let sub_rhs: Vec<Complex> = alive.iter().map(|&p| rhs[p]).collect();
-        values = chol.solve(&sub_rhs)?;
-        let inv_diag = chol.inverse_diagonal();
-        let mut weakest: Option<(usize, f64)> = None;
-        for (j, (v, &d)) in values.iter().zip(&inv_diag).enumerate() {
-            let contribution = v.norm_sqr() / d;
-            if weakest.is_none_or(|(_, c)| contribution < c) {
-                weakest = Some((j, contribution));
-            }
-        }
-        match weakest {
-            Some((j, contribution)) if contribution < threshold => {
-                alive.remove(j);
-                values.clear();
-            }
-            _ => break,
-        }
-    }
+    let (alive, values) = prune_rounds(&gram, &rhs, threshold)?;
 
     let support: Vec<usize> = alive.iter().map(|&p| solution.support[p]).collect();
     let mut residual: Vec<Complex> = y.to_vec();
@@ -225,34 +191,106 @@ pub fn prune_insignificant(
     })
 }
 
+/// The round loop of [`prune_insignificant`] over the support's `s × s`
+/// Gram (row-major) and right-hand sides `rhs` (`Aᴴy` per entry): returns
+/// the surviving positions, in support order, and their refit.
+///
+/// Row `i` of a Cholesky factor depends only on the Gram block of entries
+/// `0..=i`, so removing entry `j` leaves the rows before it as they are: the
+/// factor is truncated to `j` rows and grown again from there, not rebuilt.
+/// The kept rows are the arithmetic a fresh factorization would repeat, so
+/// the result is bit-identical to refactoring every round.  (A rank-one
+/// downdate would be cheaper still, but it rounds differently.)
+fn prune_rounds(
+    gram: &[f64],
+    rhs: &[Complex],
+    threshold: f64,
+) -> RecoveryResult<(Vec<usize>, Vec<Complex>)> {
+    let s = rhs.len();
+    // Positions into the support that are still in it; `chol` factors the
+    // Gram of `alive[..chol.len()]`.
+    let mut alive: Vec<usize> = (0..s).collect();
+    let mut chol = GrowingCholesky::new();
+    let mut cross: Vec<f64> = Vec::with_capacity(s);
+    let mut values: Vec<Complex> = Vec::new();
+    while !alive.is_empty() {
+        let mut dependent = None;
+        for j in chol.len()..alive.len() {
+            let p = alive[j];
+            cross.clear();
+            cross.extend(alive[..j].iter().map(|&q| gram[p * s + q]));
+            // The +1e-12 ridge matches the OMP refit's Gram diagonal.
+            if !chol.push(&cross, gram[p * s + p] + 1e-12)? {
+                dependent = Some(j);
+                break;
+            }
+        }
+        if let Some(j) = dependent {
+            // The factor covers exactly `alive[..j]`, which stays.
+            alive.remove(j);
+            continue;
+        }
+        let sub_rhs: Vec<Complex> = alive.iter().map(|&p| rhs[p]).collect();
+        values = chol.solve(&sub_rhs)?;
+        let inv_diag = chol.inverse_diagonal();
+        let mut weakest: Option<(usize, f64)> = None;
+        for (j, (v, &d)) in values.iter().zip(&inv_diag).enumerate() {
+            let contribution = v.norm_sqr() / d;
+            if weakest.is_none_or(|(_, c)| contribution < c) {
+                weakest = Some((j, contribution));
+            }
+        }
+        match weakest {
+            Some((j, contribution)) if contribution < threshold => {
+                alive.remove(j);
+                chol.truncate(j);
+                values.clear();
+            }
+            _ => break,
+        }
+    }
+    Ok((alive, values))
+}
+
 /// The `s × s` Gram of the binary columns `support` (row-major, full):
-/// shared-row counts off the diagonal, column weights on it.  Accumulated
-/// row-wise, so the cost tracks the matrix's occupancy, not `s²·deg`.
+/// shared-row counts off the diagonal, column weights on it.  Each count is
+/// a popcount over two `⌈m/64⌉`-word row bitmaps, `O(s²·⌈m/64⌉)` in all,
+/// and reads only the column view.  The counts are integers, so the result
+/// does not depend on how they are summed.
 fn support_gram(a: &SparseBinaryMatrix, support: &[usize]) -> Vec<f64> {
     let s = support.len();
-    let mut position = vec![usize::MAX; a.cols()];
-    for (p, &col) in support.iter().enumerate() {
-        position[col] = p;
+    let words = row_words(a);
+    let mut masks = vec![0u64; s * words];
+    for (mask, &col) in masks.chunks_exact_mut(words).zip(support) {
+        set_row_bits(mask, a.col(col));
     }
     let mut gram = vec![0.0f64; s * s];
-    let mut in_row: Vec<usize> = Vec::new();
-    for r in 0..a.rows() {
-        in_row.clear();
-        in_row.extend(
-            a.row(r)
-                .iter()
-                .map(|&c| position[c])
-                .filter(|&p| p != usize::MAX),
-        );
-        for (i, &p) in in_row.iter().enumerate() {
-            gram[p * s + p] += 1.0;
-            for &q in &in_row[i + 1..] {
-                gram[p * s + q] += 1.0;
-                gram[q * s + p] += 1.0;
-            }
+    for p in 0..s {
+        let own = &masks[p * words..(p + 1) * words];
+        for q in 0..=p {
+            let shared = f64::from(shared_rows(own, &masks[q * words..(q + 1) * words]));
+            gram[p * s + q] = shared;
+            gram[q * s + p] = shared;
         }
     }
     gram
+}
+
+/// Words per column row bitmap: `⌈m/64⌉`, at least one.
+fn row_words(a: &SparseBinaryMatrix) -> usize {
+    a.rows().div_ceil(64).max(1)
+}
+
+/// Sets bit `r` of `mask` for every row `r` of a column.
+fn set_row_bits(mask: &mut [u64], rows: &[usize]) {
+    for &r in rows {
+        mask[r / 64] |= 1u64 << (r % 64);
+    }
+}
+
+/// The number of rows two columns share, from their row bitmaps.
+fn shared_rows(a: &[u64], b: &[u64]) -> u32 {
+    a.iter().zip(b).map(|(x, y)| (x & y).count_ones()).sum()
 }
 
 /// The pruned candidate scan behind OMP's column selection.
@@ -323,7 +361,7 @@ impl CorrelationLedger {
     /// pass — the same work a single iteration of the unpruned scan does).
     fn new(a: &SparseBinaryMatrix, residual: &[Complex]) -> Self {
         let n = a.cols();
-        let words = a.rows().div_ceil(64).max(1);
+        let words = row_words(a);
         let mut masks = vec![0u64; n * words];
         let mut corr = vec![Complex::ZERO; n];
         let mut inv_sqrt_deg = vec![0.0f64; n];
@@ -332,9 +370,7 @@ impl CorrelationLedger {
             if rows.is_empty() {
                 continue;
             }
-            for &r in rows {
-                masks[col * words + r / 64] |= 1u64 << (r % 64);
-            }
+            set_row_bits(&mut masks[col * words..(col + 1) * words], rows);
             corr[col] = rows.iter().map(|&r| residual[r]).sum();
             inv_sqrt_deg[col] = 1.0 / (rows.len() as f64).sqrt();
         }
@@ -414,19 +450,14 @@ impl CorrelationLedger {
     /// counts against every candidate, one popcount pass over the bitmask
     /// index.
     fn push_support_column(&mut self, col: usize) {
-        let n = self.corr.len();
         let words = self.words;
-        let own = col * words;
-        let deg: u32 = (0..words).map(|w| self.masks[own + w].count_ones()).sum();
-        self.support_degs.push(f64::from(deg));
-        self.gram_rows.reserve(n);
-        for other in 0..n {
-            let base = other * words;
-            let shared: u32 = (0..words)
-                .map(|w| (self.masks[own + w] & self.masks[base + w]).count_ones())
-                .sum();
-            self.gram_rows.push(shared);
-        }
+        let own = &self.masks[col * words..(col + 1) * words];
+        self.support_degs.push(f64::from(shared_rows(own, own)));
+        self.gram_rows.extend(
+            self.masks
+                .chunks_exact(words)
+                .map(|other| shared_rows(own, other)),
+        );
     }
 
     /// Folds one refit's coefficient movement into every maintained
@@ -785,6 +816,110 @@ mod tests {
         }
     }
 
+    /// Reference Gram: a walk of every row, one increment per pair of
+    /// support columns sharing it.
+    fn support_gram_row_walk(a: &SparseBinaryMatrix, support: &[usize]) -> Vec<f64> {
+        let s = support.len();
+        let mut position = vec![usize::MAX; a.cols()];
+        for (p, &col) in support.iter().enumerate() {
+            position[col] = p;
+        }
+        let mut gram = vec![0.0f64; s * s];
+        let mut in_row: Vec<usize> = Vec::new();
+        for r in 0..a.rows() {
+            in_row.clear();
+            in_row.extend(
+                a.row(r)
+                    .iter()
+                    .map(|&c| position[c])
+                    .filter(|&p| p != usize::MAX),
+            );
+            for (i, &p) in in_row.iter().enumerate() {
+                gram[p * s + p] += 1.0;
+                for &q in &in_row[i + 1..] {
+                    gram[p * s + q] += 1.0;
+                    gram[q * s + p] += 1.0;
+                }
+            }
+        }
+        gram
+    }
+
+    /// Reference round loop: every round factors the surviving sub-block
+    /// from scratch.
+    fn prune_rounds_from_scratch(
+        gram: &[f64],
+        rhs: &[Complex],
+        threshold: f64,
+    ) -> (Vec<usize>, Vec<Complex>) {
+        let s = rhs.len();
+        let mut alive: Vec<usize> = (0..s).collect();
+        let mut values: Vec<Complex> = Vec::new();
+        while !alive.is_empty() {
+            let mut chol = GrowingCholesky::new();
+            let mut dependent = None;
+            for (j, &p) in alive.iter().enumerate() {
+                let cross: Vec<f64> = alive[..j].iter().map(|&q| gram[p * s + q]).collect();
+                if !chol.push(&cross, gram[p * s + p] + 1e-12).unwrap() {
+                    dependent = Some(j);
+                    break;
+                }
+            }
+            if let Some(j) = dependent {
+                alive.remove(j);
+                continue;
+            }
+            let sub_rhs: Vec<Complex> = alive.iter().map(|&p| rhs[p]).collect();
+            values = chol.solve(&sub_rhs).unwrap();
+            let inv_diag = chol.inverse_diagonal();
+            let mut weakest: Option<(usize, f64)> = None;
+            for (j, (v, &d)) in values.iter().zip(&inv_diag).enumerate() {
+                let contribution = v.norm_sqr() / d;
+                if weakest.is_none_or(|(_, c)| contribution < c) {
+                    weakest = Some((j, contribution));
+                }
+            }
+            match weakest {
+                Some((j, contribution)) if contribution < threshold => {
+                    alive.remove(j);
+                    values.clear();
+                }
+                _ => break,
+            }
+        }
+        (alive, values)
+    }
+
+    fn bits(values: &[Complex]) -> Vec<(u64, u64)> {
+        values
+            .iter()
+            .map(|v| (v.re.to_bits(), v.im.to_bits()))
+            .collect()
+    }
+
+    /// Pins the popcount Gram to the row walk and the prefix-reusing round
+    /// loop to the from-scratch one, bit for bit, on one pruning problem.
+    fn assert_prune_kernels_match_references(
+        a: &SparseBinaryMatrix,
+        y: &[Complex],
+        support: &[usize],
+        threshold: f64,
+    ) {
+        let gram = support_gram(a, support);
+        let reference_gram = support_gram_row_walk(a, support);
+        let gram_bits: Vec<u64> = gram.iter().map(|g| g.to_bits()).collect();
+        let reference_bits: Vec<u64> = reference_gram.iter().map(|g| g.to_bits()).collect();
+        assert_eq!(gram_bits, reference_bits, "Gram of {support:?}");
+        let rhs: Vec<Complex> = support
+            .iter()
+            .map(|&col| a.col(col).iter().map(|&r| y[r]).sum())
+            .collect();
+        let (alive, values) = prune_rounds(&gram, &rhs, threshold).unwrap();
+        let (scratch_alive, scratch_values) = prune_rounds_from_scratch(&gram, &rhs, threshold);
+        assert_eq!(alive, scratch_alive, "surviving support");
+        assert_eq!(bits(&values), bits(&scratch_values), "refit values");
+    }
+
     proptest! {
         /// The leave-one-out prune keeps the dense prune's schedule: same
         /// surviving support, matching refit values.  Two shapes: generous
@@ -823,6 +958,8 @@ mod tests {
             let noise_power = noise * noise / 6.0;
             let dense = prune_insignificant_dense(&a, &y, &raw, noise_power, significance);
             let loo = prune_insignificant(&a, &y, &raw, noise_power, significance).unwrap();
+            let threshold = significance * noise_power * a.rows() as f64;
+            assert_prune_kernels_match_references(&a, &y, &raw.support, threshold);
             prop_assert_eq!(&dense.support, &loo.support);
             for ((col, dv), lv) in dense.support.iter().zip(&dense.values).zip(&loo.values) {
                 prop_assert!(
@@ -867,6 +1004,42 @@ mod tests {
             assert!((*v - Complex::ONE).abs() < 1e-9, "{v:?}");
         }
         assert!(pruned.relative_residual < 1e-12);
+    }
+
+    #[test]
+    fn prune_kernels_match_references_with_a_duplicated_column() {
+        // Column 40 duplicates column 3, so whichever of the two comes
+        // second in the support is numerically dependent: its push fails
+        // and the round loop drops it before scoring, with the factor of
+        // the entries before it kept.
+        let (base, y, support, _) = make_problem(40, 5, 60, 77, 0.05);
+        let columns: Vec<usize> = (0..40).chain([3]).collect();
+        let a = base.select_columns(&columns).unwrap();
+        let noise_power = 0.05 * 0.05 / 6.0;
+        let threshold = 4.0 * noise_power * a.rows() as f64;
+        let spurious = [11, 17, 23, 29].iter().filter(|c| !support.contains(c));
+        let mut with_duplicate: Vec<usize> = support.iter().chain(spurious).copied().collect();
+        for position in [0, 2, with_duplicate.len()] {
+            let mut s = with_duplicate.clone();
+            s.insert(position, 40);
+            if !s.contains(&3) {
+                s.push(3);
+            }
+            assert_prune_kernels_match_references(&a, &y, &s, threshold);
+        }
+        with_duplicate.extend([3, 40]);
+        assert_prune_kernels_match_references(&a, &y, &with_duplicate, threshold);
+        let raw = SparseSolution {
+            values: vec![Complex::ONE; with_duplicate.len()],
+            support: with_duplicate,
+            relative_residual: 0.0,
+        };
+        let pruned = prune_insignificant(&a, &y, &raw, noise_power, 4.0).unwrap();
+        assert!(
+            !(pruned.support.contains(&3) && pruned.support.contains(&40)),
+            "a duplicated column survived: {:?}",
+            pruned.support
+        );
     }
 
     #[test]
