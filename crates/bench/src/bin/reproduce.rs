@@ -1,14 +1,17 @@
-//! `reproduce` — regenerates every table and figure of the Buzz paper,
-//! directly or through the plan-driven experiment service.
+//! `reproduce` — regenerates every table and figure of the Buzz paper
+//! through the plan-driven experiment service.
 //!
-//! Direct (legacy) usage, byte-for-byte unchanged:
+//! Figure form: build the figure plan, run it in this process, and print
+//! every report.  `--json` writes the figure array `merge --figures` writes
+//! for the same plan.
 //!
 //! ```text
-//! cargo run --release -p buzz-bench --bin reproduce            # everything
-//! cargo run --release -p buzz-bench --bin reproduce fig10      # one artefact
-//! cargo run --release -p buzz-bench --bin reproduce fig14 --locations 10
-//! cargo run --release -p buzz-bench --bin reproduce all --json results.json
-//! cargo run --release -p buzz-bench --bin reproduce all --threads 8
+//! cargo run --release -p backscatter_bench --bin reproduce              # everything
+//! cargo run --release -p backscatter_bench --bin reproduce fig10        # one artefact
+//! cargo run --release -p backscatter_bench --bin reproduce fig10,fig11  # a list
+//! cargo run --release -p backscatter_bench --bin reproduce fig14 --locations 10
+//! cargo run --release -p backscatter_bench --bin reproduce all --json results.json
+//! cargo run --release -p backscatter_bench --bin reproduce all --threads 8
 //! ```
 //!
 //! Experiment-service usage (plan → shard → merge → diff):
@@ -21,14 +24,15 @@
 //! reproduce diff runbook.json other-runbook.json           # first divergent job
 //! ```
 //!
-//! `--plan` takes `all`, `grid`, or a comma-separated figure list; `grid`
-//! plans also honour `--ks 4,8,16`, `--traces N`, and
-//! `--dynamics static,fading:<doppler>:<los>`.  All subcommands accept
-//! `--locations`, `--seed`, and `--threads`.  Output is byte-identical for
-//! every `--threads` value and every `--shard` split.
+//! `--plan` (or the figure form's positional argument) takes `all`, `grid`,
+//! or a comma-separated figure list; `grid` plans also honour `--ks 4,8,16`,
+//! `--traces N`, and `--dynamics static,fading:<doppler>:<los>`, and run
+//! only through `run`/`merge`, since grid jobs have no tables.  All
+//! subcommands accept `--locations`, `--seed`, and `--threads`.  Output is
+//! byte-identical for every `--threads` value and every `--shard` split.
 //!
-//! Valid experiment ids for the direct form are the registry ids
-//! ([`experiments::FIGURES`]): run with an unknown id to have them listed.
+//! Valid figure ids are the registry ids ([`experiments::FIGURES`]): run
+//! with an unknown id to have them listed.
 
 use std::io::Write as _;
 use std::path::Path;
@@ -36,11 +40,9 @@ use std::path::Path;
 use buzz::executor::available_threads;
 use buzz_bench::experiments;
 use buzz_bench::orchestrate::{
-    diff as runbook_diff, figures_json, GridDynamics, GridOptions, JobArtifact, Runbook, Shard,
-    SweepPlan,
+    diff as runbook_diff, figures_json, run_shard, GridDynamics, GridOptions, JobArtifact, Runbook,
+    Shard, SweepPlan,
 };
-use buzz_bench::report::reports_to_json;
-use buzz_bench::ExperimentReport;
 
 const BASE_SEED: u64 = 2012;
 
@@ -51,12 +53,12 @@ fn main() {
         Some("run") => cmd_run(&args[1..]),
         Some("merge") => cmd_merge(&args[1..]),
         Some("diff") => cmd_diff(&args[1..]),
-        _ => cmd_direct(&args),
+        _ => cmd_figures(&args),
     };
     std::process::exit(code);
 }
 
-/// Flags shared by every subcommand (and the direct form).
+/// Flags shared by every subcommand (and the figure form).
 struct CommonFlags {
     plan: String,
     locations: u64,
@@ -96,13 +98,9 @@ impl CommonFlags {
             match arg.as_str() {
                 "--plan" => flags.plan = value("--plan")?,
                 "--locations" => {
-                    // Every figure averages over its locations: zero of them
-                    // would print NaN rows.
                     flags.locations = value("--locations")?
                         .parse()
-                        .ok()
-                        .filter(|&n: &u64| n > 0)
-                        .ok_or_else(|| "bad --locations".to_string())?;
+                        .map_err(|_| "bad --locations".to_string())?;
                 }
                 "--seed" => {
                     flags.seed = value("--seed")?
@@ -242,7 +240,7 @@ fn cmd_run(args: &[String]) -> i32 {
 }
 
 /// `reproduce merge`: pool shard artifacts into a runbook manifest (and,
-/// optionally, the legacy figures JSON).
+/// optionally, the figure array).
 fn cmd_merge(args: &[String]) -> i32 {
     let flags = match CommonFlags::parse(args) {
         Ok(f) => f,
@@ -338,36 +336,35 @@ fn cmd_diff(args: &[String]) -> i32 {
     i32::from(!outcome.is_identical())
 }
 
-/// The original figure-printing form: `reproduce [<figure>|all] [flags]`.
-fn cmd_direct(args: &[String]) -> i32 {
-    let flags = match CommonFlags::parse(args) {
+/// The figure form, `reproduce [<figures>|all] [flags]`: runs the whole
+/// figure plan in this process and prints every report.
+fn cmd_figures(args: &[String]) -> i32 {
+    let mut flags = match CommonFlags::parse(args) {
         Ok(f) => f,
         Err(e) => return fail(&e),
     };
-    let which = flags
-        .positional
-        .first()
-        .map_or("all", String::as_str)
-        .to_string();
-    let reports: Vec<ExperimentReport> = if which == "all" {
-        experiments::run_all(flags.locations, flags.seed, flags.threads)
-    } else if let Some(figure) = experiments::find_figure(&which) {
-        vec![(figure.run)(flags.locations, flags.seed, flags.threads)]
-    } else {
-        eprintln!(
-            "unknown experiment `{which}`; known experiments: all, {}",
-            experiments::known_figure_ids().join(", ")
-        );
-        return 2;
+    match flags.positional.as_slice() {
+        [] => {}
+        [figures] => flags.plan = figures.clone(),
+        _ => return fail("name the figures as one comma-separated list"),
+    }
+    if flags.plan == "grid" {
+        return fail("grid jobs print no tables: use `reproduce run --plan grid` and `merge`");
+    }
+    let plan = match flags.build_plan() {
+        Ok(p) => p,
+        Err(e) => return fail(&e),
     };
-
-    for report in &reports {
-        println!("{}", report.render());
+    let artifacts = run_shard(&plan, Shard::full(), flags.threads);
+    for artifact in &artifacts {
+        match artifact.report() {
+            Ok(report) => println!("{}", report.render()),
+            Err(e) => return fail(&e),
+        }
     }
 
-    if let Some(path) = flags.json_path {
-        let json = reports_to_json(&reports);
-        if let Err(e) = write_file(&path, &json) {
+    if let Some(path) = &flags.json_path {
+        if let Err(e) = figures_json(&plan, &artifacts).and_then(|json| write_file(path, &json)) {
             eprintln!("{e}");
             return 1;
         }

@@ -346,10 +346,6 @@ fn run_uplink_matrix(
     base_seed: u64,
     threads: usize,
 ) -> Vec<UplinkComparison> {
-    // `--locations 0`: no comparisons, so the figures emit empty tables.
-    if locations == 0 {
-        return Vec::new();
-    }
     let buzz = buzz_periodic();
     let tdma = TdmaProtocol::paper_default().expect("tdma");
     let cdma = CdmaProtocol::paper_default().expect("cdma");
@@ -469,9 +465,6 @@ pub fn fig11_large(locations: u64, base_seed: u64, threads: usize) -> Experiment
     // inside its CI time budget while K ≤ 150 keeps averaging over two.
     let split = 4;
     let locations = locations.min(2);
-    if locations == 0 {
-        return report;
-    }
     let buzz = BuzzProtocol::new(BuzzConfig {
         identification: IdentificationConfig {
             ids_per_bucket: Some(16),
@@ -571,9 +564,6 @@ pub fn fig12(locations: u64, base_seed: u64, threads: usize) -> ExperimentReport
         ],
     );
     let snrs = [22.0, 15.0, 10.0, 6.0, 4.0];
-    if locations == 0 {
-        return report;
-    }
     let buzz = buzz_periodic();
     let tdma = TdmaProtocol::paper_default().expect("tdma");
     let cdma = CdmaProtocol::paper_default().expect("cdma");
@@ -662,9 +652,6 @@ pub fn fig_fading(locations: u64, base_seed: u64, threads: usize) -> ExperimentR
         (0.12, 0.25),
         (0.16, 0.2),
     ];
-    if locations == 0 {
-        return report;
-    }
     let buzz = BuzzProtocol::new(BuzzConfig {
         periodic_mode: true,
         ..BuzzConfig::default()
@@ -802,9 +789,6 @@ pub fn fig_resilience(locations: u64, base_seed: u64, threads: usize) -> Experim
             "CDMA delivered",
         ],
     );
-    if locations == 0 {
-        return report;
-    }
     let buzz = BuzzProtocol::new(BuzzConfig {
         periodic_mode: true,
         ..BuzzConfig::default()
@@ -986,9 +970,6 @@ pub fn fig13(locations: u64, base_seed: u64, threads: usize) -> ExperimentReport
         &["V0 (V)", "Buzz (uJ)", "TDMA (uJ)", "CDMA (uJ)"],
     );
     let v0s = [3.0f64, 4.0, 5.0];
-    if locations == 0 {
-        return report;
-    }
     let buzz = buzz_periodic();
     let tdma = TdmaProtocol::paper_default().expect("tdma");
     let cdma = CdmaProtocol::paper_default().expect("cdma");
@@ -1038,9 +1019,6 @@ pub fn fig14(locations: u64, base_seed: u64, threads: usize) -> ExperimentReport
         &["K", "Buzz (ms)", "FSA (ms)", "FSA+K (ms)", "Buzz exact"],
     );
     let ks = [4usize, 8, 12, 16];
-    if locations == 0 {
-        return report;
-    }
     let buzz = buzz_full();
     let fsa = FsaIdentification;
     let fsa_k = FsaWithEstimatedK;
@@ -1245,12 +1223,10 @@ pub fn headline(locations: u64, base_seed: u64, threads: usize) -> ExperimentRep
 /// One registered figure: the experiment service's unit of planning.
 ///
 /// Every reproduced table/figure registers here instead of being hard-wired
-/// into `reproduce`'s match or `run_all`'s call list: the `reproduce` CLI
-/// derives its figure dispatch (and its "known figures" error message) from
-/// this table, [`run_all`] iterates it in order, and
-/// [`crate::orchestrate::SweepPlan`] expands it into addressable jobs.
-/// Adding a figure is one row; forgetting to wire it anywhere is no longer
-/// possible.
+/// into `reproduce`: [`crate::orchestrate::SweepPlan`] expands this table
+/// into addressable jobs and lists it when handed an unknown figure, and
+/// every `reproduce` form runs figures only through those jobs.  Adding a
+/// figure is one row; forgetting to wire it anywhere is no longer possible.
 pub struct FigureEntry {
     /// Canonical figure id (the primary CLI name and the plan job id).
     pub id: &'static str,
@@ -1259,7 +1235,8 @@ pub struct FigureEntry {
     /// Runs the figure.  Every runner takes the uniform
     /// `(locations, base_seed, threads)` triple; figures that ignore a
     /// parameter (e.g. [`table12`]) simply drop it, which keeps the
-    /// registry, the planner, and the shard runner signature-free.
+    /// registry, the planner, and the shard runner signature-free.  The
+    /// plan guarantees `locations >= 1`.
     pub run: fn(u64, u64, usize) -> ExperimentReport,
 }
 
@@ -1355,22 +1332,11 @@ pub fn find_figure(name: &str) -> Option<&'static FigureEntry> {
         .find(|f| f.id == name || f.aliases.contains(&name))
 }
 
-/// The canonical ids of every registered figure, in `run_all` order — the
+/// The canonical ids of every registered figure, in registry order — the
 /// list `reproduce` prints when handed an unknown figure name.
 #[must_use]
 pub fn known_figure_ids() -> Vec<&'static str> {
     FIGURES.iter().map(|f| f.id).collect()
-}
-
-/// Runs every experiment, in paper order (the [`FIGURES`] registry order).
-/// `threads` shards each heavy experiment's scenario matrix (`1` = the
-/// plain serial loops; any value produces byte-identical reports).
-#[must_use]
-pub fn run_all(locations: u64, base_seed: u64, threads: usize) -> Vec<ExperimentReport> {
-    FIGURES
-        .iter()
-        .map(|figure| (figure.run)(locations, base_seed, threads))
-        .collect()
 }
 
 #[cfg(test)]
@@ -1426,22 +1392,6 @@ mod tests {
         let c = &run_uplink_matrix(&[8], 1, 42, 1)[0];
         assert!(c.buzz_time_ms < c.tdma_time_ms);
         assert!(c.buzz_undecoded <= c.tdma_undecoded + 0.51);
-    }
-
-    #[test]
-    fn zero_locations_degrades_to_empty_tables_without_panicking() {
-        for report in [
-            fig10(0, 1, 1),
-            fig11(0, 1, 1),
-            fig12(0, 1, 1),
-            fig13(0, 1, 1),
-            fig14(0, 1, 1),
-        ] {
-            assert!(report.rows.is_empty(), "{} emitted rows", report.id);
-        }
-        // `headline` keeps its two scheme rows (NaN means, as before the
-        // sharding rework) — the guarantee here is only "no panic".
-        assert_eq!(headline(0, 1, 1).rows.len(), 2);
     }
 
     #[test]
@@ -1525,7 +1475,7 @@ mod tests {
     fn fig_fading_matches_across_thread_counts() {
         let serial = fig_fading(2, 77, 1);
         let parallel = fig_fading(2, 77, 4);
-        assert_eq!(serial.to_json(), parallel.to_json());
+        assert_eq!(serial, parallel);
     }
 
     #[test]
@@ -1662,7 +1612,7 @@ mod tests {
     fn fig_resilience_matches_across_thread_counts() {
         let serial = fig_resilience(2, 77, 1);
         let parallel = fig_resilience(2, 77, 4);
-        assert_eq!(serial.to_json(), parallel.to_json());
+        assert_eq!(serial, parallel);
     }
 
     #[test]
@@ -1711,13 +1661,13 @@ mod tests {
     #[test]
     fn sharded_experiments_match_serial_byte_for_byte() {
         // The determinism contract across thread counts: every report a
-        // parallel run produces must serialize to exactly the bytes of the
-        // serial run.  Exercises each sharding shape (uplink matrix, flat
-        // (param, location) cells, per-location, per-(k, s) rows).
+        // parallel run produces must equal the serial run's, cell for cell.
+        // Exercises each sharding shape (uplink matrix, flat (param,
+        // location) cells, per-location, per-(k, s) rows).
         let serial = [fig13(2, 77, 1), lemma51(77, 1), headline(2, 77, 1)];
         let parallel = [fig13(2, 77, 4), lemma51(77, 4), headline(2, 77, 4)];
         for (s, p) in serial.iter().zip(&parallel) {
-            assert_eq!(s.to_json(), p.to_json(), "{} diverged across threads", s.id);
+            assert_eq!(s, p, "{} diverged across threads", s.id);
         }
     }
 }

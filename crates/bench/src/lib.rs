@@ -30,7 +30,6 @@
 pub mod compare;
 pub mod experiments;
 pub mod orchestrate;
-mod parallelism;
 pub mod report;
 
 pub use compare::{compare, ComparisonCell};

@@ -13,13 +13,16 @@
 //! Two plan families exist today:
 //!
 //! * **figure plans** — every registered figure
-//!   ([`crate::experiments::FIGURES`]) or any comma-separated subset; the
-//!   `all` plan reproduces `reproduce all` exactly.
+//!   ([`crate::experiments::FIGURES`]) or any comma-separated subset; this
+//!   is the only way a figure runs, `reproduce all` included.
 //! * **uplink grids** — generic `K × location × trace-seed × dynamics`
 //!   sweeps over the paper-uplink scenario, one job per cell, for sweeps no
 //!   hand-written figure covers.
 
 use std::ops::Range;
+
+use backscatter_sim::dynamics::CorrelatedFading;
+use backscatter_sim::scenario::ScenarioBuilder;
 
 use crate::experiments::{find_figure, known_figure_ids, FIGURES};
 
@@ -42,6 +45,11 @@ pub enum GridDynamics {
 
 impl GridDynamics {
     /// Parses a CLI dynamics spec: `static` or `fading:<doppler>:<los>`.
+    ///
+    /// # Errors
+    ///
+    /// Malformed text, and fading parameters [`CorrelatedFading::new`]
+    /// rejects.
     pub fn parse(text: &str) -> Result<Self, String> {
         if text == "static" || text == "none" {
             return Ok(GridDynamics::Static);
@@ -59,11 +67,29 @@ impl GridDynamics {
             if parts.next().is_some() {
                 return Err(format!("trailing fields in dynamics `{text}`"));
             }
-            return Ok(GridDynamics::Fading { doppler, los });
+            let dynamics = GridDynamics::Fading { doppler, los };
+            dynamics.fading()?;
+            return Ok(dynamics);
         }
         Err(format!(
             "unknown dynamics `{text}` (expected `static` or `fading:<doppler>:<los>`)"
         ))
+    }
+
+    /// The fading a grid cell attaches (`None` for a static cell), built
+    /// through [`CorrelatedFading::new`], which owns the parameter rule.
+    ///
+    /// # Errors
+    ///
+    /// A negative or non-finite doppler, or a line-of-sight fraction outside
+    /// `[0, 1]`.
+    pub(crate) fn fading(self) -> Result<Option<CorrelatedFading>, String> {
+        match self {
+            GridDynamics::Static => Ok(None),
+            GridDynamics::Fading { doppler, los } => CorrelatedFading::new(doppler, 8, los)
+                .map(Some)
+                .map_err(|e| format!("bad dynamics `fading:{doppler}:{los}`: {e}")),
+        }
     }
 
     /// A short label for job ids.
@@ -227,10 +253,14 @@ fn check_locations(locations: u64) -> Result<(), String> {
 }
 
 impl SweepPlan {
-    /// The `all` plan: every registered figure, in `reproduce all` order.
-    #[must_use]
-    pub fn all(locations: u64, base_seed: u64) -> Self {
-        Self {
+    /// The `all` plan: every registered figure, in registry order.
+    ///
+    /// # Errors
+    ///
+    /// Zero locations.
+    pub fn all(locations: u64, base_seed: u64) -> Result<Self, String> {
+        check_locations(locations)?;
+        Ok(Self {
             name: "all".into(),
             locations,
             base_seed,
@@ -238,7 +268,7 @@ impl SweepPlan {
                 .iter()
                 .map(|f| Job::figure(f.id, locations, base_seed))
                 .collect(),
-        }
+        })
     }
 
     /// A plan over an explicit figure subset (ids or aliases).
@@ -275,6 +305,12 @@ impl SweepPlan {
     }
 
     /// A generic `K × location × trace × dynamics` uplink grid.
+    ///
+    /// # Errors
+    ///
+    /// An empty K or dynamics list, zero locations or traces, a K the
+    /// paper-uplink scenario rejects, and fading parameters
+    /// [`CorrelatedFading::new`] rejects.
     pub fn uplink_grid(
         options: &GridOptions,
         locations: u64,
@@ -285,6 +321,15 @@ impl SweepPlan {
         }
         if locations == 0 || options.traces == 0 {
             return Err("grid plan needs at least one location and one trace".into());
+        }
+        for &k in &options.ks {
+            ScenarioBuilder::paper_uplink(k, base_seed)
+                .config()
+                .validate()
+                .map_err(|e| format!("bad grid K = {k}: {e}"))?;
+        }
+        for &dynamics in &options.dynamics {
+            dynamics.fading()?;
         }
         let mut jobs = Vec::new();
         for &k in &options.ks {
@@ -309,7 +354,7 @@ impl SweepPlan {
     ///
     /// # Errors
     ///
-    /// Zero locations, and the errors of [`SweepPlan::uplink_grid`] and
+    /// The errors of [`SweepPlan::all`], [`SweepPlan::uplink_grid`] and
     /// [`SweepPlan::figure_list`].
     pub fn from_name(
         name: &str,
@@ -317,9 +362,8 @@ impl SweepPlan {
         base_seed: u64,
         grid: &GridOptions,
     ) -> Result<Self, String> {
-        check_locations(locations)?;
         match name {
-            "all" => Ok(Self::all(locations, base_seed)),
+            "all" => Self::all(locations, base_seed),
             "grid" => Self::uplink_grid(grid, locations, base_seed),
             list => Self::figure_list(list, locations, base_seed),
         }
@@ -417,7 +461,7 @@ mod tests {
 
     #[test]
     fn all_plan_covers_the_registry_in_order() {
-        let plan = SweepPlan::all(2, 2012);
+        let plan = SweepPlan::all(2, 2012).unwrap();
         assert_eq!(plan.jobs.len(), FIGURES.len());
         let ids: Vec<&str> = plan.jobs.iter().map(|j| j.id.as_str()).collect();
         assert_eq!(ids, known_figure_ids());
@@ -431,10 +475,10 @@ mod tests {
 
     #[test]
     fn plan_and_job_hashes_depend_on_every_spec_field() {
-        let base = SweepPlan::all(2, 2012);
+        let base = SweepPlan::all(2, 2012).unwrap();
         for (other, what) in [
-            (SweepPlan::all(3, 2012), "locations"),
-            (SweepPlan::all(2, 2013), "seed"),
+            (SweepPlan::all(3, 2012).unwrap(), "locations"),
+            (SweepPlan::all(2, 2013).unwrap(), "seed"),
         ] {
             assert_ne!(base.plan_hash(), other.plan_hash(), "{what}");
             for (a, b) in base.jobs.iter().zip(&other.jobs) {

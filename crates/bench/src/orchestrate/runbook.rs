@@ -268,9 +268,8 @@ pub fn diff(left: &Runbook, right: &Runbook) -> DiffOutcome {
     DiffOutcome::Identical
 }
 
-/// Re-renders the legacy `reproduce … --json` figure array from a plan's
-/// pooled artifacts: the embedded reports, in plan order, through the same
-/// serializer the direct path uses — byte-identical by construction.
+/// The figure array `reproduce --json` and `merge --figures` write: each
+/// figure job's embedded report, in plan order, as one canonical array.
 ///
 /// # Errors
 ///
@@ -283,13 +282,14 @@ pub fn figures_json(plan: &SweepPlan, artifacts: &[JobArtifact]) -> Result<Strin
         .iter()
         .filter(|job| job.is_figure())
         .map(|job| {
-            by_hash
+            let report = by_hash
                 .get(job.hash.as_str())
                 .ok_or_else(|| format!("plan job `{}` ({}) has no artifact", job.id, job.hash))?
-                .report()
+                .report()?;
+            Ok(report.to_canonical())
         })
         .collect::<Result<Vec<_>, String>>()?;
-    Ok(crate::report::reports_to_json(&reports))
+    Ok(CanonicalJson::Array(reports).serialize())
 }
 
 #[cfg(test)]
@@ -363,10 +363,10 @@ mod tests {
         let from_serial = figures_json(&plan, &serial).unwrap();
         let from_shards = figures_json(&plan, &pooled).unwrap();
         assert_eq!(from_serial, from_shards);
-        let direct = crate::report::reports_to_json(&[
-            crate::experiments::fig8(),
-            crate::experiments::lemma51(2012, 1),
+        let direct = CanonicalJson::Array(vec![
+            crate::experiments::fig8().to_canonical(),
+            crate::experiments::lemma51(2012, 1).to_canonical(),
         ]);
-        assert_eq!(from_serial, direct);
+        assert_eq!(from_serial, direct.serialize());
     }
 }

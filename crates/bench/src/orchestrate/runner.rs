@@ -3,9 +3,8 @@
 //! A [`JobArtifact`] is one job's complete output: its id, its job hash
 //! (binding the artifact to the spec that produced it), and a canonical
 //! JSON payload.  Figure jobs embed their [`ExperimentReport`] losslessly,
-//! so the merge step can re-serialize the legacy `reproduce all --json`
-//! bytes without re-running anything; grid-cell jobs embed the per-scheme
-//! session outcomes.
+//! so the merge step can rebuild the figure tables without re-running
+//! anything; grid-cell jobs embed the per-scheme session outcomes.
 //!
 //! [`run_shard`] executes any contiguous [`Shard`] of a plan's job list.
 //! Jobs run sequentially within the shard; each job shards its own scenario
@@ -16,7 +15,6 @@
 //! *and* every shard split.
 
 use backscatter_baselines::session::TdmaProtocol;
-use backscatter_sim::dynamics::CorrelatedFading;
 use backscatter_sim::scenario::ScenarioBuilder;
 use buzz::protocol::{BuzzConfig, BuzzProtocol};
 use buzz::session::{Protocol, SessionOutcome};
@@ -149,14 +147,14 @@ fn run_grid_cell(
     // The same location-seed derivation style the figures use: distinct
     // locations draw distinct scenarios, deterministically from the spec.
     let scenario_seed = seed + location * 97 + k as u64;
-    let builder = ScenarioBuilder::paper_uplink(k, scenario_seed);
-    let builder = match dynamics {
-        GridDynamics::Static => builder,
-        GridDynamics::Fading { doppler, los } => builder.dynamics(
-            CorrelatedFading::new(doppler, 8, los).expect("plan-validated fading parameters"),
-        ),
-    };
-    let mut scenario = builder.build().expect("scenario");
+    let mut builder = ScenarioBuilder::paper_uplink(k, scenario_seed);
+    if let Some(fading) = dynamics
+        .fading()
+        .expect("the plan validated the fading parameters")
+    {
+        builder = builder.dynamics(fading);
+    }
+    let mut scenario = builder.build().expect("the plan validated K");
     let buzz = BuzzProtocol::new(BuzzConfig {
         periodic_mode: true,
         ..BuzzConfig::default()
@@ -213,13 +211,13 @@ mod tests {
     #[test]
     fn figure_job_artifact_embeds_the_exact_report() {
         // fig8 is deterministic and cheap: the artifact's embedded report
-        // must re-serialize to the same legacy JSON as a direct call.
+        // must equal a direct call's.
         let plan = SweepPlan::figure_list("fig8", 1, 2012).unwrap();
         let artifact = run_job(&plan.jobs[0], 1);
         assert_eq!(artifact.id, "fig8");
         assert_eq!(artifact.job_hash, plan.jobs[0].hash);
         let report = artifact.report().unwrap();
-        assert_eq!(report.to_json(), crate::experiments::fig8().to_json());
+        assert_eq!(report, crate::experiments::fig8());
     }
 
     #[test]

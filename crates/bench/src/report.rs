@@ -3,7 +3,7 @@
 use crate::orchestrate::canonical::CanonicalJson;
 
 /// A small table of results for one reproduced figure or table.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExperimentReport {
     /// Experiment identifier (e.g. "fig10").
     pub id: String,
@@ -81,41 +81,10 @@ impl ExperimentReport {
         out
     }
 
-    /// Renders the report as a JSON object (serde is unavailable offline, so
-    /// this is a hand-rolled serializer with standard JSON string escaping).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!("\"id\":{},", json_string(&self.id)));
-        out.push_str(&format!("\"title\":{},", json_string(&self.title)));
-        out.push_str(&format!(
-            "\"paper_expectation\":{},",
-            json_string(&self.paper_expectation)
-        ));
-        out.push_str(&format!(
-            "\"headers\":{},",
-            json_string_array(&self.headers)
-        ));
-        out.push_str("\"rows\":[");
-        for (i, row) in self.rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&json_string_array(row));
-        }
-        out.push_str("],");
-        out.push_str(&format!(
-            "\"findings\":{}",
-            json_string_array(&self.findings)
-        ));
-        out.push('}');
-        out
-    }
-
     /// Converts the report to a canonical JSON value — the shape job
-    /// artifacts embed.  Every field is a string (cells are pre-formatted),
-    /// so the conversion is lossless and [`Self::from_canonical`] restores a
-    /// report whose [`Self::to_json`] bytes are identical to the original's.
+    /// artifacts embed and `reproduce --json` writes.  Every field is a
+    /// string (cells are pre-formatted), so the conversion is lossless and
+    /// [`Self::from_canonical`] restores an equal report.
     #[must_use]
     pub fn to_canonical(&self) -> CanonicalJson {
         let strings = |items: &[String]| {
@@ -177,36 +146,6 @@ impl ExperimentReport {
     }
 }
 
-/// Renders a slice of reports as a JSON array.
-#[must_use]
-pub fn reports_to_json(reports: &[ExperimentReport]) -> String {
-    let body: Vec<String> = reports.iter().map(ExperimentReport::to_json).collect();
-    format!("[{}]", body.join(","))
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_string_array(items: &[String]) -> String {
-    let body: Vec<String> = items.iter().map(|s| json_string(s)).collect();
-    format!("[{}]", body.join(","))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -225,7 +164,7 @@ mod tests {
     }
 
     #[test]
-    fn canonical_roundtrip_preserves_legacy_json_bytes() {
+    fn canonical_roundtrip_restores_the_report() {
         let mut r = ExperimentReport::new(
             "figX",
             "title with \"quotes\"",
@@ -236,7 +175,7 @@ mod tests {
         r.push_row(vec!["16".into(), "2.50".into()]);
         r.push_finding("a finding\nwith a newline".into());
         let restored = ExperimentReport::from_canonical(&r.to_canonical()).unwrap();
-        assert_eq!(restored.to_json(), r.to_json());
+        assert_eq!(restored, r);
         // And the canonical value itself is byte-stable through its own
         // parse/serialize cycle.
         let bytes = r.to_canonical().serialize();
@@ -247,8 +186,8 @@ mod tests {
     fn json_escapes_and_structures() {
         let mut r = ExperimentReport::new("figX", "quote \" and \\ slash", "exp", &["a"]);
         r.push_row(vec!["line\nbreak".into()]);
-        let json = reports_to_json(&[r]);
-        assert!(json.starts_with('[') && json.ends_with(']'));
+        let json = r.to_canonical().serialize();
+        assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"id\":\"figX\""));
         assert!(json.contains("quote \\\" and \\\\ slash"));
         assert!(json.contains("line\\nbreak"));

@@ -1,6 +1,7 @@
 //! Experiment-service pins: canonical JSON properties, golden plan hashes,
-//! and the shard/merge byte-identity contract — both in-process and through
-//! the `reproduce` binary exactly as CI drives it.
+//! plan input validation, and the thread/shard/merge byte-identity
+//! contract — both in-process and through the `reproduce` binary exactly as
+//! CI drives it.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -8,9 +9,9 @@ use std::process::Command;
 use buzz_bench::experiments;
 use buzz_bench::orchestrate::runner::run_shard;
 use buzz_bench::orchestrate::{
-    diff, figures_json, CanonicalJson, DiffOutcome, GridOptions, Runbook, Shard, SweepPlan,
+    diff, figures_json, CanonicalJson, DiffOutcome, GridDynamics, GridOptions, Runbook, Shard,
+    SweepPlan,
 };
-use buzz_bench::report::reports_to_json;
 use proptest::prelude::*;
 
 /// Golden hashes for the stock plans.  These pin the whole addressing
@@ -20,10 +21,10 @@ use proptest::prelude::*;
 /// format change.
 #[test]
 fn golden_plan_hashes_are_stable() {
-    let all_default = SweepPlan::all(experiments::DEFAULT_LOCATIONS, 2012);
+    let all_default = SweepPlan::all(experiments::DEFAULT_LOCATIONS, 2012).unwrap();
     assert_eq!(all_default.plan_hash(), "96b017c38d06768c");
 
-    let all_ci = SweepPlan::all(2, 2012);
+    let all_ci = SweepPlan::all(2, 2012).unwrap();
     assert_eq!(all_ci.plan_hash(), "dacc5d847eacf0be");
     assert_eq!(all_ci.jobs[0].id, "table12");
     assert_eq!(all_ci.jobs[0].hash, "468b0406040b601c");
@@ -154,10 +155,10 @@ proptest! {
     /// the seed.
     #[test]
     fn plan_hashes_are_deterministic(seed in 0u64..1_000_000, locations in 1u64..6) {
-        let a = SweepPlan::all(locations, seed);
-        let b = SweepPlan::all(locations, seed);
+        let a = SweepPlan::all(locations, seed).unwrap();
+        let b = SweepPlan::all(locations, seed).unwrap();
         prop_assert_eq!(a.plan_hash(), b.plan_hash());
-        let c = SweepPlan::all(locations, seed + 1);
+        let c = SweepPlan::all(locations, seed + 1).unwrap();
         prop_assert_ne!(a.plan_hash(), c.plan_hash());
     }
 }
@@ -173,6 +174,86 @@ fn plans_reject_zero_locations() {
         assert!(SweepPlan::from_name(name, 1, 2012, &grid).is_ok());
     }
     assert!(SweepPlan::figure_list("fig10", 0, 2012).is_err());
+    assert!(SweepPlan::all(0, 2012).is_err());
+}
+
+/// Out-of-range grid input is a plan error, so every CLI form exits 2 with
+/// a message before it writes an artifact — the runner's scenario and
+/// fading `expect`s, and the canonical writer's finite-float rule, hold.
+#[test]
+fn grid_plans_reject_out_of_range_input() {
+    for bad in [
+        "fading:-1:0.5",
+        "fading:0.1:1.5",
+        "fading:NaN:0.5",
+        "fading:inf:0.5",
+        "fading:0.1:NaN",
+    ] {
+        assert!(GridDynamics::parse(bad).is_err(), "`{bad}` parsed");
+    }
+    let zero_k = GridOptions {
+        ks: vec![2, 0],
+        ..GridOptions::default()
+    };
+    assert!(SweepPlan::uplink_grid(&zero_k, 1, 2012).is_err());
+    let bad_fading = GridOptions {
+        dynamics: vec![GridDynamics::Fading {
+            doppler: -1.0,
+            los: 0.5,
+        }],
+        ..GridOptions::default()
+    };
+    assert!(SweepPlan::uplink_grid(&bad_fading, 1, 2012).is_err());
+
+    let bin = env!("CARGO_BIN_EXE_reproduce");
+    let out = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("grid-input");
+    let _ = std::fs::remove_dir_all(&out);
+    let out = out.to_string_lossy().into_owned();
+    for args in [
+        &[
+            "run",
+            "--plan",
+            "grid",
+            "--dynamics",
+            "fading:-1:0.5",
+            "--out",
+            &out,
+        ][..],
+        &["run", "--plan", "grid", "--ks", "0", "--out", &out][..],
+        &["plan", "--plan", "grid", "--dynamics", "fading:NaN:0.5"][..],
+    ] {
+        let output = Command::new(bin).args(args).output().unwrap();
+        assert_eq!(output.status.code(), Some(2), "reproduce {args:?}");
+        assert!(output.stdout.is_empty(), "reproduce {args:?}");
+        assert!(!output.stderr.is_empty(), "reproduce {args:?}");
+    }
+    assert!(!Path::new(&out).exists(), "a rejected plan wrote artifacts");
+}
+
+/// The thread-count determinism contract for every figure cheap enough for
+/// the test profile (all but `fig11_large` and `fig_fleet`, which CI's
+/// release-mode `reproduce-merge` job diffs across thread counts): one plan
+/// at three base seeds must give the same runbook bytes at 1 and 4 threads.
+#[test]
+fn figure_plans_are_byte_identical_across_thread_counts() {
+    let figures: Vec<&str> = experiments::FIGURES
+        .iter()
+        .map(|f| f.id)
+        .filter(|id| !["fig11_large", "fig_fleet"].contains(id))
+        .collect();
+    assert_eq!(figures.len(), 14);
+    // 2012 is the reproduce binary's base seed; the other two guard against
+    // the contract holding for one seed's trajectories only.
+    for base_seed in [2012u64, 7, 31_337] {
+        let plan = SweepPlan::figure_list(&figures.join(","), 1, base_seed).unwrap();
+        let runbook = |threads| {
+            let artifacts = run_shard(&plan, Shard::full(), threads);
+            Runbook::assemble(&plan, &artifacts, "test")
+                .unwrap()
+                .serialize()
+        };
+        assert_eq!(runbook(1), runbook(4), "base_seed = {base_seed}");
+    }
 }
 
 /// A cheap four-figure plan for merge tests (sub-second figures only).
@@ -186,14 +267,19 @@ fn sharded_runs_merge_byte_identically_for_any_shard_count() {
     let serial = run_shard(&plan, Shard::full(), 1);
     let reference = Runbook::assemble(&plan, &serial, "test").unwrap();
     let reference_figures = figures_json(&plan, &serial).unwrap();
-    // The merged figures are the legacy serializer over direct calls.
-    let direct = reports_to_json(&[
-        experiments::table12(),
-        experiments::fig8(),
-        experiments::fig9(2012),
-        experiments::lemma51(2012, 1),
-    ]);
-    assert_eq!(reference_figures, direct);
+    // The merged figures are the direct calls' reports, in plan order.
+    let direct = CanonicalJson::Array(
+        [
+            experiments::table12(),
+            experiments::fig8(),
+            experiments::fig9(2012),
+            experiments::lemma51(2012, 1),
+        ]
+        .iter()
+        .map(|report| report.to_canonical())
+        .collect(),
+    );
+    assert_eq!(reference_figures, direct.serialize());
 
     for count in 2..=5 {
         let mut pooled = Vec::new();
@@ -227,7 +313,7 @@ fn diff_localizes_a_corrupted_job() {
 
 /// Drives the real binary the way CI does: three shards at two threads
 /// merged against a serial single-process run, `diff` exit code checked,
-/// and the merged figures byte-compared to the legacy `--json` output.
+/// and the merged figures byte-compared to the figure form's `--json`.
 #[test]
 fn reproduce_binary_shard_merge_diff_pipeline() {
     let bin = env!("CARGO_BIN_EXE_reproduce");
@@ -283,22 +369,37 @@ fn reproduce_binary_shard_merge_diff_pipeline() {
     let output = run(&["diff", &sharded_book, &serial_book]);
     assert!(String::from_utf8_lossy(&output.stdout).contains("identical"));
 
-    // Legacy path equivalence, through the binary.
-    let legacy_out = path("legacy-t12.json");
-    run(&["table12", "--locations", "1", "--json", &legacy_out]);
-    let legacy = std::fs::read_to_string(path("legacy-t12.json")).unwrap();
+    // The figure form runs the same plan in one process: its `--json`
+    // bytes are the merged figures' bytes.
+    let direct_out = path("direct.json");
+    run(&[plan_args[1], "--locations", "1", "--json", &direct_out]);
+    let direct = std::fs::read_to_string(&direct_out).unwrap();
     let merged_figures = std::fs::read_to_string(path("figures-sharded.json")).unwrap();
-    assert!(merged_figures.starts_with(&legacy[..legacy.len() - 1]));
+    assert_eq!(direct, merged_figures);
 
-    // Unknown figures exit non-zero and list the registry.
+    // `--plan` selects the figure form's figures too.
+    let output = run(&["--plan", "fig8"]);
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    let titles: Vec<&str> = stdout.lines().filter(|l| l.starts_with("== ")).collect();
+    assert!(
+        titles.len() == 1 && titles[0].starts_with("== fig8 "),
+        "{titles:?}"
+    );
+
+    // Unknown figures exit non-zero and list the registry; grid jobs have
+    // no tables, so the figure form points to `run`/`merge`.
     let output = Command::new(bin).arg("fig99").output().unwrap();
     assert_eq!(output.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(stderr.contains("unknown experiment `fig99`"));
+    assert!(stderr.contains("unknown figure `fig99`"));
     assert!(stderr.contains("fig11_large") && stderr.contains("headline"));
+    let output = Command::new(bin).arg("grid").output().unwrap();
+    assert_eq!(output.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&output.stderr).contains("reproduce run --plan grid"));
+    assert!(output.stdout.is_empty());
 
-    // Zero locations would average over nothing: every form rejects the
-    // flag before running, exits 2, and writes nothing.
+    // Zero locations would average over nothing: every form's plan rejects
+    // them before running, exits 2, and writes nothing.
     let zero_out = path("zero-locations");
     for args in [
         &["headline", "--locations", "0"][..],
@@ -315,7 +416,7 @@ fn reproduce_binary_shard_merge_diff_pipeline() {
     ] {
         let output = Command::new(bin).args(args).output().unwrap();
         assert_eq!(output.status.code(), Some(2), "reproduce {args:?}");
-        assert!(String::from_utf8_lossy(&output.stderr).contains("bad --locations"));
+        assert!(String::from_utf8_lossy(&output.stderr).contains("at least one location"));
         assert!(
             output.stdout.is_empty(),
             "reproduce {args:?} printed a table"

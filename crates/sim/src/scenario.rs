@@ -26,7 +26,7 @@ use crate::tag::SimTag;
 use crate::{SimError, SimResult};
 
 /// Parameters describing one experiment location.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScenarioConfig {
     /// Number of tags with data to transmit (the paper's `K`).
     pub k: usize,
@@ -51,40 +51,6 @@ pub struct ScenarioConfig {
 }
 
 impl ScenarioConfig {
-    /// The paper's default uplink experiment: `K` tags, 32-bit messages, cart
-    /// close to the reader (good channels).
-    #[deprecated(
-        note = "use `ScenarioBuilder::paper_uplink(k, seed)` (or `Scenario::builder(k).seed(seed)`); the builder preset is pinned bit-identical to this constructor"
-    )]
-    #[must_use]
-    pub fn paper_uplink(k: usize, seed: u64) -> Self {
-        Self {
-            k,
-            global_id_space: 1_000_000,
-            seed,
-            cart_distance_m: 0.25,
-            message_bits: 32,
-            median_snr_db: Some(22.0),
-            starting_voltage_v: 3.0,
-            max_clock_drift_ppm: 1600.0,
-        }
-    }
-
-    /// A challenging-channel variant of the uplink experiment (the Fig. 12
-    /// regime): same tags, but the target median SNR is lowered.
-    #[deprecated(
-        note = "use `ScenarioBuilder::challenging(k, seed, median_snr_db)`; the builder preset is pinned bit-identical to this constructor"
-    )]
-    #[must_use]
-    pub fn challenging(k: usize, seed: u64, median_snr_db: f64) -> Self {
-        #[allow(deprecated)]
-        Self {
-            median_snr_db: Some(median_snr_db),
-            cart_distance_m: 0.9,
-            ..Self::paper_uplink(k, seed)
-        }
-    }
-
     /// Validates the configuration.
     ///
     /// # Errors
@@ -193,28 +159,36 @@ impl ScenarioBuilder {
         Self::paper_uplink(k, 0)
     }
 
-    /// Preset matching the legacy `ScenarioConfig::paper_uplink`.
+    /// The paper's default uplink experiment: `k` tags drawn from a
+    /// million ids, 32-bit messages, the cart close to the reader (good
+    /// channels, 22 dB median SNR).
     #[must_use]
     pub fn paper_uplink(k: usize, seed: u64) -> Self {
-        #[allow(deprecated)]
         Self {
-            config: ScenarioConfig::paper_uplink(k, seed),
+            config: ScenarioConfig {
+                k,
+                global_id_space: 1_000_000,
+                seed,
+                cart_distance_m: 0.25,
+                message_bits: 32,
+                median_snr_db: Some(22.0),
+                starting_voltage_v: 3.0,
+                max_clock_drift_ppm: 1600.0,
+            },
             dynamics: Vec::new(),
             faults: Vec::new(),
             persistent: Vec::new(),
         }
     }
 
-    /// Preset matching the legacy `ScenarioConfig::challenging`.
+    /// A challenging-channel variant of the uplink experiment (the Fig. 12
+    /// regime): the cart moves out to 0.9 m and the target median SNR is
+    /// lowered to `median_snr_db`.
     #[must_use]
     pub fn challenging(k: usize, seed: u64, median_snr_db: f64) -> Self {
-        #[allow(deprecated)]
-        Self {
-            config: ScenarioConfig::challenging(k, seed, median_snr_db),
-            dynamics: Vec::new(),
-            faults: Vec::new(),
-            persistent: Vec::new(),
-        }
+        Self::paper_uplink(k, seed)
+            .snr_profile(SnrProfile::MedianDb(median_snr_db))
+            .placement(Placement::Cart { distance_m: 0.9 })
     }
 
     /// Sets the master seed (the "experiment location").
@@ -317,15 +291,15 @@ impl ScenarioBuilder {
     ///
     /// The list length must equal the builder's `k`, the global ids must be
     /// distinct, and all messages must share one non-zero bit length —
-    /// enforced by [`ScenarioBuilder::build`].  An empty list keeps the
-    /// legacy draw path bit-identical.
+    /// enforced by [`ScenarioBuilder::build`].  An empty list draws fresh
+    /// identities and payloads from the seed.
     #[must_use]
     pub fn persistent_tags(mut self, tags: Vec<PersistentTag>) -> Self {
         self.persistent = tags;
         self
     }
 
-    /// The configuration the builder would hand to [`Scenario::build`].
+    /// The configuration [`ScenarioBuilder::build`] validates and builds.
     #[must_use]
     pub fn config(&self) -> &ScenarioConfig {
         &self.config
@@ -335,7 +309,8 @@ impl ScenarioBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidParameter`] for an invalid configuration.
+    /// Returns [`SimError::InvalidParameter`] for an invalid configuration
+    /// or persistent tag list.
     pub fn build(self) -> SimResult<Scenario> {
         let mut scenario = Scenario::build_with_persistent(self.config, &self.persistent)?;
         scenario.dynamics = self.dynamics;
@@ -367,30 +342,17 @@ impl Scenario {
         ScenarioBuilder::new(k)
     }
 
-    /// Builds the scenario described by `config`.
-    ///
-    /// This is the legacy entry point kept for mechanical migration; new
-    /// code should prefer [`Scenario::builder`], which reaches the same
-    /// configurations through presets and can attach dynamics.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidParameter`] for an invalid configuration.
-    pub fn build(config: ScenarioConfig) -> SimResult<Self> {
-        Self::build_with_persistent(config, &[])
-    }
-
-    /// Builds a scenario whose tag identities and messages come from a
-    /// persistent population (see [`ScenarioBuilder::persistent_tags`]).  An
-    /// empty `persistent` slice is exactly [`Scenario::build`] — the legacy
-    /// draw path, bit-identical.
+    /// Builds the scenario `config` describes, with tag identities and
+    /// messages from a persistent population (see
+    /// [`ScenarioBuilder::persistent_tags`]), or freshly drawn ones when
+    /// `persistent` is empty.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::InvalidParameter`] for an invalid configuration,
     /// a persistent list whose length differs from `config.k`, duplicate
     /// global ids, or messages of mismatched/zero length.
-    pub fn build_with_persistent(
+    fn build_with_persistent(
         config: ScenarioConfig,
         persistent: &[PersistentTag],
     ) -> SimResult<Self> {
@@ -601,33 +563,30 @@ impl Scenario {
 
 #[cfg(test)]
 mod tests {
-    // The legacy constructors stay under test (the builder presets are pinned
-    // bit-identical to them) even though new code must not call them.
-    #![allow(deprecated)]
-
     use super::*;
 
     #[test]
     fn config_validation() {
-        assert!(ScenarioConfig::paper_uplink(8, 1).validate().is_ok());
-        let mut c = ScenarioConfig::paper_uplink(0, 1);
+        let paper = *ScenarioBuilder::paper_uplink(8, 1).config();
+        assert!(paper.validate().is_ok());
+        let mut c = paper;
         c.k = 0;
         assert!(c.validate().is_err());
-        let mut c = ScenarioConfig::paper_uplink(8, 1);
+        let mut c = paper;
         c.global_id_space = 2;
         assert!(c.validate().is_err());
-        let mut c = ScenarioConfig::paper_uplink(8, 1);
+        let mut c = paper;
         c.message_bits = 0;
         assert!(c.validate().is_err());
-        let mut c = ScenarioConfig::paper_uplink(8, 1);
+        let mut c = paper;
         c.cart_distance_m = -1.0;
         assert!(c.validate().is_err());
     }
 
     #[test]
     fn build_is_deterministic() {
-        let a = Scenario::build(ScenarioConfig::paper_uplink(8, 42)).unwrap();
-        let b = Scenario::build(ScenarioConfig::paper_uplink(8, 42)).unwrap();
+        let a = ScenarioBuilder::paper_uplink(8, 42).build().unwrap();
+        let b = ScenarioBuilder::paper_uplink(8, 42).build().unwrap();
         assert_eq!(a.tags().len(), 8);
         for (ta, tb) in a.tags().iter().zip(b.tags()) {
             assert_eq!(ta.global_id, tb.global_id);
@@ -639,8 +598,8 @@ mod tests {
 
     #[test]
     fn different_seeds_are_different_locations() {
-        let a = Scenario::build(ScenarioConfig::paper_uplink(8, 1)).unwrap();
-        let b = Scenario::build(ScenarioConfig::paper_uplink(8, 2)).unwrap();
+        let a = ScenarioBuilder::paper_uplink(8, 1).build().unwrap();
+        let b = ScenarioBuilder::paper_uplink(8, 2).build().unwrap();
         let same_channels = a
             .tags()
             .iter()
@@ -651,7 +610,7 @@ mod tests {
 
     #[test]
     fn global_ids_are_distinct() {
-        let s = Scenario::build(ScenarioConfig::paper_uplink(16, 3)).unwrap();
+        let s = ScenarioBuilder::paper_uplink(16, 3).build().unwrap();
         let mut ids: Vec<u64> = s.tags().iter().map(|t| t.global_id).collect();
         ids.sort_unstable();
         ids.dedup();
@@ -660,7 +619,7 @@ mod tests {
 
     #[test]
     fn median_snr_is_close_to_target() {
-        let s = Scenario::build(ScenarioConfig::paper_uplink(9, 5)).unwrap();
+        let s = ScenarioBuilder::paper_uplink(9, 5).build().unwrap();
         let mut snrs = s.per_tag_snr_db();
         snrs.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let median = snrs[snrs.len() / 2];
@@ -669,15 +628,15 @@ mod tests {
 
     #[test]
     fn challenging_scenario_has_lower_snr() {
-        let good = Scenario::build(ScenarioConfig::paper_uplink(4, 7)).unwrap();
-        let bad = Scenario::build(ScenarioConfig::challenging(4, 7, 6.0)).unwrap();
+        let good = ScenarioBuilder::paper_uplink(4, 7).build().unwrap();
+        let bad = ScenarioBuilder::challenging(4, 7, 6.0).build().unwrap();
         let mean = |s: &Scenario| s.per_tag_snr_db().iter().sum::<f64>() / s.tags().len() as f64;
         assert!(mean(&bad) < mean(&good));
     }
 
     #[test]
     fn medium_shares_scenario_channels() {
-        let s = Scenario::build(ScenarioConfig::paper_uplink(4, 9)).unwrap();
+        let s = ScenarioBuilder::paper_uplink(4, 9).build().unwrap();
         let m = s.medium(1).unwrap();
         assert_eq!(m.num_tags(), 4);
         for (mc, tc) in m.channels().iter().zip(s.tags()) {
@@ -687,25 +646,28 @@ mod tests {
     }
 
     #[test]
-    fn builder_presets_match_legacy_constructors() {
-        // The builder's presets must pin to the legacy constructors exactly:
-        // same config, same tags, same noise floor.
-        let legacy = Scenario::build(ScenarioConfig::paper_uplink(8, 42)).unwrap();
-        let built = ScenarioBuilder::paper_uplink(8, 42).build().unwrap();
-        assert_eq!(built.config().k, legacy.config().k);
-        assert_eq!(built.noise_power(), legacy.noise_power());
-        for (a, b) in built.tags().iter().zip(legacy.tags()) {
-            assert_eq!(a.global_id, b.global_id);
-            assert_eq!(a.channel, b.channel);
-            assert_eq!(a.message, b.message);
-        }
-
-        let legacy = Scenario::build(ScenarioConfig::challenging(4, 7, 6.0)).unwrap();
-        let built = ScenarioBuilder::challenging(4, 7, 6.0).build().unwrap();
-        assert_eq!(built.noise_power(), legacy.noise_power());
-        for (a, b) in built.tags().iter().zip(legacy.tags()) {
-            assert_eq!(a.channel, b.channel);
-        }
+    fn builder_presets_pin_the_paper_values() {
+        let paper = ScenarioConfig {
+            k: 8,
+            global_id_space: 1_000_000,
+            seed: 42,
+            cart_distance_m: 0.25,
+            message_bits: 32,
+            median_snr_db: Some(22.0),
+            starting_voltage_v: 3.0,
+            max_clock_drift_ppm: 1600.0,
+        };
+        assert_eq!(*ScenarioBuilder::paper_uplink(8, 42).config(), paper);
+        assert_eq!(
+            *ScenarioBuilder::challenging(4, 7, 6.0).config(),
+            ScenarioConfig {
+                k: 4,
+                seed: 7,
+                cart_distance_m: 0.9,
+                median_snr_db: Some(6.0),
+                ..paper
+            }
+        );
     }
 
     #[test]
@@ -900,7 +862,7 @@ mod tests {
 
     #[test]
     fn snr_range_is_ordered() {
-        let s = Scenario::build(ScenarioConfig::paper_uplink(12, 11)).unwrap();
+        let s = ScenarioBuilder::paper_uplink(12, 11).build().unwrap();
         let (lo, hi) = s.snr_range_db().unwrap();
         assert!(lo <= hi);
     }

@@ -4,9 +4,8 @@
 //!   **bit-identical** [`SessionOutcome`] for every scheme, driven through
 //!   `&dyn Protocol` — the `BuzzOutcome` determinism contract of
 //!   `tests/manifest_integrity.rs` extended across the whole panel.
-//! * Builder equivalence: `Scenario::builder(...)` presets must pin to the
-//!   legacy `paper_uplink` / `challenging` constructors, so migrating a
-//!   caller is mechanical.
+//! * Builder equivalence: a hand-assembled `Scenario::builder(...)` reaches
+//!   the same scenario as the preset it spells out.
 //! * Dynamics: scenarios carrying dynamics stay deterministic end-to-end and
 //!   actually change what the protocols experience.
 
@@ -66,41 +65,21 @@ fn every_scheme_reports_through_the_common_shape() {
 }
 
 #[test]
-#[allow(deprecated)]
-fn builder_presets_pin_to_legacy_constructors() {
-    use buzz_suite::sim::scenario::ScenarioConfig;
-
-    // paper_uplink: identical tag draws and noise floor.  The deprecated
-    // constructor is called on purpose — this test is the cross-crate pin
-    // that the builder preset reproduces it bit for bit.
-    let legacy = Scenario::build(ScenarioConfig::paper_uplink(8, 9)).unwrap();
-    let built = ScenarioBuilder::paper_uplink(8, 9).build().unwrap();
-    assert_eq!(legacy.noise_power(), built.noise_power());
-    for (a, b) in legacy.tags().iter().zip(built.tags()) {
-        assert_eq!(a.global_id, b.global_id);
-        assert_eq!(a.channel, b.channel);
-        assert_eq!(a.message, b.message);
-        assert_eq!(a.initial_offset_us, b.initial_offset_us);
-    }
-
-    // challenging: ditto.
-    let legacy = Scenario::build(ScenarioConfig::challenging(4, 3, 6.0)).unwrap();
-    let built = ScenarioBuilder::challenging(4, 3, 6.0).build().unwrap();
-    assert_eq!(legacy.noise_power(), built.noise_power());
-    for (a, b) in legacy.tags().iter().zip(built.tags()) {
-        assert_eq!(a.channel, b.channel);
-    }
-
-    // A hand-assembled builder reaching the same config is also equivalent.
+fn hand_assembled_builder_matches_the_preset() {
+    let preset = ScenarioBuilder::challenging(4, 3, 6.0).build().unwrap();
     let manual = Scenario::builder(4)
         .seed(3)
         .snr_profile(SnrProfile::MedianDb(6.0))
         .placement(Placement::Cart { distance_m: 0.9 })
         .build()
         .unwrap();
-    assert_eq!(manual.noise_power(), legacy.noise_power());
-    for (a, b) in manual.tags().iter().zip(legacy.tags()) {
+    assert_eq!(manual.config(), preset.config());
+    assert_eq!(manual.noise_power(), preset.noise_power());
+    for (a, b) in manual.tags().iter().zip(preset.tags()) {
+        assert_eq!(a.global_id, b.global_id);
         assert_eq!(a.channel, b.channel);
+        assert_eq!(a.message, b.message);
+        assert_eq!(a.initial_offset_us, b.initial_offset_us);
     }
 }
 
