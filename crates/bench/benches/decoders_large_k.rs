@@ -8,7 +8,7 @@
 //! the *population* rather than with collision density.  That is not what
 //! the protocol runs at large K: `ParticipationCode::for_population` clamps
 //! `p` to `[0.15, 0.85]`, so a target of 4 colliders gives `0.15·K` per slot
-//! from K = 27 up (15 at K = 100, 22.5 at K = 150).  The
+//! from K = 27 up (15 at K = 100, 22.5 at K = 150, 30 at K = 200).  The
 //! `session_worklist_dense` entries measure that regime.
 //!
 //! A reference measurement for this suite lives in
@@ -187,10 +187,11 @@ fn bench_decoders_large_k(c: &mut Criterion) {
         });
     }
     // The regime the protocol actually runs at K ≥ 27: the participation
-    // floor holds p at 0.15, so 15 and 22.5 nodes collide per slot.  Every
-    // flip touches most gains, the pair scan runs flat, and the sweep's
-    // parallel gate engages.
-    for &k in &[100usize, 150] {
+    // floor holds p at 0.15, so 15, 22.5 and 30 nodes collide per slot.
+    // Every flip touches most gains, the pair scan runs flat, and the
+    // sweep's parallel gate engages.  K = 200 is the benchmark's largest
+    // population.
+    for &k in &[100usize, 150, 200] {
         let (channels, bits, stream) = build_slot_stream(k, 3 * k, 0.15 * k as f64);
         group.bench_with_input(BenchmarkId::new("session_worklist_dense", k), &k, |b, _| {
             b.iter(|| run_session(&channels, bits, &stream, DecodeSchedule::Worklist));

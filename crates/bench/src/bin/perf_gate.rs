@@ -24,7 +24,10 @@
 //! a baseline entry missing from the bench output means a benchmark was
 //! silently dropped (which would disarm the gate for good), and a measured
 //! entry missing from the baseline means a new benchmark landed without a
-//! recorded reference — re-record the baseline to admit it.
+//! recorded reference — re-record the baseline to admit it.  A malformed
+//! command line exits 2 with the usage message: an unknown flag, a missing
+//! or unparsable value, a factor that is not finite and positive, or a
+//! floor that is not finite and non-negative.
 
 use std::fmt::Write as _;
 use std::io::Write as _;
@@ -196,31 +199,71 @@ fn render_markdown(
     (out, failed)
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut baseline_path = String::new();
-    let mut bench_output_path = String::new();
-    let mut factor = 1.5f64;
-    let mut floor_ms = 0.05f64;
-    let mut summary_path: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--baseline" => baseline_path = it.next().cloned().unwrap_or_default(),
-            "--bench-output" => bench_output_path = it.next().cloned().unwrap_or_default(),
-            "--factor" => factor = it.next().and_then(|v| v.parse().ok()).unwrap_or(factor),
-            "--floor-ms" => floor_ms = it.next().and_then(|v| v.parse().ok()).unwrap_or(floor_ms),
-            "--summary" => summary_path = it.next().cloned(),
-            other => eprintln!("ignoring unknown flag {other}"),
+const USAGE: &str = "usage: perf_gate --baseline <json> --bench-output <file> \
+                     [--factor 1.5] [--floor-ms 0.05] [--summary <md>]";
+
+/// The gate's command line.
+#[derive(Debug, PartialEq)]
+struct Options {
+    baseline_path: String,
+    bench_output_path: String,
+    factor: f64,
+    floor_ms: f64,
+    summary_path: Option<String>,
+}
+
+/// Parses the command line.  A missing or unparsable value, a factor that is
+/// not finite and positive, a floor that is not finite and non-negative, an
+/// unknown flag and a missing `--baseline` or `--bench-output` are errors:
+/// a gate that silently fell back to a default, or compared against `NaN`
+/// or infinity, would pass every run.
+fn parse_args(args: &[String]) -> Result<Options, String> {
+    fn number(flag: &str, value: &str, ok: fn(f64) -> bool) -> Result<f64, String> {
+        match value.parse::<f64>() {
+            Ok(v) if v.is_finite() && ok(v) => Ok(v),
+            _ => Err(format!("invalid value {value:?} for {flag}")),
         }
     }
-    if baseline_path.is_empty() || bench_output_path.is_empty() {
-        eprintln!(
-            "usage: perf_gate --baseline <json> --bench-output <file> \
-             [--factor 1.5] [--floor-ms 0.05] [--summary <md>]"
-        );
-        return ExitCode::from(2);
+    let mut options = Options {
+        baseline_path: String::new(),
+        bench_output_path: String::new(),
+        factor: 1.5,
+        floor_ms: 0.05,
+        summary_path: None,
+    };
+    let mut it = args.iter();
+    while let Some(flag) = it.next() {
+        let mut value = || it.next().ok_or_else(|| format!("{flag} needs a value"));
+        match flag.as_str() {
+            "--baseline" => options.baseline_path = value()?.clone(),
+            "--bench-output" => options.bench_output_path = value()?.clone(),
+            "--factor" => options.factor = number(flag, value()?, |f| f > 0.0)?,
+            "--floor-ms" => options.floor_ms = number(flag, value()?, |f| f >= 0.0)?,
+            "--summary" => options.summary_path = Some(value()?.clone()),
+            other => return Err(format!("unknown flag {other}")),
+        }
     }
+    if options.baseline_path.is_empty() || options.bench_output_path.is_empty() {
+        return Err("--baseline and --bench-output are required".into());
+    }
+    Ok(options)
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Options {
+        baseline_path,
+        bench_output_path,
+        factor,
+        floor_ms,
+        summary_path,
+    } = match parse_args(&args) {
+        Ok(options) => options,
+        Err(e) => {
+            eprintln!("{e}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
     let baseline_text = match std::fs::read_to_string(&baseline_path) {
         Ok(t) => t,
         Err(e) => {
@@ -377,6 +420,65 @@ bench decoders_large_k/session_worklist/64: 3 iters, mean 20.100 ms/iter\n";
         assert!(failed);
         assert!(markdown.contains("missing from bench output"));
         assert!(markdown.contains("❌ not in baseline"));
+    }
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|a| (*a).to_string()).collect()
+    }
+
+    #[test]
+    fn command_line_defaults_and_overrides_parse() {
+        let required = ["--baseline", "b.json", "--bench-output", "o.txt"];
+        let options = parse_args(&args(&required)).unwrap();
+        assert_eq!(
+            options,
+            Options {
+                baseline_path: "b.json".into(),
+                bench_output_path: "o.txt".into(),
+                factor: 1.5,
+                floor_ms: 0.05,
+                summary_path: None,
+            }
+        );
+        let mut all = required.to_vec();
+        all.extend(["--factor", "2", "--floor-ms", "0", "--summary", "s.md"]);
+        let options = parse_args(&args(&all)).unwrap();
+        assert_eq!((options.factor, options.floor_ms), (2.0, 0.0));
+        assert_eq!(options.summary_path.as_deref(), Some("s.md"));
+    }
+
+    #[test]
+    fn values_that_would_disarm_the_gate_are_usage_errors() {
+        // Each of these once passed a bench output whose every row read far
+        // past its ceiling (`NaN`, an infinite factor or floor), silently
+        // kept a default (`abc`), or was only warned about (unknown flags).
+        let required = ["--baseline", "b.json", "--bench-output", "o.txt"];
+        let bad: [&[&str]; 16] = [
+            &["--factor", "NaN"],
+            &["--factor", "inf"],
+            &["--factor", "-inf"],
+            &["--factor", "abc"],
+            &["--factor", "0"],
+            &["--factor", "-1.5"],
+            &["--factor"],
+            &["--floor-ms", "NaN"],
+            &["--floor-ms", "inf"],
+            &["--floor-ms", "-0.01"],
+            &["--floor-ms", "abc"],
+            &["--floor-ms"],
+            &["--summary"],
+            &["--bench-output"],
+            &["--facto", "2"],
+            &["--verbose"],
+        ];
+        for extra in bad {
+            let mut list = required.to_vec();
+            list.extend(extra);
+            assert!(parse_args(&args(&list)).is_err(), "{extra:?} was accepted");
+        }
+        assert!(parse_args(&args(&["--baseline", "b.json"])).is_err());
+        assert!(parse_args(&args(&["--bench-output", "o.txt"])).is_err());
+        assert!(parse_args(&args(&["--baseline", "", "--bench-output", "o.txt"])).is_err());
     }
 
     #[test]

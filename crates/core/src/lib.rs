@@ -62,7 +62,6 @@
 pub mod bp;
 pub mod executor;
 pub mod identification;
-pub mod max_tracker;
 pub mod metrics;
 pub mod mp;
 pub mod protocol;

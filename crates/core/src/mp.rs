@@ -145,7 +145,7 @@ pub(crate) struct MessagePassingState {
 
 impl MessagePassingState {
     fn new(decoder: &BitFlippingDecoder) -> Self {
-        let k = decoder.channels.len();
+        let k = decoder.channels().len();
         let p = decoder.message_bits;
         let edges = decoder.d.nnz();
         Self {
@@ -190,7 +190,7 @@ impl MessagePassingState {
         position: usize,
         window_start: usize,
     ) -> u64 {
-        let k = decoder.channels.len();
+        let k = decoder.channels().len();
         let rows = decoder.d.rows();
         let mut sweeps = 0u64;
         for _ in 0..MAX_SWEEPS_PER_CALL {
@@ -209,7 +209,7 @@ impl MessagePassingState {
                 let mut mean = Complex::ZERO;
                 let mut variance = 0.0f64;
                 for (e, &i) in cols.iter().enumerate() {
-                    let prob = match &decoder.locked[i] {
+                    let prob = match &decoder.locked()[i] {
                         Some(frame) => {
                             if frame[position] {
                                 1.0
@@ -223,16 +223,16 @@ impl MessagePassingState {
                         }
                     };
                     self.prob_scratch[e] = prob;
-                    let h = decoder.channels[i];
+                    let h = decoder.channels()[i];
                     mean += h.scale(prob);
                     variance += prob * (1.0 - prob) * h.norm_sqr();
                 }
                 for (e, &i) in cols.iter().enumerate() {
-                    if decoder.locked[i].is_some() {
+                    if decoder.locked()[i].is_some() {
                         continue;
                     }
                     let prob = self.prob_scratch[e];
-                    let h = decoder.channels[i];
+                    let h = decoder.channels()[i];
                     let power = h.norm_sqr();
                     // Soft interference cancellation: remove every *other*
                     // participant's expected contribution.
@@ -248,7 +248,7 @@ impl MessagePassingState {
             // Bit-node updates: posterior = sum of in-window check messages.
             let mut max_delta = 0.0f64;
             for i in 0..k {
-                if decoder.locked[i].is_some() {
+                if decoder.locked()[i].is_some() {
                     continue;
                 }
                 let mut sum = 0.0;
@@ -280,7 +280,7 @@ impl MessagePassingState {
     /// nodes keep their verified frames verbatim).
     fn refresh_frames(&mut self, decoder: &BitFlippingDecoder) {
         for (node, frame) in self.frames.iter_mut().enumerate() {
-            match &decoder.locked[node] {
+            match &decoder.locked()[node] {
                 Some(verified) => frame.clone_from(verified),
                 None => {
                     for (position, bit) in frame.iter_mut().enumerate() {
@@ -310,7 +310,7 @@ impl MessagePassingState {
                 let mut expected = Complex::ZERO;
                 for &i in cols {
                     if self.frames[i][position] {
-                        expected += decoder.channels[i];
+                        expected += decoder.channels()[i];
                     }
                 }
                 power += (received - expected).norm_sqr();
@@ -378,7 +378,7 @@ impl BitFlippingDecoder {
                 // the snapshot below see them.
                 mp.refresh_frames(self);
             }
-            let all_locked = self.locked.iter().all(Option::is_some);
+            let all_locked = self.locked().iter().all(Option::is_some);
             if locked_now.is_empty() || all_locked {
                 break;
             }
@@ -403,7 +403,7 @@ impl BitFlippingDecoder {
             }
         }
 
-        if !self.locked.iter().all(Option::is_some) {
+        if !self.locked().iter().all(Option::is_some) {
             self.reestimate_channels_soft(&mp);
         }
 
@@ -435,13 +435,13 @@ impl BitFlippingDecoder {
         if rows < MIN_REFIT_ROWS {
             return;
         }
-        let k = self.channels.len();
+        let k = self.channels().len();
         let p = self.message_bits;
         let start = rows.saturating_sub(REFIT_WINDOW);
 
         let confidence: Vec<f64> = (0..k)
             .map(|i| {
-                if self.locked[i].is_some() {
+                if self.locked()[i].is_some() {
                     1.0
                 } else {
                     mp.confidence(i)
@@ -457,7 +457,7 @@ impl BitFlippingDecoder {
             }
             let mut trust = 1.0f64;
             for &i in row {
-                if self.locked[i].is_none() {
+                if self.locked()[i].is_none() {
                     trust *= confidence[i];
                 }
             }
@@ -496,7 +496,7 @@ impl BitFlippingDecoder {
                 let active: Vec<usize> = cols
                     .iter()
                     .copied()
-                    .filter(|&i| match &self.locked[i] {
+                    .filter(|&i| match &self.locked()[i] {
                         Some(frame) => frame[pos],
                         None => mp.frames[i][pos],
                     })
@@ -527,7 +527,7 @@ impl BitFlippingDecoder {
         for (idx, &node) in involved.iter().enumerate() {
             let candidate = refit[idx];
             if candidate.is_finite() && gram_real[idx][idx] >= threshold {
-                self.channels[node] = candidate;
+                self.set_channel(node, candidate);
             }
         }
     }

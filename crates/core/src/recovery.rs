@@ -79,7 +79,8 @@ pub struct RecoveryConfig {
     /// Snapshot the decoder every this many data slots (`0` disables
     /// checkpointing, making a reader restart start the decode over from
     /// nothing, as in the plain protocol — though the session still
-    /// continues instead of aborting).
+    /// continues instead of aborting).  A medium without a fault plan
+    /// raises no reader restart, so its sessions take no snapshots.
     pub checkpoint_interval: usize,
     /// Session slot budget as a multiple of the population size; covers
     /// data, backoff, and request slots (the fallback polls are bounded
@@ -464,7 +465,11 @@ impl ResilientBuzzProtocol {
                     complete = true;
                     break;
                 }
-                if rec.checkpoint_interval > 0 && data_slots.is_multiple_of(rec.checkpoint_interval)
+                // Only a reader-restart fault reads the checkpoint, and a
+                // medium without a fault plan never raises one.
+                if rec.checkpoint_interval > 0
+                    && data_slots.is_multiple_of(rec.checkpoint_interval)
+                    && medium.has_faults()
                 {
                     checkpoint = Some(Checkpoint {
                         decoder: decoder.clone(),
