@@ -28,7 +28,7 @@
 use backscatter_codes::message::Message;
 use backscatter_phy::complex::Complex;
 use backscatter_prng::{NodeSeed, Rng64, Xoshiro256};
-use buzz::bp::{BitFlippingDecoder, DecodeSchedule};
+use buzz::bp::BitFlippingDecoder;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 /// Builds a ready-to-decode collision problem with `k` nodes, `slots` slots,
@@ -48,12 +48,9 @@ fn build_sparse_problem(k: usize, slots: usize, expected_colliders: f64) -> BitF
         .map(|i| Message::standard_32bit(9_000 + i as u64).unwrap().framed())
         .collect();
     let seeds: Vec<NodeSeed> = (0..k as u64).map(|i| NodeSeed(40_000 + i)).collect();
-    // A single cold decode is a FullPass-shaped workload (the worklist
-    // schedule's persistent state would never be reused); pin it so the
-    // entry keeps measuring the same hot path across default changes.
-    let mut decoder = BitFlippingDecoder::new(channels.clone(), frames[0].len(), 1e-4)
-        .unwrap()
-        .with_schedule(DecodeSchedule::FullPass);
+    // One cold decode of the whole slot set: the worklist builds a state
+    // per position and descends each once from the all-zeros start.
+    let mut decoder = BitFlippingDecoder::new(channels.clone(), frames[0].len(), 1e-4).unwrap();
     for slot in 0..slots as u64 {
         let participants: Vec<bool> = seeds
             .iter()
@@ -76,8 +73,7 @@ fn build_sparse_problem(k: usize, slots: usize, expected_colliders: f64) -> BitF
 }
 
 /// Pre-generates the slot stream of a rateless session: participants and
-/// noiseless symbols per slot, shared by both schedules so the comparison is
-/// apples to apples.
+/// noiseless symbols per slot.
 #[allow(clippy::type_complexity)]
 fn build_slot_stream(
     k: usize,
@@ -127,11 +123,8 @@ fn run_session(
     channels: &[Complex],
     message_bits: usize,
     stream: &[(Vec<bool>, Vec<Complex>)],
-    schedule: DecodeSchedule,
 ) -> usize {
-    let mut decoder = BitFlippingDecoder::new(channels.to_vec(), message_bits, 1e-4)
-        .unwrap()
-        .with_schedule(schedule);
+    let mut decoder = BitFlippingDecoder::new(channels.to_vec(), message_bits, 1e-4).unwrap();
     for (slot, (participants, symbols)) in stream.iter().enumerate() {
         decoder.add_slot(participants, symbols.clone()).unwrap();
         let state = decoder.decode().unwrap();
@@ -160,30 +153,24 @@ fn bench_decoders_large_k(c: &mut Criterion) {
             // 3K slots give the sparse code enough redundancy to converge
             // at ~4 colliders per slot.
             let decoder = build_sparse_problem(k, 3 * k, 4.0);
+            // One untimed decode first.  Every timed call still starts from
+            // a fresh clone with no worklist and builds and descends a state
+            // per position, but without this the states (~150 KB at K = 32)
+            // land on pages the process has never touched, and in smoke
+            // mode's single iteration those first-touch page faults cost
+            // about as much as the decode itself.
+            decoder.clone().decode().unwrap();
             b.iter(|| decoder.clone().decode().unwrap());
         });
     }
 
-    // The Fig. 11 regime measurement: a whole rateless session per iteration,
-    // once per decode schedule.  This is the headline number behind the
-    // worklist refactor — FullPass re-derives every bit position on every
-    // slot, Worklist only revisits perturbed positions.
+    // The Fig. 11 regime measurement: a whole rateless session per
+    // iteration, in which the worklist only revisits perturbed positions.
     group.sample_size(samples(3));
-    for &k in &[32usize, 64] {
-        let (channels, bits, stream) = build_slot_stream(k, 3 * k, 4.0);
-        group.bench_with_input(BenchmarkId::new("session_full_pass", k), &k, |b, _| {
-            b.iter(|| run_session(&channels, bits, &stream, DecodeSchedule::FullPass));
-        });
-        group.bench_with_input(BenchmarkId::new("session_worklist", k), &k, |b, _| {
-            b.iter(|| run_session(&channels, bits, &stream, DecodeSchedule::Worklist));
-        });
-    }
-    // FullPass at K = 100+ takes minutes per session — the point of the
-    // refactor; only the worklist schedule is benchable there.
-    for &k in &[100usize, 150] {
+    for &k in &[32usize, 64, 100, 150] {
         let (channels, bits, stream) = build_slot_stream(k, 3 * k, 4.0);
         group.bench_with_input(BenchmarkId::new("session_worklist", k), &k, |b, _| {
-            b.iter(|| run_session(&channels, bits, &stream, DecodeSchedule::Worklist));
+            b.iter(|| run_session(&channels, bits, &stream));
         });
     }
     // The regime the protocol actually runs at K ≥ 27: the participation
@@ -194,7 +181,7 @@ fn bench_decoders_large_k(c: &mut Criterion) {
     for &k in &[100usize, 150, 200] {
         let (channels, bits, stream) = build_slot_stream(k, 3 * k, 0.15 * k as f64);
         group.bench_with_input(BenchmarkId::new("session_worklist_dense", k), &k, |b, _| {
-            b.iter(|| run_session(&channels, bits, &stream, DecodeSchedule::Worklist));
+            b.iter(|| run_session(&channels, bits, &stream));
         });
     }
     group.finish();

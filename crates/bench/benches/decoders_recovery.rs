@@ -53,6 +53,17 @@ fn bench_decoders_recovery(c: &mut Criterion) {
 
     let protocol =
         ResilientBuzzProtocol::new(periodic_config(), RecoveryConfig::default()).unwrap();
+    // The restart comes at slot 3, before these sessions decode (5 slots at
+    // K = 8, 7 at K = 16), so snapshots every 2 data slots give it a
+    // checkpoint to resume from (the default 4 would not).
+    let snapshotting = ResilientBuzzProtocol::new(
+        periodic_config(),
+        RecoveryConfig {
+            checkpoint_interval: 2,
+            ..RecoveryConfig::default()
+        },
+    )
+    .unwrap();
 
     for &k in &[8usize, 16] {
         // Fault-free: the recovery layer idling — decode cost plus the
@@ -81,18 +92,18 @@ fn bench_decoders_recovery(c: &mut Criterion) {
             },
         );
 
-        // Mid-session reader restart: checkpoint restore plus the replayed
-        // slots between the snapshot and the restart.
+        // Mid-session reader restart: checkpoint restore at data slot 2
+        // plus the slot replayed between the snapshot and the restart.
         group.bench_with_input(
             BenchmarkId::new("session_restart_resume", k),
             &k,
             |b, &k| {
                 b.iter(|| {
                     let scenario = ScenarioBuilder::paper_uplink(k, 310)
-                        .fault(ReaderRestart::new(5))
+                        .fault(ReaderRestart::new(3))
                         .build()
                         .unwrap();
-                    run_session(&protocol, scenario, 6)
+                    run_session(&snapshotting, scenario, 6)
                 });
             },
         );

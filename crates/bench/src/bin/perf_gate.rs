@@ -310,7 +310,7 @@ mod tests {
 
     const BASELINE: &str = r#"{
   "results": [
-    { "id": "decoders_large_k/session_full_pass/64", "iters": 3, "mean_ms_per_iter": 127.705 },
+    { "id": "decoders_large_k/session_worklist_dense/100", "iters": 3, "mean_ms_per_iter": 127.705 },
     { "id": "decoders_large_k/session_worklist/64", "iters": 3, "mean_ms_per_iter": 24.613 }
   ]
 }"#;
@@ -319,12 +319,15 @@ mod tests {
     fn parses_baseline_and_bench_output() {
         let baseline = parse_baseline(BASELINE);
         assert_eq!(baseline.len(), 2);
-        assert_eq!(baseline[0].id, "decoders_large_k/session_full_pass/64");
+        assert_eq!(
+            baseline[0].id,
+            "decoders_large_k/session_worklist_dense/100"
+        );
         assert!((baseline[1].mean_ms - 24.613).abs() < 1e-9);
 
         let bench = "\
 warming up\n\
-bench decoders_large_k/session_full_pass/64: 3 iters, mean 130.001 ms/iter\n\
+bench decoders_large_k/session_worklist_dense/100: 3 iters, mean 130.001 ms/iter\n\
 bench decoders_large_k/session_worklist/64: 3 iters, mean 20.100 ms/iter\n";
         let measured = parse_bench_output(bench);
         assert_eq!(measured.len(), 2);
@@ -336,7 +339,7 @@ bench decoders_large_k/session_worklist/64: 3 iters, mean 20.100 ms/iter\n";
         let baseline = parse_baseline(BASELINE);
         let measured = vec![
             Entry {
-                id: "decoders_large_k/session_full_pass/64".into(),
+                id: "decoders_large_k/session_worklist_dense/100".into(),
                 mean_ms: 150.0, // 1.17x: within 1.5x
             },
             Entry {
@@ -360,7 +363,7 @@ bench decoders_large_k/session_worklist/64: 3 iters, mean 20.100 ms/iter\n";
         let baseline = parse_baseline(BASELINE);
         let measured = vec![
             Entry {
-                id: "decoders_large_k/session_full_pass/64".into(),
+                id: "decoders_large_k/session_worklist_dense/100".into(),
                 mean_ms: 127.705,
             },
             Entry {
@@ -488,7 +491,7 @@ bench decoders_large_k/session_worklist/64: 3 iters, mean 20.100 ms/iter\n";
         let baseline = parse_baseline(BASELINE);
         let mut measured = vec![
             Entry {
-                id: "decoders_large_k/session_full_pass/64".into(),
+                id: "decoders_large_k/session_worklist_dense/100".into(),
                 mean_ms: 127.705,
             },
             Entry {

@@ -44,8 +44,8 @@
 //! pair-flip escape uses the participation matrix's neighbour index
 //! (columns sharing ≥ 1 slot, with multiplicity), so it costs one `O(1)`
 //! evaluation per *colliding* pair instead of a residual walk over every
-//! `(i, l)` combination.  Every schedule — FullPass, the worklist's
-//! persistent states and the cold-restart battery — runs this one kernel.
+//! `(i, l)` combination.  The worklist's persistent states and its
+//! cold-restart battery run this one kernel.
 //!
 //! # The dense regime
 //!
@@ -95,27 +95,26 @@
 //!
 //! # Decode scheduling
 //!
-//! [`DecodeSchedule`] selects how `decode` spends that machinery:
-//!
-//! * [`DecodeSchedule::FullPass`] re-derives every bit position from scratch
-//!   on every call (a deterministic cold start plus random restarts per
-//!   position).  This is the PR 3 decoder, kept byte-identical; the paper's
-//!   original figures run on it.
-//! * [`DecodeSchedule::Worklist`] keeps one *persistent* `PositionState`
-//!   per bit position across calls and only revisits **dirty** positions: a
-//!   position is dirtied when a newly appended slot touches one of its
-//!   unlocked nodes, when locking a node flips that node's bit there (the
-//!   perturbation walks the CSC column to the shared slots and each slot's
-//!   row to the neighbours whose gains move), or when a channel refit
-//!   perturbs a slot the position's residuals depend on.  Converged
-//!   positions are skipped entirely — skipping is provably a no-op, because
-//!   a skipped position's state is a descent fixed point and `descend` on a
-//!   fixed point performs zero flips — and every sparse partial update
-//!   (`append_row`, lock pinning, audit un-pinning, refit deltas that reach
-//!   few nodes) rewrites only the gains it moved.  This is what makes the
-//!   rateless loop's cost per slot proportional to the *perturbed*
-//!   neighbourhood rather than to `positions × nodes`, the difference
-//!   between K = 16 and K = 150 being practical.
+//! [`DecodeSchedule`] selects how `decode` spends that machinery.  The one
+//! hard-decision schedule, [`DecodeSchedule::Worklist`] (the default), keeps
+//! one *persistent* `PositionState` per bit position across calls and only
+//! revisits **dirty** positions: a position is dirtied when a newly appended
+//! slot touches one of its unlocked nodes, when locking a node flips that
+//! node's bit there (the perturbation walks the CSC column to the shared
+//! slots and each slot's row to the neighbours whose gains move), or when a
+//! channel refit perturbs a slot the position's residuals depend on.
+//! Converged positions are skipped entirely — skipping is provably a no-op,
+//! because a skipped position's state is a descent fixed point and `descend`
+//! on a fixed point performs zero flips — and every sparse partial update
+//! (`append_row`, lock pinning, audit un-pinning, refit deltas that reach few
+//! nodes) rewrites only the gains it moved.  This is what makes the rateless
+//! loop's cost per slot proportional to the *perturbed* neighbourhood rather
+//! than to `positions × nodes`, the difference between K = 16 and K = 150
+//! being practical.  When a session stalls, one sweep races every position's
+//! warm state against a battery of cold restarts (see `COLD_RESTARTS`), so
+//! early-evidence local minima cannot survive indefinitely.
+//! [`DecodeSchedule::MessagePassing`] is the soft-decision schedule of
+//! [`crate::mp`].
 
 use std::sync::Mutex;
 
@@ -130,24 +129,18 @@ use crate::{BuzzError, BuzzResult};
 /// How [`BitFlippingDecoder::decode`] schedules per-position work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DecodeSchedule {
-    /// Re-derive every bit position from scratch on every decode call
-    /// (deterministic cold start + random restarts).  Byte-identical to the
-    /// historical decoder; the compat pin when bit-exact comparability with
-    /// previously recorded runs matters more than speed — the paper's K ≤ 16
-    /// figures select it explicitly and stay byte-identical forever.
-    FullPass,
-    /// Worklist-driven: persistent per-position descent states, dirty
-    /// propagation through the participation matrix's neighbour structure,
-    /// converged positions skipped.  Same decoded messages on decodable
-    /// workloads, asymptotically cheaper per slot — the only practical
-    /// schedule at K = 100+, and the default since the K = 300 scale-up.
+    /// Hard-decision bit flipping, worklist-driven: persistent per-position
+    /// descent states, dirty propagation through the participation matrix's
+    /// neighbour structure, converged positions skipped, and a cold-restart
+    /// battery when the session stalls.  The default, and the schedule the
+    /// paper figures run.
     #[default]
     Worklist,
     /// Soft-decision message passing (see [`crate::mp`]): damped
     /// check-node / bit-node updates over the same sparse participation
     /// graph, per-position LLRs derived from the complex slot residuals, and
     /// confidence-weighted channel tracking for *unlocked* nodes.  Same
-    /// determinism contract as the other schedules.  This is the schedule
+    /// determinism contract as the worklist.  This is the schedule
     /// that survives correlated fading — hard bit-flipping against stale
     /// slot-0 channel estimates collapses once fades decorrelate, while the
     /// soft decoder keeps tracking the channel through its best-guess
@@ -309,11 +302,38 @@ struct PositionState {
 }
 
 /// Cold restarts per position: one deterministic all-zeros start plus three
-/// pseudorandom ones.  `decode_position` (FullPass) always runs the battery;
-/// the worklist schedule runs it in the first sweep of an escalated call
-/// (a stalled session, see `decode_worklist_on`), which dirties every
-/// position and races each one's warm state against the battery.
+/// pseudorandom ones.  The worklist schedule runs this battery in the first
+/// sweep of an escalated call (a stalled session, see `decode_worklist_on`),
+/// which dirties every position and races each one's warm state against the
+/// battery.
 const COLD_RESTARTS: u64 = 4;
+
+/// Consecutive new-evidence decode calls a candidate must survive unchanged
+/// before the stability gate trusts it.  Warm candidates are stable *by
+/// construction* — a persistent state only moves when perturbed — so the
+/// streak must be long before stability is taken as evidence of correctness
+/// rather than of persistence.
+const STABLE_LOCK_STREAK: u32 = 8;
+
+/// Observations an unlocked node needs before the message-passing schedule
+/// may lock it on an entangled (not all-clean) fit.  A node seen in one or
+/// two slots shared with other unlocked nodes is underdetermined, and a
+/// 5-bit CRC passes one garbage candidate in 32.
+///
+/// The hard worklist does without this floor; its overfit-pressure floor
+/// (`rows ≥ unlocked/2`) and the post-lock audit guard it.  There the floor
+/// held every `fig9` lock back to slot 12 (slot 7 without it) and cost
+/// `fig10` its speed-up over TDMA (0.98× against 1.46× without it), while
+/// the periodic lock census (`protocol::tests`, 1,600 sessions) reads 2
+/// wrong messages without it and read 0 with it.
+///
+/// The soft schedule needs it.  Without the floor it locks two wrong frames
+/// on the noiseless (seed 170, K = 3) session of
+/// `mp::tests::noiseless_differential_against_bit_flipping`, where
+/// `h₀ ≈ −h₁`, and over 1,500 periodic `paper_uplink` sessions (K = 2, 4,
+/// 8, 12 and 16 at 300 locations each) its wrong messages rise from 18 to
+/// 37.
+const MIN_SOFT_LOCK_EVIDENCE: usize = 3;
 
 /// Colliding-pair count of the participation matrix from which a worklist
 /// sweep descends its dirty positions on parallel workers.  Below it a
@@ -823,7 +843,7 @@ impl BitFlippingDecoder {
 
     /// Whether the message-passing schedule has handed this session off to
     /// the hard bit-flipping worklist (`false` before the first decode, when
-    /// the handoff is disabled, or under the other schedules).
+    /// the handoff is disabled, or under the worklist schedule).
     #[must_use]
     pub fn static_handoff_engaged(&self) -> bool {
         self.mp.as_deref().is_some_and(|mp| mp.handed_off())
@@ -863,9 +883,9 @@ impl BitFlippingDecoder {
 
     /// How many times the worklist schedule has descended each bit position
     /// (`None` before the first worklist decode, or under
-    /// [`DecodeSchedule::FullPass`]).  A position a decode call skipped keeps
-    /// its previous count — the observable behind "converged positions are
-    /// genuinely skipped".
+    /// [`DecodeSchedule::MessagePassing`] before its handoff).  A position a
+    /// decode call skipped keeps its previous count — the observable behind
+    /// "converged positions are genuinely skipped".
     #[must_use]
     pub fn worklist_position_visits(&self) -> Option<&[u64]> {
         self.worklist.as_deref().map(|wl| wl.visits.as_slice())
@@ -873,7 +893,7 @@ impl BitFlippingDecoder {
 
     /// Cumulative number of message-passing sweeps performed across all
     /// decode calls (`None` before the first message-passing decode, or under
-    /// the bit-flipping schedules).  Sweep counts derive only from decoder
+    /// the worklist schedule).  Sweep counts derive only from decoder
     /// state, so for a fixed seed and slot stream they are the observable
     /// behind the schedule's determinism contract.
     #[must_use]
@@ -943,74 +963,26 @@ impl BitFlippingDecoder {
             ));
         }
         match self.schedule {
-            DecodeSchedule::FullPass => self.decode_full_pass(),
             DecodeSchedule::Worklist => self.decode_worklist(),
             DecodeSchedule::MessagePassing => self.decode_message_passing(),
         }
-    }
-
-    /// The historical decode: every call re-derives every bit position from
-    /// scratch.  Kept byte-identical to the PR 3 decoder.
-    fn decode_full_pass(&mut self) -> BuzzResult<DecodeState> {
-        let k = self.channels.len();
-        let p = self.message_bits;
-        let l = self.d.rows();
-
-        // Decode-and-lock until a fixed point: each pass decodes every bit
-        // position (bits at different positions never collide with each
-        // other), CRC-checks the candidate frames, and locks the ones that
-        // pass.  Locking a strong node's message pins its bits in the next
-        // pass, which is the "ripple effect" §8.2 describes — weaker nodes
-        // become decodable once their collision partners are resolved.
-        let mut frames: Vec<Vec<bool>> = vec![vec![false; p]; k];
-        let mut newly_decoded = Vec::new();
-        loop {
-            // The per-(slot, position) residuals are maintained incrementally
-            // by each position's descent, so the per-slot residual power the
-            // locking gates need falls out of the decode itself — no separate
-            // O(slots × bits × colliders) refit pass.
-            let mut slot_power = vec![0.0f64; l];
-            for position in 0..p {
-                let (bits, residual) = self.decode_position(position);
-                for (node, &bit) in bits.iter().enumerate() {
-                    frames[node][position] = bit;
-                }
-                for (acc, r) in slot_power.iter_mut().zip(&residual) {
-                    *acc += r.norm_sqr();
-                }
-            }
-            let per_slot_residual: Vec<f64> = slot_power.iter().map(|&t| t / p as f64).collect();
-
-            let locked_now = self.lock_pass(&frames, &per_slot_residual, 0, &mut newly_decoded);
-            let all_locked = self.locked.iter().all(Option::is_some);
-            if locked_now.is_empty() || all_locked {
-                break;
-            }
-        }
-
-        self.snapshot_candidates(&frames);
-
-        // With the pass finished, refine the channel estimates from the data
-        // itself: the (mostly correct) candidate bit matrix and the received
-        // symbols over-determine `H`, and a least-squares refit washes out the
-        // estimation error the identification phase left behind.  The improved
-        // estimates take effect on the next decode call.
-        if !self.locked.iter().all(Option::is_some) && self.d.rows() >= 3 {
-            self.reestimate_channels(None);
-        }
-
-        Ok(DecodeState {
-            decoded_payloads: self.decoded_payloads(),
-            newly_decoded,
-            candidate_frames: frames,
-        })
     }
 
     /// The worklist decode: persistent per-position states, only dirty
     /// positions revisited.  See the module docs for the dirtiness rules.
     /// Dense sweeps run on every available hardware thread.
     pub(crate) fn decode_worklist(&mut self) -> BuzzResult<DecodeState> {
-        self.decode_worklist_on(available_threads())
+        // Whether this session's sweeps are dense enough to run in parallel
+        // (the matrix only grows, so the answer is fixed within the call).
+        // Below the gate the thread count is never asked for: its first
+        // query reads the process's CPU limits (~0.1 ms), which a sparse
+        // session never needs.
+        let workers = if self.d.colliding_pairs() >= PARALLEL_SWEEP_MIN_PAIRS {
+            available_threads()
+        } else {
+            1
+        };
+        self.decode_worklist_on(workers)
     }
 
     /// [`BitFlippingDecoder::decode_worklist`] with up to `workers` threads
@@ -1035,13 +1007,12 @@ impl BitFlippingDecoder {
         // (a weak node's wrong bits cost less error than the noise floor)
         // — while the locking gates starve.  When the session stalls (no
         // lock for a couple of calls), every position races the full cold
-        // restart battery (exactly the descents a FullPass call would run)
-        // against its warm state and keeps the better minimum, i.e. the
-        // decoder periodically cross-checks itself against one FullPass
-        // call.  The trigger follows a multiplicative evidence schedule
-        // (the next escalation waits for ~1.5× the rows), so a session pays
-        // O(log rows) batteries, not one per call.  Everything derives from
-        // decoder state, so determinism is preserved.
+        // restart battery against its warm state and keeps the better
+        // minimum, i.e. the decoder periodically cross-checks itself against
+        // a from-scratch decode.  The trigger follows a multiplicative
+        // evidence schedule (the next escalation waits for ~1.5× the rows),
+        // so a session pays O(log rows) batteries, not one per call.
+        // Everything derives from decoder state, so determinism is preserved.
         let mut escalate = !self.locked.iter().all(Option::is_some)
             && wl.calls_since_lock >= 2
             && self.d.rows() >= wl.next_escalation_rows;
@@ -1050,13 +1021,6 @@ impl BitFlippingDecoder {
             wl.dirty.fill(true);
         }
 
-        // Whether this session's sweeps are dense enough to run in parallel
-        // (the matrix only grows, so the answer is fixed within the call).
-        let workers = if self.d.colliding_pairs() >= PARALLEL_SWEEP_MIN_PAIRS {
-            workers
-        } else {
-            1
-        };
         let mut newly_decoded = Vec::new();
         loop {
             self.sweep(&mut wl, escalate, workers);
@@ -1094,7 +1058,7 @@ impl BitFlippingDecoder {
         // (dirtying the affected positions) so the next call descends from a
         // consistent ledger.
         if !self.locked.iter().all(Option::is_some) && self.d.rows() >= 3 {
-            let changes = self.reestimate_channels(Some(&wl.frames));
+            let changes = self.reestimate_channels(&wl.frames);
             self.apply_channel_changes_to_worklist(&mut wl, &changes);
         }
 
@@ -1187,8 +1151,8 @@ impl BitFlippingDecoder {
         }
     }
 
-    /// Races `state` against the cold-restart battery (exactly the descents
-    /// a FullPass call runs for `position`) and keeps the best minimum.
+    /// Races `state` against the cold-restart battery for `position` and
+    /// keeps the best minimum.
     /// `cold` is scratch of the state's shape, re-seeded for every restart.
     fn race_cold_restarts(
         &self,
@@ -1242,8 +1206,7 @@ impl BitFlippingDecoder {
     /// argmax stale), its stability snapshot is cleared, and every
     /// position is dirtied so the next descents can rewrite its bits.
     /// Correct locks pass the audit — their slots stay explained — so this
-    /// is a safety net with no steady-state cost.  Worklist-only: FullPass
-    /// keeps its historical lock-forever behaviour bit-for-bit.
+    /// is a safety net with no steady-state cost.
     fn audit_locks(&mut self, wl: &mut WorklistState) {
         const AUDIT_EVIDENCE_ROWS: usize = 4;
         let p = self.message_bits;
@@ -1364,25 +1327,28 @@ impl BitFlippingDecoder {
     /// appends them to `newly_decoded`, and returns the nodes locked by this
     /// pass.
     ///
-    /// A candidate is trusted when either
+    /// A candidate whose slots are not all *clean* (every co-participant
+    /// locked) must first clear the overfit-pressure floor, and under
+    /// [`DecodeSchedule::MessagePassing`] also `MIN_SOFT_LOCK_EVIDENCE`
+    /// observations.  It is then trusted when either
     ///   (a) the fit over the slots it participated in is explained by noise
     ///       (goodness-of-fit gate), or
-    ///   (b) the candidate is unchanged from the previous decode call even
-    ///       though new collision slots involving the node have arrived since
-    ///       (stability gate) — this path covers unmodelled interference,
-    ///       where residuals never reach the noise floor but correct messages
-    ///       still stabilize.
+    ///   (b) the candidate is unchanged over `STABLE_LOCK_STREAK` decode
+    ///       calls even though new collision slots involving the node kept
+    ///       arriving (stability gate) — this path covers unmodelled
+    ///       interference, where residuals never reach the noise floor but
+    ///       correct messages still stabilize.
     /// The CRC alone (5 bits) is too weak against the many garbage candidates
     /// an incremental decoder produces, and a false lock would poison all
     /// subsequent decoding.
     ///
     /// `window_start` restricts every residual/evidence computation to slots
-    /// `j ≥ window_start`.  The bit-flipping schedules pass `0` (all slots,
-    /// byte-identical to the historical gates); the message-passing schedule
-    /// passes its sliding-window start, because under time-varying channels
-    /// old slots were received through a *different* channel than the current
-    /// estimate models, and judging a candidate on their residuals would
-    /// reject every correct frame once fades decorrelate.
+    /// `j ≥ window_start`.  The bit-flipping schedule passes `0` (all
+    /// slots); the message-passing schedule passes its sliding-window start,
+    /// because under time-varying channels old slots were received through a
+    /// *different* channel than the current estimate models, and judging a
+    /// candidate on their residuals would reject every correct frame once
+    /// fades decorrelate.
     pub(crate) fn lock_pass(
         &mut self,
         frames: &[Vec<bool>],
@@ -1408,47 +1374,34 @@ impl BitFlippingDecoder {
                 .copied()
                 .filter(|&j| j >= window_start)
                 .collect();
-            // A node observed in only one or two slots shared with other
-            // *unlocked* nodes is underdetermined: overfit assignments
-            // explain the data exactly, and a 5-bit CRC passes by luck for
-            // one candidate in 32 — a wrong lock then poisons the whole
-            // session.  The worklist schedule therefore requires either
-            // enough participations, or that every one of the node's slots
-            // is *clean* — all co-participants already locked, making each
-            // observation a direct measurement with no overfit freedom
-            // (how a weak straggler legitimately locks from one or two
-            // looks once the rest of the population is resolved).
-            // FullPass keeps its historical behaviour bit-for-bit; its
-            // per-call candidate jitter makes persistent overfit luck much
-            // rarer.
-            const MIN_WORKLIST_LOCK_EVIDENCE: usize = 3;
-            if matches!(
-                self.schedule,
-                DecodeSchedule::Worklist | DecodeSchedule::MessagePassing
-            ) {
-                let clean_observations = !windowed_slots.is_empty()
-                    && windowed_slots.iter().all(|&j| {
-                        self.d
-                            .row(j)
-                            .iter()
-                            .all(|&i| i == node || self.locked[i].is_some())
-                    });
-                if !clean_observations {
-                    if windowed_slots.len() < MIN_WORKLIST_LOCK_EVIDENCE {
-                        continue;
-                    }
-                    // Overfit-pressure floor: while the unlocked population
-                    // dwarfs the slot count, the descent can explain the
-                    // data exactly no matter what, so a passing fit carries
-                    // no information and only the 5-bit CRC stands between
-                    // a garbage candidate and a poisonous lock.  Demand
-                    // rows ≥ unlocked/2 before trusting entangled fits; the
-                    // floor falls as locks accumulate, so the decode ripple
-                    // accelerates itself.
-                    let unlocked = self.locked.iter().filter(|l| l.is_none()).count();
-                    if self.d.rows() < unlocked / 2 {
-                        continue;
-                    }
+            // A node whose slots are all *clean* — every co-participant
+            // already locked — is measured directly, with no overfit
+            // freedom: that is how a weak straggler legitimately locks from
+            // one or two looks once the rest of the population is resolved.
+            let clean_observations = !windowed_slots.is_empty()
+                && windowed_slots.iter().all(|&j| {
+                    self.d
+                        .row(j)
+                        .iter()
+                        .all(|&i| i == node || self.locked[i].is_some())
+                });
+            if !clean_observations {
+                if self.schedule == DecodeSchedule::MessagePassing
+                    && windowed_slots.len() < MIN_SOFT_LOCK_EVIDENCE
+                {
+                    continue;
+                }
+                // Overfit-pressure floor: while the unlocked population
+                // dwarfs the slot count, the descent can explain the data
+                // exactly no matter what, so a passing fit carries no
+                // information and only the 5-bit CRC stands between a
+                // garbage candidate and a poisonous lock.  Demand
+                // rows ≥ unlocked/2 before trusting entangled fits; the
+                // floor falls as locks accumulate, so the decode ripple
+                // accelerates itself.
+                let unlocked = self.locked.iter().filter(|l| l.is_none()).count();
+                if self.d.rows() < unlocked / 2 {
+                    continue;
                 }
             }
             let fit_ok = self.fit_is_plausible(node, per_slot_residual, window_start);
@@ -1465,22 +1418,12 @@ impl BitFlippingDecoder {
                     / windowed_slots.len() as f64;
                 mean_residual <= 0.5 * self.channels[node].norm_sqr() + 4.0 * self.noise_power
             };
-            // FullPass candidates jitter from call to call until they are
-            // right (every call restarts cold), so two consecutive stable
-            // sightings already carry signal.  Worklist candidates are stable
-            // *by construction* — the warm state only moves when perturbed —
-            // so a much longer streak is required before stability is taken
-            // as evidence of correctness rather than of persistence.
-            let required_streak = match self.schedule {
-                DecodeSchedule::FullPass => 1,
-                DecodeSchedule::Worklist | DecodeSchedule::MessagePassing => 8,
-            };
             let stable_ok = own_fit_ok
                 && match &self.previous_candidates[node] {
                     Some(snapshot) => {
                         snapshot.frame == frames[node]
                             && self.d.col(node).len() > snapshot.evidence
-                            && snapshot.stable_streak >= required_streak
+                            && snapshot.stable_streak >= STABLE_LOCK_STREAK
                     }
                     None => false,
                 };
@@ -1536,22 +1479,17 @@ impl BitFlippingDecoder {
     /// this refit sharpens the interference cancellation that still-undecoded
     /// nodes depend on.
     ///
-    /// Slot eligibility depends on `candidates`:
-    ///
-    /// * `None` (the `FullPass` compat path, byte-identical to the historical
-    ///   refit): only slots whose participants are *all* locked contribute, so
-    ///   the refit silently does nothing until a fully-locked slot exists —
-    ///   even when most of the population is locked.
-    /// * `Some(frames)`: slots where locked participants strictly outnumber
-    ///   unlocked ones also contribute, with the unlocked participants'
-    ///   interference subtracted from the right-hand side via their current
-    ///   best-guess candidate frames and channel estimates.  The system is
-    ///   still solved for locked nodes only, so a wrong candidate can bias a
-    ///   refit but never directly rewrite an unlocked node's channel.
+    /// A slot contributes when locked participants strictly outnumber
+    /// unlocked ones (slots with only locked participants included), with
+    /// the unlocked participants' interference subtracted from the
+    /// right-hand side via their best-guess `candidates` frames and current
+    /// channel estimates.  The system is solved for locked nodes only, so a
+    /// wrong candidate can bias a refit but never directly rewrite an
+    /// unlocked node's channel.
     ///
     /// Returns the applied updates as `(node, new − old)` deltas so the
     /// worklist schedule can propagate them into its persistent states.
-    fn reestimate_channels(&mut self, candidates: Option<&[Vec<bool>]>) -> Vec<(usize, Complex)> {
+    fn reestimate_channels(&mut self, candidates: &[Vec<bool>]) -> Vec<(usize, Complex)> {
         let k = self.channels.len();
         let p = self.message_bits;
         // Each eligible slot's locked participants, in row order, collected
@@ -1564,7 +1502,7 @@ impl BitFlippingDecoder {
         for (j, is_eligible) in eligible.iter_mut().enumerate() {
             let row = self.d.row(j);
             let unlocked = row.iter().filter(|&&i| self.locked[i].is_none()).count();
-            if unlocked == 0 || (candidates.is_some() && 2 * unlocked < row.len()) {
+            if 2 * unlocked < row.len() {
                 *is_eligible = true;
                 eligible_slots.push(j);
                 locked_in.extend(row.iter().copied().filter(|&i| self.locked[i].is_some()));
@@ -1588,8 +1526,7 @@ impl BitFlippingDecoder {
         for (idx, &node) in involved.iter().enumerate() {
             index_of_node[node] = idx;
         }
-        let mut gram = sparse_recovery::linalg::ComplexMatrix::zeros(n, n);
-        let mut gram_real = vec![vec![0.0f64; n]; n];
+        let mut gram = vec![vec![0.0f64; n]; n];
         let mut rhs = vec![Complex::ZERO; n];
         let mut active: Vec<usize> = Vec::new();
         for (e, &j) in eligible_slots.iter().enumerate() {
@@ -1605,15 +1542,12 @@ impl BitFlippingDecoder {
                         .filter(|&i| self.locked[i].as_ref().is_some_and(|frame| frame[pos])),
                 );
                 // Best-guess interference of the (minority) unlocked
-                // participants; zero on locked-only slots, keeping the
-                // `FullPass` compat path bit-identical.
+                // participants; none on locked-only slots.
                 let mut observation = self.y[j][pos];
                 if has_unlocked {
-                    if let Some(frames) = candidates {
-                        for &i in cols {
-                            if self.locked[i].is_none() && frames[i][pos] {
-                                observation -= self.channels[i];
-                            }
+                    for &i in cols {
+                        if self.locked[i].is_none() && candidates[i][pos] {
+                            observation -= self.channels[i];
                         }
                     }
                 }
@@ -1623,22 +1557,20 @@ impl BitFlippingDecoder {
                     let ii = index_of_node[i];
                     rhs[ii] += observation;
                     for &l in &active {
-                        gram_real[ii][index_of_node[l]] += 1.0;
+                        gram[ii][index_of_node[l]] += 1.0;
                     }
                 }
             }
         }
-        for i in 0..n {
-            for l in 0..n {
-                let mut v = Complex::new(gram_real[i][l], 0.0);
-                if i == l {
-                    // Tikhonov: keeps rarely-participating nodes solvable.
-                    v += Complex::new(1e-6, 0.0);
-                }
-                gram.set(i, l, v);
-            }
+        // The Gram is real (shared symbol counts), so the solve runs in real
+        // arithmetic: bit for bit the complex elimination, at a quarter of
+        // the multiplications.
+        let symbols: Vec<f64> = (0..n).map(|i| gram[i][i]).collect();
+        for (i, row) in gram.iter_mut().enumerate() {
+            // Tikhonov: keeps rarely-participating nodes solvable.
+            row[i] += 1e-6;
         }
-        let Ok(refit) = sparse_recovery::linalg::solve_square(&gram, &rhs) else {
+        let Ok(refit) = sparse_recovery::linalg::solve_real_square(gram, &rhs) else {
             return Vec::new();
         };
         let mut changes = Vec::new();
@@ -1646,7 +1578,7 @@ impl BitFlippingDecoder {
             let candidate = refit[slot_in_refit];
             // Ignore degenerate refits (a node that appears in very few
             // locked-only symbols can be poorly determined).
-            if candidate.is_finite() && gram_real[slot_in_refit][slot_in_refit] >= (2 * p) as f64 {
+            if candidate.is_finite() && symbols[slot_in_refit] >= (2 * p) as f64 {
                 let delta = candidate - self.channels[node];
                 if delta.re != 0.0 || delta.im != 0.0 {
                     changes.push((node, delta));
@@ -1685,39 +1617,6 @@ impl BitFlippingDecoder {
             slots.iter().map(|&j| per_slot_residual[j]).sum::<f64>() / slots.len() as f64;
         let signal_power = self.channels[node].norm_sqr();
         mean_residual <= (4.0 * self.noise_power + 0.05 * signal_power).max(1e-12)
-    }
-
-    /// Greedy bit-flipping for one bit position across all nodes, with a small
-    /// number of random restarts to escape local minima (the error surface of
-    /// a dense collision has more local minima than a sparse one).  One
-    /// [`PositionState`] serves every restart — `reinit` re-seeds its buffers
-    /// in place, so a restart costs O(nnz) arithmetic but no allocation.  Returns the best assignment and its final slot
-    /// residuals.
-    fn decode_position(&self, position: usize) -> (Vec<bool>, Vec<Complex>) {
-        let mut state = PositionState::new(self, position, 0);
-        let mut best_error = f64::INFINITY;
-        let mut best_bits: Vec<bool> = Vec::new();
-        let mut best_residual: Vec<Complex> = Vec::new();
-        for restart in 0..COLD_RESTARTS {
-            if restart > 0 {
-                state.reinit(self, position, restart);
-            }
-            self.descend(&mut state);
-            let error = state.error();
-            // Restart 0 is accepted unconditionally (matching the historical
-            // `is_none_or` acceptance) so a non-finite error still yields a
-            // best-effort length-K assignment rather than empty vectors.
-            if restart == 0 || error < best_error {
-                best_error = error;
-                best_bits.clone_from(&state.b);
-                best_residual.clone_from(&state.residual);
-            }
-            // A (near-)zero residual cannot be improved.
-            if best_error < 1e-9 {
-                break;
-            }
-        }
-        (best_bits, best_residual)
     }
 
     /// One greedy descent from the state's current starting point.
@@ -1849,10 +1748,6 @@ mod tests {
     /// Builds a decoder problem: `k` nodes with given channels, random framed
     /// messages, a participation matrix with probability `p`, and noiseless or
     /// noisy received symbols.  Returns (decoder, framed messages).
-    ///
-    /// The decoder is pinned to [`DecodeSchedule::FullPass`] — the historical
-    /// behaviour most of these tests assert (single-call decodes, per-call
-    /// candidate jitter); worklist tests opt in with `with_schedule`.
     fn make_problem(
         channels: &[Complex],
         slots: usize,
@@ -1870,9 +1765,7 @@ mod tests {
             .collect();
         let message_bits = frames[0].len();
         let mut decoder =
-            BitFlippingDecoder::new(channels.to_vec(), message_bits, noise * noise / 6.0)
-                .unwrap()
-                .with_schedule(DecodeSchedule::FullPass);
+            BitFlippingDecoder::new(channels.to_vec(), message_bits, noise * noise / 6.0).unwrap();
         let seeds: Vec<NodeSeed> = (0..k as u64).map(|i| NodeSeed(seed * 77 + i)).collect();
         let mut noise_rng = Xoshiro256::seed_from_u64(seed ^ 0xabcdef);
         for slot in 0..slots {
@@ -2005,9 +1898,7 @@ mod tests {
         let seeds: Vec<NodeSeed> = (0..k as u64).map(|i| NodeSeed(7 * 77 + i)).collect();
         let message_bits = frames[0].len();
         let mut decoder =
-            BitFlippingDecoder::new(channels.clone(), message_bits, 0.03 * 0.03 / 6.0)
-                .unwrap()
-                .with_schedule(DecodeSchedule::FullPass);
+            BitFlippingDecoder::new(channels.clone(), message_bits, 0.03 * 0.03 / 6.0).unwrap();
         let mut noise_rng = Xoshiro256::seed_from_u64(7 ^ 0xabcdef);
         let mut decoded_after = Vec::new();
         let mut previously_decoded: Vec<usize> = Vec::new();
@@ -2066,9 +1957,7 @@ mod tests {
         let message_bits = frames[0].len();
         let seeds: Vec<NodeSeed> = (0..k as u64).map(|i| NodeSeed(31 + i)).collect();
         let mut decoder =
-            BitFlippingDecoder::new(channels.clone(), message_bits, 0.08 * 0.08 / 6.0)
-                .unwrap()
-                .with_schedule(DecodeSchedule::FullPass);
+            BitFlippingDecoder::new(channels.clone(), message_bits, 0.08 * 0.08 / 6.0).unwrap();
         let mut noise_rng = Xoshiro256::seed_from_u64(55);
         let mut first_decoded: Vec<Option<usize>> = vec![None; k];
         for slot in 0..40u64 {
@@ -2109,28 +1998,57 @@ mod tests {
 
     #[test]
     fn decoded_messages_never_regress_under_later_noise() {
-        // Once locked, a message's payload must not change even if later slots
-        // are extremely noisy.
-        let channels = diverse_channels(4, 11);
-        let (mut decoder, frames) = make_problem(&channels, 10, 0.8, 0.02, 11);
-        let state = decoder.decode().unwrap();
-        assert!(state.decoded_count() >= 1);
-        let snapshot = state.decoded_payloads.clone();
-        // Feed garbage slots.
+        // The worklist's lock contract under hostile evidence: garbage slots
+        // after every node has locked may make the post-lock audit erase a
+        // lock, at most one per decode call, but no locked payload is ever
+        // replaced by a different payload.
+        fn decode_and_check(
+            decoder: &mut BitFlippingDecoder,
+            payloads: &mut Vec<Option<Vec<bool>>>,
+            what: &str,
+        ) -> usize {
+            let state = decoder.decode().unwrap();
+            let mut erased = 0;
+            for (node, (before, now)) in payloads.iter().zip(&state.decoded_payloads).enumerate() {
+                match (before, now) {
+                    (Some(b), Some(n)) => assert_eq!(b, n, "{what}: node {node} replaced"),
+                    (Some(_), None) => erased += 1,
+                    _ => {}
+                }
+            }
+            assert!(erased <= 1, "{what}: {erased} locks erased in one call");
+            *payloads = state.decoded_payloads;
+            erased
+        }
+        let k = 4;
+        let channels = diverse_channels(k, 11);
+        let (clean, frames) = make_problem(&channels, 10, 0.8, 0.02, 11);
+        let mut decoder =
+            BitFlippingDecoder::new(channels.clone(), frames[0].len(), clean.noise_power).unwrap();
+        let mut payloads = vec![None; k];
+        // The clean slots, one decode call per slot: every node locks to its
+        // true payload.
+        for slot in 0..clean.slots() {
+            let participants: Vec<bool> = (0..k).map(|i| clean.d.get(slot, i)).collect();
+            decoder
+                .add_slot(&participants, clean.y[slot].clone())
+                .unwrap();
+            decode_and_check(&mut decoder, &mut payloads, &format!("clean slot {slot}"));
+        }
+        for (node, frame) in frames.iter().enumerate() {
+            assert_eq!(payloads[node].as_deref(), Some(&frame[..32]), "node {node}");
+        }
+        // Five garbage slots with every node transmitting, then one call:
+        // the audit erases the worst-fitting lock and keeps the others.
         let mut rng = Xoshiro256::seed_from_u64(999);
         for _ in 0..5 {
-            let participants = vec![true; 4];
             let symbols: Vec<Complex> = (0..frames[0].len())
                 .map(|_| Complex::new(rng.next_f64() * 4.0 - 2.0, rng.next_f64() * 4.0 - 2.0))
                 .collect();
-            decoder.add_slot(&participants, symbols).unwrap();
+            decoder.add_slot(&[true; 4], symbols).unwrap();
         }
-        let after = decoder.decode().unwrap();
-        for (before, now) in snapshot.iter().zip(&after.decoded_payloads) {
-            if before.is_some() {
-                assert_eq!(before, now);
-            }
-        }
+        let erased = decode_and_check(&mut decoder, &mut payloads, "after the garbage");
+        assert_eq!(erased, 1, "setup: the audit erased a lock");
     }
 
     // ----- differential tests: incremental hot-path state vs brute force -----
@@ -2362,17 +2280,6 @@ mod tests {
                 prop_assert_eq!(&lazy.channels, &eager.channels, "channels, slot {}", slot);
             }
         }
-    }
-
-    #[test]
-    fn default_schedule_is_worklist_and_full_pass_remains_available() {
-        // The worklist-by-default contract: a plain constructor runs the
-        // worklist schedule, and the FullPass compat pin is one builder call.
-        assert_eq!(DecodeSchedule::default(), DecodeSchedule::Worklist);
-        let decoder = BitFlippingDecoder::new(vec![Complex::ONE], 37, 0.0).unwrap();
-        assert_eq!(decoder.schedule(), DecodeSchedule::Worklist);
-        let pinned = decoder.with_schedule(DecodeSchedule::FullPass);
-        assert_eq!(pinned.schedule(), DecodeSchedule::FullPass);
     }
 
     /// Locks each node to its true frame with probability 1/5.
@@ -2727,7 +2634,7 @@ mod tests {
     /// slot.
     fn reestimate_channels_reference(
         decoder: &mut BitFlippingDecoder,
-        candidates: Option<&[Vec<bool>]>,
+        candidates: &[Vec<bool>],
     ) -> Vec<(usize, Complex)> {
         let k = decoder.channels.len();
         let p = decoder.message_bits;
@@ -2735,7 +2642,7 @@ mod tests {
             .filter(|&j| {
                 let row = decoder.d.row(j);
                 let unlocked = row.iter().filter(|&&i| decoder.locked[i].is_none()).count();
-                unlocked == 0 || (candidates.is_some() && 2 * unlocked < row.len())
+                2 * unlocked < row.len()
             })
             .collect();
         if eligible_slots.is_empty() {
@@ -2771,11 +2678,9 @@ mod tests {
                     .collect();
                 let mut observation = decoder.y[j][pos];
                 if has_unlocked {
-                    if let Some(frames) = candidates {
-                        for &i in cols {
-                            if decoder.locked[i].is_none() && frames[i][pos] {
-                                observation -= decoder.channels[i];
-                            }
+                    for &i in cols {
+                        if decoder.locked[i].is_none() && candidates[i][pos] {
+                            observation -= decoder.channels[i];
                         }
                     }
                 }
@@ -2823,10 +2728,12 @@ mod tests {
     #[test]
     fn channel_refit_matches_the_allocating_reference_bit_for_bit() {
         // After every decode call of a noisy session that locks nodes, the
-        // refit (with the call's candidate frames, and without) returns the
+        // refit with the call's candidate frames returns the
         // reference's `(node, delta)` list and leaves the same channels,
-        // bit for bit.  Node K − 1 is a phantom that never transmits, so the
-        // session never completes and later calls refit around locks.
+        // bit for bit.  The reference solves its system in complex
+        // arithmetic, so this also holds the real solve to the complex one.
+        // Node K − 1 is a phantom that never transmits, so the session never
+        // completes and later calls refit around locks.
         let (k, p, noise, seed) = (24usize, 0.3, 0.15, 11u64);
         let phantom = k - 1;
         let truth = diverse_channels(k, seed);
@@ -2878,15 +2785,13 @@ mod tests {
             // evidence: the state the next call's refit starts from.
             if let Some(frames) = &candidate_frames {
                 refits_with_locks += usize::from(decoder.locked.iter().any(Option::is_some));
-                for candidates in [Some(&frames[..]), None] {
-                    let mut fast = decoder.clone();
-                    let mut reference = decoder.clone();
-                    let changes = fast.reestimate_channels(candidates);
-                    let expected = reestimate_channels_reference(&mut reference, candidates);
-                    assert_eq!(bits(&changes), bits(&expected), "slot {slot}");
-                    assert_eq!(channel_bits(&fast), channel_bits(&reference), "slot {slot}");
-                    nonempty += usize::from(!changes.is_empty());
-                }
+                let mut fast = decoder.clone();
+                let mut reference = decoder.clone();
+                let changes = fast.reestimate_channels(frames);
+                let expected = reestimate_channels_reference(&mut reference, frames);
+                assert_eq!(bits(&changes), bits(&expected), "slot {slot}");
+                assert_eq!(channel_bits(&fast), channel_bits(&reference), "slot {slot}");
+                nonempty += usize::from(!changes.is_empty());
             }
             candidate_frames = Some(decoder.decode().unwrap().candidate_frames);
         }
@@ -2900,7 +2805,9 @@ mod tests {
         // completion: the colliding-pair count crosses the sweep's gate
         // early, and the stall detector fires at least one cold-restart
         // battery.  Every call's outcome and refitted channels must not
-        // depend on how many workers the sweeps ran on.
+        // depend on how many workers the sweeps ran on (`decode_worklist_on`
+        // takes the count as given, so the calls below the gate run on
+        // several workers too).
         let k = 150;
         let seed = 8u64;
         let noise = 0.03;
@@ -2960,8 +2867,7 @@ mod tests {
         // gain (empty slots, slots whose participants are all locked) must
         // not trigger a single descent — the pass-visit counter freezes.
         let channels = diverse_channels(4, 5);
-        let (decoder, _frames) = make_problem(&channels, 14, 0.7, 0.0, 5);
-        let mut decoder = decoder.with_schedule(DecodeSchedule::Worklist);
+        let (mut decoder, _frames) = make_problem(&channels, 14, 0.7, 0.0, 5);
         let state = decoder.decode().unwrap();
         assert!(state.all_decoded(), "setup: everyone decodes noiselessly");
         let visits_after_decode = decoder.worklist_position_visits().unwrap().to_vec();
@@ -2986,11 +2892,9 @@ mod tests {
     }
 
     #[test]
-    fn worklist_decodes_the_same_messages_as_full_pass() {
-        // Cross-schedule contract: over the rateless loop both schedules
-        // deliver every message, and the payloads agree with the ground
-        // truth.  (Trajectories may differ — FullPass restarts cold each
-        // call — but the delivered messages must not.)
+    fn worklist_decodes_every_message_to_the_ground_truth() {
+        // Over the rateless loop the worklist delivers every message, and
+        // every payload is the ground truth.
         for seed in [3u64, 7, 21] {
             let k = 8;
             let channels = diverse_channels(k, seed);
@@ -3003,49 +2907,48 @@ mod tests {
                 .collect();
             let seeds: Vec<NodeSeed> = (0..k as u64).map(|i| NodeSeed(seed * 77 + i)).collect();
             let noise = 0.03;
-            let mut full =
+            let mut decoder =
                 BitFlippingDecoder::new(channels.clone(), frames[0].len(), noise * noise / 6.0)
-                    .unwrap()
-                    .with_schedule(DecodeSchedule::FullPass);
-            let mut work = full.clone().with_schedule(DecodeSchedule::Worklist);
+                    .unwrap();
             let mut noise_rng = Xoshiro256::seed_from_u64(seed ^ 0xabcdef);
-            let mut last_full = None;
-            let mut last_work = None;
+            let mut last = None;
             for slot in 0..40u64 {
                 let (participants, symbols) =
                     make_slot(&channels, &frames, &seeds, slot, 0.5, noise, &mut noise_rng);
-                full.add_slot(&participants, symbols.clone()).unwrap();
-                work.add_slot(&participants, symbols).unwrap();
-                let f = full.decode().unwrap();
-                let w = work.decode().unwrap();
-                let done = f.all_decoded() && w.all_decoded();
-                last_full = Some(f);
-                last_work = Some(w);
+                decoder.add_slot(&participants, symbols).unwrap();
+                let state = decoder.decode().unwrap();
+                let done = state.all_decoded();
+                last = Some(state);
                 if done {
                     break;
                 }
             }
-            let f = last_full.unwrap();
-            let w = last_work.unwrap();
-            assert!(f.all_decoded(), "seed {seed}: full-pass incomplete");
-            assert!(w.all_decoded(), "seed {seed}: worklist incomplete");
+            let state = last.unwrap();
+            assert!(state.all_decoded(), "seed {seed}: worklist incomplete");
             for (i, frame) in frames.iter().enumerate() {
-                assert_eq!(f.decoded_payloads[i].as_ref().unwrap(), &frame[..32]);
-                assert_eq!(w.decoded_payloads[i].as_ref().unwrap(), &frame[..32]);
+                assert_eq!(state.decoded_payloads[i].as_ref().unwrap(), &frame[..32]);
             }
         }
     }
 
     #[test]
     fn switching_schedules_resets_the_worklist() {
+        // A plain constructor runs the worklist; switching to message
+        // passing discards the worklist state, and switching back starts a
+        // fresh one on the next decode.
+        assert_eq!(DecodeSchedule::default(), DecodeSchedule::Worklist);
         let channels = diverse_channels(3, 9);
-        let (decoder, _frames) = make_problem(&channels, 6, 0.8, 0.0, 9);
-        let mut decoder = decoder.with_schedule(DecodeSchedule::Worklist);
+        let (mut decoder, _frames) = make_problem(&channels, 6, 0.8, 0.0, 9);
         assert_eq!(decoder.schedule(), DecodeSchedule::Worklist);
         decoder.decode().unwrap();
         assert!(decoder.worklist_position_visits().is_some());
-        let decoder = decoder.with_schedule(DecodeSchedule::FullPass);
-        assert_eq!(decoder.schedule(), DecodeSchedule::FullPass);
+        let mut decoder = decoder.with_schedule(DecodeSchedule::MessagePassing);
+        assert_eq!(decoder.schedule(), DecodeSchedule::MessagePassing);
+        assert!(decoder.worklist_position_visits().is_none());
+        decoder.decode().unwrap();
+        assert!(decoder.message_passing_sweeps().is_some());
+        let decoder = decoder.with_schedule(DecodeSchedule::Worklist);
+        assert!(decoder.message_passing_sweeps().is_none());
         assert!(decoder.worklist_position_visits().is_none());
     }
 
@@ -3077,42 +2980,65 @@ mod tests {
 
     #[test]
     fn decode_residual_power_matches_brute_force_refit() {
-        // The per-slot residual power the locking gates consume is accumulated
-        // from the incrementally maintained position residuals; it must agree
-        // with an explicit `‖y − D·H·B̂‖²` recompute from the final frames.
-        let channels = diverse_channels(6, 21);
-        let (decoder, _frames) = make_problem(&channels, 18, 0.5, 0.05, 21);
+        // The per-slot residual power the locking gates consume is the
+        // worklist's ledger, diffed from the incrementally maintained
+        // position residuals sweep after sweep, through lock flips, audits,
+        // channel refits and cold-restart batteries.  After every sweep it
+        // must agree with an explicit `‖y − D·H·B̂‖²` recompute from the
+        // candidate frames.
+        let (k, noise, seed) = (6usize, 0.05, 21u64);
+        let channels = diverse_channels(k, seed);
+        let frames: Vec<Vec<bool>> = (0..k)
+            .map(|i| {
+                Message::standard_32bit(seed * 100 + i as u64)
+                    .unwrap()
+                    .framed()
+            })
+            .collect();
+        let seeds: Vec<NodeSeed> = (0..k as u64).map(|i| NodeSeed(seed * 77 + i)).collect();
+        let mut decoder =
+            BitFlippingDecoder::new(channels.clone(), frames[0].len(), noise * noise / 6.0)
+                .unwrap();
+        let mut noise_rng = Xoshiro256::seed_from_u64(seed ^ 0xabcdef);
         let p = decoder.message_bits;
-        let l = decoder.d.rows();
-        let mut slot_power = vec![0.0f64; l];
-        let mut frames: Vec<Vec<bool>> = vec![vec![false; p]; 6];
-        for position in 0..p {
-            let (bits, residual) = decoder.decode_position(position);
-            for (node, &bit) in bits.iter().enumerate() {
-                frames[node][position] = bit;
+        let mut locked_sweeps = 0;
+        for slot in 0..18u64 {
+            let (participants, symbols) =
+                make_slot(&channels, &frames, &seeds, slot, 0.5, noise, &mut noise_rng);
+            decoder.add_slot(&participants, symbols).unwrap();
+            let mut wl = match decoder.worklist.take() {
+                Some(mut wl) => {
+                    wl.sync_new_rows(&decoder);
+                    wl
+                }
+                None => Box::new(WorklistState::new(&decoder)),
+            };
+            decoder.sweep(&mut wl, slot % 4 == 3, 1);
+            locked_sweeps += usize::from(decoder.locked.iter().any(Option::is_some));
+            for j in 0..decoder.d.rows() {
+                let brute: f64 = (0..p)
+                    .map(|pos| {
+                        let fit: Complex = decoder
+                            .d
+                            .row(j)
+                            .iter()
+                            .filter(|&&i| wl.frames[i][pos])
+                            .map(|&i| decoder.channels[i])
+                            .sum();
+                        (decoder.y[j][pos] - fit).norm_sqr()
+                    })
+                    .sum();
+                let ledger = wl.slot_power_total[j];
+                assert!(
+                    (ledger - brute).abs() <= 1e-9 * (1.0 + brute.abs()),
+                    "slot {slot}, row {j}: ledger {ledger} vs brute {brute}"
+                );
             }
-            for (acc, r) in slot_power.iter_mut().zip(&residual) {
-                *acc += r.norm_sqr();
+            decoder.worklist = Some(wl);
+            if decoder.decode().unwrap().all_decoded() {
+                break;
             }
         }
-        for j in 0..l {
-            let brute: f64 = (0..p)
-                .map(|pos| {
-                    let fit: Complex = decoder
-                        .d
-                        .row(j)
-                        .iter()
-                        .filter(|&&i| frames[i][pos])
-                        .map(|&i| decoder.channels[i])
-                        .sum();
-                    (decoder.y[j][pos] - fit).norm_sqr()
-                })
-                .sum();
-            let incremental = slot_power[j];
-            assert!(
-                (incremental - brute).abs() <= 1e-9 * (1.0 + brute.abs()),
-                "slot {j}: incremental {incremental} vs brute {brute}"
-            );
-        }
+        assert!(locked_sweeps > 0, "setup: sweeps ran around locks");
     }
 }

@@ -47,12 +47,11 @@
 //! assert!(outcome.transfer.bits_per_symbol() >= 1.0);
 //! ```
 //!
-//! The decoder defaults to the worklist schedule
-//! ([`bp::DecodeSchedule::Worklist`]); pin
-//! [`bp::DecodeSchedule::FullPass`] through
-//! [`transfer::TransferConfig::decode_schedule`] to reproduce historical
-//! (pre-worklist) runs bit for bit, or select
-//! [`bp::DecodeSchedule::MessagePassing`] ([`mp`]) for the soft-decision
+//! The decoder has two schedules, chosen through
+//! [`transfer::TransferConfig::decode_schedule`]: the hard-decision
+//! bit-flipping worklist ([`bp::DecodeSchedule::Worklist`], the default and
+//! the one the paper figures run), and
+//! [`bp::DecodeSchedule::MessagePassing`] ([`mp`]), the soft-decision
 //! decoder with channel tracking that survives time-varying (fading)
 //! channels.
 

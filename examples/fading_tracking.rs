@@ -7,9 +7,10 @@
 //! the one-message-per-slot yardstick.  In slow fading the two Buzz columns
 //! agree (and the worklist is cheaper, which is why it stays the default).
 //! Past the coherence boundary the slot-0 channel estimates decorrelate
-//! mid-session: hard bit-flipping stops locking anything, while the soft
-//! schedule's confidence-weighted channel refit keeps tracking the fade and
-//! continues to deliver.
+//! mid-session: whatever hard bit-flipping has not locked by then stalls,
+//! while the soft schedule's confidence-weighted channel refit keeps
+//! tracking the fade and continues to deliver.  The worklist locks most tags
+//! within a few slots, so the two Buzz columns part only in deep fading.
 //!
 //! Run with: `cargo run --release --example fading_tracking`
 

@@ -37,7 +37,7 @@ fn build_scenario(
             .fault(FeedbackLoss::new(0.5)?)
             .build()?,
         "dropout 25%" => builder.fault(TagDropout::new(0.25, 40)?).build()?,
-        "restart @5" => builder.fault(ReaderRestart::new(5)).build()?,
+        "restart @3" => builder.fault(ReaderRestart::new(3)).build()?,
         other => return Err(format!("unknown fault regime {other}").into()),
     })
 }
@@ -48,7 +48,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..BuzzConfig::default()
     };
     let plain = BuzzProtocol::new(config)?;
-    let resilient = ResilientBuzzProtocol::new(config, RecoveryConfig::default())?;
+    // A K = 8 session decodes in about 5 slots: snapshot every 2 data slots
+    // so the slot-3 restart has a checkpoint to resume from.
+    let resilient = ResilientBuzzProtocol::new(
+        config,
+        RecoveryConfig {
+            checkpoint_interval: 2,
+            ..RecoveryConfig::default()
+        },
+    )?;
     let tdma = TdmaProtocol::paper_default()?;
     let panel: [&dyn Protocol; 3] = [&plain, &resilient, &tdma];
 
@@ -57,7 +65,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "erase 100%",
         "erase+fb 50%",
         "dropout 25%",
-        "restart @5",
+        "restart @3",
     ];
     let trials = 3u64;
     let k = 8usize;

@@ -4,9 +4,7 @@
 use buzz_suite::baselines::cdma::{CdmaConfig, CdmaTransfer};
 use buzz_suite::baselines::identification::{fsa_identification, fsa_with_known_k};
 use buzz_suite::baselines::tdma::{TdmaConfig, TdmaTransfer};
-use buzz_suite::protocol::bp::DecodeSchedule;
 use buzz_suite::protocol::protocol::{BuzzConfig, BuzzProtocol};
-use buzz_suite::protocol::transfer::TransferConfig;
 use buzz_suite::sim::scenario::ScenarioBuilder;
 
 /// The headline end-to-end property: in ordinary channel conditions Buzz
@@ -45,15 +43,8 @@ fn buzz_transfer_time_beats_tdma_and_cdma() {
         let mut scenario = ScenarioBuilder::paper_uplink(k, 7_100 + trial)
             .build()
             .unwrap();
-        // The paper's ~2x data-phase gain is a FullPass measurement; the
-        // compat pin keeps this assertion anchored to the historical decoder
-        // (the worklist default trades warm-up slots for its lock gates).
         let buzz = BuzzProtocol::new(BuzzConfig {
             periodic_mode: true,
-            transfer: TransferConfig {
-                decode_schedule: DecodeSchedule::FullPass,
-                ..TransferConfig::default()
-            },
             ..BuzzConfig::default()
         })
         .unwrap();
@@ -197,14 +188,8 @@ fn buzz_energy_is_comparable_to_tdma_and_below_cdma() {
     let model = EnergyModel::moo();
     let mut scenario = ScenarioBuilder::paper_uplink(k, 4_400).build().unwrap();
 
-    // Fig. 13's numbers are FullPass measurements; see the transfer-time
-    // test above for why figure-shaped assertions pin the compat schedule.
     let buzz = BuzzProtocol::new(BuzzConfig {
         periodic_mode: true,
-        transfer: TransferConfig {
-            decode_schedule: DecodeSchedule::FullPass,
-            ..TransferConfig::default()
-        },
         ..BuzzConfig::default()
     })
     .unwrap();

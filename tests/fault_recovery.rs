@@ -39,11 +39,19 @@ fn run_one(protocol: &dyn Protocol, builder: ScenarioBuilder, noise_seed: u64) -
 fn reader_restart_operating_point_across_the_panel() {
     // Operating point A: a mid-session reader restart wipes the plain
     // decoder (zero delivered); buzz+r restores its checkpoint and finishes,
-    // doing at least as well as TDMA's re-polled worklist.
-    let build = || ScenarioBuilder::paper_uplink(8, 310).fault(ReaderRestart::new(5));
+    // doing at least as well as TDMA's re-polled worklist.  As in the
+    // figure, the restart comes at slot 3 of a 5-slot session and buzz+r
+    // snapshots every 2 data slots, so it resumes at data slot 2.
+    let build = || ScenarioBuilder::paper_uplink(8, 310).fault(ReaderRestart::new(3));
     let plain = BuzzProtocol::new(periodic_config()).unwrap();
-    let resilient =
-        ResilientBuzzProtocol::new(periodic_config(), RecoveryConfig::default()).unwrap();
+    let resilient = ResilientBuzzProtocol::new(
+        periodic_config(),
+        RecoveryConfig {
+            checkpoint_interval: 2,
+            ..RecoveryConfig::default()
+        },
+    )
+    .unwrap();
     let tdma = TdmaProtocol::paper_default().unwrap();
 
     let dead = run_one(&plain, build(), 6);
@@ -54,7 +62,7 @@ fn reader_restart_operating_point_across_the_panel() {
     assert!(alive.delivered_messages >= polled.delivered_messages);
     let diag = alive.diagnostics.unwrap().recovery.unwrap();
     assert_eq!(diag.checkpoint_restores, 1);
-    assert!(diag.wasted_slots >= 1);
+    assert_eq!(diag.wasted_slots, 1);
 }
 
 #[test]
