@@ -1,8 +1,8 @@
 //! Recovery-layer benchmark: [`buzz::recovery::ResilientBuzzProtocol`]
 //! end-to-end sessions under the fault regimes it exists for, next to the
 //! fault-free path (which must cost essentially what the plain protocol
-//! does — epoch 0 is the plain participation stream and no recovery
-//! machinery fires).
+//! does: in periodic mode epoch 0 is the plain participation stream and no
+//! recovery machinery fires).
 //!
 //! A reference measurement lives in
 //! `benches/decoders_recovery.baseline.json`; rerun with
@@ -60,7 +60,6 @@ fn bench_decoders_recovery(c: &mut Criterion) {
         periodic_config(),
         RecoveryConfig {
             checkpoint_interval: 2,
-            ..RecoveryConfig::default()
         },
     )
     .unwrap();

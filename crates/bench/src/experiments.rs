@@ -781,7 +781,6 @@ pub fn fig_resilience(locations: u64, base_seed: u64, threads: usize) -> Experim
         },
         RecoveryConfig {
             checkpoint_interval: 2,
-            ..RecoveryConfig::default()
         },
     )
     .expect("protocol");

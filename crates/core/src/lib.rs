@@ -20,7 +20,8 @@
 //!   ones.
 //! * **End-to-end protocol** ([`protocol`]): identification followed by data
 //!   transfer, with the timing, throughput, reliability, and energy metrics
-//!   ([`metrics`]) that the paper's evaluation reports.
+//!   that the paper's evaluation reports; [`recovery`] runs the same session
+//!   under a fault-recovery loop.
 //! * **Unified session API** ([`session`]): the [`session::Protocol`] trait
 //!   and [`session::SessionOutcome`] type every compared scheme (Buzz and
 //!   the TDMA/CDMA/FSA baselines) speaks, so comparison harnesses are
@@ -61,7 +62,6 @@
 pub mod bp;
 pub mod executor;
 pub mod identification;
-pub mod metrics;
 pub mod mp;
 pub mod protocol;
 pub mod rateless;
@@ -72,9 +72,8 @@ pub mod transfer;
 
 pub use bp::{BitFlippingDecoder, DecodeState};
 pub use identification::{IdentificationConfig, IdentificationOutcome, Identifier};
-pub use metrics::{EfficiencyReport, ReliabilityReport};
 pub use protocol::{BuzzConfig, BuzzOutcome, BuzzProtocol};
-pub use rateless::{ParticipationCode, RatelessEncoder};
+pub use rateless::ParticipationCode;
 pub use recovery::{RecoveryConfig, ResilientBuzzProtocol};
 pub use session::{
     Protocol, RecoveryDiagnostics, SessionDiagnostics, SessionError, SessionOutcome, SessionResult,

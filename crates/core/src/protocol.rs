@@ -6,9 +6,12 @@
 //! evaluation reports.
 
 use backscatter_sim::energy::{EnergyModel, TransmissionProfile};
+use backscatter_sim::medium::Medium;
 use backscatter_sim::scenario::Scenario;
 
-use crate::identification::{IdentificationConfig, IdentificationOutcome, Identifier};
+use crate::identification::{
+    DiscoveredTag, IdentificationConfig, IdentificationOutcome, Identifier,
+};
 use crate::transfer::{
     per_tag_delivery, score_against_truth, DataTransfer, TransferConfig, TransferOutcome,
 };
@@ -87,8 +90,7 @@ impl BuzzOutcome {
 /// The full-protocol driver.
 #[derive(Debug, Clone)]
 pub struct BuzzProtocol {
-    config: BuzzConfig,
-    energy_model: EnergyModel,
+    pub(crate) config: BuzzConfig,
 }
 
 impl BuzzProtocol {
@@ -100,17 +102,7 @@ impl BuzzProtocol {
     pub fn new(config: BuzzConfig) -> BuzzResult<Self> {
         config.identification.validate()?;
         config.transfer.validate()?;
-        Ok(Self {
-            config,
-            energy_model: EnergyModel::moo(),
-        })
-    }
-
-    /// Overrides the energy model (defaults to the Moo constants).
-    #[must_use]
-    pub fn with_energy_model(mut self, model: EnergyModel) -> Self {
-        self.energy_model = model;
-        self
+        Ok(Self { config })
     }
 
     /// Runs the protocol over a scenario.  `noise_seed` selects the noise
@@ -122,79 +114,99 @@ impl BuzzProtocol {
     /// Propagates identification and transfer errors.
     pub fn run(&self, scenario: &mut Scenario, noise_seed: u64) -> BuzzResult<BuzzOutcome> {
         let mut medium = scenario.medium(noise_seed)?;
+        let (identification, discovered) = self.discover(scenario, &mut medium)?;
+        let transfer = DataTransfer::new(self.config.transfer)?.run(
+            scenario.tags(),
+            &discovered,
+            &mut medium,
+        )?;
+        Ok(self.finish(scenario, identification, &discovered, transfer))
+    }
 
-        let (identification, discovered) = if self.config.periodic_mode {
-            // Periodic networks: static schedule, ids and channels known.
-            let mut discovered = Vec::with_capacity(scenario.tags().len());
-            for (i, tag) in scenario.tags_mut().iter_mut().enumerate() {
-                let temp_id = i as u64;
-                tag.assign_temporary_id(temp_id);
-                discovered.push(crate::identification::DiscoveredTag {
-                    temporary_id: temp_id,
-                    channel_estimate: tag.channel.coefficient,
-                });
-            }
-            (None, discovered)
-        } else {
-            let identifier = Identifier::new(self.config.identification)?;
-            let outcome = identifier.run(scenario, &mut medium)?;
-            let discovered = outcome.discovered.clone();
-            (Some(outcome), discovered)
-        };
+    /// The session's first step: who the reader will decode.  Periodic
+    /// networks have a static schedule, so tag `i` holds temporary id `i`
+    /// and the reader knows every channel; otherwise identification
+    /// (§5) assigns the ids and estimates the channels.  Identification runs
+    /// fault-free: a fault plan indexes *data* slots.
+    pub(crate) fn discover(
+        &self,
+        scenario: &mut Scenario,
+        medium: &mut Medium,
+    ) -> BuzzResult<(Option<IdentificationOutcome>, Vec<DiscoveredTag>)> {
+        if self.config.periodic_mode {
+            let discovered = scenario
+                .tags_mut()
+                .iter_mut()
+                .enumerate()
+                .map(|(i, tag)| {
+                    tag.assign_temporary_id(i as u64);
+                    DiscoveredTag {
+                        temporary_id: i as u64,
+                        channel_estimate: tag.channel.coefficient,
+                    }
+                })
+                .collect();
+            return Ok((None, discovered));
+        }
+        let outcome = Identifier::new(self.config.identification)?.run(scenario, medium)?;
+        let discovered = outcome.discovered.clone();
+        Ok((Some(outcome), discovered))
+    }
 
-        let transfer_driver = DataTransfer::new(self.config.transfer)?;
-        let transfer = transfer_driver.run(scenario.tags(), &discovered, &mut medium)?;
-        let (correct, incorrect) = score_against_truth(&transfer, &discovered, scenario.tags());
-        let per_tag_delivered = per_tag_delivery(&transfer, &discovered, scenario.tags());
+    /// The session's last step: scores the transfer against the ground
+    /// truth, per tag and in total, and accounts each tag's energy.
+    pub(crate) fn finish(
+        &self,
+        scenario: &Scenario,
+        identification: Option<IdentificationOutcome>,
+        discovered: &[DiscoveredTag],
+        transfer: TransferOutcome,
+    ) -> BuzzOutcome {
+        let tags = scenario.tags();
+        let (correct, incorrect) = score_against_truth(&transfer, discovered, tags);
+        let per_tag_delivered = per_tag_delivery(&transfer, discovered, tags);
 
-        // Energy accounting: identification slots are single-bit transmissions
-        // with roughly 50 % participation; the data phase repeats the framed
-        // message per participation.  Plain OOK toggles the antenna once per
-        // transmitted "1" on average (~1 transition/bit).
-        let ident_bits = identification
-            .as_ref()
-            .map(|i| i.slots.total() / 2)
-            .unwrap_or(0);
+        // Energy: identification slots are single-bit transmissions with
+        // roughly 50 % participation; every data transmission (a rateless
+        // slot or a fallback poll) replays the framed message.  Plain OOK
+        // toggles the antenna once per transmitted "1" on average (~1
+        // transition/bit).
+        let ident_bits = identification.as_ref().map_or(0, |i| i.slots.total() / 2);
         let uplink_bps = self.config.transfer.timing.uplink_bps;
+        let ident_profile = TransmissionProfile::for_bits(ident_bits, uplink_bps, 1.0, 1);
+        let energy_model = EnergyModel::moo();
         let starting_voltage = scenario.config().starting_voltage_v;
-        let per_tag_energy_j: Vec<f64> = scenario
-            .tags()
+        let per_tag_energy_j = transfer
+            .per_tag_transmissions
             .iter()
-            .enumerate()
-            .map(|(i, _)| {
-                let ident_profile = TransmissionProfile::for_bits(ident_bits, uplink_bps, 1.0, 1);
-                let repeats = transfer.per_tag_transmissions.get(i).copied().unwrap_or(0);
+            .map(|&repeats| {
                 let data_profile = TransmissionProfile::for_bits(
                     transfer.framed_bits,
                     uplink_bps,
                     1.0,
                     repeats.max(1),
                 );
-                self.energy_model
+                energy_model
                     .reply_energy_j(&ident_profile.combined(&data_profile), starting_voltage)
             })
             .collect();
 
-        Ok(BuzzOutcome {
+        BuzzOutcome {
             identification,
             transfer,
             correct_messages: correct,
             incorrect_messages: incorrect,
             per_tag_delivered,
             per_tag_energy_j,
-        })
-    }
-
-    /// The configuration in use.
-    #[must_use]
-    pub fn config(&self) -> &BuzzConfig {
-        &self.config
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recovery::{RecoveryConfig, ResilientBuzzProtocol};
+    use crate::session::{Protocol, RecoveryDiagnostics, SessionError};
     use crate::BuzzError;
     use backscatter_sim::scenario::ScenarioBuilder;
 
@@ -312,25 +324,60 @@ mod tests {
         // re-derived every position on each call read 39 wrong.  Over 300
         // locations the three read 28, 10 and 124 wrong messages of 11,864
         // offered to identified sessions.
-        let protocol = BuzzProtocol::new(BuzzConfig::default()).unwrap();
-        let (mut wrong, mut missing, mut unidentified) = (0, 0, 0);
-        for k in [4usize, 8, 12, 16] {
-            for s in 0..100u64 {
-                let mut scenario = ScenarioBuilder::paper_uplink(k, 50_000 + s)
-                    .build()
-                    .unwrap();
-                match protocol.run(&mut scenario, 90_000 + s) {
-                    Ok(outcome) => {
-                        wrong += outcome.incorrect_messages;
-                        missing += k - outcome.correct_messages - outcome.incorrect_messages;
+        // `buzz+r` runs the same sessions with no fault plan.  Its recovery
+        // loop still fires in 25 of them — a missed tag or a phantom column
+        // stalls the decode — and its TDMA fallback recovers two of plain
+        // Buzz's wrong messages.
+        let config = BuzzConfig::default();
+        let plain = BuzzProtocol::new(config).unwrap();
+        let resilient = ResilientBuzzProtocol::new(config, RecoveryConfig::default()).unwrap();
+        let census = |protocol: &dyn Protocol| {
+            let (mut wrong, mut missing, mut unidentified) = (0, 0, 0);
+            let mut recovery = Vec::new();
+            for k in [4usize, 8, 12, 16] {
+                for s in 0..100u64 {
+                    let mut scenario = ScenarioBuilder::paper_uplink(k, 50_000 + s)
+                        .build()
+                        .unwrap();
+                    match protocol.run(&mut scenario, 90_000 + s) {
+                        Ok(outcome) => {
+                            wrong += outcome.lost_messages;
+                            missing += k - outcome.total_messages();
+                            recovery.extend(outcome.diagnostics.and_then(|d| d.recovery));
+                        }
+                        Err(SessionError::Buzz(BuzzError::IdentificationFailed)) => {
+                            unidentified += 1;
+                        }
+                        Err(e) => panic!("{}: K = {k}, location {s}: {e}", protocol.name()),
                     }
-                    Err(BuzzError::IdentificationFailed) => unidentified += 1,
-                    Err(e) => panic!("K = {k}, location {s}: {e}"),
                 }
             }
-        }
+            (unidentified, wrong, missing, recovery)
+        };
+
+        let (unidentified, wrong, missing, _) = census(&plain);
         assert_eq!(unidentified, 5, "sessions whose identification failed");
         assert_eq!(wrong, 10, "wrong messages over the census");
         assert_eq!(missing, 43, "undelivered messages of identified sessions");
+
+        let (unidentified, wrong, missing, recovery) = census(&resilient);
+        assert_eq!(
+            unidentified, 5,
+            "buzz+r: sessions whose identification failed"
+        );
+        assert_eq!(wrong, 8, "buzz+r: wrong messages over the census");
+        assert_eq!(
+            missing, 43,
+            "buzz+r: undelivered messages of identified sessions"
+        );
+        let fired = recovery
+            .iter()
+            .filter(|d| **d != RecoveryDiagnostics::default())
+            .count();
+        let requests: usize = recovery.iter().map(|d| d.extra_slot_requests).sum();
+        let polled: usize = recovery.iter().map(|d| d.fallback_delivered).sum();
+        assert_eq!(fired, 25, "buzz+r: sessions where recovery fired");
+        assert_eq!(requests, 33, "buzz+r: extra-slot requests");
+        assert_eq!(polled, 2, "buzz+r: messages the TDMA fallback delivered");
     }
 }

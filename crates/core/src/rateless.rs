@@ -10,7 +10,6 @@
 //! collisions until its decoder has recovered every message — which is what
 //! makes the code rateless.
 
-use backscatter_codes::sparse_matrix::SparseBinaryMatrix;
 use backscatter_prng::NodeSeed;
 
 use crate::{BuzzError, BuzzResult};
@@ -88,98 +87,6 @@ impl ParticipationCode {
     pub fn participates(&self, seed: NodeSeed, slot: u64) -> bool {
         seed.participates_in_slot(slot, self.probability)
     }
-
-    /// The expected number of slots a node must wait before its first
-    /// transmission is covered (`1/p`) — a lower bound on latency.
-    #[must_use]
-    pub fn expected_slots_to_first_transmission(&self) -> f64 {
-        1.0 / self.probability
-    }
-}
-
-/// The reader-side view of the growing participation matrix `D`.
-///
-/// The reader reconstructs each row of `D` from the discovered temporary ids
-/// and the shared pseudorandom rule — it never needs feedback from the tags to
-/// learn who collided.
-#[derive(Debug, Clone)]
-pub struct RatelessEncoder {
-    code: ParticipationCode,
-    seeds: Vec<NodeSeed>,
-    d: SparseBinaryMatrix,
-}
-
-impl RatelessEncoder {
-    /// Creates an encoder view over the given node seeds (one per discovered
-    /// node, in the reader's column order).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BuzzError::InvalidParameter`] if `seeds` is empty.
-    pub fn new(code: ParticipationCode, seeds: Vec<NodeSeed>) -> BuzzResult<Self> {
-        if seeds.is_empty() {
-            return Err(BuzzError::InvalidParameter(
-                "rateless code needs at least one node",
-            ));
-        }
-        let k = seeds.len();
-        Ok(Self {
-            code,
-            seeds,
-            d: SparseBinaryMatrix::zeros(0, k),
-        })
-    }
-
-    /// The participation code in use.
-    #[must_use]
-    pub fn code(&self) -> ParticipationCode {
-        self.code
-    }
-
-    /// The node seeds, in column order.
-    #[must_use]
-    pub fn seeds(&self) -> &[NodeSeed] {
-        &self.seeds
-    }
-
-    /// The participation matrix accumulated so far (`L × K`).
-    #[must_use]
-    pub fn matrix(&self) -> &SparseBinaryMatrix {
-        &self.d
-    }
-
-    /// Number of slots generated so far.
-    #[must_use]
-    pub fn slots(&self) -> usize {
-        self.d.rows()
-    }
-
-    /// Computes the participation decisions for the next slot, appends the row
-    /// to `D`, and returns the per-node decisions (indexed like `seeds`).
-    pub fn next_slot(&mut self) -> Vec<bool> {
-        let slot = self.d.rows() as u64;
-        let decisions: Vec<bool> = self
-            .seeds
-            .iter()
-            .map(|&s| self.code.participates(s, slot))
-            .collect();
-        let cols: Vec<usize> = decisions
-            .iter()
-            .enumerate()
-            .filter(|(_, &d)| d)
-            .map(|(i, _)| i)
-            .collect();
-        // Column indices are in range by construction.
-        let _ = self.d.push_row(&cols);
-        decisions
-    }
-
-    /// Number of slots each node has participated in so far (the repeat count
-    /// that drives the energy accounting).
-    #[must_use]
-    pub fn per_node_transmissions(&self) -> Vec<usize> {
-        (0..self.seeds.len()).map(|c| self.d.col(c).len()).collect()
-    }
 }
 
 #[cfg(test)]
@@ -201,7 +108,6 @@ mod tests {
         // Mid-size: target / k.
         let mid = ParticipationCode::for_population(10, 5.0).unwrap();
         assert!((mid.probability() - 0.5).abs() < 1e-12);
-        assert!((mid.expected_slots_to_first_transmission() - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -214,57 +120,21 @@ mod tests {
     }
 
     #[test]
-    fn encoder_requires_nodes() {
-        let code = ParticipationCode::for_k(4).unwrap();
-        assert!(RatelessEncoder::new(code, vec![]).is_err());
-    }
-
-    #[test]
-    fn encoder_rows_match_seed_decisions() {
-        let code = ParticipationCode::for_k(6).unwrap();
-        let seeds: Vec<NodeSeed> = (0..6).map(|i| NodeSeed(1000 + i)).collect();
-        let mut enc = RatelessEncoder::new(code, seeds.clone()).unwrap();
-        for slot in 0..20u64 {
-            let decisions = enc.next_slot();
-            for (i, &d) in decisions.iter().enumerate() {
-                assert_eq!(d, code.participates(seeds[i], slot));
-                assert_eq!(enc.matrix().get(slot as usize, i), d);
-            }
-        }
-        assert_eq!(enc.slots(), 20);
-    }
-
-    #[test]
     fn average_collision_size_tracks_target() {
         let k = 12;
         let target = 5.0;
         let code = ParticipationCode::for_population(k, target).unwrap();
         let seeds: Vec<NodeSeed> = (0..k as u64).map(|i| NodeSeed(77 + i)).collect();
-        let mut enc = RatelessEncoder::new(code, seeds).unwrap();
         let slots = 400;
-        let mut total = 0usize;
-        for _ in 0..slots {
-            total += enc.next_slot().iter().filter(|&&d| d).count();
-        }
+        let total = (0..slots as u64)
+            .map(|slot| {
+                seeds
+                    .iter()
+                    .filter(|&&s| code.participates(s, slot))
+                    .count()
+            })
+            .sum::<usize>();
         let avg = total as f64 / slots as f64;
         assert!((avg - target).abs() < 0.8, "avg collision size = {avg}");
-    }
-
-    #[test]
-    fn per_node_transmissions_counts_column_weights() {
-        let code = ParticipationCode::with_probability(0.5).unwrap();
-        let seeds: Vec<NodeSeed> = (0..4).map(NodeSeed).collect();
-        let mut enc = RatelessEncoder::new(code, seeds).unwrap();
-        for _ in 0..64 {
-            enc.next_slot();
-        }
-        let counts = enc.per_node_transmissions();
-        assert_eq!(counts.len(), 4);
-        // Each node transmits in roughly half the slots.
-        for &c in &counts {
-            assert!((16..=48).contains(&c), "count = {c}");
-        }
-        let total: usize = counts.iter().sum();
-        assert_eq!(total, enc.matrix().nnz());
     }
 }

@@ -11,18 +11,44 @@
 //! The per-slot decoding progress recorded here is exactly the data behind
 //! Fig. 9, and the aggregate `K/L` bits-per-symbol figure is the rate-adaptation
 //! metric of Fig. 10 and Fig. 12.
+//!
+//! [`DataTransfer::run`] is one loop over the crate-private `DataPhase`,
+//! which owns everything a slot does; the recovery loop of
+//! [`crate::recovery`] drives the same `DataPhase`.
 
 use backscatter_gen2::commands::ReaderCommand;
 use backscatter_gen2::timing::LinkTiming;
 use backscatter_phy::complex::Complex;
-use backscatter_prng::NodeSeed;
+use backscatter_prng::{NodeSeed, SplitMix64};
+use backscatter_sim::faults::SlotFaults;
 use backscatter_sim::medium::Medium;
 use backscatter_sim::tag::SimTag;
 
-use crate::bp::{BitFlippingDecoder, DecodeSchedule};
+use crate::bp::{BitFlippingDecoder, DecodeSchedule, DecodeState};
 use crate::identification::DiscoveredTag;
-use crate::rateless::{ParticipationCode, RatelessEncoder};
+use crate::rateless::ParticipationCode;
 use crate::{BuzzError, BuzzResult};
+
+/// Slot budget of the plain data phase as a multiple of the population (the
+/// larger of the tags on the air and the reader's columns): the phase gives
+/// up after `20·K` slots.
+const BUDGET_FACTOR: usize = 20;
+
+/// Salt for epoch reseeding: epoch `e ≥ 1` participation streams derive from
+/// `mix(temporary_id, EPOCH_SALT + e)`.
+const EPOCH_SALT: u64 = 0xe90_c001;
+
+/// The participation seed of a temporary id in an epoch.  Epoch 0 is the
+/// temporary id itself, the only epoch the plain protocol uses; each
+/// extra-slot request `buzz+r` delivers advances the epoch on both sides.
+#[must_use]
+pub(crate) fn epoch_seed(temporary_id: u64, epoch: u64) -> NodeSeed {
+    if epoch == 0 {
+        NodeSeed(temporary_id)
+    } else {
+        NodeSeed(SplitMix64::mix(temporary_id, EPOCH_SALT + epoch))
+    }
+}
 
 /// Configuration of the data-transfer phase.
 #[derive(Debug, Clone, Copy)]
@@ -35,9 +61,6 @@ pub struct TransferConfig {
     /// gives `0.15·K` colliders per slot from K = 27 up (15 at K = 100, 30
     /// at K = 200).
     pub target_collision_size: f64,
-    /// Slot budget as a multiple of the number of tags (the rateless phase
-    /// aborts after `budget_factor · K` slots).
-    pub budget_factor: usize,
     /// Air-interface timing used for transfer-time accounting.
     pub timing: LinkTiming,
     /// How the reader's decoder schedules its per-position work.  The
@@ -54,7 +77,6 @@ impl Default for TransferConfig {
     fn default() -> Self {
         Self {
             target_collision_size: ParticipationCode::DEFAULT_TARGET_COLLISION_SIZE,
-            budget_factor: 20,
             timing: LinkTiming::paper_default(),
             decode_schedule: DecodeSchedule::default(),
         }
@@ -71,11 +93,6 @@ impl TransferConfig {
         if !(self.target_collision_size > 0.0 && self.target_collision_size.is_finite()) {
             return Err(BuzzError::InvalidParameter(
                 "target collision size must be positive",
-            ));
-        }
-        if self.budget_factor == 0 {
-            return Err(BuzzError::InvalidParameter(
-                "budget factor must be non-zero",
             ));
         }
         self.timing
@@ -155,6 +172,244 @@ impl TransferOutcome {
     }
 }
 
+/// One data phase in progress: the tags on the air, the reader's decoder,
+/// and the accounting both session loops share — air time, per-tag
+/// transmissions, browned-out tags and the per-slot progress series.
+pub(crate) struct DataPhase<'a> {
+    pub(crate) tags: &'a [SimTag],
+    pub(crate) discovered: &'a [DiscoveredTag],
+    /// Every tag's framed message, in tag order.
+    framed: Vec<Vec<bool>>,
+    code: ParticipationCode,
+    schedule: DecodeSchedule,
+    pub(crate) timing: LinkTiming,
+    pub(crate) decoder: BitFlippingDecoder,
+    /// The latest decode (`None` before the first, and after a restart).
+    pub(crate) state: Option<DecodeState>,
+    /// Newly decoded messages per air slot (the Fig. 9 series).
+    pub(crate) progress: Vec<usize>,
+    tag_transmissions: Vec<usize>,
+    /// Tags that browned out; they stay dark for the rest of the session.
+    pub(crate) tag_dead: Vec<bool>,
+    pub(crate) time_s: f64,
+}
+
+impl<'a> DataPhase<'a> {
+    /// Checks the inputs (as documented on [`DataTransfer::run`]), sets up
+    /// the reader's decoder and airs the data-phase trigger.
+    pub(crate) fn new(
+        config: &TransferConfig,
+        tags: &'a [SimTag],
+        discovered: &'a [DiscoveredTag],
+        medium: &Medium,
+    ) -> BuzzResult<Self> {
+        if tags.is_empty() {
+            return Err(BuzzError::InvalidParameter("no tags to transfer from"));
+        }
+        if discovered.is_empty() {
+            return Err(BuzzError::InvalidParameter("reader discovered no tags"));
+        }
+        let framed: Vec<Vec<bool>> = tags.iter().map(|t| t.message.framed()).collect();
+        let framed_bits = framed[0].len();
+        if framed.iter().any(|f| f.len() != framed_bits) {
+            return Err(BuzzError::InvalidParameter(
+                "all tags must use the same message length",
+            ));
+        }
+        let code =
+            ParticipationCode::for_population(discovered.len(), config.target_collision_size)?;
+        let timing = config.timing;
+        let decoder = new_decoder(discovered, framed_bits, config.decode_schedule, medium)?;
+        Ok(Self {
+            tags,
+            discovered,
+            framed,
+            code,
+            schedule: config.decode_schedule,
+            timing,
+            decoder,
+            state: None,
+            progress: Vec::new(),
+            tag_transmissions: vec![0; tags.len()],
+            tag_dead: vec![false; tags.len()],
+            time_s: timing.downlink_s(ReaderCommand::BuzzTrigger.bits()) + timing.t1_s,
+        })
+    }
+
+    /// The population a slot budget scales with: the larger of the tags on
+    /// the air and the reader's columns.
+    pub(crate) fn population(&self) -> usize {
+        self.tags.len().max(self.discovered.len())
+    }
+
+    fn framed_bits(&self) -> usize {
+        self.framed[0].len()
+    }
+
+    /// Air time of one collision slot, seconds.
+    fn slot_s(&self) -> f64 {
+        self.framed_bits() as f64 * self.timing.uplink_symbol_s()
+    }
+
+    /// A decoder that has observed nothing, as after a reader restart with
+    /// no checkpoint.
+    pub(crate) fn fresh_decoder(&self, medium: &Medium) -> BuzzResult<BitFlippingDecoder> {
+        new_decoder(self.discovered, self.framed_bits(), self.schedule, medium)
+    }
+
+    /// Opens air slot `slot`: scenarios with dynamics (mobility,
+    /// interference bursts) evolve the medium, static ones take a no-op, and
+    /// the tags the slot's faults brown out go dark.  Returns those faults.
+    pub(crate) fn begin_slot(&mut self, medium: &mut Medium, slot: u64) -> Option<SlotFaults> {
+        medium.begin_slot(slot);
+        let faults = medium.slot_faults(slot);
+        for &t in faults.iter().flat_map(|f| &f.tags_reset) {
+            if let Some(dead) = self.tag_dead.get_mut(t) {
+                *dead = true;
+            }
+        }
+        faults
+    }
+
+    /// Whether temporary id `id` transmits in `slot` of `epoch`: the one
+    /// rule the tags follow and the reader predicts its rows from.
+    fn participates(&self, id: u64, epoch: u64, slot: u64) -> bool {
+        self.code.participates(epoch_seed(id, epoch), slot)
+    }
+
+    /// A slot that passes with nothing on the air for the decoder.
+    pub(crate) fn idle_slot(&mut self) {
+        self.progress.push(0);
+        self.time_s += self.slot_s();
+    }
+
+    /// Airs collision slot `slot` in participation epoch `epoch` and, unless
+    /// `faults` erased it, feeds it to the decoder and re-decodes.  Returns
+    /// the messages newly decoded, or `None` for an erased slot.
+    pub(crate) fn collision_slot(
+        &mut self,
+        medium: &mut Medium,
+        slot: u64,
+        epoch: u64,
+        faults: Option<&SlotFaults>,
+    ) -> BuzzResult<Option<usize>> {
+        // Tag side: every live tag decides from its own temporary id.
+        let participation: Vec<bool> = self
+            .tags
+            .iter()
+            .zip(&self.tag_dead)
+            .map(|(t, &dead)| !dead && self.participates(t.node_seed.0, epoch, slot))
+            .collect();
+        for (count, &p) in self.tag_transmissions.iter_mut().zip(&participation) {
+            *count += usize::from(p);
+        }
+        // The collision on the air, one symbol per framed-bit position.
+        let noise_factor = faults.map_or(1.0, |f| f.noise_power_factor);
+        let mut bits = vec![false; self.tags.len()];
+        let mut symbols = Vec::with_capacity(self.framed_bits());
+        for pos in 0..self.framed_bits() {
+            for (i, bit) in bits.iter_mut().enumerate() {
+                *bit = participation[i] && self.framed[i][pos];
+            }
+            symbols.push(medium.observe_with_noise_factor(&bits, noise_factor)?);
+        }
+        self.time_s += self.slot_s();
+
+        if faults.is_some_and(|f| f.collision_erased) {
+            // Frame-sync loss: the slot aired (the tags spent the energy
+            // and the time passed) but the reader discards the observation.
+            self.progress.push(0);
+            return Ok(None);
+        }
+        // Reader side: the row it predicts for its discovered columns.  It
+        // cannot know a tag browned out, so a dead tag keeps its row.
+        let row: Vec<bool> = self
+            .discovered
+            .iter()
+            .map(|d| self.participates(d.temporary_id, epoch, slot))
+            .collect();
+        self.decoder.add_slot(&row, symbols)?;
+        let state = self.decoder.decode()?;
+        let newly = state.newly_decoded.len();
+        self.progress.push(newly);
+        self.state = Some(state);
+        Ok(Some(newly))
+    }
+
+    /// Airs one singleton reply: only tag `tag` transmits its framed
+    /// message.  Returns the observed symbols.
+    pub(crate) fn singleton_reply(
+        &mut self,
+        medium: &mut Medium,
+        tag: usize,
+        faults: Option<&SlotFaults>,
+    ) -> BuzzResult<Vec<Complex>> {
+        let noise_factor = faults.map_or(1.0, |f| f.noise_power_factor);
+        self.tag_transmissions[tag] += 1;
+        let mut bits = vec![false; self.tags.len()];
+        let mut symbols = Vec::with_capacity(self.framed_bits());
+        for pos in 0..self.framed_bits() {
+            bits[tag] = self.framed[tag][pos];
+            symbols.push(medium.observe_with_noise_factor(&bits, noise_factor)?);
+        }
+        self.time_s += self.framed_bits() as f64 / self.timing.uplink_bps + self.timing.t2_s;
+        Ok(symbols)
+    }
+
+    /// Whether the latest decode holds every message.
+    pub(crate) fn all_decoded(&self) -> bool {
+        self.state.as_ref().is_some_and(DecodeState::all_decoded)
+    }
+
+    /// The decoder's residual power under its latest candidate frames
+    /// (infinite before any decode), the stall detector's progress signal.
+    pub(crate) fn residual_power(&self) -> f64 {
+        self.state.as_ref().map_or(f64::INFINITY, |s| {
+            self.decoder.residual_power(&s.candidate_frames)
+        })
+    }
+
+    /// Takes the decoded payloads out of the latest decode, in column order.
+    pub(crate) fn take_payloads(&mut self) -> Vec<Option<Vec<bool>>> {
+        self.state
+            .take()
+            .map_or_else(|| vec![None; self.discovered.len()], |s| s.decoded_payloads)
+    }
+
+    /// Ends the phase — the reader drops its carrier — with the payloads
+    /// the reader holds.
+    pub(crate) fn finish(mut self, decoded_payloads: Vec<Option<Vec<bool>>>) -> TransferOutcome {
+        self.time_s += self.timing.downlink_s(ReaderCommand::BuzzStop.bits()) + self.timing.t2_s;
+        TransferOutcome {
+            slots_used: self.progress.len(),
+            complete: decoded_payloads.iter().all(Option::is_some),
+            framed_bits: self.framed_bits(),
+            decoded_payloads,
+            newly_decoded_per_slot: self.progress,
+            per_tag_transmissions: self.tag_transmissions,
+            time_ms: self.time_s * 1e3,
+        }
+    }
+}
+
+/// The reader's decoder over its discovered columns and channel estimates.
+fn new_decoder(
+    discovered: &[DiscoveredTag],
+    framed_bits: usize,
+    schedule: DecodeSchedule,
+    medium: &Medium,
+) -> BuzzResult<BitFlippingDecoder> {
+    let channels = discovered.iter().map(|d| d.channel_estimate).collect();
+    let mut decoder = BitFlippingDecoder::new(channels, framed_bits, medium.noise_power())?
+        .with_schedule(schedule);
+    if schedule == DecodeSchedule::MessagePassing && medium.dynamics().is_empty() {
+        // Static session: once the soft sweeps reach their fixed point,
+        // hand the rest of the decode to the cheaper hard worklist.
+        decoder.enable_static_handoff(true);
+    }
+    Ok(decoder)
+}
+
 /// The data-transfer driver.
 #[derive(Debug, Clone)]
 pub struct DataTransfer {
@@ -192,146 +447,23 @@ impl DataTransfer {
         discovered: &[DiscoveredTag],
         medium: &mut Medium,
     ) -> BuzzResult<TransferOutcome> {
-        if tags.is_empty() {
-            return Err(BuzzError::InvalidParameter("no tags to transfer from"));
-        }
-        if discovered.is_empty() {
-            return Err(BuzzError::InvalidParameter("reader discovered no tags"));
-        }
-        let framed: Vec<Vec<bool>> = tags.iter().map(|t| t.message.framed()).collect();
-        let framed_bits = framed[0].len();
-        if framed.iter().any(|f| f.len() != framed_bits) {
-            return Err(BuzzError::InvalidParameter(
-                "all tags must use the same message length",
-            ));
-        }
-
-        let timing = self.config.timing;
-        let k_reader = discovered.len();
-        let code = ParticipationCode::for_population(k_reader, self.config.target_collision_size)?;
-
-        // Reader-side bookkeeping of the participation matrix, in the order of
-        // the discovered tags.
-        let reader_seeds: Vec<NodeSeed> = discovered
-            .iter()
-            .map(|d| NodeSeed(d.temporary_id))
-            .collect();
-        let mut encoder = RatelessEncoder::new(code, reader_seeds)?;
-        let channels: Vec<Complex> = discovered.iter().map(|d| d.channel_estimate).collect();
-        let mut decoder = BitFlippingDecoder::new(channels, framed_bits, medium.noise_power())?
-            .with_schedule(self.config.decode_schedule);
-        if self.config.decode_schedule == DecodeSchedule::MessagePassing
-            && medium.dynamics().is_empty()
-        {
-            // Static session: once the soft sweeps reach their fixed point,
-            // hand the rest of the decode to the cheaper hard worklist.
-            decoder.enable_static_handoff(true);
-        }
-
-        // Data-phase trigger.
-        let mut time_s = timing.downlink_s(ReaderCommand::BuzzTrigger.bits()) + timing.t1_s;
-
-        let budget = self.config.budget_factor * tags.len().max(k_reader);
-        let mut newly_decoded_per_slot = Vec::new();
-        let mut tag_transmissions = vec![0usize; tags.len()];
-        let mut complete = false;
-        let mut final_state = None;
-        // Control-plane fault state: tags that browned out stay dark, and a
-        // reader restart kills the (checkpoint-free) session outright.
-        let mut tag_dead = vec![false; tags.len()];
-        let mut restarted = false;
-
-        for slot in 0..budget as u64 {
-            // Slot boundary: scenarios with dynamics (mobility, interference
-            // bursts) evolve the medium here; static scenarios take a no-op.
-            medium.begin_slot(slot);
-            let faults = medium.slot_faults(slot);
-            if let Some(f) = &faults {
-                for &t in &f.tags_reset {
-                    if t < tag_dead.len() {
-                        tag_dead[t] = true;
-                    }
-                }
-                if f.reader_restart {
-                    // The plain protocol keeps no checkpoint: the restart
-                    // wipes all undecoded session RAM and the transfer is
-                    // lost (the resuming variant lives in `crate::recovery`).
-                    restarted = true;
-                    break;
-                }
+        let mut phase = DataPhase::new(&self.config, tags, discovered, medium)?;
+        for slot in 0..(BUDGET_FACTOR * phase.population()) as u64 {
+            let faults = phase.begin_slot(medium, slot);
+            if faults.as_ref().is_some_and(|f| f.reader_restart) {
+                // The plain protocol keeps no checkpoint: the restart wipes
+                // all undecoded session RAM and the transfer is lost (the
+                // resuming variant lives in `crate::recovery`).
+                phase.state = None;
+                break;
             }
-            // Tag side: every physical tag decides from its own temporary id.
-            let tag_participation: Vec<bool> = tags
-                .iter()
-                .enumerate()
-                .map(|(i, t)| !tag_dead[i] && code.participates(t.node_seed, slot))
-                .collect();
-            for (count, &p) in tag_transmissions.iter_mut().zip(&tag_participation) {
-                if p {
-                    *count += 1;
-                }
-            }
-            // Reader side: the participation row for its discovered columns.
-            let reader_participation = encoder.next_slot();
-
-            // The collision on the air, one symbol per framed-bit position.
-            let noise_factor = faults.as_ref().map_or(1.0, |f| f.noise_power_factor);
-            let mut symbols = Vec::with_capacity(framed_bits);
-            for pos in 0..framed_bits {
-                let bits: Vec<bool> = tags
-                    .iter()
-                    .enumerate()
-                    .map(|(i, _)| tag_participation[i] && framed[i][pos])
-                    .collect();
-                symbols.push(medium.observe_with_noise_factor(&bits, noise_factor)?);
-            }
-            time_s += framed_bits as f64 * timing.uplink_symbol_s();
-
-            if faults.as_ref().is_some_and(|f| f.collision_erased) {
-                // Frame-sync loss: the slot aired (the tags spent the energy
-                // and the time passed) but the reader discards the
-                // observation instead of feeding its decoder.
-                newly_decoded_per_slot.push(0);
-                continue;
-            }
-
-            decoder.add_slot(&reader_participation, symbols)?;
-            let state = decoder.decode()?;
-            newly_decoded_per_slot.push(state.newly_decoded.len());
-            let done = state.all_decoded();
-            final_state = Some(state);
-            if done {
-                complete = true;
+            phase.collision_slot(medium, slot, 0, faults.as_ref())?;
+            if phase.all_decoded() {
                 break;
             }
         }
-
-        // Reader terminates the phase by dropping its carrier.
-        time_s += timing.downlink_s(ReaderCommand::BuzzStop.bits()) + timing.t2_s;
-
-        let decoded_payloads = if restarted {
-            vec![None; k_reader]
-        } else {
-            final_state
-                .map(|s| s.decoded_payloads)
-                .unwrap_or_else(|| vec![None; k_reader])
-        };
-
-        Ok(TransferOutcome {
-            slots_used: newly_decoded_per_slot.len(),
-            decoded_payloads,
-            newly_decoded_per_slot,
-            per_tag_transmissions: tag_transmissions,
-            framed_bits,
-            time_ms: time_s * 1e3,
-            complete,
-        })
-    }
-
-    /// The configuration in use.
-    #[must_use]
-    pub fn config(&self) -> &TransferConfig {
-        &self.config
+        let payloads = phase.take_payloads();
+        Ok(phase.finish(payloads))
     }
 }
 
@@ -418,19 +550,11 @@ mod tests {
     #[test]
     fn config_validation() {
         assert!(TransferConfig::default().validate().is_ok());
-        let bad = [
-            TransferConfig {
-                target_collision_size: 0.0,
-                ..TransferConfig::default()
-            },
-            TransferConfig {
-                budget_factor: 0,
-                ..TransferConfig::default()
-            },
-        ];
-        for c in bad {
-            assert!(c.validate().is_err());
-        }
+        let bad = TransferConfig {
+            target_collision_size: 0.0,
+            ..TransferConfig::default()
+        };
+        assert!(bad.validate().is_err());
     }
 
     #[test]
@@ -604,7 +728,7 @@ mod tests {
         assert!(!outcome.complete);
         assert_eq!(outcome.decoded_count(), 0);
         // Every budgeted slot aired and was discarded.
-        assert_eq!(outcome.slots_used, 20 * 3);
+        assert_eq!(outcome.slots_used, BUDGET_FACTOR * 3);
         assert!(outcome.per_tag_transmissions.iter().any(|&c| c > 0));
     }
 

@@ -54,7 +54,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         config,
         RecoveryConfig {
             checkpoint_interval: 2,
-            ..RecoveryConfig::default()
         },
     )?;
     let tdma = TdmaProtocol::paper_default()?;
@@ -122,9 +121,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          the unresolved tags one at a time (singleton polls need no\n\
          collision frame sync, so they get through). A reader restart wipes\n\
          the plain decoder mid-session, while buzz+r restores its last\n\
-         checkpoint and finishes. With no faults attached, buzz+r consumes\n\
-         the identical noise-draw stream plain Buzz does — the recovery\n\
-         columns stay at zero."
+         checkpoint and finishes. With no faults attached, these periodic\n\
+         sessions draw the same noise as plain Buzz and the recovery columns\n\
+         stay at zero; through identification, a missed or phantom tag can\n\
+         still stall the decode and fire recovery."
     );
     Ok(())
 }

@@ -4,7 +4,9 @@
 use buzz_suite::baselines::cdma::{CdmaConfig, CdmaTransfer};
 use buzz_suite::baselines::identification::{fsa_identification, fsa_with_known_k};
 use buzz_suite::baselines::tdma::{TdmaConfig, TdmaTransfer};
+use buzz_suite::protocol::identification::{DiscoveredTag, Identifier};
 use buzz_suite::protocol::protocol::{BuzzConfig, BuzzProtocol};
+use buzz_suite::protocol::transfer::{score_against_truth, DataTransfer};
 use buzz_suite::sim::scenario::ScenarioBuilder;
 
 /// The headline end-to-end property: in ordinary channel conditions Buzz
@@ -241,4 +243,73 @@ fn buzz_energy_is_comparable_to_tdma_and_below_cdma() {
         buzz_energy < tdma_energy * 2.0,
         "buzz {buzz_energy:.2e} J vs tdma {tdma_energy:.2e} J"
     );
+}
+
+/// The session recomposes from its public layers: the discovery step (ids
+/// 0..K in periodic mode, `Identifier::run` otherwise), `DataTransfer::run`
+/// and `score_against_truth`, run by hand on one medium, reproduce
+/// `BuzzProtocol::run` exactly.  The benchmark's traced pass times a session
+/// this way and is only valid while this holds.
+#[test]
+fn public_layers_recompose_the_protocol_session() {
+    let cases = [
+        (true, 8, 3.5),
+        (true, 16, 3.5),
+        (true, 32, 4.0),
+        (false, 4, 3.5),
+        (false, 8, 3.5),
+        (false, 16, 3.5),
+    ];
+    for (i, (periodic_mode, k, target)) in cases.into_iter().enumerate() {
+        let mut config = BuzzConfig {
+            periodic_mode,
+            ..BuzzConfig::default()
+        };
+        config.transfer.target_collision_size = target;
+        let (seed, noise_seed) = (7_000 + i as u64, 70 + i as u64);
+        let build = || ScenarioBuilder::paper_uplink(k, seed).build().unwrap();
+        let expected = BuzzProtocol::new(config)
+            .unwrap()
+            .run(&mut build(), noise_seed)
+            .unwrap();
+
+        let mut scenario = build();
+        let mut medium = scenario.medium(noise_seed).unwrap();
+        let (identification, discovered) = if periodic_mode {
+            let discovered: Vec<DiscoveredTag> = scenario
+                .tags_mut()
+                .iter_mut()
+                .enumerate()
+                .map(|(id, tag)| {
+                    tag.assign_temporary_id(id as u64);
+                    DiscoveredTag {
+                        temporary_id: id as u64,
+                        channel_estimate: tag.channel.coefficient,
+                    }
+                })
+                .collect();
+            (None, discovered)
+        } else {
+            let outcome = Identifier::new(config.identification)
+                .unwrap()
+                .run(&mut scenario, &mut medium)
+                .unwrap();
+            let discovered = outcome.discovered.clone();
+            (Some(outcome), discovered)
+        };
+        let transfer = DataTransfer::new(config.transfer)
+            .unwrap()
+            .run(scenario.tags(), &discovered, &mut medium)
+            .unwrap();
+        let score = score_against_truth(&transfer, &discovered, scenario.tags());
+
+        let label = format!("periodic = {periodic_mode}, K = {k}");
+        assert_eq!(identification, expected.identification, "{label}");
+        assert_eq!(transfer, expected.transfer, "{label}");
+        assert_eq!(
+            score,
+            (expected.correct_messages, expected.incorrect_messages),
+            "{label}"
+        );
+    }
 }

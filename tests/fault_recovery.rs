@@ -48,7 +48,6 @@ fn reader_restart_operating_point_across_the_panel() {
         periodic_config(),
         RecoveryConfig {
             checkpoint_interval: 2,
-            ..RecoveryConfig::default()
         },
     )
     .unwrap();
