@@ -21,7 +21,7 @@
 
 use backscatter_codes::message::Message;
 use backscatter_codes::walsh::WalshCode;
-use backscatter_gen2::timing::LinkTiming;
+use backscatter_gen2::timing::PAPER_TIMING;
 use backscatter_phy::complex::Complex;
 use backscatter_phy::sync::DriftCorrection;
 use backscatter_sim::medium::Medium;
@@ -29,42 +29,13 @@ use backscatter_sim::tag::SimTag;
 
 use crate::{BaselineError, BaselineResult, BaselineTransferOutcome};
 
-/// Configuration of the CDMA baseline.
-#[derive(Debug, Clone, Copy)]
-pub struct CdmaConfig {
-    /// Air-interface timing (chip rate comes from `timing.uplink_bps`).
-    pub timing: LinkTiming,
-    /// Whether tags apply the reader-assisted drift correction of §8.1
-    /// (enabled in the paper's experiments; disabling it is an ablation).
-    pub drift_correction: bool,
-}
-
-impl Default for CdmaConfig {
-    fn default() -> Self {
-        Self {
-            timing: LinkTiming::paper_default(),
-            drift_correction: true,
-        }
-    }
-}
-
-/// The synchronous-CDMA data-phase driver.
-#[derive(Debug, Clone)]
-pub struct CdmaTransfer {
-    config: CdmaConfig,
-}
+/// The synchronous-CDMA data phase.  The chip rate is
+/// [`PAPER_TIMING`]'s uplink rate, and every tag applies the reader-assisted
+/// drift correction of §8.1, as in the paper's experiments.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct CdmaTransfer;
 
 impl CdmaTransfer {
-    /// Creates a CDMA driver.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BaselineError::InvalidParameter`] for invalid timing.
-    pub fn new(config: CdmaConfig) -> BaselineResult<Self> {
-        config.timing.validate()?;
-        Ok(Self { config })
-    }
-
     /// Runs one CDMA round: all tags transmit their spread frames
     /// concurrently; the reader despreads each tag with its Walsh code and its
     /// known channel.
@@ -99,7 +70,7 @@ impl CdmaTransfer {
     ) -> BaselineResult<BaselineTransferOutcome> {
         let k = tags.len();
         let sf = walsh.spreading_factor();
-        let chip_rate = self.config.timing.uplink_bps;
+        let chip_rate = PAPER_TIMING.uplink_bps;
         let chip_us = 1e6 / chip_rate;
 
         let framed: Vec<Vec<bool>> = tags.iter().map(|t| t.message.framed()).collect();
@@ -135,13 +106,9 @@ impl CdmaTransfer {
         let residual_ppm: Vec<f64> = tags
             .iter()
             .map(|t| {
-                if self.config.drift_correction {
-                    DriftCorrection::calibrate(t.clock, 10_000.0, 1.0e6)
-                        .map(|c| c.residual_ppm(t.clock))
-                        .unwrap_or(t.clock.drift_ppm)
-                } else {
-                    t.clock.drift_ppm
-                }
+                DriftCorrection::calibrate(t.clock, 10_000.0, 1.0e6)
+                    .map(|c| c.residual_ppm(t.clock))
+                    .unwrap_or(t.clock.drift_ppm)
             })
             .collect();
 
@@ -247,7 +214,7 @@ impl CdmaTransfer {
         let duration_s = total_chips as f64 / chip_rate;
         Ok(BaselineTransferOutcome {
             delivered,
-            time_ms: (duration_s + self.config.timing.t2_s) * 1e3,
+            time_ms: (duration_s + PAPER_TIMING.t2_s) * 1e3,
             // Every chip boundary can toggle the antenna: ≈ 1 transition/chip.
             per_tag_transitions: vec![total_chips as u64; k],
             per_tag_active_s: vec![duration_s; k],
@@ -259,7 +226,7 @@ impl CdmaTransfer {
     #[must_use]
     pub fn nominal_time_ms(&self, k: usize, framed_bits: usize) -> f64 {
         let sf = k.next_power_of_two().max(2) as f64;
-        (framed_bits as f64 * sf / self.config.timing.uplink_bps + self.config.timing.t2_s) * 1e3
+        (framed_bits as f64 * sf / PAPER_TIMING.uplink_bps + PAPER_TIMING.t2_s) * 1e3
     }
 }
 
@@ -272,7 +239,7 @@ mod tests {
     fn rejects_empty_and_mismatched_inputs() {
         let scenario = ScenarioBuilder::paper_uplink(2, 1).build().unwrap();
         let mut medium = scenario.medium(1).unwrap();
-        let cdma = CdmaTransfer::new(CdmaConfig::default()).unwrap();
+        let cdma = CdmaTransfer;
         assert!(cdma.run(&[], &mut medium).is_err());
         assert!(cdma.run(&scenario.tags()[..1], &mut medium).is_err());
     }
@@ -281,7 +248,7 @@ mod tests {
     fn delivers_most_messages_in_good_channels() {
         let scenario = ScenarioBuilder::paper_uplink(4, 11).build().unwrap();
         let mut medium = scenario.medium(2).unwrap();
-        let cdma = CdmaTransfer::new(CdmaConfig::default()).unwrap();
+        let cdma = CdmaTransfer;
         let out = cdma.run(scenario.tags(), &mut medium).unwrap();
         assert!(
             out.delivered_count() >= 3,
@@ -292,7 +259,7 @@ mod tests {
 
     #[test]
     fn transfer_time_scales_with_spreading_factor() {
-        let cdma = CdmaTransfer::new(CdmaConfig::default()).unwrap();
+        let cdma = CdmaTransfer;
         // 16 tags => SF 16 => 37*16/80k ≈ 7.4 ms, same order as TDMA.
         let t = cdma.nominal_time_ms(16, 37);
         assert!(t > 7.0 && t < 9.0, "t = {t}");
@@ -317,11 +284,10 @@ mod tests {
                 let scenario = ScenarioBuilder::paper_uplink(k, 200 + seed)
                     .build()
                     .unwrap();
-                let cdma = CdmaTransfer::new(CdmaConfig::default()).unwrap();
+                let cdma = CdmaTransfer;
                 let mut medium = scenario.medium(seed).unwrap();
                 cdma_lost += cdma.run(scenario.tags(), &mut medium).unwrap().lost_count();
-                let tdma =
-                    crate::tdma::TdmaTransfer::new(crate::tdma::TdmaConfig::default()).unwrap();
+                let tdma = crate::tdma::TdmaTransfer::new().unwrap();
                 let mut medium = scenario.medium(seed).unwrap();
                 tdma_lost += tdma.run(scenario.tags(), &mut medium).unwrap().lost_count();
                 total += k;
@@ -345,10 +311,10 @@ mod tests {
             let scenario = ScenarioBuilder::challenging(4, 300 + seed, 3.0)
                 .build()
                 .unwrap();
-            let cdma = CdmaTransfer::new(CdmaConfig::default()).unwrap();
+            let cdma = CdmaTransfer;
             let mut medium = scenario.medium(seed).unwrap();
             cdma_lost += cdma.run(scenario.tags(), &mut medium).unwrap().lost_count();
-            let tdma = crate::tdma::TdmaTransfer::new(crate::tdma::TdmaConfig::default()).unwrap();
+            let tdma = crate::tdma::TdmaTransfer::new().unwrap();
             let mut medium = scenario.medium(seed).unwrap();
             tdma_lost += tdma.run(scenario.tags(), &mut medium).unwrap().lost_count();
             total += 4;
@@ -372,10 +338,7 @@ mod tests {
             }
             let scenario = builder.build().unwrap();
             let mut medium = scenario.medium(3).unwrap();
-            CdmaTransfer::new(CdmaConfig::default())
-                .unwrap()
-                .run(scenario.tags(), &mut medium)
-                .unwrap()
+            CdmaTransfer.run(scenario.tags(), &mut medium).unwrap()
         };
         assert_eq!(clean(false), clean(true));
 
@@ -385,10 +348,7 @@ mod tests {
             .build()
             .unwrap();
         let mut medium = scenario.medium(3).unwrap();
-        let out = CdmaTransfer::new(CdmaConfig::default())
-            .unwrap()
-            .run(scenario.tags(), &mut medium)
-            .unwrap();
+        let out = CdmaTransfer.run(scenario.tags(), &mut medium).unwrap();
         assert_eq!(out.delivered_count(), 0);
 
         // Total erasure: every bit period is unusable, nothing delivers.
@@ -397,10 +357,7 @@ mod tests {
             .build()
             .unwrap();
         let mut medium = scenario.medium(3).unwrap();
-        let out = CdmaTransfer::new(CdmaConfig::default())
-            .unwrap()
-            .run(scenario.tags(), &mut medium)
-            .unwrap();
+        let out = CdmaTransfer.run(scenario.tags(), &mut medium).unwrap();
         assert_eq!(out.delivered_count(), 0);
 
         // A certain early dropout silences every tag's remaining chips.
@@ -409,10 +366,7 @@ mod tests {
             .build()
             .unwrap();
         let mut medium = scenario.medium(3).unwrap();
-        let out = CdmaTransfer::new(CdmaConfig::default())
-            .unwrap()
-            .run(scenario.tags(), &mut medium)
-            .unwrap();
+        let out = CdmaTransfer.run(scenario.tags(), &mut medium).unwrap();
         assert_eq!(out.delivered_count(), 0);
     }
 
@@ -420,7 +374,7 @@ mod tests {
     fn energy_accounting_reflects_continuous_chipping() {
         let scenario = ScenarioBuilder::paper_uplink(8, 13).build().unwrap();
         let mut medium = scenario.medium(2).unwrap();
-        let cdma = CdmaTransfer::new(CdmaConfig::default()).unwrap();
+        let cdma = CdmaTransfer;
         let out = cdma.run(scenario.tags(), &mut medium).unwrap();
         // 37 bits * SF 8 = 296 chips of active transmission for every tag —
         // much longer than a single TDMA reply.

@@ -26,14 +26,6 @@ pub struct IdentificationReport {
     pub slots: usize,
 }
 
-impl IdentificationReport {
-    /// Whether every tag was identified.
-    #[must_use]
-    pub fn is_complete(&self) -> bool {
-        self.identified == self.population
-    }
-}
-
 /// Runs plain Framed Slotted Aloha (EPC Gen-2 defaults: initial `Q = 4`,
 /// `C = 0.3`, 16-bit RN16 replies) over the scenario's tags.
 ///
@@ -96,7 +88,7 @@ mod tests {
     fn fsa_identifies_everyone() {
         let scenario = ScenarioBuilder::paper_uplink(8, 3).build().unwrap();
         let report = fsa_identification(&scenario, 1).unwrap();
-        assert!(report.is_complete());
+        assert_eq!(report.identified, report.population);
         assert_eq!(report.population, 8);
         assert!(report.time_ms > 0.0);
         assert!(report.slots >= 8);
@@ -123,6 +115,7 @@ mod tests {
         let a = fsa_identification(&scenario, 1).unwrap();
         let b = fsa_identification(&scenario, 2).unwrap();
         // Both complete, but slot counts generally differ across realizations.
-        assert!(a.is_complete() && b.is_complete());
+        assert_eq!(a.identified, a.population);
+        assert_eq!(b.identified, b.population);
     }
 }

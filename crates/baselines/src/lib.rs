@@ -24,10 +24,10 @@ pub mod identification;
 pub mod session;
 pub mod tdma;
 
-pub use cdma::{CdmaConfig, CdmaTransfer};
+pub use cdma::CdmaTransfer;
 pub use identification::{fsa_identification, fsa_with_known_k, IdentificationReport};
 pub use session::{CdmaProtocol, FsaIdentification, FsaWithEstimatedK, TdmaProtocol};
-pub use tdma::{TdmaConfig, TdmaTransfer};
+pub use tdma::TdmaTransfer;
 
 use backscatter_sim::SimError;
 

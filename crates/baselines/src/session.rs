@@ -12,13 +12,13 @@
 //!   starting voltage, exactly as the Fig. 13 harness always has,
 //! * converts the scheme-local outcome into a [`SessionOutcome`].
 
-use backscatter_sim::energy::{EnergyModel, TransmissionProfile};
+use backscatter_sim::energy::TransmissionProfile;
 use backscatter_sim::scenario::Scenario;
 use buzz::session::{Protocol, SessionError, SessionOutcome, SessionResult};
 
-use crate::cdma::{CdmaConfig, CdmaTransfer};
+use crate::cdma::CdmaTransfer;
 use crate::identification::{fsa_identification, fsa_with_known_k, IdentificationReport};
-use crate::tdma::{TdmaConfig, TdmaTransfer};
+use crate::tdma::TdmaTransfer;
 use crate::{BaselineError, BaselineResult, BaselineTransferOutcome};
 
 impl From<BaselineTransferOutcome> for SessionOutcome {
@@ -65,23 +65,17 @@ fn scheme_error(scheme: &str, error: BaselineError) -> SessionError {
 }
 
 /// Per-tag energies for a baseline transfer at the scenario's voltage.
-fn transfer_energy_j(
-    model: &EnergyModel,
-    outcome: &BaselineTransferOutcome,
-    starting_voltage_v: f64,
-) -> Vec<f64> {
+fn transfer_energy_j(outcome: &BaselineTransferOutcome, starting_voltage_v: f64) -> Vec<f64> {
     outcome
         .per_tag_transitions
         .iter()
         .zip(&outcome.per_tag_active_s)
         .map(|(&transitions, &active_time_s)| {
-            model.reply_energy_j(
-                &TransmissionProfile {
-                    active_time_s,
-                    transitions,
-                },
-                starting_voltage_v,
-            )
+            TransmissionProfile {
+                active_time_s,
+                transitions,
+            }
+            .reply_energy_j(starting_voltage_v)
         })
         .collect()
 }
@@ -90,29 +84,18 @@ fn transfer_energy_j(
 #[derive(Debug, Clone)]
 pub struct TdmaProtocol {
     transfer: TdmaTransfer,
-    energy_model: EnergyModel,
 }
 
 impl TdmaProtocol {
-    /// Creates a TDMA session driver.
+    /// The paper's Miller-4 TDMA, as a session protocol.
     ///
     /// # Errors
     ///
     /// As for [`TdmaTransfer::new`].
-    pub fn new(config: TdmaConfig) -> BaselineResult<Self> {
-        Ok(Self {
-            transfer: TdmaTransfer::new(config)?,
-            energy_model: EnergyModel::moo(),
-        })
-    }
-
-    /// The paper's Miller-4 default.
-    ///
-    /// # Errors
-    ///
-    /// Never fails for the default configuration.
     pub fn paper_default() -> BaselineResult<Self> {
-        Self::new(TdmaConfig::default())
+        Ok(Self {
+            transfer: TdmaTransfer::new()?,
+        })
     }
 }
 
@@ -127,11 +110,7 @@ impl Protocol for TdmaProtocol {
             .transfer
             .run(scenario.tags(), &mut medium)
             .map_err(|e| scheme_error("tdma", e))?;
-        let energy = transfer_energy_j(
-            &self.energy_model,
-            &outcome,
-            scenario.config().starting_voltage_v,
-        );
+        let energy = transfer_energy_j(&outcome, scenario.config().starting_voltage_v);
         let mut session = SessionOutcome::from(outcome);
         session.scheme = "tdma".into();
         session.per_tag_energy_j = energy;
@@ -140,32 +119,17 @@ impl Protocol for TdmaProtocol {
 }
 
 /// The synchronous-CDMA baseline as a [`Protocol`].
-#[derive(Debug, Clone)]
-pub struct CdmaProtocol {
-    transfer: CdmaTransfer,
-    energy_model: EnergyModel,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct CdmaProtocol;
 
 impl CdmaProtocol {
-    /// Creates a CDMA session driver.
+    /// The paper's drift-corrected CDMA, as a session protocol.
     ///
     /// # Errors
     ///
-    /// As for [`CdmaTransfer::new`].
-    pub fn new(config: CdmaConfig) -> BaselineResult<Self> {
-        Ok(Self {
-            transfer: CdmaTransfer::new(config)?,
-            energy_model: EnergyModel::moo(),
-        })
-    }
-
-    /// The paper's drift-corrected default.
-    ///
-    /// # Errors
-    ///
-    /// Never fails for the default configuration.
+    /// Never fails; the signature matches [`TdmaProtocol::paper_default`].
     pub fn paper_default() -> BaselineResult<Self> {
-        Self::new(CdmaConfig::default())
+        Ok(Self)
     }
 }
 
@@ -176,15 +140,10 @@ impl Protocol for CdmaProtocol {
 
     fn run(&self, scenario: &mut Scenario, seed: u64) -> SessionResult<SessionOutcome> {
         let mut medium = scenario.medium(seed)?;
-        let outcome = self
-            .transfer
+        let outcome = CdmaTransfer
             .run(scenario.tags(), &mut medium)
             .map_err(|e| scheme_error("cdma", e))?;
-        let energy = transfer_energy_j(
-            &self.energy_model,
-            &outcome,
-            scenario.config().starting_voltage_v,
-        );
+        let energy = transfer_energy_j(&outcome, scenario.config().starting_voltage_v);
         let mut session = SessionOutcome::from(outcome);
         session.scheme = "cdma".into();
         session.per_tag_energy_j = energy;
@@ -313,7 +272,7 @@ mod tests {
         // APIs did — it is a veneer, not a re-simulation.
         let scenario = ScenarioBuilder::paper_uplink(5, 17).build().unwrap();
 
-        let tdma = TdmaTransfer::new(TdmaConfig::default()).unwrap();
+        let tdma = TdmaTransfer::new().unwrap();
         let mut medium = scenario.medium(4).unwrap();
         let legacy = tdma.run(scenario.tags(), &mut medium).unwrap();
 

@@ -8,7 +8,7 @@
 //! support 1 bit/symbol simply loses its message — there is no adaptation.
 
 use backscatter_codes::message::Message;
-use backscatter_gen2::timing::LinkTiming;
+use backscatter_gen2::timing::PAPER_TIMING;
 use backscatter_phy::complex::Complex;
 use backscatter_phy::linecode::{LineCode, Miller};
 use backscatter_sim::medium::Medium;
@@ -16,43 +16,26 @@ use backscatter_sim::tag::SimTag;
 
 use crate::{BaselineError, BaselineResult, BaselineTransferOutcome};
 
-/// Configuration of the TDMA baseline.
-#[derive(Debug, Clone, Copy)]
-pub struct TdmaConfig {
-    /// Miller modulation order (the paper's baseline uses Miller-4).
-    pub miller_m: usize,
-    /// Air-interface timing (data bit rate comes from `timing.uplink_bps`).
-    pub timing: LinkTiming,
-}
+/// Miller modulation order (the paper's baseline uses Miller-4).
+const MILLER_M: usize = 4;
 
-impl Default for TdmaConfig {
-    fn default() -> Self {
-        Self {
-            miller_m: 4,
-            timing: LinkTiming::paper_default(),
-        }
-    }
-}
-
-/// The TDMA data-phase driver.
+/// The TDMA data phase.  The data bit rate is
+/// [`PAPER_TIMING`]'s uplink rate.
 #[derive(Debug, Clone)]
 pub struct TdmaTransfer {
-    config: TdmaConfig,
     code: Miller,
 }
 
 impl TdmaTransfer {
-    /// Creates a TDMA driver.
+    /// Creates the Miller-4 TDMA data phase.
     ///
     /// # Errors
     ///
-    /// Returns [`BaselineError::InvalidParameter`] for an unsupported Miller
-    /// order or invalid timing.
-    pub fn new(config: TdmaConfig) -> BaselineResult<Self> {
-        let code = Miller::new(config.miller_m)
-            .map_err(|_| BaselineError::InvalidParameter("Miller M must be 2, 4, or 8"))?;
-        config.timing.validate()?;
-        Ok(Self { config, code })
+    /// Returns [`BaselineError::Phy`] if the Miller order is unsupported.
+    pub fn new() -> BaselineResult<Self> {
+        Ok(Self {
+            code: Miller::new(MILLER_M)?,
+        })
     }
 
     /// Runs one TDMA round: every tag transmits its framed message once, in
@@ -77,7 +60,7 @@ impl TdmaTransfer {
             ));
         }
         let chips_per_bit = self.code.chips_per_bit();
-        let bit_rate = self.config.timing.uplink_bps;
+        let bit_rate = PAPER_TIMING.uplink_bps;
         // The chip period is 1/(M·bit rate): Miller-M keeps the *bit* rate at
         // the nominal uplink rate by chipping faster.  The reader's decision
         // bandwidth grows accordingly, which is modelled by scaling the noise
@@ -118,7 +101,7 @@ impl TdmaTransfer {
                     delivered.fill(false);
                     queue = (0..tags.len()).collect();
                     qi = 0;
-                    time_s += self.config.timing.t2_s;
+                    time_s += PAPER_TIMING.t2_s;
                     continue;
                 }
             }
@@ -130,7 +113,7 @@ impl TdmaTransfer {
             // models frame-sync loss on superposed collisions and does not
             // affect these singleton replies.)
             if faults.as_ref().is_some_and(|f| f.feedback_lost) || tag_dead[i] {
-                time_s += duration_s + self.config.timing.t2_s;
+                time_s += duration_s + PAPER_TIMING.t2_s;
                 continue;
             }
             let noise_factor = faults.as_ref().map_or(1.0, |f| f.noise_power_factor);
@@ -190,7 +173,7 @@ impl TdmaTransfer {
                 delivered[i] = message.payload() == tag.message.payload();
             }
 
-            time_s += duration_s + self.config.timing.t2_s;
+            time_s += duration_s + PAPER_TIMING.t2_s;
             per_tag_active_s[i] += duration_s;
             per_tag_transitions[i] +=
                 (framed.len() as f64 * self.code.transitions_per_bit()).round() as u64;
@@ -208,7 +191,7 @@ impl TdmaTransfer {
     /// frames (no dependence on channel quality).
     #[must_use]
     pub fn nominal_time_ms(&self, k: usize, framed_bits: usize) -> f64 {
-        let per_tag = framed_bits as f64 / self.config.timing.uplink_bps + self.config.timing.t2_s;
+        let per_tag = framed_bits as f64 / PAPER_TIMING.uplink_bps + PAPER_TIMING.t2_s;
         per_tag * k as f64 * 1e3
     }
 }
@@ -219,20 +202,10 @@ mod tests {
     use backscatter_sim::scenario::ScenarioBuilder;
 
     #[test]
-    fn construction_validates() {
-        assert!(TdmaTransfer::new(TdmaConfig::default()).is_ok());
-        assert!(TdmaTransfer::new(TdmaConfig {
-            miller_m: 3,
-            ..TdmaConfig::default()
-        })
-        .is_err());
-    }
-
-    #[test]
     fn rejects_empty_and_mismatched_inputs() {
         let scenario = ScenarioBuilder::paper_uplink(2, 1).build().unwrap();
         let mut medium = scenario.medium(1).unwrap();
-        let tdma = TdmaTransfer::new(TdmaConfig::default()).unwrap();
+        let tdma = TdmaTransfer::new().unwrap();
         assert!(tdma.run(&[], &mut medium).is_err());
         assert!(tdma.run(&scenario.tags()[..1], &mut medium).is_err());
     }
@@ -241,7 +214,7 @@ mod tests {
     fn delivers_all_messages_in_good_channels() {
         let scenario = ScenarioBuilder::paper_uplink(8, 5).build().unwrap();
         let mut medium = scenario.medium(2).unwrap();
-        let tdma = TdmaTransfer::new(TdmaConfig::default()).unwrap();
+        let tdma = TdmaTransfer::new().unwrap();
         let out = tdma.run(scenario.tags(), &mut medium).unwrap();
         assert_eq!(out.delivered_count(), 8);
         assert_eq!(out.loss_rate(), 0.0);
@@ -249,7 +222,7 @@ mod tests {
 
     #[test]
     fn transfer_time_is_fixed_and_linear_in_k() {
-        let tdma = TdmaTransfer::new(TdmaConfig::default()).unwrap();
+        let tdma = TdmaTransfer::new().unwrap();
         let t4 = tdma.nominal_time_ms(4, 37);
         let t16 = tdma.nominal_time_ms(16, 37);
         assert!((t16 / t4 - 4.0).abs() < 1e-9);
@@ -272,7 +245,7 @@ mod tests {
                 .build()
                 .unwrap();
             let mut medium = scenario.medium(seed).unwrap();
-            let tdma = TdmaTransfer::new(TdmaConfig::default()).unwrap();
+            let tdma = TdmaTransfer::new().unwrap();
             let out = tdma.run(scenario.tags(), &mut medium).unwrap();
             if out.lost_count() > 0 {
                 any_loss = true;
@@ -296,7 +269,7 @@ mod tests {
             }
             let scenario = builder.build().unwrap();
             let mut medium = scenario.medium(2).unwrap();
-            TdmaTransfer::new(TdmaConfig::default())
+            TdmaTransfer::new()
                 .unwrap()
                 .run(scenario.tags(), &mut medium)
                 .unwrap()
@@ -309,7 +282,7 @@ mod tests {
             .build()
             .unwrap();
         let mut medium = scenario.medium(2).unwrap();
-        let out = TdmaTransfer::new(TdmaConfig::default())
+        let out = TdmaTransfer::new()
             .unwrap()
             .run(scenario.tags(), &mut medium)
             .unwrap();
@@ -323,7 +296,7 @@ mod tests {
             .build()
             .unwrap();
         let mut medium = scenario.medium(2).unwrap();
-        let out = TdmaTransfer::new(TdmaConfig::default())
+        let out = TdmaTransfer::new()
             .unwrap()
             .run(scenario.tags(), &mut medium)
             .unwrap();
@@ -337,7 +310,7 @@ mod tests {
             .build()
             .unwrap();
         let mut medium = scenario.medium(2).unwrap();
-        let out = TdmaTransfer::new(TdmaConfig::default())
+        let out = TdmaTransfer::new()
             .unwrap()
             .run(scenario.tags(), &mut medium)
             .unwrap();
@@ -348,7 +321,7 @@ mod tests {
     fn energy_accounting_reflects_miller_chipping() {
         let scenario = ScenarioBuilder::paper_uplink(2, 9).build().unwrap();
         let mut medium = scenario.medium(1).unwrap();
-        let tdma = TdmaTransfer::new(TdmaConfig::default()).unwrap();
+        let tdma = TdmaTransfer::new().unwrap();
         let out = tdma.run(scenario.tags(), &mut medium).unwrap();
         // 37 bits * 8 transitions/bit = 296 transitions per tag.
         assert!(out.per_tag_transitions.iter().all(|&t| t == 296));

@@ -2,8 +2,8 @@
 //! a 3 V supply (the energy numbers themselves come from the `reproduce`
 //! binary; this bench tracks the simulation cost of the energy experiment).
 
-use backscatter_baselines::cdma::{CdmaConfig, CdmaTransfer};
-use backscatter_baselines::tdma::{TdmaConfig, TdmaTransfer};
+use backscatter_baselines::cdma::CdmaTransfer;
+use backscatter_baselines::tdma::TdmaTransfer;
 use backscatter_sim::scenario::ScenarioBuilder;
 use buzz::protocol::{BuzzConfig, BuzzProtocol};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -30,7 +30,7 @@ fn bench_energy_experiment(c: &mut Criterion) {
         b.iter(|| {
             let scenario = ScenarioBuilder::paper_uplink(k, 3000).build().unwrap();
             let mut medium = scenario.medium(1).unwrap();
-            TdmaTransfer::new(TdmaConfig::default())
+            TdmaTransfer::new()
                 .unwrap()
                 .run(scenario.tags(), &mut medium)
                 .unwrap()
@@ -40,10 +40,7 @@ fn bench_energy_experiment(c: &mut Criterion) {
         b.iter(|| {
             let scenario = ScenarioBuilder::paper_uplink(k, 3000).build().unwrap();
             let mut medium = scenario.medium(1).unwrap();
-            CdmaTransfer::new(CdmaConfig::default())
-                .unwrap()
-                .run(scenario.tags(), &mut medium)
-                .unwrap()
+            CdmaTransfer.run(scenario.tags(), &mut medium).unwrap()
         });
     });
     group.finish();

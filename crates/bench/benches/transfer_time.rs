@@ -1,8 +1,8 @@
 //! Fig. 10 as a Criterion bench: one full data-transfer round for Buzz, TDMA
 //! and CDMA over identical scenarios.
 
-use backscatter_baselines::cdma::{CdmaConfig, CdmaTransfer};
-use backscatter_baselines::tdma::{TdmaConfig, TdmaTransfer};
+use backscatter_baselines::cdma::CdmaTransfer;
+use backscatter_baselines::tdma::TdmaTransfer;
 use backscatter_sim::scenario::ScenarioBuilder;
 use buzz::protocol::{BuzzConfig, BuzzProtocol};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -31,7 +31,7 @@ fn bench_transfer(c: &mut Criterion) {
                     .build()
                     .unwrap();
                 let mut medium = scenario.medium(3).unwrap();
-                TdmaTransfer::new(TdmaConfig::default())
+                TdmaTransfer::new()
                     .unwrap()
                     .run(scenario.tags(), &mut medium)
                     .unwrap()
@@ -43,10 +43,7 @@ fn bench_transfer(c: &mut Criterion) {
                     .build()
                     .unwrap();
                 let mut medium = scenario.medium(3).unwrap();
-                CdmaTransfer::new(CdmaConfig::default())
-                    .unwrap()
-                    .run(scenario.tags(), &mut medium)
-                    .unwrap()
+                CdmaTransfer.run(scenario.tags(), &mut medium).unwrap()
             });
         });
     }

@@ -6,9 +6,9 @@
 //! row per parameter.  [`compare`] is that shape, written once:
 //!
 //! * **panel** — `&[&dyn Protocol]`: any scheme implementing the unified
-//!   session API, run in panel order within each cell (later schemes can
-//!   read earlier outcomes through [`Protocol::run_after`], which is how
-//!   "FSA with Buzz's K̂" gets its estimate).
+//!   session API, run by [`run_panel`] in panel order within each cell
+//!   (later schemes read earlier outcomes through [`Protocol::run_after`],
+//!   which is how "FSA with Buzz's K̂" gets its estimate).
 //! * **grid** — one scenario per `(parameter, location)` cell, built by a
 //!   caller closure; one or more noise realizations ("traces") per cell.
 //! * **execution** — cells shard across [`work_steal_map`] worker threads
@@ -21,7 +21,7 @@
 
 use backscatter_sim::scenario::Scenario;
 use buzz::executor::work_steal_map;
-use buzz::session::{Protocol, SessionOutcome};
+use buzz::session::{run_panel, Protocol, SessionOutcome};
 
 /// The outcomes of one `(parameter, location, trace)` cell, index-aligned
 /// with the protocol panel that produced them.
@@ -80,15 +80,9 @@ where
         let mut scenario = scenario_of(param, location);
         trace_seeds_of(location)
             .into_iter()
-            .map(|seed| {
-                let mut outcomes: Vec<SessionOutcome> = Vec::with_capacity(protocols.len());
-                for protocol in protocols {
-                    let outcome = protocol
-                        .run_after(&mut scenario, seed, &outcomes)
-                        .unwrap_or_else(|e| panic!("{} session failed: {e}", protocol.name()));
-                    outcomes.push(outcome);
-                }
-                ComparisonCell { outcomes }
+            .map(|seed| ComparisonCell {
+                outcomes: run_panel(protocols, &mut scenario, seed)
+                    .unwrap_or_else(|e| panic!("panel session failed: {e}")),
             })
             .collect()
     });

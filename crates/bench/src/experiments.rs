@@ -38,7 +38,7 @@ use buzz::recovery::{RecoveryConfig, ResilientBuzzProtocol};
 use buzz::session::Protocol;
 use buzz::toy;
 use buzz::transfer::TransferConfig;
-use sparse_recovery::kest::{KEstimator, KEstimatorConfig};
+use sparse_recovery::kest::KEstimator;
 
 use crate::compare::{compare, ComparisonCell};
 use crate::report::ExperimentReport;
@@ -445,7 +445,6 @@ pub fn fig11_large(locations: u64, base_seed: u64, threads: usize) -> Experiment
     let buzz = BuzzProtocol::new(BuzzConfig {
         identification: IdentificationConfig {
             ids_per_bucket: Some(16),
-            ..IdentificationConfig::default()
         },
         transfer: TransferConfig {
             target_collision_size: 4.0,
@@ -1079,7 +1078,7 @@ pub fn lemma51(base_seed: u64, threads: usize) -> ExperimentReport {
         let mut sum_err = 0.0;
         let mut sum_j = 0.0;
         for t in 0..trials {
-            let mut est = KEstimator::new(KEstimatorConfig::precise(s)).expect("estimator");
+            let mut est = KEstimator::new(s).expect("estimator");
             let mut rng = Xoshiro256::seed_from_u64(base_seed + t * 977 + k as u64 + s as u64);
             let estimate = loop {
                 let p = est.next_probability().expect("probability");

@@ -17,7 +17,7 @@
 use backscatter_baselines::session::TdmaProtocol;
 use backscatter_sim::scenario::ScenarioBuilder;
 use buzz::protocol::{BuzzConfig, BuzzProtocol};
-use buzz::session::{Protocol, SessionOutcome};
+use buzz::session::run_panel;
 
 use crate::experiments::find_figure;
 use crate::report::ExperimentReport;
@@ -161,14 +161,8 @@ fn run_grid_cell(
     })
     .expect("protocol");
     let tdma = TdmaProtocol::paper_default().expect("tdma");
-    let panel: [&dyn Protocol; 2] = [&buzz, &tdma];
-    let mut outcomes: Vec<SessionOutcome> = Vec::with_capacity(panel.len());
-    for protocol in panel {
-        let outcome = protocol
-            .run_after(&mut scenario, trace, &outcomes)
-            .unwrap_or_else(|e| panic!("{} grid cell failed: {e}", protocol.name()));
-        outcomes.push(outcome);
-    }
+    let outcomes = run_panel(&[&buzz, &tdma], &mut scenario, trace)
+        .unwrap_or_else(|e| panic!("grid cell failed: {e}"));
     CanonicalJson::object(vec![(
         "outcomes",
         CanonicalJson::Array(

@@ -5,12 +5,13 @@
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::sync::OnceLock;
 
 use buzz_bench::experiments;
 use buzz_bench::orchestrate::runner::run_shard;
 use buzz_bench::orchestrate::{
-    diff, figures_json, CanonicalJson, DiffOutcome, GridDynamics, GridOptions, Runbook, Shard,
-    SweepPlan,
+    diff, figures_json, CanonicalJson, DiffOutcome, GridDynamics, GridOptions, JobArtifact,
+    Runbook, Shard, SweepPlan,
 };
 use proptest::prelude::*;
 
@@ -160,6 +161,85 @@ proptest! {
         prop_assert_eq!(a.plan_hash(), b.plan_hash());
         let c = SweepPlan::all(locations, seed + 1).unwrap();
         prop_assert_ne!(a.plan_hash(), c.plan_hash());
+    }
+}
+
+/// The real inputs the hostile-input property edits: a `table12` plan's
+/// artifact, runbook and figure bytes, plus CLI strings.
+struct HostileSeed {
+    plan: SweepPlan,
+    corpus: Vec<String>,
+}
+
+fn hostile_seed() -> &'static HostileSeed {
+    static SEED: OnceLock<HostileSeed> = OnceLock::new();
+    SEED.get_or_init(|| {
+        let plan = SweepPlan::figure_list("table12", 1, 2012).unwrap();
+        let artifacts = run_shard(&plan, Shard::full(), 1);
+        let corpus = vec![
+            artifacts[0].serialize(),
+            Runbook::assemble(&plan, &artifacts, "seed")
+                .unwrap()
+                .serialize(),
+            figures_json(&plan, &artifacts).unwrap(),
+            "2/3".to_string(),
+            "fading:0.05:0.5".to_string(),
+            "table12,fig8".to_string(),
+        ];
+        HostileSeed { plan, corpus }
+    })
+}
+
+/// Hostile parser input: random bytes, or a real artifact, runbook, figure
+/// array or CLI string with random edits (flipped bytes, truncations and
+/// inserted JSON punctuation).
+struct HostileText;
+
+impl Strategy for HostileText {
+    type Value = String;
+    fn generate(&self, rng: &mut TestRng) -> String {
+        let corpus = &hostile_seed().corpus;
+        let mut bytes: Vec<u8> = if rng.next_bounded(4) == 0 {
+            let len = rng.next_bounded(64);
+            (0..len).map(|_| rng.next_u64() as u8).collect()
+        } else {
+            corpus[rng.next_bounded(corpus.len() as u64) as usize]
+                .clone()
+                .into_bytes()
+        };
+        const PUNCTUATION: &[u8] = b"{}[]\":,\\-.0e";
+        for _ in 0..=rng.next_bounded(4) {
+            let at = rng.next_bounded(bytes.len() as u64 + 1) as usize;
+            match rng.next_bounded(3) {
+                0 if at < bytes.len() => bytes[at] ^= 1 << rng.next_bounded(8),
+                1 => bytes.truncate(at),
+                _ => {
+                    let mark = PUNCTUATION[rng.next_bounded(PUNCTUATION.len() as u64) as usize];
+                    bytes.insert(at, mark);
+                }
+            }
+        }
+        String::from_utf8_lossy(&bytes).into_owned()
+    }
+}
+
+proptest! {
+    /// No parser of the experiment service panics on hostile input: every
+    /// call returns `Ok` or `Err`.
+    #[test]
+    fn parsers_return_errors_on_hostile_input(text in HostileText) {
+        let plan = &hostile_seed().plan;
+        let _ = CanonicalJson::parse(&text);
+        if let Ok(artifact) = JobArtifact::parse(&text) {
+            let _ = artifact.report();
+            let artifacts = [artifact];
+            let _ = Runbook::assemble(plan, &artifacts, "hostile");
+            let _ = figures_json(plan, &artifacts);
+        }
+        let _ = Runbook::parse(&text);
+        let _ = Shard::parse(&text);
+        let _ = GridDynamics::parse(&text);
+        let _ = SweepPlan::figure_list(&text, 1, 2012);
     }
 }
 

@@ -8,8 +8,8 @@
 //!   CRC-16),
 //! * [`walsh`] — Walsh–Hadamard orthogonal spreading codes for the CDMA
 //!   baseline,
-//! * [`rn16`] — 16-bit temporary identifiers and the smaller temporary-id
-//!   spaces Buzz uses once `K` is known,
+//! * [`rn16`] — the temporary-id spaces Buzz uses once `K` is known, in
+//!   place of Gen-2's 16-bit RN16,
 //! * [`message`] — tag payload construction (data + CRC) and verification,
 //! * [`sparse_matrix`] — the sparse binary matrix type shared by the
 //!   compressive-sensing sensing matrix `A` and the rateless participation
@@ -26,7 +26,7 @@ pub mod walsh;
 
 pub use crc::{Crc16, Crc5};
 pub use message::Message;
-pub use rn16::{Rn16, TemporaryIdSpace};
+pub use rn16::TemporaryIdSpace;
 pub use sparse_matrix::SparseBinaryMatrix;
 pub use walsh::WalshCode;
 

@@ -78,12 +78,6 @@ impl Message {
         Crc5::new().append(&self.payload)
     }
 
-    /// Framed length in bits (payload + 5).
-    #[must_use]
-    pub fn framed_len(&self) -> usize {
-        self.payload.len() + 5
-    }
-
     /// Checks whether candidate framed bits are a valid frame, and if so
     /// returns the recovered message.
     ///
@@ -118,7 +112,6 @@ mod tests {
     fn standard_message_lengths() {
         let m = Message::standard_32bit(42).unwrap();
         assert_eq!(m.len(), 32);
-        assert_eq!(m.framed_len(), 37);
         assert_eq!(m.framed().len(), 37);
         assert!(!m.is_empty());
     }

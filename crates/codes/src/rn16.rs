@@ -1,4 +1,4 @@
-//! Temporary identifiers.
+//! Temporary-id spaces.
 //!
 //! EPC Gen-2 tags identify themselves during inventory with a 16-bit random
 //! number (RN16).  Buzz replaces the fixed 2^16 id space with a much smaller
@@ -9,41 +9,6 @@
 use backscatter_prng::{Rng64, Xoshiro256};
 
 use crate::{CodeError, CodeResult};
-
-/// A 16-bit temporary identifier (the Gen-2 RN16).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Rn16(pub u16);
-
-impl Rn16 {
-    /// Draws a fresh RN16 from a generator.
-    #[must_use]
-    pub fn draw(rng: &mut Xoshiro256) -> Self {
-        Self(rng.next_u64() as u16)
-    }
-
-    /// The identifier as 16 bits, MSB first.
-    #[must_use]
-    pub fn bits(self) -> Vec<bool> {
-        (0..16).rev().map(|i| (self.0 >> i) & 1 == 1).collect()
-    }
-
-    /// Reconstructs an RN16 from 16 bits (MSB first).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodeError::LengthMismatch`] unless exactly 16 bits are given.
-    pub fn from_bits(bits: &[bool]) -> CodeResult<Self> {
-        if bits.len() != 16 {
-            return Err(CodeError::LengthMismatch {
-                expected: 16,
-                actual: bits.len(),
-            });
-        }
-        Ok(Self(
-            bits.iter().fold(0u16, |acc, &b| (acc << 1) | u16::from(b)),
-        ))
-    }
-}
 
 /// A temporary-id space of configurable size.
 ///
@@ -88,27 +53,10 @@ impl TemporaryIdSpace {
         Self::new(a.saturating_mul(c).saturating_mul(k_hat))
     }
 
-    /// The Gen-2 RN16 space (2^16 ids).
-    #[must_use]
-    pub fn gen2_rn16() -> Self {
-        Self { size: 1 << 16 }
-    }
-
     /// Number of ids in the space.
     #[must_use]
     pub fn size(&self) -> u64 {
         self.size
-    }
-
-    /// Number of bits needed to express an id in this space.
-    #[must_use]
-    pub fn id_bits(&self) -> u32 {
-        // ceil(log2(size)), minimum 1.
-        if self.size <= 1 {
-            1
-        } else {
-            64 - (self.size - 1).leading_zeros()
-        }
     }
 
     /// Draws a uniform temporary id from the space.
@@ -123,32 +71,11 @@ impl TemporaryIdSpace {
     pub fn draw_many(&self, rng: &mut Xoshiro256, count: usize) -> Vec<u64> {
         (0..count).map(|_| self.draw(rng)).collect()
     }
-
-    /// The probability that `k` tags drawing uniformly at random all obtain
-    /// distinct ids (the birthday-problem survival probability).
-    #[must_use]
-    pub fn all_distinct_probability(&self, k: u64) -> f64 {
-        if k > self.size {
-            return 0.0;
-        }
-        let n = self.size as f64;
-        (0..k).map(|i| (n - i as f64) / n).product()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn rn16_bits_round_trip() {
-        let mut rng = Xoshiro256::seed_from_u64(1);
-        for _ in 0..50 {
-            let id = Rn16::draw(&mut rng);
-            assert_eq!(Rn16::from_bits(&id.bits()).unwrap(), id);
-        }
-        assert!(Rn16::from_bits(&[true; 15]).is_err());
-    }
 
     #[test]
     fn id_space_rejects_zero() {
@@ -162,17 +89,8 @@ mod tests {
         // a = K, c = 10, K = 16  =>  16 * 10 * 16 = 2560 ids.
         let space = TemporaryIdSpace::for_buzz(16, 16, 10).unwrap();
         assert_eq!(space.size(), 2560);
-        assert!(space.size() < TemporaryIdSpace::gen2_rn16().size());
-    }
-
-    #[test]
-    fn id_bits_is_ceil_log2() {
-        assert_eq!(TemporaryIdSpace::new(1).unwrap().id_bits(), 1);
-        assert_eq!(TemporaryIdSpace::new(2).unwrap().id_bits(), 1);
-        assert_eq!(TemporaryIdSpace::new(3).unwrap().id_bits(), 2);
-        assert_eq!(TemporaryIdSpace::new(256).unwrap().id_bits(), 8);
-        assert_eq!(TemporaryIdSpace::new(257).unwrap().id_bits(), 9);
-        assert_eq!(TemporaryIdSpace::gen2_rn16().id_bits(), 16);
+        // Far smaller than Gen-2's 2^16 RN16 space.
+        assert!(space.size() < 1 << 16);
     }
 
     #[test]
@@ -182,22 +100,5 @@ mod tests {
         for id in space.draw_many(&mut rng, 10_000) {
             assert!(id < 100);
         }
-    }
-
-    #[test]
-    fn distinct_probability_matches_birthday_formula() {
-        let space = TemporaryIdSpace::new(365).unwrap();
-        // Classic birthday numbers: 23 people => ~49.3% all distinct.
-        let p = space.all_distinct_probability(23);
-        assert!((p - 0.4927).abs() < 0.001, "p = {p}");
-        assert_eq!(space.all_distinct_probability(400), 0.0);
-        assert_eq!(space.all_distinct_probability(0), 1.0);
-    }
-
-    #[test]
-    fn larger_space_means_fewer_collisions() {
-        let small = TemporaryIdSpace::new(64).unwrap();
-        let large = TemporaryIdSpace::new(4096).unwrap();
-        assert!(large.all_distinct_probability(16) > small.all_distinct_probability(16));
     }
 }

@@ -901,12 +901,6 @@ impl BitFlippingDecoder {
         self.mp.as_deref().map(|mp| mp.sweeps())
     }
 
-    /// Number of nodes.
-    #[must_use]
-    pub fn num_nodes(&self) -> usize {
-        self.channels.len()
-    }
-
     /// Number of collision slots absorbed so far.
     #[must_use]
     pub fn slots(&self) -> usize {
@@ -2410,7 +2404,7 @@ mod tests {
     /// for bit.
     fn assert_terms_fresh(decoder: &BitFlippingDecoder, what: &str) {
         let bits = |t: GainTerms| (t.energy.to_bits(), t.pair_bound.to_bits(), t.locked);
-        for node in 0..decoder.num_nodes() {
+        for node in 0..decoder.channels.len() {
             assert_eq!(
                 bits(decoder.terms[node]),
                 bits(decoder.terms_of(node)),
@@ -2428,7 +2422,7 @@ mod tests {
             return;
         };
         for (position, state) in wl.positions.iter().enumerate() {
-            for node in 0..decoder.num_nodes() {
+            for node in 0..decoder.channels.len() {
                 assert_eq!(
                     state.gains[node].to_bits(),
                     per_call_gain(decoder, state, node).to_bits(),

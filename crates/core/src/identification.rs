@@ -16,59 +16,49 @@
 use backscatter_codes::rn16::TemporaryIdSpace;
 use backscatter_codes::sparse_matrix::SparseBinaryMatrix;
 use backscatter_gen2::commands::ReaderCommand;
-use backscatter_gen2::timing::LinkTiming;
-use backscatter_phy::channel::Channel;
+use backscatter_gen2::timing::PAPER_TIMING;
 use backscatter_phy::complex::Complex;
 use backscatter_phy::signal::SlotObservation;
 use backscatter_prng::{BiasedBits, NodeSeed, SplitMix64};
 use backscatter_sim::medium::Medium;
 use backscatter_sim::scenario::Scenario;
 use sparse_recovery::buckets::BucketHasher;
-use sparse_recovery::kest::{KEstimate, KEstimator, KEstimatorConfig};
+use sparse_recovery::kest::{KEstimate, KEstimator};
 use sparse_recovery::omp::{prune_insignificant, OmpConfig, OmpSolver};
 
 use crate::{BuzzError, BuzzResult};
 
-/// Configuration of the identification protocol.
-#[derive(Debug, Clone, Copy)]
-pub struct IdentificationConfig {
-    /// Stage-1 estimator configuration (the paper uses `s = 4`, threshold
-    /// 0.75).
-    pub estimator: KEstimatorConfig,
-    /// Bucket multiplier `c` (the paper uses 10): stage 2 uses `c·K̂` buckets.
-    pub c: u64,
-    /// Whether `a` (ids per bucket) equals `K̂` (the paper's choice) or a fixed
-    /// value.  With `a = K̂` the id space (`a·c·K̂`) grows as `K̂²` and the odds
-    /// that two tags draw the same temporary id do not depend on K.  A fixed
-    /// `a` makes the space linear in `K̂`, so at K = 100+ birthday collisions
-    /// recur; each restart after a collision then grows `K̂` by half.
-    pub ids_per_bucket: Option<u64>,
-    /// Number of stage-3 measurements as a multiple of `K̂·log₂(a)` (1.0 is the
-    /// information-theoretic scaling; a little head-room buys robustness).
-    pub measurement_factor: f64,
-    /// Sensing-pattern transmit probability (0.5 in the paper's formulation).
-    pub sensing_probability: f64,
-    /// Magnitude-pruning fraction applied to the sparse solution.
-    pub prune_fraction: f64,
-    /// Maximum protocol restarts when tags draw colliding temporary ids.
-    pub max_rounds: usize,
-    /// Air-interface timing used for the Fig. 14 accounting.
-    pub timing: LinkTiming,
-}
+/// Stage-1 estimator slots per step (the paper uses `s = 4`; the estimator
+/// terminates at a 0.75 empty-slot fraction).
+const ESTIMATOR_SLOTS_PER_STEP: usize = 4;
 
-impl Default for IdentificationConfig {
-    fn default() -> Self {
-        Self {
-            estimator: KEstimatorConfig::paper_default(),
-            c: 10,
-            ids_per_bucket: None,
-            measurement_factor: 2.5,
-            sensing_probability: 0.5,
-            prune_fraction: 0.02,
-            max_rounds: 8,
-            timing: LinkTiming::paper_default(),
-        }
-    }
+/// Bucket multiplier `c` (the paper uses 10): stage 2 uses `c·K̂` buckets.
+const BUCKETS_PER_TAG: u64 = 10;
+
+/// Number of stage-3 measurements as a multiple of `K̂·log₂(a)` (1.0 is the
+/// information-theoretic scaling; a little head-room buys robustness).
+const MEASUREMENT_FACTOR: f64 = 2.5;
+
+/// Sensing-pattern transmit probability (0.5 in the paper's formulation).
+const SENSING_PROBABILITY: f64 = 0.5;
+
+/// Magnitude-pruning fraction applied to the sparse solution.
+const PRUNE_FRACTION: f64 = 0.02;
+
+/// Maximum protocol restarts when tags draw colliding temporary ids.
+const MAX_ROUNDS: usize = 8;
+
+/// Configuration of the identification protocol.  Link timing is
+/// [`PAPER_TIMING`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct IdentificationConfig {
+    /// Whether `a` (ids per bucket) equals `K̂` (the paper's choice, `None`)
+    /// or a fixed value.  With `a = K̂` the id space (`a·c·K̂`) grows as `K̂²`
+    /// and the odds that two tags draw the same temporary id do not depend
+    /// on K.  A fixed `a` makes the space linear in `K̂`, so at K = 100+
+    /// birthday collisions recur; each restart after a collision then grows
+    /// `K̂` by half.
+    pub ids_per_bucket: Option<u64>,
 }
 
 impl IdentificationConfig {
@@ -76,38 +66,13 @@ impl IdentificationConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`BuzzError::InvalidParameter`] for out-of-range fields.
+    /// Returns [`BuzzError::InvalidParameter`] for a zero `ids_per_bucket`.
     pub fn validate(&self) -> BuzzResult<()> {
-        self.estimator.validate()?;
-        if self.c == 0 {
-            return Err(BuzzError::InvalidParameter("c must be non-zero"));
-        }
         if self.ids_per_bucket == Some(0) {
             return Err(BuzzError::InvalidParameter(
                 "ids per bucket must be non-zero",
             ));
         }
-        if !(self.measurement_factor > 0.0 && self.measurement_factor.is_finite()) {
-            return Err(BuzzError::InvalidParameter(
-                "measurement factor must be positive",
-            ));
-        }
-        if !(self.sensing_probability > 0.0 && self.sensing_probability <= 1.0) {
-            return Err(BuzzError::InvalidParameter(
-                "sensing probability must be in (0, 1]",
-            ));
-        }
-        if !(0.0..=1.0).contains(&self.prune_fraction) {
-            return Err(BuzzError::InvalidParameter(
-                "prune fraction must be in [0, 1]",
-            ));
-        }
-        if self.max_rounds == 0 {
-            return Err(BuzzError::InvalidParameter("max rounds must be non-zero"));
-        }
-        self.timing
-            .validate()
-            .map_err(|_| BuzzError::InvalidParameter("link timing is invalid"))?;
         Ok(())
     }
 }
@@ -177,22 +142,6 @@ impl IdentificationOutcome {
         got.sort_unstable();
         truth == got
     }
-
-    /// Relative channel-estimation error over correctly discovered tags
-    /// (`None` if none were correctly discovered).
-    #[must_use]
-    pub fn channel_error(&self, true_channels: &[(u64, Channel)]) -> Option<f64> {
-        let truth: Vec<(usize, Complex)> = true_channels
-            .iter()
-            .map(|(id, ch)| (*id as usize, ch.coefficient))
-            .collect();
-        let est: Vec<(usize, Complex)> = self
-            .discovered
-            .iter()
-            .map(|d| (d.temporary_id as usize, d.channel_estimate))
-            .collect();
-        sparse_recovery::diagnostics::channel_estimation_error(&truth, &est)
-    }
 }
 
 /// The identification protocol driver.
@@ -227,7 +176,7 @@ impl Identifier {
         scenario: &mut Scenario,
         medium: &mut Medium,
     ) -> BuzzResult<IdentificationOutcome> {
-        let timing = self.config.timing;
+        let timing = PAPER_TIMING;
         let mut slots = IdentificationSlots::default();
         let mut time_s = 0.0;
         // Protocol-local slot clock driving scenario dynamics (mobility,
@@ -240,7 +189,7 @@ impl Identifier {
         time_s += timing.downlink_s(ReaderCommand::BuzzTrigger.bits()) + timing.t1_s;
         slots.reader_commands += 1;
 
-        let mut estimator = KEstimator::new(self.config.estimator)?;
+        let mut estimator = KEstimator::new(ESTIMATOR_SLOTS_PER_STEP)?;
         // Per-tag biased bit streams for this stage (seeded by global id).
         let mut tag_streams: Vec<BiasedBits> = scenario
             .tags()
@@ -255,7 +204,7 @@ impl Identifier {
                 stream.set_probability(p);
             }
             let mut empty = 0;
-            for _ in 0..self.config.estimator.slots_per_step {
+            for _ in 0..ESTIMATOR_SLOTS_PER_STEP {
                 let bits: Vec<bool> = tag_streams.iter_mut().map(BiasedBits::next_bit).collect();
                 slots.estimation += 1;
                 time_s += timing.uplink_symbol_s();
@@ -279,10 +228,10 @@ impl Identifier {
         let mut rounds = 0;
         let mut id_space_size = 0;
 
-        for round in 0..self.config.max_rounds {
+        for round in 0..MAX_ROUNDS {
             rounds = round + 1;
             let a = self.config.ids_per_bucket.unwrap_or(k_work.max(2));
-            let id_space = TemporaryIdSpace::for_buzz(k_work, a, self.config.c)?;
+            let id_space = TemporaryIdSpace::for_buzz(k_work, a, BUCKETS_PER_TAG)?;
             id_space_size = id_space.size();
 
             // Each active tag draws a temporary id deterministically from its
@@ -313,7 +262,7 @@ impl Identifier {
             // Stage 2: bucket announcement.
             time_s += timing.downlink_s(ReaderCommand::BuzzTrigger.bits()) + timing.t1_s;
             slots.reader_commands += 1;
-            let hasher = BucketHasher::for_buzz(k_work, self.config.c, round as u64)?;
+            let hasher = BucketHasher::for_buzz(k_work, BUCKETS_PER_TAG, round as u64)?;
             let num_buckets = hasher.num_buckets() as usize;
             // Each tag's bucket is a pure function of its id: hash once per
             // tag instead of once per (bucket, tag) pair — the bucket stage
@@ -350,7 +299,7 @@ impl Identifier {
             // (sized from K̂) is too small, which inflates the id-collision
             // probability and starves the sparse decode.  Restart the round
             // with the corrected population in that case.
-            if occupied_count > 2 * k_work && round + 1 < self.config.max_rounds {
+            if occupied_count > 2 * k_work && round + 1 < MAX_ROUNDS {
                 k_work = occupied_count;
                 continue;
             }
@@ -358,23 +307,20 @@ impl Identifier {
             // Stage 3: compressive sensing over the surviving candidates.
             time_s += timing.downlink_s(ReaderCommand::BuzzTrigger.bits()) + timing.t1_s;
             slots.reader_commands += 1;
-            let m = ((k_refined as f64) * (a.max(2) as f64).log2() * self.config.measurement_factor)
-                .ceil() as usize;
+            let m = ((k_refined as f64) * (a.max(2) as f64).log2() * MEASUREMENT_FACTOR).ceil()
+                as usize;
             let m = m.max(2 * k_refined as usize).max(16);
 
             // The reader's reduced sensing matrix A' over candidate ids...
             let candidate_seeds: Vec<NodeSeed> =
                 candidates.iter().map(|&id| NodeSeed(id)).collect();
-            let a_reduced = SparseBinaryMatrix::from_sensing_seeds(
-                m,
-                &candidate_seeds,
-                self.config.sensing_probability,
-            );
+            let a_reduced =
+                SparseBinaryMatrix::from_sensing_seeds(m, &candidate_seeds, SENSING_PROBABILITY);
             // ...and the on-air measurements produced by the actual tags,
             // each transmitting its own column of the full matrix A.
             let mut tag_columns = vec![false; assignments.len() * m];
             for (column, &id) in tag_columns.chunks_exact_mut(m).zip(&assignments) {
-                NodeSeed(id).sensing_column(self.config.sensing_probability, column);
+                NodeSeed(id).sensing_column(SENSING_PROBABILITY, column);
             }
             let mut measurements: Vec<Complex> = Vec::with_capacity(m);
             for slot in 0..m {
@@ -416,7 +362,7 @@ impl Identifier {
                 .support
                 .iter()
                 .zip(&solution.values)
-                .filter(|(_, v)| v.abs() > max_mag * self.config.prune_fraction)
+                .filter(|(_, v)| v.abs() > max_mag * PRUNE_FRACTION)
                 .map(|(&col, &value)| DiscoveredTag {
                     temporary_id: candidates[col],
                     channel_estimate: value,
@@ -429,7 +375,7 @@ impl Identifier {
             // rounds cost far less than a failed inventory).
             let saturated = solution.support.len() >= max_sparsity
                 && solution.relative_residual > 0.05
-                && round + 1 < self.config.max_rounds;
+                && round + 1 < MAX_ROUNDS;
             if saturated {
                 k_work = (k_work * 2).max(k_work + 1);
                 discovered.clear();
@@ -492,35 +438,11 @@ mod tests {
     #[test]
     fn config_validation() {
         assert!(IdentificationConfig::default().validate().is_ok());
-        let bad = [
-            IdentificationConfig {
-                c: 0,
-                ..IdentificationConfig::default()
-            },
-            IdentificationConfig {
-                measurement_factor: 0.0,
-                ..IdentificationConfig::default()
-            },
-            IdentificationConfig {
-                sensing_probability: 0.0,
-                ..IdentificationConfig::default()
-            },
-            IdentificationConfig {
-                prune_fraction: 1.5,
-                ..IdentificationConfig::default()
-            },
-            IdentificationConfig {
-                max_rounds: 0,
-                ..IdentificationConfig::default()
-            },
-            IdentificationConfig {
-                ids_per_bucket: Some(0),
-                ..IdentificationConfig::default()
-            },
-        ];
-        for c in bad {
-            assert!(c.validate().is_err());
-        }
+        let bad = IdentificationConfig {
+            ids_per_bucket: Some(0),
+        };
+        assert!(bad.validate().is_err());
+        assert!(Identifier::new(bad).is_err());
     }
 
     #[test]
@@ -586,13 +508,19 @@ mod tests {
     #[test]
     fn channel_estimates_are_accurate_in_good_conditions() {
         let (scenario, outcome) = run_for(8, 13);
-        let truth: Vec<(u64, Channel)> = scenario
+        let truth: Vec<(usize, Complex)> = scenario
             .tags()
             .iter()
             .zip(&outcome.assignments)
-            .map(|(t, &id)| (id, t.channel))
+            .map(|(t, &id)| (id as usize, t.channel.coefficient))
             .collect();
-        let err = outcome.channel_error(&truth).expect("no overlap");
+        let estimates: Vec<(usize, Complex)> = outcome
+            .discovered
+            .iter()
+            .map(|d| (d.temporary_id as usize, d.channel_estimate))
+            .collect();
+        let err = sparse_recovery::diagnostics::channel_estimation_error(&truth, &estimates)
+            .expect("no overlap");
         assert!(err < 0.25, "relative channel error = {err}");
     }
 

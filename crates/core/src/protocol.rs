@@ -5,7 +5,8 @@
 //! pipeline, returning the timing, reliability, and energy figures the paper's
 //! evaluation reports.
 
-use backscatter_sim::energy::{EnergyModel, TransmissionProfile};
+use backscatter_gen2::timing::PAPER_TIMING;
+use backscatter_sim::energy::TransmissionProfile;
 use backscatter_sim::medium::Medium;
 use backscatter_sim::scenario::Scenario;
 
@@ -172,9 +173,8 @@ impl BuzzProtocol {
         // toggles the antenna once per transmitted "1" on average (~1
         // transition/bit).
         let ident_bits = identification.as_ref().map_or(0, |i| i.slots.total() / 2);
-        let uplink_bps = self.config.transfer.timing.uplink_bps;
+        let uplink_bps = PAPER_TIMING.uplink_bps;
         let ident_profile = TransmissionProfile::for_bits(ident_bits, uplink_bps, 1.0, 1);
-        let energy_model = EnergyModel::moo();
         let starting_voltage = scenario.config().starting_voltage_v;
         let per_tag_energy_j = transfer
             .per_tag_transmissions
@@ -186,8 +186,9 @@ impl BuzzProtocol {
                     1.0,
                     repeats.max(1),
                 );
-                energy_model
-                    .reply_energy_j(&ident_profile.combined(&data_profile), starting_voltage)
+                ident_profile
+                    .combined(&data_profile)
+                    .reply_energy_j(starting_voltage)
             })
             .collect();
 

@@ -50,6 +50,7 @@
 
 use backscatter_codes::message::Message;
 use backscatter_gen2::commands::ReaderCommand;
+use backscatter_gen2::timing::PAPER_TIMING;
 use backscatter_prng::NodeSeed;
 use backscatter_sim::medium::Medium;
 use backscatter_sim::scenario::Scenario;
@@ -115,6 +116,8 @@ struct Checkpoint {
     decoder: BitFlippingDecoder,
     data_slots: usize,
     last_residual: f64,
+    /// Length of the progress series when the snapshot was taken.
+    progress_len: usize,
 }
 
 /// Buzz with the recovery layer enabled (scheme label `"buzz+r"`).
@@ -188,27 +191,27 @@ impl ResilientBuzzProtocol {
                 // Restore the last checkpoint (or start the decode over
                 // when none was taken): only the slots observed since are
                 // lost, not the session.
-                let since = match checkpoint.take() {
+                let (since, kept_progress) = match checkpoint.take() {
                     Some(cp) => {
                         let since = data_slots - cp.data_slots;
                         phase.decoder = cp.decoder;
                         data_slots = cp.data_slots;
                         last_residual = cp.last_residual;
-                        since
+                        (since, cp.progress_len)
                     }
                     None => {
                         phase.decoder = phase.fresh_decoder(medium)?;
                         last_residual = f64::INFINITY;
-                        std::mem::take(&mut data_slots)
+                        (std::mem::take(&mut data_slots), 0)
                     }
                 };
                 diag.checkpoint_restores += 1;
                 diag.wasted_slots += since;
-                // Locks recorded in the wasted slots no longer exist on the
-                // restarted reader: zero their progress entries so the
-                // cumulative series reflects its final knowledge.
-                let len = phase.progress.len();
-                phase.progress[len - since.min(len)..].fill(0);
+                // Locks recorded after the snapshot no longer exist on the
+                // restarted reader: zero every progress entry since (erased
+                // and request slots hold entries too) so the cumulative
+                // series reflects its final knowledge.
+                phase.progress[kept_progress..].fill(0);
                 phase.state = None;
                 window.clear();
                 // Re-acquisition occupies this slot; nothing is on the air.
@@ -235,6 +238,7 @@ impl ResilientBuzzProtocol {
                         decoder: phase.decoder.clone(),
                         data_slots,
                         last_residual,
+                        progress_len: phase.progress.len(),
                     });
                 }
             }
@@ -271,10 +275,8 @@ impl ResilientBuzzProtocol {
                 if !delivered {
                     diag.feedback_retries += 1;
                 }
-                phase.time_s += phase
-                    .timing
-                    .downlink_s(ReaderCommand::QueryAdjust { q: 0 }.bits())
-                    + phase.timing.t1_s;
+                phase.time_s += PAPER_TIMING.downlink_s(ReaderCommand::QueryAdjust { q: 0 }.bits())
+                    + PAPER_TIMING.t1_s;
                 phase.progress.push(0);
                 slot += 1;
             }
@@ -320,7 +322,7 @@ fn poll_unresolved(
         return Ok(());
     }
     diag.fallback_events += 1;
-    let timing = phase.timing;
+    let timing = PAPER_TIMING;
     for col in unresolved {
         // Polling needs the physical tag behind the column; a column whose
         // tag was never discovered correctly cannot be polled.
@@ -399,7 +401,7 @@ mod tests {
         bad.transfer.target_collision_size = 0.0;
         assert!(ResilientBuzzProtocol::new(bad, recovery).is_err());
         let mut bad = BuzzConfig::default();
-        bad.identification.c = 0;
+        bad.identification.ids_per_bucket = Some(0);
         assert!(ResilientBuzzProtocol::new(bad, recovery).is_err());
     }
 
@@ -459,6 +461,35 @@ mod tests {
         let diag = alive.diagnostics.unwrap().recovery.unwrap();
         assert_eq!(diag.checkpoint_restores, 1);
         assert_eq!(diag.wasted_slots, 1);
+    }
+
+    #[test]
+    fn restart_restore_rolls_the_progress_series_back_to_the_checkpoint() {
+        // Erased slots hold entries in the Fig. 9 series but add no decoder
+        // rows, so a restore zeroes the series from the checkpoint's
+        // length.  In these sessions (K = 16 at `paper_uplink(16, 70_000 +
+        // s)`, noise `80_000 + s`) slots are erased between the checkpoint
+        // and the restart, so the rows thrown away are fewer than the
+        // series entries after the checkpoint.
+        let resilient = ResilientBuzzProtocol::new(
+            periodic_config(),
+            RecoveryConfig {
+                checkpoint_interval: 2,
+            },
+        )
+        .unwrap();
+        for (s, restart_at) in [(3u64, 3u64), (29, 4), (31, 8), (103, 4)] {
+            let mut scenario = ScenarioBuilder::paper_uplink(16, 70_000 + s)
+                .fault(SlotErasure::new(0.3).unwrap())
+                .fault(ReaderRestart::new(restart_at))
+                .build()
+                .unwrap();
+            let (outcome, diag) = resilient.run(&mut scenario, 80_000 + s).unwrap();
+            assert_eq!(diag.checkpoint_restores, 1, "s = {s}");
+            let series: usize = outcome.transfer.newly_decoded_per_slot.iter().sum();
+            assert_eq!(series, outcome.transfer.decoded_count(), "s = {s}");
+            assert_eq!(outcome.transfer.decoded_count(), 16, "s = {s}");
+        }
     }
 
     #[test]

@@ -87,8 +87,10 @@ pub struct RecoveryDiagnostics {
     pub backoff_slots: usize,
     /// Decoder-state restores after reader restarts.
     pub checkpoint_restores: usize,
-    /// Air slots whose observations were lost to faults (erased, or aired
-    /// between a checkpoint and the restart that discarded them).
+    /// Decoder rows (decoded data slots) that reader restarts threw away:
+    /// the rows taken between a checkpoint and the restart that restored
+    /// it, or every row when no checkpoint was taken.  Erased slots add no
+    /// rows and are not counted.
     pub wasted_slots: usize,
     /// Times the session degraded to TDMA polling for unresolved tags.
     pub fallback_events: usize,
@@ -276,6 +278,27 @@ pub trait Protocol: Send + Sync {
         let _ = prior;
         self.run(scenario, seed)
     }
+}
+
+/// Runs a comparison panel over one scenario: the protocols run in panel
+/// order, each seeing the outcomes of those before it through
+/// [`Protocol::run_after`], with the same `seed`.
+///
+/// # Errors
+///
+/// Returns the first failing session's error; the protocols after it do not
+/// run.
+pub fn run_panel(
+    panel: &[&dyn Protocol],
+    scenario: &mut Scenario,
+    seed: u64,
+) -> SessionResult<Vec<SessionOutcome>> {
+    let mut outcomes = Vec::with_capacity(panel.len());
+    for protocol in panel {
+        let outcome = protocol.run_after(scenario, seed, &outcomes)?;
+        outcomes.push(outcome);
+    }
+    Ok(outcomes)
 }
 
 impl Protocol for BuzzProtocol {

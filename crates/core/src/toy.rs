@@ -9,7 +9,7 @@
 //! patterns apart unless both nodes picked the *same* pattern (probability
 //! 1/4).
 //!
-//! The functions here reproduce both tables and generalize the failure-
+//! The functions here reproduce Table 1 and the cells of Table 2 and generalize the failure-
 //! probability computation to arbitrary pattern sets, which the
 //! `collision_patterns` example and the Table 1–2 harness entry use.
 
@@ -31,16 +31,6 @@ pub fn collision_pattern(a: &[bool], b: &[bool]) -> Vec<u8> {
     a.iter()
         .zip(b)
         .map(|(&x, &y)| u8::from(x) + u8::from(y))
-        .collect()
-}
-
-/// The full collision table (Table 2): entry `[i][j]` is the received sum when
-/// the two nodes pick patterns `i` and `j`.
-#[must_use]
-pub fn table2(patterns: &[Vec<bool>]) -> Vec<Vec<Vec<u8>>> {
-    patterns
-        .iter()
-        .map(|a| patterns.iter().map(|b| collision_pattern(a, b)).collect())
         .collect()
 }
 
@@ -106,13 +96,13 @@ mod tests {
     #[test]
     fn table2_matches_paper_cells() {
         let p = table1_patterns();
-        let t = table2(&p);
+        let t = |i: usize, j: usize| collision_pattern(&p[i], &p[j]);
         // Row/column order: 011, 100, 101, 111 — compare against the paper.
-        assert_eq!(t[0][0], vec![0, 2, 2]); // 011+011 = 022
-        assert_eq!(t[0][1], vec![1, 1, 1]); // 011+100 = 111
-        assert_eq!(t[1][2], vec![2, 0, 1]); // 100+101 = 201
-        assert_eq!(t[3][3], vec![2, 2, 2]); // 111+111 = 222
-        assert_eq!(t[2][3], vec![2, 1, 2]); // 101+111 = 212
+        assert_eq!(t(0, 0), vec![0, 2, 2]); // 011+011 = 022
+        assert_eq!(t(0, 1), vec![1, 1, 1]); // 011+100 = 111
+        assert_eq!(t(1, 2), vec![2, 0, 1]); // 100+101 = 201
+        assert_eq!(t(3, 3), vec![2, 2, 2]); // 111+111 = 222
+        assert_eq!(t(2, 3), vec![2, 1, 2]); // 101+111 = 212
     }
 
     #[test]

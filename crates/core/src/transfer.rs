@@ -17,7 +17,7 @@
 //! [`crate::recovery`] drives the same `DataPhase`.
 
 use backscatter_gen2::commands::ReaderCommand;
-use backscatter_gen2::timing::LinkTiming;
+use backscatter_gen2::timing::PAPER_TIMING;
 use backscatter_phy::complex::Complex;
 use backscatter_prng::{NodeSeed, SplitMix64};
 use backscatter_sim::faults::SlotFaults;
@@ -50,7 +50,8 @@ pub(crate) fn epoch_seed(temporary_id: u64, epoch: u64) -> NodeSeed {
     }
 }
 
-/// Configuration of the data-transfer phase.
+/// Configuration of the data-transfer phase.  Air time is accounted at
+/// [`PAPER_TIMING`].
 #[derive(Debug, Clone, Copy)]
 pub struct TransferConfig {
     /// Target number of colliding tags per slot.  It drives the
@@ -61,8 +62,6 @@ pub struct TransferConfig {
     /// gives `0.15·K` colliders per slot from K = 27 up (15 at K = 100, 30
     /// at K = 200).
     pub target_collision_size: f64,
-    /// Air-interface timing used for transfer-time accounting.
-    pub timing: LinkTiming,
     /// How the reader's decoder schedules its per-position work.  The
     /// default ([`DecodeSchedule::Worklist`]) is the hard-decision
     /// bit-flipping decoder the paper figures run, which only revisits
@@ -77,7 +76,6 @@ impl Default for TransferConfig {
     fn default() -> Self {
         Self {
             target_collision_size: ParticipationCode::DEFAULT_TARGET_COLLISION_SIZE,
-            timing: LinkTiming::paper_default(),
             decode_schedule: DecodeSchedule::default(),
         }
     }
@@ -95,9 +93,6 @@ impl TransferConfig {
                 "target collision size must be positive",
             ));
         }
-        self.timing
-            .validate()
-            .map_err(|_| BuzzError::InvalidParameter("link timing is invalid"))?;
         Ok(())
     }
 }
@@ -157,19 +152,6 @@ impl TransferOutcome {
             self.decoded_count() as f64 / self.slots_used as f64
         }
     }
-
-    /// Cumulative decoded counts per slot (the dark-blue bars of Fig. 9).
-    #[must_use]
-    pub fn cumulative_decoded_per_slot(&self) -> Vec<usize> {
-        let mut total = 0;
-        self.newly_decoded_per_slot
-            .iter()
-            .map(|&n| {
-                total += n;
-                total
-            })
-            .collect()
-    }
 }
 
 /// One data phase in progress: the tags on the air, the reader's decoder,
@@ -182,7 +164,6 @@ pub(crate) struct DataPhase<'a> {
     framed: Vec<Vec<bool>>,
     code: ParticipationCode,
     schedule: DecodeSchedule,
-    pub(crate) timing: LinkTiming,
     pub(crate) decoder: BitFlippingDecoder,
     /// The latest decode (`None` before the first, and after a restart).
     pub(crate) state: Option<DecodeState>,
@@ -218,7 +199,7 @@ impl<'a> DataPhase<'a> {
         }
         let code =
             ParticipationCode::for_population(discovered.len(), config.target_collision_size)?;
-        let timing = config.timing;
+        let timing = PAPER_TIMING;
         let decoder = new_decoder(discovered, framed_bits, config.decode_schedule, medium)?;
         Ok(Self {
             tags,
@@ -226,7 +207,6 @@ impl<'a> DataPhase<'a> {
             framed,
             code,
             schedule: config.decode_schedule,
-            timing,
             decoder,
             state: None,
             progress: Vec::new(),
@@ -248,7 +228,7 @@ impl<'a> DataPhase<'a> {
 
     /// Air time of one collision slot, seconds.
     fn slot_s(&self) -> f64 {
-        self.framed_bits() as f64 * self.timing.uplink_symbol_s()
+        self.framed_bits() as f64 * PAPER_TIMING.uplink_symbol_s()
     }
 
     /// A decoder that has observed nothing, as after a reader restart with
@@ -352,7 +332,7 @@ impl<'a> DataPhase<'a> {
             bits[tag] = self.framed[tag][pos];
             symbols.push(medium.observe_with_noise_factor(&bits, noise_factor)?);
         }
-        self.time_s += self.framed_bits() as f64 / self.timing.uplink_bps + self.timing.t2_s;
+        self.time_s += self.framed_bits() as f64 / PAPER_TIMING.uplink_bps + PAPER_TIMING.t2_s;
         Ok(symbols)
     }
 
@@ -379,7 +359,7 @@ impl<'a> DataPhase<'a> {
     /// Ends the phase — the reader drops its carrier — with the payloads
     /// the reader holds.
     pub(crate) fn finish(mut self, decoded_payloads: Vec<Option<Vec<bool>>>) -> TransferOutcome {
-        self.time_s += self.timing.downlink_s(ReaderCommand::BuzzStop.bits()) + self.timing.t2_s;
+        self.time_s += PAPER_TIMING.downlink_s(ReaderCommand::BuzzStop.bits()) + PAPER_TIMING.t2_s;
         TransferOutcome {
             slots_used: self.progress.len(),
             complete: decoded_payloads.iter().all(Option::is_some),
@@ -633,9 +613,8 @@ mod tests {
             .run(scenario.tags(), &discovered, &mut medium)
             .unwrap();
         assert_eq!(outcome.newly_decoded_per_slot.len(), outcome.slots_used);
-        let cumulative = outcome.cumulative_decoded_per_slot();
-        assert_eq!(*cumulative.last().unwrap(), outcome.decoded_count());
-        assert!(cumulative.windows(2).all(|w| w[1] >= w[0]));
+        let decoded: usize = outcome.newly_decoded_per_slot.iter().sum();
+        assert_eq!(decoded, outcome.decoded_count());
         // Transmission counts cover every tag and are bounded by the slots.
         assert_eq!(outcome.per_tag_transmissions.len(), 8);
         assert!(outcome

@@ -13,11 +13,9 @@
 //! with a shorter temporary id, which is how the paper grants the baseline the
 //! benefit of Buzz's stage-1 estimate.
 
-use backscatter_prng::{Rng64, Xoshiro256};
-
 use crate::commands::ReaderCommand;
 use crate::state::{InventoryState, TagStateMachine};
-use crate::timing::LinkTiming;
+use crate::timing::PAPER_TIMING;
 use crate::{Gen2Error, Gen2Result};
 
 /// What happened in one FSA slot.
@@ -31,20 +29,20 @@ pub enum SlotKind {
     Collision,
 }
 
+/// Q-adjustment step `C` (the standard recommends 0.3).
+const Q_STEP: f64 = 0.3;
+
+/// Safety bound on the number of slots before a run is abandoned.
+const MAX_SLOTS: usize = 100_000;
+
 /// Configuration of an FSA inventory run.
 #[derive(Debug, Clone, Copy)]
 pub struct FsaConfig {
     /// Initial frame-size exponent (the standard's default is 4).
     pub initial_q: u8,
-    /// Q-adjustment step (the standard recommends 0.3).
-    pub c: f64,
     /// Length of the temporary id a tag backscatters in its slot (16 for the
     /// standard RN16; smaller when the reader has announced an estimate of K).
     pub reply_bits: usize,
-    /// Air-interface timing.
-    pub timing: LinkTiming,
-    /// Safety bound on the number of slots before the run is abandoned.
-    pub max_slots: usize,
 }
 
 impl FsaConfig {
@@ -53,10 +51,7 @@ impl FsaConfig {
     pub fn standard() -> Self {
         Self {
             initial_q: 4,
-            c: 0.3,
             reply_bits: 16,
-            timing: LinkTiming::paper_default(),
-            max_slots: 100_000,
         }
     }
 
@@ -71,10 +66,7 @@ impl FsaConfig {
         let reply_bits = (((10 * k) as f64).log2().ceil() as usize).max(4);
         Self {
             initial_q: q.max(1),
-            c: 0.3,
             reply_bits,
-            timing: LinkTiming::paper_default(),
-            max_slots: 100_000,
         }
     }
 
@@ -84,18 +76,11 @@ impl FsaConfig {
     ///
     /// Returns [`Gen2Error::InvalidParameter`] for out-of-range fields.
     pub fn validate(&self) -> Gen2Result<()> {
-        self.timing.validate()?;
         if self.initial_q > 15 {
             return Err(Gen2Error::InvalidParameter("initial Q must be ≤ 15"));
         }
-        if !(self.c > 0.0 && self.c.is_finite()) {
-            return Err(Gen2Error::InvalidParameter("C must be positive"));
-        }
         if self.reply_bits == 0 {
             return Err(Gen2Error::InvalidParameter("reply bits must be non-zero"));
-        }
-        if self.max_slots == 0 {
-            return Err(Gen2Error::InvalidParameter("max slots must be non-zero"));
         }
         Ok(())
     }
@@ -178,7 +163,7 @@ impl FsaSimulator {
     /// `tag_seeds` gives one deterministic seed per tag present.
     #[must_use]
     pub fn run(&self, tag_seeds: &[u64]) -> FsaOutcome {
-        let timing = self.config.timing;
+        let timing = PAPER_TIMING;
         let mut tags: Vec<TagStateMachine> =
             tag_seeds.iter().map(|&s| TagStateMachine::new(s)).collect();
         let population = tags.len();
@@ -209,7 +194,7 @@ impl FsaSimulator {
         let mut slots_used = 0usize;
 
         while identified < population {
-            if slots_used >= self.config.max_slots {
+            if slots_used >= MAX_SLOTS {
                 truncated = true;
                 break;
             }
@@ -231,7 +216,7 @@ impl FsaSimulator {
                 0 => {
                     counts.0 += 1;
                     total_time_s += timing.exchange_s(opener_bits, 0);
-                    q_fp = (q_fp - self.config.c).max(0.0);
+                    q_fp = (q_fp - Q_STEP).max(0.0);
                 }
                 1 => {
                     counts.1 += 1;
@@ -255,7 +240,7 @@ impl FsaSimulator {
                 _ => {
                     counts.2 += 1;
                     total_time_s += timing.exchange_s(opener_bits, self.config.reply_bits);
-                    q_fp = (q_fp + self.config.c).min(15.0);
+                    q_fp = (q_fp + Q_STEP).min(15.0);
                 }
             }
 
@@ -291,20 +276,19 @@ impl FsaSimulator {
             truncated,
         }
     }
-
-    /// Convenience helper: runs the simulator over `k` tags whose seeds are
-    /// derived from `experiment_seed`.
-    #[must_use]
-    pub fn run_population(&self, k: usize, experiment_seed: u64) -> FsaOutcome {
-        let mut rng = Xoshiro256::seed_from_u64(experiment_seed);
-        let seeds: Vec<u64> = (0..k).map(|_| rng.next_u64()).collect();
-        self.run(&seeds)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use backscatter_prng::{Rng64, Xoshiro256};
+
+    /// Runs `sim` over `k` tags whose seeds are drawn from `experiment_seed`.
+    fn run_population(sim: &FsaSimulator, k: usize, experiment_seed: u64) -> FsaOutcome {
+        let mut rng = Xoshiro256::seed_from_u64(experiment_seed);
+        let seeds: Vec<u64> = (0..k).map(|_| rng.next_u64()).collect();
+        sim.run(&seeds)
+    }
 
     #[test]
     fn config_validation() {
@@ -313,13 +297,7 @@ mod tests {
         c.initial_q = 20;
         assert!(c.validate().is_err());
         let mut c = FsaConfig::standard();
-        c.c = 0.0;
-        assert!(c.validate().is_err());
-        let mut c = FsaConfig::standard();
         c.reply_bits = 0;
-        assert!(c.validate().is_err());
-        let mut c = FsaConfig::standard();
-        c.max_slots = 0;
         assert!(c.validate().is_err());
     }
 
@@ -346,7 +324,7 @@ mod tests {
     fn identifies_every_tag() {
         let sim = FsaSimulator::new(FsaConfig::standard()).unwrap();
         for k in [1usize, 4, 8, 16] {
-            let out = sim.run_population(k, 42);
+            let out = run_population(&sim, k, 42);
             assert_eq!(out.identified, k, "failed for k = {k}");
             assert!(!out.truncated);
             assert!(out.total_time_s > 0.0);
@@ -364,7 +342,7 @@ mod tests {
         let known_sim = FsaSimulator::new(FsaConfig::with_known_k(k)).unwrap();
         let avg = |sim: &FsaSimulator| -> f64 {
             (0..trials)
-                .map(|t| sim.run_population(k, 1000 + t).total_time_s)
+                .map(|t| run_population(sim, k, 1000 + t).total_time_s)
                 .sum::<f64>()
                 / trials as f64
         };
@@ -382,7 +360,7 @@ mod tests {
         let trials = 10;
         let avg = |k: usize| -> f64 {
             (0..trials)
-                .map(|t| sim.run_population(k, 7 + t).total_time_s)
+                .map(|t| run_population(&sim, k, 7 + t).total_time_s)
                 .sum::<f64>()
                 / trials as f64
         };
@@ -397,7 +375,7 @@ mod tests {
         let mut total_eff = 0.0;
         let trials = 20;
         for t in 0..trials {
-            total_eff += sim.run_population(16, 500 + t).efficiency();
+            total_eff += run_population(&sim, 16, 500 + t).efficiency();
         }
         let avg_eff = total_eff / trials as f64;
         assert!(avg_eff < 0.55, "avg efficiency = {avg_eff}");

@@ -25,7 +25,7 @@ pub mod timing;
 pub use commands::ReaderCommand;
 pub use fsa::{FsaConfig, FsaOutcome, FsaSimulator, SlotKind};
 pub use state::{InventoryState, TagStateMachine};
-pub use timing::LinkTiming;
+pub use timing::{LinkTiming, PAPER_TIMING};
 
 /// Errors produced by the Gen-2 substrate.
 #[derive(Debug, Clone, PartialEq)]

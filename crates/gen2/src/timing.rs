@@ -3,11 +3,9 @@
 //! Fig. 14 of the paper reports identification *time* in milliseconds, so the
 //! FSA baseline and Buzz's identification protocol both need a consistent
 //! accounting of how long each command, reply, and turnaround gap occupies the
-//! channel.  The defaults below follow the paper's setup: the reader transmits
-//! queries at 27 kbps, tags backscatter at 80 kbps, and the Gen-2 turnaround
-//! times T1/T2 are on the order of one uplink symbol each.
-
-use crate::{Gen2Error, Gen2Result};
+//! channel.  Every protocol runs at [`PAPER_TIMING`], the paper's setup: the
+//! reader transmits queries at 27 kbps, tags backscatter at 80 kbps, and the
+//! Gen-2 turnaround times T1/T2 are on the order of one uplink symbol each.
 
 /// Air-interface timing parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -24,43 +22,17 @@ pub struct LinkTiming {
     pub uplink_preamble_bits: usize,
 }
 
+/// The timing used throughout the paper's evaluation: 27 kbps downlink,
+/// 80 kbps uplink, one-symbol turnarounds, 6-bit uplink preamble.
+pub const PAPER_TIMING: LinkTiming = LinkTiming {
+    downlink_bps: 27_000.0,
+    uplink_bps: 80_000.0,
+    t1_s: 62.5e-6,
+    t2_s: 62.5e-6,
+    uplink_preamble_bits: 6,
+};
+
 impl LinkTiming {
-    /// The timing used throughout the paper's evaluation: 27 kbps downlink,
-    /// 80 kbps uplink, one-symbol turnarounds, 6-bit uplink preamble.
-    #[must_use]
-    pub fn paper_default() -> Self {
-        Self {
-            downlink_bps: 27_000.0,
-            uplink_bps: 80_000.0,
-            t1_s: 62.5e-6,
-            t2_s: 62.5e-6,
-            uplink_preamble_bits: 6,
-        }
-    }
-
-    /// Validates the timing parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Gen2Error::InvalidParameter`] for non-positive rates or
-    /// negative gaps.
-    pub fn validate(&self) -> Gen2Result<()> {
-        if !(self.downlink_bps > 0.0 && self.downlink_bps.is_finite()) {
-            return Err(Gen2Error::InvalidParameter(
-                "downlink rate must be positive",
-            ));
-        }
-        if !(self.uplink_bps > 0.0 && self.uplink_bps.is_finite()) {
-            return Err(Gen2Error::InvalidParameter("uplink rate must be positive"));
-        }
-        if self.t1_s < 0.0 || self.t2_s < 0.0 {
-            return Err(Gen2Error::InvalidParameter(
-                "turnaround gaps must be non-negative",
-            ));
-        }
-        Ok(())
-    }
-
     /// Duration of a downlink transmission of `bits` bits, in seconds.
     #[must_use]
     pub fn downlink_s(&self, bits: usize) -> f64 {
@@ -98,44 +70,13 @@ impl LinkTiming {
     }
 }
 
-impl Default for LinkTiming {
-    fn default() -> Self {
-        Self::paper_default()
-    }
-}
-
-/// Converts seconds to milliseconds (the unit the paper's figures use).
-#[must_use]
-pub fn s_to_ms(seconds: f64) -> f64 {
-    seconds * 1e3
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn paper_default_is_valid() {
-        assert!(LinkTiming::paper_default().validate().is_ok());
-        assert_eq!(LinkTiming::default(), LinkTiming::paper_default());
-    }
-
-    #[test]
-    fn validation_catches_bad_values() {
-        let mut t = LinkTiming::paper_default();
-        t.downlink_bps = 0.0;
-        assert!(t.validate().is_err());
-        let mut t = LinkTiming::paper_default();
-        t.uplink_bps = f64::NAN;
-        assert!(t.validate().is_err());
-        let mut t = LinkTiming::paper_default();
-        t.t1_s = -1.0;
-        assert!(t.validate().is_err());
-    }
-
-    #[test]
     fn durations_scale_with_bits() {
-        let t = LinkTiming::paper_default();
+        let t = PAPER_TIMING;
         assert!((t.downlink_s(27) - 0.001).abs() < 1e-12);
         // 16-bit RN16 + 6-bit preamble at 80 kbps = 275 µs.
         assert!((t.uplink_s(16) - 275e-6).abs() < 1e-9);
@@ -144,17 +85,12 @@ mod tests {
 
     #[test]
     fn exchange_includes_gaps() {
-        let t = LinkTiming::paper_default();
+        let t = PAPER_TIMING;
         let full = t.exchange_s(22, 16);
         let expected = t.downlink_s(22) + t.t1_s + t.uplink_s(16) + t.t2_s;
         assert!((full - expected).abs() < 1e-12);
         // An empty slot still pays the turnaround gaps.
         let empty = t.exchange_s(4, 0);
         assert!((empty - (t.downlink_s(4) + t.t1_s + t.t2_s)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ms_conversion() {
-        assert!((s_to_ms(0.0275) - 27.5).abs() < 1e-12);
     }
 }

@@ -5,8 +5,7 @@
 //! is a **single complex number** `h_i`.  This module models how that number
 //! arises from geometry (distance-based path loss on the round-trip
 //! reader→tag→reader path), small-scale fading, and the tag's backscatter
-//! (modulation) efficiency, and provides the diagonal channel matrix `H` used
-//! throughout the decoders.
+//! (modulation) efficiency.
 
 use backscatter_prng::{Rng64, Xoshiro256};
 
@@ -129,25 +128,6 @@ impl ChannelModel {
         })
     }
 
-    /// A convenient default: log-distance path loss calibrated so a tag at
-    /// 0.6 m (≈ 2 feet, the Moo's typical range) has unit received amplitude,
-    /// Rician fading with a strong LoS component, and 80 % backscatter
-    /// efficiency.
-    #[must_use]
-    pub fn default_uhf(seed: u64) -> Self {
-        Self::new(
-            seed,
-            PathLoss::LogDistance {
-                reference_m: 0.6,
-                reference_power: 1.0,
-                exponent: 4.0,
-            },
-            FadingModel::Rician { k_factor: 10.0 },
-            0.8,
-        )
-        .expect("default parameters are valid")
-    }
-
     fn standard_normal(&mut self) -> f64 {
         let mut u1 = self.rng.next_f64();
         if u1 <= f64::MIN_POSITIVE {
@@ -234,35 +214,20 @@ impl Channel {
     }
 }
 
-/// Builds the diagonal channel matrix `H` (as a vector of its diagonal) from a
-/// list of channels.
-#[must_use]
-pub fn channel_diagonal(channels: &[Channel]) -> Vec<Complex> {
-    channels.iter().map(|c| c.coefficient).collect()
-}
-
-/// Computes the dynamic range (max power / min power, in dB) across a set of
-/// channels — a direct measure of the near-far effect.
-///
-/// # Errors
-///
-/// Returns [`PhyError::Empty`] when `channels` is empty, and
-/// [`PhyError::InvalidParameter`] when the weakest channel has zero power.
-pub fn near_far_spread_db(channels: &[Channel]) -> PhyResult<f64> {
-    if channels.is_empty() {
-        return Err(PhyError::Empty);
-    }
-    let max = channels.iter().map(Channel::power).fold(f64::MIN, f64::max);
-    let min = channels.iter().map(Channel::power).fold(f64::MAX, f64::min);
-    if min <= 0.0 {
-        return Err(PhyError::InvalidParameter("weakest channel has zero power"));
-    }
-    Ok(10.0 * (max / min).log10())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Log-distance path loss with unit amplitude at 0.6 m, Rician fading
+    /// with a strong LoS component, and 80 % backscatter efficiency.
+    fn uhf(seed: u64) -> ChannelModel {
+        let path_loss = PathLoss::LogDistance {
+            reference_m: 0.6,
+            reference_power: 1.0,
+            exponent: 4.0,
+        };
+        ChannelModel::new(seed, path_loss, FadingModel::Rician { k_factor: 10.0 }, 0.8).unwrap()
+    }
 
     #[test]
     fn path_loss_none_is_unit() {
@@ -346,7 +311,7 @@ mod tests {
 
     #[test]
     fn farther_tags_are_weaker_on_average() {
-        let mut m = ChannelModel::default_uhf(17);
+        let mut m = uhf(17);
         let n = 2_000;
         let near: f64 = (0..n).map(|_| m.draw(0.3).power()).sum::<f64>() / n as f64;
         let far: f64 = (0..n).map(|_| m.draw(1.8).power()).sum::<f64>() / n as f64;
@@ -361,23 +326,9 @@ mod tests {
     }
 
     #[test]
-    fn near_far_spread() {
-        let chans = vec![
-            Channel::from_coefficient(Complex::new(1.0, 0.0)),
-            Channel::from_coefficient(Complex::new(0.1, 0.0)),
-        ];
-        let spread = near_far_spread_db(&chans).unwrap();
-        assert!((spread - 20.0).abs() < 1e-9);
-        assert!(near_far_spread_db(&[]).is_err());
-    }
-
-    #[test]
     fn draw_many_preserves_order_and_length() {
-        let mut m = ChannelModel::default_uhf(23);
+        let mut m = uhf(23);
         let chans = m.draw_many(&[0.3, 0.6, 1.2]);
         assert_eq!(chans.len(), 3);
-        let diag = channel_diagonal(&chans);
-        assert_eq!(diag.len(), 3);
-        assert_eq!(diag[0], chans[0].coefficient);
     }
 }

@@ -201,22 +201,6 @@ impl core::fmt::Display for Complex {
     }
 }
 
-/// Computes the inner product `⟨a, b⟩ = Σ a_i · conj(b_i)`.
-///
-/// # Errors
-///
-/// Returns [`crate::PhyError::LengthMismatch`] when the slices differ in
-/// length.
-pub fn inner_product(a: &[Complex], b: &[Complex]) -> crate::PhyResult<Complex> {
-    if a.len() != b.len() {
-        return Err(crate::PhyError::LengthMismatch {
-            expected: a.len(),
-            actual: b.len(),
-        });
-    }
-    Ok(a.iter().zip(b).map(|(&x, &y)| x * y.conj()).sum())
-}
-
 /// Computes the squared Euclidean norm `‖v‖²` of a complex vector.
 #[must_use]
 pub fn norm_sqr(v: &[Complex]) -> f64 {
@@ -271,22 +255,6 @@ mod tests {
         assert!(close(z.abs(), 5.0));
         assert_eq!(z.conj(), Complex::new(3.0, -4.0));
         assert!(close((z * z.conj()).re, 25.0));
-    }
-
-    #[test]
-    fn inner_product_matches_manual() {
-        let a = [Complex::new(1.0, 0.0), Complex::new(0.0, 1.0)];
-        let b = [Complex::new(1.0, 1.0), Complex::new(2.0, 0.0)];
-        // ⟨a,b⟩ = 1*(1-1i) + i*(2) = 1 - i + 2i = 1 + i
-        let ip = inner_product(&a, &b).unwrap();
-        assert!(close(ip.re, 1.0) && close(ip.im, 1.0));
-    }
-
-    #[test]
-    fn inner_product_length_mismatch_errors() {
-        let a = [Complex::ONE];
-        let b = [Complex::ONE, Complex::ONE];
-        assert!(inner_product(&a, &b).is_err());
     }
 
     #[test]

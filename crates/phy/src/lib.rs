@@ -21,15 +21,15 @@
 //! * [`complex`] — minimal `Complex` arithmetic (no external linear-algebra
 //!   dependency),
 //! * [`noise`] — additive white Gaussian noise via the Box–Muller transform,
-//! * [`channel`] — single-tap channels, path loss, fading, near-far geometry,
+//! * [`channel`] — single-tap channels, path loss and fading,
 //! * [`modulation`] — ON-OFF keying symbol mapping and superposition of
 //!   concurrent tag reflections,
 //! * [`linecode`] — FM0 and Miller-M baseband line codes used by EPC Gen-2,
-//! * [`signal`] — IQ traces, level extraction, constellations, power
-//!   detection (occupied/empty slot decisions),
+//! * [`signal`] — IQ traces, constellations, power detection (occupied/empty
+//!   slot decisions),
 //! * [`sync`] — initial-offset jitter and clock-drift models plus drift
 //!   correction (reproduces the §8.1 microbenchmarks),
-//! * [`snr`] — SNR bookkeeping and estimation helpers.
+//! * [`snr`] — dB/linear SNR conversions.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -49,7 +49,7 @@ pub use linecode::{Fm0, LineCode, Miller};
 pub use modulation::{superpose, OnOffKeying};
 pub use noise::AwgnSource;
 pub use signal::{Constellation, IqTrace, PowerDetector, SlotObservation};
-pub use snr::{snr_db_to_linear, snr_linear_to_db, SnrEstimate};
+pub use snr::{snr_db_to_linear, snr_linear_to_db};
 pub use sync::{ClockModel, DriftCorrection, SyncJitter};
 
 /// Errors produced by physical-layer operations.

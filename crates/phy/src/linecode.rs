@@ -121,12 +121,6 @@ impl Miller {
         Ok(Self { m })
     }
 
-    /// The Miller-4 encoder used by the paper's TDMA baseline.
-    #[must_use]
-    pub fn m4() -> Self {
-        Self { m: 4 }
-    }
-
     /// The subcarrier cycles per bit.
     #[must_use]
     pub fn m(&self) -> usize {
@@ -252,7 +246,7 @@ mod tests {
 
     #[test]
     fn miller4_round_trip() {
-        let code = Miller::m4();
+        let code = Miller::new(4).unwrap();
         let mut stream = BitStream::seed_from_u64(2);
         let bits = stream.take_bits(200);
         let chips = code.encode(&bits);
@@ -272,7 +266,7 @@ mod tests {
 
     #[test]
     fn miller_rejects_partial_bit() {
-        let code = Miller::m4();
+        let code = Miller::new(4).unwrap();
         let chips = code.encode(&[true]);
         assert!(code.decode(&chips[..chips.len() - 1]).is_err());
     }
@@ -282,7 +276,7 @@ mod tests {
         // Miller-4's redundancy (8 chips/bit) lets the correlator absorb one
         // flipped chip per bit — the robustness property the paper's TDMA
         // baseline relies on.
-        let code = Miller::m4();
+        let code = Miller::new(4).unwrap();
         let bits = vec![true, false, false, true, true, false];
         let mut chips = code.encode(&bits);
         let mut rng = Xoshiro256::seed_from_u64(3);
@@ -295,14 +289,14 @@ mod tests {
 
     #[test]
     fn transition_counts_reflect_energy_cost() {
-        assert!(Miller::m4().transitions_per_bit() > Fm0::new().transitions_per_bit());
-        assert_eq!(Miller::m4().transitions_per_bit(), 8.0);
+        assert!(Miller::new(4).unwrap().transitions_per_bit() > Fm0::new().transitions_per_bit());
+        assert_eq!(Miller::new(4).unwrap().transitions_per_bit(), 8.0);
     }
 
     #[test]
     fn chips_per_bit_values() {
         assert_eq!(Fm0::new().chips_per_bit(), 2);
-        assert_eq!(Miller::m4().chips_per_bit(), 8);
+        assert_eq!(Miller::new(4).unwrap().chips_per_bit(), 8);
         assert_eq!(Miller::new(2).unwrap().chips_per_bit(), 4);
     }
 }

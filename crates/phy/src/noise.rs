@@ -1,10 +1,10 @@
 //! Additive white Gaussian noise.
 //!
-//! The simulator injects circularly-symmetric complex Gaussian noise into the
-//! reader's received samples.  Noise power is specified either directly or via
-//! a target SNR relative to a signal power.  Gaussian variates are produced by
-//! the Box–Muller transform over the deterministic [`backscatter_prng`]
-//! generators so that experiment runs are exactly reproducible.
+//! The simulator injects circularly-symmetric complex Gaussian noise of a
+//! given power into the reader's received samples.  Gaussian variates are
+//! produced by the Box–Muller transform over the deterministic
+//! [`backscatter_prng`] generators so that experiment runs are exactly
+//! reproducible.
 
 use backscatter_prng::{Rng64, Xoshiro256};
 
@@ -41,26 +41,6 @@ impl AwgnSource {
         })
     }
 
-    /// Creates a noise source whose power achieves `snr_db` for a signal of
-    /// power `signal_power`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PhyError::InvalidParameter`] if `signal_power` is not
-    /// positive and finite or `snr_db` is not finite.
-    pub fn for_snr(seed: u64, signal_power: f64, snr_db: f64) -> PhyResult<Self> {
-        if !(signal_power.is_finite() && signal_power > 0.0) {
-            return Err(PhyError::InvalidParameter(
-                "signal power must be finite and positive",
-            ));
-        }
-        if !snr_db.is_finite() {
-            return Err(PhyError::InvalidParameter("SNR must be finite"));
-        }
-        let snr_linear = 10f64.powf(snr_db / 10.0);
-        Self::new(seed, signal_power / snr_linear)
-    }
-
     /// The configured total noise power.
     #[must_use]
     pub fn noise_power(&self) -> f64 {
@@ -94,13 +74,6 @@ impl AwgnSource {
         )
     }
 
-    /// Adds noise in place to a slice of received samples.
-    pub fn add_to(&mut self, samples: &mut [Complex]) {
-        for s in samples {
-            *s += self.sample();
-        }
-    }
-
     /// Returns a noisy copy of `samples`.
     #[must_use]
     pub fn corrupt(&mut self, samples: &[Complex]) -> Vec<Complex> {
@@ -116,8 +89,6 @@ mod tests {
     fn rejects_invalid_power() {
         assert!(AwgnSource::new(1, -1.0).is_err());
         assert!(AwgnSource::new(1, f64::NAN).is_err());
-        assert!(AwgnSource::for_snr(1, 0.0, 10.0).is_err());
-        assert!(AwgnSource::for_snr(1, 1.0, f64::INFINITY).is_err());
     }
 
     #[test]
@@ -147,16 +118,6 @@ mod tests {
         let sum: Complex = (0..count).map(|_| n.sample()).sum();
         let mean = sum / count as f64;
         assert!(mean.abs() < 0.02, "mean = {mean}");
-    }
-
-    #[test]
-    fn snr_constructor_sets_power() {
-        // 10 dB SNR with unit signal power => noise power 0.1.
-        let n = AwgnSource::for_snr(1, 1.0, 10.0).unwrap();
-        assert!((n.noise_power() - 0.1).abs() < 1e-12);
-        // 0 dB => equal powers.
-        let n = AwgnSource::for_snr(1, 2.0, 0.0).unwrap();
-        assert!((n.noise_power() - 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -77,12 +77,6 @@ impl IqTrace {
         self.sample_rate_hz
     }
 
-    /// The trace duration in microseconds.
-    #[must_use]
-    pub fn duration_us(&self) -> f64 {
-        self.samples.len() as f64 / self.sample_rate_hz * 1e6
-    }
-
     /// The magnitude of each sample paired with its time in microseconds —
     /// exactly the series plotted in Fig. 2 / Fig. 8.
     #[must_use]
@@ -92,43 +86,6 @@ impl IqTrace {
             .enumerate()
             .map(|(i, s)| (i as f64 / self.sample_rate_hz * 1e6, s.abs()))
             .collect()
-    }
-
-    /// Averages samples within each symbol period back down to one complex
-    /// value per symbol, using only the central fraction of each period.
-    ///
-    /// The paper notes (§8.1) that the reader samples much faster than the bit
-    /// rate and uses "the middle samples of each bit to increase robustness to
-    /// synchronization errors"; `guard_fraction` is the fraction trimmed from
-    /// each edge (0.25 keeps the middle half).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PhyError::InvalidParameter`] for a zero symbol length or a
-    /// guard fraction outside `[0, 0.5)`.
-    pub fn integrate_symbols(
-        &self,
-        samples_per_symbol: usize,
-        guard_fraction: f64,
-    ) -> PhyResult<Vec<Complex>> {
-        if samples_per_symbol == 0 {
-            return Err(PhyError::InvalidParameter(
-                "samples per symbol must be non-zero",
-            ));
-        }
-        if !(0.0..0.5).contains(&guard_fraction) {
-            return Err(PhyError::InvalidParameter(
-                "guard fraction must be in [0, 0.5)",
-            ));
-        }
-        let guard = (samples_per_symbol as f64 * guard_fraction).floor() as usize;
-        let mut out = Vec::with_capacity(self.samples.len() / samples_per_symbol);
-        for chunk in self.samples.chunks_exact(samples_per_symbol) {
-            let core = &chunk[guard..samples_per_symbol - guard];
-            let sum: Complex = core.iter().copied().sum();
-            out.push(sum / core.len() as f64);
-        }
-        Ok(out)
     }
 }
 
@@ -259,30 +216,6 @@ impl PowerDetector {
             SlotObservation::Empty
         }
     }
-
-    /// Classifies one slot from all of its samples (mean power).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PhyError::Empty`] for an empty sample slice.
-    pub fn classify_samples(&self, samples: &[Complex]) -> PhyResult<SlotObservation> {
-        if samples.is_empty() {
-            return Err(PhyError::Empty);
-        }
-        let mean_power: f64 =
-            samples.iter().map(|s| s.norm_sqr()).sum::<f64>() / samples.len() as f64;
-        Ok(if mean_power > self.threshold {
-            SlotObservation::Occupied
-        } else {
-            SlotObservation::Empty
-        })
-    }
-
-    /// Classifies a sequence of per-slot symbols.
-    #[must_use]
-    pub fn classify_all(&self, symbols: &[Complex]) -> Vec<SlotObservation> {
-        symbols.iter().map(|&s| self.classify_symbol(s)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -300,7 +233,6 @@ mod tests {
         let symbols = vec![Complex::ONE, Complex::ZERO];
         let trace = IqTrace::from_symbols(&symbols, 50, 4.0e6).unwrap();
         assert_eq!(trace.samples().len(), 100);
-        assert!((trace.duration_us() - 25.0).abs() < 1e-9);
         let series = trace.magnitude_series_us();
         assert_eq!(series.len(), 100);
         assert!((series[0].1 - 1.0).abs() < 1e-12);
@@ -310,29 +242,6 @@ mod tests {
     #[test]
     fn from_symbols_rejects_zero_sps() {
         assert!(IqTrace::from_symbols(&[Complex::ONE], 0, 1.0e6).is_err());
-    }
-
-    #[test]
-    fn integrate_symbols_recovers_values() {
-        let symbols = vec![
-            Complex::new(1.0, -0.5),
-            Complex::new(0.25, 0.25),
-            Complex::ZERO,
-        ];
-        let trace = IqTrace::from_symbols(&symbols, 40, 4.0e6).unwrap();
-        let back = trace.integrate_symbols(40, 0.25).unwrap();
-        assert_eq!(back.len(), 3);
-        for (a, b) in back.iter().zip(&symbols) {
-            assert!((*a - *b).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn integrate_symbols_validates_parameters() {
-        let trace = IqTrace::from_symbols(&[Complex::ONE], 10, 1.0e6).unwrap();
-        assert!(trace.integrate_symbols(0, 0.1).is_err());
-        assert!(trace.integrate_symbols(10, 0.5).is_err());
-        assert!(trace.integrate_symbols(10, -0.1).is_err());
     }
 
     #[test]
@@ -408,17 +317,5 @@ mod tests {
             det.classify_symbol(Complex::new(0.1, 0.1)),
             SlotObservation::Empty
         );
-        let obs = det.classify_all(&[Complex::ONE, Complex::ZERO]);
-        assert_eq!(obs, vec![SlotObservation::Occupied, SlotObservation::Empty]);
-    }
-
-    #[test]
-    fn power_detector_on_samples() {
-        let det = PowerDetector::new(0.25).unwrap();
-        assert!(det.classify_samples(&[]).is_err());
-        let occupied = det
-            .classify_samples(&[Complex::ONE, Complex::ONE, Complex::ZERO])
-            .unwrap();
-        assert_eq!(occupied, SlotObservation::Occupied);
     }
 }

@@ -1,12 +1,7 @@
-//! Signal-to-noise-ratio bookkeeping and estimation.
+//! Signal-to-noise-ratio conversions.
 //!
-//! The Fig. 12 experiment sweeps channel quality and reports per-location SNR
-//! ranges; this module provides dB/linear conversions and a simple
-//! decision-directed SNR estimator the reader can run on a decoded slot
-//! stream.
-
-use crate::complex::Complex;
-use crate::{PhyError, PhyResult};
+//! The Fig. 12 experiment sweeps channel quality in dB; this module provides
+//! the dB/linear conversions.
 
 /// Converts an SNR in dB to a linear power ratio.
 #[must_use]
@@ -26,102 +21,6 @@ pub fn snr_linear_to_db(linear: f64) -> f64 {
     }
 }
 
-/// An SNR estimate with its measurement basis.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SnrEstimate {
-    /// Estimated signal power.
-    pub signal_power: f64,
-    /// Estimated noise power.
-    pub noise_power: f64,
-}
-
-impl SnrEstimate {
-    /// The estimate in dB; `None` when the noise estimate is zero.
-    #[must_use]
-    pub fn db(&self) -> Option<f64> {
-        if self.noise_power <= 0.0 {
-            None
-        } else {
-            Some(snr_linear_to_db(self.signal_power / self.noise_power))
-        }
-    }
-
-    /// Estimates SNR from received symbols and the corresponding known
-    /// (reconstructed) noiseless symbols: signal power is the mean power of
-    /// the reference, noise power the mean power of the residual.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PhyError::LengthMismatch`] when the slices differ in length
-    /// and [`PhyError::Empty`] when they are empty.
-    pub fn from_reference(received: &[Complex], reference: &[Complex]) -> PhyResult<Self> {
-        if received.len() != reference.len() {
-            return Err(PhyError::LengthMismatch {
-                expected: reference.len(),
-                actual: received.len(),
-            });
-        }
-        if received.is_empty() {
-            return Err(PhyError::Empty);
-        }
-        let n = received.len() as f64;
-        let signal_power = reference.iter().map(|s| s.norm_sqr()).sum::<f64>() / n;
-        let noise_power = received
-            .iter()
-            .zip(reference)
-            .map(|(&r, &s)| (r - s).norm_sqr())
-            .sum::<f64>()
-            / n;
-        Ok(Self {
-            signal_power,
-            noise_power,
-        })
-    }
-}
-
-/// A labelled SNR range, matching how Fig. 12 reports channel quality per
-/// location (e.g. "(19–26) dB").
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SnrRange {
-    /// Lower edge in dB.
-    pub low_db: f64,
-    /// Upper edge in dB.
-    pub high_db: f64,
-}
-
-impl SnrRange {
-    /// Creates a range, swapping the edges if given in the wrong order.
-    #[must_use]
-    pub fn new(low_db: f64, high_db: f64) -> Self {
-        if low_db <= high_db {
-            Self { low_db, high_db }
-        } else {
-            Self {
-                low_db: high_db,
-                high_db: low_db,
-            }
-        }
-    }
-
-    /// The midpoint of the range in dB.
-    #[must_use]
-    pub fn midpoint_db(&self) -> f64 {
-        (self.low_db + self.high_db) / 2.0
-    }
-
-    /// Whether a value falls inside the range (inclusive).
-    #[must_use]
-    pub fn contains(&self, db: f64) -> bool {
-        db >= self.low_db && db <= self.high_db
-    }
-}
-
-impl core::fmt::Display for SnrRange {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "({:.0}-{:.0}) dB", self.low_db, self.high_db)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,43 +34,5 @@ mod tests {
         assert_eq!(snr_linear_to_db(0.0), f64::NEG_INFINITY);
         assert!((snr_db_to_linear(10.0) - 10.0).abs() < 1e-12);
         assert!((snr_db_to_linear(0.0) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn estimate_from_reference() {
-        let reference = vec![Complex::ONE; 100];
-        // Received = reference + constant error of magnitude 0.1.
-        let received: Vec<Complex> = reference
-            .iter()
-            .map(|&s| s + Complex::new(0.1, 0.0))
-            .collect();
-        let est = SnrEstimate::from_reference(&received, &reference).unwrap();
-        assert!((est.signal_power - 1.0).abs() < 1e-12);
-        assert!((est.noise_power - 0.01).abs() < 1e-12);
-        assert!((est.db().unwrap() - 20.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn estimate_validates_inputs() {
-        assert!(SnrEstimate::from_reference(&[], &[]).is_err());
-        assert!(SnrEstimate::from_reference(&[Complex::ONE], &[]).is_err());
-    }
-
-    #[test]
-    fn perfect_reception_has_no_db() {
-        let reference = vec![Complex::ONE; 10];
-        let est = SnrEstimate::from_reference(&reference, &reference).unwrap();
-        assert!(est.db().is_none());
-    }
-
-    #[test]
-    fn snr_range_behaviour() {
-        let r = SnrRange::new(26.0, 19.0);
-        assert_eq!(r.low_db, 19.0);
-        assert_eq!(r.high_db, 26.0);
-        assert!((r.midpoint_db() - 22.5).abs() < 1e-12);
-        assert!(r.contains(20.0));
-        assert!(!r.contains(30.0));
-        assert_eq!(format!("{r}"), "(19-26) dB");
     }
 }

@@ -137,13 +137,6 @@ impl ClockModel {
     pub fn accumulated_drift_us(&self, elapsed_us: f64) -> f64 {
         elapsed_us * self.drift_ppm * 1e-6
     }
-
-    /// The misalignment, as a fraction of a symbol, between this clock and an
-    /// ideal clock after `elapsed_us`, for a given symbol duration.
-    #[must_use]
-    pub fn misalignment_fraction(&self, elapsed_us: f64, symbol_us: f64) -> f64 {
-        (self.accumulated_drift_us(elapsed_us) / symbol_us).abs()
-    }
 }
 
 /// The reader-driven drift-correction procedure of §8.1.
@@ -187,18 +180,6 @@ impl DriftCorrection {
     #[must_use]
     pub fn residual_ppm(&self, clock: ClockModel) -> f64 {
         clock.drift_ppm - self.estimated_ppm
-    }
-
-    /// Residual misalignment, as a fraction of a symbol, after `elapsed_us`
-    /// with this correction applied.
-    #[must_use]
-    pub fn residual_misalignment_fraction(
-        &self,
-        clock: ClockModel,
-        elapsed_us: f64,
-        symbol_us: f64,
-    ) -> f64 {
-        (elapsed_us * self.residual_ppm(clock) * 1e-6 / symbol_us).abs()
     }
 }
 
@@ -267,7 +248,7 @@ mod tests {
         // 2 ms must be a small fraction of a symbol (Fig. 8b).
         let clock = ClockModel::new(1560.0);
         let corr = DriftCorrection::calibrate(clock, 10_000.0, 1.0e6).unwrap();
-        let resid = corr.residual_misalignment_fraction(clock, 2000.0, 12.5);
+        let resid = (2000.0 * corr.residual_ppm(clock) * 1e-6 / 12.5).abs();
         assert!(resid < 0.02, "residual fraction = {resid}");
     }
 
@@ -290,8 +271,8 @@ mod tests {
     #[test]
     fn misalignment_grows_linearly() {
         let c = ClockModel::new(1000.0);
-        let m1 = c.misalignment_fraction(1000.0, 12.5);
-        let m2 = c.misalignment_fraction(2000.0, 12.5);
+        let m1 = c.accumulated_drift_us(1000.0);
+        let m2 = c.accumulated_drift_us(2000.0);
         assert!((m2 - 2.0 * m1).abs() < 1e-12);
     }
 }

@@ -19,7 +19,7 @@
 //! [`NodeSeed::participation_column`]) hash the id once per column
 //! ([`SplitMix64::mix_head`]) instead of once per slot.
 
-use crate::{unit_f64, BiasedBits, SplitMix64, Xoshiro256};
+use crate::{unit_f64, SplitMix64, Xoshiro256};
 
 /// Domain-separation constants so the three streams never alias.
 const DOMAIN_IDENTIFICATION: u64 = 0x4944_454e_5449_4659; // "IDENTIFY"
@@ -35,12 +35,6 @@ const DOMAIN_DATA: u64 = 0x4441_5441_5048_4153; // "DATAPHAS"
 pub struct NodeSeed(pub u64);
 
 impl NodeSeed {
-    /// Generator for the identification-phase sensing column of this node.
-    #[must_use]
-    pub fn identification_rng(self) -> Xoshiro256 {
-        Xoshiro256::seed_from_u64(SplitMix64::mix(DOMAIN_IDENTIFICATION, self.0))
-    }
-
     /// Generator for the cardinality-estimation phase of this node.
     #[must_use]
     pub fn estimation_rng(self) -> Xoshiro256 {
@@ -174,13 +168,6 @@ impl SlotSeeded {
     pub fn participates(&self, slot: u64) -> bool {
         self.seed.participates_in_slot(slot, self.probability)
     }
-
-    /// Returns a [`BiasedBits`] stream for the estimation phase of this node,
-    /// with the given per-slot transmit probability.
-    #[must_use]
-    pub fn estimation_bits(&self, probability: f64) -> BiasedBits {
-        BiasedBits::new(self.seed.estimation_rng(), probability)
-    }
 }
 
 #[cfg(test)]
@@ -192,7 +179,7 @@ mod tests {
     #[test]
     fn streams_are_domain_separated() {
         let seed = NodeSeed(42);
-        let mut id_rng = seed.identification_rng();
+        let mut id_rng = Xoshiro256::seed_from_u64(SplitMix64::mix(DOMAIN_IDENTIFICATION, seed.0));
         let mut est_rng = seed.estimation_rng();
         let mut data_rng = seed.data_slot_rng(0);
         let a: Vec<u64> = (0..8).map(|_| id_rng.next_u64()).collect();

@@ -16,19 +16,6 @@ pub struct Xoshiro256 {
 }
 
 impl Xoshiro256 {
-    /// Creates a generator from a full 256-bit state.
-    ///
-    /// The all-zero state is invalid for xoshiro; it is silently replaced by a
-    /// fixed non-zero state so the generator never locks up.
-    #[must_use]
-    pub fn from_state(state: [u64; 4]) -> Self {
-        if state == [0, 0, 0, 0] {
-            // Expand a fixed seed instead; any non-zero constant works.
-            return Self::seed_from_u64(0xdead_beef_cafe_f00d);
-        }
-        Self { s: state }
-    }
-
     /// Creates a generator by expanding a 64-bit seed with [`SplitMix64`],
     /// the seeding procedure recommended by the xoshiro authors.
     #[must_use]
@@ -115,18 +102,10 @@ mod tests {
     /// update `s[1]` becomes 0, so the second output is 0.
     #[test]
     fn matches_hand_computed_prefix() {
-        let mut g = Xoshiro256::from_state([1, 2, 3, 4]);
+        let mut g = Xoshiro256 { s: [1, 2, 3, 4] };
         assert_eq!(g.next_u64(), 11520);
         assert_eq!(g.next_u64(), 0);
         assert_eq!(g.next_u64(), 1509978240);
-    }
-
-    #[test]
-    fn zero_state_is_replaced() {
-        let mut g = Xoshiro256::from_state([0, 0, 0, 0]);
-        // Must not output an endless stream of zeros.
-        let outputs: Vec<u64> = (0..4).map(|_| g.next_u64()).collect();
-        assert!(outputs.iter().any(|&x| x != 0));
     }
 
     #[test]

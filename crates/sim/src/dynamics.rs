@@ -298,16 +298,6 @@ pub struct TagChurn {
 }
 
 impl TagChurn {
-    /// A retail-shelf default: each tag is away for a quarter of a 64-slot
-    /// cycle.
-    #[must_use]
-    pub fn retail_shelf() -> Self {
-        Self {
-            period_slots: 64,
-            away_fraction: 0.25,
-        }
-    }
-
     /// Creates a churn dynamics.
     ///
     /// # Errors
@@ -393,17 +383,6 @@ pub struct CorrelatedFading {
 }
 
 impl CorrelatedFading {
-    /// An indoor-clutter default: 8 scattering paths at up to 0.05 rad per
-    /// 12.5 µs slot around a 50 % line-of-sight component.
-    #[must_use]
-    pub fn indoor_clutter() -> Self {
-        Self {
-            doppler_rad_per_slot: 0.05,
-            paths: 8,
-            line_of_sight: 0.5,
-        }
-    }
-
     /// Creates a correlated-fading dynamics.
     ///
     /// # Errors
@@ -628,7 +607,7 @@ mod tests {
         assert!(CorrelatedFading::new(0.05, 0, 0.5).is_err());
         assert!(CorrelatedFading::new(0.05, 4, 1.5).is_err());
         assert!(CorrelatedFading::new(0.05, 4, 0.5).is_ok());
-        let f = CorrelatedFading::indoor_clutter();
+        let f = CorrelatedFading::new(0.05, 8, 0.5).unwrap();
         let (a, scale_a) = apply_once(&f, 123, 9);
         let (b, scale_b) = apply_once(&f, 123, 9);
         assert_eq!(a, b, "fading must be a pure function of the slot");
@@ -668,7 +647,7 @@ mod tests {
     fn correlated_fading_slot_zero_is_the_base_channel() {
         // The slot-0 convention every dynamics honours: the reader's
         // identification-time estimates start correct.
-        let f = CorrelatedFading::indoor_clutter();
+        let f = CorrelatedFading::new(0.05, 8, 0.5).unwrap();
         for tag in 0..5 {
             assert!(
                 (f.fade(11, tag, 0) - Complex::ONE).abs() < 1e-12,

@@ -18,77 +18,18 @@
 
 use crate::{SimError, SimResult};
 
-/// Per-tag energy cost constants.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EnergyModel {
-    /// Wake-up + command decode energy per query at the reference voltage, J.
-    pub wakeup_j: f64,
-    /// Static power while actively replying at the reference voltage, W.
-    pub active_power_w: f64,
-    /// Energy per antenna impedance transition at the reference voltage, J.
-    pub per_transition_j: f64,
-    /// Reference supply voltage for the constants above, V.
-    pub reference_voltage_v: f64,
-}
+// Per-tag energy cost constants, loosely calibrated to the Moo (MSP430-class
+// MCU + backscatter front end) so that a TDMA reply to one query lands in the
+// µJ range of Fig. 13.
 
-impl EnergyModel {
-    /// Constants loosely calibrated to the Moo (MSP430-class MCU + backscatter
-    /// front end) so that a TDMA reply to one query lands in the µJ range of
-    /// Fig. 13.
-    #[must_use]
-    pub fn moo() -> Self {
-        Self {
-            wakeup_j: 0.4e-6,
-            active_power_w: 1.5e-3,
-            per_transition_j: 1.2e-9,
-            reference_voltage_v: 3.0,
-        }
-    }
-
-    /// Validates the constants.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidParameter`] for negative or non-finite
-    /// values.
-    pub fn validate(&self) -> SimResult<()> {
-        let all = [
-            self.wakeup_j,
-            self.active_power_w,
-            self.per_transition_j,
-            self.reference_voltage_v,
-        ];
-        if all.iter().any(|v| !v.is_finite() || *v < 0.0) || self.reference_voltage_v == 0.0 {
-            return Err(SimError::InvalidParameter(
-                "energy model constants must be finite and non-negative",
-            ));
-        }
-        Ok(())
-    }
-
-    /// Voltage scaling factor (`(V / Vref)²`).
-    #[must_use]
-    fn voltage_scale(&self, supply_v: f64) -> f64 {
-        let r = supply_v / self.reference_voltage_v;
-        r * r
-    }
-
-    /// The energy one reply costs, given what the tag transmitted.
-    #[must_use]
-    pub fn reply_energy_j(&self, profile: &TransmissionProfile, supply_v: f64) -> f64 {
-        let scale = self.voltage_scale(supply_v);
-        let raw = self.wakeup_j
-            + self.active_power_w * profile.active_time_s
-            + self.per_transition_j * profile.transitions as f64;
-        raw * scale
-    }
-}
-
-impl Default for EnergyModel {
-    fn default() -> Self {
-        Self::moo()
-    }
-}
+/// Wake-up + command decode energy per query at the reference voltage, J.
+pub const WAKEUP_J: f64 = 0.4e-6;
+/// Static power while actively replying at the reference voltage, W.
+pub const ACTIVE_POWER_W: f64 = 1.5e-3;
+/// Energy per antenna impedance transition at the reference voltage, J.
+pub const PER_TRANSITION_J: f64 = 1.2e-9;
+/// Reference supply voltage for the constants above, V.
+pub const REFERENCE_VOLTAGE_V: f64 = 3.0;
 
 /// What a tag actually transmitted while answering one query, as seen by the
 /// energy model.
@@ -121,6 +62,18 @@ impl TransmissionProfile {
             active_time_s: per_message_s * repeats as f64,
             transitions: (bits as f64 * transitions_per_bit * repeats as f64).round() as u64,
         }
+    }
+
+    /// The energy this reply costs at supply voltage `supply_v`: the three
+    /// costs above, scaled by `(V / Vref)²`.
+    #[must_use]
+    pub fn reply_energy_j(&self, supply_v: f64) -> f64 {
+        let r = supply_v / REFERENCE_VOLTAGE_V;
+        let scale = r * r;
+        let raw = WAKEUP_J
+            + ACTIVE_POWER_W * self.active_time_s
+            + PER_TRANSITION_J * self.transitions as f64;
+        raw * scale
     }
 
     /// Merges two profiles (e.g. identification phase + data phase).
@@ -191,15 +144,6 @@ impl TagBattery {
         drained
     }
 
-    /// Harvests `energy_j` joules from the reader's carrier (charging the
-    /// capacitor), capped at `max_voltage_v`.
-    pub fn harvest_j(&mut self, energy_j: f64, max_voltage_v: f64) {
-        let stored = self.stored_j() + energy_j.max(0.0);
-        self.voltage_v = (2.0 * stored / self.capacitance_f)
-            .sqrt()
-            .min(max_voltage_v);
-    }
-
     /// Whether the capacitor has fallen below the MCU's brown-out voltage
     /// (1.8 V for the MSP430) — the "tag runs out of power" case discussed in
     /// §6(d) of the paper.
@@ -214,49 +158,34 @@ mod tests {
     use super::*;
 
     #[test]
-    fn model_validation() {
-        assert!(EnergyModel::moo().validate().is_ok());
-        let mut m = EnergyModel::moo();
-        m.active_power_w = -1.0;
-        assert!(m.validate().is_err());
-        let mut m = EnergyModel::moo();
-        m.reference_voltage_v = 0.0;
-        assert!(m.validate().is_err());
-    }
-
-    #[test]
     fn reply_energy_scales_with_voltage() {
-        let model = EnergyModel::moo();
         let profile = TransmissionProfile::for_bits(37, 80_000.0, 1.5, 1);
-        let e3 = model.reply_energy_j(&profile, 3.0);
-        let e5 = model.reply_energy_j(&profile, 5.0);
+        let e3 = profile.reply_energy_j(3.0);
+        let e5 = profile.reply_energy_j(5.0);
         assert!(e5 > e3);
         assert!((e5 / e3 - 25.0 / 9.0).abs() < 1e-9);
     }
 
     #[test]
     fn more_transitions_cost_more() {
-        let model = EnergyModel::moo();
         // Same bits, FM0-style vs Miller-4-style transition counts.
         let fm0 = TransmissionProfile::for_bits(37, 80_000.0, 1.5, 1);
         let miller4 = TransmissionProfile::for_bits(37, 80_000.0, 8.0, 1);
-        assert!(model.reply_energy_j(&miller4, 3.0) > model.reply_energy_j(&fm0, 3.0));
+        assert!(miller4.reply_energy_j(3.0) > fm0.reply_energy_j(3.0));
     }
 
     #[test]
     fn longer_transmissions_cost_more() {
-        let model = EnergyModel::moo();
         let once = TransmissionProfile::for_bits(37, 80_000.0, 1.5, 1);
         let many = TransmissionProfile::for_bits(37, 80_000.0, 1.5, 16);
-        assert!(model.reply_energy_j(&many, 3.0) > model.reply_energy_j(&once, 3.0));
+        assert!(many.reply_energy_j(3.0) > once.reply_energy_j(3.0));
     }
 
     #[test]
     fn tdma_reply_energy_is_in_microjoule_range() {
         // Sanity check against Fig. 13's axis (a few to a few tens of µJ).
-        let model = EnergyModel::moo();
         let miller4 = TransmissionProfile::for_bits(37, 80_000.0, 8.0, 1);
-        let e = model.reply_energy_j(&miller4, 3.0);
+        let e = miller4.reply_energy_j(3.0);
         assert!(e > 0.1e-6 && e < 50e-6, "e = {e}");
     }
 
@@ -301,14 +230,6 @@ mod tests {
         assert!(drained < 1.0);
         assert!(b.voltage_v < 1e-6);
         assert!(b.is_browned_out());
-    }
-
-    #[test]
-    fn harvest_recharges_up_to_cap() {
-        let mut b = TagBattery::new(0.1, 2.0).unwrap();
-        b.harvest_j(10.0, 3.0);
-        assert!((b.voltage_v - 3.0).abs() < 1e-12);
-        assert!(!b.is_browned_out());
     }
 
     #[test]

@@ -37,15 +37,6 @@ impl Position {
     pub fn distance_to(&self, other: Position) -> f64 {
         ((self.x - other.x).powi(2) + (self.y - other.y).powi(2)).sqrt()
     }
-
-    /// Translates the position by `(dx, dy)`.
-    #[must_use]
-    pub fn translated(&self, dx: f64, dy: f64) -> Self {
-        Self {
-            x: self.x + dx,
-            y: self.y + dy,
-        }
-    }
 }
 
 /// A placement of a reader and a set of tags on the table.
@@ -67,34 +58,7 @@ impl TablePlacement {
             .map(|t| t.distance_to(self.reader))
             .collect()
     }
-
-    /// Moves the whole cart (every tag) by `(dx, dy)` — the Fig. 12 sweep.
-    #[must_use]
-    pub fn cart_moved(&self, dx: f64, dy: f64) -> Self {
-        Self {
-            reader: self.reader,
-            tags: self.tags.iter().map(|t| t.translated(dx, dy)).collect(),
-        }
-    }
-
-    /// The minimum and maximum tag–reader distance.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidParameter`] when there are no tags.
-    pub fn distance_range_m(&self) -> SimResult<(f64, f64)> {
-        let d = self.tag_distances_m();
-        if d.is_empty() {
-            return Err(SimError::InvalidParameter("placement has no tags"));
-        }
-        let min = d.iter().copied().fold(f64::MAX, f64::min);
-        let max = d.iter().copied().fold(f64::MIN, f64::max);
-        Ok((min, max))
-    }
 }
-
-/// Conversion constant: one foot in meters.
-pub const FOOT_M: f64 = 0.3048;
 
 /// Lays out `k` tags on a cart whose near edge is `cart_distance_m` from the
 /// reader, scattering them over a 0.4 m × 0.6 m cart surface.
@@ -131,16 +95,6 @@ pub fn cart_layout(k: usize, cart_distance_m: f64, seed: u64) -> SimResult<Table
     })
 }
 
-/// The paper's default cart position: near edge at 0.5 feet from the reader,
-/// within the Moo's 2-foot typical range.
-///
-/// # Errors
-///
-/// Propagates [`cart_layout`] errors.
-pub fn paper_default_layout(k: usize, seed: u64) -> SimResult<TablePlacement> {
-    cart_layout(k, 0.5 * FOOT_M, seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,7 +119,9 @@ mod tests {
         let a = cart_layout(8, 0.3, 7).unwrap();
         let b = cart_layout(8, 0.3, 7).unwrap();
         assert_eq!(a, b);
-        let (min, max) = a.distance_range_m().unwrap();
+        let d = a.tag_distances_m();
+        let min = d.iter().copied().fold(f64::MAX, f64::min);
+        let max = d.iter().copied().fold(f64::MIN, f64::max);
         assert!(min >= 0.3 - 0.3 - 1e-9); // width offset can reduce distance slightly
         assert!(min > 0.0);
         assert!(max < 0.3 + 0.8);
@@ -177,33 +133,5 @@ mod tests {
         let a = cart_layout(8, 0.3, 1).unwrap();
         let b = cart_layout(8, 0.3, 2).unwrap();
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn moving_the_cart_increases_distances() {
-        let near = paper_default_layout(4, 3).unwrap();
-        let far = near.cart_moved(1.0, 0.0);
-        let near_d = near.tag_distances_m();
-        let far_d = far.tag_distances_m();
-        for (n, f) in near_d.iter().zip(&far_d) {
-            assert!(f > n);
-        }
-    }
-
-    #[test]
-    fn distance_range_requires_tags() {
-        let empty = TablePlacement {
-            reader: Position::origin(),
-            tags: vec![],
-        };
-        assert!(empty.distance_range_m().is_err());
-    }
-
-    #[test]
-    fn paper_default_is_within_moo_range() {
-        let layout = paper_default_layout(16, 11).unwrap();
-        let (_, max) = layout.distance_range_m().unwrap();
-        // Well within the 6-foot table bound.
-        assert!(max < 6.0 * FOOT_M);
     }
 }

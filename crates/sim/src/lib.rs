@@ -34,13 +34,13 @@ pub mod scenario;
 pub mod tag;
 
 pub use dynamics::{BurstyInterference, HeterogeneousTagPower, Mobility, ScenarioDynamics};
-pub use energy::{EnergyModel, TagBattery, TransmissionProfile};
+pub use energy::{TagBattery, TransmissionProfile};
 pub use faults::{
     BurstSlotLoss, FaultInjector, FaultPlan, FeedbackLoss, FrameNoise, ReaderRestart, SlotErasure,
     SlotFaults, TagDropout,
 };
 pub use geometry::{cart_layout, Position, TablePlacement};
-pub use medium::{Medium, MediumConfig, SlotLog};
+pub use medium::{Medium, MediumConfig};
 pub use scenario::{
     PersistentTag, Placement, Scenario, ScenarioBuilder, ScenarioConfig, SnrProfile,
 };

@@ -21,41 +21,28 @@ use crate::dynamics::{ScenarioDynamics, SlotView};
 use crate::faults::{FaultPlan, SlotFaults};
 use crate::{SimError, SimResult};
 
+/// Number of independent noise looks averaged for an occupancy (power)
+/// decision.  The reader integrates over a whole slot (many samples per bit),
+/// which suppresses noise for the empty/occupied decision relative to a
+/// single symbol draw.
+const OCCUPANCY_INTEGRATION: usize = 16;
+
 /// Configuration of a [`Medium`].
 #[derive(Debug, Clone, Copy)]
 pub struct MediumConfig {
     /// Total AWGN power per received symbol.
     pub noise_power: f64,
-    /// Number of independent noise looks averaged for an occupancy (power)
-    /// decision.  The reader integrates over a whole slot (many samples per
-    /// bit), which suppresses noise for the empty/occupied decision relative
-    /// to a single symbol draw.
-    pub occupancy_integration: usize,
     /// Seed for the noise source.
     pub noise_seed: u64,
-    /// Whether to keep a per-slot log (useful for debugging and the figure
-    /// harness, costs memory on long runs).
-    pub logging: bool,
 }
 
 impl Default for MediumConfig {
     fn default() -> Self {
         Self {
             noise_power: 1e-4,
-            occupancy_integration: 16,
             noise_seed: 0x5eed,
-            logging: false,
         }
     }
-}
-
-/// One logged slot: which tags reflected and what the reader received.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SlotLog {
-    /// Indices of the tags that reflected in this slot.
-    pub participants: Vec<usize>,
-    /// The (leakage-removed, noisy) symbol the reader observed.
-    pub symbol: Complex,
 }
 
 /// The simulated air interface.
@@ -80,7 +67,6 @@ pub struct Medium {
     /// Amplitude multiplier on the noise source for the current slot
     /// (`sqrt` of the dynamics' power scale; 1.0 when static).
     noise_amplitude_scale: f64,
-    log: Vec<SlotLog>,
 }
 
 impl Medium {
@@ -93,16 +79,11 @@ impl Medium {
         if channels.is_empty() {
             return Err(SimError::InvalidParameter("medium needs at least one tag"));
         }
-        if config.occupancy_integration == 0 {
-            return Err(SimError::InvalidParameter(
-                "occupancy integration must be non-zero",
-            ));
-        }
         let noise = AwgnSource::new(config.noise_seed, config.noise_power)?;
         // Occupancy threshold: several times the post-integration noise power,
         // so empty slots are rarely mistaken for occupied ones while even a
         // weak single tag still trips the detector in good conditions.
-        let integrated_noise = config.noise_power / config.occupancy_integration as f64;
+        let integrated_noise = config.noise_power / OCCUPANCY_INTEGRATION as f64;
         let detector = PowerDetector::new(integrated_noise * 9.0)?;
         Ok(Self {
             base_channels: channels.clone(),
@@ -115,7 +96,6 @@ impl Medium {
             dynamics_seed: 0,
             faults: None,
             noise_amplitude_scale: 1.0,
-            log: Vec::new(),
         })
     }
 
@@ -236,12 +216,6 @@ impl Medium {
         self.leakage
     }
 
-    /// The slot log (empty unless logging was enabled).
-    #[must_use]
-    pub fn log(&self) -> &[SlotLog] {
-        &self.log
-    }
-
     fn check_bits(&self, bits: &[bool]) -> SimResult<()> {
         if bits.len() != self.channels.len() {
             return Err(SimError::Phy(backscatter_phy::PhyError::LengthMismatch {
@@ -273,19 +247,7 @@ impl Medium {
     /// Returns a length-mismatch error if `bits` does not cover every tag.
     pub fn observe(&mut self, bits: &[bool]) -> SimResult<Complex> {
         self.check_bits(bits)?;
-        let symbol = self.clean_symbol(bits) + self.noise_sample();
-        if self.config.logging {
-            self.log.push(SlotLog {
-                participants: bits
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &b)| b)
-                    .map(|(i, _)| i)
-                    .collect(),
-                symbol,
-            });
-        }
-        Ok(symbol)
+        Ok(self.clean_symbol(bits) + self.noise_sample())
     }
 
     /// Like [`Medium::observe`], but with the noise power scaled by
@@ -311,19 +273,7 @@ impl Medium {
             return self.observe(bits);
         }
         self.check_bits(bits)?;
-        let symbol = self.clean_symbol(bits) + self.noise_sample() * power_factor.sqrt();
-        if self.config.logging {
-            self.log.push(SlotLog {
-                participants: bits
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &b)| b)
-                    .map(|(i, _)| i)
-                    .collect(),
-                symbol,
-            });
-        }
-        Ok(symbol)
+        Ok(self.clean_symbol(bits) + self.noise_sample() * power_factor.sqrt())
     }
 
     /// One received symbol *including* the carrier-leakage baseline — what a
@@ -414,16 +364,6 @@ impl Medium {
         Ok(clean + self.noise_sample() * power_factor.sqrt())
     }
 
-    /// Observes a whole sequence of slots: `per_slot_bits[j][i]` is tag `i`'s
-    /// bit in slot `j`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a length-mismatch error if any slot does not cover every tag.
-    pub fn observe_sequence(&mut self, per_slot_bits: &[Vec<bool>]) -> SimResult<Vec<Complex>> {
-        per_slot_bits.iter().map(|b| self.observe(b)).collect()
-    }
-
     /// The reader's empty/occupied decision for a slot, integrating over the
     /// slot duration (suppresses noise relative to a single symbol draw).
     ///
@@ -433,7 +373,7 @@ impl Medium {
     pub fn observe_occupancy(&mut self, bits: &[bool]) -> SimResult<SlotObservation> {
         self.check_bits(bits)?;
         let clean = self.clean_symbol(bits);
-        let n = self.config.occupancy_integration;
+        let n = OCCUPANCY_INTEGRATION;
         // Average power over n independent looks at the same slot.
         let mean_power: f64 = (0..n)
             .map(|_| (clean + self.noise_sample()).norm_sqr())
@@ -482,11 +422,6 @@ mod tests {
     #[test]
     fn rejects_empty_channel_set() {
         assert!(Medium::new(vec![], MediumConfig::default()).is_err());
-        let cfg = MediumConfig {
-            occupancy_integration: 0,
-            ..MediumConfig::default()
-        };
-        assert!(Medium::new(vec![Channel::from_coefficient(Complex::ONE)], cfg).is_err());
     }
 
     #[test]
@@ -542,37 +477,6 @@ mod tests {
         let y_bool = m.observe(&[true, false]).unwrap();
         let y_frac = m.observe_fractional(&[1.0, 0.0]).unwrap();
         assert!((y_bool - y_frac).abs() < 1e-12);
-    }
-
-    #[test]
-    fn observe_sequence_matches_individual_observations() {
-        let mut a = medium_with(&[(1.0, 0.0), (0.5, 0.5)], 1e-5);
-        let mut b = medium_with(&[(1.0, 0.0), (0.5, 0.5)], 1e-5);
-        let slots = vec![vec![true, false], vec![false, true], vec![true, true]];
-        let seq = a.observe_sequence(&slots).unwrap();
-        let indiv: Vec<Complex> = slots.iter().map(|s| b.observe(s).unwrap()).collect();
-        assert_eq!(seq, indiv);
-    }
-
-    #[test]
-    fn logging_records_participants() {
-        let chans = vec![
-            Channel::from_coefficient(Complex::ONE),
-            Channel::from_coefficient(Complex::I),
-        ];
-        let mut m = Medium::new(
-            chans,
-            MediumConfig {
-                logging: true,
-                ..MediumConfig::default()
-            },
-        )
-        .unwrap();
-        m.observe(&[true, false]).unwrap();
-        m.observe(&[true, true]).unwrap();
-        assert_eq!(m.log().len(), 2);
-        assert_eq!(m.log()[0].participants, vec![0]);
-        assert_eq!(m.log()[1].participants, vec![0, 1]);
     }
 
     #[test]

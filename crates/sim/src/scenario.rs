@@ -46,9 +46,11 @@ pub struct ScenarioConfig {
     pub median_snr_db: Option<f64>,
     /// Starting voltage of each tag's capacitor, volts.
     pub starting_voltage_v: f64,
-    /// Maximum per-tag clock drift magnitude, ppm.
-    pub max_clock_drift_ppm: f64,
 }
+
+/// Maximum per-tag clock drift magnitude, ppm: each tag's drift is drawn
+/// uniformly in `±MAX_CLOCK_DRIFT_PPM`.
+pub const MAX_CLOCK_DRIFT_PPM: f64 = 1600.0;
 
 impl ScenarioConfig {
     /// Validates the configuration.
@@ -74,11 +76,6 @@ impl ScenarioConfig {
         if !(self.starting_voltage_v > 0.0 && self.starting_voltage_v.is_finite()) {
             return Err(SimError::InvalidParameter(
                 "starting voltage must be positive",
-            ));
-        }
-        if !(self.max_clock_drift_ppm >= 0.0 && self.max_clock_drift_ppm.is_finite()) {
-            return Err(SimError::InvalidParameter(
-                "clock drift bound must be non-negative",
             ));
         }
         Ok(())
@@ -173,7 +170,6 @@ impl ScenarioBuilder {
                 message_bits: 32,
                 median_snr_db: Some(22.0),
                 starting_voltage_v: 3.0,
-                max_clock_drift_ppm: 1600.0,
             },
             dynamics: Vec::new(),
             faults: Vec::new(),
@@ -238,13 +234,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Sets the maximum per-tag clock drift magnitude in ppm.
-    #[must_use]
-    pub fn max_clock_drift_ppm(mut self, ppm: f64) -> Self {
-        self.config.max_clock_drift_ppm = ppm;
-        self
-    }
-
     /// Appends one composable per-slot dynamics (mobility, interference
     /// bursts, …).  Dynamics are applied in attachment order at every slot
     /// boundary of every *medium-driven* protocol run over the built
@@ -272,13 +261,6 @@ impl ScenarioBuilder {
     #[must_use]
     pub fn fault(mut self, fault: impl FaultInjector + 'static) -> Self {
         self.faults.push(Arc::new(fault));
-        self
-    }
-
-    /// Appends an already-shared fault injector.
-    #[must_use]
-    pub fn fault_arc(mut self, fault: Arc<dyn FaultInjector>) -> Self {
-        self.faults.push(fault);
         self
     }
 
@@ -436,7 +418,7 @@ impl Scenario {
                 message,
                 position: placement.tags[i],
                 channel: *channel,
-                clock: ClockModel::draw(&mut rng, config.max_clock_drift_ppm),
+                clock: ClockModel::draw(&mut rng, MAX_CLOCK_DRIFT_PPM),
                 initial_offset_us: jitter.draw_us(&mut rng),
                 battery: TagBattery::paper_rig(config.starting_voltage_v)?,
             });
@@ -497,7 +479,6 @@ impl Scenario {
             MediumConfig {
                 noise_power: self.noise_power,
                 noise_seed,
-                ..MediumConfig::default()
             },
         )?;
         if !self.dynamics.is_empty() {
@@ -655,7 +636,6 @@ mod tests {
             message_bits: 32,
             median_snr_db: Some(22.0),
             starting_voltage_v: 3.0,
-            max_clock_drift_ppm: 1600.0,
         };
         assert_eq!(*ScenarioBuilder::paper_uplink(8, 42).config(), paper);
         assert_eq!(
@@ -678,8 +658,7 @@ mod tests {
             .placement(Placement::Cart { distance_m: 0.7 })
             .message_bits(96)
             .global_id_space(5_000)
-            .starting_voltage_v(4.5)
-            .max_clock_drift_ppm(800.0);
+            .starting_voltage_v(4.5);
         let c = *builder.config();
         assert_eq!(c.k, 5);
         assert_eq!(c.seed, 9);
@@ -688,7 +667,6 @@ mod tests {
         assert_eq!(c.message_bits, 96);
         assert_eq!(c.global_id_space, 5_000);
         assert_eq!(c.starting_voltage_v, 4.5);
-        assert_eq!(c.max_clock_drift_ppm, 800.0);
         let scenario = builder.build().unwrap();
         assert!(scenario.dynamics().is_empty());
 

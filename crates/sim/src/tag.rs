@@ -41,12 +41,6 @@ pub struct SimTag {
 }
 
 impl SimTag {
-    /// Whether this tag currently has enough energy to operate.
-    #[must_use]
-    pub fn is_alive(&self) -> bool {
-        !self.battery.is_browned_out()
-    }
-
     /// Re-binds the tag's pseudorandom seed to the temporary id it drew during
     /// identification, which is what the data phase keys its participation
     /// decisions on (§6(a) of the paper).
@@ -91,9 +85,9 @@ mod tests {
     #[test]
     fn alive_until_browned_out() {
         let mut tag = sample_tag();
-        assert!(tag.is_alive());
+        assert!(!tag.battery.is_browned_out());
         tag.battery.drain_j(1.0);
-        assert!(!tag.is_alive());
+        assert!(tag.battery.is_browned_out());
     }
 
     #[test]

@@ -86,18 +86,6 @@ impl BucketHasher {
             .filter(|&id| occupied[self.bucket_of(id) as usize])
             .collect())
     }
-
-    /// The expected number of surviving candidate ids when `k` ids are active
-    /// in a space of `id_space` ids: at most `k` buckets are occupied, each
-    /// carrying `id_space / num_buckets` ids on average.
-    #[must_use]
-    pub fn expected_survivors(&self, id_space: u64, k: u64) -> f64 {
-        let ids_per_bucket = id_space as f64 / self.num_buckets as f64;
-        // Expected number of distinct occupied buckets for k balls in b bins.
-        let b = self.num_buckets as f64;
-        let occupied = b * (1.0 - (1.0 - 1.0 / b).powi(k as i32));
-        occupied * ids_per_bucket
-    }
 }
 
 #[cfg(test)]
@@ -188,8 +176,11 @@ mod tests {
         // space).
         assert!(survivors.len() as u64 <= a * k + a);
         assert!((survivors.len() as u64) < id_space / 5);
-        // And matches the analytic expectation to within 30 %.
-        let expected = h.expected_survivors(id_space, k);
+        // And matches the analytic expectation to within 30 %: k ids occupy
+        // b·(1 − (1 − 1/b)^k) distinct buckets on average, each carrying
+        // id_space / b ids.
+        let b = h.num_buckets() as f64;
+        let expected = b * (1.0 - (1.0 - 1.0 / b).powi(k as i32)) * (id_space as f64 / b);
         let ratio = survivors.len() as f64 / expected;
         assert!((0.7..1.3).contains(&ratio), "ratio = {ratio}");
     }

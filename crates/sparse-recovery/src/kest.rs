@@ -19,70 +19,13 @@
 
 use crate::{RecoveryError, RecoveryResult};
 
-/// Configuration of the K estimator.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct KEstimatorConfig {
-    /// Slots per step (the paper uses 4).
-    pub slots_per_step: usize,
-    /// Empty-slot fraction above which the estimator terminates (the paper
-    /// uses 0.75).
-    pub termination_threshold: f64,
-    /// Hard cap on the number of steps (a safety bound; `2^max_steps` bounds
-    /// the largest population the estimator can distinguish).
-    pub max_steps: usize,
-}
+/// Empty-slot fraction above which the estimator terminates (the paper uses
+/// 0.75).
+const TERMINATION_THRESHOLD: f64 = 0.75;
 
-impl KEstimatorConfig {
-    /// The configuration used in the paper's implementation.
-    #[must_use]
-    pub fn paper_default() -> Self {
-        Self {
-            slots_per_step: 4,
-            termination_threshold: 0.75,
-            max_steps: 32,
-        }
-    }
-
-    /// A higher-precision configuration (more slots per step) for use when the
-    /// caller wants the Lemma 5.1 accuracy at small ε.
-    #[must_use]
-    pub fn precise(slots_per_step: usize) -> Self {
-        Self {
-            slots_per_step,
-            ..Self::paper_default()
-        }
-    }
-
-    /// Validates the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RecoveryError::InvalidParameter`] for degenerate values.
-    pub fn validate(&self) -> RecoveryResult<()> {
-        if self.slots_per_step == 0 {
-            return Err(RecoveryError::InvalidParameter(
-                "slots per step must be non-zero",
-            ));
-        }
-        if !(self.termination_threshold > 0.0 && self.termination_threshold < 1.0) {
-            return Err(RecoveryError::InvalidParameter(
-                "termination threshold must be in (0, 1)",
-            ));
-        }
-        if self.max_steps == 0 {
-            return Err(RecoveryError::InvalidParameter(
-                "max steps must be non-zero",
-            ));
-        }
-        Ok(())
-    }
-}
-
-impl Default for KEstimatorConfig {
-    fn default() -> Self {
-        Self::paper_default()
-    }
-}
+/// Hard cap on the number of steps (a safety bound; `2^MAX_STEPS` bounds the
+/// largest population the estimator can distinguish).
+const MAX_STEPS: usize = 32;
 
 /// The estimator's final output.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -107,31 +50,29 @@ impl KEstimate {
 /// The streaming estimator.
 #[derive(Debug, Clone)]
 pub struct KEstimator {
-    config: KEstimatorConfig,
+    slots_per_step: usize,
     step: usize,
     estimate: Option<KEstimate>,
 }
 
 impl KEstimator {
-    /// Creates an estimator.
+    /// Creates an estimator that runs `slots_per_step` slots per step (the
+    /// paper uses 4).
     ///
     /// # Errors
     ///
-    /// Returns [`RecoveryError::InvalidParameter`] for an invalid
-    /// configuration.
-    pub fn new(config: KEstimatorConfig) -> RecoveryResult<Self> {
-        config.validate()?;
+    /// Returns [`RecoveryError::InvalidParameter`] for zero slots per step.
+    pub fn new(slots_per_step: usize) -> RecoveryResult<Self> {
+        if slots_per_step == 0 {
+            return Err(RecoveryError::InvalidParameter(
+                "slots per step must be non-zero",
+            ));
+        }
         Ok(Self {
-            config,
+            slots_per_step,
             step: 0,
             estimate: None,
         })
-    }
-
-    /// The configuration.
-    #[must_use]
-    pub fn config(&self) -> &KEstimatorConfig {
-        &self.config
     }
 
     /// The transmit probability the tags must use in the *next* step
@@ -148,7 +89,7 @@ impl KEstimator {
     /// Whether an estimate is available (or the step budget is exhausted).
     #[must_use]
     pub fn is_done(&self) -> bool {
-        self.estimate.is_some() || self.step >= self.config.max_steps
+        self.estimate.is_some() || self.step >= MAX_STEPS
     }
 
     /// Records the outcome of one step: how many of the step's slots were
@@ -164,7 +105,7 @@ impl KEstimator {
         if self.is_done() {
             return Err(RecoveryError::NotReady);
         }
-        let s = self.config.slots_per_step;
+        let s = self.slots_per_step;
         if empty_slots > s {
             return Err(RecoveryError::InvalidParameter(
                 "empty slots cannot exceed slots per step",
@@ -174,7 +115,7 @@ impl KEstimator {
         let p_j = 0.5f64.powi(self.step as i32);
         let e_j = empty_slots as f64 / s as f64;
 
-        if e_j >= self.config.termination_threshold || self.step >= self.config.max_steps {
+        if e_j >= TERMINATION_THRESHOLD || self.step >= MAX_STEPS {
             // Handle the all-empty case by capping E at 1 − 1/s (the paper's
             // footnote 2), so the logarithm stays finite.
             let capped = e_j.min(1.0 - 1.0 / s as f64).max(1.0 / (2.0 * s as f64));
@@ -215,13 +156,13 @@ mod tests {
 
     /// Simulates the estimator against an ideal channel (perfect empty/
     /// occupied detection) for a population of `k` tags.
-    fn run_ideal(k: usize, config: KEstimatorConfig, seed: u64) -> KEstimate {
-        let mut est = KEstimator::new(config).unwrap();
+    fn run_ideal(k: usize, slots_per_step: usize, seed: u64) -> KEstimate {
+        let mut est = KEstimator::new(slots_per_step).unwrap();
         let mut rng = Xoshiro256::seed_from_u64(seed);
         loop {
             let p = est.next_probability().expect("estimator ended early");
             let mut empty = 0;
-            for _ in 0..config.slots_per_step {
+            for _ in 0..slots_per_step {
                 let occupied = (0..k).any(|_| rng.next_f64() < p);
                 if !occupied {
                     empty += 1;
@@ -235,21 +176,13 @@ mod tests {
 
     #[test]
     fn config_validation() {
-        assert!(KEstimatorConfig::paper_default().validate().is_ok());
-        let mut c = KEstimatorConfig::paper_default();
-        c.slots_per_step = 0;
-        assert!(c.validate().is_err());
-        let mut c = KEstimatorConfig::paper_default();
-        c.termination_threshold = 1.0;
-        assert!(c.validate().is_err());
-        let mut c = KEstimatorConfig::paper_default();
-        c.max_steps = 0;
-        assert!(c.validate().is_err());
+        assert!(KEstimator::new(4).is_ok());
+        assert!(KEstimator::new(0).is_err());
     }
 
     #[test]
     fn probability_halves_every_step() {
-        let mut est = KEstimator::new(KEstimatorConfig::paper_default()).unwrap();
+        let mut est = KEstimator::new(4).unwrap();
         assert_eq!(est.next_probability(), Some(0.5));
         est.record_step(0).unwrap();
         assert_eq!(est.next_probability(), Some(0.25));
@@ -259,13 +192,13 @@ mod tests {
 
     #[test]
     fn record_step_validates_count() {
-        let mut est = KEstimator::new(KEstimatorConfig::paper_default()).unwrap();
+        let mut est = KEstimator::new(4).unwrap();
         assert!(est.record_step(5).is_err());
     }
 
     #[test]
     fn finishes_and_refuses_further_steps() {
-        let mut est = KEstimator::new(KEstimatorConfig::paper_default()).unwrap();
+        let mut est = KEstimator::new(4).unwrap();
         // All slots empty => terminate on the first step.
         let e = est.record_step(4).unwrap().unwrap();
         assert!(est.is_done());
@@ -277,19 +210,18 @@ mod tests {
 
     #[test]
     fn estimate_before_done_is_not_ready() {
-        let est = KEstimator::new(KEstimatorConfig::paper_default()).unwrap();
+        let est = KEstimator::new(4).unwrap();
         assert_eq!(est.estimate(), Err(RecoveryError::NotReady));
     }
 
     #[test]
     fn terminating_step_scales_as_log_k() {
         // Lemma 5.1: j* = log2(K) + O(1).
-        let config = KEstimatorConfig::precise(64);
         for &k in &[4usize, 16, 64, 256] {
             let mut total_step = 0.0;
             let trials = 20;
             for t in 0..trials {
-                total_step += run_ideal(k, config, 100 + t).terminating_step as f64;
+                total_step += run_ideal(k, 64, 100 + t).terminating_step as f64;
             }
             let avg_step = total_step / trials as f64;
             let log_k = (k as f64).log2();
@@ -307,10 +239,9 @@ mod tests {
         let k = 32;
         let trials = 30;
         let rel_error = |slots: usize| -> f64 {
-            let config = KEstimatorConfig::precise(slots);
             (0..trials)
                 .map(|t| {
-                    let e = run_ideal(k, config, 7_000 + t);
+                    let e = run_ideal(k, slots, 7_000 + t);
                     (e.k_hat - k as f64).abs() / k as f64
                 })
                 .sum::<f64>()
@@ -329,7 +260,7 @@ mod tests {
         for &k in &[4usize, 8, 16] {
             let trials = 50;
             let mean: f64 = (0..trials)
-                .map(|t| run_ideal(k, KEstimatorConfig::paper_default(), 9_000 + t).k_hat)
+                .map(|t| run_ideal(k, 4, 9_000 + t).k_hat)
                 .sum::<f64>()
                 / trials as f64;
             assert!(

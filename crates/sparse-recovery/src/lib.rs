@@ -32,7 +32,7 @@ pub mod omp;
 
 pub use buckets::BucketHasher;
 pub use diagnostics::SupportRecovery;
-pub use kest::{KEstimate, KEstimator, KEstimatorConfig};
+pub use kest::{KEstimate, KEstimator};
 pub use linalg::ComplexMatrix;
 pub use omp::{OmpConfig, OmpSolver, SparseSolution};
 

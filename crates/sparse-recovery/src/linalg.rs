@@ -32,22 +32,6 @@ impl ComplexMatrix {
         }
     }
 
-    /// Creates a matrix from row-major data.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RecoveryError::DimensionMismatch`] if the data length is not
-    /// `rows × cols`.
-    pub fn from_rows(rows: usize, cols: usize, data: Vec<Complex>) -> RecoveryResult<Self> {
-        if data.len() != rows * cols {
-            return Err(RecoveryError::DimensionMismatch {
-                expected: rows * cols,
-                actual: data.len(),
-            });
-        }
-        Ok(Self { rows, cols, data })
-    }
-
     /// Number of rows.
     #[must_use]
     pub fn rows(&self) -> usize {
@@ -568,10 +552,9 @@ mod tests {
 
     #[test]
     fn construction_checks_dimensions() {
-        assert!(ComplexMatrix::from_rows(2, 2, vec![Complex::ZERO; 3]).is_err());
-        let m = ComplexMatrix::from_rows(2, 2, vec![Complex::ONE; 4]).unwrap();
+        let m = ComplexMatrix::zeros(2, 3);
         assert_eq!(m.rows(), 2);
-        assert_eq!(m.cols(), 2);
+        assert_eq!(m.cols(), 3);
     }
 
     #[test]

@@ -77,26 +77,6 @@ pub struct SparseSolution {
 }
 
 impl SparseSolution {
-    /// The solution as a dense vector of length `n`.
-    #[must_use]
-    pub fn to_dense(&self, n: usize) -> Vec<Complex> {
-        let mut out = vec![Complex::ZERO; n];
-        for (&idx, &val) in self.support.iter().zip(&self.values) {
-            if idx < n {
-                out[idx] = val;
-            }
-        }
-        out
-    }
-
-    /// The support sorted ascending (handy for comparisons).
-    #[must_use]
-    pub fn sorted_support(&self) -> Vec<usize> {
-        let mut s = self.support.clone();
-        s.sort_unstable();
-        s
-    }
-
     /// Keeps only support entries whose magnitude is at least `fraction` of
     /// the largest recovered magnitude — the pruning the identification
     /// protocol applies to reject spurious picks caused by OMP head-room.
@@ -619,6 +599,13 @@ mod tests {
     use backscatter_prng::{NodeSeed, Rng64, Xoshiro256};
     use proptest::prelude::*;
 
+    /// The solution's support sorted ascending.
+    fn sorted_support(solution: &SparseSolution) -> Vec<usize> {
+        let mut support = solution.support.clone();
+        support.sort_unstable();
+        support
+    }
+
     /// Builds a random binary sensing problem with a known sparse solution.
     fn make_problem(
         n_cols: usize,
@@ -702,18 +689,15 @@ mod tests {
     fn recovers_noiseless_sparse_vector_exactly() {
         // N' = 160 candidates (a·K with a = K = ~13), K = 8 active, M = K·log2(a·K)
         // measurements — the regime of stage 3.
-        let (a, y, support, values) = make_problem(160, 8, 64, 1, 0.0);
+        let (a, y, support, _) = make_problem(160, 8, 64, 1, 0.0);
         let solver = OmpSolver::new(OmpConfig::for_sparsity(8)).unwrap();
         let sol = solver.solve(&a, &y).unwrap();
-        assert_eq!(sol.sorted_support(), support);
+        assert_eq!(sorted_support(&sol), support);
         assert!(sol.relative_residual < 1e-6);
-        // Recovered channel values match the ground truth.
-        let dense = sol.to_dense(160);
-        for (&col, &val) in support.iter().zip(&values) {
-            let recovered = dense[col];
-            // `values` is stored in original (unsorted) order; find by energy.
-            let _ = val;
-            assert!(recovered.abs() > 0.1);
+        // Every true column carries a recovered channel value.
+        for col in &support {
+            let at = sol.support.iter().position(|s| s == col).unwrap();
+            assert!(sol.values[at].abs() > 0.1);
         }
     }
 
@@ -722,7 +706,7 @@ mod tests {
         let (a, y, support, _) = make_problem(200, 10, 80, 3, 0.05);
         let solver = OmpSolver::new(OmpConfig::for_sparsity(10)).unwrap();
         let sol = solver.solve(&a, &y).unwrap();
-        let recovered = sol.pruned(0.2).sorted_support();
+        let recovered = sorted_support(&sol.pruned(0.2));
         // Every true tag is found.
         for s in &support {
             assert!(recovered.contains(s), "missed column {s}");
@@ -737,7 +721,7 @@ mod tests {
         let sol = solver.solve(&a, &y).unwrap();
         let pruned = sol.pruned(0.25);
         for s in &support {
-            assert!(pruned.sorted_support().contains(s));
+            assert!(sorted_support(&pruned).contains(s));
         }
         assert!(pruned.support.len() <= support.len() + 2);
     }
@@ -757,7 +741,7 @@ mod tests {
         // Uniform noise of amplitude ±noise/2 per component has this power.
         let noise_power = noise * noise / 6.0;
         let refined = prune_insignificant(&a, &y, &raw, noise_power, 3.0).unwrap();
-        assert_eq!(refined.sorted_support(), support);
+        assert_eq!(sorted_support(&refined), support);
         assert_eq!(refined.values.len(), refined.support.len());
     }
 
@@ -1042,22 +1026,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn to_dense_places_values() {
-        let sol = SparseSolution {
-            support: vec![3, 1],
-            values: vec![Complex::ONE, Complex::I],
-            relative_residual: 0.0,
-        };
-        let dense = sol.to_dense(5);
-        assert_eq!(dense[3], Complex::ONE);
-        assert_eq!(dense[1], Complex::I);
-        assert_eq!(dense[0], Complex::ZERO);
-        // Out-of-range support entries are ignored.
-        let clipped = sol.to_dense(2);
-        assert_eq!(clipped[1], Complex::I);
-    }
-
     /// The pre-pruner solver: exhaustive correlation scan every iteration,
     /// otherwise byte-for-byte the arithmetic of [`OmpSolver::solve`].  The
     /// reference the pruned scan is pinned to.
@@ -1240,11 +1208,11 @@ mod tests {
         for t in 0..10 {
             let (a, y, support, _) = make_problem(120, 8, 40, 100 + t, 0.0);
             let solver = OmpSolver::new(OmpConfig::for_sparsity(8)).unwrap();
-            if solver.solve(&a, &y).unwrap().sorted_support() == support {
+            if sorted_support(&solver.solve(&a, &y).unwrap()) == support {
                 exact_small += 1;
             }
             let (a, y, support, _) = make_problem(120, 8, 96, 100 + t, 0.0);
-            if solver.solve(&a, &y).unwrap().sorted_support() == support {
+            if sorted_support(&solver.solve(&a, &y).unwrap()) == support {
                 exact_large += 1;
             }
         }

@@ -13,7 +13,7 @@ use backscatter_baselines::session::{CdmaProtocol, FsaIdentification, TdmaProtoc
 use backscatter_sim::dynamics::BurstyInterference;
 use backscatter_sim::scenario::Scenario;
 use buzz::protocol::{BuzzConfig, BuzzProtocol};
-use buzz::session::{Protocol, SessionOutcome};
+use buzz::session::{run_panel, Protocol};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let buzz = BuzzProtocol::new(BuzzConfig {
@@ -48,11 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .seed(7000 + trial)
                 .dynamics(BurstyInterference::new(period, burst, multiplier)?)
                 .build()?;
-            let mut outcomes: Vec<SessionOutcome> = Vec::with_capacity(panel.len());
-            for protocol in panel {
-                let outcome = protocol.run_after(&mut scenario, trial, &outcomes)?;
-                outcomes.push(outcome);
-            }
+            let outcomes = run_panel(&panel, &mut scenario, trial)?;
             for (sum, outcome) in sums.iter_mut().zip(&outcomes) {
                 sum.0 += outcome.delivered_messages as f64;
                 sum.1 += outcome.loss_rate();

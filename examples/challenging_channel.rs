@@ -8,8 +8,8 @@
 //!
 //! Run with: `cargo run --release --example challenging_channel`
 
-use backscatter_baselines::cdma::{CdmaConfig, CdmaTransfer};
-use backscatter_baselines::tdma::{TdmaConfig, TdmaTransfer};
+use backscatter_baselines::cdma::CdmaTransfer;
+use backscatter_baselines::tdma::TdmaTransfer;
 use backscatter_sim::scenario::ScenarioBuilder;
 use buzz::protocol::{BuzzConfig, BuzzProtocol};
 
@@ -53,11 +53,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             buzz_rate += outcome.transfer.bits_per_symbol();
             buzz_loss += outcome.message_loss_rate();
 
-            let tdma = TdmaTransfer::new(TdmaConfig::default())?;
+            let tdma = TdmaTransfer::new()?;
             let mut medium = scenario.medium(trial)?;
             tdma_loss += tdma.run(scenario.tags(), &mut medium)?.loss_rate();
 
-            let cdma = CdmaTransfer::new(CdmaConfig::default())?;
+            let cdma = CdmaTransfer;
             let mut medium = scenario.medium(trial)?;
             cdma_loss += cdma.run(scenario.tags(), &mut medium)?.loss_rate();
         }

@@ -19,7 +19,7 @@ use backscatter_sim::dynamics::CorrelatedFading;
 use backscatter_sim::scenario::Scenario;
 use buzz::bp::DecodeSchedule;
 use buzz::protocol::{BuzzConfig, BuzzProtocol};
-use buzz::session::{Protocol, SessionOutcome};
+use buzz::session::{run_panel, Protocol};
 use buzz::transfer::TransferConfig;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -62,11 +62,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .seed(6_800 + trial)
                 .dynamics(CorrelatedFading::new(doppler, 8, los)?)
                 .build()?;
-            let mut outcomes: Vec<SessionOutcome> = Vec::with_capacity(panel.len());
-            for protocol in panel {
-                let outcome = protocol.run_after(&mut scenario, trial, &outcomes)?;
-                outcomes.push(outcome);
-            }
+            let outcomes = run_panel(&panel, &mut scenario, trial)?;
             for (sum, outcome) in sums.iter_mut().zip(&outcomes) {
                 sum.0 += outcome.delivered_messages as f64;
                 sum.1 += outcome.loss_rate();

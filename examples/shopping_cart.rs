@@ -11,7 +11,7 @@
 //! Run with: `cargo run --release --example shopping_cart`
 
 use backscatter_baselines::identification::fsa_identification;
-use backscatter_baselines::tdma::{TdmaConfig, TdmaTransfer};
+use backscatter_baselines::tdma::TdmaTransfer;
 use backscatter_sim::scenario::ScenarioBuilder;
 use buzz::protocol::{BuzzConfig, BuzzProtocol};
 
@@ -55,7 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- Gen-2 style: FSA identification + TDMA transfer --------------------
     let fsa = fsa_identification(&scenario, 3)?;
-    let tdma = TdmaTransfer::new(TdmaConfig::default())?;
+    let tdma = TdmaTransfer::new()?;
     let mut medium = scenario.medium(5)?;
     let tdma_out = tdma.run(scenario.tags(), &mut medium)?;
     println!("== EPC Gen-2 (FSA + TDMA) ==");

@@ -54,11 +54,11 @@ mod tests {
         let _ = crate::phy::Complex::ONE;
         let _ = crate::prng::NodeSeed(1);
         let _ = crate::codes::Crc5::new();
-        let _ = crate::gen2::LinkTiming::paper_default();
+        let _ = crate::gen2::PAPER_TIMING;
         let _ = crate::sim::MediumConfig::default();
-        let _ = crate::recovery::KEstimatorConfig::paper_default();
+        let _ = crate::recovery::KEstimator::new(4);
         let _ = crate::protocol::BuzzConfig::default();
-        let _ = crate::baselines::TdmaConfig::default();
+        let _ = crate::baselines::CdmaTransfer;
         // The flat session-API re-exports.
         fn _panel(_: &[&dyn crate::Protocol]) {}
         let _ = crate::ScenarioBuilder::new(1);

@@ -1,9 +1,9 @@
 //! Cross-crate integration tests: the full Buzz pipeline against the
 //! simulator, compared with the baselines, over shared scenarios.
 
-use buzz_suite::baselines::cdma::{CdmaConfig, CdmaTransfer};
+use buzz_suite::baselines::cdma::CdmaTransfer;
 use buzz_suite::baselines::identification::{fsa_identification, fsa_with_known_k};
-use buzz_suite::baselines::tdma::{TdmaConfig, TdmaTransfer};
+use buzz_suite::baselines::tdma::TdmaTransfer;
 use buzz_suite::protocol::identification::{DiscoveredTag, Identifier};
 use buzz_suite::protocol::protocol::{BuzzConfig, BuzzProtocol};
 use buzz_suite::protocol::transfer::{score_against_truth, DataTransfer};
@@ -52,11 +52,11 @@ fn buzz_transfer_time_beats_tdma_and_cdma() {
         .unwrap();
         buzz_total += buzz.run(&mut scenario, trial).unwrap().transfer.time_ms;
 
-        let tdma = TdmaTransfer::new(TdmaConfig::default()).unwrap();
+        let tdma = TdmaTransfer::new().unwrap();
         let mut medium = scenario.medium(trial).unwrap();
         tdma_total += tdma.run(scenario.tags(), &mut medium).unwrap().time_ms;
 
-        let cdma = CdmaTransfer::new(CdmaConfig::default()).unwrap();
+        let cdma = CdmaTransfer;
         let mut medium = scenario.medium(trial).unwrap();
         cdma_total += cdma.run(scenario.tags(), &mut medium).unwrap().time_ms;
     }
@@ -131,10 +131,10 @@ fn buzz_stays_reliable_where_baselines_fail() {
         buzz_lost += outcome.incorrect_messages;
         buzz_rate += outcome.transfer.bits_per_symbol();
 
-        let tdma = TdmaTransfer::new(TdmaConfig::default()).unwrap();
+        let tdma = TdmaTransfer::new().unwrap();
         let mut medium = scenario.medium(trial).unwrap();
         baseline_lost += tdma.run(scenario.tags(), &mut medium).unwrap().lost_count();
-        let cdma = CdmaTransfer::new(CdmaConfig::default()).unwrap();
+        let cdma = CdmaTransfer;
         let mut medium = scenario.medium(trial).unwrap();
         baseline_lost += cdma.run(scenario.tags(), &mut medium).unwrap().lost_count();
     }
@@ -161,14 +161,14 @@ fn all_baselines_complete_on_shared_seeds() {
     for seed in [1u64, 2, 3] {
         let scenario = ScenarioBuilder::paper_uplink(4, seed).build().unwrap();
 
-        let tdma = TdmaTransfer::new(TdmaConfig::default()).unwrap();
+        let tdma = TdmaTransfer::new().unwrap();
         let mut medium = scenario.medium(seed).unwrap();
         let tdma_out = tdma
             .run(scenario.tags(), &mut medium)
             .unwrap_or_else(|e| panic!("TDMA failed on seed {seed}: {e}"));
         assert_eq!(tdma_out.per_tag_transitions.len(), 4, "seed {seed}");
 
-        let cdma = CdmaTransfer::new(CdmaConfig::default()).unwrap();
+        let cdma = CdmaTransfer;
         let mut medium = scenario.medium(seed).unwrap();
         let cdma_out = cdma
             .run(scenario.tags(), &mut medium)
@@ -185,9 +185,8 @@ fn all_baselines_complete_on_shared_seeds() {
 /// set as TDMA and far less than CDMA.
 #[test]
 fn buzz_energy_is_comparable_to_tdma_and_below_cdma() {
-    use buzz_suite::sim::energy::{EnergyModel, TransmissionProfile};
+    use buzz_suite::sim::energy::TransmissionProfile;
     let k = 8;
-    let model = EnergyModel::moo();
     let mut scenario = ScenarioBuilder::paper_uplink(k, 4_400).build().unwrap();
 
     let buzz = BuzzProtocol::new(BuzzConfig {
@@ -197,7 +196,7 @@ fn buzz_energy_is_comparable_to_tdma_and_below_cdma() {
     .unwrap();
     let buzz_energy = buzz.run(&mut scenario, 1).unwrap().mean_energy_j();
 
-    let tdma = TdmaTransfer::new(TdmaConfig::default()).unwrap();
+    let tdma = TdmaTransfer::new().unwrap();
     let mut medium = scenario.medium(1).unwrap();
     let tdma_out = tdma.run(scenario.tags(), &mut medium).unwrap();
     let tdma_energy: f64 = tdma_out
@@ -205,18 +204,16 @@ fn buzz_energy_is_comparable_to_tdma_and_below_cdma() {
         .iter()
         .zip(&tdma_out.per_tag_active_s)
         .map(|(&tr, &s)| {
-            model.reply_energy_j(
-                &TransmissionProfile {
-                    active_time_s: s,
-                    transitions: tr,
-                },
-                3.0,
-            )
+            TransmissionProfile {
+                active_time_s: s,
+                transitions: tr,
+            }
+            .reply_energy_j(3.0)
         })
         .sum::<f64>()
         / k as f64;
 
-    let cdma = CdmaTransfer::new(CdmaConfig::default()).unwrap();
+    let cdma = CdmaTransfer;
     let mut medium = scenario.medium(1).unwrap();
     let cdma_out = cdma.run(scenario.tags(), &mut medium).unwrap();
     let cdma_energy: f64 = cdma_out
@@ -224,13 +221,11 @@ fn buzz_energy_is_comparable_to_tdma_and_below_cdma() {
         .iter()
         .zip(&cdma_out.per_tag_active_s)
         .map(|(&tr, &s)| {
-            model.reply_energy_j(
-                &TransmissionProfile {
-                    active_time_s: s,
-                    transitions: tr,
-                },
-                3.0,
-            )
+            TransmissionProfile {
+                active_time_s: s,
+                transitions: tr,
+            }
+            .reply_energy_j(3.0)
         })
         .sum::<f64>()
         / k as f64;

@@ -13,13 +13,13 @@ use buzz_suite::baselines::session::{
     CdmaProtocol, FsaIdentification, FsaWithEstimatedK, TdmaProtocol,
 };
 use buzz_suite::protocol::protocol::{BuzzConfig, BuzzProtocol};
-use buzz_suite::protocol::session::{Protocol, SessionOutcome};
+use buzz_suite::protocol::session::{run_panel, Protocol, SessionOutcome};
 use buzz_suite::sim::dynamics::{BurstyInterference, HeterogeneousTagPower, Mobility};
 use buzz_suite::sim::scenario::{Placement, Scenario, ScenarioBuilder, SnrProfile};
 
 /// Runs the full four-scheme panel (plus FSA+K̂) over a fresh scenario built
 /// from `builder`, returning every outcome in panel order.
-fn run_panel(builder: ScenarioBuilder, seed: u64) -> Vec<SessionOutcome> {
+fn run_full_panel(builder: ScenarioBuilder, seed: u64) -> Vec<SessionOutcome> {
     let buzz = BuzzProtocol::new(BuzzConfig::default()).unwrap();
     let tdma = TdmaProtocol::paper_default().unwrap();
     let cdma = CdmaProtocol::paper_default().unwrap();
@@ -28,11 +28,9 @@ fn run_panel(builder: ScenarioBuilder, seed: u64) -> Vec<SessionOutcome> {
     let panel: [&dyn Protocol; 5] = [&buzz, &tdma, &cdma, &fsa, &fsa_k];
 
     let mut scenario = builder.build().unwrap();
-    let mut outcomes = Vec::with_capacity(panel.len());
-    for protocol in panel {
-        let outcome = protocol.run_after(&mut scenario, seed, &outcomes).unwrap();
+    let outcomes = run_panel(&panel, &mut scenario, seed).unwrap();
+    for (outcome, protocol) in outcomes.iter().zip(panel) {
         assert_eq!(outcome.scheme, protocol.name());
-        outcomes.push(outcome);
     }
     outcomes
 }
@@ -40,20 +38,20 @@ fn run_panel(builder: ScenarioBuilder, seed: u64) -> Vec<SessionOutcome> {
 #[test]
 fn same_config_and_seed_is_bit_identical_for_every_protocol() {
     let config = ScenarioBuilder::paper_uplink(6, 2024);
-    let first = run_panel(config.clone(), 5);
-    let second = run_panel(config.clone(), 5);
+    let first = run_full_panel(config.clone(), 5);
+    let second = run_full_panel(config.clone(), 5);
     // SessionOutcome's PartialEq compares every field, floats exactly.
     assert_eq!(first, second);
 
     // And a different noise seed is a genuinely different realization for at
     // least one scheme (same channels, fresh noise).
-    let third = run_panel(config, 6);
+    let third = run_full_panel(config, 6);
     assert_ne!(first, third);
 }
 
 #[test]
 fn every_scheme_reports_through_the_common_shape() {
-    let outcomes = run_panel(ScenarioBuilder::paper_uplink(5, 77), 1);
+    let outcomes = run_full_panel(ScenarioBuilder::paper_uplink(5, 77), 1);
     for outcome in &outcomes {
         assert_eq!(outcome.total_messages(), 5, "{}", outcome.scheme);
         assert!(outcome.wall_time_ms > 0.0, "{}", outcome.scheme);
