@@ -3,7 +3,6 @@
 //! * participation-code density (how many tags collide per slot),
 //! * bucket pruning on/off (solve over the full temporary-id space instead).
 
-use backscatter_codes::sparse_matrix::SparseBinaryMatrix;
 use backscatter_phy::complex::Complex;
 use backscatter_prng::{NodeSeed, Rng64, Xoshiro256};
 use backscatter_sim::scenario::ScenarioBuilder;
@@ -11,6 +10,7 @@ use buzz::protocol::{BuzzConfig, BuzzProtocol};
 use buzz::transfer::TransferConfig;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sparse_recovery::omp::{OmpConfig, OmpSolver};
+use sparse_recovery::sensing::SensingMatrix;
 
 /// Sweep the target collision size of the rateless code (the paper only says
 /// the density is "related to K"; this shows the trade-off).
@@ -60,13 +60,13 @@ fn bench_bucket_pruning(c: &mut Criterion) {
         .map(|_| rng.next_bounded(pruned_space as u64) as usize)
         .collect();
 
-    let build = |n: usize| -> (SparseBinaryMatrix, Vec<Complex>) {
+    let build = |n: usize| -> (SensingMatrix, Vec<Complex>) {
         let seeds: Vec<NodeSeed> = (0..n as u64).map(|i| NodeSeed(9_000 + i)).collect();
-        let a = SparseBinaryMatrix::from_sensing_seeds(m, &seeds, 0.5);
+        let a = SensingMatrix::from_seeds(m, &seeds, 0.5);
         let mut y = vec![Complex::ZERO; m];
         for (rank, &col) in actives.iter().enumerate() {
             let h = Complex::from_polar(0.5 + rank as f64 * 0.1, rank as f64);
-            for &r in a.col(col) {
+            for r in a.column_rows(col) {
                 y[r] += h;
             }
         }

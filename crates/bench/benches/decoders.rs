@@ -2,12 +2,12 @@
 //! bit-flipping decoder (§6c) and the OMP sparse-recovery solver (§5.1-C).
 
 use backscatter_codes::message::Message;
-use backscatter_codes::sparse_matrix::SparseBinaryMatrix;
 use backscatter_phy::complex::Complex;
 use backscatter_prng::{NodeSeed, Rng64, Xoshiro256};
 use buzz::bp::BitFlippingDecoder;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sparse_recovery::omp::{OmpConfig, OmpSolver};
+use sparse_recovery::sensing::SensingMatrix;
 
 /// Builds a ready-to-decode collision problem with `k` nodes and `slots`
 /// slots.
@@ -49,15 +49,15 @@ fn build_bp_problem(k: usize, slots: usize) -> BitFlippingDecoder {
 
 /// Builds a compressive-sensing problem with `n` candidate columns and `k`
 /// active ones.
-fn build_cs_problem(n: usize, k: usize, m: usize) -> (SparseBinaryMatrix, Vec<Complex>) {
+fn build_cs_problem(n: usize, k: usize, m: usize) -> (SensingMatrix, Vec<Complex>) {
     let seeds: Vec<NodeSeed> = (0..n as u64).map(|i| NodeSeed(7_000 + i)).collect();
-    let a = SparseBinaryMatrix::from_sensing_seeds(m, &seeds, 0.5);
+    let a = SensingMatrix::from_seeds(m, &seeds, 0.5);
     let mut rng = Xoshiro256::seed_from_u64(5);
     let mut y = vec![Complex::ZERO; m];
     for _ in 0..k {
         let col = rng.next_bounded(n as u64) as usize;
         let h = Complex::from_polar(0.5 + rng.next_f64(), rng.next_f64());
-        for &r in a.col(col) {
+        for r in a.column_rows(col) {
             y[r] += h;
         }
     }

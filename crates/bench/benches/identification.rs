@@ -4,11 +4,11 @@
 //! stage-3 sensing-matrix build on its own.
 
 use backscatter_baselines::identification::fsa_identification;
-use backscatter_codes::sparse_matrix::SparseBinaryMatrix;
 use backscatter_prng::NodeSeed;
 use backscatter_sim::scenario::ScenarioBuilder;
 use buzz::identification::{IdentificationConfig, Identifier};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use sparse_recovery::sensing::SensingMatrix;
 
 fn bench_identification(c: &mut Criterion) {
     let mut group = c.benchmark_group("identification");
@@ -44,7 +44,7 @@ fn bench_identification(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("sensing_matrix", format!("{ids}x{slots}")),
             &seeds,
-            |b, seeds| b.iter(|| SparseBinaryMatrix::from_sensing_seeds(slots, seeds, 0.5)),
+            |b, seeds| b.iter(|| SensingMatrix::from_seeds(slots, seeds, 0.5)),
         );
     }
     group.finish();

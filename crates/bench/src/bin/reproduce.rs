@@ -31,20 +31,16 @@
 //! subcommands accept `--locations`, `--seed`, and `--threads`.  Output is
 //! byte-identical for every `--threads` value and every `--shard` split.
 //!
-//! Valid figure ids are the registry ids ([`experiments::FIGURES`]): run
-//! with an unknown id to have them listed.
+//! Valid figure ids are the registry ids
+//! ([`buzz_bench::experiments::FIGURES`]): run with an unknown id to have
+//! them listed.  The flags are parsed by [`CliFlags`].
 
 use std::io::Write as _;
 use std::path::Path;
 
-use buzz::executor::available_threads;
-use buzz_bench::experiments;
 use buzz_bench::orchestrate::{
-    diff as runbook_diff, figures_json, run_shard, GridDynamics, GridOptions, JobArtifact, Runbook,
-    Shard, SweepPlan,
+    diff as runbook_diff, figures_json, run_shard, CliFlags, JobArtifact, Runbook, Shard,
 };
-
-const BASE_SEED: u64 = 2012;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -56,97 +52,6 @@ fn main() {
         _ => cmd_figures(&args),
     };
     std::process::exit(code);
-}
-
-/// Flags shared by every subcommand (and the figure form).
-struct CommonFlags {
-    plan: String,
-    locations: u64,
-    seed: u64,
-    threads: usize,
-    grid: GridOptions,
-    shard: Shard,
-    out: Option<String>,
-    figures: Option<String>,
-    artifacts: Vec<String>,
-    json_path: Option<String>,
-    positional: Vec<String>,
-}
-
-impl CommonFlags {
-    fn parse(args: &[String]) -> Result<Self, String> {
-        let mut flags = CommonFlags {
-            plan: "all".to_string(),
-            locations: experiments::DEFAULT_LOCATIONS,
-            seed: BASE_SEED,
-            threads: available_threads(),
-            grid: GridOptions::default(),
-            shard: Shard::full(),
-            out: None,
-            figures: None,
-            artifacts: Vec::new(),
-            json_path: None,
-            positional: Vec::new(),
-        };
-        let mut it = args.iter();
-        while let Some(arg) = it.next() {
-            let mut value = |name: &str| -> Result<String, String> {
-                it.next()
-                    .cloned()
-                    .ok_or_else(|| format!("{name} needs a value"))
-            };
-            match arg.as_str() {
-                "--plan" => flags.plan = value("--plan")?,
-                "--locations" => {
-                    flags.locations = value("--locations")?
-                        .parse()
-                        .map_err(|_| "bad --locations".to_string())?;
-                }
-                "--seed" => {
-                    flags.seed = value("--seed")?
-                        .parse()
-                        .map_err(|_| "bad --seed".to_string())?;
-                }
-                "--threads" => {
-                    let n: usize = value("--threads")?
-                        .parse()
-                        .map_err(|_| "bad --threads".to_string())?;
-                    flags.threads = n.max(1);
-                }
-                "--shard" => flags.shard = Shard::parse(&value("--shard")?)?,
-                "--out" => flags.out = Some(value("--out")?),
-                "--figures" => flags.figures = Some(value("--figures")?),
-                "--artifacts" => flags
-                    .artifacts
-                    .extend(value("--artifacts")?.split(',').map(str::to_string)),
-                "--json" => flags.json_path = Some(value("--json")?),
-                "--ks" => {
-                    flags.grid.ks = value("--ks")?
-                        .split(',')
-                        .map(|v| v.trim().parse().map_err(|_| format!("bad K `{v}`")))
-                        .collect::<Result<_, _>>()?;
-                }
-                "--traces" => {
-                    flags.grid.traces = value("--traces")?
-                        .parse()
-                        .map_err(|_| "bad --traces".to_string())?;
-                }
-                "--dynamics" => {
-                    flags.grid.dynamics = value("--dynamics")?
-                        .split(',')
-                        .map(GridDynamics::parse)
-                        .collect::<Result<_, _>>()?;
-                }
-                other if !other.starts_with("--") => flags.positional.push(other.to_string()),
-                other => return Err(format!("unknown flag {other}")),
-            }
-        }
-        Ok(flags)
-    }
-
-    fn build_plan(&self) -> Result<SweepPlan, String> {
-        SweepPlan::from_name(&self.plan, self.locations, self.seed, &self.grid)
-    }
 }
 
 /// The commit a runbook records: `RUNBOOK_COMMIT`, else CI's `GITHUB_SHA`,
@@ -175,7 +80,7 @@ fn write_file(path: &str, bytes: &str) -> Result<(), String> {
 
 /// `reproduce plan`: expand and print the canonical job list.
 fn cmd_plan(args: &[String]) -> i32 {
-    let flags = match CommonFlags::parse(args) {
+    let flags = match CliFlags::parse(args) {
         Ok(f) => f,
         Err(e) => return fail(&e),
     };
@@ -203,7 +108,7 @@ fn cmd_plan(args: &[String]) -> i32 {
 
 /// `reproduce run`: execute one contiguous shard, one artifact file per job.
 fn cmd_run(args: &[String]) -> i32 {
-    let flags = match CommonFlags::parse(args) {
+    let flags = match CliFlags::parse(args) {
         Ok(f) => f,
         Err(e) => return fail(&e),
     };
@@ -242,7 +147,7 @@ fn cmd_run(args: &[String]) -> i32 {
 /// `reproduce merge`: pool shard artifacts into a runbook manifest (and,
 /// optionally, the figure array).
 fn cmd_merge(args: &[String]) -> i32 {
-    let flags = match CommonFlags::parse(args) {
+    let flags = match CliFlags::parse(args) {
         Ok(f) => f,
         Err(e) => return fail(&e),
     };
@@ -310,7 +215,7 @@ fn cmd_merge(args: &[String]) -> i32 {
 
 /// `reproduce diff`: compare two runbook manifests job-by-job.
 fn cmd_diff(args: &[String]) -> i32 {
-    let flags = match CommonFlags::parse(args) {
+    let flags = match CliFlags::parse(args) {
         Ok(f) => f,
         Err(e) => return fail(&e),
     };
@@ -339,7 +244,7 @@ fn cmd_diff(args: &[String]) -> i32 {
 /// The figure form, `reproduce [<figures>|all] [flags]`: runs the whole
 /// figure plan in this process and prints every report.
 fn cmd_figures(args: &[String]) -> i32 {
-    let mut flags = match CommonFlags::parse(args) {
+    let mut flags = match CliFlags::parse(args) {
         Ok(f) => f,
         Err(e) => return fail(&e),
     };

@@ -16,11 +16,13 @@
 //! artifacts, plans, and runbooks alike.
 
 pub mod canonical;
+pub mod cli;
 pub mod plan;
 pub mod runbook;
 pub mod runner;
 
 pub use canonical::{content_hash, CanonicalJson};
+pub use cli::CliFlags;
 pub use plan::{GridDynamics, GridOptions, Job, JobKind, Shard, SweepPlan};
 pub use runbook::{diff, figures_json, DiffOutcome, Runbook, RunbookJob};
 pub use runner::{run_job, run_shard, JobArtifact};

@@ -243,11 +243,28 @@ pub struct SweepPlan {
     pub jobs: Vec<Job>,
 }
 
+/// The most locations a plan may name.  A figure runs its sessions at
+/// every location and keeps their results, and a grid plan expands one job
+/// per location, so the count sizes what a plan allocates: past this bound
+/// a plan would run for days before its first report, and near `2³²` it
+/// aborts on allocation.  The paper's figures use 5; the largest census in
+/// the test suite uses 400.
+pub const MAX_LOCATIONS: u64 = 10_000;
+
+/// The most jobs a grid plan may expand to (`K × location × trace ×
+/// dynamics`): each job is a spec and a hash in memory before any runs.
+pub const MAX_GRID_JOBS: u64 = 100_000;
+
 /// Every figure averages over its locations, so a plan needs at least one
-/// (zero would fill the tables with NaN).
+/// (zero would fill the tables with NaN), and at most [`MAX_LOCATIONS`].
 fn check_locations(locations: u64) -> Result<(), String> {
     if locations == 0 {
         return Err("a plan needs at least one location".into());
+    }
+    if locations > MAX_LOCATIONS {
+        return Err(format!(
+            "{locations} locations: a plan names at most {MAX_LOCATIONS}"
+        ));
     }
     Ok(())
 }
@@ -257,7 +274,7 @@ impl SweepPlan {
     ///
     /// # Errors
     ///
-    /// Zero locations.
+    /// Zero locations, or more than [`MAX_LOCATIONS`].
     pub fn all(locations: u64, base_seed: u64) -> Result<Self, String> {
         check_locations(locations)?;
         Ok(Self {
@@ -275,7 +292,8 @@ impl SweepPlan {
     ///
     /// # Errors
     ///
-    /// Unknown or repeated figures, an empty list, and zero locations.
+    /// Unknown or repeated figures, an empty list, and zero locations or
+    /// more than [`MAX_LOCATIONS`].
     pub fn figure_list(list: &str, locations: u64, base_seed: u64) -> Result<Self, String> {
         check_locations(locations)?;
         let mut jobs = Vec::new();
@@ -308,7 +326,8 @@ impl SweepPlan {
     ///
     /// # Errors
     ///
-    /// An empty K or dynamics list, zero locations or traces, a K the
+    /// An empty K or dynamics list, zero locations or traces, more than
+    /// [`MAX_LOCATIONS`] locations or [`MAX_GRID_JOBS`] jobs, a K the
     /// paper-uplink scenario rejects, and fading parameters
     /// [`CorrelatedFading::new`] rejects.
     pub fn uplink_grid(
@@ -319,8 +338,21 @@ impl SweepPlan {
         if options.ks.is_empty() || options.dynamics.is_empty() {
             return Err("grid plan needs at least one K and one dynamics".into());
         }
-        if locations == 0 || options.traces == 0 {
-            return Err("grid plan needs at least one location and one trace".into());
+        check_locations(locations)?;
+        if options.traces == 0 {
+            return Err("grid plan needs at least one trace".into());
+        }
+        let jobs = [
+            options.ks.len() as u64,
+            options.traces,
+            options.dynamics.len() as u64,
+        ]
+        .into_iter()
+        .try_fold(locations, u64::checked_mul);
+        if jobs.is_none_or(|jobs| jobs > MAX_GRID_JOBS) {
+            return Err(format!(
+                "grid plan expands to more than {MAX_GRID_JOBS} jobs"
+            ));
         }
         for &k in &options.ks {
             ScenarioBuilder::paper_uplink(k, base_seed)

@@ -8,10 +8,11 @@ use std::process::Command;
 use std::sync::OnceLock;
 
 use buzz_bench::experiments;
+use buzz_bench::orchestrate::plan::{MAX_GRID_JOBS, MAX_LOCATIONS};
 use buzz_bench::orchestrate::runner::run_shard;
 use buzz_bench::orchestrate::{
-    diff, figures_json, CanonicalJson, DiffOutcome, GridDynamics, GridOptions, JobArtifact,
-    Runbook, Shard, SweepPlan,
+    diff, figures_json, CanonicalJson, CliFlags, DiffOutcome, GridDynamics, GridOptions,
+    JobArtifact, Runbook, Shard, SweepPlan,
 };
 use proptest::prelude::*;
 
@@ -185,6 +186,10 @@ fn hostile_seed() -> &'static HostileSeed {
             "2/3".to_string(),
             "fading:0.05:0.5".to_string(),
             "table12,fig8".to_string(),
+            "table12,fig8 --locations 9999 --seed 7 --threads 2 --json out.json".to_string(),
+            "--plan grid --ks 4,8 --traces 2 --dynamics static,fading:0.05:0.5 --locations 40 \
+             --shard 2/3 --out shard2 --artifacts a,b --figures f.json"
+                .to_string(),
         ];
         HostileSeed { plan, corpus }
     })
@@ -240,6 +245,86 @@ proptest! {
         let _ = Shard::parse(&text);
         let _ = GridDynamics::parse(&text);
         let _ = SweepPlan::figure_list(&text, 1, 2012);
+        let args: Vec<String> = text.split_whitespace().map(str::to_string).collect();
+        if let Ok(flags) = CliFlags::parse(&args) {
+            let _ = flags.build_plan();
+        }
+    }
+}
+
+/// `reproduce`'s flags parse to the values they name, and what does not
+/// parse is an error.
+#[test]
+fn cli_flags_parse_and_reject_bad_values() {
+    let args =
+        |text: &str| -> Vec<String> { text.split_whitespace().map(str::to_string).collect() };
+    let flags = CliFlags::parse(&args(
+        "fig10 --locations 3 --seed 7 --threads 0 --shard 2/3 --ks 4,16 --traces 2 \
+         --dynamics static,fading:0.1:0.5 --json j --out o --figures f --artifacts a,b",
+    ))
+    .unwrap();
+    assert_eq!(flags.positional, ["fig10"]);
+    assert_eq!((flags.locations, flags.seed, flags.threads), (3, 7, 1));
+    assert_eq!((flags.shard.index, flags.shard.count), (2, 3));
+    assert_eq!(
+        (flags.grid.ks.as_slice(), flags.grid.traces),
+        (&[4, 16][..], 2)
+    );
+    assert_eq!(flags.grid.dynamics.len(), 2);
+    assert_eq!(flags.json_path.as_deref(), Some("j"));
+    assert_eq!(flags.artifacts, ["a", "b"]);
+    for bad in [
+        "--locations",
+        "--locations -1",
+        "--locations 18446744073709551616",
+        "--seed x",
+        "--threads 1.5",
+        "--shard 4/3",
+        "--ks 4,x",
+        "--dynamics wind",
+        "--frobnicate 1",
+    ] {
+        assert!(CliFlags::parse(&args(bad)).is_err(), "`{bad}` parsed");
+    }
+}
+
+/// A location count past the documented maximum is a plan error, so
+/// `reproduce` exits 2 with a message instead of aborting on an
+/// allocation; so is a grid that expands past its job bound.
+#[test]
+fn plans_reject_too_many_locations() {
+    let grid = GridOptions::default();
+    for name in ["all", "grid", "table12,fig10"] {
+        for locations in [MAX_LOCATIONS + 1, 1 << 32, u64::MAX] {
+            assert!(
+                SweepPlan::from_name(name, locations, 2012, &grid).is_err(),
+                "plan `{name}` at {locations} locations"
+            );
+        }
+    }
+    assert!(SweepPlan::all(MAX_LOCATIONS, 2012).is_ok());
+    assert!(SweepPlan::figure_list("fig10", MAX_LOCATIONS, 2012).is_ok());
+    let wide = GridOptions {
+        traces: MAX_GRID_JOBS,
+        ..GridOptions::default()
+    };
+    assert!(SweepPlan::uplink_grid(&wide, 1, 2012).is_err());
+    let endless = GridOptions {
+        traces: u64::MAX,
+        ..GridOptions::default()
+    };
+    assert!(SweepPlan::uplink_grid(&endless, MAX_LOCATIONS, 2012).is_err());
+
+    let bin = env!("CARGO_BIN_EXE_reproduce");
+    for args in [
+        &["fig10", "--locations", "18446744073709551615"][..],
+        &["fig10", "--locations", "4294967296"][..],
+        &["plan", "--plan", "grid", "--traces", "18446744073709551615"][..],
+    ] {
+        let output = Command::new(bin).args(args).output().unwrap();
+        assert_eq!(output.status.code(), Some(2), "reproduce {args:?}");
+        assert!(output.stdout.is_empty(), "reproduce {args:?}");
+        assert!(!output.stderr.is_empty(), "reproduce {args:?}");
     }
 }
 

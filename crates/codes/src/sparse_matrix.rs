@@ -1,15 +1,12 @@
 //! Sparse binary matrices.
 //!
-//! Two central objects in Buzz are random binary matrices that are sparse by
-//! construction:
+//! The participation matrix `D` of the data phase (`L × K`), whose entry
+//! `d_{j,i} = 1` when node `i` transmits its message in slot `j`, is a random
+//! binary matrix that is sparse by construction.  (The identification
+//! phase's sensing matrix `A′` is half ones; it is stored as column bitmaps
+//! beside its readers, in `sparse_recovery::sensing`.)
 //!
-//! * the sensing matrix `A` of the identification phase (`M × N'` where `N'`
-//!   is the pruned temporary-id space), whose column `i` is the transmit
-//!   pattern of id `i`, and
-//! * the participation matrix `D` of the data phase (`L × K`), whose entry
-//!   `d_{j,i} = 1` when node `i` transmits its message in slot `j`.
-//!
-//! Both are stored in *flat* compressed sparse-row **and** sparse-column form
+//! `D` is stored in *flat* compressed sparse-row **and** sparse-column form
 //! (CSR + CSC offset arrays), because the decoders need fast access along both
 //! axes: the belief-propagation decoder walks a flipped bit's column to find
 //! the slots it affects, then walks each such slot's row to find the
@@ -17,12 +14,11 @@
 //! walks on contiguous memory instead of chasing one heap allocation per
 //! row/column.
 //!
-//! Seed-generated matrices (`A`, `D`) are built column by column: a column is
-//! one seed's decisions over the slots, with the seed hashed once, and it
-//! comes out with its rows ascending.  That is the CSC view as generated; the
-//! CSR view is one counting pass over it.  No coordinate list is built or
-//! sorted, except by [`SparseBinaryMatrix::from_ones`], whose input has no
-//! order.
+//! A seed-generated `D` is built column by column: a column is one seed's
+//! decisions over the slots, with the seed hashed once, and it comes out with
+//! its rows ascending.  That is the CSC view as generated; the CSR view is one
+//! counting pass over it.  No coordinate list is built or sorted, except by
+//! [`SparseBinaryMatrix::from_ones`], whose input has no order.
 //!
 //! Matrices that drive the bit-flipping decoder additionally maintain a
 //! per-column *neighbour index* (see [`SparseBinaryMatrix::track_neighbors`]):
@@ -164,39 +160,6 @@ impl SparseBinaryMatrix {
         }
     }
 
-    /// The one builder behind [`Self::from_seeds`] and
-    /// [`Self::from_sensing_seeds`]: column `c` is `fill(seeds[c], p, ·)`
-    /// over slots `0..slots`.  Columns are generated in ascending order and
-    /// each column's rows come out ascending, which is exactly the CSC view,
-    /// so the CSR view is one counting pass away ([`Self::from_csc`]).  The
-    /// column forms hash each seed once, not once per entry.
-    fn from_seed_columns(
-        slots: usize,
-        seeds: &[NodeSeed],
-        p: f64,
-        fill: fn(NodeSeed, f64, &mut [bool]),
-    ) -> Self {
-        let mut column = vec![false; slots];
-        let mut col_ptr = Vec::with_capacity(seeds.len() + 1);
-        col_ptr.push(0);
-        // Reserve the expected entry count plus four binomial standard
-        // deviations, so the entry list almost never regrows (a regrowth
-        // doubles its peak memory).
-        let expected = slots as f64 * seeds.len() as f64 * p.clamp(0.0, 1.0);
-        let mut col_rows = Vec::with_capacity((expected + 4.0 * expected.sqrt() + 16.0) as usize);
-        for &seed in seeds {
-            fill(seed, p, &mut column);
-            col_rows.extend(
-                column
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(row, &one)| one.then_some(row)),
-            );
-            col_ptr.push(col_rows.len());
-        }
-        Self::from_csc(slots, col_ptr, col_rows)
-    }
-
     /// Builds both flat indices from an unsorted coordinate list in one pass
     /// (duplicates allowed; out-of-range coordinates must be pre-checked).
     /// Only [`Self::from_ones`] has an unordered entry list; every other
@@ -269,24 +232,31 @@ impl SparseBinaryMatrix {
     /// Both the simulator's tags and the reader's decoder call this with the
     /// same seeds, so they construct the same matrix independently.  Entry
     /// `(slot, node)` equals [`NodeSeed::participates_in_slot`]; each column
-    /// is generated whole by [`NodeSeed::participation_column`].
+    /// is generated whole by [`NodeSeed::participation_column`], which
+    /// hashes each seed once, not once per entry.  Columns are generated in
+    /// ascending order and each column's rows come out ascending, which is
+    /// exactly the CSC view, so the CSR view is one counting pass away.
     #[must_use]
     pub fn from_seeds(slots: usize, seeds: &[NodeSeed], p: f64) -> Self {
-        Self::from_seed_columns(slots, seeds, p, NodeSeed::participation_column)
-    }
-
-    /// Builds the identification-phase sensing matrix `A`: entry `(slot, id)`
-    /// is 1 when the id's seed transmits a "1" in that slot of the
-    /// compressive-sensing stage (probability `p`, typically 0.5).
-    ///
-    /// Entry `(slot, id)` equals [`NodeSeed::sensing_in_slot`], which is
-    /// domain-separated from the data-phase stream so `A` and `D` are
-    /// independent; each column is generated whole by
-    /// [`NodeSeed::sensing_column`].  Cost: one hash per entry and one
-    /// counting pass, with no coordinate list and no sort.
-    #[must_use]
-    pub fn from_sensing_seeds(slots: usize, seeds: &[NodeSeed], p: f64) -> Self {
-        Self::from_seed_columns(slots, seeds, p, NodeSeed::sensing_column)
+        let mut column = vec![false; slots];
+        let mut col_ptr = Vec::with_capacity(seeds.len() + 1);
+        col_ptr.push(0);
+        // Reserve the expected entry count plus four binomial standard
+        // deviations, so the entry list almost never regrows (a regrowth
+        // doubles its peak memory).
+        let expected = slots as f64 * seeds.len() as f64 * p.clamp(0.0, 1.0);
+        let mut col_rows = Vec::with_capacity((expected + 4.0 * expected.sqrt() + 16.0) as usize);
+        for &seed in seeds {
+            seed.participation_column(p, &mut column);
+            col_rows.extend(
+                column
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(row, &one)| one.then_some(row)),
+            );
+            col_ptr.push(col_rows.len());
+        }
+        Self::from_csc(slots, col_ptr, col_rows)
     }
 
     /// Number of rows.
@@ -533,31 +503,6 @@ impl SparseBinaryMatrix {
         Ok(row)
     }
 
-    /// Restricts the matrix to a subset of its columns (in the given order),
-    /// producing the reduced sensing matrix `A'` of §5.1-C.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodeError::IndexOutOfRange`] for any bad column index.
-    pub fn select_columns(&self, columns: &[usize]) -> CodeResult<Self> {
-        for &c in columns {
-            if c >= self.cols {
-                return Err(CodeError::IndexOutOfRange {
-                    index: c,
-                    bound: self.cols,
-                });
-            }
-        }
-        let mut col_ptr = Vec::with_capacity(columns.len() + 1);
-        col_ptr.push(0);
-        let mut col_rows = Vec::new();
-        for &old_col in columns {
-            col_rows.extend_from_slice(self.col(old_col));
-            col_ptr.push(col_rows.len());
-        }
-        Ok(Self::from_csc(self.rows, col_ptr, col_rows))
-    }
-
     /// Multiplies the matrix by a real vector (`y = M · x`), used by tests and
     /// by the recovery diagnostics.
     ///
@@ -658,31 +603,13 @@ mod tests {
         }
     }
 
-    #[test]
-    fn from_sensing_seeds_matches_per_id_decisions_and_differs_from_data() {
-        let seeds: Vec<NodeSeed> = (0..6).map(NodeSeed).collect();
-        let a = SparseBinaryMatrix::from_sensing_seeds(40, &seeds, 0.5);
-        for (col, seed) in seeds.iter().enumerate() {
-            for row in 0..40 {
-                assert_eq!(a.get(row, col), seed.sensing_in_slot(row as u64, 0.5));
-            }
-        }
-        let d = SparseBinaryMatrix::from_seeds(40, &seeds, 0.5);
-        assert_ne!(a, d);
-    }
-
     /// Reference seed builder: one per-slot decision per entry into a
     /// `(row, col)` list, then [`SparseBinaryMatrix::from_coo`]'s sort.
-    fn coo_seed_reference(
-        slots: usize,
-        seeds: &[NodeSeed],
-        p: f64,
-        decide: fn(NodeSeed, u64, f64) -> bool,
-    ) -> SparseBinaryMatrix {
+    fn coo_seed_reference(slots: usize, seeds: &[NodeSeed], p: f64) -> SparseBinaryMatrix {
         let mut coo = Vec::new();
         for (col, &seed) in seeds.iter().enumerate() {
             for row in 0..slots {
-                if decide(seed, row as u64, p) {
+                if seed.participates_in_slot(row as u64, p) {
                     coo.push((row, col));
                 }
             }
@@ -705,7 +632,7 @@ mod tests {
     }
 
     proptest! {
-        /// The column-major seed builders equal the COO reference in every
+        /// The column-major seed builder equals the COO reference in every
         /// view, including no seeds, no slots, and the clamped
         /// probabilities.
         #[test]
@@ -722,11 +649,7 @@ mod tests {
                 .collect();
             assert_same_views(
                 &SparseBinaryMatrix::from_seeds(slots, &seeds, p),
-                &coo_seed_reference(slots, &seeds, p, NodeSeed::participates_in_slot),
-            );
-            assert_same_views(
-                &SparseBinaryMatrix::from_sensing_seeds(slots, &seeds, p),
-                &coo_seed_reference(slots, &seeds, p, NodeSeed::sensing_in_slot),
+                &coo_seed_reference(slots, &seeds, p),
             );
         }
     }
@@ -736,11 +659,8 @@ mod tests {
         let seeds: Vec<NodeSeed> = (0..5).map(NodeSeed).collect();
         for (slots, seeds) in [(0, &seeds[..]), (30, &[][..]), (0, &[][..])] {
             for p in [0.0, 0.5, 1.0] {
-                let m = SparseBinaryMatrix::from_sensing_seeds(slots, seeds, p);
-                assert_same_views(
-                    &m,
-                    &coo_seed_reference(slots, seeds, p, NodeSeed::sensing_in_slot),
-                );
+                let m = SparseBinaryMatrix::from_seeds(slots, seeds, p);
+                assert_same_views(&m, &coo_seed_reference(slots, seeds, p));
                 assert_eq!(m.nnz(), 0);
             }
         }
@@ -857,22 +777,6 @@ mod tests {
         }
         assert_eq!(incremental.colliding_pairs(), list_entries / 2);
         assert_eq!(reference.colliding_pairs(), list_entries / 2);
-    }
-
-    #[test]
-    fn select_columns_produces_reduced_matrix() {
-        let m = SparseBinaryMatrix::from_ones(3, 4, &[(0, 0), (0, 3), (1, 1), (2, 3)]).unwrap();
-        let reduced = m.select_columns(&[3, 1]).unwrap();
-        assert_eq!(reduced.cols(), 2);
-        assert!(reduced.get(0, 0)); // old column 3, row 0
-        assert!(reduced.get(2, 0)); // old column 3, row 2
-        assert!(reduced.get(1, 1)); // old column 1, row 1
-        assert!(!reduced.get(0, 1));
-        assert_same_views(
-            &reduced,
-            &SparseBinaryMatrix::from_ones(3, 2, &[(0, 0), (2, 0), (1, 1)]).unwrap(),
-        );
-        assert!(m.select_columns(&[4]).is_err());
     }
 
     #[test]

@@ -1041,9 +1041,8 @@ impl BitFlippingDecoder {
         // this call (its payload is `None` again); if it re-locks later it
         // will be reported then.  `newly_decoded` therefore lists the nodes
         // whose lock *survived* the call — across an erase/re-lock cycle a
-        // node can appear in two calls' reports, which the rateless loop's
-        // per-slot series tolerates (it only sums counts) and the erasure
-        // safety net makes rare by construction.
+        // node can appear in two calls' reports, so the rateless loop's
+        // per-slot series counts a node at its latest lock, not per report.
         newly_decoded.retain(|&node| self.locked[node].is_some());
         self.snapshot_candidates(&wl.frames);
 

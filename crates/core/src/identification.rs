@@ -14,7 +14,6 @@
 //! time the way Fig. 14 does.
 
 use backscatter_codes::rn16::TemporaryIdSpace;
-use backscatter_codes::sparse_matrix::SparseBinaryMatrix;
 use backscatter_gen2::commands::ReaderCommand;
 use backscatter_gen2::timing::PAPER_TIMING;
 use backscatter_phy::complex::Complex;
@@ -25,6 +24,7 @@ use backscatter_sim::scenario::Scenario;
 use sparse_recovery::buckets::BucketHasher;
 use sparse_recovery::kest::{KEstimate, KEstimator};
 use sparse_recovery::omp::{prune_insignificant, OmpConfig, OmpSolver};
+use sparse_recovery::sensing::SensingMatrix;
 
 use crate::{BuzzError, BuzzResult};
 
@@ -314,17 +314,16 @@ impl Identifier {
             // The reader's reduced sensing matrix A' over candidate ids...
             let candidate_seeds: Vec<NodeSeed> =
                 candidates.iter().map(|&id| NodeSeed(id)).collect();
-            let a_reduced =
-                SparseBinaryMatrix::from_sensing_seeds(m, &candidate_seeds, SENSING_PROBABILITY);
+            let a_reduced = SensingMatrix::from_seeds(m, &candidate_seeds, SENSING_PROBABILITY);
             // ...and the on-air measurements produced by the actual tags,
             // each transmitting its own column of the full matrix A.
-            let mut tag_columns = vec![false; assignments.len() * m];
-            for (column, &id) in tag_columns.chunks_exact_mut(m).zip(&assignments) {
-                NodeSeed(id).sensing_column(SENSING_PROBABILITY, column);
-            }
+            let tag_seeds: Vec<NodeSeed> = assignments.iter().map(|&id| NodeSeed(id)).collect();
+            let tag_columns = SensingMatrix::from_seeds(m, &tag_seeds, SENSING_PROBABILITY);
             let mut measurements: Vec<Complex> = Vec::with_capacity(m);
             for slot in 0..m {
-                let bits: Vec<bool> = tag_columns.iter().skip(slot).step_by(m).copied().collect();
+                let bits: Vec<bool> = (0..tag_seeds.len())
+                    .map(|tag| tag_columns.get(slot, tag))
+                    .collect();
                 slots.compressive += 1;
                 time_s += timing.uplink_symbol_s();
                 medium.begin_slot(slot_clock);

@@ -282,6 +282,25 @@ mod tests {
     }
 
     #[test]
+    fn progress_series_counts_an_erased_and_relocked_message_once() {
+        // In this session the decoder's audit erases three locks (node 13
+        // at 14 rows, node 15 at 49 and at 108 rows) and each node locks
+        // again later, so the per-call reports name 19 locks for 16
+        // decoded messages.  The series counts every message once, at the
+        // lock it ends the phase with.
+        let mut scenario = ScenarioBuilder::paper_uplink(16, 70_147).build().unwrap();
+        let outcome = BuzzProtocol::new(BuzzConfig::default())
+            .unwrap()
+            .run(&mut scenario, 80_147)
+            .unwrap();
+        let transfer = &outcome.transfer;
+        assert_eq!(transfer.decoded_count(), 16);
+        let series: usize = transfer.newly_decoded_per_slot.iter().sum();
+        assert_eq!(series, transfer.decoded_count());
+        assert_eq!(transfer.newly_decoded_per_slot.len(), transfer.slots_used);
+    }
+
+    #[test]
     fn periodic_lock_census_pins_the_wrong_locks() {
         // The guard for the hard-decision lock gate: 1,600 periodic
         // sessions (K = 4, 8, 12 and 16 at 400 locations each) on the

@@ -116,8 +116,9 @@ struct Checkpoint {
     decoder: BitFlippingDecoder,
     data_slots: usize,
     last_residual: f64,
-    /// Length of the progress series when the snapshot was taken.
-    progress_len: usize,
+    /// The slot of each lock the snapshot holds, the decoder's part of the
+    /// progress series.
+    lock_slots: Vec<Option<usize>>,
 }
 
 /// Buzz with the recovery layer enabled (scheme label `"buzz+r"`).
@@ -185,33 +186,32 @@ impl ResilientBuzzProtocol {
         let mut window: Vec<(f64, usize)> = Vec::with_capacity(STALL_WINDOW + 1);
         let mut checkpoint: Option<Checkpoint> = None;
 
-        while phase.progress.len() < budget {
+        while phase.slots < budget {
             let faults = phase.begin_slot(medium, slot);
             if faults.as_ref().is_some_and(|f| f.reader_restart) {
                 // Restore the last checkpoint (or start the decode over
                 // when none was taken): only the slots observed since are
-                // lost, not the session.
-                let (since, kept_progress) = match checkpoint.take() {
+                // lost, not the session.  Locks taken after the snapshot no
+                // longer exist on the restarted reader, so their slots leave
+                // the progress series with them.
+                let since = match checkpoint.take() {
                     Some(cp) => {
                         let since = data_slots - cp.data_slots;
                         phase.decoder = cp.decoder;
+                        phase.lock_slots = cp.lock_slots;
                         data_slots = cp.data_slots;
                         last_residual = cp.last_residual;
-                        (since, cp.progress_len)
+                        since
                     }
                     None => {
                         phase.decoder = phase.fresh_decoder(medium)?;
+                        phase.lock_slots.fill(None);
                         last_residual = f64::INFINITY;
-                        (std::mem::take(&mut data_slots), 0)
+                        std::mem::take(&mut data_slots)
                     }
                 };
                 diag.checkpoint_restores += 1;
                 diag.wasted_slots += since;
-                // Locks recorded after the snapshot no longer exist on the
-                // restarted reader: zero every progress entry since (erased
-                // and request slots hold entries too) so the cumulative
-                // series reflects its final knowledge.
-                phase.progress[kept_progress..].fill(0);
                 phase.state = None;
                 window.clear();
                 // Re-acquisition occupies this slot; nothing is on the air.
@@ -238,7 +238,7 @@ impl ResilientBuzzProtocol {
                         decoder: phase.decoder.clone(),
                         data_slots,
                         last_residual,
-                        progress_len: phase.progress.len(),
+                        lock_slots: phase.lock_slots.clone(),
                     });
                 }
             }
@@ -277,7 +277,7 @@ impl ResilientBuzzProtocol {
                 }
                 phase.time_s += PAPER_TIMING.downlink_s(ReaderCommand::QueryAdjust { q: 0 }.bits())
                     + PAPER_TIMING.t1_s;
-                phase.progress.push(0);
+                phase.slots += 1;
                 slot += 1;
             }
             if !delivered {
@@ -289,7 +289,7 @@ impl ResilientBuzzProtocol {
             // interferer) clears.  Dynamics and faults keep evolving.
             let backoff = BACKOFF_BASE_SLOTS << (diag.stalls_detected - 1).min(16);
             for _ in 0..backoff {
-                if phase.progress.len() >= budget {
+                if phase.slots >= budget {
                     break;
                 }
                 medium.begin_slot(slot);

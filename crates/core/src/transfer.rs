@@ -106,7 +106,10 @@ pub struct TransferOutcome {
     /// discovered tags handed to [`DataTransfer::run`]); `None` for messages
     /// never decoded.
     pub decoded_payloads: Vec<Option<Vec<bool>>>,
-    /// Number of newly decoded messages after each slot (the Fig. 9 series).
+    /// Number of newly decoded messages after each slot (the Fig. 9
+    /// series): every decoded message counts once, at the slot of the lock
+    /// the decoder ended the phase with, so the series sums to the messages
+    /// the decoder delivered.
     pub newly_decoded_per_slot: Vec<usize>,
     /// How many slots each tag transmitted in (energy accounting).
     pub per_tag_transmissions: Vec<usize>,
@@ -156,7 +159,8 @@ impl TransferOutcome {
 
 /// One data phase in progress: the tags on the air, the reader's decoder,
 /// and the accounting both session loops share — air time, per-tag
-/// transmissions, browned-out tags and the per-slot progress series.
+/// transmissions, browned-out tags, and the slot each decoded message is
+/// counted at in the per-slot progress series.
 pub(crate) struct DataPhase<'a> {
     pub(crate) tags: &'a [SimTag],
     pub(crate) discovered: &'a [DiscoveredTag],
@@ -167,8 +171,13 @@ pub(crate) struct DataPhase<'a> {
     pub(crate) decoder: BitFlippingDecoder,
     /// The latest decode (`None` before the first, and after a restart).
     pub(crate) state: Option<DecodeState>,
-    /// Newly decoded messages per air slot (the Fig. 9 series).
-    pub(crate) progress: Vec<usize>,
+    /// Air slots so far, each an entry of the Fig. 9 series.
+    pub(crate) slots: usize,
+    /// Per reader column, the air slot of the lock the decoder holds for it
+    /// (`None` while undecoded).  A lock the decoder erases withdraws its
+    /// slot, and a later lock sets a new one, so the series counts every
+    /// message once, at the lock it ends the phase with.
+    pub(crate) lock_slots: Vec<Option<usize>>,
     tag_transmissions: Vec<usize>,
     /// Tags that browned out; they stay dark for the rest of the session.
     pub(crate) tag_dead: Vec<bool>,
@@ -209,7 +218,8 @@ impl<'a> DataPhase<'a> {
             schedule: config.decode_schedule,
             decoder,
             state: None,
-            progress: Vec::new(),
+            slots: 0,
+            lock_slots: vec![None; discovered.len()],
             tag_transmissions: vec![0; tags.len()],
             tag_dead: vec![false; tags.len()],
             time_s: timing.downlink_s(ReaderCommand::BuzzTrigger.bits()) + timing.t1_s,
@@ -259,13 +269,14 @@ impl<'a> DataPhase<'a> {
 
     /// A slot that passes with nothing on the air for the decoder.
     pub(crate) fn idle_slot(&mut self) {
-        self.progress.push(0);
+        self.slots += 1;
         self.time_s += self.slot_s();
     }
 
     /// Airs collision slot `slot` in participation epoch `epoch` and, unless
     /// `faults` erased it, feeds it to the decoder and re-decodes.  Returns
-    /// the messages newly decoded, or `None` for an erased slot.
+    /// the decoder's count of messages newly decoded by this call, or `None`
+    /// for an erased slot.
     pub(crate) fn collision_slot(
         &mut self,
         medium: &mut Medium,
@@ -298,7 +309,7 @@ impl<'a> DataPhase<'a> {
         if faults.is_some_and(|f| f.collision_erased) {
             // Frame-sync loss: the slot aired (the tags spent the energy
             // and the time passed) but the reader discards the observation.
-            self.progress.push(0);
+            self.slots += 1;
             return Ok(None);
         }
         // Reader side: the row it predicts for its discovered columns.  It
@@ -310,8 +321,17 @@ impl<'a> DataPhase<'a> {
             .collect();
         self.decoder.add_slot(&row, symbols)?;
         let state = self.decoder.decode()?;
+        // An erased lock withdraws its slot; a new one is counted here.
+        for (lock, payload) in self.lock_slots.iter_mut().zip(&state.decoded_payloads) {
+            if payload.is_none() {
+                *lock = None;
+            }
+        }
+        for &node in &state.newly_decoded {
+            self.lock_slots[node] = Some(self.slots);
+        }
+        self.slots += 1;
         let newly = state.newly_decoded.len();
-        self.progress.push(newly);
         self.state = Some(state);
         Ok(Some(newly))
     }
@@ -357,15 +377,23 @@ impl<'a> DataPhase<'a> {
     }
 
     /// Ends the phase — the reader drops its carrier — with the payloads
-    /// the reader holds.
+    /// the reader holds.  The progress series counts each payload the
+    /// decoder delivered at the slot of its lock (a payload a TDMA poll
+    /// delivered has no lock, and counts nowhere).
     pub(crate) fn finish(mut self, decoded_payloads: Vec<Option<Vec<bool>>>) -> TransferOutcome {
         self.time_s += PAPER_TIMING.downlink_s(ReaderCommand::BuzzStop.bits()) + PAPER_TIMING.t2_s;
+        let mut progress = vec![0; self.slots];
+        for (lock, payload) in self.lock_slots.iter().zip(&decoded_payloads) {
+            if let (Some(slot), Some(_)) = (lock, payload) {
+                progress[*slot] += 1;
+            }
+        }
         TransferOutcome {
-            slots_used: self.progress.len(),
+            slots_used: self.slots,
             complete: decoded_payloads.iter().all(Option::is_some),
             framed_bits: self.framed_bits(),
             decoded_payloads,
-            newly_decoded_per_slot: self.progress,
+            newly_decoded_per_slot: progress,
             per_tag_transmissions: self.tag_transmissions,
             time_ms: self.time_s * 1e3,
         }

@@ -15,8 +15,9 @@
 //! of the generator seeded with `mix(domain, mix(id, slot))` compared
 //! against `p`, computed by one private first-draw helper.  It hashes to
 //! xoshiro256**'s first output ([`Xoshiro256::first_output`]) without
-//! seeding a generator, and the column forms ([`NodeSeed::sensing_column`],
-//! [`NodeSeed::participation_column`]) hash the id once per column
+//! seeding a generator, and the column forms
+//! ([`NodeSeed::participation_column`], and [`NodeSeed::sensing_words`],
+//! which packs 64 decisions to a word) hash the id once per column
 //! ([`SplitMix64::mix_head`]) instead of once per slot.
 
 use crate::{unit_f64, SplitMix64, Xoshiro256};
@@ -68,8 +69,14 @@ impl NodeSeed {
 
     /// [`NodeSeed::participates_in_slot`] for slots `0..column.len()`, written
     /// into `column`: this node's column of the participation matrix `D`.
+    /// Both heads and the clamp are computed once, not once per slot.
     pub fn participation_column(self, p: f64, column: &mut [bool]) {
-        self.slot_column(DOMAIN_DATA, p, column);
+        let domain_head = SplitMix64::mix_head(DOMAIN_DATA);
+        let id_head = SplitMix64::mix_head(self.0);
+        let p = p.clamp(0.0, 1.0);
+        for (slot, bit) in column.iter_mut().enumerate() {
+            *bit = unit_f64(first_draw(domain_head, id_head, slot as u64)) < p;
+        }
     }
 
     /// Returns whether this node transmits a "1" in the given slot of the
@@ -85,42 +92,83 @@ impl NodeSeed {
         self.slot_decision(DOMAIN_IDENTIFICATION, slot, p)
     }
 
-    /// [`NodeSeed::sensing_in_slot`] for slots `0..column.len()`, written into
-    /// `column`: this id's column of the sensing matrix `A`.
-    pub fn sensing_column(self, p: f64, column: &mut [bool]) {
-        self.slot_column(DOMAIN_IDENTIFICATION, p, column);
+    /// [`NodeSeed::sensing_in_slot`] for slots `0..slots`, packed 64 to a
+    /// word: bit `s % 64` of `words[s / 64]` is slot `s`'s decision, and
+    /// every bit from `slots` on is zero.  This is the id's column of the
+    /// sensing matrix `A` as a row bitmap.
+    ///
+    /// The id is hashed once, each slot's draw is compared as an integer
+    /// against a threshold computed once from `p`, which decides exactly
+    /// what the float comparison decides, and the loop evaluates four
+    /// independent slot hashes per iteration so their multiply chains
+    /// overlap.  No slot decision branches.
+    ///
+    /// # Panics
+    ///
+    /// If `words` holds fewer than `⌈slots/64⌉` words.
+    pub fn sensing_words(self, p: f64, slots: usize, words: &mut [u64]) {
+        assert!(
+            words.len() * 64 >= slots,
+            "{} words cannot hold {slots} slots",
+            words.len()
+        );
+        let domain_head = SplitMix64::mix_head(DOMAIN_IDENTIFICATION);
+        let id_head = SplitMix64::mix_head(self.0);
+        let threshold = unit_threshold(p.clamp(0.0, 1.0));
+        let below = |slot: usize| {
+            u64::from(first_draw(domain_head, id_head, slot as u64) >> 11 < threshold)
+        };
+        for (w, word) in words.iter_mut().enumerate() {
+            let base = w * 64;
+            let len = slots.saturating_sub(base).min(64);
+            let mut bits = 0u64;
+            let mut bit = 0;
+            while bit + 4 <= len {
+                let slot = base + bit;
+                bits |= (below(slot)
+                    | below(slot + 1) << 1
+                    | below(slot + 2) << 2
+                    | below(slot + 3) << 3)
+                    << bit;
+                bit += 4;
+            }
+            for bit in bit..len {
+                bits |= below(base + bit) << bit;
+            }
+            *word = bits;
+        }
     }
 
     fn slot_decision(self, domain: u64, slot: u64, p: f64) -> bool {
-        first_draw_below(
+        let draw = first_draw(
             SplitMix64::mix_head(domain),
             SplitMix64::mix_head(self.0),
             slot,
-            p.clamp(0.0, 1.0),
-        )
-    }
-
-    /// The column form of [`NodeSeed::slot_decision`]: both heads and the
-    /// clamp are computed once, not once per slot.
-    fn slot_column(self, domain: u64, p: f64, column: &mut [bool]) {
-        let domain_head = SplitMix64::mix_head(domain);
-        let id_head = SplitMix64::mix_head(self.0);
-        let p = p.clamp(0.0, 1.0);
-        for (slot, bit) in column.iter_mut().enumerate() {
-            *bit = first_draw_below(domain_head, id_head, slot as u64, p);
-        }
+        );
+        unit_f64(draw) < p.clamp(0.0, 1.0)
     }
 }
 
-/// The one per-slot decision behind both slot-keyed streams (data-phase
-/// participation and identification sensing): the first `f64` of the
-/// generator seeded with `mix(domain, mix(id, slot))` falls below `p`.
-/// Callers pass `mix_head(domain)`, `mix_head(id)` and `p` already clamped
-/// to `[0, 1]`, so a column pays one full hash per slot instead of a seeded
-/// generator.
-fn first_draw_below(domain_head: u64, id_head: u64, slot: u64, p: f64) -> bool {
-    let seed = SplitMix64::mix_tail(domain_head, SplitMix64::mix_tail(id_head, slot));
-    unit_f64(Xoshiro256::first_output(seed)) < p
+/// The one per-slot draw behind both slot-keyed streams (data-phase
+/// participation and identification sensing): the first output of the
+/// generator seeded with `mix(domain, mix(id, slot))`, whose `f64` is
+/// compared against `p`.  Callers pass `mix_head(domain)` and `mix_head(id)`,
+/// so a column pays one full hash per slot instead of a seeded generator.
+fn first_draw(domain_head: u64, id_head: u64, slot: u64) -> u64 {
+    Xoshiro256::first_output(SplitMix64::mix_tail(
+        domain_head,
+        SplitMix64::mix_tail(id_head, slot),
+    ))
+}
+
+/// The integer form of `unit_f64(draw) < p` for `p` in `[0, 1]` (or NaN):
+/// `draw >> 11 < unit_threshold(p)`.  `unit_f64` is `(draw >> 11)·2⁻⁵³`,
+/// exact in both factors, so the comparison is `draw >> 11 < p·2⁵³`, and
+/// for an integer left side that is `< ⌈p·2⁵³⌉`.  The product is exact
+/// (a power-of-two scaling), at most 2⁵³, and a NaN `p` casts to 0, which
+/// no draw is below, as no float is below NaN.
+fn unit_threshold(p: f64) -> u64 {
+    (p * (1u64 << 53) as f64).ceil() as u64
 }
 
 /// A factory producing per-slot biased bit decisions for a node.
@@ -249,7 +297,8 @@ mod tests {
 
     proptest! {
         /// Both column forms equal their per-slot decisions, and those equal
-        /// the fully seeded reference, at every `p` the clamp must handle.
+        /// the fully seeded reference, at every `p` the clamp must handle;
+        /// the packed form leaves every bit past the last slot zero.
         #[test]
         fn column_forms_match_per_slot_decisions(
             id in any::<u64>(),
@@ -259,21 +308,52 @@ mod tests {
         ) {
             let p = [0.0, 0.5, 1.0, p_random, -0.5, 1.5, f64::NAN][p_case];
             let seed = NodeSeed(id);
-            let mut sensing = vec![false; m];
+            // One spare word, pre-filled, to show the tail is written zero.
+            let mut sensing = vec![u64::MAX; m.div_ceil(64) + 1];
             let mut participation = vec![true; m];
-            seed.sensing_column(p, &mut sensing);
+            seed.sensing_words(p, m, &mut sensing);
             seed.participation_column(p, &mut participation);
             for slot in 0..m {
                 let s = slot as u64;
-                prop_assert_eq!(sensing[slot], seed.sensing_in_slot(s, p));
+                let sensed = sensing[slot / 64] >> (slot % 64) & 1 == 1;
+                prop_assert_eq!(sensed, seed.sensing_in_slot(s, p));
                 prop_assert_eq!(participation[slot], seed.participates_in_slot(s, p));
-                prop_assert_eq!(
-                    sensing[slot],
-                    decision_reference(DOMAIN_IDENTIFICATION, id, s, p)
-                );
+                prop_assert_eq!(sensed, decision_reference(DOMAIN_IDENTIFICATION, id, s, p));
                 prop_assert_eq!(participation[slot], decision_reference(DOMAIN_DATA, id, s, p));
             }
+            let set: u32 = sensing.iter().map(|w| w.count_ones()).sum();
+            let decided = (0..m as u64).filter(|&s| seed.sensing_in_slot(s, p)).count();
+            prop_assert_eq!(set as usize, decided, "bits past slot {}", m);
         }
+    }
+
+    #[test]
+    fn unit_threshold_decides_what_the_float_comparison_decides() {
+        // Draws on either side of each probability's cut, and the extremes.
+        for p in [0.0, 0.5, 1.0, 0.3, 1e-300, 1.0 - f64::EPSILON, f64::NAN] {
+            let threshold = unit_threshold(p);
+            let cut = threshold << 11;
+            for draw in [
+                0,
+                1 << 11,
+                cut.wrapping_sub(1 << 11),
+                cut,
+                cut | 0x7ff,
+                u64::MAX,
+            ] {
+                assert_eq!(
+                    draw >> 11 < threshold,
+                    unit_f64(draw) < p,
+                    "p = {p}, draw = {draw:#x}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot hold")]
+    fn sensing_words_rejects_a_short_buffer() {
+        NodeSeed(1).sensing_words(0.5, 65, &mut [0u64; 1]);
     }
 
     #[test]

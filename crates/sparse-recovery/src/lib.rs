@@ -9,6 +9,8 @@
 //! * [`kest`] — the streaming estimator of `K` (stage 1, §5.1-A, Lemma 5.1),
 //! * [`buckets`] — hashing the temporary-id space into `c·K` buckets and
 //!   pruning ids that hash to empty buckets (stage 2, §5.1-B),
+//! * [`sensing`] — the stage-3 sensing matrix `A′` as column bitmaps,
+//!   built from the candidate ids' seeds,
 //! * [`omp`] — Orthogonal Matching Pursuit, the sparse solver used for the
 //!   final small compressive-sensing decode (stage 3, §5.1-C), and the
 //!   noise-aware prune of its support,
@@ -29,12 +31,14 @@ pub mod diagnostics;
 pub mod kest;
 pub mod linalg;
 pub mod omp;
+pub mod sensing;
 
 pub use buckets::BucketHasher;
 pub use diagnostics::SupportRecovery;
 pub use kest::{KEstimate, KEstimator};
 pub use linalg::ComplexMatrix;
 pub use omp::{OmpConfig, OmpSolver, SparseSolution};
+pub use sensing::SensingMatrix;
 
 /// Errors produced by sparse-recovery operations.
 #[derive(Debug, Clone, PartialEq)]

@@ -12,14 +12,20 @@
 //! the residual update instead of a scan of every column's rows and a
 //! rebuilt normal system.
 //!
+//! `A'` is a [`SensingMatrix`]: one row bitmap per column.  The solver and
+//! the prune read it directly.  Column sums, right-hand sides and residual
+//! updates walk a column's set bits in ascending row order, and every
+//! shared-row count (the ledger's Gram rows, the prune's Gram) is a
+//! popcount of two columns' words; nothing copies the matrix.
+//!
 //! For the random binary matrices Buzz produces (`M ≈ K·log a` rows), OMP
 //! recovers the support exactly at the noise levels of interest, and its cost
 //! is `O(K · M · N')` — far below the interior-point solver the paper used.
 
-use backscatter_codes::sparse_matrix::SparseBinaryMatrix;
 use backscatter_phy::complex::Complex;
 
 use crate::linalg::GrowingCholesky;
+use crate::sensing::{shared_rows, SensingMatrix};
 use crate::{RecoveryError, RecoveryResult};
 
 /// Configuration of the OMP solver.
@@ -130,7 +136,7 @@ impl SparseSolution {
 /// Returns [`RecoveryError::DimensionMismatch`] unless `y` has one entry per
 /// row of `a`.
 pub fn prune_insignificant(
-    a: &SparseBinaryMatrix,
+    a: &SensingMatrix,
     y: &[Complex],
     solution: &SparseSolution,
     noise_power: f64,
@@ -148,16 +154,14 @@ pub fn prune_insignificant(
     let rhs: Vec<Complex> = solution
         .support
         .iter()
-        .map(|&col| a.col(col).iter().map(|&r| y[r]).sum())
+        .map(|&col| a.column_rows(col).map(|r| y[r]).sum())
         .collect();
     let (alive, values) = prune_rounds(&gram, &rhs, threshold)?;
 
     let support: Vec<usize> = alive.iter().map(|&p| solution.support[p]).collect();
     let mut residual: Vec<Complex> = y.to_vec();
     for (&col, &v) in support.iter().zip(&values) {
-        for &r in a.col(col) {
-            residual[r] -= v;
-        }
+        a.column_rows(col).for_each(|r| residual[r] -= v);
     }
     let final_energy: f64 = residual.iter().map(|s| s.norm_sqr()).sum();
     Ok(SparseSolution {
@@ -234,43 +238,21 @@ fn prune_rounds(
 
 /// The `s × s` Gram of the binary columns `support` (row-major, full):
 /// shared-row counts off the diagonal, column weights on it.  Each count is
-/// a popcount over two `⌈m/64⌉`-word row bitmaps, `O(s²·⌈m/64⌉)` in all,
-/// and reads only the column view.  The counts are integers, so the result
-/// does not depend on how they are summed.
-fn support_gram(a: &SparseBinaryMatrix, support: &[usize]) -> Vec<f64> {
+/// a popcount over the two columns' `⌈m/64⌉`-word row bitmaps,
+/// `O(s²·⌈m/64⌉)` in all.  The counts are integers, so the result does not
+/// depend on how they are summed.
+fn support_gram(a: &SensingMatrix, support: &[usize]) -> Vec<f64> {
     let s = support.len();
-    let words = row_words(a);
-    let mut masks = vec![0u64; s * words];
-    for (mask, &col) in masks.chunks_exact_mut(words).zip(support) {
-        set_row_bits(mask, a.col(col));
-    }
     let mut gram = vec![0.0f64; s * s];
-    for p in 0..s {
-        let own = &masks[p * words..(p + 1) * words];
-        for q in 0..=p {
-            let shared = f64::from(shared_rows(own, &masks[q * words..(q + 1) * words]));
+    for (p, &col) in support.iter().enumerate() {
+        let own = a.column(col);
+        for (q, &other) in support[..=p].iter().enumerate() {
+            let shared = f64::from(shared_rows(own, a.column(other)));
             gram[p * s + q] = shared;
             gram[q * s + p] = shared;
         }
     }
     gram
-}
-
-/// Words per column row bitmap: `⌈m/64⌉`, at least one.
-fn row_words(a: &SparseBinaryMatrix) -> usize {
-    a.rows().div_ceil(64).max(1)
-}
-
-/// Sets bit `r` of `mask` for every row `r` of a column.
-fn set_row_bits(mask: &mut [u64], rows: &[usize]) {
-    for &r in rows {
-        mask[r / 64] |= 1u64 << (r % 64);
-    }
-}
-
-/// The number of rows two columns share, from their row bitmaps.
-fn shared_rows(a: &[u64], b: &[u64]) -> u32 {
-    a.iter().zip(b).map(|(x, y)| (x & y).count_ones()).sum()
 }
 
 /// The pruned candidate scan behind OMP's column selection.
@@ -289,11 +271,10 @@ fn shared_rows(a: &[u64], b: &[u64]) -> u32 {
 ///
 /// so one selection costs `O(n)` (an argmax over maintained scores) plus
 /// `O(n·|movers|)` bookkeeping — independent of the matrix occupancy —
-/// instead of `O(nnz)`.  The shared-row counts `n_{js}` come from an
-/// inverted bitmask index over the measurement support: each column keeps a
-/// `⌈m/64⌉`-word row bitmap, and one popcount pass per *selected* column
-/// lazily materializes its Gram row against all candidates (`O(n·m/64)`,
-/// ~2 % of one exhaustive scan).
+/// instead of `O(nnz)`.  The shared-row counts `n_{js}` are popcounts of the
+/// matrix's own `⌈m/64⌉`-word column bitmaps: one pass per *selected*
+/// column lazily materializes its Gram row against all candidates
+/// (`O(n·m/64)`, ~2 % of one exhaustive scan).
 ///
 /// The recurrence is algebraically exact; floating-point accumulation can
 /// drift the maintained values, so the ledger tracks a conservative bound
@@ -307,10 +288,6 @@ fn shared_rows(a: &[u64], b: &[u64]) -> u32 {
 /// end-to-end pruned solver to the exhaustive-scan solver bit for bit.
 #[derive(Debug, Clone)]
 struct CorrelationLedger {
-    /// Flat `n × words` row bitmaps (the inverted index over rows).
-    masks: Vec<u64>,
-    /// Words per column bitmap (`⌈m/64⌉`).
-    words: usize,
     /// Maintained correlation `Σ_{r∈col_j} residual_r` per column.
     corr: Vec<Complex>,
     /// `1/√deg` per column (`0` for empty columns, which never win).
@@ -337,26 +314,21 @@ struct CorrelationLedger {
 const DRIFT_SAFETY: f64 = 16.0;
 
 impl CorrelationLedger {
-    /// Builds the bitmask index and the initial correlations (one exhaustive
-    /// pass — the same work a single iteration of the unpruned scan does).
-    fn new(a: &SparseBinaryMatrix, residual: &[Complex]) -> Self {
+    /// Builds the initial correlations (one exhaustive pass — the same work
+    /// a single iteration of the unpruned scan does).
+    fn new(a: &SensingMatrix, residual: &[Complex]) -> Self {
         let n = a.cols();
-        let words = row_words(a);
-        let mut masks = vec![0u64; n * words];
         let mut corr = vec![Complex::ZERO; n];
         let mut inv_sqrt_deg = vec![0.0f64; n];
         for col in 0..n {
-            let rows = a.col(col);
-            if rows.is_empty() {
+            let degree = a.degree(col);
+            if degree == 0 {
                 continue;
             }
-            set_row_bits(&mut masks[col * words..(col + 1) * words], rows);
-            corr[col] = rows.iter().map(|&r| residual[r]).sum();
-            inv_sqrt_deg[col] = 1.0 / (rows.len() as f64).sqrt();
+            corr[col] = a.column_rows(col).map(|r| residual[r]).sum();
+            inv_sqrt_deg[col] = 1.0 / (degree as f64).sqrt();
         }
         Self {
-            masks,
-            words,
             corr,
             inv_sqrt_deg,
             gram_rows: Vec::new(),
@@ -380,7 +352,7 @@ impl CorrelationLedger {
     /// stopping threshold.
     fn select_exact(
         &mut self,
-        a: &SparseBinaryMatrix,
+        a: &SensingMatrix,
         residual: &[Complex],
         selected: &[bool],
     ) -> Option<(usize, f64)> {
@@ -419,25 +391,21 @@ impl CorrelationLedger {
 
     /// Re-scores `col` exactly against the residual, re-anchoring its
     /// maintained correlation, and returns the exact score.
-    fn rescore_exact(&mut self, a: &SparseBinaryMatrix, residual: &[Complex], col: usize) -> f64 {
+    fn rescore_exact(&mut self, a: &SensingMatrix, residual: &[Complex], col: usize) -> f64 {
         self.rescored += 1;
-        let corr: Complex = a.col(col).iter().map(|&r| residual[r]).sum();
+        let corr = a.column_rows(col).map(|r| residual[r]).sum();
         self.corr[col] = corr;
         corr.abs() * self.inv_sqrt_deg[col]
     }
 
     /// Materializes the Gram row of a freshly selected column: shared-row
-    /// counts against every candidate, one popcount pass over the bitmask
-    /// index.
-    fn push_support_column(&mut self, col: usize) {
-        let words = self.words;
-        let own = &self.masks[col * words..(col + 1) * words];
-        self.support_degs.push(f64::from(shared_rows(own, own)));
-        self.gram_rows.extend(
-            self.masks
-                .chunks_exact(words)
-                .map(|other| shared_rows(own, other)),
-        );
+    /// counts against every candidate, one popcount pass over the matrix's
+    /// column bitmaps.
+    fn push_support_column(&mut self, a: &SensingMatrix, col: usize) {
+        let own = a.column(col);
+        self.support_degs.push(a.degree(col) as f64);
+        self.gram_rows
+            .extend(a.columns().map(|other| shared_rows(own, other)));
     }
 
     /// Folds one refit's coefficient movement into every maintained
@@ -512,7 +480,7 @@ impl OmpSolver {
     /// Returns [`RecoveryError::DimensionMismatch`] if `y` does not have one
     /// entry per row of `a`, or [`RecoveryError::InvalidParameter`] if the
     /// matrix has no columns.
-    pub fn solve(&self, a: &SparseBinaryMatrix, y: &[Complex]) -> RecoveryResult<SparseSolution> {
+    pub fn solve(&self, a: &SensingMatrix, y: &[Complex]) -> RecoveryResult<SparseSolution> {
         if y.len() != a.rows() {
             return Err(RecoveryError::DimensionMismatch {
                 expected: a.rows(),
@@ -555,26 +523,24 @@ impl OmpSolver {
 
             // Gram cross products against the support: the already-built
             // Gram rows of the selected columns, read back in support order.
-            ledger.push_support_column(chosen);
+            ledger.push_support_column(a, chosen);
             let cross: Vec<f64> = (0..support.len())
                 .map(|s| ledger.gram_rows[s * n + chosen] as f64)
                 .collect();
             // A tiny ridge on the diagonal keeps nearly collinear supports
             // solvable.
-            if !chol.push(&cross, a.col(chosen).len() as f64 + 1e-12)? {
+            if !chol.push(&cross, a.degree(chosen) as f64 + 1e-12)? {
                 // Numerically dependent column: stop growing.
                 break;
             }
             selected[chosen] = true;
             support.push(chosen);
-            rhs.push(a.col(chosen).iter().map(|&r| y[r]).sum());
+            rhs.push(a.column_rows(chosen).map(|r| y[r]).sum());
 
             values = chol.solve(&rhs)?;
             residual.copy_from_slice(y);
             for (&col, &v) in support.iter().zip(&values) {
-                for &r in a.col(col) {
-                    residual[r] -= v;
-                }
+                a.column_rows(col).for_each(|r| residual[r] -= v);
             }
             ledger.refit_applied(&values);
             let res_energy: f64 = residual.iter().map(|s| s.norm_sqr()).sum();
@@ -606,6 +572,52 @@ mod tests {
         support
     }
 
+    /// A test matrix as sorted row lists per column (CSC lists): what the
+    /// references below walk, as the solver did before `A'` became
+    /// bitmaps.
+    struct Csc {
+        rows: usize,
+        cols: Vec<Vec<usize>>,
+    }
+
+    impl Csc {
+        fn col(&self, c: usize) -> &[usize] {
+            &self.cols[c]
+        }
+
+        /// The CSR view: every row's columns, ascending.
+        fn row_lists(&self) -> Vec<Vec<usize>> {
+            let mut rows = vec![Vec::new(); self.rows];
+            for (c, col) in self.cols.iter().enumerate() {
+                for &r in col {
+                    rows[r].push(c);
+                }
+            }
+            rows
+        }
+    }
+
+    /// One matrix in both forms, from one decision per entry: the bitmap
+    /// the solver reads and the CSC lists the references walk.
+    fn matrices(
+        rows: usize,
+        cols: usize,
+        one: impl Fn(usize, usize) -> bool,
+    ) -> (SensingMatrix, Csc) {
+        let csc = Csc {
+            rows,
+            cols: (0..cols)
+                .map(|c| (0..rows).filter(|&r| one(r, c)).collect())
+                .collect(),
+        };
+        (SensingMatrix::from_fn(rows, cols, one), csc)
+    }
+
+    /// Both forms of the matrix with the given `(row, col)` ones.
+    fn from_ones(rows: usize, cols: usize, ones: &[(usize, usize)]) -> (SensingMatrix, Csc) {
+        matrices(rows, cols, |r, c| ones.contains(&(r, c)))
+    }
+
     /// Builds a random binary sensing problem with a known sparse solution.
     fn make_problem(
         n_cols: usize,
@@ -613,11 +625,13 @@ mod tests {
         rows: usize,
         seed: u64,
         noise: f64,
-    ) -> (SparseBinaryMatrix, Vec<Complex>, Vec<usize>, Vec<Complex>) {
+    ) -> (SensingMatrix, Csc, Vec<Complex>, Vec<usize>, Vec<Complex>) {
         let seeds: Vec<NodeSeed> = (0..n_cols)
             .map(|i| NodeSeed(seed * 10_000 + i as u64))
             .collect();
-        let a = SparseBinaryMatrix::from_seeds(rows, &seeds, 0.5);
+        let (a, csc) = matrices(rows, n_cols, |r, c| {
+            seeds[c].participates_in_slot(r as u64, 0.5)
+        });
         let mut rng = Xoshiro256::seed_from_u64(seed);
         let mut support: Vec<usize> = Vec::new();
         while support.len() < k {
@@ -636,7 +650,7 @@ mod tests {
             .collect();
         let mut y = vec![Complex::ZERO; rows];
         for (&col, &val) in support.iter().zip(&values) {
-            for &r in a.col(col) {
+            for &r in csc.col(col) {
                 y[r] += val;
             }
         }
@@ -647,7 +661,7 @@ mod tests {
             );
         }
         support.sort_unstable();
-        (a, y, support, values)
+        (a, csc, y, support, values)
     }
 
     #[test]
@@ -670,16 +684,20 @@ mod tests {
     #[test]
     fn dimension_checks() {
         let solver = OmpSolver::new(OmpConfig::for_sparsity(2)).unwrap();
-        let a = SparseBinaryMatrix::zeros(4, 3);
+        let (a, _) = from_ones(4, 3, &[]);
         assert!(solver.solve(&a, &[Complex::ONE; 3]).is_err());
-        let empty_cols = SparseBinaryMatrix::zeros(4, 0);
+        let (empty_cols, _) = from_ones(4, 0, &[]);
         assert!(solver.solve(&empty_cols, &[Complex::ONE; 4]).is_err());
+        // Empty columns never win a pick.
+        let sol = solver.solve(&a, &[Complex::ONE; 4]).unwrap();
+        assert!(sol.support.is_empty());
+        assert_eq!(sol.relative_residual, 1.0);
     }
 
     #[test]
     fn zero_measurement_gives_empty_solution() {
         let solver = OmpSolver::new(OmpConfig::for_sparsity(2)).unwrap();
-        let a = SparseBinaryMatrix::from_ones(3, 2, &[(0, 0), (1, 1)]).unwrap();
+        let (a, _) = from_ones(3, 2, &[(0, 0), (1, 1)]);
         let sol = solver.solve(&a, &[Complex::ZERO; 3]).unwrap();
         assert!(sol.support.is_empty());
         assert_eq!(sol.relative_residual, 0.0);
@@ -689,7 +707,7 @@ mod tests {
     fn recovers_noiseless_sparse_vector_exactly() {
         // N' = 160 candidates (a·K with a = K = ~13), K = 8 active, M = K·log2(a·K)
         // measurements — the regime of stage 3.
-        let (a, y, support, _) = make_problem(160, 8, 64, 1, 0.0);
+        let (a, _, y, support, _) = make_problem(160, 8, 64, 1, 0.0);
         let solver = OmpSolver::new(OmpConfig::for_sparsity(8)).unwrap();
         let sol = solver.solve(&a, &y).unwrap();
         assert_eq!(sorted_support(&sol), support);
@@ -703,7 +721,7 @@ mod tests {
 
     #[test]
     fn recovers_support_under_moderate_noise() {
-        let (a, y, support, _) = make_problem(200, 10, 80, 3, 0.05);
+        let (a, _, y, support, _) = make_problem(200, 10, 80, 3, 0.05);
         let solver = OmpSolver::new(OmpConfig::for_sparsity(10)).unwrap();
         let sol = solver.solve(&a, &y).unwrap();
         let recovered = sorted_support(&sol.pruned(0.2));
@@ -715,7 +733,7 @@ mod tests {
 
     #[test]
     fn headroom_plus_pruning_controls_false_positives() {
-        let (a, y, support, _) = make_problem(150, 6, 60, 5, 0.02);
+        let (a, _, y, support, _) = make_problem(150, 6, 60, 5, 0.02);
         // Deliberately allow more picks than the true sparsity.
         let solver = OmpSolver::new(OmpConfig::for_sparsity(6)).unwrap();
         let sol = solver.solve(&a, &y).unwrap();
@@ -729,7 +747,7 @@ mod tests {
     #[test]
     fn prune_insignificant_removes_spurious_and_keeps_real_entries() {
         let noise = 0.03;
-        let (a, y, support, _) = make_problem(150, 6, 60, 21, noise);
+        let (a, _, y, support, _) = make_problem(150, 6, 60, 21, noise);
         // Solve with generous head-room so OMP over-fits a few extra columns.
         let solver = OmpSolver::new(OmpConfig {
             max_sparsity: 12,
@@ -745,42 +763,45 @@ mod tests {
         assert_eq!(refined.values.len(), refined.support.len());
     }
 
+    /// The least-squares residual energy of `y` over the columns `support`,
+    /// and the fit's values.
+    fn least_squares_fit(a: &Csc, y: &[Complex], support: &[usize]) -> (f64, Vec<Complex>) {
+        if support.is_empty() {
+            return (y.iter().map(|s| s.norm_sqr()).sum(), Vec::new());
+        }
+        let mut sub = ComplexMatrix::zeros(a.rows, support.len());
+        for (j, &col) in support.iter().enumerate() {
+            for &r in a.col(col) {
+                sub.set(r, j, Complex::ONE);
+            }
+        }
+        let values = solve_least_squares(&sub, y).unwrap();
+        let fit = sub.mul_vec(&values).unwrap();
+        let energy = y.iter().zip(&fit).map(|(&m, &f)| (m - f).norm_sqr()).sum();
+        (energy, values)
+    }
+
     /// The dense remove-one-at-a-time prune: one least-squares refit of the
     /// support without each candidate per round, dropping the first
     /// weakest entry while it is insignificant.  The reference
     /// [`prune_insignificant`]'s leave-one-out schedule is pinned to.
     fn prune_insignificant_dense(
-        a: &SparseBinaryMatrix,
+        a: &Csc,
         y: &[Complex],
         solution: &SparseSolution,
         noise_power: f64,
         significance: f64,
     ) -> SparseSolution {
         let y_energy: f64 = y.iter().map(|s| s.norm_sqr()).sum();
-        let residual_energy = |support: &[usize]| -> (f64, Vec<Complex>) {
-            if support.is_empty() {
-                return (y_energy, Vec::new());
-            }
-            let mut sub = ComplexMatrix::zeros(a.rows(), support.len());
-            for (j, &col) in support.iter().enumerate() {
-                for &r in a.col(col) {
-                    sub.set(r, j, Complex::ONE);
-                }
-            }
-            let values = solve_least_squares(&sub, y).unwrap();
-            let fit = sub.mul_vec(&values).unwrap();
-            let energy = y.iter().zip(&fit).map(|(&m, &f)| (m - f).norm_sqr()).sum();
-            (energy, values)
-        };
-        let threshold = significance * noise_power * a.rows() as f64;
+        let threshold = significance * noise_power * a.rows as f64;
         let mut support = solution.support.clone();
         while !support.is_empty() {
-            let (full_energy, _) = residual_energy(&support);
+            let (full_energy, _) = least_squares_fit(a, y, &support);
             let mut weakest: Option<(usize, f64)> = None;
             for idx in 0..support.len() {
                 let mut without = support.clone();
                 without.remove(idx);
-                let contribution = residual_energy(&without).0 - full_energy;
+                let contribution = least_squares_fit(a, y, &without).0 - full_energy;
                 if weakest.is_none_or(|(_, c)| contribution < c) {
                     weakest = Some((idx, contribution));
                 }
@@ -792,7 +813,7 @@ mod tests {
                 _ => break,
             }
         }
-        let (final_energy, values) = residual_energy(&support);
+        let (final_energy, values) = least_squares_fit(a, y, &support);
         SparseSolution {
             support,
             values,
@@ -802,19 +823,18 @@ mod tests {
 
     /// Reference Gram: a walk of every row, one increment per pair of
     /// support columns sharing it.
-    fn support_gram_row_walk(a: &SparseBinaryMatrix, support: &[usize]) -> Vec<f64> {
+    fn support_gram_row_walk(a: &Csc, support: &[usize]) -> Vec<f64> {
         let s = support.len();
-        let mut position = vec![usize::MAX; a.cols()];
+        let mut position = vec![usize::MAX; a.cols.len()];
         for (p, &col) in support.iter().enumerate() {
             position[col] = p;
         }
         let mut gram = vec![0.0f64; s * s];
         let mut in_row: Vec<usize> = Vec::new();
-        for r in 0..a.rows() {
+        for row in a.row_lists() {
             in_row.clear();
             in_row.extend(
-                a.row(r)
-                    .iter()
+                row.iter()
                     .map(|&c| position[c])
                     .filter(|&p| p != usize::MAX),
             );
@@ -874,6 +894,49 @@ mod tests {
         (alive, values)
     }
 
+    /// `Σ y[r]` over a column's row list, in list order.
+    fn list_sum(rows: &[usize], y: &[Complex]) -> Complex {
+        rows.iter().map(|&r| y[r]).sum()
+    }
+
+    /// [`prune_insignificant`]'s arithmetic over CSC lists: the row-walk
+    /// Gram, list-order right-hand sides, from-scratch rounds and a
+    /// list-walk residual.  The bitmap prune must equal it bit for bit.
+    fn prune_insignificant_csc(
+        a: &Csc,
+        y: &[Complex],
+        solution: &SparseSolution,
+        noise_power: f64,
+        significance: f64,
+    ) -> SparseSolution {
+        let y_energy: f64 = y.iter().map(|s| s.norm_sqr()).sum();
+        let threshold = significance * noise_power * a.rows as f64;
+        let gram = support_gram_row_walk(a, &solution.support);
+        let rhs: Vec<Complex> = solution
+            .support
+            .iter()
+            .map(|&col| list_sum(a.col(col), y))
+            .collect();
+        let (alive, values) = prune_rounds_from_scratch(&gram, &rhs, threshold);
+        let support: Vec<usize> = alive.iter().map(|&p| solution.support[p]).collect();
+        let mut residual = y.to_vec();
+        for (&col, &v) in support.iter().zip(&values) {
+            for &r in a.col(col) {
+                residual[r] -= v;
+            }
+        }
+        let final_energy: f64 = residual.iter().map(|s| s.norm_sqr()).sum();
+        SparseSolution {
+            support,
+            values,
+            relative_residual: if y_energy > 0.0 {
+                final_energy / y_energy
+            } else {
+                0.0
+            },
+        }
+    }
+
     fn bits(values: &[Complex]) -> Vec<(u64, u64)> {
         values
             .iter()
@@ -881,32 +944,66 @@ mod tests {
             .collect()
     }
 
-    /// Pins the popcount Gram to the row walk and the prefix-reusing round
-    /// loop to the from-scratch one, bit for bit, on one pruning problem.
+    /// Two solutions are equal in support, in values under `to_bits`, and
+    /// in relative residual under `to_bits`.
+    fn assert_same_solution(got: &SparseSolution, reference: &SparseSolution) {
+        assert_eq!(got.support, reference.support, "support");
+        assert_eq!(bits(&got.values), bits(&reference.values), "values");
+        assert_eq!(
+            got.relative_residual.to_bits(),
+            reference.relative_residual.to_bits(),
+            "relative residual {} vs {}",
+            got.relative_residual,
+            reference.relative_residual
+        );
+    }
+
+    /// Pins the popcount Gram to the row walk, the bitmap right-hand sides
+    /// to list sums, the prefix-reusing round loop to the from-scratch one,
+    /// and the whole bitmap prune to its CSC-list reference, bit for bit,
+    /// on one pruning problem.
     fn assert_prune_kernels_match_references(
-        a: &SparseBinaryMatrix,
+        a: &SensingMatrix,
+        csc: &Csc,
         y: &[Complex],
         support: &[usize],
-        threshold: f64,
+        noise_power: f64,
+        significance: f64,
     ) {
+        let threshold = significance * noise_power * a.rows() as f64;
         let gram = support_gram(a, support);
-        let reference_gram = support_gram_row_walk(a, support);
+        let reference_gram = support_gram_row_walk(csc, support);
         let gram_bits: Vec<u64> = gram.iter().map(|g| g.to_bits()).collect();
         let reference_bits: Vec<u64> = reference_gram.iter().map(|g| g.to_bits()).collect();
         assert_eq!(gram_bits, reference_bits, "Gram of {support:?}");
         let rhs: Vec<Complex> = support
             .iter()
-            .map(|&col| a.col(col).iter().map(|&r| y[r]).sum())
+            .map(|&col| a.column_rows(col).map(|r| y[r]).sum())
             .collect();
+        let list_rhs: Vec<Complex> = support
+            .iter()
+            .map(|&col| list_sum(csc.col(col), y))
+            .collect();
+        assert_eq!(bits(&rhs), bits(&list_rhs), "right-hand sides");
         let (alive, values) = prune_rounds(&gram, &rhs, threshold).unwrap();
         let (scratch_alive, scratch_values) = prune_rounds_from_scratch(&gram, &rhs, threshold);
         assert_eq!(alive, scratch_alive, "surviving support");
         assert_eq!(bits(&values), bits(&scratch_values), "refit values");
+        let solution = SparseSolution {
+            support: support.to_vec(),
+            values: vec![Complex::ONE; support.len()],
+            relative_residual: 0.0,
+        };
+        assert_same_solution(
+            &prune_insignificant(a, y, &solution, noise_power, significance).unwrap(),
+            &prune_insignificant_csc(csc, y, &solution, noise_power, significance),
+        );
     }
 
     proptest! {
         /// The leave-one-out prune keeps the dense prune's schedule: same
-        /// surviving support, matching refit values.  Two shapes: generous
+        /// surviving support, matching refit values; and it equals its
+        /// CSC-list reference bit for bit.  Two shapes: generous
         /// measurements (`M = 20·K`), and stage 3 as identification runs it
         /// (`≈ K²` candidates, `M ≈ 2.5·K·log₂K` rows, `2K` picks, noise at
         /// the uplink's 22 dB median SNR, significance 4).  Stage 3 is where
@@ -930,7 +1027,7 @@ mod tests {
             } else {
                 (40 + seed as usize % 120, 20 * k, noise_step as f64 * 0.02, 3.0)
             };
-            let (a, y, _support, _values) = make_problem(n_cols, k, rows, seed, noise);
+            let (a, csc, y, _support, _values) = make_problem(n_cols, k, rows, seed, noise);
             // Head-room so the raw solve over-fits spurious columns for the
             // pruning to remove.
             let solver = OmpSolver::new(OmpConfig {
@@ -940,10 +1037,13 @@ mod tests {
             let raw = solver.solve(&a, &y).unwrap();
             // Uniform noise of amplitude ±noise/2 per component has this power.
             let noise_power = noise * noise / 6.0;
-            let dense = prune_insignificant_dense(&a, &y, &raw, noise_power, significance);
+            let dense = prune_insignificant_dense(&csc, &y, &raw, noise_power, significance);
             let loo = prune_insignificant(&a, &y, &raw, noise_power, significance).unwrap();
-            let threshold = significance * noise_power * a.rows() as f64;
-            assert_prune_kernels_match_references(&a, &y, &raw.support, threshold);
+            assert_prune_kernels_match_references(&a, &csc, &y, &raw.support, noise_power, significance);
+            assert_same_solution(
+                &loo,
+                &prune_insignificant_csc(&csc, &y, &raw, noise_power, significance),
+            );
             prop_assert_eq!(&dense.support, &loo.support);
             for ((col, dv), lv) in dense.support.iter().zip(&dense.values).zip(&loo.values) {
                 prop_assert!(
@@ -960,7 +1060,7 @@ mod tests {
 
     #[test]
     fn prune_insignificant_checks_dimensions_and_handles_empty() {
-        let a = SparseBinaryMatrix::from_ones(3, 2, &[(0, 0), (1, 1)]).unwrap();
+        let (a, _) = from_ones(3, 2, &[(0, 0), (1, 1)]);
         let empty = SparseSolution {
             support: vec![],
             values: vec![],
@@ -976,7 +1076,7 @@ mod tests {
         // Columns 0 and 1 cover the same rows: the second explains nothing
         // the first does not, and its Cholesky pivot is only the ridge.
         let ones = [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1), (3, 2)];
-        let a = SparseBinaryMatrix::from_ones(4, 3, &ones).unwrap();
+        let (a, _) = from_ones(4, 3, &ones);
         let raw = SparseSolution {
             support: vec![0, 1, 2],
             values: vec![Complex::ONE; 3],
@@ -996,11 +1096,11 @@ mod tests {
         // second in the support is numerically dependent: its push fails
         // and the round loop drops it before scoring, with the factor of
         // the entries before it kept.
-        let (base, y, support, _) = make_problem(40, 5, 60, 77, 0.05);
-        let columns: Vec<usize> = (0..40).chain([3]).collect();
-        let a = base.select_columns(&columns).unwrap();
+        let (_, base, y, support, _) = make_problem(40, 5, 60, 77, 0.05);
+        let (a, csc) = matrices(base.rows, 41, |r, c| {
+            base.col(if c == 40 { 3 } else { c }).contains(&r)
+        });
         let noise_power = 0.05 * 0.05 / 6.0;
-        let threshold = 4.0 * noise_power * a.rows() as f64;
         let spurious = [11, 17, 23, 29].iter().filter(|c| !support.contains(c));
         let mut with_duplicate: Vec<usize> = support.iter().chain(spurious).copied().collect();
         for position in [0, 2, with_duplicate.len()] {
@@ -1009,10 +1109,10 @@ mod tests {
             if !s.contains(&3) {
                 s.push(3);
             }
-            assert_prune_kernels_match_references(&a, &y, &s, threshold);
+            assert_prune_kernels_match_references(&a, &csc, &y, &s, noise_power, 4.0);
         }
         with_duplicate.extend([3, 40]);
-        assert_prune_kernels_match_references(&a, &y, &with_duplicate, threshold);
+        assert_prune_kernels_match_references(&a, &csc, &y, &with_duplicate, noise_power, 4.0);
         let raw = SparseSolution {
             values: vec![Complex::ONE; with_duplicate.len()],
             support: with_duplicate,
@@ -1026,17 +1126,35 @@ mod tests {
         );
     }
 
-    /// The pre-pruner solver: exhaustive correlation scan every iteration,
-    /// otherwise byte-for-byte the arithmetic of [`OmpSolver::solve`].  The
-    /// reference the pruned scan is pinned to.
-    fn solve_incremental_reference(
-        config: &OmpConfig,
-        a: &SparseBinaryMatrix,
-        y: &[Complex],
-    ) -> SparseSolution {
+    #[test]
+    fn prune_kernels_match_references_with_an_empty_column() {
+        // Column 40 has no ones: its Gram row and right-hand side are zero,
+        // its pivot is only the ridge, and the round loop drops it wherever
+        // it sits in the support.
+        let (_, base, y, support, _) = make_problem(40, 5, 60, 78, 0.05);
+        let (a, csc) = matrices(base.rows, 41, |r, c| c < 40 && base.col(c).contains(&r));
+        let noise_power = 0.05 * 0.05 / 6.0;
+        for position in [0, 2, support.len()] {
+            let mut s = support.clone();
+            s.insert(position, 40);
+            assert_prune_kernels_match_references(&a, &csc, &y, &s, noise_power, 4.0);
+            let raw = SparseSolution {
+                values: vec![Complex::ONE; s.len()],
+                support: s,
+                relative_residual: 0.0,
+            };
+            let pruned = prune_insignificant(&a, &y, &raw, noise_power, 4.0).unwrap();
+            assert!(!pruned.support.contains(&40), "{:?}", pruned.support);
+        }
+    }
+
+    /// The pre-pruner solver over CSC lists: exhaustive correlation scan
+    /// every iteration, otherwise the arithmetic of [`OmpSolver::solve`].
+    /// The reference the pruned scan on the bitmap matrix is pinned to.
+    fn solve_incremental_reference(config: &OmpConfig, a: &Csc, y: &[Complex]) -> SparseSolution {
         let y_energy: f64 = y.iter().map(|s| s.norm_sqr()).sum();
-        let m = a.rows();
-        let n = a.cols();
+        let m = a.rows;
+        let n = a.cols.len();
         let mut selected = vec![false; n];
         let mut support: Vec<usize> = Vec::new();
         let mut values: Vec<Complex> = Vec::new();
@@ -1054,7 +1172,7 @@ mod tests {
                 if rows.is_empty() {
                     continue;
                 }
-                let corr: Complex = rows.iter().map(|&r| residual[r]).sum();
+                let corr = list_sum(rows, &residual);
                 let score = corr.abs() / (rows.len() as f64).sqrt();
                 if best.is_none_or(|(_, s)| score > s) {
                     best = Some((col, score));
@@ -1082,7 +1200,7 @@ mod tests {
             }
             selected[chosen] = true;
             support.push(chosen);
-            rhs.push(a.col(chosen).iter().map(|&r| y[r]).sum());
+            rhs.push(list_sum(a.col(chosen), y));
             values = chol.solve(&rhs).unwrap();
             residual.copy_from_slice(y);
             for (&col, &v) in support.iter().zip(&values) {
@@ -1106,10 +1224,11 @@ mod tests {
     proptest! {
         /// The tentpole invariant of the pruned scan: across random sensing
         /// problems (varying density, noise, and head-room) the pruned
-        /// incremental solver selects the exact same support, values, and
-        /// residual — bit for bit — as the exhaustive-scan solver it
-        /// replaced.  The upper bounds may only skip provably losing
-        /// columns, never change a pick.
+        /// incremental solver on the bitmap matrix selects the exact same
+        /// support, values, and residual — bit for bit — as the
+        /// exhaustive-scan solver over CSC lists it replaced.  The upper
+        /// bounds may only skip provably losing columns, never change a
+        /// pick.
         #[test]
         fn pruned_scan_matches_exhaustive_scan_bit_for_bit(
             seed in 0u64..1_000_000,
@@ -1120,23 +1239,52 @@ mod tests {
             headroom in 0usize..3,
         ) {
             let noise = noise_step as f64 * 0.04;
-            let (a, y, _support, _values) = make_problem(n_cols, k.min(n_cols / 4).max(1), rows, seed, noise);
+            let (a, csc, y, _support, _values) =
+                make_problem(n_cols, k.min(n_cols / 4).max(1), rows, seed, noise);
             let config = OmpConfig {
                 max_sparsity: (k + headroom * k).max(1),
                 residual_tolerance: 1e-4,
             };
             let solver = OmpSolver::new(config).unwrap();
-            let pruned = solver.solve(&a, &y).unwrap();
-            let reference = solve_incremental_reference(&config, &a, &y);
-            prop_assert_eq!(&pruned.support, &reference.support);
-            let pruned_bits: Vec<(u64, u64)> =
-                pruned.values.iter().map(|v| (v.re.to_bits(), v.im.to_bits())).collect();
-            let reference_bits: Vec<(u64, u64)> =
-                reference.values.iter().map(|v| (v.re.to_bits(), v.im.to_bits())).collect();
-            prop_assert_eq!(pruned_bits, reference_bits);
-            prop_assert_eq!(
-                pruned.relative_residual.to_bits(),
-                reference.relative_residual.to_bits()
+            assert_same_solution(
+                &solver.solve(&a, &y).unwrap(),
+                &solve_incremental_reference(&config, &csc, &y),
+            );
+        }
+    }
+
+    #[test]
+    fn solve_on_the_stage3_builder_matches_the_csc_reference() {
+        // The matrix identification builds, `SensingMatrix::from_seeds`,
+        // against CSC lists taken entry by entry from the per-slot
+        // decisions, at word-edge row counts.
+        for (rows, seed) in [(63usize, 1u64), (64, 2), (65, 3), (130, 4)] {
+            let seeds: Vec<NodeSeed> = (0..90).map(|i| NodeSeed(seed * 1_000 + i)).collect();
+            let a = SensingMatrix::from_seeds(rows, &seeds, 0.5);
+            let csc = Csc {
+                rows,
+                cols: seeds
+                    .iter()
+                    .map(|s| {
+                        (0..rows)
+                            .filter(|&r| s.sensing_in_slot(r as u64, 0.5))
+                            .collect()
+                    })
+                    .collect(),
+            };
+            let mut y = vec![Complex::ZERO; rows];
+            for (i, col) in [7usize, 19, 42, 61, 88].into_iter().enumerate() {
+                let h = Complex::from_polar(0.4 + 0.1 * i as f64, i as f64);
+                for &r in csc.col(col) {
+                    y[r] += h;
+                }
+            }
+            let config = OmpConfig::for_sparsity(8);
+            let raw = OmpSolver::new(config).unwrap().solve(&a, &y).unwrap();
+            assert_same_solution(&raw, &solve_incremental_reference(&config, &csc, &y));
+            assert_same_solution(
+                &prune_insignificant(&a, &y, &raw, 1e-4, 4.0).unwrap(),
+                &prune_insignificant_csc(&csc, &y, &raw, 1e-4, 4.0),
             );
         }
     }
@@ -1150,7 +1298,7 @@ mod tests {
         // `candidates` per selection the exhaustive scan pays.  The loop is
         // a standalone greedy OMP driven by the ledger (least-squares refit,
         // algebraically the solver's Cholesky refit).
-        let (a, y, support, _) = make_problem(400, 12, 120, 9, 0.02);
+        let (a, csc, y, support, _) = make_problem(400, 12, 120, 9, 0.02);
         let mut residual = y.clone();
         let mut ledger = CorrelationLedger::new(&a, &residual);
         let mut selected = vec![false; a.cols()];
@@ -1162,23 +1310,23 @@ mod tests {
             if score <= 1e-12 {
                 break;
             }
-            ledger.push_support_column(col);
+            ledger.push_support_column(&a, col);
             selected[col] = true;
             chosen.push(col);
+            let (_, vals) = least_squares_fit(&csc, &y, &chosen);
             let mut sub = ComplexMatrix::zeros(a.rows(), chosen.len());
             for (j, &c) in chosen.iter().enumerate() {
-                for &r in a.col(c) {
+                for &r in csc.col(c) {
                     sub.set(r, j, Complex::ONE);
                 }
             }
-            let vals = solve_least_squares(&sub, &y).unwrap();
             let fit = sub.mul_vec(&vals).unwrap();
             for ((res, &m), &f) in residual.iter_mut().zip(&y).zip(&fit) {
                 *res = m - f;
             }
             ledger.refit_applied(&vals);
             for col in 0..a.cols() {
-                let brute: Complex = a.col(col).iter().map(|&r| residual[r]).sum();
+                let brute = list_sum(csc.col(col), &residual);
                 let kept = ledger.corr[col];
                 assert!(
                     (kept - brute).abs() <= 1e-9 * (1.0 + brute.abs()),
@@ -1206,12 +1354,12 @@ mod tests {
         let mut exact_small = 0;
         let mut exact_large = 0;
         for t in 0..10 {
-            let (a, y, support, _) = make_problem(120, 8, 40, 100 + t, 0.0);
+            let (a, _, y, support, _) = make_problem(120, 8, 40, 100 + t, 0.0);
             let solver = OmpSolver::new(OmpConfig::for_sparsity(8)).unwrap();
             if sorted_support(&solver.solve(&a, &y).unwrap()) == support {
                 exact_small += 1;
             }
-            let (a, y, support, _) = make_problem(120, 8, 96, 100 + t, 0.0);
+            let (a, _, y, support, _) = make_problem(120, 8, 96, 100 + t, 0.0);
             if sorted_support(&solver.solve(&a, &y).unwrap()) == support {
                 exact_large += 1;
             }
