@@ -6,10 +6,11 @@
 //! Most entries hold participation at ~4 expected colliders per slot
 //! regardless of K (`p = 4/K`), so they isolate how decode cost scales with
 //! the *population* rather than with collision density.  That is not what
-//! the protocol runs at large K: `ParticipationCode::for_population` clamps
-//! `p` to `[0.15, 0.85]`, so a target of 4 colliders gives `0.15·K` per slot
-//! from K = 27 up (15 at K = 100, 22.5 at K = 150, 30 at K = 200).  The
-//! `session_worklist_dense` entries measure that regime.
+//! the protocol runs at large K: its participation rule (stated in the `buzz`
+//! crate's `participation` module) floors `p` at 0.15, so a target of 4
+//! colliders gives `0.15·K` per slot from K = 27 up (15 at K = 100, 22.5 at
+//! K = 150, 30 at K = 200).  The `session_worklist_dense` entries measure
+//! that regime.
 //!
 //! A reference measurement for this suite lives in
 //! `benches/decoders_large_k.baseline.json`; rerun with

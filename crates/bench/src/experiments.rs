@@ -413,9 +413,12 @@ pub fn fig11(locations: u64, base_seed: u64, threads: usize) -> ExperimentReport
 /// This is the full-protocol workload exercising the CS bucketing and the
 /// decoder at K = 100+: Buzz runs with the default worklist decode
 /// schedule, a fixed 16-ids-per-bucket temporary-id space (which grows after
-/// each id-collision restart), and ~4 expected colliders per slot
-/// (participation `p ≈ 4/K`).  CDMA is omitted — its chip-level simulation
-/// is `O(K²·chips)` per message and unusable at K = 150+.
+/// each id-collision restart), and a target of 4 colliders per slot.  The
+/// participation rule (stated once in the `buzz` crate's `participation`
+/// module) floors the per-slot probability at 0.15, so only the K = 25 row
+/// runs at 4 colliders; K = 50, 100, 150, 200 and 300 run at 7.5, 15, 22.5,
+/// 30 and 45.  CDMA is omitted — its chip-level simulation is
+/// `O(K²·chips)` per message and unusable at K = 150+.
 ///
 /// `locations` is capped at 2: two locations per K already show the scaling
 /// trend within the harness's time budget (the K = 300 cells dominate it).

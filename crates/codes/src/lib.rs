@@ -10,10 +10,12 @@
 //!   baseline,
 //! * [`rn16`] — the temporary-id spaces Buzz uses once `K` is known, in
 //!   place of Gen-2's 16-bit RN16,
-//! * [`message`] — tag payload construction (data + CRC) and verification,
-//! * [`sparse_matrix`] — the sparse binary matrix type shared by the
-//!   compressive-sensing sensing matrix `A` and the rateless participation
-//!   matrix `D`.
+//! * [`message`] — tag payload construction (data + CRC) and verification.
+//!
+//! The matrices the protocol decodes against live beside their readers: the
+//! identification phase's sensing matrix `A′` in `sparse_recovery::sensing`,
+//! and the data phase's participation matrix `D` in the `buzz` crate, next
+//! to its decoder.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -21,13 +23,11 @@
 pub mod crc;
 pub mod message;
 pub mod rn16;
-pub mod sparse_matrix;
 pub mod walsh;
 
 pub use crc::{Crc16, Crc5};
 pub use message::Message;
 pub use rn16::TemporaryIdSpace;
-pub use sparse_matrix::SparseBinaryMatrix;
 pub use walsh::WalshCode;
 
 /// Errors produced by coding operations.

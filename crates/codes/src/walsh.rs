@@ -87,57 +87,11 @@ impl WalshCode {
         })?;
         Ok(row.iter().map(|&b| if b { 1 } else { -1 }).collect())
     }
-
-    /// Spreads a data bit string with code `index`: each data bit becomes
-    /// `spreading_factor` chips (`bit ? +code : -code`), returned as ±1.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodeError::IndexOutOfRange`] for a bad code index.
-    pub fn spread(&self, index: usize, bits: &[bool]) -> CodeResult<Vec<i8>> {
-        let code = self.chips(index)?;
-        let mut out = Vec::with_capacity(bits.len() * self.spreading_factor);
-        for &bit in bits {
-            let sign = if bit { 1 } else { -1 };
-            out.extend(code.iter().map(|&c| c * sign));
-        }
-        Ok(out)
-    }
-
-    /// Despreads a chip-rate real-valued received stream with code `index`,
-    /// returning one correlation value per data bit (positive ⇒ "1").
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodeError::LengthMismatch`] if the received stream is not a
-    /// whole number of spreading periods, or [`CodeError::IndexOutOfRange`]
-    /// for a bad code index.
-    pub fn despread(&self, index: usize, received: &[f64]) -> CodeResult<Vec<f64>> {
-        if !received.len().is_multiple_of(self.spreading_factor) {
-            return Err(CodeError::LengthMismatch {
-                expected: (received.len() / self.spreading_factor + 1) * self.spreading_factor,
-                actual: received.len(),
-            });
-        }
-        let code = self.chips(index)?;
-        Ok(received
-            .chunks_exact(self.spreading_factor)
-            .map(|chunk| {
-                chunk
-                    .iter()
-                    .zip(&code)
-                    .map(|(&r, &c)| r * f64::from(c))
-                    .sum::<f64>()
-                    / self.spreading_factor as f64
-            })
-            .collect())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use backscatter_prng::BitStream;
 
     #[test]
     fn rejects_non_power_of_two() {
@@ -203,57 +157,5 @@ mod tests {
         let w = WalshCode::new(8).unwrap();
         assert!(w.chips(8).is_err());
         assert!(w.chips(7).is_ok());
-    }
-
-    #[test]
-    fn spread_despread_round_trip() {
-        let w = WalshCode::new(8).unwrap();
-        let mut stream = BitStream::seed_from_u64(3);
-        let bits = stream.take_bits(64);
-        let chips = w.spread(3, &bits).unwrap();
-        assert_eq!(chips.len(), 64 * 8);
-        let received: Vec<f64> = chips.iter().map(|&c| f64::from(c)).collect();
-        let correlations = w.despread(3, &received).unwrap();
-        let decoded: Vec<bool> = correlations.iter().map(|&c| c > 0.0).collect();
-        assert_eq!(decoded, bits);
-    }
-
-    #[test]
-    fn synchronous_superposition_separates_users() {
-        // Two users with different codes and amplitudes, transmitted
-        // concurrently; despreading recovers each user's bits.
-        let w = WalshCode::new(8).unwrap();
-        let mut s1 = BitStream::seed_from_u64(10);
-        let mut s2 = BitStream::seed_from_u64(11);
-        let bits1 = s1.take_bits(32);
-        let bits2 = s2.take_bits(32);
-        let c1 = w.spread(1, &bits1).unwrap();
-        let c2 = w.spread(5, &bits2).unwrap();
-        let received: Vec<f64> = c1
-            .iter()
-            .zip(&c2)
-            .map(|(&a, &b)| 0.8 * f64::from(a) + 0.3 * f64::from(b))
-            .collect();
-        let d1: Vec<bool> = w
-            .despread(1, &received)
-            .unwrap()
-            .iter()
-            .map(|&c| c > 0.0)
-            .collect();
-        let d2: Vec<bool> = w
-            .despread(5, &received)
-            .unwrap()
-            .iter()
-            .map(|&c| c > 0.0)
-            .collect();
-        assert_eq!(d1, bits1);
-        assert_eq!(d2, bits2);
-    }
-
-    #[test]
-    fn despread_length_check() {
-        let w = WalshCode::new(4).unwrap();
-        assert!(w.despread(0, &[1.0; 6]).is_err());
-        assert!(w.despread(0, &[1.0; 8]).is_ok());
     }
 }

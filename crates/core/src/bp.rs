@@ -35,7 +35,7 @@
 //! `max_shared_i·|h_i|²` and the lock flag.  Every write to a channel or a
 //! lock goes through the setter that refreshes its node's terms, and
 //! `add_slot` refreshes the new row's participants, so a gain reads one
-//! table entry instead of two CSC offsets, a lock probe and a norm.  A flip
+//! table entry instead of a column length, a lock probe and a norm.  A flip
 //! of node `f` touches only the slots in `col(f)` and the nodes in those
 //! slots' rows: residuals and sums absorb the `−c_f` delta and the gains
 //! that moved refresh in `O(1)` each.  The argmax (ties to the highest
@@ -49,9 +49,10 @@
 //!
 //! # The dense regime
 //!
-//! The participation floor (`p ≥ 0.15`, see
-//! [`crate::rateless::ParticipationCode::for_population`]) puts `0.15·K`
-//! colliders in every slot once K ≥ 27, so a large session's collision graph
+//! At large K the participation rule's 0.15 floor decides (the rule and
+//! where it binds are stated once in the crate-private `participation`
+//! module): it puts `0.15·K` colliders in every slot once K ≥ 27 at the
+//! large-K target of 4, so a large session's collision graph
 //! is nearly complete: every flip touches most gains, no tag can lock for a
 //! long while, and every position stays dirty.  Three exact measures keep
 //! that regime cheap — none changes a decoded bit:
@@ -59,7 +60,7 @@
 //! * **One pruned pair scan** (`PositionState::best_pair`).  A pair can
 //!   only beat zero joint gain if one endpoint's `−G` is below
 //!   `max_shared·|h|²` (its largest shared-slot count, kept per column by
-//!   [`SparseBinaryMatrix::max_shared`], times its channel power; the bound
+//!   the participation matrix, times its channel power; the bound
 //!   is a `GainTerms` entry), so only such *candidate* endpoints walk their
 //!   neighbour lists.  The walk has no per-partner branch: it
 //!   reads each partner's signed change `c_l = ±h_l` from a table filled
@@ -80,7 +81,7 @@
 //!   and `deg_i·|c_i|²` has the bits of the stored `deg_i·|h_i|²`.
 //! * **Position-parallel sweep.**  The dirty positions of a sweep are
 //!   independent, so once the matrix has `PARALLEL_SWEEP_MIN_PAIRS` (512)
-//!   colliding pairs ([`SparseBinaryMatrix::colliding_pairs`]) their
+//!   colliding pairs (a count the participation matrix keeps) their
 //!   descents and cold-restart batteries run on every available hardware
 //!   thread through [`crate::executor::work_steal_map`], and the frames and
 //!   the slot-power ledger are folded serially in position order, so the
@@ -100,7 +101,7 @@
 //! one *persistent* `PositionState` per bit position across calls and only
 //! revisits **dirty** positions: a position is dirtied when a newly appended
 //! slot touches one of its unlocked nodes, when locking a node flips that
-//! node's bit there (the perturbation walks the CSC column to the shared
+//! node's bit there (the perturbation walks the node's column to the shared
 //! slots and each slot's row to the neighbours whose gains move), or when a
 //! channel refit perturbs a slot the position's residuals depend on.
 //! Converged positions are skipped entirely — skipping is provably a no-op,
@@ -119,11 +120,11 @@
 use std::sync::Mutex;
 
 use backscatter_codes::message::Message;
-use backscatter_codes::sparse_matrix::SparseBinaryMatrix;
 use backscatter_phy::complex::Complex;
 use backscatter_prng::{Rng64, SplitMix64, Xoshiro256};
 
 use crate::executor::{available_threads, work_steal_map};
+use crate::participation::ParticipationMatrix;
 use crate::{BuzzError, BuzzResult};
 
 /// How [`BitFlippingDecoder::decode`] schedules per-position work.
@@ -157,9 +158,8 @@ pub struct BitFlippingDecoder {
     channels: Vec<Complex>,
     /// Framed message length in bits (payload + CRC).
     pub(crate) message_bits: usize,
-    /// Participation matrix accumulated so far (`L × K`), with the
-    /// per-node neighbour index enabled.
-    pub(crate) d: SparseBinaryMatrix,
+    /// Participation matrix accumulated so far (`L × K`).
+    pub(crate) d: ParticipationMatrix,
     /// Received symbols: `y[slot][bit position]`.
     pub(crate) y: Vec<Vec<Complex>>,
     /// Locked (CRC-verified) framed messages per node.  Written only
@@ -505,7 +505,7 @@ impl PositionState {
     fn reaches_dense(&self, decoder: &BitFlippingDecoder, nodes: &[usize]) -> bool {
         let reach: usize = nodes
             .iter()
-            .map(|&node| decoder.d.neighbors_or_empty(node).len() + 1)
+            .map(|&node| decoder.d.neighbors(node).len() + 1)
             .sum();
         reach * 4 >= self.gains.len()
     }
@@ -669,7 +669,7 @@ impl PositionState {
                 continue;
             }
             let cc = self.changes[c];
-            for &(l, shared) in decoder.d.neighbors_or_empty(c) {
+            for &(l, shared) in decoder.d.neighbors(c) {
                 let cl = self.changes[l];
                 let cross = cc.re * cl.re + cc.im * cl.im;
                 let joint_gain = gc + self.gains[l] - 2.0 * shared as f64 * cross;
@@ -696,7 +696,7 @@ impl PositionState {
                 continue;
             }
             let ci = self.change_of(decoder, i);
-            for &(l, shared) in decoder.d.neighbors_or_empty(i) {
+            for &(l, shared) in decoder.d.neighbors(i) {
                 if l <= i || decoder.locked[l].is_some() {
                     continue;
                 }
@@ -744,12 +744,10 @@ impl BitFlippingDecoder {
             ));
         }
         let k = channels.len();
-        let mut d = SparseBinaryMatrix::zeros(0, k);
-        d.track_neighbors();
         let mut decoder = Self {
             channels,
             message_bits,
-            d,
+            d: ParticipationMatrix::new(k),
             y: Vec::new(),
             locked: vec![None; k],
             terms: Vec::with_capacity(k),
@@ -933,7 +931,7 @@ impl BitFlippingDecoder {
                 .filter(|(_, &p)| p)
                 .map(|(i, _)| i),
         );
-        self.d.push_row(&self.participant_scratch)?;
+        self.d.push_row(&self.participant_scratch);
         self.y.push(symbols);
         // The new row moved its participants' slot and shared-slot counts,
         // and nobody else's.
@@ -1165,7 +1163,7 @@ impl BitFlippingDecoder {
 
     /// Pins the freshly locked nodes into every persistent position state:
     /// where the candidate bit disagrees with the verified frame the node is
-    /// flipped (the perturbation propagates through its CSC column to the
+    /// flipped (the perturbation propagates through its column to the
     /// shared slots and on to the neighbours' gains, dirtying the position);
     /// where it already agrees only the gain is pinned, which cannot
     /// invalidate a converged fixed point.
@@ -2022,7 +2020,7 @@ mod tests {
         // The clean slots, one decode call per slot: every node locks to its
         // true payload.
         for slot in 0..clean.slots() {
-            let participants: Vec<bool> = (0..k).map(|i| clean.d.get(slot, i)).collect();
+            let participants: Vec<bool> = (0..k).map(|i| clean.d.row(slot).contains(&i)).collect();
             decoder
                 .add_slot(&participants, clean.y[slot].clone())
                 .unwrap();
@@ -2102,10 +2100,10 @@ mod tests {
         rows.iter()
             .map(|&j| {
                 let mut delta = Complex::ZERO;
-                if d.get(j, i) {
+                if d.col(i).contains(&j) {
                     delta += ci;
                 }
-                if d.get(j, l) {
+                if d.col(l).contains(&j) {
                     delta += cl;
                 }
                 state.residual[j].norm_sqr() - (state.residual[j] - delta).norm_sqr()
@@ -2184,7 +2182,7 @@ mod tests {
                 state.flip_all(&decoder, &[f as usize % k]);
             }
             for i in 0..k {
-                for &(l, shared) in decoder.d.neighbors(i).unwrap() {
+                for &(l, shared) in decoder.d.neighbors(i) {
                     prop_assume!(l > i);
                     let ci = state.change_of(&decoder, i);
                     let cl = state.change_of(&decoder, l);
@@ -2358,7 +2356,7 @@ mod tests {
     }
 
     /// The per-call gain the term table replaced: the slot count from the
-    /// CSC offsets, the lock from the frame table and `|c|²` from the
+    /// column, the lock from the frame table and `|c|²` from the
     /// signed change, all re-derived on every call.
     fn per_call_gain(decoder: &BitFlippingDecoder, state: &PositionState, node: usize) -> f64 {
         let c = state.change_of(decoder, node);
@@ -2566,7 +2564,7 @@ mod tests {
                 *was = now.is_some();
             }
         }
-        let reach = decoder.d.neighbors_or_empty(phantom - 1).len() + 1;
+        let reach = decoder.d.neighbors(phantom - 1).len() + 1;
         assert!(reach * 4 >= k, "setup: flips take the linear recompute");
         assert!(locks > 0, "setup: a node locked");
         assert!(erasures > 0, "setup: the audit erased a lock");

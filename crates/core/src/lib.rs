@@ -11,13 +11,15 @@
 //!   compressive-sensing protocol — estimate `K` from empty-slot statistics,
 //!   prune the temporary-id space by bucket hashing, then recover the active
 //!   ids *and their channel coefficients* with a small sparse decode.
-//! * **Distributed rate adaptation** (§6, [`rateless`], [`bp`], [`transfer`]):
-//!   each node retransmits its message in a random sparse subset of time slots
-//!   until the reader — running an incremental belief-propagation
-//!   (bit-flipping) decoder over the collision graph — has decoded every
-//!   message.  The aggregate rate `K/L` bits/symbol adapts automatically to
-//!   channel quality, above 1 bit/symbol in good channels and below it in bad
-//!   ones.
+//! * **Distributed rate adaptation** (§6, [`transfer`], [`bp`]): each node
+//!   retransmits its message in a random sparse subset of time slots until
+//!   the reader — running an incremental belief-propagation (bit-flipping)
+//!   decoder over the collision graph — has decoded every message.  The
+//!   aggregate rate `K/L` bits/symbol adapts automatically to channel
+//!   quality, above 1 bit/symbol in good channels and below it in bad ones.
+//!   Who transmits in which slot follows one rule, stated once in the
+//!   crate-private `participation` module beside the reader's append-only
+//!   participation matrix `D` that the decoders walk.
 //! * **End-to-end protocol** ([`protocol`]): identification followed by data
 //!   transfer, with the timing, throughput, reliability, and energy metrics
 //!   that the paper's evaluation reports; [`recovery`] runs the same session
@@ -63,8 +65,8 @@ pub mod bp;
 pub mod executor;
 pub mod identification;
 pub mod mp;
+mod participation;
 pub mod protocol;
-pub mod rateless;
 pub mod recovery;
 pub mod session;
 pub mod toy;
@@ -73,7 +75,6 @@ pub mod transfer;
 pub use bp::{BitFlippingDecoder, DecodeState};
 pub use identification::{IdentificationConfig, IdentificationOutcome, Identifier};
 pub use protocol::{BuzzConfig, BuzzOutcome, BuzzProtocol};
-pub use rateless::ParticipationCode;
 pub use recovery::{RecoveryConfig, ResilientBuzzProtocol};
 pub use session::{
     Protocol, RecoveryDiagnostics, SessionDiagnostics, SessionError, SessionOutcome, SessionResult,

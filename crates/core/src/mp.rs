@@ -12,10 +12,9 @@
 //! nodes, and let confidence build where the evidence is consistent.
 //!
 //! [`DecodeSchedule::MessagePassing`](crate::bp::DecodeSchedule::MessagePassing)
-//! implements that paradigm over the same CSR+CSC participation matrix the
+//! implements that paradigm over the same participation matrix the
 //! bit-flipping worklist uses (per-edge state is keyed on the matrix's flat
-//! CSR offsets, which are stable in append-only rateless use — see
-//! [`SparseBinaryMatrix::row_range`](backscatter_codes::sparse_matrix::SparseBinaryMatrix::row_range)):
+//! row offsets, which appending a slot never moves):
 //!
 //! * **Check-node update** (slot → tag): for slot `j` and participant `i`,
 //!   cancel the *expected* interference of the other participants
@@ -261,7 +260,7 @@ impl MessagePassingState {
                         .d
                         .row(j)
                         .binary_search(&i)
-                        .expect("CSC column j lists i as a participant of row j");
+                        .expect("column i lists row j, so row j lists i");
                     sum += self.c2b[position][range.start + offset];
                 }
                 let posterior = clamp_llr(sum);

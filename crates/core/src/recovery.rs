@@ -380,7 +380,7 @@ impl Protocol for ResilientBuzzProtocol {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transfer::epoch_seed;
+    use crate::participation::epoch_seed;
     use backscatter_sim::faults::{FeedbackLoss, ReaderRestart, SlotErasure, TagDropout};
     use backscatter_sim::scenario::ScenarioBuilder;
 

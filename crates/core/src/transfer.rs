@@ -19,14 +19,14 @@
 use backscatter_gen2::commands::ReaderCommand;
 use backscatter_gen2::timing::PAPER_TIMING;
 use backscatter_phy::complex::Complex;
-use backscatter_prng::{NodeSeed, SplitMix64};
+use backscatter_prng::NodeSeed;
 use backscatter_sim::faults::SlotFaults;
 use backscatter_sim::medium::Medium;
 use backscatter_sim::tag::SimTag;
 
 use crate::bp::{BitFlippingDecoder, DecodeSchedule, DecodeState};
 use crate::identification::DiscoveredTag;
-use crate::rateless::ParticipationCode;
+use crate::participation::{self, DEFAULT_TARGET_COLLISION_SIZE};
 use crate::{BuzzError, BuzzResult};
 
 /// Slot budget of the plain data phase as a multiple of the population (the
@@ -34,33 +34,16 @@ use crate::{BuzzError, BuzzResult};
 /// up after `20·K` slots.
 const BUDGET_FACTOR: usize = 20;
 
-/// Salt for epoch reseeding: epoch `e ≥ 1` participation streams derive from
-/// `mix(temporary_id, EPOCH_SALT + e)`.
-const EPOCH_SALT: u64 = 0xe90_c001;
-
-/// The participation seed of a temporary id in an epoch.  Epoch 0 is the
-/// temporary id itself, the only epoch the plain protocol uses; each
-/// extra-slot request `buzz+r` delivers advances the epoch on both sides.
-#[must_use]
-pub(crate) fn epoch_seed(temporary_id: u64, epoch: u64) -> NodeSeed {
-    if epoch == 0 {
-        NodeSeed(temporary_id)
-    } else {
-        NodeSeed(SplitMix64::mix(temporary_id, EPOCH_SALT + epoch))
-    }
-}
-
 /// Configuration of the data-transfer phase.  Air time is accounted at
 /// [`PAPER_TIMING`].
 #[derive(Debug, Clone, Copy)]
 pub struct TransferConfig {
-    /// Target number of colliding tags per slot.  It drives the
-    /// participation probability `target / K` through
-    /// [`ParticipationCode::for_population`], which clamps it to
-    /// `[0.15, 0.85]` — so the target is met only while it lies between
-    /// `0.15·K` and `0.85·K`.  At large K the floor binds: a target of 4
-    /// gives `0.15·K` colliders per slot from K = 27 up (15 at K = 100, 30
-    /// at K = 200).
+    /// Target number of colliding tags per slot (3.5 by default).  The
+    /// per-slot participation probability follows from it by the one
+    /// participation rule, stated with where its bounds bind in the
+    /// crate-private `participation` module (`src/participation.rs`): the
+    /// target holds only for mid-sized populations, and at large K a
+    /// probability floor decides instead.
     pub target_collision_size: f64,
     /// How the reader's decoder schedules its per-position work.  The
     /// default ([`DecodeSchedule::Worklist`]) is the hard-decision
@@ -75,7 +58,7 @@ pub struct TransferConfig {
 impl Default for TransferConfig {
     fn default() -> Self {
         Self {
-            target_collision_size: ParticipationCode::DEFAULT_TARGET_COLLISION_SIZE,
+            target_collision_size: DEFAULT_TARGET_COLLISION_SIZE,
             decode_schedule: DecodeSchedule::default(),
         }
     }
@@ -166,7 +149,9 @@ pub(crate) struct DataPhase<'a> {
     pub(crate) discovered: &'a [DiscoveredTag],
     /// Every tag's framed message, in tag order.
     framed: Vec<Vec<bool>>,
-    code: ParticipationCode,
+    /// The per-slot participation probability for the discovered
+    /// population.
+    probability: f64,
     schedule: DecodeSchedule,
     pub(crate) decoder: BitFlippingDecoder,
     /// The latest decode (`None` before the first, and after a restart).
@@ -206,15 +191,15 @@ impl<'a> DataPhase<'a> {
                 "all tags must use the same message length",
             ));
         }
-        let code =
-            ParticipationCode::for_population(discovered.len(), config.target_collision_size)?;
+        let probability =
+            participation::probability(discovered.len(), config.target_collision_size);
         let timing = PAPER_TIMING;
         let decoder = new_decoder(discovered, framed_bits, config.decode_schedule, medium)?;
         Ok(Self {
             tags,
             discovered,
             framed,
-            code,
+            probability,
             schedule: config.decode_schedule,
             decoder,
             state: None,
@@ -264,7 +249,7 @@ impl<'a> DataPhase<'a> {
     /// Whether temporary id `id` transmits in `slot` of `epoch`: the one
     /// rule the tags follow and the reader predicts its rows from.
     fn participates(&self, id: u64, epoch: u64, slot: u64) -> bool {
-        self.code.participates(epoch_seed(id, epoch), slot)
+        participation::participates(id, epoch, slot, self.probability)
     }
 
     /// A slot that passes with nothing on the air for the decoder.
@@ -539,20 +524,104 @@ mod tests {
     use super::*;
     use backscatter_sim::scenario::{Scenario, ScenarioBuilder};
 
-    /// Builds a scenario, assigns temporary ids directly (bypassing the
-    /// identification phase), and returns genie-aided discovered tags.
-    fn genie_setup(k: usize, seed: u64) -> (Scenario, Vec<DiscoveredTag>) {
-        let mut scenario = ScenarioBuilder::paper_uplink(k, seed).build().unwrap();
+    /// Assigns tag `i` the temporary id `first_id + i` directly (bypassing
+    /// the identification phase) and returns the genie-aided discovered
+    /// tags, column `i` for tag `i`.
+    fn genie_ids(scenario: &mut Scenario, first_id: u64) -> Vec<DiscoveredTag> {
         let mut discovered = Vec::new();
         for (i, tag) in scenario.tags_mut().iter_mut().enumerate() {
-            let temp_id = 1000 + i as u64;
+            let temp_id = first_id + i as u64;
             tag.assign_temporary_id(temp_id);
             discovered.push(DiscoveredTag {
                 temporary_id: temp_id,
                 channel_estimate: tag.channel.coefficient,
             });
         }
+        discovered
+    }
+
+    /// A `paper_uplink` scenario with genie-aided ids from 1000.
+    fn genie_setup(k: usize, seed: u64) -> (Scenario, Vec<DiscoveredTag>) {
+        let mut scenario = ScenarioBuilder::paper_uplink(k, seed).build().unwrap();
+        let discovered = genie_ids(&mut scenario, 1000);
         (scenario, discovered)
+    }
+
+    #[test]
+    fn reader_rows_are_what_the_tags_aired_at_every_epoch() {
+        use backscatter_sim::faults::TagDropout;
+
+        // Fault-free: at epoch 0 and after re-keying to epoch 3, every
+        // tag's transmission count is exactly the length of its decoder
+        // column (tag `i` is column `i`).
+        let k = 8;
+        let (scenario, discovered) = genie_setup(k, 61);
+        let mut medium = scenario.medium(17).unwrap();
+        let config = TransferConfig::default();
+        let mut phase = DataPhase::new(&config, scenario.tags(), &discovered, &medium).unwrap();
+        let p = participation::probability(k, config.target_collision_size);
+        for slot in 0..24u64 {
+            let epoch = if slot < 12 { 0 } else { 3 };
+            phase
+                .collision_slot(&mut medium, slot, epoch, None)
+                .unwrap();
+            for tag in 0..k {
+                let column = phase.decoder.d.col(tag).len();
+                assert_eq!(
+                    phase.tag_transmissions[tag], column,
+                    "tag {tag}, slot {slot}"
+                );
+            }
+        }
+        // The epoch-3 rows are a fresh draw, not the epoch-0 rows replayed.
+        assert!((12..24).any(|slot| {
+            (0..k).any(|tag| {
+                let epoch0 = participation::participates(1000 + tag as u64, 0, slot, p);
+                epoch0 != phase.decoder.d.row(slot as usize).contains(&tag)
+            })
+        }));
+
+        // A tag browned out by `TagDropout` keeps its reader rows (the
+        // reader cannot know it went dark) but adds no transmissions from
+        // the slot it went dark on.
+        let mut scenario = ScenarioBuilder::paper_uplink(k, 61)
+            .fault(TagDropout::new(0.5, 12).unwrap())
+            .build()
+            .unwrap();
+        let discovered = genie_ids(&mut scenario, 1000);
+        let mut medium = scenario.medium(17).unwrap();
+        let mut phase = DataPhase::new(&config, scenario.tags(), &discovered, &medium).unwrap();
+        let mut dark_from = vec![None; k];
+        for slot in 0..24u64 {
+            let faults = phase.begin_slot(&mut medium, slot);
+            for (tag, dark) in dark_from.iter_mut().enumerate() {
+                if phase.tag_dead[tag] && dark.is_none() {
+                    *dark = Some(slot as usize);
+                }
+            }
+            phase
+                .collision_slot(&mut medium, slot, 0, faults.as_ref())
+                .unwrap();
+        }
+        let mut rows_while_dark = 0;
+        for (tag, dark) in dark_from.iter().enumerate() {
+            // No slot is erased, so row `j` is slot `j`.
+            let column = phase.decoder.d.col(tag);
+            let aired = column
+                .iter()
+                .filter(|&&row| dark.is_none_or(|d| row < d))
+                .count();
+            assert_eq!(phase.tag_transmissions[tag], aired, "tag {tag}");
+            rows_while_dark += column.len() - aired;
+        }
+        assert!(
+            dark_from.iter().any(Option::is_some),
+            "setup: no tag browned out"
+        );
+        assert!(
+            rows_while_dark > 0,
+            "setup: no dark tag was predicted to transmit"
+        );
     }
 
     #[test]
@@ -613,15 +682,7 @@ mod tests {
         // The Fig. 12 claim: in challenging conditions Buzz takes more slots
         // (rate < 1 bit/symbol) but still decodes everything.
         let mut scenario = ScenarioBuilder::challenging(4, 3, 7.0).build().unwrap();
-        let mut discovered = Vec::new();
-        for (i, tag) in scenario.tags_mut().iter_mut().enumerate() {
-            let temp_id = 2000 + i as u64;
-            tag.assign_temporary_id(temp_id);
-            discovered.push(DiscoveredTag {
-                temporary_id: temp_id,
-                channel_estimate: tag.channel.coefficient,
-            });
-        }
+        let discovered = genie_ids(&mut scenario, 2000);
         let mut medium = scenario.medium(77).unwrap();
         let transfer = DataTransfer::new(TransferConfig::default()).unwrap();
         let outcome = transfer
@@ -665,15 +726,7 @@ mod tests {
                     .fault(FeedbackLoss::new(0.0).unwrap());
             }
             let mut scenario = builder.build().unwrap();
-            let mut discovered = Vec::new();
-            for (i, tag) in scenario.tags_mut().iter_mut().enumerate() {
-                let temp_id = 1000 + i as u64;
-                tag.assign_temporary_id(temp_id);
-                discovered.push(DiscoveredTag {
-                    temporary_id: temp_id,
-                    channel_estimate: tag.channel.coefficient,
-                });
-            }
+            let discovered = genie_ids(&mut scenario, 1000);
             let mut medium = scenario.medium(5).unwrap();
             DataTransfer::new(TransferConfig::default())
                 .unwrap()
@@ -691,15 +744,7 @@ mod tests {
             .fault(ReaderRestart::new(1))
             .build()
             .unwrap();
-        let mut discovered = Vec::new();
-        for (i, tag) in scenario.tags_mut().iter_mut().enumerate() {
-            let temp_id = 3000 + i as u64;
-            tag.assign_temporary_id(temp_id);
-            discovered.push(DiscoveredTag {
-                temporary_id: temp_id,
-                channel_estimate: tag.channel.coefficient,
-            });
-        }
+        let discovered = genie_ids(&mut scenario, 3000);
         let mut medium = scenario.medium(7).unwrap();
         let outcome = DataTransfer::new(TransferConfig::default())
             .unwrap()
@@ -718,15 +763,7 @@ mod tests {
             .fault(SlotErasure::new(1.0).unwrap())
             .build()
             .unwrap();
-        let mut discovered = Vec::new();
-        for (i, tag) in scenario.tags_mut().iter_mut().enumerate() {
-            let temp_id = 4000 + i as u64;
-            tag.assign_temporary_id(temp_id);
-            discovered.push(DiscoveredTag {
-                temporary_id: temp_id,
-                channel_estimate: tag.channel.coefficient,
-            });
-        }
+        let discovered = genie_ids(&mut scenario, 4000);
         let mut medium = scenario.medium(3).unwrap();
         let outcome = DataTransfer::new(TransferConfig::default())
             .unwrap()

@@ -206,16 +206,6 @@ impl PowerDetector {
         }
         Self::new((noise_power + weakest_signal_power) / 2.0)
     }
-
-    /// Classifies one slot from its (baseline-removed) received symbol.
-    #[must_use]
-    pub fn classify_symbol(&self, symbol: Complex) -> SlotObservation {
-        if symbol.norm_sqr() > self.threshold {
-            SlotObservation::Occupied
-        } else {
-            SlotObservation::Empty
-        }
-    }
 }
 
 #[cfg(test)]
@@ -304,18 +294,5 @@ mod tests {
         assert!(PowerDetector::new(-1.0).is_err());
         assert!(PowerDetector::between(1.0, 0.5).is_err());
         assert!(PowerDetector::between(0.01, 1.0).is_ok());
-    }
-
-    #[test]
-    fn power_detector_classifies_slots() {
-        let det = PowerDetector::new(0.25).unwrap();
-        assert_eq!(
-            det.classify_symbol(Complex::new(1.0, 0.0)),
-            SlotObservation::Occupied
-        );
-        assert_eq!(
-            det.classify_symbol(Complex::new(0.1, 0.1)),
-            SlotObservation::Empty
-        );
     }
 }

@@ -15,10 +15,10 @@
 //! of the generator seeded with `mix(domain, mix(id, slot))` compared
 //! against `p`, computed by one private first-draw helper.  It hashes to
 //! xoshiro256**'s first output ([`Xoshiro256::first_output`]) without
-//! seeding a generator, and the column forms
-//! ([`NodeSeed::participation_column`], and [`NodeSeed::sensing_words`],
-//! which packs 64 decisions to a word) hash the id once per column
-//! ([`SplitMix64::mix_head`]) instead of once per slot.
+//! seeding a generator, and the sensing column form
+//! ([`NodeSeed::sensing_words`], which packs 64 decisions to a word) hashes
+//! the id once per column ([`SplitMix64::mix_head`]) instead of once per
+//! slot.
 
 use crate::{unit_f64, SplitMix64, Xoshiro256};
 
@@ -65,18 +65,6 @@ impl NodeSeed {
     #[must_use]
     pub fn participates_in_slot(self, slot: u64, p: f64) -> bool {
         self.slot_decision(DOMAIN_DATA, slot, p)
-    }
-
-    /// [`NodeSeed::participates_in_slot`] for slots `0..column.len()`, written
-    /// into `column`: this node's column of the participation matrix `D`.
-    /// Both heads and the clamp are computed once, not once per slot.
-    pub fn participation_column(self, p: f64, column: &mut [bool]) {
-        let domain_head = SplitMix64::mix_head(DOMAIN_DATA);
-        let id_head = SplitMix64::mix_head(self.0);
-        let p = p.clamp(0.0, 1.0);
-        for (slot, bit) in column.iter_mut().enumerate() {
-            *bit = unit_f64(first_draw(domain_head, id_head, slot as u64)) < p;
-        }
     }
 
     /// Returns whether this node transmits a "1" in the given slot of the
@@ -296,9 +284,10 @@ mod tests {
     }
 
     proptest! {
-        /// Both column forms equal their per-slot decisions, and those equal
-        /// the fully seeded reference, at every `p` the clamp must handle;
-        /// the packed form leaves every bit past the last slot zero.
+        /// The packed sensing column equals its per-slot decisions, and both
+        /// per-slot forms equal the fully seeded reference, at every `p` the
+        /// clamp must handle; the packed form leaves every bit past the last
+        /// slot zero.
         #[test]
         fn column_forms_match_per_slot_decisions(
             id in any::<u64>(),
@@ -310,16 +299,16 @@ mod tests {
             let seed = NodeSeed(id);
             // One spare word, pre-filled, to show the tail is written zero.
             let mut sensing = vec![u64::MAX; m.div_ceil(64) + 1];
-            let mut participation = vec![true; m];
             seed.sensing_words(p, m, &mut sensing);
-            seed.participation_column(p, &mut participation);
             for slot in 0..m {
                 let s = slot as u64;
                 let sensed = sensing[slot / 64] >> (slot % 64) & 1 == 1;
                 prop_assert_eq!(sensed, seed.sensing_in_slot(s, p));
-                prop_assert_eq!(participation[slot], seed.participates_in_slot(s, p));
                 prop_assert_eq!(sensed, decision_reference(DOMAIN_IDENTIFICATION, id, s, p));
-                prop_assert_eq!(participation[slot], decision_reference(DOMAIN_DATA, id, s, p));
+                prop_assert_eq!(
+                    seed.participates_in_slot(s, p),
+                    decision_reference(DOMAIN_DATA, id, s, p)
+                );
             }
             let set: u32 = sensing.iter().map(|w| w.count_ones()).sum();
             let decided = (0..m as u64).filter(|&s| seed.sensing_in_slot(s, p)).count();

@@ -16,8 +16,6 @@
 //! All three scale with the square of the supply voltage, reflecting CMOS
 //! dynamic power, which reproduces the upward trend across `V0` in Fig. 13.
 
-use crate::{SimError, SimResult};
-
 // Per-tag energy cost constants, loosely calibrated to the Moo (MSP430-class
 // MCU + backscatter front end) so that a TDMA reply to one query lands in the
 // µJ range of Fig. 13.
@@ -86,73 +84,6 @@ impl TransmissionProfile {
     }
 }
 
-/// The storage capacitor of a computational RFID.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TagBattery {
-    /// Capacitance in farads (the paper attaches a 0.1 F capacitor).
-    pub capacitance_f: f64,
-    /// Current voltage across the capacitor.
-    pub voltage_v: f64,
-    /// Total energy drained so far, J.
-    pub consumed_j: f64,
-}
-
-impl TagBattery {
-    /// Creates a battery charged to `voltage_v`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidParameter`] for non-positive capacitance or
-    /// negative voltage.
-    pub fn new(capacitance_f: f64, voltage_v: f64) -> SimResult<Self> {
-        if !(capacitance_f > 0.0 && capacitance_f.is_finite()) {
-            return Err(SimError::InvalidParameter("capacitance must be positive"));
-        }
-        if !(voltage_v >= 0.0 && voltage_v.is_finite()) {
-            return Err(SimError::InvalidParameter("voltage must be non-negative"));
-        }
-        Ok(Self {
-            capacitance_f,
-            voltage_v,
-            consumed_j: 0.0,
-        })
-    }
-
-    /// The paper's measurement rig: a 0.1 F capacitor at the given starting
-    /// voltage.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`TagBattery::new`] errors.
-    pub fn paper_rig(starting_voltage_v: f64) -> SimResult<Self> {
-        Self::new(0.1, starting_voltage_v)
-    }
-
-    /// Stored energy, `½·C·V²`, in joules.
-    #[must_use]
-    pub fn stored_j(&self) -> f64 {
-        0.5 * self.capacitance_f * self.voltage_v * self.voltage_v
-    }
-
-    /// Drains `energy_j` joules, clamping at empty.  Returns the energy
-    /// actually drained (less than requested only if the store ran dry).
-    pub fn drain_j(&mut self, energy_j: f64) -> f64 {
-        let drained = energy_j.max(0.0).min(self.stored_j());
-        let remaining = self.stored_j() - drained;
-        self.voltage_v = (2.0 * remaining / self.capacitance_f).sqrt();
-        self.consumed_j += drained;
-        drained
-    }
-
-    /// Whether the capacitor has fallen below the MCU's brown-out voltage
-    /// (1.8 V for the MSP430) — the "tag runs out of power" case discussed in
-    /// §6(d) of the paper.
-    #[must_use]
-    pub fn is_browned_out(&self) -> bool {
-        self.voltage_v < 1.8
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,46 +133,5 @@ mod tests {
     fn zero_bit_rate_profile_is_empty_time() {
         let p = TransmissionProfile::for_bits(10, 0.0, 2.0, 1);
         assert_eq!(p.active_time_s, 0.0);
-    }
-
-    #[test]
-    fn battery_validation_and_storage() {
-        assert!(TagBattery::new(0.0, 3.0).is_err());
-        assert!(TagBattery::new(0.1, -1.0).is_err());
-        let b = TagBattery::paper_rig(3.0).unwrap();
-        assert!((b.stored_j() - 0.45).abs() < 1e-12);
-    }
-
-    #[test]
-    fn drain_reduces_voltage_and_tracks_consumption() {
-        let mut b = TagBattery::paper_rig(3.0).unwrap();
-        let before = b.stored_j();
-        let drained = b.drain_j(0.1);
-        assert!((drained - 0.1).abs() < 1e-12);
-        assert!((before - b.stored_j() - 0.1).abs() < 1e-9);
-        assert!(b.voltage_v < 3.0);
-        assert!((b.consumed_j - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn drain_clamps_at_empty() {
-        let mut b = TagBattery::new(1e-6, 2.0).unwrap();
-        let drained = b.drain_j(1.0);
-        assert!(drained < 1.0);
-        assert!(b.voltage_v < 1e-6);
-        assert!(b.is_browned_out());
-    }
-
-    #[test]
-    fn paper_measurement_formula_matches_consumed_energy() {
-        // E = ½C(V0² − Vf²) must equal the sum of drained energies.
-        let mut b = TagBattery::paper_rig(4.0).unwrap();
-        let v0 = b.voltage_v;
-        let mut total = 0.0;
-        for _ in 0..100 {
-            total += b.drain_j(5e-6);
-        }
-        let measured = 0.5 * b.capacitance_f * (v0 * v0 - b.voltage_v * b.voltage_v);
-        assert!((measured - total).abs() < 1e-9);
     }
 }

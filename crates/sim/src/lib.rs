@@ -8,8 +8,8 @@
 //!
 //! * [`geometry`] — reader/tag placement, the cart layout used in the paper's
 //!   experiments, and the "move the cart away" sweep of Fig. 12,
-//! * [`energy`] — the tag energy model (capacitor store, impedance-switching
-//!   cost, active-radio power) behind Fig. 13,
+//! * [`energy`] — the tag energy model (wake-up, active-radio power and
+//!   impedance-switching cost per reply) behind Fig. 13,
 //! * [`medium`] — the shared air interface: superposition of the reflections
 //!   of whichever tags transmit in a slot, plus carrier leakage and AWGN,
 //! * [`dynamics`] — composable per-slot effects (mobility drift, bursty
@@ -17,8 +17,7 @@
 //!   builder,
 //! * [`faults`] — seeded control-plane fault injection (slot erasures,
 //!   feedback loss, tag resets, reader restarts) for robustness experiments,
-//! * [`tag`] — the per-tag state bundle (seed, message, channel, clock,
-//!   battery),
+//! * [`tag`] — the per-tag state bundle (seed, message, channel, clock),
 //! * [`scenario`] — reproducible experiment construction: "K tags at this
 //!   location with this SNR", matching how the paper parameterizes its runs.
 
@@ -34,7 +33,7 @@ pub mod scenario;
 pub mod tag;
 
 pub use dynamics::{BurstyInterference, HeterogeneousTagPower, Mobility, ScenarioDynamics};
-pub use energy::{TagBattery, TransmissionProfile};
+pub use energy::TransmissionProfile;
 pub use faults::{
     BurstSlotLoss, FaultInjector, FaultPlan, FeedbackLoss, FrameNoise, ReaderRestart, SlotErasure,
     SlotFaults, TagDropout,

@@ -18,7 +18,6 @@ use backscatter_phy::sync::{ClockModel, SyncJitter};
 use backscatter_prng::{NodeSeed, Rng64, SplitMix64, Xoshiro256};
 
 use crate::dynamics::ScenarioDynamics;
-use crate::energy::TagBattery;
 use crate::faults::{FaultInjector, FaultPlan};
 use crate::geometry::{cart_layout, TablePlacement};
 use crate::medium::{Medium, MediumConfig};
@@ -420,7 +419,6 @@ impl Scenario {
                 channel: *channel,
                 clock: ClockModel::draw(&mut rng, MAX_CLOCK_DRIFT_PPM),
                 initial_offset_us: jitter.draw_us(&mut rng),
-                battery: TagBattery::paper_rig(config.starting_voltage_v)?,
             });
         }
 

@@ -2,15 +2,13 @@
 //!
 //! A [`SimTag`] collects everything the protocols and the energy accounting
 //! need to know about one simulated tag: its deterministic seed material, the
-//! message it wants to deliver, its channel, its clock imperfections, and its
-//! energy store.
+//! message it wants to deliver, its channel and its clock imperfections.
 
 use backscatter_codes::message::Message;
 use backscatter_phy::channel::Channel;
 use backscatter_phy::sync::ClockModel;
 use backscatter_prng::NodeSeed;
 
-use crate::energy::TagBattery;
 use crate::geometry::Position;
 use crate::{SimError, SimResult};
 
@@ -36,8 +34,6 @@ pub struct SimTag {
     pub clock: ClockModel,
     /// The tag's initial trigger-detection offset in microseconds.
     pub initial_offset_us: f64,
-    /// The tag's energy store.
-    pub battery: TagBattery,
 }
 
 impl SimTag {
@@ -78,16 +74,7 @@ mod tests {
             channel: Channel::from_coefficient(Complex::new(0.5, 0.1)),
             clock: ClockModel::new(100.0),
             initial_offset_us: 0.2,
-            battery: TagBattery::paper_rig(3.0).unwrap(),
         }
-    }
-
-    #[test]
-    fn alive_until_browned_out() {
-        let mut tag = sample_tag();
-        assert!(!tag.battery.is_browned_out());
-        tag.battery.drain_j(1.0);
-        assert!(tag.battery.is_browned_out());
     }
 
     #[test]

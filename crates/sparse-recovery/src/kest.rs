@@ -142,13 +142,6 @@ impl KEstimator {
     }
 }
 
-/// The expected fraction of empty slots in a step where each of `k` tags
-/// transmits with probability `p` — the quantity the estimator inverts.
-#[must_use]
-pub fn expected_empty_fraction(k: usize, p: f64) -> f64 {
-    (1.0 - p.clamp(0.0, 1.0)).powi(k as i32)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -268,15 +261,6 @@ mod tests {
                 "k = {k}, mean estimate = {mean}"
             );
         }
-    }
-
-    #[test]
-    fn expected_empty_fraction_formula() {
-        assert!((expected_empty_fraction(0, 0.5) - 1.0).abs() < 1e-12);
-        assert!((expected_empty_fraction(1, 0.5) - 0.5).abs() < 1e-12);
-        assert!((expected_empty_fraction(2, 0.5) - 0.25).abs() < 1e-12);
-        assert!((expected_empty_fraction(10, 0.0) - 1.0).abs() < 1e-12);
-        assert!((expected_empty_fraction(10, 1.0) - 0.0).abs() < 1e-12);
     }
 
     #[test]

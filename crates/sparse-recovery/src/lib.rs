@@ -14,9 +14,7 @@
 //! * [`omp`] — Orthogonal Matching Pursuit, the sparse solver used for the
 //!   final small compressive-sensing decode (stage 3, §5.1-C), and the
 //!   noise-aware prune of its support,
-//! * [`linalg`] — the small dense kernels behind OMP's refits,
-//! * [`diagnostics`] — support-recovery metrics used by the tests and the
-//!   experiment harness.
+//! * [`linalg`] — the small dense kernels behind OMP's refits.
 //!
 //! The paper's implementation used a Matlab interior-point L1 solver (CVX);
 //! OMP recovers the same K-sparse vectors in this measurement regime
@@ -27,17 +25,15 @@
 #![warn(missing_docs)]
 
 pub mod buckets;
-pub mod diagnostics;
 pub mod kest;
 pub mod linalg;
 pub mod omp;
 pub mod sensing;
 
 pub use buckets::BucketHasher;
-pub use diagnostics::SupportRecovery;
 pub use kest::{KEstimate, KEstimator};
 pub use linalg::ComplexMatrix;
-pub use omp::{OmpConfig, OmpSolver, SparseSolution};
+pub use omp::SparseSolution;
 pub use sensing::SensingMatrix;
 
 /// Errors produced by sparse-recovery operations.

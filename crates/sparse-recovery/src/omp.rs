@@ -28,48 +28,12 @@ use crate::linalg::GrowingCholesky;
 use crate::sensing::{shared_rows, SensingMatrix};
 use crate::{RecoveryError, RecoveryResult};
 
-/// Configuration of the OMP solver.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OmpConfig {
-    /// Maximum support size to recover (set to the estimated K, possibly with
-    /// head-room for estimation error).
-    pub max_sparsity: usize,
-    /// Stop early once the residual energy falls below this fraction of the
-    /// measurement energy.
-    pub residual_tolerance: f64,
-}
-
-impl OmpConfig {
-    /// A configuration for recovering roughly `k_hat` active tags: allows 50 %
-    /// head-room over the estimate and stops once the residual energy falls to
-    /// 0.01 % of the measurement energy (i.e. essentially noise).
-    #[must_use]
-    pub fn for_sparsity(k_hat: usize) -> Self {
-        Self {
-            max_sparsity: (k_hat + k_hat / 2).max(1),
-            residual_tolerance: 1e-4,
-        }
-    }
-
-    /// Validates the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RecoveryError::InvalidParameter`] for degenerate values.
-    pub fn validate(&self) -> RecoveryResult<()> {
-        if self.max_sparsity == 0 {
-            return Err(RecoveryError::InvalidParameter(
-                "max sparsity must be non-zero",
-            ));
-        }
-        if !(self.residual_tolerance >= 0.0 && self.residual_tolerance < 1.0) {
-            return Err(RecoveryError::InvalidParameter(
-                "residual tolerance must be in [0, 1)",
-            ));
-        }
-        Ok(())
-    }
-}
+/// [`solve`] stops picking once the residual energy falls below this
+/// fraction of the measurement energy (0.01 %).  In a nearly noiseless
+/// problem that ends the solve as soon as the support explains `y`; at the
+/// uplink's SNRs the noise keeps the residual above it, and `max_sparsity`
+/// (or a dependent pick) ends the solve instead.
+pub const RESIDUAL_TOLERANCE: f64 = 1e-4;
 
 /// A recovered sparse vector: the support indices and their complex values.
 #[derive(Debug, Clone, PartialEq)]
@@ -80,30 +44,6 @@ pub struct SparseSolution {
     pub values: Vec<Complex>,
     /// The final residual energy divided by the measurement energy.
     pub relative_residual: f64,
-}
-
-impl SparseSolution {
-    /// Keeps only support entries whose magnitude is at least `fraction` of
-    /// the largest recovered magnitude — the pruning the identification
-    /// protocol applies to reject spurious picks caused by OMP head-room.
-    #[must_use]
-    pub fn pruned(&self, fraction: f64) -> SparseSolution {
-        let max_mag = self.values.iter().map(|v| v.abs()).fold(0.0f64, f64::max);
-        let threshold = max_mag * fraction.clamp(0.0, 1.0);
-        let mut support = Vec::new();
-        let mut values = Vec::new();
-        for (&idx, &val) in self.support.iter().zip(&self.values) {
-            if val.abs() >= threshold && val.abs() > 0.0 {
-                support.push(idx);
-                values.push(val);
-            }
-        }
-        SparseSolution {
-            support,
-            values,
-            relative_residual: self.relative_residual,
-        }
-    }
 }
 
 /// Removes support entries that do not significantly improve the fit.
@@ -129,7 +69,7 @@ impl SparseSolution {
 /// This is the reader-side guard against declaring phantom tags: a phantom in
 /// the discovered set would stall the rateless data phase, because no tag ever
 /// transmits for it.  The support's columns are distinct, as
-/// [`OmpSolver::solve`] returns them.
+/// [`solve`] returns them.
 ///
 /// # Errors
 ///
@@ -447,115 +387,100 @@ impl CorrelationLedger {
     }
 }
 
-/// The OMP solver.
-#[derive(Debug, Clone)]
-pub struct OmpSolver {
-    config: OmpConfig,
-}
-
-impl OmpSolver {
-    /// Creates a solver.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RecoveryError::InvalidParameter`] for an invalid
-    /// configuration.
-    pub fn new(config: OmpConfig) -> RecoveryResult<Self> {
-        config.validate()?;
-        Ok(Self { config })
+/// Recovers a sparse complex vector `z` from `y ≈ A·z`.
+///
+/// Each iteration picks the unselected column with the largest
+/// normalized correlation `|Σ_{r∈col} residual_r| / √deg` (the first
+/// maximum in column order), grows the Cholesky factor of the support's
+/// Gram by that column, and refits.  It stops at `max_sparsity` picks,
+/// when no column correlates with the residual, when a pick is
+/// numerically dependent on the support, or once the residual energy
+/// falls below [`RESIDUAL_TOLERANCE`] of the measurement energy.
+///
+/// # Errors
+///
+/// Returns [`RecoveryError::DimensionMismatch`] if `y` does not have one
+/// entry per row of `a`, or [`RecoveryError::InvalidParameter`] if the
+/// matrix has no columns.
+pub fn solve(
+    a: &SensingMatrix,
+    y: &[Complex],
+    max_sparsity: usize,
+) -> RecoveryResult<SparseSolution> {
+    if y.len() != a.rows() {
+        return Err(RecoveryError::DimensionMismatch {
+            expected: a.rows(),
+            actual: y.len(),
+        });
+    }
+    if a.cols() == 0 {
+        return Err(RecoveryError::InvalidParameter(
+            "sensing matrix has no columns",
+        ));
+    }
+    let y_energy: f64 = y.iter().map(|s| s.norm_sqr()).sum();
+    if y_energy == 0.0 {
+        return Ok(SparseSolution {
+            support: vec![],
+            values: vec![],
+            relative_residual: 0.0,
+        });
     }
 
-    /// Recovers a sparse complex vector `z` from `y ≈ A·z`.
-    ///
-    /// Each iteration picks the unselected column with the largest
-    /// normalized correlation `|Σ_{r∈col} residual_r| / √deg` (the first
-    /// maximum in column order), grows the Cholesky factor of the support's
-    /// Gram by that column, and refits.  It stops at `max_sparsity` picks,
-    /// when no column correlates with the residual, when a pick is
-    /// numerically dependent on the support, or once the residual energy
-    /// falls below `residual_tolerance` of the measurement energy.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RecoveryError::DimensionMismatch`] if `y` does not have one
-    /// entry per row of `a`, or [`RecoveryError::InvalidParameter`] if the
-    /// matrix has no columns.
-    pub fn solve(&self, a: &SensingMatrix, y: &[Complex]) -> RecoveryResult<SparseSolution> {
-        if y.len() != a.rows() {
-            return Err(RecoveryError::DimensionMismatch {
-                expected: a.rows(),
-                actual: y.len(),
-            });
-        }
-        if a.cols() == 0 {
-            return Err(RecoveryError::InvalidParameter(
-                "sensing matrix has no columns",
-            ));
-        }
-        let y_energy: f64 = y.iter().map(|s| s.norm_sqr()).sum();
-        if y_energy == 0.0 {
-            return Ok(SparseSolution {
-                support: vec![],
-                values: vec![],
-                relative_residual: 0.0,
-            });
+    let n = a.cols();
+    let mut selected = vec![false; n];
+    let mut support: Vec<usize> = Vec::new();
+    let mut values: Vec<Complex> = Vec::new();
+    let mut residual: Vec<Complex> = y.to_vec();
+    let mut chol = GrowingCholesky::new();
+    let mut rhs: Vec<Complex> = Vec::new();
+    let mut ledger = CorrelationLedger::new(a, &residual);
+
+    for _ in 0..max_sparsity.min(n) {
+        // The ledger exactly re-scores every candidate within its drift
+        // margin of the maintained top, so the pick is provably the
+        // exhaustive scan's.
+        let Some((chosen, score)) = ledger.select_exact(a, &residual, &selected) else {
+            break;
+        };
+        if score <= 1e-12 {
+            break;
         }
 
-        let n = a.cols();
-        let mut selected = vec![false; n];
-        let mut support: Vec<usize> = Vec::new();
-        let mut values: Vec<Complex> = Vec::new();
-        let mut residual: Vec<Complex> = y.to_vec();
-        let mut chol = GrowingCholesky::new();
-        let mut rhs: Vec<Complex> = Vec::new();
-        let mut ledger = CorrelationLedger::new(a, &residual);
-
-        for _ in 0..self.config.max_sparsity.min(n) {
-            // The ledger exactly re-scores every candidate within its drift
-            // margin of the maintained top, so the pick is provably the
-            // exhaustive scan's.
-            let Some((chosen, score)) = ledger.select_exact(a, &residual, &selected) else {
-                break;
-            };
-            if score <= 1e-12 {
-                break;
-            }
-
-            // Gram cross products against the support: the already-built
-            // Gram rows of the selected columns, read back in support order.
-            ledger.push_support_column(a, chosen);
-            let cross: Vec<f64> = (0..support.len())
-                .map(|s| ledger.gram_rows[s * n + chosen] as f64)
-                .collect();
-            // A tiny ridge on the diagonal keeps nearly collinear supports
-            // solvable.
-            if !chol.push(&cross, a.degree(chosen) as f64 + 1e-12)? {
-                // Numerically dependent column: stop growing.
-                break;
-            }
-            selected[chosen] = true;
-            support.push(chosen);
-            rhs.push(a.column_rows(chosen).map(|r| y[r]).sum());
-
-            values = chol.solve(&rhs)?;
-            residual.copy_from_slice(y);
-            for (&col, &v) in support.iter().zip(&values) {
-                a.column_rows(col).for_each(|r| residual[r] -= v);
-            }
-            ledger.refit_applied(&values);
-            let res_energy: f64 = residual.iter().map(|s| s.norm_sqr()).sum();
-            if res_energy / y_energy < self.config.residual_tolerance {
-                break;
-            }
+        // Gram cross products against the support: the already-built
+        // Gram rows of the selected columns, read back in support order.
+        ledger.push_support_column(a, chosen);
+        let cross: Vec<f64> = (0..support.len())
+            .map(|s| ledger.gram_rows[s * n + chosen] as f64)
+            .collect();
+        // A tiny ridge on the diagonal keeps nearly collinear supports
+        // solvable.
+        if !chol.push(&cross, a.degree(chosen) as f64 + 1e-12)? {
+            // Numerically dependent column: stop growing.
+            break;
         }
+        selected[chosen] = true;
+        support.push(chosen);
+        rhs.push(a.column_rows(chosen).map(|r| y[r]).sum());
 
+        values = chol.solve(&rhs)?;
+        residual.copy_from_slice(y);
+        for (&col, &v) in support.iter().zip(&values) {
+            a.column_rows(col).for_each(|r| residual[r] -= v);
+        }
+        ledger.refit_applied(&values);
         let res_energy: f64 = residual.iter().map(|s| s.norm_sqr()).sum();
-        Ok(SparseSolution {
-            support,
-            values,
-            relative_residual: res_energy / y_energy,
-        })
+        if res_energy / y_energy < RESIDUAL_TOLERANCE {
+            break;
+        }
     }
+
+    let res_energy: f64 = residual.iter().map(|s| s.norm_sqr()).sum();
+    Ok(SparseSolution {
+        support,
+        values,
+        relative_residual: res_energy / y_energy,
+    })
 }
 
 #[cfg(test)]
@@ -665,40 +590,21 @@ mod tests {
     }
 
     #[test]
-    fn config_validation() {
-        assert!(OmpConfig::for_sparsity(4).validate().is_ok());
-        assert!(OmpConfig {
-            max_sparsity: 0,
-            ..OmpConfig::for_sparsity(4)
-        }
-        .validate()
-        .is_err());
-        assert!(OmpConfig {
-            residual_tolerance: 1.0,
-            ..OmpConfig::for_sparsity(4)
-        }
-        .validate()
-        .is_err());
-    }
-
-    #[test]
     fn dimension_checks() {
-        let solver = OmpSolver::new(OmpConfig::for_sparsity(2)).unwrap();
         let (a, _) = from_ones(4, 3, &[]);
-        assert!(solver.solve(&a, &[Complex::ONE; 3]).is_err());
+        assert!(solve(&a, &[Complex::ONE; 3], 3).is_err());
         let (empty_cols, _) = from_ones(4, 0, &[]);
-        assert!(solver.solve(&empty_cols, &[Complex::ONE; 4]).is_err());
+        assert!(solve(&empty_cols, &[Complex::ONE; 4], 3).is_err());
         // Empty columns never win a pick.
-        let sol = solver.solve(&a, &[Complex::ONE; 4]).unwrap();
+        let sol = solve(&a, &[Complex::ONE; 4], 3).unwrap();
         assert!(sol.support.is_empty());
         assert_eq!(sol.relative_residual, 1.0);
     }
 
     #[test]
     fn zero_measurement_gives_empty_solution() {
-        let solver = OmpSolver::new(OmpConfig::for_sparsity(2)).unwrap();
         let (a, _) = from_ones(3, 2, &[(0, 0), (1, 1)]);
-        let sol = solver.solve(&a, &[Complex::ZERO; 3]).unwrap();
+        let sol = solve(&a, &[Complex::ZERO; 3], 3).unwrap();
         assert!(sol.support.is_empty());
         assert_eq!(sol.relative_residual, 0.0);
     }
@@ -708,8 +614,8 @@ mod tests {
         // N' = 160 candidates (a·K with a = K = ~13), K = 8 active, M = K·log2(a·K)
         // measurements — the regime of stage 3.
         let (a, _, y, support, _) = make_problem(160, 8, 64, 1, 0.0);
-        let solver = OmpSolver::new(OmpConfig::for_sparsity(8)).unwrap();
-        let sol = solver.solve(&a, &y).unwrap();
+        // 50 % head-room over the true sparsity.
+        let sol = solve(&a, &y, 12).unwrap();
         assert_eq!(sorted_support(&sol), support);
         assert!(sol.relative_residual < 1e-6);
         // Every true column carries a recovered channel value.
@@ -721,11 +627,14 @@ mod tests {
 
     #[test]
     fn recovers_support_under_moderate_noise() {
-        let (a, _, y, support, _) = make_problem(200, 10, 80, 3, 0.05);
-        let solver = OmpSolver::new(OmpConfig::for_sparsity(10)).unwrap();
-        let sol = solver.solve(&a, &y).unwrap();
-        let recovered = sorted_support(&sol.pruned(0.2));
-        // Every true tag is found.
+        let noise = 0.05;
+        let (a, _, y, support, _) = make_problem(200, 10, 80, 3, noise);
+        let sol = solve(&a, &y, 15).unwrap();
+        // Uniform noise of amplitude ±noise/2 per component has this power.
+        let noise_power = noise * noise / 6.0;
+        let pruned = prune_insignificant(&a, &y, &sol, noise_power, 4.0).unwrap();
+        let recovered = sorted_support(&pruned);
+        // Every true tag is found and survives the prune.
         for s in &support {
             assert!(recovered.contains(s), "missed column {s}");
         }
@@ -733,11 +642,11 @@ mod tests {
 
     #[test]
     fn headroom_plus_pruning_controls_false_positives() {
-        let (a, _, y, support, _) = make_problem(150, 6, 60, 5, 0.02);
+        let noise = 0.02;
+        let (a, _, y, support, _) = make_problem(150, 6, 60, 5, noise);
         // Deliberately allow more picks than the true sparsity.
-        let solver = OmpSolver::new(OmpConfig::for_sparsity(6)).unwrap();
-        let sol = solver.solve(&a, &y).unwrap();
-        let pruned = sol.pruned(0.25);
+        let sol = solve(&a, &y, 9).unwrap();
+        let pruned = prune_insignificant(&a, &y, &sol, noise * noise / 6.0, 4.0).unwrap();
         for s in &support {
             assert!(sorted_support(&pruned).contains(s));
         }
@@ -746,16 +655,14 @@ mod tests {
 
     #[test]
     fn prune_insignificant_removes_spurious_and_keeps_real_entries() {
-        let noise = 0.03;
+        let noise = 0.06;
         let (a, _, y, support, _) = make_problem(150, 6, 60, 21, noise);
         // Solve with generous head-room so OMP over-fits a few extra columns.
-        let solver = OmpSolver::new(OmpConfig {
-            max_sparsity: 12,
-            residual_tolerance: 1e-6,
-        })
-        .unwrap();
-        let raw = solver.solve(&a, &y).unwrap();
-        assert!(raw.support.len() >= support.len());
+        let raw = solve(&a, &y, 12).unwrap();
+        assert!(
+            raw.support.len() > support.len(),
+            "no spurious pick to prune"
+        );
         // Uniform noise of amplitude ±noise/2 per component has this power.
         let noise_power = noise * noise / 6.0;
         let refined = prune_insignificant(&a, &y, &raw, noise_power, 3.0).unwrap();
@@ -1030,11 +937,7 @@ mod tests {
             let (a, csc, y, _support, _values) = make_problem(n_cols, k, rows, seed, noise);
             // Head-room so the raw solve over-fits spurious columns for the
             // pruning to remove.
-            let solver = OmpSolver::new(OmpConfig {
-                max_sparsity: 2 * k,
-                residual_tolerance: 1e-6,
-            }).unwrap();
-            let raw = solver.solve(&a, &y).unwrap();
+            let raw = solve(&a, &y, 2 * k).unwrap();
             // Uniform noise of amplitude ±noise/2 per component has this power.
             let noise_power = noise * noise / 6.0;
             let dense = prune_insignificant_dense(&csc, &y, &raw, noise_power, significance);
@@ -1149,9 +1052,9 @@ mod tests {
     }
 
     /// The pre-pruner solver over CSC lists: exhaustive correlation scan
-    /// every iteration, otherwise the arithmetic of [`OmpSolver::solve`].
+    /// every iteration, otherwise the arithmetic of [`solve`].
     /// The reference the pruned scan on the bitmap matrix is pinned to.
-    fn solve_incremental_reference(config: &OmpConfig, a: &Csc, y: &[Complex]) -> SparseSolution {
+    fn solve_incremental_reference(max_sparsity: usize, a: &Csc, y: &[Complex]) -> SparseSolution {
         let y_energy: f64 = y.iter().map(|s| s.norm_sqr()).sum();
         let m = a.rows;
         let n = a.cols.len();
@@ -1162,7 +1065,7 @@ mod tests {
         let mut chol = GrowingCholesky::new();
         let mut rhs: Vec<Complex> = Vec::new();
         let mut row_mark = vec![false; m];
-        for _ in 0..config.max_sparsity.min(n) {
+        for _ in 0..max_sparsity.min(n) {
             let mut best: Option<(usize, f64)> = None;
             for col in 0..n {
                 if selected[col] {
@@ -1209,7 +1112,7 @@ mod tests {
                 }
             }
             let res_energy: f64 = residual.iter().map(|s| s.norm_sqr()).sum();
-            if res_energy / y_energy < config.residual_tolerance {
+            if res_energy / y_energy < RESIDUAL_TOLERANCE {
                 break;
             }
         }
@@ -1241,14 +1144,10 @@ mod tests {
             let noise = noise_step as f64 * 0.04;
             let (a, csc, y, _support, _values) =
                 make_problem(n_cols, k.min(n_cols / 4).max(1), rows, seed, noise);
-            let config = OmpConfig {
-                max_sparsity: (k + headroom * k).max(1),
-                residual_tolerance: 1e-4,
-            };
-            let solver = OmpSolver::new(config).unwrap();
+            let max_sparsity = (k + headroom * k).max(1);
             assert_same_solution(
-                &solver.solve(&a, &y).unwrap(),
-                &solve_incremental_reference(&config, &csc, &y),
+                &solve(&a, &y, max_sparsity).unwrap(),
+                &solve_incremental_reference(max_sparsity, &csc, &y),
             );
         }
     }
@@ -1279,9 +1178,8 @@ mod tests {
                     y[r] += h;
                 }
             }
-            let config = OmpConfig::for_sparsity(8);
-            let raw = OmpSolver::new(config).unwrap().solve(&a, &y).unwrap();
-            assert_same_solution(&raw, &solve_incremental_reference(&config, &csc, &y));
+            let raw = solve(&a, &y, 12).unwrap();
+            assert_same_solution(&raw, &solve_incremental_reference(12, &csc, &y));
             assert_same_solution(
                 &prune_insignificant(&a, &y, &raw, 1e-4, 4.0).unwrap(),
                 &prune_insignificant_csc(&csc, &y, &raw, 1e-4, 4.0),
@@ -1355,12 +1253,11 @@ mod tests {
         let mut exact_large = 0;
         for t in 0..10 {
             let (a, _, y, support, _) = make_problem(120, 8, 40, 100 + t, 0.0);
-            let solver = OmpSolver::new(OmpConfig::for_sparsity(8)).unwrap();
-            if sorted_support(&solver.solve(&a, &y).unwrap()) == support {
+            if sorted_support(&solve(&a, &y, 12).unwrap()) == support {
                 exact_small += 1;
             }
             let (a, _, y, support, _) = make_problem(120, 8, 96, 100 + t, 0.0);
-            if sorted_support(&solver.solve(&a, &y).unwrap()) == support {
+            if sorted_support(&solve(&a, &y, 12).unwrap()) == support {
                 exact_large += 1;
             }
         }

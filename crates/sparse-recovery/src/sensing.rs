@@ -168,7 +168,6 @@ impl SensingMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use backscatter_codes::sparse_matrix::SparseBinaryMatrix;
     use proptest::prelude::*;
 
     /// Every entry of `from_seeds` equals the per-slot reference decision,
@@ -213,8 +212,9 @@ mod tests {
         assert_eq!((none.rows(), none.cols(), none.columns().len()), (40, 0, 0));
         // The sensing stream is domain-separated from the data phase's.
         let a = SensingMatrix::from_seeds(40, &seeds, 0.5);
-        let d = SparseBinaryMatrix::from_seeds(40, &seeds, 0.5);
-        assert!((0..40).any(|r| (0..seeds.len()).any(|c| a.get(r, c) != d.get(r, c))));
+        assert!((0..40).any(|r| {
+            (0..seeds.len()).any(|c| a.get(r, c) != seeds[c].participates_in_slot(r as u64, 0.5))
+        }));
     }
 
     proptest! {

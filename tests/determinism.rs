@@ -2,13 +2,12 @@
 //!
 //! Every experiment in the harness is identified by (scenario seed, noise
 //! seed); these tests pin the property that the same pair always produces the
-//! same protocol behaviour, and that tag-side and reader-side pseudorandom
-//! reconstructions agree.
+//! same protocol behaviour, and that the pseudorandom streams tags and
+//! reader share are stable.  (That the reader's participation rows equal what
+//! the tags aired is tested beside the data phase, in `transfer.rs`.)
 
-use buzz_suite::codes::SparseBinaryMatrix;
-use buzz_suite::prng::{NodeSeed, Rng64, SplitMix64, Xoshiro256};
+use buzz_suite::prng::{NodeSeed, Rng64, Xoshiro256};
 use buzz_suite::protocol::protocol::{BuzzConfig, BuzzProtocol};
-use buzz_suite::protocol::rateless::ParticipationCode;
 use buzz_suite::sim::scenario::ScenarioBuilder;
 
 #[test]
@@ -48,22 +47,6 @@ fn different_noise_seeds_only_change_the_noise() {
     // Both runs deliver everything; slot counts may differ slightly.
     assert_eq!(a.correct_messages, 6);
     assert_eq!(b.correct_messages, 6);
-}
-
-#[test]
-fn tag_and_reader_reconstruct_the_same_participation_matrix() {
-    // The reader rebuilds D from temporary ids alone; the tags make their
-    // per-slot decisions independently.  Both must agree bit for bit.
-    let code = ParticipationCode::for_k(10).unwrap();
-    let temp_ids: Vec<u64> = (0..10u64).map(|i| SplitMix64::mix(i, 0xfeed)).collect();
-    let seeds: Vec<NodeSeed> = temp_ids.iter().map(|&id| NodeSeed(id)).collect();
-    let reader_matrix = SparseBinaryMatrix::from_seeds(64, &seeds, code.probability());
-    for (col, &id) in temp_ids.iter().enumerate() {
-        for slot in 0..64u64 {
-            let tag_decision = code.participates(NodeSeed(id), slot);
-            assert_eq!(reader_matrix.get(slot as usize, col), tag_decision);
-        }
-    }
 }
 
 #[test]

@@ -1,17 +1,13 @@
 //! Property-based tests over the core data structures and invariants.
 
 use buzz_suite::codes::message::Message;
-use buzz_suite::codes::sparse_matrix::SparseBinaryMatrix;
-use buzz_suite::codes::walsh::WalshCode;
 use buzz_suite::codes::{Crc16, Crc5};
 use buzz_suite::fleet::{run_fleet, FleetConfig};
 use buzz_suite::phy::channel::Channel;
 use buzz_suite::phy::complex::Complex;
 use buzz_suite::phy::linecode::{Fm0, LineCode, Miller};
 use buzz_suite::phy::modulation::collide;
-use buzz_suite::prng::{NodeSeed, Rng64, Xoshiro256};
-use buzz_suite::recovery::kest::expected_empty_fraction;
-use buzz_suite::recovery::SupportRecovery;
+use buzz_suite::prng::{Rng64, Xoshiro256};
 use buzz_suite::TdmaProtocol;
 use proptest::prelude::*;
 
@@ -65,55 +61,6 @@ proptest! {
         prop_assert_eq!(recovered, Some(msg));
     }
 
-    /// Walsh spreading/despreading is exact for any code index and data, and
-    /// concurrent users with distinct codes do not interfere when aligned.
-    #[test]
-    fn walsh_orthogonality(
-        sf_exp in 2u32..6,
-        idx_a in 0usize..32,
-        idx_b in 0usize..32,
-        bits in proptest::collection::vec(any::<bool>(), 1..32),
-    ) {
-        let sf = 1usize << sf_exp;
-        let walsh = WalshCode::new(sf).unwrap();
-        let a = idx_a % sf;
-        let b = idx_b % sf;
-        let spread = walsh.spread(a, &bits).unwrap();
-        let received: Vec<f64> = spread.iter().map(|&c| f64::from(c)).collect();
-        let decoded: Vec<bool> = walsh
-            .despread(a, &received)
-            .unwrap()
-            .iter()
-            .map(|&c| c > 0.0)
-            .collect();
-        prop_assert_eq!(&decoded, &bits);
-        if a != b {
-            // A different user's correlation against this signal is exactly 0.
-            let cross = walsh.despread(b, &received).unwrap();
-            prop_assert!(cross.iter().all(|c| c.abs() < 1e-9));
-        }
-    }
-
-    /// The sparse participation matrix built by the reader matches the
-    /// per-tag decisions for any seeds and probability.
-    #[test]
-    fn participation_matrix_matches_tag_decisions(
-        raw_seeds in proptest::collection::vec(any::<u64>(), 1..12),
-        slots in 1usize..40,
-        p in 0.0f64..1.0,
-    ) {
-        let seeds: Vec<NodeSeed> = raw_seeds.iter().map(|&s| NodeSeed(s)).collect();
-        let m = SparseBinaryMatrix::from_seeds(slots, &seeds, p);
-        for (col, seed) in seeds.iter().enumerate() {
-            for row in 0..slots {
-                prop_assert_eq!(m.get(row, col), seed.participates_in_slot(row as u64, p));
-            }
-        }
-        prop_assert_eq!(m.rows(), slots);
-        prop_assert_eq!(m.cols(), seeds.len());
-        prop_assert!(m.nnz() <= slots * seeds.len());
-    }
-
     /// Collision superposition is linear: the received symbol of a joint
     /// transmission equals the sum of the individual transmissions.
     #[test]
@@ -134,34 +81,6 @@ proptest! {
             })
             .sum();
         prop_assert!((joint - sum).abs() < 1e-9);
-    }
-
-    /// The cardinality estimator's inversion formula is consistent with the
-    /// forward model: K̂ computed from the exact expected empty fraction is K.
-    #[test]
-    fn k_estimation_inverts_expected_empty_fraction(k in 1usize..200, j in 1i32..8) {
-        let p = 0.5f64.powi(j);
-        let e = expected_empty_fraction(k, p);
-        // Avoid the degenerate regime where the fraction saturates at 0.
-        prop_assume!(e > 1e-6);
-        let k_hat = e.ln() / (1.0 - p).ln();
-        prop_assert!((k_hat - k as f64).abs() < 1e-6);
-    }
-
-    /// Support-recovery scoring is consistent: precision and recall are in
-    /// [0, 1] and exact recovery implies both are 1.
-    #[test]
-    fn support_recovery_metrics_are_consistent(
-        truth in proptest::collection::vec(0usize..50, 0..12),
-        guess in proptest::collection::vec(0usize..50, 0..12),
-    ) {
-        let score = SupportRecovery::score(&truth, &guess);
-        prop_assert!((0.0..=1.0).contains(&score.precision()));
-        prop_assert!((0.0..=1.0).contains(&score.recall()));
-        if score.is_exact() {
-            prop_assert_eq!(score.precision(), 1.0);
-            prop_assert_eq!(score.recall(), 1.0);
-        }
     }
 
     /// Deterministic generators: equal seeds yield equal streams, and the
