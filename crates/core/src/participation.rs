@@ -284,6 +284,68 @@ mod tests {
         assert!((avg - target).abs() < 0.8, "avg collision size = {avg}");
     }
 
+    #[test]
+    fn push_row_grows_matrix() {
+        let mut d = ParticipationMatrix::new(5);
+        assert_eq!((d.rows(), d.nnz()), (0, 0));
+        d.push_row(&[1, 3]);
+        d.push_row(&[0, 3]);
+        d.push_row(&[]);
+        assert_eq!(d.rows(), 3);
+        assert_eq!(d.row(1), &[0, 3]);
+        assert!(d.row(2).is_empty());
+        assert_eq!(d.col(3), &[0, 1]);
+        assert!(d.col(4).is_empty());
+        assert_eq!(d.nnz(), 4);
+    }
+
+    #[test]
+    fn row_range_tracks_flat_offsets_across_push_row() {
+        let mut d = ParticipationMatrix::new(4);
+        d.push_row(&[0, 2]);
+        d.push_row(&[]);
+        d.push_row(&[1, 2, 3]);
+        assert_eq!(d.row_range(0), 0..2);
+        assert_eq!(d.row_range(1), 2..2);
+        assert_eq!(d.row_range(2), 2..5);
+        // Edge `e` of row 2 is column `row(2)[e - start]`.
+        let start = d.row_range(2).start;
+        let edge_cols: Vec<usize> = d.row_range(2).map(|e| d.row(2)[e - start]).collect();
+        assert_eq!(edge_cols, [1, 2, 3]);
+        // Appending never moves earlier rows' edge offsets.
+        let before: Vec<_> = (0..3).map(|r| d.row_range(r)).collect();
+        d.push_row(&[0, 3]);
+        for (r, range) in before.into_iter().enumerate() {
+            assert_eq!(d.row_range(r), range);
+        }
+        assert_eq!(d.row_range(3), 5..7);
+        assert_eq!(d.nnz(), 7);
+    }
+
+    #[test]
+    fn neighbor_index_tracks_shared_rows() {
+        let mut d = ParticipationMatrix::new(4);
+        d.push_row(&[0, 1]);
+        assert_eq!(d.neighbors(0), &[(1, 1)]);
+        d.push_row(&[0, 1, 3]);
+        assert_eq!(d.neighbors(0), &[(1, 2), (3, 1)]);
+        assert_eq!(d.neighbors(3), &[(0, 1), (1, 1)]);
+        // A slot with a single participant links nothing.
+        d.push_row(&[2]);
+        assert!(d.neighbors(2).is_empty());
+        assert_eq!(d.max_shared(2), 0);
+        d.push_row(&[1, 2]);
+        assert_eq!(d.neighbors(1), &[(0, 2), (2, 1), (3, 1)]);
+        assert_eq!(d.neighbors(2), &[(1, 1)]);
+        // Per-column maxima and the pair count ride along.
+        assert_eq!(
+            [0, 1, 2, 3].map(|c| d.max_shared(c)),
+            [2, 2, 1, 1],
+            "max shared rows per column"
+        );
+        assert_eq!(d.colliding_pairs(), 4, "{{0,1}} {{0,3}} {{1,3}} {{1,2}}");
+    }
+
     proptest! {
         /// Every view of a matrix grown by `push_row` equals a brute-force
         /// recount of the rows pushed, before and after every push: `row`,

@@ -523,6 +523,7 @@ pub fn per_tag_delivery(
 mod tests {
     use super::*;
     use backscatter_sim::scenario::{Scenario, ScenarioBuilder};
+    use proptest::prelude::*;
 
     /// Assigns tag `i` the temporary id `first_id + i` directly (bypassing
     /// the identification phase) and returns the genie-aided discovered
@@ -622,6 +623,88 @@ mod tests {
             rows_while_dark > 0,
             "setup: no dark tag was predicted to transmit"
         );
+    }
+
+    /// Airs `slots` fault-free collision slots at the epoch `epoch_of`
+    /// gives each slot, and returns per tag the slots it aired in.
+    fn air_slots(
+        phase: &mut DataPhase<'_>,
+        medium: &mut Medium,
+        slots: u64,
+        epoch_of: impl Fn(u64) -> u64,
+    ) -> Vec<Vec<usize>> {
+        let mut aired = vec![Vec::new(); phase.tags.len()];
+        for slot in 0..slots {
+            let before = phase.tag_transmissions.clone();
+            phase
+                .collision_slot(medium, slot, epoch_of(slot), None)
+                .unwrap();
+            for (tag, slots) in aired.iter_mut().enumerate() {
+                if phase.tag_transmissions[tag] > before[tag] {
+                    slots.push(slot as usize);
+                }
+            }
+        }
+        aired
+    }
+
+    #[test]
+    fn tag_and_reader_reconstruct_the_same_participation_matrix() {
+        // The reader rebuilds each row of `D` from the temporary ids alone;
+        // the tags decide independently.  Slot by slot, the row the decoder
+        // appends is exactly the set of tags that aired, at epoch 0 and as
+        // the epoch advances mid-phase the way `buzz+r` advances it.  K = 1
+        // runs at the probability ceiling, K = 30 at its floor.
+        for k in [1, 30] {
+            let (scenario, discovered) = genie_setup(k, 7);
+            let mut medium = scenario.medium(3).unwrap();
+            let config = TransferConfig::default();
+            let mut phase = DataPhase::new(&config, scenario.tags(), &discovered, &medium).unwrap();
+            let aired = air_slots(&mut phase, &mut medium, 30, |slot| slot / 10);
+            for slot in 0..30 {
+                let row: Vec<usize> = (0..k).filter(|&tag| aired[tag].contains(&slot)).collect();
+                assert_eq!(phase.decoder.d.row(slot), &row[..], "K = {k}, slot {slot}");
+            }
+            assert!(phase.decoder.d.nnz() > 0, "K = {k}: no tag aired");
+        }
+    }
+
+    proptest! {
+        /// For any population, collision target and epoch, and whatever
+        /// order the reader discovered the tags in (one of them possibly
+        /// missed), each reader column holds exactly the slots in which the
+        /// tag with that column's temporary id aired.
+        #[test]
+        fn participation_matrix_matches_tag_decisions(
+            k in 1usize..10,
+            target in 0.5f64..12.0,
+            epoch in 0u64..6,
+            first_id in 0u64..1 << 40,
+            rotate in 0usize..10,
+            missed in any::<bool>(),
+        ) {
+            let mut scenario = ScenarioBuilder::paper_uplink(k, first_id).build().unwrap();
+            let mut discovered = genie_ids(&mut scenario, first_id);
+            discovered.rotate_left(rotate % k);
+            if missed && k > 1 {
+                discovered.pop();
+            }
+            let mut medium = scenario.medium(first_id).unwrap();
+            let config = TransferConfig {
+                target_collision_size: target,
+                ..TransferConfig::default()
+            };
+            let mut phase = DataPhase::new(&config, scenario.tags(), &discovered, &medium).unwrap();
+            let aired = air_slots(&mut phase, &mut medium, 16, |_| epoch);
+            for (column, d) in discovered.iter().enumerate() {
+                let tag = scenario
+                    .tags()
+                    .iter()
+                    .position(|t| t.node_seed.0 == d.temporary_id)
+                    .unwrap();
+                prop_assert_eq!(phase.decoder.d.col(column), &aired[tag][..], "column {}", column);
+            }
+        }
     }
 
     #[test]
