@@ -24,51 +24,28 @@ use backscatter_codes::walsh::WalshCode;
 use backscatter_gen2::timing::PAPER_TIMING;
 use backscatter_phy::complex::Complex;
 use backscatter_phy::sync::DriftCorrection;
+use backscatter_sim::energy::TransmissionProfile;
 use backscatter_sim::medium::Medium;
-use backscatter_sim::tag::SimTag;
+use backscatter_sim::scenario::Scenario;
+use buzz::session::{Protocol, SessionOutcome, SessionResult};
 
-use crate::{BaselineError, BaselineResult, BaselineTransferOutcome};
+use crate::session::{scheme_error, transfer_outcome};
+use crate::{BaselineError, BaselineResult};
 
-/// The synchronous-CDMA data phase.  The chip rate is
+/// The synchronous-CDMA baseline as a [`Protocol`].  The chip rate is
 /// [`PAPER_TIMING`]'s uplink rate, and every tag applies the reader-assisted
 /// drift correction of §8.1, as in the paper's experiments.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct CdmaTransfer;
+pub struct CdmaProtocol;
 
-impl CdmaTransfer {
-    /// Runs one CDMA round: all tags transmit their spread frames
-    /// concurrently; the reader despreads each tag with its Walsh code and its
-    /// known channel.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BaselineError::InvalidParameter`] for an empty tag set or a
-    /// medium that does not cover every tag, and propagates coding/medium
-    /// errors.
-    pub fn run(
-        &self,
-        tags: &[SimTag],
-        medium: &mut Medium,
-    ) -> BaselineResult<BaselineTransferOutcome> {
-        if tags.is_empty() {
-            return Err(BaselineError::InvalidParameter("no tags to transfer from"));
-        }
-        if tags.len() != medium.num_tags() {
-            return Err(BaselineError::InvalidParameter(
-                "medium does not cover every tag",
-            ));
-        }
-        let walsh = WalshCode::for_tags(tags.len())?;
-        self.run_with_walsh(tags, medium, &walsh)
-    }
-
-    fn run_with_walsh(
-        &self,
-        tags: &[SimTag],
-        medium: &mut Medium,
-        walsh: &WalshCode,
-    ) -> BaselineResult<BaselineTransferOutcome> {
+impl CdmaProtocol {
+    /// One CDMA round: all tags transmit their spread frames concurrently;
+    /// the reader despreads each tag with its Walsh code and its known
+    /// channel.
+    fn spread(scenario: &Scenario, medium: &mut Medium) -> BaselineResult<SessionOutcome> {
+        let tags = scenario.tags();
         let k = tags.len();
+        let walsh = WalshCode::for_tags(k)?;
         let sf = walsh.spreading_factor();
         let chip_rate = PAPER_TIMING.uplink_bps;
         let chip_us = 1e6 / chip_rate;
@@ -212,64 +189,74 @@ impl CdmaTransfer {
         }
 
         let duration_s = total_chips as f64 / chip_rate;
-        Ok(BaselineTransferOutcome {
+        // Every chip boundary can toggle the antenna: ≈ 1 transition/chip.
+        let profile = TransmissionProfile {
+            active_time_s: duration_s,
+            transitions: total_chips as u64,
+        };
+        Ok(transfer_outcome(
+            "cdma",
             delivered,
-            time_ms: (duration_s + PAPER_TIMING.t2_s) * 1e3,
-            // Every chip boundary can toggle the antenna: ≈ 1 transition/chip.
-            per_tag_transitions: vec![total_chips as u64; k],
-            per_tag_active_s: vec![duration_s; k],
-        })
+            (duration_s + PAPER_TIMING.t2_s) * 1e3,
+            1, // all tags share one concurrent spread frame
+            &vec![profile; k],
+            scenario.config().starting_voltage_v,
+        ))
+    }
+}
+
+impl Protocol for CdmaProtocol {
+    fn name(&self) -> &str {
+        "cdma"
     }
 
-    /// The fixed transfer time CDMA needs for `k` tags with `framed_bits`-bit
-    /// frames.
-    #[must_use]
-    pub fn nominal_time_ms(&self, k: usize, framed_bits: usize) -> f64 {
-        let sf = k.next_power_of_two().max(2) as f64;
-        (framed_bits as f64 * sf / PAPER_TIMING.uplink_bps + PAPER_TIMING.t2_s) * 1e3
+    fn run(&self, scenario: &mut Scenario, seed: u64) -> SessionResult<SessionOutcome> {
+        let mut medium = scenario.medium(seed)?;
+        Self::spread(scenario, &mut medium).map_err(|e| scheme_error("cdma", e))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TdmaProtocol;
     use backscatter_sim::scenario::ScenarioBuilder;
 
-    #[test]
-    fn rejects_empty_and_mismatched_inputs() {
-        let scenario = ScenarioBuilder::paper_uplink(2, 1).build().unwrap();
-        let mut medium = scenario.medium(1).unwrap();
-        let cdma = CdmaTransfer;
-        assert!(cdma.run(&[], &mut medium).is_err());
-        assert!(cdma.run(&scenario.tags()[..1], &mut medium).is_err());
+    fn run(scenario: &Scenario, seed: u64) -> SessionOutcome {
+        CdmaProtocol.run(&mut scenario.clone(), seed).unwrap()
+    }
+
+    fn tdma_lost(scenario: &Scenario, seed: u64) -> usize {
+        TdmaProtocol::paper_default()
+            .unwrap()
+            .run(&mut scenario.clone(), seed)
+            .unwrap()
+            .lost_messages
     }
 
     #[test]
     fn delivers_most_messages_in_good_channels() {
         let scenario = ScenarioBuilder::paper_uplink(4, 11).build().unwrap();
-        let mut medium = scenario.medium(2).unwrap();
-        let cdma = CdmaTransfer;
-        let out = cdma.run(scenario.tags(), &mut medium).unwrap();
+        let out = run(&scenario, 2);
         assert!(
-            out.delivered_count() >= 3,
+            out.delivered_messages >= 3,
             "delivered {}",
-            out.delivered_count()
+            out.delivered_messages
         );
     }
 
     #[test]
     fn transfer_time_scales_with_spreading_factor() {
-        let cdma = CdmaTransfer;
         // 16 tags => SF 16 => 37*16/80k ≈ 7.4 ms, same order as TDMA.
-        let t = cdma.nominal_time_ms(16, 37);
-        assert!(t > 7.0 && t < 9.0, "t = {t}");
+        let time =
+            |k: usize| run(&ScenarioBuilder::paper_uplink(k, 3).build().unwrap(), 1).wall_time_ms;
+        let t16 = time(16);
+        assert!(t16 > 7.0 && t16 < 9.0, "t16 = {t16}");
         // 12 tags also need SF 16 (no length-12 Walsh code exists).
-        assert!((cdma.nominal_time_ms(12, 37) - cdma.nominal_time_ms(16, 37)).abs() < 1e-9);
-
-        let scenario = ScenarioBuilder::paper_uplink(4, 3).build().unwrap();
-        let mut medium = scenario.medium(1).unwrap();
-        let out = cdma.run(scenario.tags(), &mut medium).unwrap();
-        assert!((out.time_ms - cdma.nominal_time_ms(4, 37)).abs() < 0.2);
+        assert_eq!(time(12), t16);
+        // 4 tags spread each of the 37 bits over 4 chips.
+        let t4 = (37.0 * 4.0 / PAPER_TIMING.uplink_bps + PAPER_TIMING.t2_s) * 1e3;
+        assert!((time(4) - t4).abs() < 1e-9);
     }
 
     #[test]
@@ -277,25 +264,21 @@ mod tests {
         // Fig. 11's ordering: CDMA is the least reliable scheme even in
         // ordinary channel conditions, while TDMA (Miller-4) loses little.
         let mut cdma_lost = 0usize;
-        let mut tdma_lost = 0usize;
+        let mut tdma_lost_total = 0usize;
         let mut total = 0usize;
         for &k in &[4usize, 8, 12, 16] {
             for seed in 0..3u64 {
                 let scenario = ScenarioBuilder::paper_uplink(k, 200 + seed)
                     .build()
                     .unwrap();
-                let cdma = CdmaTransfer;
-                let mut medium = scenario.medium(seed).unwrap();
-                cdma_lost += cdma.run(scenario.tags(), &mut medium).unwrap().lost_count();
-                let tdma = crate::tdma::TdmaTransfer::new().unwrap();
-                let mut medium = scenario.medium(seed).unwrap();
-                tdma_lost += tdma.run(scenario.tags(), &mut medium).unwrap().lost_count();
+                cdma_lost += run(&scenario, seed).lost_messages;
+                tdma_lost_total += tdma_lost(&scenario, seed);
                 total += k;
             }
         }
         assert!(
-            cdma_lost > tdma_lost,
-            "CDMA lost {cdma_lost}/{total}, TDMA lost {tdma_lost}/{total}"
+            cdma_lost > tdma_lost_total,
+            "CDMA lost {cdma_lost}/{total}, TDMA lost {tdma_lost_total}/{total}"
         );
     }
 
@@ -305,23 +288,19 @@ mod tests {
         // losing messages, CDMA is no better (the paper measured 100 % CDMA
         // loss where TDMA lost 50 %).
         let mut cdma_lost = 0usize;
-        let mut tdma_lost = 0usize;
+        let mut tdma_lost_total = 0usize;
         let mut total = 0usize;
         for seed in 0..8 {
             let scenario = ScenarioBuilder::challenging(4, 300 + seed, 3.0)
                 .build()
                 .unwrap();
-            let cdma = CdmaTransfer;
-            let mut medium = scenario.medium(seed).unwrap();
-            cdma_lost += cdma.run(scenario.tags(), &mut medium).unwrap().lost_count();
-            let tdma = crate::tdma::TdmaTransfer::new().unwrap();
-            let mut medium = scenario.medium(seed).unwrap();
-            tdma_lost += tdma.run(scenario.tags(), &mut medium).unwrap().lost_count();
+            cdma_lost += run(&scenario, seed).lost_messages;
+            tdma_lost_total += tdma_lost(&scenario, seed);
             total += 4;
         }
         assert!(
-            cdma_lost >= tdma_lost,
-            "CDMA lost {cdma_lost}/{total} but TDMA lost {tdma_lost}/{total}"
+            cdma_lost >= tdma_lost_total,
+            "CDMA lost {cdma_lost}/{total} but TDMA lost {tdma_lost_total}/{total}"
         );
         assert!(cdma_lost > 0, "CDMA lost nothing even at 3 dB median SNR");
     }
@@ -336,9 +315,7 @@ mod tests {
             if faulted {
                 builder = builder.fault(SlotErasure::new(0.0).unwrap());
             }
-            let scenario = builder.build().unwrap();
-            let mut medium = scenario.medium(3).unwrap();
-            CdmaTransfer.run(scenario.tags(), &mut medium).unwrap()
+            run(&builder.build().unwrap(), 3)
         };
         assert_eq!(clean(false), clean(true));
 
@@ -347,38 +324,35 @@ mod tests {
             .fault(ReaderRestart::new(10))
             .build()
             .unwrap();
-        let mut medium = scenario.medium(3).unwrap();
-        let out = CdmaTransfer.run(scenario.tags(), &mut medium).unwrap();
-        assert_eq!(out.delivered_count(), 0);
+        assert_eq!(run(&scenario, 3).delivered_messages, 0);
 
         // Total erasure: every bit period is unusable, nothing delivers.
         let scenario = ScenarioBuilder::paper_uplink(4, 17)
             .fault(SlotErasure::new(1.0).unwrap())
             .build()
             .unwrap();
-        let mut medium = scenario.medium(3).unwrap();
-        let out = CdmaTransfer.run(scenario.tags(), &mut medium).unwrap();
-        assert_eq!(out.delivered_count(), 0);
+        assert_eq!(run(&scenario, 3).delivered_messages, 0);
 
         // A certain early dropout silences every tag's remaining chips.
         let scenario = ScenarioBuilder::paper_uplink(4, 17)
             .fault(TagDropout::new(1.0, 1).unwrap())
             .build()
             .unwrap();
-        let mut medium = scenario.medium(3).unwrap();
-        let out = CdmaTransfer.run(scenario.tags(), &mut medium).unwrap();
-        assert_eq!(out.delivered_count(), 0);
+        assert_eq!(run(&scenario, 3).delivered_messages, 0);
     }
 
     #[test]
     fn energy_accounting_reflects_continuous_chipping() {
         let scenario = ScenarioBuilder::paper_uplink(8, 13).build().unwrap();
-        let mut medium = scenario.medium(2).unwrap();
-        let cdma = CdmaTransfer;
-        let out = cdma.run(scenario.tags(), &mut medium).unwrap();
+        let out = run(&scenario, 2);
         // 37 bits * SF 8 = 296 chips of active transmission for every tag —
-        // much longer than a single TDMA reply.
-        assert!(out.per_tag_transitions.iter().all(|&t| t == 296));
-        assert!(out.per_tag_active_s[0] > 3.0e-3);
+        // 3.7 ms, much longer than a single TDMA reply — with ≈ 1 transition
+        // per chip, under the Moo energy model.
+        let expected = TransmissionProfile {
+            active_time_s: 296.0 / PAPER_TIMING.uplink_bps,
+            transitions: 296,
+        }
+        .reply_energy_j(scenario.config().starting_voltage_v);
+        assert_eq!(out.per_tag_energy_j, vec![expected; 8]);
     }
 }

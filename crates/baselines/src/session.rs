@@ -1,161 +1,92 @@
-//! [`Protocol`] adapters for the baseline schemes.
+//! The Gen-2 FSA identification baselines as [`Protocol`]s, and what every
+//! baseline adapter shares.
 //!
-//! These wrap the crate's TDMA/CDMA drivers and the Gen-2 FSA inventory in
-//! the unified session API of [`buzz::session`], so a comparison harness can
-//! hold all four schemes behind `&[&dyn Protocol]` and never touch a
-//! scheme-specific entry point.  Each adapter:
+//! Each baseline is a [`Protocol`], so a comparison harness holds all four
+//! schemes behind `&[&dyn Protocol]` and never touches a scheme-specific
+//! entry point.  Every adapter:
 //!
 //! * builds its own [`backscatter_sim::Medium`] from the scenario with the
 //!   session seed as the noise realization (identical channels for every
 //!   scheme, fresh noise per scheme — the paper's back-to-back methodology),
 //! * accounts per-tag energy with the Moo energy model and the scenario's
-//!   starting voltage, exactly as the Fig. 13 harness always has,
-//! * converts the scheme-local outcome into a [`SessionOutcome`].
+//!   starting voltage, exactly as the Fig. 13 harness always has (the
+//!   transfer schemes; FSA accounts none),
+//! * reports a [`SessionOutcome`] directly.
 
+use backscatter_gen2::fsa::{FsaConfig, FsaSimulator};
 use backscatter_sim::energy::TransmissionProfile;
 use backscatter_sim::scenario::Scenario;
 use buzz::session::{Protocol, SessionError, SessionOutcome, SessionResult};
 
-use crate::cdma::CdmaTransfer;
-use crate::identification::{fsa_identification, fsa_with_known_k, IdentificationReport};
-use crate::tdma::TdmaTransfer;
-use crate::{BaselineError, BaselineResult, BaselineTransferOutcome};
-
-impl From<BaselineTransferOutcome> for SessionOutcome {
-    fn from(outcome: BaselineTransferOutcome) -> Self {
-        Self {
-            scheme: "baseline".into(),
-            delivered_messages: outcome.delivered_count(),
-            lost_messages: outcome.lost_count(),
-            wall_time_ms: outcome.time_ms,
-            // The polling drivers report delivery per tag in tag order — the
-            // fleet layer's carried-over state rides on exactly this.
-            per_tag_delivered: outcome.delivered.clone(),
-            per_tag_energy_j: Vec::new(),
-            // One polling round per tag; adapters that know better (CDMA's
-            // single concurrent frame) overwrite this.
-            slots_used: outcome.delivered.len(),
-            diagnostics: None,
-        }
-    }
-}
-
-impl From<IdentificationReport> for SessionOutcome {
-    fn from(report: IdentificationReport) -> Self {
-        Self {
-            scheme: report.scheme.into(),
-            delivered_messages: report.identified,
-            lost_messages: report.population - report.identified,
-            wall_time_ms: report.time_ms,
-            // Slot-count identification does not attribute to specific tags.
-            per_tag_delivered: Vec::new(),
-            per_tag_energy_j: Vec::new(),
-            slots_used: report.slots,
-            diagnostics: None,
-        }
-    }
-}
+use crate::BaselineError;
 
 /// Wraps a [`BaselineError`] for the named scheme.
-fn scheme_error(scheme: &str, error: BaselineError) -> SessionError {
+pub(crate) fn scheme_error(scheme: &str, error: BaselineError) -> SessionError {
     SessionError::Scheme {
         scheme: scheme.into(),
         message: error.to_string(),
     }
 }
 
-/// Per-tag energies for a baseline transfer at the scenario's voltage.
-fn transfer_energy_j(outcome: &BaselineTransferOutcome, starting_voltage_v: f64) -> Vec<f64> {
-    outcome
-        .per_tag_transitions
+/// A transfer scheme's outcome: per-tag delivery flags in tag order (the
+/// fleet layer's carried-over state rides on exactly these) and per-tag
+/// energy from what each tag transmitted, at the scenario's voltage.
+pub(crate) fn transfer_outcome(
+    scheme: &str,
+    delivered: Vec<bool>,
+    wall_time_ms: f64,
+    slots_used: usize,
+    profiles: &[TransmissionProfile],
+    starting_voltage_v: f64,
+) -> SessionOutcome {
+    let delivered_messages = delivered.iter().filter(|&&d| d).count();
+    SessionOutcome {
+        scheme: scheme.into(),
+        delivered_messages,
+        lost_messages: delivered.len() - delivered_messages,
+        wall_time_ms,
+        per_tag_delivered: delivered,
+        per_tag_energy_j: profiles
+            .iter()
+            .map(|profile| profile.reply_energy_j(starting_voltage_v))
+            .collect(),
+        slots_used,
+        diagnostics: None,
+    }
+}
+
+/// Runs the Gen-2 FSA inventory over the scenario's tags, each seeded with
+/// its global id XOR `seed_mix`.
+fn run_fsa(
+    scheme: &str,
+    config: FsaConfig,
+    scenario: &Scenario,
+    seed_mix: u64,
+) -> SessionResult<SessionOutcome> {
+    let sim = FsaSimulator::new(config).map_err(|e| scheme_error(scheme, e.into()))?;
+    let seeds: Vec<u64> = scenario
+        .tags()
         .iter()
-        .zip(&outcome.per_tag_active_s)
-        .map(|(&transitions, &active_time_s)| {
-            TransmissionProfile {
-                active_time_s,
-                transitions,
-            }
-            .reply_energy_j(starting_voltage_v)
-        })
-        .collect()
+        .map(|t| t.global_id ^ seed_mix)
+        .collect();
+    let outcome = sim.run(&seeds);
+    Ok(SessionOutcome {
+        scheme: scheme.into(),
+        delivered_messages: outcome.identified,
+        lost_messages: outcome.unidentified(),
+        wall_time_ms: outcome.time_ms(),
+        // The analytic inventory model counts identifications without
+        // attributing them to specific tags.
+        per_tag_delivered: Vec::new(),
+        per_tag_energy_j: Vec::new(),
+        slots_used: outcome.total_slots(),
+        diagnostics: None,
+    })
 }
 
-/// The TDMA baseline as a [`Protocol`].
-#[derive(Debug, Clone)]
-pub struct TdmaProtocol {
-    transfer: TdmaTransfer,
-}
-
-impl TdmaProtocol {
-    /// The paper's Miller-4 TDMA, as a session protocol.
-    ///
-    /// # Errors
-    ///
-    /// As for [`TdmaTransfer::new`].
-    pub fn paper_default() -> BaselineResult<Self> {
-        Ok(Self {
-            transfer: TdmaTransfer::new()?,
-        })
-    }
-}
-
-impl Protocol for TdmaProtocol {
-    fn name(&self) -> &str {
-        "tdma"
-    }
-
-    fn run(&self, scenario: &mut Scenario, seed: u64) -> SessionResult<SessionOutcome> {
-        let mut medium = scenario.medium(seed)?;
-        let outcome = self
-            .transfer
-            .run(scenario.tags(), &mut medium)
-            .map_err(|e| scheme_error("tdma", e))?;
-        let energy = transfer_energy_j(&outcome, scenario.config().starting_voltage_v);
-        let mut session = SessionOutcome::from(outcome);
-        session.scheme = "tdma".into();
-        session.per_tag_energy_j = energy;
-        Ok(session)
-    }
-}
-
-/// The synchronous-CDMA baseline as a [`Protocol`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CdmaProtocol;
-
-impl CdmaProtocol {
-    /// The paper's drift-corrected CDMA, as a session protocol.
-    ///
-    /// # Errors
-    ///
-    /// Never fails; the signature matches [`TdmaProtocol::paper_default`].
-    pub fn paper_default() -> BaselineResult<Self> {
-        Ok(Self)
-    }
-}
-
-impl Protocol for CdmaProtocol {
-    fn name(&self) -> &str {
-        "cdma"
-    }
-
-    fn run(&self, scenario: &mut Scenario, seed: u64) -> SessionResult<SessionOutcome> {
-        let mut medium = scenario.medium(seed)?;
-        let outcome = CdmaTransfer
-            .run(scenario.tags(), &mut medium)
-            .map_err(|e| scheme_error("cdma", e))?;
-        let energy = transfer_energy_j(&outcome, scenario.config().starting_voltage_v);
-        let mut session = SessionOutcome::from(outcome);
-        session.scheme = "cdma".into();
-        session.per_tag_energy_j = energy;
-        // All tags share one concurrent spread frame.
-        session.slots_used = 1;
-        Ok(session)
-    }
-}
-
-/// Plain Gen-2 Framed Slotted Aloha identification as a [`Protocol`] — the
-/// scenario-driven adapter (tag seeds derive from the scenario's global ids
-/// and the session seed) that replaces handing the simulator raw seed lists.
+/// Plain Gen-2 Framed Slotted Aloha identification as a [`Protocol`]: EPC
+/// Gen-2 defaults (initial `Q = 4`, `C = 0.3`, 16-bit RN16 replies), with
+/// tag seeds derived from the scenario's global ids and the session seed.
 ///
 /// FSA is a MAC-layer *analytic* model (slot counting, no PHY medium), so
 /// scenario dynamics — mobility, interference bursts — do not affect it; in
@@ -169,13 +100,12 @@ impl Protocol for FsaIdentification {
     }
 
     fn run(&self, scenario: &mut Scenario, seed: u64) -> SessionResult<SessionOutcome> {
-        fsa_identification(scenario, seed)
-            .map(SessionOutcome::from)
-            .map_err(|e| scheme_error("fsa", e))
+        run_fsa("fsa", FsaConfig::standard(), scenario, seed.rotate_left(17))
     }
 }
 
-/// FSA seeded with an estimate of `K` as a [`Protocol`].
+/// FSA seeded with an estimate of `K` as a [`Protocol`]: the initial frame
+/// size matches the estimate and tags reply with shorter temporary ids.
 ///
 /// When it runs after Buzz in the same comparison cell
 /// ([`Protocol::run_after`]) it reads K̂ from Buzz's session diagnostics —
@@ -186,9 +116,12 @@ pub struct FsaWithEstimatedK;
 
 impl FsaWithEstimatedK {
     fn run_with_k(scenario: &Scenario, k_hat: usize, seed: u64) -> SessionResult<SessionOutcome> {
-        fsa_with_known_k(scenario, k_hat, seed)
-            .map(SessionOutcome::from)
-            .map_err(|e| scheme_error("fsa+k", e))
+        run_fsa(
+            "fsa+k",
+            FsaConfig::with_known_k(k_hat),
+            scenario,
+            seed.rotate_left(29),
+        )
     }
 }
 
@@ -224,29 +157,26 @@ impl Protocol for FsaWithEstimatedK {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{CdmaProtocol, TdmaProtocol};
     use backscatter_sim::scenario::ScenarioBuilder;
     use buzz::protocol::{BuzzConfig, BuzzProtocol};
     use buzz::session::SessionDiagnostics;
 
-    fn panel() -> (
-        TdmaProtocol,
-        CdmaProtocol,
-        FsaIdentification,
-        FsaWithEstimatedK,
-    ) {
-        (
-            TdmaProtocol::paper_default().unwrap(),
-            CdmaProtocol::paper_default().unwrap(),
-            FsaIdentification,
-            FsaWithEstimatedK,
-        )
+    fn fsa(scenario: &Scenario, seed: u64) -> SessionOutcome {
+        FsaIdentification.run(&mut scenario.clone(), seed).unwrap()
     }
 
     #[test]
     fn all_four_schemes_run_behind_trait_objects() {
         let buzz = BuzzProtocol::new(BuzzConfig::default()).unwrap();
-        let (tdma, cdma, fsa, fsa_k) = panel();
-        let protocols: [&dyn Protocol; 5] = [&buzz, &tdma, &cdma, &fsa, &fsa_k];
+        let tdma = TdmaProtocol::paper_default().unwrap();
+        let protocols: [&dyn Protocol; 5] = [
+            &buzz,
+            &tdma,
+            &CdmaProtocol,
+            &FsaIdentification,
+            &FsaWithEstimatedK,
+        ];
         let mut scenario = ScenarioBuilder::paper_uplink(6, 91).build().unwrap();
         let mut outcomes = Vec::new();
         for protocol in protocols {
@@ -264,31 +194,6 @@ mod tests {
         // CDMA spreads everyone into one concurrent frame.
         assert_eq!(outcomes[2].slots_used, 1);
         assert_eq!(outcomes[1].slots_used, 6);
-    }
-
-    #[test]
-    fn adapters_match_the_legacy_entry_points() {
-        // The unified API must report exactly the numbers the old private
-        // APIs did — it is a veneer, not a re-simulation.
-        let scenario = ScenarioBuilder::paper_uplink(5, 17).build().unwrap();
-
-        let tdma = TdmaTransfer::new().unwrap();
-        let mut medium = scenario.medium(4).unwrap();
-        let legacy = tdma.run(scenario.tags(), &mut medium).unwrap();
-
-        let mut via_session = scenario.clone();
-        let session = TdmaProtocol::paper_default()
-            .unwrap()
-            .run(&mut via_session, 4)
-            .unwrap();
-        assert_eq!(session.delivered_messages, legacy.delivered_count());
-        assert_eq!(session.wall_time_ms, legacy.time_ms);
-
-        let legacy_fsa = fsa_identification(&scenario, 4).unwrap();
-        let mut via_session = scenario.clone();
-        let session_fsa = FsaIdentification.run(&mut via_session, 4).unwrap();
-        assert_eq!(session_fsa.wall_time_ms, legacy_fsa.time_ms);
-        assert_eq!(session_fsa.slots_used, legacy_fsa.slots);
     }
 
     #[test]
@@ -311,28 +216,50 @@ mod tests {
         let seeded = FsaWithEstimatedK
             .run_after(&mut scenario, 1, std::slice::from_ref(&prior))
             .unwrap();
-        // Must equal the legacy call with the same K̂.
-        let legacy = fsa_with_known_k(&scenario, 8, 1).unwrap();
-        assert_eq!(seeded.wall_time_ms, legacy.time_ms);
-        assert_eq!(seeded.slots_used, legacy.slots);
+        // FSA with K̂ = 8 on this scenario and seed, as the Gen-2 inventory
+        // model counts it: 14 slots.
+        assert_eq!(seeded.wall_time_ms, 14.119_444_444_444_445);
+        assert_eq!(seeded.slots_used, 14);
         // Without a prior, the genie fallback uses the population size.
         let standalone = FsaWithEstimatedK.run(&mut scenario, 1).unwrap();
-        assert_eq!(standalone.wall_time_ms, legacy.time_ms);
+        assert_eq!(standalone, seeded);
     }
 
     #[test]
-    fn conversion_from_baseline_outcome() {
-        let outcome = BaselineTransferOutcome {
-            delivered: vec![true, false, true],
-            time_ms: 3.5,
-            per_tag_transitions: vec![10, 10, 10],
-            per_tag_active_s: vec![1e-3; 3],
-        };
-        let session = SessionOutcome::from(outcome);
-        assert_eq!(session.delivered_messages, 2);
-        assert_eq!(session.lost_messages, 1);
-        assert_eq!(session.wall_time_ms, 3.5);
-        assert_eq!(session.slots_used, 3);
-        assert_eq!(session.per_tag_delivered, vec![true, false, true]);
+    fn fsa_identifies_everyone() {
+        let scenario = ScenarioBuilder::paper_uplink(8, 3).build().unwrap();
+        let outcome = fsa(&scenario, 1);
+        assert_eq!(outcome.delivered_messages, 8);
+        assert_eq!(outcome.lost_messages, 0);
+        assert!(outcome.wall_time_ms > 0.0);
+        assert!(outcome.slots_used >= 8);
+    }
+
+    #[test]
+    fn known_k_is_faster_on_average() {
+        let mut plain = 0.0;
+        let mut with_k = 0.0;
+        for seed in 0..15 {
+            let mut scenario = ScenarioBuilder::paper_uplink(16, seed).build().unwrap();
+            plain += fsa(&scenario, seed).wall_time_ms;
+            with_k += FsaWithEstimatedK
+                .run(&mut scenario, seed)
+                .unwrap()
+                .wall_time_ms;
+        }
+        assert!(
+            with_k < plain,
+            "FSA with known K ({with_k:.2} ms total) not faster than plain FSA ({plain:.2} ms)"
+        );
+    }
+
+    #[test]
+    fn different_run_seeds_give_different_realizations() {
+        let scenario = ScenarioBuilder::paper_uplink(8, 5).build().unwrap();
+        let a = fsa(&scenario, 1);
+        let b = fsa(&scenario, 2);
+        // Both complete, but slot counts generally differ across realizations.
+        assert_eq!(a.lost_messages, 0);
+        assert_eq!(b.lost_messages, 0);
     }
 }

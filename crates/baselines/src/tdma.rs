@@ -10,55 +10,43 @@
 use backscatter_codes::message::Message;
 use backscatter_gen2::timing::PAPER_TIMING;
 use backscatter_phy::complex::Complex;
-use backscatter_phy::linecode::{LineCode, Miller};
+use backscatter_phy::linecode::Miller;
+use backscatter_sim::energy::TransmissionProfile;
 use backscatter_sim::medium::Medium;
-use backscatter_sim::tag::SimTag;
+use backscatter_sim::scenario::Scenario;
+use buzz::session::{Protocol, SessionOutcome, SessionResult};
 
-use crate::{BaselineError, BaselineResult, BaselineTransferOutcome};
+use crate::session::{scheme_error, transfer_outcome};
+use crate::BaselineResult;
 
 /// Miller modulation order (the paper's baseline uses Miller-4).
 const MILLER_M: usize = 4;
 
-/// The TDMA data phase.  The data bit rate is
-/// [`PAPER_TIMING`]'s uplink rate.
+/// The TDMA baseline as a [`Protocol`]: Miller-4 polling at
+/// [`PAPER_TIMING`]'s uplink bit rate.
 #[derive(Debug, Clone)]
-pub struct TdmaTransfer {
+pub struct TdmaProtocol {
     code: Miller,
 }
 
-impl TdmaTransfer {
-    /// Creates the Miller-4 TDMA data phase.
+impl TdmaProtocol {
+    /// The paper's Miller-4 TDMA, as a session protocol.
     ///
     /// # Errors
     ///
-    /// Returns [`BaselineError::Phy`] if the Miller order is unsupported.
-    pub fn new() -> BaselineResult<Self> {
+    /// Returns [`crate::BaselineError::Phy`] if the Miller order is
+    /// unsupported.
+    pub fn paper_default() -> BaselineResult<Self> {
         Ok(Self {
             code: Miller::new(MILLER_M)?,
         })
     }
 
-    /// Runs one TDMA round: every tag transmits its framed message once, in
-    /// index order, and the reader decodes each transmission in isolation
-    /// using its knowledge of the tag's channel.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BaselineError::InvalidParameter`] for an empty tag set, and
-    /// propagates medium errors.
-    pub fn run(
-        &self,
-        tags: &[SimTag],
-        medium: &mut Medium,
-    ) -> BaselineResult<BaselineTransferOutcome> {
-        if tags.is_empty() {
-            return Err(BaselineError::InvalidParameter("no tags to transfer from"));
-        }
-        if tags.len() != medium.num_tags() {
-            return Err(BaselineError::InvalidParameter(
-                "medium does not cover every tag",
-            ));
-        }
+    /// One TDMA round: every tag transmits its framed message once, in index
+    /// order, and the reader decodes each transmission in isolation using its
+    /// knowledge of the tag's channel.
+    fn poll(&self, scenario: &Scenario, medium: &mut Medium) -> BaselineResult<SessionOutcome> {
+        let tags = scenario.tags();
         let chips_per_bit = self.code.chips_per_bit();
         let bit_rate = PAPER_TIMING.uplink_bps;
         // The chip period is 1/(M·bit rate): Miller-M keeps the *bit* rate at
@@ -68,8 +56,13 @@ impl TdmaTransfer {
         let noise_scale = chips_per_bit as f64 / 2.0;
 
         let mut delivered = vec![false; tags.len()];
-        let mut per_tag_transitions = vec![0u64; tags.len()];
-        let mut per_tag_active_s = vec![0.0; tags.len()];
+        let mut profiles = vec![
+            TransmissionProfile {
+                active_time_s: 0.0,
+                transitions: 0,
+            };
+            tags.len()
+        ];
         let mut time_s = 0.0;
 
         // Poll worklist: index order, with one restart-driven re-poll of the
@@ -174,25 +167,31 @@ impl TdmaTransfer {
             }
 
             time_s += duration_s + PAPER_TIMING.t2_s;
-            per_tag_active_s[i] += duration_s;
-            per_tag_transitions[i] +=
+            profiles[i].active_time_s += duration_s;
+            profiles[i].transitions +=
                 (framed.len() as f64 * self.code.transitions_per_bit()).round() as u64;
         }
 
-        Ok(BaselineTransferOutcome {
+        Ok(transfer_outcome(
+            "tdma",
             delivered,
-            time_ms: time_s * 1e3,
-            per_tag_transitions,
-            per_tag_active_s,
-        })
+            time_s * 1e3,
+            tags.len(), // one polling round per tag
+            &profiles,
+            scenario.config().starting_voltage_v,
+        ))
+    }
+}
+
+impl Protocol for TdmaProtocol {
+    fn name(&self) -> &str {
+        "tdma"
     }
 
-    /// The fixed transfer time TDMA needs for `k` tags with `framed_bits`-bit
-    /// frames (no dependence on channel quality).
-    #[must_use]
-    pub fn nominal_time_ms(&self, k: usize, framed_bits: usize) -> f64 {
-        let per_tag = framed_bits as f64 / PAPER_TIMING.uplink_bps + PAPER_TIMING.t2_s;
-        per_tag * k as f64 * 1e3
+    fn run(&self, scenario: &mut Scenario, seed: u64) -> SessionResult<SessionOutcome> {
+        let mut medium = scenario.medium(seed)?;
+        self.poll(scenario, &mut medium)
+            .map_err(|e| scheme_error("tdma", e))
     }
 }
 
@@ -201,39 +200,33 @@ mod tests {
     use super::*;
     use backscatter_sim::scenario::ScenarioBuilder;
 
-    #[test]
-    fn rejects_empty_and_mismatched_inputs() {
-        let scenario = ScenarioBuilder::paper_uplink(2, 1).build().unwrap();
-        let mut medium = scenario.medium(1).unwrap();
-        let tdma = TdmaTransfer::new().unwrap();
-        assert!(tdma.run(&[], &mut medium).is_err());
-        assert!(tdma.run(&scenario.tags()[..1], &mut medium).is_err());
+    fn run(scenario: &Scenario, seed: u64) -> SessionOutcome {
+        TdmaProtocol::paper_default()
+            .unwrap()
+            .run(&mut scenario.clone(), seed)
+            .unwrap()
     }
 
     #[test]
     fn delivers_all_messages_in_good_channels() {
         let scenario = ScenarioBuilder::paper_uplink(8, 5).build().unwrap();
-        let mut medium = scenario.medium(2).unwrap();
-        let tdma = TdmaTransfer::new().unwrap();
-        let out = tdma.run(scenario.tags(), &mut medium).unwrap();
-        assert_eq!(out.delivered_count(), 8);
+        let out = run(&scenario, 2);
+        assert_eq!(out.delivered_messages, 8);
         assert_eq!(out.loss_rate(), 0.0);
+        assert_eq!(out.per_tag_delivered, vec![true; 8]);
     }
 
     #[test]
     fn transfer_time_is_fixed_and_linear_in_k() {
-        let tdma = TdmaTransfer::new().unwrap();
-        let t4 = tdma.nominal_time_ms(4, 37);
-        let t16 = tdma.nominal_time_ms(16, 37);
+        // Every poll takes one 37-bit reply plus the T2 turnaround, whatever
+        // the channel.
+        let per_tag_ms = (37.0 / PAPER_TIMING.uplink_bps + PAPER_TIMING.t2_s) * 1e3;
+        let t4 = run(&ScenarioBuilder::paper_uplink(4, 7).build().unwrap(), 3).wall_time_ms;
+        let t16 = run(&ScenarioBuilder::paper_uplink(16, 7).build().unwrap(), 3).wall_time_ms;
+        assert!((t4 - 4.0 * per_tag_ms).abs() < 1e-9, "t4 = {t4}");
         assert!((t16 / t4 - 4.0).abs() < 1e-9);
         // 16 tags * 37 bits / 80 kbps ≈ 7.4 ms plus small gaps.
         assert!(t16 > 7.0 && t16 < 9.0, "t16 = {t16}");
-
-        // And the measured time matches the nominal one.
-        let scenario = ScenarioBuilder::paper_uplink(4, 7).build().unwrap();
-        let mut medium = scenario.medium(3).unwrap();
-        let out = tdma.run(scenario.tags(), &mut medium).unwrap();
-        assert!((out.time_ms - tdma.nominal_time_ms(4, 37)).abs() < 1e-9);
     }
 
     #[test]
@@ -244,10 +237,7 @@ mod tests {
             let scenario = ScenarioBuilder::challenging(4, 100 + seed, 0.0)
                 .build()
                 .unwrap();
-            let mut medium = scenario.medium(seed).unwrap();
-            let tdma = TdmaTransfer::new().unwrap();
-            let out = tdma.run(scenario.tags(), &mut medium).unwrap();
-            if out.lost_count() > 0 {
+            if run(&scenario, seed).lost_messages > 0 {
                 any_loss = true;
             }
         }
@@ -267,12 +257,7 @@ mod tests {
             if faulted {
                 builder = builder.fault(FeedbackLoss::new(0.0).unwrap());
             }
-            let scenario = builder.build().unwrap();
-            let mut medium = scenario.medium(2).unwrap();
-            TdmaTransfer::new()
-                .unwrap()
-                .run(scenario.tags(), &mut medium)
-                .unwrap()
+            run(&builder.build().unwrap(), 2)
         };
         assert_eq!(clean(false), clean(true));
 
@@ -281,13 +266,9 @@ mod tests {
             .fault(FeedbackLoss::new(1.0).unwrap())
             .build()
             .unwrap();
-        let mut medium = scenario.medium(2).unwrap();
-        let out = TdmaTransfer::new()
-            .unwrap()
-            .run(scenario.tags(), &mut medium)
-            .unwrap();
-        assert_eq!(out.delivered_count(), 0);
-        assert!(out.time_ms > 0.0);
+        let out = run(&scenario, 2);
+        assert_eq!(out.delivered_messages, 0);
+        assert!(out.wall_time_ms > 0.0);
 
         // A reader restart at poll 2 re-polls the whole population once and
         // still delivers everything in good channels.
@@ -295,36 +276,35 @@ mod tests {
             .fault(ReaderRestart::new(2))
             .build()
             .unwrap();
-        let mut medium = scenario.medium(2).unwrap();
-        let out = TdmaTransfer::new()
-            .unwrap()
-            .run(scenario.tags(), &mut medium)
-            .unwrap();
-        assert_eq!(out.delivered_count(), 4);
-        // The re-polled tags transmitted twice.
-        assert!(out.per_tag_transitions.iter().any(|&t| t > 296));
+        let out = run(&scenario, 2);
+        assert_eq!(out.delivered_messages, 4);
+        // The re-polled tags transmitted twice, and paid for it.
+        let clean = clean(false);
+        assert!(out
+            .per_tag_energy_j
+            .iter()
+            .zip(&clean.per_tag_energy_j)
+            .any(|(twice, once)| twice > once));
 
         // A certain dropout before the first poll silences every tag.
         let scenario = ScenarioBuilder::paper_uplink(3, 15)
             .fault(TagDropout::new(1.0, 1).unwrap())
             .build()
             .unwrap();
-        let mut medium = scenario.medium(2).unwrap();
-        let out = TdmaTransfer::new()
-            .unwrap()
-            .run(scenario.tags(), &mut medium)
-            .unwrap();
-        assert!(out.delivered_count() < 3);
+        assert!(run(&scenario, 2).delivered_messages < 3);
     }
 
     #[test]
     fn energy_accounting_reflects_miller_chipping() {
         let scenario = ScenarioBuilder::paper_uplink(2, 9).build().unwrap();
-        let mut medium = scenario.medium(1).unwrap();
-        let tdma = TdmaTransfer::new().unwrap();
-        let out = tdma.run(scenario.tags(), &mut medium).unwrap();
-        // 37 bits * 8 transitions/bit = 296 transitions per tag.
-        assert!(out.per_tag_transitions.iter().all(|&t| t == 296));
-        assert!(out.per_tag_active_s.iter().all(|&s| s > 0.0));
+        let out = run(&scenario, 1);
+        // Each tag replies once: 37 bits at the uplink rate, with 37 bits *
+        // 8 transitions/bit = 296 transitions, under the Moo energy model.
+        let expected = TransmissionProfile {
+            active_time_s: 37.0 / PAPER_TIMING.uplink_bps,
+            transitions: 296,
+        }
+        .reply_energy_j(scenario.config().starting_voltage_v);
+        assert_eq!(out.per_tag_energy_j, vec![expected; 2]);
     }
 }

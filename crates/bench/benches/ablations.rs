@@ -1,6 +1,6 @@
 //! Ablation benches for two design choices:
 //!
-//! * participation-code density (how many tags collide per slot),
+//! * participation-code density (how many tags share each slot),
 //! * bucket pruning on/off (solve over the full temporary-id space instead).
 
 use backscatter_phy::complex::Complex;

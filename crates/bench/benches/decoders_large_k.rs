@@ -175,7 +175,7 @@ fn bench_decoders_large_k(c: &mut Criterion) {
         });
     }
     // The regime the protocol actually runs at K ≥ 27: the participation
-    // floor holds p at 0.15, so 15, 22.5 and 30 nodes collide per slot.
+    // floor holds p at 0.15, so 15, 22.5 and 30 nodes share each slot.
     // Every flip touches most gains, the pair scan runs flat, and the
     // sweep's parallel gate engages.  K = 200 is the benchmark's largest
     // population.

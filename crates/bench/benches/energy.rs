@@ -2,10 +2,10 @@
 //! a 3 V supply (the energy numbers themselves come from the `reproduce`
 //! binary; this bench tracks the simulation cost of the energy experiment).
 
-use backscatter_baselines::cdma::CdmaTransfer;
-use backscatter_baselines::tdma::TdmaTransfer;
+use backscatter_baselines::{CdmaProtocol, TdmaProtocol};
 use backscatter_sim::scenario::ScenarioBuilder;
 use buzz::protocol::{BuzzConfig, BuzzProtocol};
+use buzz::session::Protocol;
 use criterion::{criterion_group, criterion_main, Criterion};
 
 fn bench_energy_experiment(c: &mut Criterion) {
@@ -28,19 +28,17 @@ fn bench_energy_experiment(c: &mut Criterion) {
     });
     group.bench_function("tdma", |b| {
         b.iter(|| {
-            let scenario = ScenarioBuilder::paper_uplink(k, 3000).build().unwrap();
-            let mut medium = scenario.medium(1).unwrap();
-            TdmaTransfer::new()
+            let mut scenario = ScenarioBuilder::paper_uplink(k, 3000).build().unwrap();
+            TdmaProtocol::paper_default()
                 .unwrap()
-                .run(scenario.tags(), &mut medium)
+                .run(&mut scenario, 1)
                 .unwrap()
         });
     });
     group.bench_function("cdma", |b| {
         b.iter(|| {
-            let scenario = ScenarioBuilder::paper_uplink(k, 3000).build().unwrap();
-            let mut medium = scenario.medium(1).unwrap();
-            CdmaTransfer.run(scenario.tags(), &mut medium).unwrap()
+            let mut scenario = ScenarioBuilder::paper_uplink(k, 3000).build().unwrap();
+            CdmaProtocol.run(&mut scenario, 1).unwrap()
         });
     });
     group.finish();

@@ -3,10 +3,11 @@
 //! paper worries about in §5.1) for Buzz vs Framed Slotted Aloha, plus the
 //! stage-3 sensing-matrix build on its own.
 
-use backscatter_baselines::identification::fsa_identification;
+use backscatter_baselines::FsaIdentification;
 use backscatter_prng::NodeSeed;
 use backscatter_sim::scenario::ScenarioBuilder;
 use buzz::identification::{IdentificationConfig, Identifier};
+use buzz::session::Protocol;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sparse_recovery::sensing::SensingMatrix;
 
@@ -28,10 +29,10 @@ fn bench_identification(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("fsa", k), &k, |b, &k| {
             b.iter(|| {
-                let scenario = ScenarioBuilder::paper_uplink(k, 1000 + k as u64)
+                let mut scenario = ScenarioBuilder::paper_uplink(k, 1000 + k as u64)
                     .build()
                     .unwrap();
-                fsa_identification(&scenario, 7).unwrap()
+                FsaIdentification.run(&mut scenario, 7).unwrap()
             });
         });
     }

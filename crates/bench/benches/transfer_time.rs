@@ -1,10 +1,10 @@
 //! Fig. 10 as a Criterion bench: one full data-transfer round for Buzz, TDMA
 //! and CDMA over identical scenarios.
 
-use backscatter_baselines::cdma::CdmaTransfer;
-use backscatter_baselines::tdma::TdmaTransfer;
+use backscatter_baselines::{CdmaProtocol, TdmaProtocol};
 use backscatter_sim::scenario::ScenarioBuilder;
 use buzz::protocol::{BuzzConfig, BuzzProtocol};
+use buzz::session::Protocol;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn bench_transfer(c: &mut Criterion) {
@@ -27,23 +27,21 @@ fn bench_transfer(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("tdma", k), &k, |b, &k| {
             b.iter(|| {
-                let scenario = ScenarioBuilder::paper_uplink(k, 2000 + k as u64)
+                let mut scenario = ScenarioBuilder::paper_uplink(k, 2000 + k as u64)
                     .build()
                     .unwrap();
-                let mut medium = scenario.medium(3).unwrap();
-                TdmaTransfer::new()
+                TdmaProtocol::paper_default()
                     .unwrap()
-                    .run(scenario.tags(), &mut medium)
+                    .run(&mut scenario, 3)
                     .unwrap()
             });
         });
         group.bench_with_input(BenchmarkId::new("cdma", k), &k, |b, &k| {
             b.iter(|| {
-                let scenario = ScenarioBuilder::paper_uplink(k, 2000 + k as u64)
+                let mut scenario = ScenarioBuilder::paper_uplink(k, 2000 + k as u64)
                     .build()
                     .unwrap();
-                let mut medium = scenario.medium(3).unwrap();
-                CdmaTransfer.run(scenario.tags(), &mut medium).unwrap()
+                CdmaProtocol.run(&mut scenario, 3).unwrap()
             });
         });
     }

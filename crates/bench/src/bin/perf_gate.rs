@@ -27,11 +27,14 @@
 //! recorded reference — re-record the baseline to admit it.  A malformed
 //! command line exits 2 with the usage message: an unknown flag, a missing
 //! or unparsable value, a factor that is not finite and positive, or a
-//! floor that is not finite and non-negative.
+//! floor that is not finite and non-negative.  A baseline that is not valid
+//! JSON, or that records no entry, also exits 2.
 
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::process::ExitCode;
+
+use buzz_bench::orchestrate::CanonicalJson;
 
 /// One measured or recorded entry: id → mean milliseconds per iteration.
 #[derive(Debug, Clone, PartialEq)]
@@ -42,37 +45,34 @@ pub struct Entry {
     pub mean_ms: f64,
 }
 
-/// Extracts the entries of a `*.baseline.json` file.
+/// Extracts the entries of a `*.baseline.json` file (see
+/// `crates/bench/benches/*.baseline.json`): the `id` and the integer or
+/// float `mean_ms_per_iter` of each object in the `results` array.
 ///
-/// The baselines are written by hand in a fixed shape (see
-/// `crates/bench/benches/*.baseline.json`); this is a purpose-built scan
-/// for that shape — `"id"` and `"mean_ms_per_iter"` key/value pairs inside
-/// the `results` array — not a general JSON parser (the workspace has no
-/// serde offline).
-fn parse_baseline(text: &str) -> Vec<Entry> {
-    let mut entries = Vec::new();
-    for line in text.lines() {
-        let Some(id_at) = line.find("\"id\"") else {
-            continue;
-        };
-        let Some(mean_at) = line.find("\"mean_ms_per_iter\"") else {
-            continue;
-        };
-        let id = line[id_at + 4..]
-            .split('"')
-            .nth(1)
-            .unwrap_or_default()
-            .to_string();
-        let mean = line[mean_at + 18..]
-            .trim_start_matches([':', ' '])
-            .trim_end_matches(['}', ',', ' '])
-            .trim()
-            .parse::<f64>();
-        if let (false, Ok(mean_ms)) = (id.is_empty(), mean) {
-            entries.push(Entry { id, mean_ms });
-        }
-    }
-    entries
+/// # Errors
+///
+/// Returns the parse error of a file that is not valid JSON.
+fn parse_baseline(text: &str) -> Result<Vec<Entry>, String> {
+    let json = CanonicalJson::parse(text)?;
+    let results = json
+        .get("results")
+        .and_then(CanonicalJson::as_array)
+        .unwrap_or_default();
+    Ok(results
+        .iter()
+        .filter_map(|result| {
+            let id = result.get("id")?.as_str()?;
+            let mean_ms = match result.get("mean_ms_per_iter")? {
+                CanonicalJson::Int(ms) => *ms as f64,
+                CanonicalJson::Float(ms) => *ms,
+                _ => return None,
+            };
+            (!id.is_empty()).then(|| Entry {
+                id: id.to_string(),
+                mean_ms,
+            })
+        })
+        .collect())
 }
 
 /// Extracts the entries of a bench run's stdout (the criterion shim's
@@ -278,7 +278,13 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let baseline = parse_baseline(&baseline_text);
+    let baseline = match parse_baseline(&baseline_text) {
+        Ok(baseline) => baseline,
+        Err(e) => {
+            eprintln!("cannot parse {baseline_path}: {e}");
+            return ExitCode::from(2);
+        }
+    };
     let measured = parse_bench_output(&bench_text);
     if baseline.is_empty() {
         eprintln!("no entries parsed from {baseline_path}; refusing to pass an empty gate");
@@ -317,7 +323,7 @@ mod tests {
 
     #[test]
     fn parses_baseline_and_bench_output() {
-        let baseline = parse_baseline(BASELINE);
+        let baseline = parse_baseline(BASELINE).unwrap();
         assert_eq!(baseline.len(), 2);
         assert_eq!(
             baseline[0].id,
@@ -335,8 +341,27 @@ bench decoders_large_k/session_worklist/64: 3 iters, mean 20.100 ms/iter\n";
     }
 
     #[test]
+    fn baselines_parse_as_json() {
+        // Integer means count, entries outside `results` do not, and a file
+        // that is not JSON is an error rather than an empty gate.
+        let text = r#"{"results": [{"id": "suite/a", "mean_ms_per_iter": 2}],
+                       "note": {"id": "suite/b", "mean_ms_per_iter": 1.0}}"#;
+        let entries = parse_baseline(text).unwrap();
+        assert_eq!(
+            entries,
+            vec![Entry {
+                id: "suite/a".into(),
+                mean_ms: 2.0
+            }]
+        );
+        let truncated = &BASELINE[..BASELINE.len() - 3];
+        assert!(parse_baseline(truncated).is_err());
+        assert!(parse_baseline("{\"id\": \"suite/a\", \"mean_ms_per_iter\": 1.0},").is_err());
+    }
+
+    #[test]
     fn within_factor_passes_and_faster_is_fine() {
-        let baseline = parse_baseline(BASELINE);
+        let baseline = parse_baseline(BASELINE).unwrap();
         let measured = vec![
             Entry {
                 id: "decoders_large_k/session_worklist_dense/100".into(),
@@ -360,7 +385,7 @@ bench decoders_large_k/session_worklist/64: 3 iters, mean 20.100 ms/iter\n";
     fn simulated_two_x_slowdown_fails_the_gate() {
         // The acceptance check: perturb one entry to 2x its baseline and the
         // gate must fail.
-        let baseline = parse_baseline(BASELINE);
+        let baseline = parse_baseline(BASELINE).unwrap();
         let measured = vec![
             Entry {
                 id: "decoders_large_k/session_worklist_dense/100".into(),
@@ -412,7 +437,7 @@ bench decoders_large_k/session_worklist/64: 3 iters, mean 20.100 ms/iter\n";
 
     #[test]
     fn missing_baseline_entry_fails_and_new_entry_fails() {
-        let baseline = parse_baseline(BASELINE);
+        let baseline = parse_baseline(BASELINE).unwrap();
         let measured = vec![Entry {
             id: "decoders_large_k/brand_new/32".into(),
             mean_ms: 1.0,
@@ -488,7 +513,7 @@ bench decoders_large_k/session_worklist/64: 3 iters, mean 20.100 ms/iter\n";
     fn unrecorded_measured_entry_alone_fails_the_gate() {
         // Even when every baseline entry is within the gate, a measured
         // entry with no recorded reference must fail until re-recorded.
-        let baseline = parse_baseline(BASELINE);
+        let baseline = parse_baseline(BASELINE).unwrap();
         let mut measured = vec![
             Entry {
                 id: "decoders_large_k/session_worklist_dense/100".into(),

@@ -106,7 +106,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use backscatter_baselines::session::TdmaProtocol;
+    use backscatter_baselines::TdmaProtocol;
     use backscatter_sim::scenario::ScenarioBuilder;
     use buzz::protocol::{BuzzConfig, BuzzProtocol};
 

@@ -15,9 +15,7 @@
 //! report output is byte-identical for every `threads` value — `threads = 1`
 //! short-circuits to a plain inline loop and *is* the old serial behaviour.
 
-use backscatter_baselines::session::{
-    CdmaProtocol, FsaIdentification, FsaWithEstimatedK, TdmaProtocol,
-};
+use backscatter_baselines::{CdmaProtocol, FsaIdentification, FsaWithEstimatedK, TdmaProtocol};
 use backscatter_fleet::{run_fleet, FleetConfig};
 use backscatter_phy::channel::Channel;
 use backscatter_phy::complex::Complex;
@@ -326,7 +324,7 @@ fn run_uplink_matrix(
 ) -> Vec<UplinkComparison> {
     let buzz = buzz_periodic();
     let tdma = TdmaProtocol::paper_default().expect("tdma");
-    let cdma = CdmaProtocol::paper_default().expect("cdma");
+    let cdma = CdmaProtocol;
     let panel: [&dyn Protocol; 3] = [&buzz, &tdma, &cdma];
     let groups = compare(
         &panel,
@@ -544,7 +542,7 @@ pub fn fig12(locations: u64, base_seed: u64, threads: usize) -> ExperimentReport
     let snrs = [22.0, 15.0, 10.0, 6.0, 4.0];
     let buzz = buzz_periodic();
     let tdma = TdmaProtocol::paper_default().expect("tdma");
-    let cdma = CdmaProtocol::paper_default().expect("cdma");
+    let cdma = CdmaProtocol;
     let panel: [&dyn Protocol; 3] = [&buzz, &tdma, &cdma];
     let groups = compare(
         &panel,
@@ -648,7 +646,7 @@ pub fn fig_fading(locations: u64, base_seed: u64, threads: usize) -> ExperimentR
     })
     .expect("protocol");
     let tdma = TdmaProtocol::paper_default().expect("tdma");
-    let cdma = CdmaProtocol::paper_default().expect("cdma");
+    let cdma = CdmaProtocol;
     let panel: [&dyn Protocol; 4] = [&buzz, &buzz_mp, &tdma, &cdma];
     let groups = compare(
         &panel,
@@ -787,7 +785,7 @@ pub fn fig_resilience(locations: u64, base_seed: u64, threads: usize) -> Experim
     )
     .expect("protocol");
     let tdma = TdmaProtocol::paper_default().expect("tdma");
-    let cdma = CdmaProtocol::paper_default().expect("cdma");
+    let cdma = CdmaProtocol;
     let panel: [&dyn Protocol; 4] = [&buzz, &resilient, &tdma, &cdma];
     let groups = compare(
         &panel,
@@ -956,7 +954,7 @@ pub fn fig13(locations: u64, base_seed: u64, threads: usize) -> ExperimentReport
     let v0s = [3.0f64, 4.0, 5.0];
     let buzz = buzz_periodic();
     let tdma = TdmaProtocol::paper_default().expect("tdma");
-    let cdma = CdmaProtocol::paper_default().expect("cdma");
+    let cdma = CdmaProtocol;
     let panel: [&dyn Protocol; 3] = [&buzz, &tdma, &cdma];
     let groups = compare(
         &panel,

@@ -336,12 +336,15 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str, so boundaries
-                // are valid by construction).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().ok_or("unterminated string")?;
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next quote or backslash in one step.
+                // Both are ASCII, so the run ends on a char boundary of the
+                // `&str` input, and each byte is validated once.
+                let end = bytes[*pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .map_or(bytes.len(), |run| *pos + run);
+                out.push_str(std::str::from_utf8(&bytes[*pos..end]).map_err(|e| e.to_string())?);
+                *pos = end;
             }
         }
     }
@@ -462,6 +465,21 @@ mod tests {
             "}".repeat(MAX_NESTING + 1)
         );
         assert!(CanonicalJson::parse(&objects).is_err());
+    }
+
+    #[test]
+    fn parse_is_linear_in_string_length() {
+        // A 4 MiB string value, multi-byte scalars and escapes included: a
+        // parser that re-validated the remaining input per character would
+        // take minutes here.
+        let value = "aé€😀\\\"".repeat(1 << 19);
+        let text = CanonicalJson::Str(value.clone()).serialize();
+        assert!(text.len() > 4 << 20);
+        let started = std::time::Instant::now();
+        let parsed = CanonicalJson::parse(&text).unwrap();
+        let elapsed = started.elapsed();
+        assert_eq!(parsed, CanonicalJson::Str(value));
+        assert!(elapsed.as_secs_f64() < 10.0, "parse took {elapsed:?}");
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! `fig_fleet` alike), so output is byte-identical for every `threads` value
 //! *and* every shard split.
 
-use backscatter_baselines::session::TdmaProtocol;
+use backscatter_baselines::TdmaProtocol;
 use backscatter_sim::scenario::ScenarioBuilder;
 use buzz::protocol::{BuzzConfig, BuzzProtocol};
 use buzz::session::run_panel;

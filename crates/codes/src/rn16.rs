@@ -65,7 +65,7 @@ impl TemporaryIdSpace {
         rng.next_bounded(self.size)
     }
 
-    /// Draws one temporary id per tag; ids may collide (and whether they do is
+    /// Draws one temporary id per tag; ids may clash (and whether they do is
     /// the caller's problem, as in the real protocol).
     #[must_use]
     pub fn draw_many(&self, rng: &mut Xoshiro256, count: usize) -> Vec<u64> {

@@ -201,12 +201,6 @@ pub struct BitFlippingDecoder {
     /// designed to be a no-op, and the differential tests pin that by
     /// comparing a skipping decoder against a force-full one bit for bit.
     force_full_worklist: bool,
-    /// When set, the message-passing schedule hands off to the hard
-    /// bit-flipping worklist once its soft sweeps reach a fixed point —
-    /// correct only on static (non-fading) sessions, where the soft
-    /// schedule's remaining work is pure overhead.  Drivers enable this when
-    /// the medium carries no dynamics; see [`crate::mp`].
-    pub(crate) static_handoff: bool,
 }
 
 /// A remembered candidate frame used by the stability locking gate.
@@ -759,7 +753,6 @@ impl BitFlippingDecoder {
             worklist: None,
             mp: None,
             force_full_worklist: false,
-            static_handoff: false,
         };
         decoder.terms = (0..k).map(|node| decoder.terms_of(node)).collect();
         Ok(decoder)
@@ -826,27 +819,6 @@ impl BitFlippingDecoder {
         self.force_full_worklist = on;
     }
 
-    /// Enables the static-session converged early-out of the
-    /// [`DecodeSchedule::MessagePassing`] schedule: once two consecutive
-    /// decode calls leave every soft posterior at its fixed point (every
-    /// position converges in a single sweep), the remaining decode work is
-    /// delegated to the hard bit-flipping worklist, which costs a fraction of
-    /// the soft sweeps.  Only sound when the channels do not vary over the
-    /// session — drivers enable it exactly when the medium carries no
-    /// dynamics.  Off by default, so fading sessions and historical pins are
-    /// untouched.
-    pub fn enable_static_handoff(&mut self, on: bool) {
-        self.static_handoff = on;
-    }
-
-    /// Whether the message-passing schedule has handed this session off to
-    /// the hard bit-flipping worklist (`false` before the first decode, when
-    /// the handoff is disabled, or under the worklist schedule).
-    #[must_use]
-    pub fn static_handoff_engaged(&self) -> bool {
-        self.mp.as_deref().is_some_and(|mp| mp.handed_off())
-    }
-
     /// Mean per-(slot, position) residual power of `frames` against the
     /// accumulated observations: `mean_{j,pos} |y_{j,pos} − Σ_i D_{j,i}
     /// h_i·frames[i][pos]|²`.  This is the quantity whose plateau a recovery
@@ -881,7 +853,7 @@ impl BitFlippingDecoder {
 
     /// How many times the worklist schedule has descended each bit position
     /// (`None` before the first worklist decode, or under
-    /// [`DecodeSchedule::MessagePassing`] before its handoff).  A position a
+    /// [`DecodeSchedule::MessagePassing`]).  A position a
     /// decode call skipped keeps its previous count — the observable behind
     /// "converged positions are genuinely skipped".
     #[must_use]
@@ -1618,7 +1590,7 @@ impl BitFlippingDecoder {
             // try to escape the local minimum by flipping a *pair* of
             // colliding nodes whose joint flip reduces the error (single-bit
             // descent cannot cross such saddle points, which become common as
-            // more nodes collide per slot).
+            // more nodes share each slot).
             if best_gain > 1e-12 {
                 state.flip_all(self, &[best]);
             } else if let Some(pair) = state.best_pair(self) {
@@ -1850,7 +1822,7 @@ mod tests {
 
     #[test]
     fn two_colliding_nodes_decode_noiselessly() {
-        // The Fig. 2(b)/3(b) case: two nodes collide in every slot; the four-
+        // The Fig. 2(b)/3(b) case: two nodes share every slot; the four-
         // point constellation is decodable from a single collision.
         let channels = vec![Complex::new(1.0, 0.1), Complex::new(-0.2, 0.7)];
         let (mut decoder, frames) = make_problem(&channels, 2, 1.0, 0.0, 2);
@@ -2573,11 +2545,10 @@ mod tests {
 
     #[test]
     fn message_passing_refits_and_handoff_keep_the_gain_terms_fresh() {
-        // A static message-passing session with the handoff enabled, from
-        // channel estimates 10 % off: the soft refit (in `mp.rs`) rewrites
-        // channels on every call before the handoff, and after it the
-        // worklist descends against them.  Node K − 1 never transmits, so
-        // the session runs on past the handoff.
+        // A static message-passing session from channel estimates 10 % off:
+        // the soft refit (in `mp.rs`) rewrites channels between calls, and
+        // every call's gain terms must match the refitted channels.  Node
+        // K − 1 never transmits, so the session runs its full length.
         let (k, p, noise, seed) = (12usize, 0.4, 0.05, 9u64);
         let phantom = k - 1;
         let truth = diverse_channels(k, seed);
@@ -2597,9 +2568,8 @@ mod tests {
         let mut decoder = BitFlippingDecoder::new(estimates, frames[0].len(), noise * noise / 6.0)
             .unwrap()
             .with_schedule(DecodeSchedule::MessagePassing);
-        decoder.enable_static_handoff(true);
         let mut noise_rng = Xoshiro256::seed_from_u64(seed ^ 0xabcdef);
-        let (mut soft_refits, mut handed_off_calls, mut locks) = (0, 0, 0);
+        let (mut soft_refits, mut locks) = (0, 0);
         for slot in 0..4 * k as u64 {
             let (mut participants, symbols) =
                 make_slot(&truth, &frames, &seeds, slot, p, noise, &mut noise_rng);
@@ -2608,16 +2578,11 @@ mod tests {
             let before = decoder.channels.clone();
             let outcome = decoder.decode().unwrap();
             assert_gain_kernel_fresh(&decoder, &format!("slot {slot}"));
-            if decoder.static_handoff_engaged() {
-                handed_off_calls += 1;
-            } else {
-                soft_refits += usize::from(decoder.channels != before);
-            }
+            soft_refits += usize::from(decoder.channels != before);
             locks += outcome.newly_decoded.len();
         }
         assert!(soft_refits > 0, "setup: the soft refit moved a channel");
         assert!(locks > 0, "setup: a node locked");
-        assert!(handed_off_calls > 1, "setup: the worklist took over");
     }
 
     /// Reference channel refit: an `active` list allocated per (slot,

@@ -128,16 +128,6 @@ pub(crate) struct MessagePassingState {
     /// Cumulative sweeps across all decode calls (the determinism
     /// observable).
     sweeps: u64,
-    /// Consecutive decode calls whose hard-decision frames came out identical
-    /// with no new locks — the soft schedule is refining nothing and further
-    /// sweeps are pure overhead (only tracked under the static handoff).
-    stable_call_streak: u32,
-    /// The hard-decision frames at the end of the previous decode call, for
-    /// the stability comparison (only maintained under the static handoff).
-    last_call_frames: Vec<Vec<bool>>,
-    /// Whether the static-session handoff to the hard bit-flipping worklist
-    /// has engaged (see [`BitFlippingDecoder::enable_static_handoff`]).
-    handed_off: bool,
     /// Scratch: per-edge extrinsic bit-1 probabilities of one slot.
     prob_scratch: Vec<f64>,
 }
@@ -152,9 +142,6 @@ impl MessagePassingState {
             llr: vec![vec![0.0; k]; p],
             frames: vec![vec![false; p]; k],
             sweeps: 0,
-            stable_call_streak: 0,
-            last_call_frames: Vec::new(),
-            handed_off: false,
             prob_scratch: Vec::new(),
         }
     }
@@ -162,11 +149,6 @@ impl MessagePassingState {
     /// Cumulative sweep count.
     pub(crate) fn sweeps(&self) -> u64 {
         self.sweeps
-    }
-
-    /// Whether the static-session handoff has engaged.
-    pub(crate) fn handed_off(&self) -> bool {
-        self.handed_off
     }
 
     /// Absorbs slots appended since the previous decode call: new rows append
@@ -337,17 +319,6 @@ impl BitFlippingDecoder {
     /// over the slot window, hard-decision frames, the shared CRC/confidence
     /// locking gates (windowed), then soft channel tracking.
     pub(crate) fn decode_message_passing(&mut self) -> BuzzResult<DecodeState> {
-        // Static-session early-out: once the handoff engaged, the soft state
-        // is frozen (kept for the sweep-count observable) and the remaining
-        // decode work runs on the hard bit-flipping worklist.
-        if self.static_handoff
-            && self
-                .mp
-                .as_deref()
-                .is_some_and(MessagePassingState::handed_off)
-        {
-            return self.decode_worklist();
-        }
         let p = self.message_bits;
         let mut mp = match self.mp.take() {
             Some(mut mp) => {
@@ -384,23 +355,6 @@ impl BitFlippingDecoder {
         }
 
         self.snapshot_candidates(&mp.frames);
-
-        if self.static_handoff {
-            // A call that locks nothing and leaves every hard decision
-            // exactly where the previous call left it refined nothing; a few
-            // such calls in a row and the soft schedule has reached its fixed
-            // point — on a static channel the cheaper hard worklist finishes
-            // the job from here.
-            if newly_decoded.is_empty() && mp.frames == mp.last_call_frames {
-                mp.stable_call_streak += 1;
-                if mp.stable_call_streak >= 2 {
-                    mp.handed_off = true;
-                }
-            } else {
-                mp.stable_call_streak = 0;
-                mp.last_call_frames.clone_from(&mp.frames);
-            }
-        }
 
         if !self.locked().iter().all(Option::is_some) {
             self.reestimate_channels_soft(&mp);
@@ -679,123 +633,6 @@ mod tests {
         assert!(decoder.message_passing_sweeps().is_some());
         let switched = decoder.with_schedule(DecodeSchedule::Worklist);
         assert!(switched.message_passing_sweeps().is_none());
-    }
-
-    #[test]
-    fn static_handoff_engages_and_hard_worklist_finishes_the_decode() {
-        let channels = diverse_channels(6, 0x51a7);
-        let k = channels.len();
-        let frames: Vec<Vec<bool>> = (0..k)
-            .map(|i| Message::standard_32bit(900 + i as u64).unwrap().framed())
-            .collect();
-        let message_bits = frames[0].len();
-        let mut decoder = BitFlippingDecoder::new(channels.clone(), message_bits, 0.0)
-            .unwrap()
-            .with_schedule(DecodeSchedule::MessagePassing);
-        decoder.enable_static_handoff(true);
-        assert!(!decoder.static_handoff_engaged());
-        let seeds: Vec<NodeSeed> = (0..k as u64).map(|i| NodeSeed(3100 + i)).collect();
-        let observe = |slot: usize| -> (Vec<bool>, Vec<Complex>) {
-            let participants: Vec<bool> = seeds
-                .iter()
-                .map(|s| s.participates_in_slot(slot as u64, 0.5))
-                .collect();
-            let symbols = (0..message_bits)
-                .map(|pos| {
-                    let mut y = Complex::ZERO;
-                    for i in 0..k {
-                        if participants[i] && frames[i][pos] {
-                            y += channels[i];
-                        }
-                    }
-                    y
-                })
-                .collect();
-            (participants, symbols)
-        };
-        // A few (underdetermined) slots, then idle decode calls: the soft
-        // posteriors reach their fixed point and the handoff engages.
-        for slot in 0..4 {
-            let (p, s) = observe(slot);
-            decoder.add_slot(&p, s).unwrap();
-        }
-        for _ in 0..8 {
-            decoder.decode().unwrap();
-        }
-        assert!(decoder.static_handoff_engaged());
-        let frozen = decoder.message_passing_sweeps().unwrap();
-        // The rest of the rateless stream decodes on the hard worklist; the
-        // frozen soft state performs no further sweeps.
-        let mut all = false;
-        for slot in 4..120 {
-            let (p, s) = observe(slot);
-            decoder.add_slot(&p, s).unwrap();
-            if decoder.decode().unwrap().all_decoded() {
-                all = true;
-                break;
-            }
-        }
-        assert!(all, "worklist did not finish the decode after the handoff");
-        assert_eq!(decoder.message_passing_sweeps(), Some(frozen));
-        let decoded = payloads(&mut decoder);
-        for (node, payload) in decoded.iter().enumerate() {
-            assert_eq!(payload.as_deref(), Some(&frames[node][..32]), "node {node}");
-        }
-    }
-
-    #[test]
-    fn static_handoff_matches_pure_soft_delivery_under_noise() {
-        // The early-out must not change *what* a static session delivers —
-        // only how much sweep work it spends getting there.
-        let channels = diverse_channels(8, 0xfade);
-        let run = |handoff: bool| -> Vec<Option<Vec<bool>>> {
-            let k = channels.len();
-            let frames: Vec<Vec<bool>> = (0..k)
-                .map(|i| Message::standard_32bit(2300 + i as u64).unwrap().framed())
-                .collect();
-            let message_bits = frames[0].len();
-            let mut decoder =
-                BitFlippingDecoder::new(channels.clone(), message_bits, 0.05 * 0.05 / 6.0)
-                    .unwrap()
-                    .with_schedule(DecodeSchedule::MessagePassing);
-            decoder.enable_static_handoff(handoff);
-            let seeds: Vec<NodeSeed> = (0..k as u64).map(|i| NodeSeed(1771 + i)).collect();
-            let mut noise_rng = Xoshiro256::seed_from_u64(0xabcdef);
-            for slot in 0..160usize {
-                let participants: Vec<bool> = seeds
-                    .iter()
-                    .map(|s| s.participates_in_slot(slot as u64, 0.5))
-                    .collect();
-                let symbols: Vec<Complex> = (0..message_bits)
-                    .map(|pos| {
-                        let mut y = Complex::ZERO;
-                        for i in 0..k {
-                            if participants[i] && frames[i][pos] {
-                                y += channels[i];
-                            }
-                        }
-                        y + Complex::new(
-                            (noise_rng.next_f64() - 0.5) * 0.05,
-                            (noise_rng.next_f64() - 0.5) * 0.05,
-                        )
-                    })
-                    .collect();
-                decoder.add_slot(&participants, symbols).unwrap();
-                if decoder.decode().unwrap().all_decoded() {
-                    break;
-                }
-            }
-            let state = decoder.decode().unwrap();
-            for (node, payload) in state.decoded_payloads.iter().enumerate() {
-                assert_eq!(
-                    payload.as_deref(),
-                    Some(&frames[node][..32]),
-                    "node {node} (handoff = {handoff})"
-                );
-            }
-            state.decoded_payloads
-        };
-        assert_eq!(run(false), run(true));
     }
 
     proptest! {

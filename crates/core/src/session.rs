@@ -10,16 +10,13 @@
 //!   harnesses hold `&[&dyn Protocol]` and never mention a concrete scheme.
 //! * [`SessionOutcome`] — the common result: delivered/lost messages, wall
 //!   time, per-tag energy, slots used, plus optional decode diagnostics for
-//!   schemes that expose them.  `From` conversions from the per-scheme
-//!   outcome types ([`BuzzOutcome`], `backscatter_gen2::fsa::FsaOutcome`, and
-//!   — in `backscatter_baselines` — `BaselineTransferOutcome`) keep the old
-//!   types usable while everything above them speaks one language.
+//!   schemes that expose them.  Every scheme reports it directly; Buzz's
+//!   richer [`BuzzOutcome`] converts into it through `From`.
 //!
-//! [`BuzzProtocol`] implements [`Protocol`] here; the TDMA/CDMA/FSA adapters
-//! live in `backscatter_baselines::session` (the trait is implementable from
-//! any crate that can see a scenario).
+//! [`BuzzProtocol`] implements [`Protocol`] here; the TDMA, CDMA and FSA
+//! baselines implement it in `backscatter_baselines` (the trait is
+//! implementable from any crate that can see a scenario).
 
-use backscatter_gen2::fsa::FsaOutcome;
 use backscatter_sim::scenario::Scenario;
 use backscatter_sim::SimError;
 
@@ -225,23 +222,6 @@ impl From<BuzzOutcome> for SessionOutcome {
     }
 }
 
-impl From<FsaOutcome> for SessionOutcome {
-    fn from(outcome: FsaOutcome) -> Self {
-        Self {
-            scheme: "fsa".into(),
-            delivered_messages: outcome.identified,
-            lost_messages: outcome.unidentified(),
-            wall_time_ms: outcome.time_ms(),
-            // The analytic inventory model counts identifications without
-            // attributing them to specific tags.
-            per_tag_delivered: Vec::new(),
-            per_tag_energy_j: Vec::new(),
-            slots_used: outcome.total_slots(),
-            diagnostics: None,
-        }
-    }
-}
-
 /// One scheme runnable over a [`Scenario`].
 ///
 /// `Send + Sync` is a supertrait so `&[&dyn Protocol]` comparison panels can
@@ -381,25 +361,6 @@ mod tests {
             ..outcome
         };
         assert_eq!(idle.throughput_msgs_per_s(), 0.0);
-    }
-
-    #[test]
-    fn fsa_outcome_converts() {
-        let fsa = FsaOutcome {
-            identified: 6,
-            population: 8,
-            total_time_s: 0.02,
-            slot_counts: (3, 6, 2),
-            truncated: false,
-        };
-        let session = SessionOutcome::from(fsa);
-        assert_eq!(session.scheme, "fsa");
-        assert_eq!(session.delivered_messages, 6);
-        assert_eq!(session.lost_messages, 2);
-        assert_eq!(session.slots_used, 11);
-        assert!((session.wall_time_ms - 20.0).abs() < 1e-12);
-        assert!((session.loss_rate() - 0.25).abs() < 1e-12);
-        assert_eq!(session.mean_energy_j(), 0.0);
     }
 
     #[test]

@@ -112,7 +112,7 @@ mod tests {
 
     #[test]
     fn ambiguous_pattern_sets_are_detected() {
-        // 01 + 10 = 11 = 11 + 00: the pairs {01,10} and {11,00} collide.
+        // 01 + 10 = 11 = 11 + 00: the pairs {01,10} and {11,00} coincide.
         let bad = vec![
             vec![false, true],
             vec![true, false],

@@ -393,14 +393,10 @@ fn new_decoder(
     medium: &Medium,
 ) -> BuzzResult<BitFlippingDecoder> {
     let channels = discovered.iter().map(|d| d.channel_estimate).collect();
-    let mut decoder = BitFlippingDecoder::new(channels, framed_bits, medium.noise_power())?
-        .with_schedule(schedule);
-    if schedule == DecodeSchedule::MessagePassing && medium.dynamics().is_empty() {
-        // Static session: once the soft sweeps reach their fixed point,
-        // hand the rest of the decode to the cheaper hard worklist.
-        decoder.enable_static_handoff(true);
-    }
-    Ok(decoder)
+    Ok(
+        BitFlippingDecoder::new(channels, framed_bits, medium.noise_power())?
+            .with_schedule(schedule),
+    )
 }
 
 /// The data-transfer driver.

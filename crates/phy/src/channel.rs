@@ -190,12 +190,6 @@ impl Channel {
         Self { coefficient }
     }
 
-    /// The received complex amplitude when the tag reflects (transmits a "1").
-    #[must_use]
-    pub fn reflected_amplitude(&self) -> Complex {
-        self.coefficient
-    }
-
     /// Channel power `|h|^2`.
     #[must_use]
     pub fn power(&self) -> f64 {

@@ -22,14 +22,14 @@
 //!   dependency),
 //! * [`noise`] — additive white Gaussian noise via the Box–Muller transform,
 //! * [`channel`] — single-tap channels, path loss and fading,
-//! * [`modulation`] — ON-OFF keying symbol mapping and superposition of
-//!   concurrent tag reflections,
-//! * [`linecode`] — FM0 and Miller-M baseband line codes used by EPC Gen-2,
+//! * [`modulation`] — the carrier-leakage baseline that ON-OFF keyed
+//!   reflections ride on,
+//! * [`linecode`] — the Miller-M baseband line code of EPC Gen-2,
 //! * [`signal`] — IQ traces, constellations, power detection (occupied/empty
 //!   slot decisions),
 //! * [`sync`] — initial-offset jitter and clock-drift models plus drift
 //!   correction (reproduces the §8.1 microbenchmarks),
-//! * [`snr`] — dB/linear SNR conversions.
+//! * [`snr`] — dB-to-linear SNR conversion.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,11 +45,10 @@ pub mod sync;
 
 pub use channel::{Channel, ChannelModel, FadingModel, PathLoss};
 pub use complex::Complex;
-pub use linecode::{Fm0, LineCode, Miller};
-pub use modulation::{superpose, OnOffKeying};
+pub use linecode::Miller;
 pub use noise::AwgnSource;
 pub use signal::{Constellation, IqTrace, PowerDetector, SlotObservation};
-pub use snr::{snr_db_to_linear, snr_linear_to_db};
+pub use snr::snr_db_to_linear;
 pub use sync::{ClockModel, DriftCorrection, SyncJitter};
 
 /// Errors produced by physical-layer operations.

@@ -1,4 +1,4 @@
-//! Baseband line codes used by EPC Gen-2 backscatter links.
+//! The Miller-M baseband line code used by EPC Gen-2 backscatter links.
 //!
 //! EPC Gen-2 tags encode their uplink bits with either FM0 or Miller-M
 //! (M ∈ {2, 4, 8}) *before* ON-OFF keying them onto the carrier.  The paper's
@@ -6,95 +6,11 @@
 //! (4× more impedance switching, hence 4× the symbol rate and more energy,
 //! see Fig. 13) for robustness to bad channels.
 //!
-//! These encoders work at the *chip* level: one data bit becomes `chips_per_bit`
-//! binary chips, each of which is then OOK-modulated.  The decoders correlate
-//! against the two candidate chip patterns per bit.
+//! The encoder works at the *chip* level: one data bit becomes
+//! `chips_per_bit` binary chips, each of which is then OOK-modulated.  The
+//! decoder correlates against the two candidate chip patterns per bit.
 
 use crate::{PhyError, PhyResult};
-
-/// A binary line code mapping data bits to transmitted chips.
-pub trait LineCode {
-    /// Number of chips transmitted per data bit.
-    fn chips_per_bit(&self) -> usize;
-
-    /// Encodes a full bit string into chips.
-    fn encode(&self, bits: &[bool]) -> Vec<bool>;
-
-    /// Decodes chips back into bits by per-bit correlation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PhyError::LengthMismatch`] if `chips` is not a whole number
-    /// of encoded bits.
-    fn decode(&self, chips: &[bool]) -> PhyResult<Vec<bool>>;
-
-    /// Number of impedance transitions per data bit (averaged over the two bit
-    /// values), used by the energy model: each transition costs switching
-    /// energy on the tag.
-    fn transitions_per_bit(&self) -> f64;
-}
-
-/// FM0 (bi-phase space) encoding: the baseline inverts at every bit boundary,
-/// and a "0" bit has an additional mid-bit inversion.
-///
-/// FM0 is the lowest-overhead Gen-2 encoding (2 chips/bit) and is what the
-/// paper's Buzz data phase effectively assumes (plain OOK at the data rate,
-/// 1 transition per bit on average).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Fm0 {
-    _private: (),
-}
-
-impl Fm0 {
-    /// Creates an FM0 encoder.
-    #[must_use]
-    pub fn new() -> Self {
-        Self { _private: () }
-    }
-}
-
-impl LineCode for Fm0 {
-    fn chips_per_bit(&self) -> usize {
-        2
-    }
-
-    fn encode(&self, bits: &[bool]) -> Vec<bool> {
-        // Track the current baseband level; FM0 always inverts at a bit
-        // boundary, and inverts mid-bit for a data "0".
-        let mut level = true;
-        let mut chips = Vec::with_capacity(bits.len() * 2);
-        for &bit in bits {
-            level = !level; // boundary inversion
-            chips.push(level);
-            if !bit {
-                level = !level; // mid-bit inversion encodes "0"
-            }
-            chips.push(level);
-        }
-        chips
-    }
-
-    fn decode(&self, chips: &[bool]) -> PhyResult<Vec<bool>> {
-        if !chips.len().is_multiple_of(2) {
-            return Err(PhyError::LengthMismatch {
-                expected: chips.len() + 1,
-                actual: chips.len(),
-            });
-        }
-        // A bit is "1" when the two half-bit chips are equal (no mid-bit
-        // inversion), "0" when they differ.
-        Ok(chips
-            .chunks_exact(2)
-            .map(|pair| pair[0] == pair[1])
-            .collect())
-    }
-
-    fn transitions_per_bit(&self) -> f64 {
-        // Boundary inversion always (1) + mid-bit inversion for "0" bits
-        // (expected 0.5 for random data).
-        1.5
-    }
-}
 
 /// Miller-M encoding: each data bit is multiplied by a square-wave subcarrier
 /// of M cycles per bit; data is carried in the phase inversions between bits.
@@ -119,12 +35,6 @@ impl Miller {
             return Err(PhyError::InvalidParameter("Miller M must be 2, 4, or 8"));
         }
         Ok(Self { m })
-    }
-
-    /// The subcarrier cycles per bit.
-    #[must_use]
-    pub fn m(&self) -> usize {
-        self.m
     }
 
     /// The chip pattern for one bit given the starting subcarrier phase,
@@ -154,14 +64,16 @@ impl Miller {
         let end_phase = if bit { level } else { !level };
         (chips, end_phase)
     }
-}
 
-impl LineCode for Miller {
-    fn chips_per_bit(&self) -> usize {
+    /// Number of chips transmitted per data bit.
+    #[must_use]
+    pub fn chips_per_bit(&self) -> usize {
         2 * self.m
     }
 
-    fn encode(&self, bits: &[bool]) -> Vec<bool> {
+    /// Encodes a full bit string into chips.
+    #[must_use]
+    pub fn encode(&self, bits: &[bool]) -> Vec<bool> {
         let mut chips = Vec::with_capacity(bits.len() * 2 * self.m);
         let mut phase = true;
         for &bit in bits {
@@ -172,7 +84,13 @@ impl LineCode for Miller {
         chips
     }
 
-    fn decode(&self, chips: &[bool]) -> PhyResult<Vec<bool>> {
+    /// Decodes chips back into bits by per-bit correlation.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PhyError::LengthMismatch`] if `chips` is not a whole number
+    /// of encoded bits.
+    pub fn decode(&self, chips: &[bool]) -> PhyResult<Vec<bool>> {
         let per = self.chips_per_bit();
         if !chips.len().is_multiple_of(per) {
             return Err(PhyError::LengthMismatch {
@@ -201,7 +119,10 @@ impl LineCode for Miller {
         Ok(bits)
     }
 
-    fn transitions_per_bit(&self) -> f64 {
+    /// Number of impedance transitions per data bit, used by the energy
+    /// model: each transition costs switching energy on the tag.
+    #[must_use]
+    pub fn transitions_per_bit(&self) -> f64 {
         // One transition per chip boundary within the bit: ≈ 2·M transitions.
         2.0 * self.m as f64
     }
@@ -211,31 +132,6 @@ impl LineCode for Miller {
 mod tests {
     use super::*;
     use backscatter_prng::{BitStream, Rng64, Xoshiro256};
-
-    #[test]
-    fn fm0_round_trip() {
-        let code = Fm0::new();
-        let mut stream = BitStream::seed_from_u64(1);
-        let bits = stream.take_bits(256);
-        let chips = code.encode(&bits);
-        assert_eq!(chips.len(), 512);
-        assert_eq!(code.decode(&chips).unwrap(), bits);
-    }
-
-    #[test]
-    fn fm0_rejects_odd_chip_count() {
-        assert!(Fm0::new().decode(&[true]).is_err());
-    }
-
-    #[test]
-    fn fm0_always_inverts_at_bit_boundary() {
-        let code = Fm0::new();
-        let chips = code.encode(&[true, true, false, true]);
-        // Chip at end of bit i must differ from chip at start of bit i+1.
-        for i in 0..3 {
-            assert_ne!(chips[2 * i + 1], chips[2 * i + 2]);
-        }
-    }
 
     #[test]
     fn miller_requires_valid_m() {
@@ -289,13 +185,12 @@ mod tests {
 
     #[test]
     fn transition_counts_reflect_energy_cost() {
-        assert!(Miller::new(4).unwrap().transitions_per_bit() > Fm0::new().transitions_per_bit());
         assert_eq!(Miller::new(4).unwrap().transitions_per_bit(), 8.0);
+        assert_eq!(Miller::new(2).unwrap().transitions_per_bit(), 4.0);
     }
 
     #[test]
     fn chips_per_bit_values() {
-        assert_eq!(Fm0::new().chips_per_bit(), 2);
         assert_eq!(Miller::new(4).unwrap().chips_per_bit(), 8);
         assert_eq!(Miller::new(2).unwrap().chips_per_bit(), 4);
     }

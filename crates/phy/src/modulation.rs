@@ -1,4 +1,4 @@
-//! ON-OFF keying modulation and collision superposition.
+//! ON-OFF keying and the static carrier leakage it rides on.
 //!
 //! A backscatter tag conveys a "1" by switching its antenna impedance to
 //! reflect the reader's carrier and a "0" by staying silent (§2).  At the
@@ -11,104 +11,12 @@
 //!     y = leak + Σ_i  h_i · b_i   + n
 //! ```
 //!
-//! This module produces those samples, one per symbol, which is exactly the
-//! granularity the Buzz decoders work at.  Sample-accurate waveforms (many
-//! samples per bit, for the Fig. 2/8 style plots) are produced by
-//! [`crate::signal::IqTrace`].
+//! The simulator's medium (`backscatter_sim::medium::Medium`) evaluates that
+//! sum, one sample per symbol; this module holds the leakage term.
+//! Sample-accurate waveforms (many samples per bit, for the Fig. 2/8 style
+//! plots) are produced by [`crate::signal::IqTrace`].
 
-use crate::channel::Channel;
 use crate::complex::Complex;
-use crate::{PhyError, PhyResult};
-
-/// ON-OFF keying symbol mapper for a single tag.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OnOffKeying {
-    /// The tag's channel coefficient.
-    pub channel: Channel,
-}
-
-impl OnOffKeying {
-    /// Creates a mapper for a tag with the given channel.
-    #[must_use]
-    pub fn new(channel: Channel) -> Self {
-        Self { channel }
-    }
-
-    /// Maps one bit to the tag's contribution to the received sample.
-    #[must_use]
-    pub fn map_bit(&self, bit: bool) -> Complex {
-        if bit {
-            self.channel.reflected_amplitude()
-        } else {
-            Complex::ZERO
-        }
-    }
-
-    /// Maps a bit string to the tag's contribution per symbol.
-    #[must_use]
-    pub fn map_bits(&self, bits: &[bool]) -> Vec<Complex> {
-        bits.iter().map(|&b| self.map_bit(b)).collect()
-    }
-}
-
-/// Superposes the per-symbol transmissions of several tags into the received
-/// symbol stream (no noise, no leakage — those are added by the caller).
-///
-/// `contributions[i]` is tag `i`'s symbol stream; all streams must have the
-/// same length.
-///
-/// # Errors
-///
-/// Returns [`PhyError::Empty`] if no tag streams are given and
-/// [`PhyError::LengthMismatch`] if the streams disagree in length.
-pub fn superpose(contributions: &[Vec<Complex>]) -> PhyResult<Vec<Complex>> {
-    let first = contributions.first().ok_or(PhyError::Empty)?;
-    let len = first.len();
-    for c in contributions {
-        if c.len() != len {
-            return Err(PhyError::LengthMismatch {
-                expected: len,
-                actual: c.len(),
-            });
-        }
-    }
-    let mut out = vec![Complex::ZERO; len];
-    for stream in contributions {
-        for (acc, &s) in out.iter_mut().zip(stream) {
-            *acc += s;
-        }
-    }
-    Ok(out)
-}
-
-/// Superposes tags that each transmit a (possibly different) bit per symbol:
-/// `bits[i][j]` is tag `i`'s bit in symbol `j`.
-///
-/// This is the collision channel of Eq. 7 in the paper,
-/// `y_j = Σ_i h_i · b_{i,j}`, evaluated symbol by symbol.
-///
-/// # Errors
-///
-/// Propagates the errors of [`superpose`]; additionally returns
-/// [`PhyError::LengthMismatch`] if `channels` and `bits` have different
-/// numbers of tags.
-pub fn collide(channels: &[Channel], bits: &[Vec<bool>]) -> PhyResult<Vec<Complex>> {
-    if channels.len() != bits.len() {
-        return Err(PhyError::LengthMismatch {
-            expected: channels.len(),
-            actual: bits.len(),
-        });
-    }
-    if channels.is_empty() {
-        return Err(PhyError::Empty);
-    }
-    let streams: Vec<Vec<Complex>> = channels
-        .iter()
-        .zip(bits)
-        .map(|(ch, b)| OnOffKeying::new(*ch).map_bits(b))
-        .collect();
-    superpose(&streams)
-}
 
 /// The constant environmental reflection (carrier leakage plus static clutter)
 /// seen by the reader even when every tag is silent.
@@ -133,104 +41,5 @@ impl CarrierLeakage {
     #[must_use]
     pub fn typical() -> Self {
         Self::new(Complex::new(1.4, -1.2))
-    }
-
-    /// Adds the baseline to every symbol in place.
-    pub fn apply(&self, symbols: &mut [Complex]) {
-        for s in symbols {
-            *s += self.baseline;
-        }
-    }
-
-    /// Removes the baseline (what the reader does after estimating it from
-    /// silent slots).
-    pub fn remove(&self, symbols: &mut [Complex]) {
-        for s in symbols {
-            *s -= self.baseline;
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn ch(re: f64, im: f64) -> Channel {
-        Channel::from_coefficient(Complex::new(re, im))
-    }
-
-    #[test]
-    fn ook_maps_zero_to_silence() {
-        let ook = OnOffKeying::new(ch(0.5, -0.25));
-        assert_eq!(ook.map_bit(false), Complex::ZERO);
-        assert_eq!(ook.map_bit(true), Complex::new(0.5, -0.25));
-    }
-
-    #[test]
-    fn map_bits_length() {
-        let ook = OnOffKeying::new(ch(1.0, 0.0));
-        let out = ook.map_bits(&[true, false, true]);
-        assert_eq!(out, vec![Complex::ONE, Complex::ZERO, Complex::ONE]);
-    }
-
-    #[test]
-    fn superpose_adds_streams() {
-        let a = vec![Complex::ONE, Complex::ZERO];
-        let b = vec![Complex::new(0.0, 1.0), Complex::new(0.0, 1.0)];
-        let sum = superpose(&[a, b]).unwrap();
-        assert_eq!(sum, vec![Complex::new(1.0, 1.0), Complex::new(0.0, 1.0)]);
-    }
-
-    #[test]
-    fn superpose_rejects_mismatched_lengths() {
-        let a = vec![Complex::ONE];
-        let b = vec![Complex::ONE, Complex::ONE];
-        assert!(matches!(
-            superpose(&[a, b]),
-            Err(PhyError::LengthMismatch { .. })
-        ));
-        assert!(matches!(superpose(&[]), Err(PhyError::Empty)));
-    }
-
-    #[test]
-    fn two_tag_collision_produces_four_levels() {
-        // This is the Fig. 2(b)/Fig. 3(b) observation: two colliding tags
-        // produce four distinct received values ("00", "01", "10", "11").
-        let channels = [ch(1.0, 0.0), ch(0.0, 0.6)];
-        let bits = vec![
-            vec![false, false, true, true],
-            vec![false, true, false, true],
-        ];
-        let y = collide(&channels, &bits).unwrap();
-        assert_eq!(y.len(), 4);
-        // All four received values are distinct.
-        for i in 0..4 {
-            for j in (i + 1)..4 {
-                assert!((y[i] - y[j]).abs() > 1e-9, "levels {i} and {j} collide");
-            }
-        }
-        // And the "11" value is the sum of the two channels.
-        assert_eq!(y[3], Complex::new(1.0, 0.6));
-    }
-
-    #[test]
-    fn collide_checks_tag_count() {
-        let channels = [ch(1.0, 0.0)];
-        let bits = vec![vec![true], vec![false]];
-        assert!(collide(&channels, &bits).is_err());
-        assert!(collide(&[], &[]).is_err());
-    }
-
-    #[test]
-    fn leakage_apply_remove_round_trip() {
-        let leak = CarrierLeakage::typical();
-        let mut symbols = vec![Complex::ONE, Complex::ZERO, Complex::new(0.3, 0.3)];
-        let original = symbols.clone();
-        leak.apply(&mut symbols);
-        assert_ne!(symbols, original);
-        leak.remove(&mut symbols);
-        for (a, b) in symbols.iter().zip(&original) {
-            assert!((*a - *b).abs() < 1e-12);
-        }
     }
 }

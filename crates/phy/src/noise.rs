@@ -73,12 +73,6 @@ impl AwgnSource {
             self.standard_normal() * sigma,
         )
     }
-
-    /// Returns a noisy copy of `samples`.
-    #[must_use]
-    pub fn corrupt(&mut self, samples: &[Complex]) -> Vec<Complex> {
-        samples.iter().map(|&s| s + self.sample()).collect()
-    }
 }
 
 #[cfg(test)]
@@ -118,17 +112,5 @@ mod tests {
         let sum: Complex = (0..count).map(|_| n.sample()).sum();
         let mean = sum / count as f64;
         assert!(mean.abs() < 0.02, "mean = {mean}");
-    }
-
-    #[test]
-    fn corrupt_preserves_length_and_is_deterministic() {
-        let clean = vec![Complex::ONE; 64];
-        let mut a = AwgnSource::new(9, 0.5).unwrap();
-        let mut b = AwgnSource::new(9, 0.5).unwrap();
-        let na = a.corrupt(&clean);
-        let nb = b.corrupt(&clean);
-        assert_eq!(na.len(), 64);
-        assert_eq!(na, nb);
-        assert_ne!(na, clean);
     }
 }

@@ -65,12 +65,6 @@ impl IqTrace {
         Self::new(samples, sample_rate_hz)
     }
 
-    /// The raw samples.
-    #[must_use]
-    pub fn samples(&self) -> &[Complex] {
-        &self.samples
-    }
-
     /// The sampling rate in Hz.
     #[must_use]
     pub fn sample_rate_hz(&self) -> f64 {
@@ -102,12 +96,6 @@ impl Constellation {
         Self {
             points: symbols.to_vec(),
         }
-    }
-
-    /// The raw constellation points (one per received symbol).
-    #[must_use]
-    pub fn points(&self) -> &[Complex] {
-        &self.points
     }
 
     /// Greedily clusters the points with distance threshold `epsilon` and
@@ -190,22 +178,6 @@ impl PowerDetector {
         }
         Ok(Self { threshold })
     }
-
-    /// Chooses a threshold halfway (in power) between the noise floor and the
-    /// weakest expected single-tag reflection.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PhyError::InvalidParameter`] if the weakest signal power is
-    /// not above the noise power.
-    pub fn between(noise_power: f64, weakest_signal_power: f64) -> PhyResult<Self> {
-        if !(weakest_signal_power > noise_power && noise_power >= 0.0) {
-            return Err(PhyError::InvalidParameter(
-                "weakest signal power must exceed noise power",
-            ));
-        }
-        Self::new((noise_power + weakest_signal_power) / 2.0)
-    }
 }
 
 #[cfg(test)]
@@ -222,7 +194,6 @@ mod tests {
     fn trace_duration_and_series() {
         let symbols = vec![Complex::ONE, Complex::ZERO];
         let trace = IqTrace::from_symbols(&symbols, 50, 4.0e6).unwrap();
-        assert_eq!(trace.samples().len(), 100);
         let series = trace.magnitude_series_us();
         assert_eq!(series.len(), 100);
         assert!((series[0].1 - 1.0).abs() < 1e-12);
@@ -292,7 +263,7 @@ mod tests {
     #[test]
     fn power_detector_validates_threshold() {
         assert!(PowerDetector::new(-1.0).is_err());
-        assert!(PowerDetector::between(1.0, 0.5).is_err());
-        assert!(PowerDetector::between(0.01, 1.0).is_ok());
+        assert!(PowerDetector::new(f64::NAN).is_err());
+        assert!(PowerDetector::new(0.01).is_ok());
     }
 }

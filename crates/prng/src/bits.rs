@@ -6,7 +6,7 @@
 //!   every node transmits in a slot with probability `p_j = 2^{-j}`, and
 //! * the data-phase participation code (§6) where every node transmits its
 //!   message in a slot with a small probability chosen so that only a few
-//!   nodes collide per slot.
+//!   nodes share each slot.
 
 use crate::{Rng64, Xoshiro256};
 

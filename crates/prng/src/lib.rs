@@ -18,9 +18,9 @@
 //! * [`BiasedBits`] — a stream of `{0, 1}` bits where `1` appears with a
 //!   configurable probability `p` (used for the probability-halving
 //!   cardinality-estimation stage and the sparse participation code),
-//! * [`SlotSeeded`] — convenience wrapper deriving a fresh generator per
-//!   `(node id, slot)` pair, mirroring §6(a) of the paper where the data-phase
-//!   generator is "seeded by its own temporary id and the current time slot".
+//! * [`NodeSeed`] — per-node decisions keyed by the `(node id, slot)` pair,
+//!   mirroring §6(a) of the paper where the data-phase generator is "seeded
+//!   by its own temporary id and the current time slot".
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,7 +31,7 @@ pub mod splitmix;
 pub mod xoshiro;
 
 pub use bits::{BiasedBits, BitStream};
-pub use seed::{NodeSeed, SlotSeeded};
+pub use seed::NodeSeed;
 pub use splitmix::SplitMix64;
 pub use xoshiro::Xoshiro256;
 

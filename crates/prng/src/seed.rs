@@ -42,26 +42,16 @@ impl NodeSeed {
         Xoshiro256::seed_from_u64(SplitMix64::mix(DOMAIN_ESTIMATION, self.0))
     }
 
-    /// Generator for the data-phase participation decision of this node in a
-    /// particular `slot`.
-    ///
-    /// Seeding per `(id, slot)` pair — rather than one stream consumed slot by
-    /// slot — lets the reader rebuild any single row of `D` in O(K) work,
-    /// which the belief-propagation decoder exploits when new collisions
-    /// arrive.
-    #[must_use]
-    pub fn data_slot_rng(self, slot: u64) -> Xoshiro256 {
-        let mixed = SplitMix64::mix(DOMAIN_DATA, SplitMix64::mix(self.0, slot));
-        Xoshiro256::seed_from_u64(mixed)
-    }
-
     /// Returns whether this node participates (reflects its message) in the
     /// given data-phase `slot`, given participation probability `p`.
     ///
     /// Both the tag model and the reader's decoder call this same function, so
     /// the participation matrix is identical on both sides by construction.
-    /// The decision is the first `f64` of [`NodeSeed::data_slot_rng`]`(slot)`
-    /// compared against `p` clamped to `[0, 1]`.
+    /// Keying the decision by `(id, slot)` rather than one stream consumed
+    /// slot by slot lets the reader rebuild any single row of `D` in O(K)
+    /// work.  The decision is the first `f64` of the generator seeded with
+    /// `mix(DOMAIN_DATA, mix(id, slot))` compared against `p` clamped to
+    /// `[0, 1]`.
     #[must_use]
     pub fn participates_in_slot(self, slot: u64, p: f64) -> bool {
         self.slot_decision(DOMAIN_DATA, slot, p)
@@ -159,53 +149,6 @@ fn unit_threshold(p: f64) -> u64 {
     (p * (1u64 << 53) as f64).ceil() as u64
 }
 
-/// A factory producing per-slot biased bit decisions for a node.
-///
-/// This is a thin convenience wrapper over [`NodeSeed`] used by the simulator
-/// tag model so that the participation probability is stored alongside the
-/// seed.
-#[derive(Debug, Clone, Copy)]
-pub struct SlotSeeded {
-    seed: NodeSeed,
-    probability: f64,
-}
-
-impl SlotSeeded {
-    /// Creates a per-slot decision source for `seed` with participation
-    /// probability `probability` (clamped to `[0, 1]`).
-    #[must_use]
-    pub fn new(seed: NodeSeed, probability: f64) -> Self {
-        Self {
-            seed,
-            probability: probability.clamp(0.0, 1.0),
-        }
-    }
-
-    /// The node seed this source is bound to.
-    #[must_use]
-    pub fn seed(&self) -> NodeSeed {
-        self.seed
-    }
-
-    /// The participation probability.
-    #[must_use]
-    pub fn probability(&self) -> f64 {
-        self.probability
-    }
-
-    /// Updates the participation probability (e.g. after the reader broadcasts
-    /// a refined estimate of `K`).
-    pub fn set_probability(&mut self, probability: f64) {
-        self.probability = probability.clamp(0.0, 1.0);
-    }
-
-    /// Whether the node transmits in `slot`.
-    #[must_use]
-    pub fn participates(&self, slot: u64) -> bool {
-        self.seed.participates_in_slot(slot, self.probability)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -217,21 +160,14 @@ mod tests {
         let seed = NodeSeed(42);
         let mut id_rng = Xoshiro256::seed_from_u64(SplitMix64::mix(DOMAIN_IDENTIFICATION, seed.0));
         let mut est_rng = seed.estimation_rng();
-        let mut data_rng = seed.data_slot_rng(0);
+        let mut data_rng =
+            Xoshiro256::seed_from_u64(SplitMix64::mix(DOMAIN_DATA, SplitMix64::mix(seed.0, 0)));
         let a: Vec<u64> = (0..8).map(|_| id_rng.next_u64()).collect();
         let b: Vec<u64> = (0..8).map(|_| est_rng.next_u64()).collect();
         let c: Vec<u64> = (0..8).map(|_| data_rng.next_u64()).collect();
         assert_ne!(a, b);
         assert_ne!(a, c);
         assert_ne!(b, c);
-    }
-
-    #[test]
-    fn data_slot_rng_differs_across_slots() {
-        let seed = NodeSeed(7);
-        let mut s0 = seed.data_slot_rng(0);
-        let mut s1 = seed.data_slot_rng(1);
-        assert_ne!(s0.next_u64(), s1.next_u64());
     }
 
     #[test]
@@ -253,13 +189,6 @@ mod tests {
         let hits = (0..n).filter(|&s| seed.participates_in_slot(s, p)).count();
         let rate = hits as f64 / n as f64;
         assert!((rate - p).abs() < 0.02, "rate = {rate}");
-    }
-
-    #[test]
-    fn slot_seeded_probability_clamped() {
-        let s = SlotSeeded::new(NodeSeed(1), 2.0);
-        assert_eq!(s.probability(), 1.0);
-        assert!(s.participates(0));
     }
 
     #[test]
@@ -349,9 +278,9 @@ mod tests {
     fn different_nodes_make_different_decisions() {
         // With p = 0.5 over 256 slots, two nodes agreeing on every slot is
         // essentially impossible (probability 2^-256).
-        let a = SlotSeeded::new(NodeSeed(100), 0.5);
-        let b = SlotSeeded::new(NodeSeed(101), 0.5);
-        let same = (0..256).all(|s| a.participates(s) == b.participates(s));
+        let (a, b) = (NodeSeed(100), NodeSeed(101));
+        let same =
+            (0..256).all(|s| a.participates_in_slot(s, 0.5) == b.participates_in_slot(s, 0.5));
         assert!(!same);
     }
 }

@@ -37,37 +37,6 @@ impl Xoshiro256 {
         let _s0 = sm.next_u64();
         scramble(sm.next_u64())
     }
-
-    /// Returns the current internal state (useful for tests and snapshots).
-    #[must_use]
-    pub fn state(&self) -> [u64; 4] {
-        self.s
-    }
-
-    /// Advances the generator by 2^128 steps (the canonical `jump` function),
-    /// producing a non-overlapping subsequence.  Used when a single seed must
-    /// drive several logically-independent streams.
-    pub fn jump(&mut self) {
-        const JUMP: [u64; 4] = [
-            0x180e_c6d3_3cfd_0aba,
-            0xd5a6_1266_f0c9_392c,
-            0xa958_2618_e03f_c9aa,
-            0x39ab_dc45_29b1_661c,
-        ];
-        let mut s = [0u64; 4];
-        for &jump_word in &JUMP {
-            for bit in 0..64 {
-                if (jump_word >> bit) & 1 == 1 {
-                    s[0] ^= self.s[0];
-                    s[1] ^= self.s[1];
-                    s[2] ^= self.s[2];
-                    s[3] ^= self.s[3];
-                }
-                let _ = self.next_u64();
-            }
-        }
-        self.s = s;
-    }
 }
 
 /// The `**` scrambler: the output function applied to `s[1]`.
@@ -115,16 +84,6 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(a.next_u64(), b.next_u64());
         }
-    }
-
-    #[test]
-    fn jump_produces_disjoint_prefix() {
-        let mut a = Xoshiro256::seed_from_u64(7);
-        let mut b = a.clone();
-        b.jump();
-        let sa: Vec<u64> = (0..32).map(|_| a.next_u64()).collect();
-        let sb: Vec<u64> = (0..32).map(|_| b.next_u64()).collect();
-        assert_ne!(sa, sb);
     }
 
     proptest! {

@@ -191,12 +191,6 @@ impl Medium {
         }
     }
 
-    /// The number of tags on this medium.
-    #[must_use]
-    pub fn num_tags(&self) -> usize {
-        self.channels.len()
-    }
-
     /// The per-tag channels (ground truth; protocols should *estimate* these
     /// rather than read them unless the experiment grants genie knowledge).
     #[must_use]

@@ -617,7 +617,7 @@ mod tests {
     fn medium_shares_scenario_channels() {
         let s = ScenarioBuilder::paper_uplink(4, 9).build().unwrap();
         let m = s.medium(1).unwrap();
-        assert_eq!(m.num_tags(), 4);
+        assert_eq!(m.channels().len(), 4);
         for (mc, tc) in m.channels().iter().zip(s.tags()) {
             assert_eq!(*mc, tc.channel);
         }

@@ -9,7 +9,7 @@
 //!
 //! Run with: `cargo run --release --example bursty_interference`
 
-use backscatter_baselines::session::{CdmaProtocol, FsaIdentification, TdmaProtocol};
+use backscatter_baselines::{CdmaProtocol, FsaIdentification, TdmaProtocol};
 use backscatter_sim::dynamics::BurstyInterference;
 use backscatter_sim::scenario::Scenario;
 use buzz::protocol::{BuzzConfig, BuzzProtocol};
@@ -21,7 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..BuzzConfig::default()
     })?;
     let tdma = TdmaProtocol::paper_default()?;
-    let cdma = CdmaProtocol::paper_default()?;
+    let cdma = CdmaProtocol;
     let fsa = FsaIdentification;
     let panel: [&dyn Protocol; 4] = [&buzz, &tdma, &cdma, &fsa];
 

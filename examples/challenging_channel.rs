@@ -8,10 +8,10 @@
 //!
 //! Run with: `cargo run --release --example challenging_channel`
 
-use backscatter_baselines::cdma::CdmaTransfer;
-use backscatter_baselines::tdma::TdmaTransfer;
+use backscatter_baselines::{CdmaProtocol, TdmaProtocol};
 use backscatter_sim::scenario::ScenarioBuilder;
 use buzz::protocol::{BuzzConfig, BuzzProtocol};
+use buzz::session::Protocol;
 
 /// One printed row: the mean over a row's trials, losses in percent.
 #[derive(Clone, Copy)]
@@ -31,6 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!("{}", "-".repeat(80));
 
+    let tdma = TdmaProtocol::paper_default()?;
     let mut rows = Vec::new();
     for (i, &snr_db) in snr_points.iter().enumerate() {
         let mut buzz_rate = 0.0;
@@ -53,13 +54,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             buzz_rate += outcome.transfer.bits_per_symbol();
             buzz_loss += outcome.message_loss_rate();
 
-            let tdma = TdmaTransfer::new()?;
-            let mut medium = scenario.medium(trial)?;
-            tdma_loss += tdma.run(scenario.tags(), &mut medium)?.loss_rate();
-
-            let cdma = CdmaTransfer;
-            let mut medium = scenario.medium(trial)?;
-            cdma_loss += cdma.run(scenario.tags(), &mut medium)?.loss_rate();
+            tdma_loss += tdma.run(&mut scenario, trial)?.loss_rate();
+            cdma_loss += CdmaProtocol.run(&mut scenario, trial)?.loss_rate();
         }
 
         let n = trials as f64;

@@ -13,7 +13,7 @@
 //!
 //! Run with: `cargo run --release --example correlated_fading`
 
-use backscatter_baselines::session::{CdmaProtocol, FsaIdentification, TdmaProtocol};
+use backscatter_baselines::{CdmaProtocol, FsaIdentification, TdmaProtocol};
 use backscatter_sim::dynamics::CorrelatedFading;
 use backscatter_sim::scenario::Scenario;
 use buzz::protocol::{BuzzConfig, BuzzProtocol};
@@ -25,7 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..BuzzConfig::default()
     })?;
     let tdma = TdmaProtocol::paper_default()?;
-    let cdma = CdmaProtocol::paper_default()?;
+    let cdma = CdmaProtocol;
     let fsa = FsaIdentification;
     let panel: [&dyn Protocol; 4] = [&buzz, &tdma, &cdma, &fsa];
 

@@ -14,7 +14,7 @@
 //!
 //! Run with: `cargo run --release --example fading_tracking`
 
-use backscatter_baselines::session::TdmaProtocol;
+use backscatter_baselines::TdmaProtocol;
 use backscatter_sim::dynamics::CorrelatedFading;
 use backscatter_sim::scenario::Scenario;
 use buzz::bp::DecodeSchedule;

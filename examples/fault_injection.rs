@@ -14,7 +14,7 @@
 //!
 //! Run with: `cargo run --release --example fault_injection`
 
-use backscatter_baselines::session::TdmaProtocol;
+use backscatter_baselines::TdmaProtocol;
 use backscatter_sim::faults::{FeedbackLoss, ReaderRestart, SlotErasure, TagDropout};
 use backscatter_sim::scenario::{Scenario, ScenarioBuilder};
 use buzz::protocol::{BuzzConfig, BuzzProtocol};

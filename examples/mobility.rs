@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --release --example mobility`
 
-use backscatter_baselines::session::{CdmaProtocol, FsaIdentification, TdmaProtocol};
+use backscatter_baselines::{CdmaProtocol, FsaIdentification, TdmaProtocol};
 use backscatter_sim::dynamics::Mobility;
 use backscatter_sim::scenario::Scenario;
 use buzz::protocol::{BuzzConfig, BuzzProtocol};
@@ -20,7 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..BuzzConfig::default()
     })?;
     let tdma = TdmaProtocol::paper_default()?;
-    let cdma = CdmaProtocol::paper_default()?;
+    let cdma = CdmaProtocol;
     let fsa = FsaIdentification;
     let panel: [&dyn Protocol; 4] = [&buzz, &tdma, &cdma, &fsa];
 

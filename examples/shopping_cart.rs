@@ -10,10 +10,10 @@
 //!
 //! Run with: `cargo run --release --example shopping_cart`
 
-use backscatter_baselines::identification::fsa_identification;
-use backscatter_baselines::tdma::TdmaTransfer;
+use backscatter_baselines::{FsaIdentification, TdmaProtocol};
 use backscatter_sim::scenario::ScenarioBuilder;
 use buzz::protocol::{BuzzConfig, BuzzProtocol};
+use buzz::session::Protocol;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 20 items in the cart out of a store inventory of one million ids.
@@ -54,21 +54,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // --- Gen-2 style: FSA identification + TDMA transfer --------------------
-    let fsa = fsa_identification(&scenario, 3)?;
-    let tdma = TdmaTransfer::new()?;
-    let mut medium = scenario.medium(5)?;
-    let tdma_out = tdma.run(scenario.tags(), &mut medium)?;
+    let fsa = FsaIdentification.run(&mut scenario, 3)?;
+    let tdma = TdmaProtocol::paper_default()?.run(&mut scenario, 5)?;
     println!("== EPC Gen-2 (FSA + TDMA) ==");
     println!(
         "identification: {:.2} ms ({} slots, {} identified)",
-        fsa.time_ms, fsa.slots, fsa.identified
+        fsa.wall_time_ms, fsa.slots_used, fsa.delivered_messages
     );
     println!(
         "data transfer : {:.2} ms, {} / 20 items read correctly",
-        tdma_out.time_ms,
-        tdma_out.delivered_count()
+        tdma.wall_time_ms, tdma.delivered_messages
     );
-    let gen2_total = fsa.time_ms + tdma_out.time_ms;
+    let gen2_total = fsa.wall_time_ms + tdma.wall_time_ms;
     println!("checkout total: {gen2_total:.2} ms\n");
 
     println!(

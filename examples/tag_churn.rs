@@ -11,7 +11,7 @@
 //!
 //! Run with: `cargo run --release --example tag_churn`
 
-use backscatter_baselines::session::TdmaProtocol;
+use backscatter_baselines::TdmaProtocol;
 use backscatter_sim::dynamics::TagChurn;
 use backscatter_sim::scenario::Scenario;
 use buzz::protocol::{BuzzConfig, BuzzProtocol};

@@ -33,9 +33,7 @@ pub use sparse_recovery as recovery;
 // The unified cross-protocol session API, re-exported flat so downstream
 // comparisons can `use buzz_suite::{Protocol, SessionOutcome}` and hold every
 // scheme — Buzz and the baselines alike — behind `&[&dyn Protocol]`.
-pub use backscatter_baselines::session::{
-    CdmaProtocol, FsaIdentification, FsaWithEstimatedK, TdmaProtocol,
-};
+pub use backscatter_baselines::{CdmaProtocol, FsaIdentification, FsaWithEstimatedK, TdmaProtocol};
 pub use backscatter_fleet::{run_fleet, FleetConfig, FleetOutcome};
 pub use backscatter_sim::dynamics::{
     BurstyInterference, HeterogeneousTagPower, Mobility, ScenarioDynamics,
@@ -58,7 +56,7 @@ mod tests {
         let _ = crate::sim::MediumConfig::default();
         let _ = crate::recovery::KEstimator::new(4);
         let _ = crate::protocol::BuzzConfig::default();
-        let _ = crate::baselines::CdmaTransfer;
+        let _ = crate::baselines::CdmaProtocol;
         // The flat session-API re-exports.
         fn _panel(_: &[&dyn crate::Protocol]) {}
         let _ = crate::ScenarioBuilder::new(1);

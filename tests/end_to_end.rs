@@ -1,13 +1,12 @@
 //! Cross-crate integration tests: the full Buzz pipeline against the
 //! simulator, compared with the baselines, over shared scenarios.
 
-use buzz_suite::baselines::cdma::CdmaTransfer;
-use buzz_suite::baselines::identification::{fsa_identification, fsa_with_known_k};
-use buzz_suite::baselines::tdma::TdmaTransfer;
 use buzz_suite::protocol::identification::{DiscoveredTag, Identifier};
 use buzz_suite::protocol::protocol::{BuzzConfig, BuzzProtocol};
+use buzz_suite::protocol::session::run_panel;
 use buzz_suite::protocol::transfer::{score_against_truth, DataTransfer};
 use buzz_suite::sim::scenario::ScenarioBuilder;
+use buzz_suite::{CdmaProtocol, FsaIdentification, FsaWithEstimatedK, Protocol, TdmaProtocol};
 
 /// The headline end-to-end property: in ordinary channel conditions Buzz
 /// identifies every tag and delivers every message, at an aggregate rate above
@@ -51,14 +50,12 @@ fn buzz_transfer_time_beats_tdma_and_cdma() {
         })
         .unwrap();
         buzz_total += buzz.run(&mut scenario, trial).unwrap().transfer.time_ms;
-
-        let tdma = TdmaTransfer::new().unwrap();
-        let mut medium = scenario.medium(trial).unwrap();
-        tdma_total += tdma.run(scenario.tags(), &mut medium).unwrap().time_ms;
-
-        let cdma = CdmaTransfer;
-        let mut medium = scenario.medium(trial).unwrap();
-        cdma_total += cdma.run(scenario.tags(), &mut medium).unwrap().time_ms;
+        tdma_total += TdmaProtocol::paper_default()
+            .unwrap()
+            .run(&mut scenario, trial)
+            .unwrap()
+            .wall_time_ms;
+        cdma_total += CdmaProtocol.run(&mut scenario, trial).unwrap().wall_time_ms;
     }
     assert!(
         buzz_total < tdma_total && buzz_total < cdma_total,
@@ -88,16 +85,14 @@ fn buzz_identification_beats_fsa() {
         let mut scenario = ScenarioBuilder::paper_uplink(k, 8_200 + trial)
             .build()
             .unwrap();
-        let outcome = BuzzProtocol::new(BuzzConfig::default())
-            .unwrap()
-            .run(&mut scenario, trial)
-            .unwrap();
-        let ident = outcome.identification.unwrap();
-        buzz_total += ident.time_ms;
-        fsa_total += fsa_identification(&scenario, trial).unwrap().time_ms;
-        fsa_k_total += fsa_with_known_k(&scenario, ident.k_estimate.k_rounded(), trial)
-            .unwrap()
-            .time_ms;
+        // FSA with known K reads Buzz's estimate K̂ from the panel.
+        let buzz = BuzzProtocol::new(BuzzConfig::default()).unwrap();
+        let panel: [&dyn Protocol; 3] = [&buzz, &FsaIdentification, &FsaWithEstimatedK];
+        let outcomes = run_panel(&panel, &mut scenario, trial).unwrap();
+        let diagnostics = outcomes[0].diagnostics.as_ref().unwrap();
+        buzz_total += diagnostics.identification_time_ms.unwrap();
+        fsa_total += outcomes[1].wall_time_ms;
+        fsa_k_total += outcomes[2].wall_time_ms;
     }
     assert!(
         buzz_total < fsa_k_total && fsa_k_total < fsa_total,
@@ -131,12 +126,15 @@ fn buzz_stays_reliable_where_baselines_fail() {
         buzz_lost += outcome.incorrect_messages;
         buzz_rate += outcome.transfer.bits_per_symbol();
 
-        let tdma = TdmaTransfer::new().unwrap();
-        let mut medium = scenario.medium(trial).unwrap();
-        baseline_lost += tdma.run(scenario.tags(), &mut medium).unwrap().lost_count();
-        let cdma = CdmaTransfer;
-        let mut medium = scenario.medium(trial).unwrap();
-        baseline_lost += cdma.run(scenario.tags(), &mut medium).unwrap().lost_count();
+        baseline_lost += TdmaProtocol::paper_default()
+            .unwrap()
+            .run(&mut scenario, trial)
+            .unwrap()
+            .lost_messages;
+        baseline_lost += CdmaProtocol
+            .run(&mut scenario, trial)
+            .unwrap()
+            .lost_messages;
     }
     assert!(
         buzz_lost * 4 <= baseline_lost,
@@ -159,25 +157,23 @@ fn buzz_stays_reliable_where_baselines_fail() {
 #[test]
 fn all_baselines_complete_on_shared_seeds() {
     for seed in [1u64, 2, 3] {
-        let scenario = ScenarioBuilder::paper_uplink(4, seed).build().unwrap();
+        let mut scenario = ScenarioBuilder::paper_uplink(4, seed).build().unwrap();
 
-        let tdma = TdmaTransfer::new().unwrap();
-        let mut medium = scenario.medium(seed).unwrap();
-        let tdma_out = tdma
-            .run(scenario.tags(), &mut medium)
+        let tdma_out = TdmaProtocol::paper_default()
+            .unwrap()
+            .run(&mut scenario, seed)
             .unwrap_or_else(|e| panic!("TDMA failed on seed {seed}: {e}"));
-        assert_eq!(tdma_out.per_tag_transitions.len(), 4, "seed {seed}");
+        assert_eq!(tdma_out.per_tag_energy_j.len(), 4, "seed {seed}");
 
-        let cdma = CdmaTransfer;
-        let mut medium = scenario.medium(seed).unwrap();
-        let cdma_out = cdma
-            .run(scenario.tags(), &mut medium)
+        let cdma_out = CdmaProtocol
+            .run(&mut scenario, seed)
             .unwrap_or_else(|e| panic!("CDMA failed on seed {seed}: {e}"));
-        assert_eq!(cdma_out.per_tag_transitions.len(), 4, "seed {seed}");
+        assert_eq!(cdma_out.per_tag_energy_j.len(), 4, "seed {seed}");
 
-        let fsa_out = fsa_identification(&scenario, seed)
+        let fsa_out = FsaIdentification
+            .run(&mut scenario, seed)
             .unwrap_or_else(|e| panic!("FSA failed on seed {seed}: {e}"));
-        assert!(fsa_out.time_ms > 0.0, "seed {seed}");
+        assert!(fsa_out.wall_time_ms > 0.0, "seed {seed}");
     }
 }
 
@@ -185,7 +181,6 @@ fn all_baselines_complete_on_shared_seeds() {
 /// set as TDMA and far less than CDMA.
 #[test]
 fn buzz_energy_is_comparable_to_tdma_and_below_cdma() {
-    use buzz_suite::sim::energy::TransmissionProfile;
     let k = 8;
     let mut scenario = ScenarioBuilder::paper_uplink(k, 4_400).build().unwrap();
 
@@ -195,40 +190,12 @@ fn buzz_energy_is_comparable_to_tdma_and_below_cdma() {
     })
     .unwrap();
     let buzz_energy = buzz.run(&mut scenario, 1).unwrap().mean_energy_j();
-
-    let tdma = TdmaTransfer::new().unwrap();
-    let mut medium = scenario.medium(1).unwrap();
-    let tdma_out = tdma.run(scenario.tags(), &mut medium).unwrap();
-    let tdma_energy: f64 = tdma_out
-        .per_tag_transitions
-        .iter()
-        .zip(&tdma_out.per_tag_active_s)
-        .map(|(&tr, &s)| {
-            TransmissionProfile {
-                active_time_s: s,
-                transitions: tr,
-            }
-            .reply_energy_j(3.0)
-        })
-        .sum::<f64>()
-        / k as f64;
-
-    let cdma = CdmaTransfer;
-    let mut medium = scenario.medium(1).unwrap();
-    let cdma_out = cdma.run(scenario.tags(), &mut medium).unwrap();
-    let cdma_energy: f64 = cdma_out
-        .per_tag_transitions
-        .iter()
-        .zip(&cdma_out.per_tag_active_s)
-        .map(|(&tr, &s)| {
-            TransmissionProfile {
-                active_time_s: s,
-                transitions: tr,
-            }
-            .reply_energy_j(3.0)
-        })
-        .sum::<f64>()
-        / k as f64;
+    let tdma_energy = TdmaProtocol::paper_default()
+        .unwrap()
+        .run(&mut scenario, 1)
+        .unwrap()
+        .mean_energy_j();
+    let cdma_energy = CdmaProtocol.run(&mut scenario, 1).unwrap().mean_energy_j();
 
     assert!(
         buzz_energy < cdma_energy,

@@ -12,7 +12,7 @@
 //!   panics, and every session accounts for the full offered load —
 //!   `delivered + lost == K`.
 
-use buzz_suite::baselines::session::{CdmaProtocol, TdmaProtocol};
+use buzz_suite::baselines::{CdmaProtocol, TdmaProtocol};
 use buzz_suite::protocol::protocol::{BuzzConfig, BuzzProtocol};
 use buzz_suite::protocol::recovery::{RecoveryConfig, ResilientBuzzProtocol};
 use buzz_suite::protocol::session::{Protocol, SessionOutcome};
@@ -101,7 +101,7 @@ fn zero_rate_fault_plan_is_byte_identical_to_no_plan() {
     let resilient =
         ResilientBuzzProtocol::new(periodic_config(), RecoveryConfig::default()).unwrap();
     let tdma = TdmaProtocol::paper_default().unwrap();
-    let cdma = CdmaProtocol::paper_default().unwrap();
+    let cdma = CdmaProtocol;
     let panel: [&dyn Protocol; 4] = [&buzz, &resilient, &tdma, &cdma];
 
     for protocol in panel {
@@ -148,7 +148,7 @@ proptest! {
         let resilient =
             ResilientBuzzProtocol::new(periodic_config(), RecoveryConfig::default()).unwrap();
         let tdma = TdmaProtocol::paper_default().unwrap();
-        let cdma = CdmaProtocol::paper_default().unwrap();
+        let cdma = CdmaProtocol;
         let panel: [&dyn Protocol; 4] = [&buzz, &resilient, &tdma, &cdma];
 
         for protocol in panel {

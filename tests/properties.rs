@@ -5,9 +5,9 @@ use buzz_suite::codes::{Crc16, Crc5};
 use buzz_suite::fleet::{run_fleet, FleetConfig};
 use buzz_suite::phy::channel::Channel;
 use buzz_suite::phy::complex::Complex;
-use buzz_suite::phy::linecode::{Fm0, LineCode, Miller};
-use buzz_suite::phy::modulation::collide;
+use buzz_suite::phy::linecode::Miller;
 use buzz_suite::prng::{Rng64, Xoshiro256};
+use buzz_suite::sim::medium::{Medium, MediumConfig};
 use buzz_suite::TdmaProtocol;
 use proptest::prelude::*;
 
@@ -42,11 +42,9 @@ proptest! {
         prop_assert!(!crc.check(&corrupted).unwrap());
     }
 
-    /// Line codes are lossless for arbitrary bit strings.
+    /// Miller line codes are lossless for arbitrary bit strings.
     #[test]
     fn line_codes_round_trip(bits in proptest::collection::vec(any::<bool>(), 1..200)) {
-        let fm0 = Fm0::new();
-        prop_assert_eq!(fm0.decode(&fm0.encode(&bits)).unwrap(), bits.clone());
         for m in [2usize, 4, 8] {
             let miller = Miller::new(m).unwrap();
             prop_assert_eq!(miller.decode(&miller.encode(&bits)).unwrap(), bits.clone());
@@ -61,8 +59,9 @@ proptest! {
         prop_assert_eq!(recovered, Some(msg));
     }
 
-    /// Collision superposition is linear: the received symbol of a joint
-    /// transmission equals the sum of the individual transmissions.
+    /// Collision superposition is linear: on a noiseless medium, the received
+    /// symbol of a joint transmission equals the sum of the individual
+    /// transmissions.
     #[test]
     fn collision_superposition_is_linear(
         res in proptest::collection::vec(-2.0f64..2.0, 2..6),
@@ -73,13 +72,15 @@ proptest! {
         let channels: Vec<Channel> = (0..n)
             .map(|i| Channel::from_coefficient(Complex::new(res[i], ims[i])))
             .collect();
-        let per_tag_bits: Vec<Vec<bool>> = (0..n).map(|i| vec![bits[i]]).collect();
-        let joint = collide(&channels, &per_tag_bits).unwrap()[0];
-        let sum: Complex = (0..n)
-            .map(|i| {
-                collide(&channels[i..=i], &per_tag_bits[i..=i]).unwrap()[0]
-            })
-            .sum();
+        let config = MediumConfig { noise_power: 0.0, ..MediumConfig::default() };
+        let mut medium = Medium::new(channels, config).unwrap();
+        let joint = medium.observe(&bits[..n]).unwrap();
+        let mut sum = Complex::ZERO;
+        for i in 0..n {
+            let mut alone = vec![false; n];
+            alone[i] = bits[i];
+            sum += medium.observe(&alone).unwrap();
+        }
         prop_assert!((joint - sum).abs() < 1e-9);
     }
 

@@ -9,9 +9,7 @@
 //! * Dynamics: scenarios carrying dynamics stay deterministic end-to-end and
 //!   actually change what the protocols experience.
 
-use buzz_suite::baselines::session::{
-    CdmaProtocol, FsaIdentification, FsaWithEstimatedK, TdmaProtocol,
-};
+use buzz_suite::baselines::{CdmaProtocol, FsaIdentification, FsaWithEstimatedK, TdmaProtocol};
 use buzz_suite::protocol::protocol::{BuzzConfig, BuzzProtocol};
 use buzz_suite::protocol::session::{run_panel, Protocol, SessionOutcome};
 use buzz_suite::sim::dynamics::{BurstyInterference, HeterogeneousTagPower, Mobility};
@@ -22,7 +20,7 @@ use buzz_suite::sim::scenario::{Placement, Scenario, ScenarioBuilder, SnrProfile
 fn run_full_panel(builder: ScenarioBuilder, seed: u64) -> Vec<SessionOutcome> {
     let buzz = BuzzProtocol::new(BuzzConfig::default()).unwrap();
     let tdma = TdmaProtocol::paper_default().unwrap();
-    let cdma = CdmaProtocol::paper_default().unwrap();
+    let cdma = CdmaProtocol;
     let fsa = FsaIdentification;
     let fsa_k = FsaWithEstimatedK;
     let panel: [&dyn Protocol; 5] = [&buzz, &tdma, &cdma, &fsa, &fsa_k];
@@ -177,7 +175,7 @@ fn tdma_and_cdma_feel_scenario_dynamics() {
     // A violent jammer must cost the fixed-rate schemes messages relative to
     // their quiet-band runs over the same scenarios.
     let tdma = TdmaProtocol::paper_default().unwrap();
-    let cdma = CdmaProtocol::paper_default().unwrap();
+    let cdma = CdmaProtocol;
     let mut quiet_delivered = 0usize;
     let mut jammed_delivered = 0usize;
     for seed in 0..4u64 {
