@@ -82,11 +82,7 @@ impl CdmaProtocol {
         // clock drift accumulated over the (long) spread transmission.
         let residual_ppm: Vec<f64> = tags
             .iter()
-            .map(|t| {
-                DriftCorrection::calibrate(t.clock, 10_000.0, 1.0e6)
-                    .map(|c| c.residual_ppm(t.clock))
-                    .unwrap_or(t.clock.drift_ppm)
-            })
+            .map(|t| DriftCorrection::calibrate(t.clock).residual_ppm(t.clock))
             .collect();
 
         // Receive the superposed chip stream.  Faults index bit periods: a

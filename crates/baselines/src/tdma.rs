@@ -119,15 +119,12 @@ impl TdmaProtocol {
             // noise of the other schemes.
             let mut received = Vec::with_capacity(chips.len());
             for &chip in &chips {
-                let mut bits = vec![false; tags.len()];
-                bits[i] = chip;
-                let mut y = medium.observe_with_noise_factor(&bits, noise_factor)?;
+                let mut y = medium.observe_single(i, chip, noise_factor)?;
                 if noise_scale > 1.0 {
                     let extra = medium.noise_power() * (noise_scale - 1.0);
                     // Draw the extra noise through the medium's own source by
                     // scaling an independent observation of silence.
-                    let silence =
-                        medium.observe_with_noise_factor(&vec![false; tags.len()], noise_factor)?;
+                    let silence = medium.observe_single(i, false, noise_factor)?;
                     y += silence * (extra / medium.noise_power().max(f64::MIN_POSITIVE)).sqrt();
                 }
                 received.push(y);

@@ -136,18 +136,9 @@ fn run_session(
     stream.len()
 }
 
-/// `BENCH_SMOKE=1` caps every entry at one iteration (CI's perf gate mode).
-fn samples(full: usize) -> usize {
-    if std::env::var_os("BENCH_SMOKE").is_some() {
-        1
-    } else {
-        full
-    }
-}
-
 fn bench_decoders_large_k(c: &mut Criterion) {
     let mut group = c.benchmark_group("decoders_large_k");
-    group.sample_size(samples(5));
+    group.sample_size(buzz_bench::samples(5));
 
     for &k in &[32usize, 64] {
         group.bench_with_input(BenchmarkId::new("bit_flipping_sparse", k), &k, |b, &k| {
@@ -167,7 +158,7 @@ fn bench_decoders_large_k(c: &mut Criterion) {
 
     // The Fig. 11 regime measurement: a whole rateless session per
     // iteration, in which the worklist only revisits perturbed positions.
-    group.sample_size(samples(3));
+    group.sample_size(buzz_bench::samples(3));
     for &k in &[32usize, 64, 100, 150] {
         let (channels, bits, stream) = build_slot_stream(k, 3 * k, 4.0);
         group.bench_with_input(BenchmarkId::new("session_worklist", k), &k, |b, _| {

@@ -109,18 +109,9 @@ fn run_session(
     stream.len()
 }
 
-/// `BENCH_SMOKE=1` caps every entry at one iteration (CI's perf gate mode).
-fn samples(full: usize) -> usize {
-    if std::env::var_os("BENCH_SMOKE").is_some() {
-        1
-    } else {
-        full
-    }
-}
-
 fn bench_decoders_message_passing(c: &mut Criterion) {
     let mut group = c.benchmark_group("decoders_message_passing");
-    group.sample_size(samples(3));
+    group.sample_size(buzz_bench::samples(3));
 
     // Static sessions: the apples-to-apples cost of the soft schedule next
     // to the worklist bit-flipper on the workloads both decode.

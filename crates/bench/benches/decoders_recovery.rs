@@ -38,18 +38,9 @@ fn run_session(protocol: &ResilientBuzzProtocol, mut scenario: Scenario, noise_s
     outcome.delivered_messages as u64
 }
 
-/// `BENCH_SMOKE=1` caps every entry at one iteration (CI's perf gate mode).
-fn samples(full: usize) -> usize {
-    if std::env::var_os("BENCH_SMOKE").is_some() {
-        1
-    } else {
-        full
-    }
-}
-
 fn bench_decoders_recovery(c: &mut Criterion) {
     let mut group = c.benchmark_group("decoders_recovery");
-    group.sample_size(samples(3));
+    group.sample_size(buzz_bench::samples(3));
 
     let protocol =
         ResilientBuzzProtocol::new(periodic_config(), RecoveryConfig::default()).unwrap();

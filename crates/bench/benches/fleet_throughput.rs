@@ -32,18 +32,9 @@ fn config(readers: usize) -> FleetConfig {
     }
 }
 
-/// `BENCH_SMOKE=1` caps every entry at one iteration (CI's perf gate mode).
-fn samples(full: usize) -> usize {
-    if std::env::var_os("BENCH_SMOKE").is_some() {
-        1
-    } else {
-        full
-    }
-}
-
 fn bench_fleet_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("fleet_throughput");
-    group.sample_size(samples(3));
+    group.sample_size(buzz_bench::samples(3));
 
     let protocol = BuzzProtocol::new(BuzzConfig {
         periodic_mode: true,

@@ -24,11 +24,9 @@
 //! reproduce diff runbook.json other-runbook.json           # first divergent job
 //! ```
 //!
-//! `--plan` (or the figure form's positional argument) takes `all`, `grid`,
-//! or a comma-separated figure list; `grid` plans also honour `--ks 4,8,16`,
-//! `--traces N`, and `--dynamics static,fading:<doppler>:<los>`, and run
-//! only through `run`/`merge`, since grid jobs have no tables.  All
-//! subcommands accept `--locations`, `--seed`, and `--threads`.  Output is
+//! `--plan` (or the figure form's positional argument) takes `all` or a
+//! comma-separated figure list; every job is one figure.  All subcommands
+//! accept `--locations`, `--seed`, and `--threads`.  Output is
 //! byte-identical for every `--threads` value and every `--shard` split.
 //!
 //! Valid figure ids are the registry ids
@@ -252,9 +250,6 @@ fn cmd_figures(args: &[String]) -> i32 {
         [] => {}
         [figures] => flags.plan = figures.clone(),
         _ => return fail("name the figures as one comma-separated list"),
-    }
-    if flags.plan == "grid" {
-        return fail("grid jobs print no tables: use `reproduce run --plan grid` and `merge`");
     }
     let plan = match flags.build_plan() {
         Ok(p) => p,

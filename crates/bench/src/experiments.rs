@@ -209,8 +209,8 @@ pub fn fig8() -> ExperimentReport {
     let slow = ClockModel::new(-1_560.0);
     let uncorrected =
         (fast.accumulated_drift_us(2_000.0) - slow.accumulated_drift_us(2_000.0)).abs() / symbol_us;
-    let corr_fast = DriftCorrection::calibrate(fast, 10_000.0, 1.0e6).expect("calibrate");
-    let corr_slow = DriftCorrection::calibrate(slow, 10_000.0, 1.0e6).expect("calibrate");
+    let corr_fast = DriftCorrection::calibrate(fast);
+    let corr_slow = DriftCorrection::calibrate(slow);
     let corrected =
         (corr_fast.residual_ppm(fast) - corr_slow.residual_ppm(slow)).abs() * 1e-6 * 2_000.0
             / symbol_us;
@@ -656,7 +656,7 @@ pub fn fig_fading(locations: u64, base_seed: u64, threads: usize) -> ExperimentR
         |(doppler, los), location| {
             let seed = base_seed + location * 89 + (doppler * 1000.0) as u64;
             ScenarioBuilder::paper_uplink(8, seed)
-                .dynamics(CorrelatedFading::new(doppler, 8, los).expect("fading"))
+                .dynamics(CorrelatedFading::new(doppler, los).expect("fading"))
                 .build()
                 .expect("scenario")
         },

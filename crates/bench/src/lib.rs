@@ -34,3 +34,14 @@ pub mod report;
 
 pub use compare::{compare, ComparisonCell};
 pub use report::ExperimentReport;
+
+/// Iterations per bench entry: `full`, or one when `BENCH_SMOKE` is set
+/// (CI's perf-gate mode).
+#[must_use]
+pub fn samples(full: usize) -> usize {
+    if std::env::var_os("BENCH_SMOKE").is_some() {
+        1
+    } else {
+        full
+    }
+}

@@ -2,13 +2,12 @@
 //!
 //! The binary only dispatches subcommands and does file I/O; the flag
 //! parser lives here, beside the other inputs the experiment service reads
-//! ([`super::plan::SweepPlan`], [`super::plan::Shard`],
-//! [`super::plan::GridDynamics`]), so it is held to the same rule: hostile
-//! input returns an error, never a panic or an abort.
+//! ([`super::plan::SweepPlan`], [`super::plan::Shard`]), so it is held to
+//! the same rule: hostile input returns an error, never a panic or an abort.
 
 use buzz::executor::available_threads;
 
-use super::plan::{GridDynamics, GridOptions, Shard, SweepPlan};
+use super::plan::{Shard, SweepPlan};
 use crate::experiments;
 
 /// The base seed every plan uses unless `--seed` names another.
@@ -17,7 +16,7 @@ const BASE_SEED: u64 = 2012;
 /// Flags shared by every subcommand (and the figure form).
 #[derive(Debug)]
 pub struct CliFlags {
-    /// `--plan`: `all`, `grid` or a comma-separated figure list.
+    /// `--plan`: `all` or a comma-separated figure list.
     pub plan: String,
     /// `--locations`: locations every figure averages over.
     pub locations: u64,
@@ -25,8 +24,6 @@ pub struct CliFlags {
     pub seed: u64,
     /// `--threads`: worker threads (at least one).
     pub threads: usize,
-    /// `--ks`, `--traces` and `--dynamics`: the grid plan's axes.
-    pub grid: GridOptions,
     /// `--shard i/n`: the slice of the plan `run` executes.
     pub shard: Shard,
     /// `--out`: the plan, artifact directory or runbook to write.
@@ -47,7 +44,7 @@ impl CliFlags {
     /// # Errors
     ///
     /// An unknown flag, a flag without its value, and a value its parser
-    /// rejects.  Location and grid bounds are the plan's to check
+    /// rejects.  Location bounds are the plan's to check
     /// ([`Self::build_plan`]).
     pub fn parse(args: &[String]) -> Result<Self, String> {
         let mut flags = CliFlags {
@@ -55,7 +52,6 @@ impl CliFlags {
             locations: experiments::DEFAULT_LOCATIONS,
             seed: BASE_SEED,
             threads: available_threads(),
-            grid: GridOptions::default(),
             shard: Shard::full(),
             out: None,
             figures: None,
@@ -95,23 +91,6 @@ impl CliFlags {
                     .artifacts
                     .extend(value("--artifacts")?.split(',').map(str::to_string)),
                 "--json" => flags.json_path = Some(value("--json")?),
-                "--ks" => {
-                    flags.grid.ks = value("--ks")?
-                        .split(',')
-                        .map(|v| v.trim().parse().map_err(|_| format!("bad K `{v}`")))
-                        .collect::<Result<_, _>>()?;
-                }
-                "--traces" => {
-                    flags.grid.traces = value("--traces")?
-                        .parse()
-                        .map_err(|_| "bad --traces".to_string())?;
-                }
-                "--dynamics" => {
-                    flags.grid.dynamics = value("--dynamics")?
-                        .split(',')
-                        .map(GridDynamics::parse)
-                        .collect::<Result<_, _>>()?;
-                }
                 other if !other.starts_with("--") => flags.positional.push(other.to_string()),
                 other => return Err(format!("unknown flag {other}")),
             }
@@ -125,6 +104,6 @@ impl CliFlags {
     ///
     /// The errors of [`SweepPlan::from_name`].
     pub fn build_plan(&self) -> Result<SweepPlan, String> {
-        SweepPlan::from_name(&self.plan, self.locations, self.seed, &self.grid)
+        SweepPlan::from_name(&self.plan, self.locations, self.seed)
     }
 }

@@ -1,9 +1,9 @@
 //! The experiment service: plan → shard → merge → diff.
 //!
 //! This module turns the repo's figure set into a *plan-driven* service.
-//! A [`plan::SweepPlan`] deterministically expands figure sets and generic
-//! parameter grids into addressable [`plan::Job`]s, each content-hashed over
-//! its canonical sorted-key spec.  [`runner::run_shard`] executes any
+//! A [`plan::SweepPlan`] deterministically expands a figure set into
+//! addressable [`plan::Job`]s, one per figure, each content-hashed over its
+//! canonical sorted-key spec.  [`runner::run_shard`] executes any
 //! contiguous `--shard i/n` slice and emits one canonical JSON
 //! [`runner::JobArtifact`] per job.  [`runbook::Runbook::assemble`] merges
 //! pooled shard artifacts into a manifest whose bytes are independent of how
@@ -23,6 +23,6 @@ pub mod runner;
 
 pub use canonical::{content_hash, CanonicalJson};
 pub use cli::CliFlags;
-pub use plan::{GridDynamics, GridOptions, Job, JobKind, Shard, SweepPlan};
+pub use plan::{Job, Shard, SweepPlan};
 pub use runbook::{diff, figures_json, DiffOutcome, Runbook, RunbookJob};
 pub use runner::{run_job, run_shard, JobArtifact};

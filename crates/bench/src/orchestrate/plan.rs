@@ -1,5 +1,5 @@
-//! Sweep plans: deterministic expansion of experiment grids into
-//! addressable jobs.
+//! Sweep plans: deterministic expansion of figure sets into addressable
+//! jobs.
 //!
 //! A [`SweepPlan`] is the unit of orchestration: a named, seeded list of
 //! [`Job`]s, each carrying a canonical sorted-key spec and a content hash
@@ -10,147 +10,27 @@
 //! step re-assembles artifacts by job hash without trusting filesystem
 //! order, clocks, or hostnames.
 //!
-//! Two plan families exist today:
-//!
-//! * **figure plans** — every registered figure
-//!   ([`crate::experiments::FIGURES`]) or any comma-separated subset; this
-//!   is the only way a figure runs, `reproduce all` included.
-//! * **uplink grids** — generic `K × location × trace-seed × dynamics`
-//!   sweeps over the paper-uplink scenario, one job per cell, for sweeps no
-//!   hand-written figure covers.
+//! A plan names every registered figure ([`crate::experiments::FIGURES`])
+//! or any comma-separated subset; this is the only way a figure runs,
+//! `reproduce all` included.
 
 use std::ops::Range;
-
-use backscatter_sim::dynamics::CorrelatedFading;
-use backscatter_sim::scenario::ScenarioBuilder;
 
 use crate::experiments::{find_figure, known_figure_ids, FIGURES};
 
 use super::canonical::{content_hash, CanonicalJson};
 
-/// The per-slot dynamics a grid cell applies to its scenario.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum GridDynamics {
-    /// Frozen environment (the paper's setting).
-    Static,
-    /// Temporally correlated multipath fading
-    /// ([`backscatter_sim::dynamics::CorrelatedFading`]).
-    Fading {
-        /// Doppler in radians per slot.
-        doppler: f64,
-        /// Line-of-sight fraction in `[0, 1]`.
-        los: f64,
-    },
-}
-
-impl GridDynamics {
-    /// Parses a CLI dynamics spec: `static` or `fading:<doppler>:<los>`.
-    ///
-    /// # Errors
-    ///
-    /// Malformed text, and fading parameters [`CorrelatedFading::new`]
-    /// rejects.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        if text == "static" || text == "none" {
-            return Ok(GridDynamics::Static);
-        }
-        if let Some(rest) = text.strip_prefix("fading:") {
-            let mut parts = rest.split(':');
-            let doppler = parts
-                .next()
-                .and_then(|v| v.parse::<f64>().ok())
-                .ok_or_else(|| format!("bad doppler in dynamics `{text}`"))?;
-            let los = parts
-                .next()
-                .and_then(|v| v.parse::<f64>().ok())
-                .ok_or_else(|| format!("bad line-of-sight in dynamics `{text}`"))?;
-            if parts.next().is_some() {
-                return Err(format!("trailing fields in dynamics `{text}`"));
-            }
-            let dynamics = GridDynamics::Fading { doppler, los };
-            dynamics.fading()?;
-            return Ok(dynamics);
-        }
-        Err(format!(
-            "unknown dynamics `{text}` (expected `static` or `fading:<doppler>:<los>`)"
-        ))
-    }
-
-    /// The fading a grid cell attaches (`None` for a static cell), built
-    /// through [`CorrelatedFading::new`], which owns the parameter rule.
-    ///
-    /// # Errors
-    ///
-    /// A negative or non-finite doppler, or a line-of-sight fraction outside
-    /// `[0, 1]`.
-    pub(crate) fn fading(self) -> Result<Option<CorrelatedFading>, String> {
-        match self {
-            GridDynamics::Static => Ok(None),
-            GridDynamics::Fading { doppler, los } => CorrelatedFading::new(doppler, 8, los)
-                .map(Some)
-                .map_err(|e| format!("bad dynamics `fading:{doppler}:{los}`: {e}")),
-        }
-    }
-
-    /// A short label for job ids.
-    #[must_use]
-    pub fn label(&self) -> String {
-        match self {
-            GridDynamics::Static => "static".into(),
-            GridDynamics::Fading { doppler, los } => format!("fading-{doppler}-{los}"),
-        }
-    }
-
-    fn to_canonical(self) -> CanonicalJson {
-        match self {
-            GridDynamics::Static => {
-                CanonicalJson::object(vec![("kind", CanonicalJson::str("static"))])
-            }
-            GridDynamics::Fading { doppler, los } => CanonicalJson::object(vec![
-                ("doppler", CanonicalJson::Float(doppler)),
-                ("kind", CanonicalJson::str("fading")),
-                ("los", CanonicalJson::Float(los)),
-            ]),
-        }
-    }
-}
-
-/// What a job executes.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JobKind {
-    /// One registered figure at `(locations, seed)`; the report it emits is
-    /// byte-identical to the figure's slice of `reproduce all`.
-    Figure {
-        /// Canonical figure id from the registry.
-        figure: &'static str,
-        /// Locations the figure averages over.
-        locations: u64,
-        /// The figure's base seed.
-        seed: u64,
-    },
-    /// One generic uplink-comparison cell: a `[buzz, tdma]` panel over a
-    /// paper-uplink scenario at one `(k, location, trace, dynamics)` point.
-    GridCell {
-        /// Population size.
-        k: usize,
-        /// Location index (distinct scenario draw).
-        location: u64,
-        /// Noise-trace seed within the location.
-        trace: u64,
-        /// Per-slot dynamics applied to the cell's scenario.
-        dynamics: GridDynamics,
-        /// The plan's base seed (scenario seeds derive from it).
-        seed: u64,
-    },
-}
-
-/// One addressable unit of work.
+/// One addressable unit of work: one registered figure at
+/// `(locations, seed)`.  The report it emits is byte-identical to the
+/// figure's slice of `reproduce all`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Job {
-    /// Unique id within the plan (a figure id, or a `grid/...` path).
+    /// The figure's registry id, unique within its plan.
     pub id: String,
-    /// What to execute.
-    pub kind: JobKind,
+    /// Locations the figure averages over.
+    pub locations: u64,
+    /// The figure's base seed.
+    pub seed: u64,
     /// The canonical sorted-key spec the hash covers.
     pub spec: CanonicalJson,
     /// Content hash of the canonical spec bytes (16 hex digits).
@@ -158,12 +38,6 @@ pub struct Job {
 }
 
 impl Job {
-    /// True when this job runs a registered figure (vs a generic grid cell).
-    #[must_use]
-    pub fn is_figure(&self) -> bool {
-        matches!(self.kind, JobKind::Figure { .. })
-    }
-
     fn figure(figure: &'static str, locations: u64, seed: u64) -> Self {
         let spec = CanonicalJson::object(vec![
             ("figure", CanonicalJson::str(figure)),
@@ -174,58 +48,10 @@ impl Job {
         let hash = content_hash(spec.serialize().as_bytes());
         Job {
             id: figure.to_string(),
-            kind: JobKind::Figure {
-                figure,
-                locations,
-                seed,
-            },
+            locations,
+            seed,
             spec,
             hash,
-        }
-    }
-
-    fn grid_cell(k: usize, location: u64, trace: u64, dynamics: GridDynamics, seed: u64) -> Self {
-        let spec = CanonicalJson::object(vec![
-            ("dynamics", dynamics.to_canonical()),
-            ("k", CanonicalJson::Int(k as i64)),
-            ("kind", CanonicalJson::str("grid_cell")),
-            ("location", CanonicalJson::Int(location as i64)),
-            ("seed", CanonicalJson::Int(seed as i64)),
-            ("trace", CanonicalJson::Int(trace as i64)),
-        ]);
-        let hash = content_hash(spec.serialize().as_bytes());
-        Job {
-            id: format!("grid/k{k}/loc{location}/trace{trace}/{}", dynamics.label()),
-            kind: JobKind::GridCell {
-                k,
-                location,
-                trace,
-                dynamics,
-                seed,
-            },
-            spec,
-            hash,
-        }
-    }
-}
-
-/// Options for the generic `grid` plan, normally parsed from CLI flags.
-#[derive(Debug, Clone)]
-pub struct GridOptions {
-    /// Population sizes to sweep.
-    pub ks: Vec<usize>,
-    /// Noise traces per location.
-    pub traces: u64,
-    /// Dynamics variants; every `(k, location, trace)` point runs each.
-    pub dynamics: Vec<GridDynamics>,
-}
-
-impl Default for GridOptions {
-    fn default() -> Self {
-        Self {
-            ks: vec![4, 8, 16],
-            traces: 1,
-            dynamics: vec![GridDynamics::Static],
         }
     }
 }
@@ -233,7 +59,7 @@ impl Default for GridOptions {
 /// A deterministic, hashed list of jobs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepPlan {
-    /// Plan name (`all`, a figure list, or `grid`).
+    /// Plan name (`all` or a figure list).
     pub name: String,
     /// Locations parameter handed to every figure job.
     pub locations: u64,
@@ -244,16 +70,11 @@ pub struct SweepPlan {
 }
 
 /// The most locations a plan may name.  A figure runs its sessions at
-/// every location and keeps their results, and a grid plan expands one job
-/// per location, so the count sizes what a plan allocates: past this bound
-/// a plan would run for days before its first report, and near `2³²` it
-/// aborts on allocation.  The paper's figures use 5; the largest census in
-/// the test suite uses 400.
+/// every location and keeps their results, so the count sizes what a plan
+/// allocates: past this bound a plan would run for days before its first
+/// report, and near `2³²` it aborts on allocation.  The paper's figures use
+/// 5; the largest census in the test suite uses 400.
 pub const MAX_LOCATIONS: u64 = 10_000;
-
-/// The most jobs a grid plan may expand to (`K × location × trace ×
-/// dynamics`): each job is a spec and a hash in memory before any runs.
-pub const MAX_GRID_JOBS: u64 = 100_000;
 
 /// Every figure averages over its locations, so a plan needs at least one
 /// (zero would fill the tables with NaN), and at most [`MAX_LOCATIONS`].
@@ -322,81 +143,15 @@ impl SweepPlan {
         })
     }
 
-    /// A generic `K × location × trace × dynamics` uplink grid.
+    /// Builds a plan from a CLI `--plan` value: `all` or a comma-separated
+    /// figure list.
     ///
     /// # Errors
     ///
-    /// An empty K or dynamics list, zero locations or traces, more than
-    /// [`MAX_LOCATIONS`] locations or [`MAX_GRID_JOBS`] jobs, a K the
-    /// paper-uplink scenario rejects, and fading parameters
-    /// [`CorrelatedFading::new`] rejects.
-    pub fn uplink_grid(
-        options: &GridOptions,
-        locations: u64,
-        base_seed: u64,
-    ) -> Result<Self, String> {
-        if options.ks.is_empty() || options.dynamics.is_empty() {
-            return Err("grid plan needs at least one K and one dynamics".into());
-        }
-        check_locations(locations)?;
-        if options.traces == 0 {
-            return Err("grid plan needs at least one trace".into());
-        }
-        let jobs = [
-            options.ks.len() as u64,
-            options.traces,
-            options.dynamics.len() as u64,
-        ]
-        .into_iter()
-        .try_fold(locations, u64::checked_mul);
-        if jobs.is_none_or(|jobs| jobs > MAX_GRID_JOBS) {
-            return Err(format!(
-                "grid plan expands to more than {MAX_GRID_JOBS} jobs"
-            ));
-        }
-        for &k in &options.ks {
-            ScenarioBuilder::paper_uplink(k, base_seed)
-                .config()
-                .validate()
-                .map_err(|e| format!("bad grid K = {k}: {e}"))?;
-        }
-        for &dynamics in &options.dynamics {
-            dynamics.fading()?;
-        }
-        let mut jobs = Vec::new();
-        for &k in &options.ks {
-            for location in 0..locations {
-                for trace in 0..options.traces {
-                    for &dynamics in &options.dynamics {
-                        jobs.push(Job::grid_cell(k, location, trace, dynamics, base_seed));
-                    }
-                }
-            }
-        }
-        Ok(Self {
-            name: "grid".into(),
-            locations,
-            base_seed,
-            jobs,
-        })
-    }
-
-    /// Builds a plan from a CLI `--plan` value: `all`, `grid`, or a
-    /// comma-separated figure list.
-    ///
-    /// # Errors
-    ///
-    /// The errors of [`SweepPlan::all`], [`SweepPlan::uplink_grid`] and
-    /// [`SweepPlan::figure_list`].
-    pub fn from_name(
-        name: &str,
-        locations: u64,
-        base_seed: u64,
-        grid: &GridOptions,
-    ) -> Result<Self, String> {
+    /// The errors of [`SweepPlan::all`] and [`SweepPlan::figure_list`].
+    pub fn from_name(name: &str, locations: u64, base_seed: u64) -> Result<Self, String> {
         match name {
             "all" => Self::all(locations, base_seed),
-            "grid" => Self::uplink_grid(grid, locations, base_seed),
             list => Self::figure_list(list, locations, base_seed),
         }
     }
@@ -529,46 +284,6 @@ mod tests {
         assert!(err.contains("fig11_large"), "error lists known figures");
         assert!(SweepPlan::figure_list("fig7,fig7", 1, 7).is_err());
         assert!(SweepPlan::figure_list(" ,", 1, 7).is_err());
-    }
-
-    #[test]
-    fn grid_expands_the_full_cross_product_deterministically() {
-        let options = GridOptions {
-            ks: vec![4, 8],
-            traces: 2,
-            dynamics: vec![
-                GridDynamics::Static,
-                GridDynamics::Fading {
-                    doppler: 0.05,
-                    los: 0.5,
-                },
-            ],
-        };
-        let plan = SweepPlan::uplink_grid(&options, 3, 99).unwrap();
-        assert_eq!(plan.jobs.len(), 2 * 3 * 2 * 2);
-        let again = SweepPlan::uplink_grid(&options, 3, 99).unwrap();
-        assert_eq!(plan, again);
-        assert_eq!(plan.plan_hash(), again.plan_hash());
-        // Every job id is unique and addressable.
-        let mut ids: Vec<&str> = plan.jobs.iter().map(|j| j.id.as_str()).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        assert_eq!(ids.len(), plan.jobs.len());
-    }
-
-    #[test]
-    fn dynamics_parse_roundtrips() {
-        assert_eq!(GridDynamics::parse("static").unwrap(), GridDynamics::Static);
-        assert_eq!(
-            GridDynamics::parse("fading:0.08:0.35").unwrap(),
-            GridDynamics::Fading {
-                doppler: 0.08,
-                los: 0.35
-            }
-        );
-        assert!(GridDynamics::parse("fading:x:1").is_err());
-        assert!(GridDynamics::parse("fading:0.1").is_err());
-        assert!(GridDynamics::parse("mobility").is_err());
     }
 
     #[test]

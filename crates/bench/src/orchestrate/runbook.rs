@@ -30,7 +30,7 @@ pub struct RunbookJob {
 pub struct Runbook {
     /// The plan's content hash.
     pub plan_hash: String,
-    /// The plan's name (`all`, `grid`, or a figure list).
+    /// The plan's name (`all` or a figure list).
     pub plan_name: String,
     /// The commit the run executed at (`unknown` outside CI).
     pub commit: String,
@@ -269,18 +269,17 @@ pub fn diff(left: &Runbook, right: &Runbook) -> DiffOutcome {
 }
 
 /// The figure array `reproduce --json` and `merge --figures` write: each
-/// figure job's embedded report, in plan order, as one canonical array.
+/// job's embedded report, in plan order, as one canonical array.
 ///
 /// # Errors
 ///
-/// Fails when a figure job's artifact is missing or embeds no report.
+/// Fails when a job's artifact is missing or embeds no report.
 pub fn figures_json(plan: &SweepPlan, artifacts: &[JobArtifact]) -> Result<String, String> {
     let by_hash: HashMap<&str, &JobArtifact> =
         artifacts.iter().map(|a| (a.job_hash.as_str(), a)).collect();
     let reports = plan
         .jobs
         .iter()
-        .filter(|job| job.is_figure())
         .map(|job| {
             let report = by_hash
                 .get(job.hash.as_str())

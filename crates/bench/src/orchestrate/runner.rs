@@ -2,9 +2,9 @@
 //!
 //! A [`JobArtifact`] is one job's complete output: its id, its job hash
 //! (binding the artifact to the spec that produced it), and a canonical
-//! JSON payload.  Figure jobs embed their [`ExperimentReport`] losslessly,
-//! so the merge step can rebuild the figure tables without re-running
-//! anything; grid-cell jobs embed the per-scheme session outcomes.
+//! JSON payload.  Every job runs a figure and embeds its
+//! [`ExperimentReport`] losslessly, so the merge step can rebuild the figure
+//! tables without re-running anything.
 //!
 //! [`run_shard`] executes any contiguous [`Shard`] of a plan's job list.
 //! Jobs run sequentially within the shard; each job shards its own scenario
@@ -14,16 +14,11 @@
 //! `fig_fleet` alike), so output is byte-identical for every `threads` value
 //! *and* every shard split.
 
-use backscatter_baselines::TdmaProtocol;
-use backscatter_sim::scenario::ScenarioBuilder;
-use buzz::protocol::{BuzzConfig, BuzzProtocol};
-use buzz::session::run_panel;
-
 use crate::experiments::find_figure;
 use crate::report::ExperimentReport;
 
 use super::canonical::{content_hash, CanonicalJson};
-use super::plan::{GridDynamics, Job, JobKind, Shard, SweepPlan};
+use super::plan::{Job, Shard, SweepPlan};
 
 /// One executed job's canonical output.
 #[derive(Debug, Clone, PartialEq)]
@@ -88,7 +83,7 @@ impl JobArtifact {
         })
     }
 
-    /// The embedded figure report, when this is a figure job's artifact.
+    /// The embedded figure report.
     pub fn report(&self) -> Result<ExperimentReport, String> {
         let report = self
             .payload
@@ -98,31 +93,15 @@ impl JobArtifact {
     }
 }
 
-/// Executes one job.
+/// Executes one job: runs its figure and embeds the report.
 #[must_use]
 pub fn run_job(job: &Job, threads: usize) -> JobArtifact {
-    let payload = match &job.kind {
-        JobKind::Figure {
-            figure,
-            locations,
-            seed,
-        } => {
-            let entry = find_figure(figure).expect("plan construction validated the figure id");
-            let report = (entry.run)(*locations, *seed, threads);
-            CanonicalJson::object(vec![("report", report.to_canonical())])
-        }
-        JobKind::GridCell {
-            k,
-            location,
-            trace,
-            dynamics,
-            seed,
-        } => run_grid_cell(*k, *location, *trace, *dynamics, *seed),
-    };
+    let entry = find_figure(&job.id).expect("plan construction validated the figure id");
+    let report = (entry.run)(job.locations, job.seed, threads);
     JobArtifact {
         id: job.id.clone(),
         job_hash: job.hash.clone(),
-        payload,
+        payload: CanonicalJson::object(vec![("report", report.to_canonical())]),
     }
 }
 
@@ -135,57 +114,9 @@ pub fn run_shard(plan: &SweepPlan, shard: Shard, threads: usize) -> Vec<JobArtif
         .collect()
 }
 
-/// One generic uplink cell: `[buzz, tdma]` back-to-back over the same
-/// scenario, mirroring the comparison figures' per-cell structure.
-fn run_grid_cell(
-    k: usize,
-    location: u64,
-    trace: u64,
-    dynamics: GridDynamics,
-    seed: u64,
-) -> CanonicalJson {
-    // The same location-seed derivation style the figures use: distinct
-    // locations draw distinct scenarios, deterministically from the spec.
-    let scenario_seed = seed + location * 97 + k as u64;
-    let mut builder = ScenarioBuilder::paper_uplink(k, scenario_seed);
-    if let Some(fading) = dynamics
-        .fading()
-        .expect("the plan validated the fading parameters")
-    {
-        builder = builder.dynamics(fading);
-    }
-    let mut scenario = builder.build().expect("the plan validated K");
-    let buzz = BuzzProtocol::new(BuzzConfig {
-        periodic_mode: true,
-        ..BuzzConfig::default()
-    })
-    .expect("protocol");
-    let tdma = TdmaProtocol::paper_default().expect("tdma");
-    let outcomes = run_panel(&[&buzz, &tdma], &mut scenario, trace)
-        .unwrap_or_else(|e| panic!("grid cell failed: {e}"));
-    CanonicalJson::object(vec![(
-        "outcomes",
-        CanonicalJson::Array(
-            outcomes
-                .iter()
-                .map(|o| {
-                    CanonicalJson::object(vec![
-                        ("delivered", CanonicalJson::Int(o.delivered_messages as i64)),
-                        ("lost", CanonicalJson::Int(o.lost_messages as i64)),
-                        ("scheme", CanonicalJson::str(&o.scheme)),
-                        ("slots", CanonicalJson::Int(o.slots_used as i64)),
-                        ("wall_ms", CanonicalJson::Float(o.wall_time_ms)),
-                    ])
-                })
-                .collect(),
-        ),
-    )])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::orchestrate::plan::GridOptions;
 
     #[test]
     fn artifact_roundtrips_through_its_file_bytes() {
@@ -212,25 +143,5 @@ mod tests {
         assert_eq!(artifact.job_hash, plan.jobs[0].hash);
         let report = artifact.report().unwrap();
         assert_eq!(report, crate::experiments::fig8());
-    }
-
-    #[test]
-    fn grid_cell_runs_the_panel_and_is_deterministic() {
-        let options = GridOptions {
-            ks: vec![2],
-            traces: 1,
-            dynamics: vec![GridDynamics::Static],
-        };
-        let plan = SweepPlan::uplink_grid(&options, 1, 31).unwrap();
-        let a = run_job(&plan.jobs[0], 1);
-        let b = run_job(&plan.jobs[0], 1);
-        assert_eq!(a.serialize(), b.serialize());
-        let outcomes = a.payload.get("outcomes").unwrap().as_array().unwrap();
-        assert_eq!(outcomes.len(), 2);
-        assert_eq!(outcomes[0].get("scheme").unwrap().as_str(), Some("buzz"));
-        assert_eq!(outcomes[1].get("scheme").unwrap().as_str(), Some("tdma"));
-        // K = 2 over a clean paper uplink delivers everything.
-        assert_eq!(outcomes[0].get("delivered").unwrap().as_int(), Some(2));
-        assert!(a.report().is_err(), "grid artifacts embed no figure report");
     }
 }

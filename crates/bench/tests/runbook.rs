@@ -8,11 +8,11 @@ use std::process::Command;
 use std::sync::OnceLock;
 
 use buzz_bench::experiments;
-use buzz_bench::orchestrate::plan::{MAX_GRID_JOBS, MAX_LOCATIONS};
+use buzz_bench::orchestrate::plan::MAX_LOCATIONS;
 use buzz_bench::orchestrate::runner::run_shard;
 use buzz_bench::orchestrate::{
-    diff, figures_json, CanonicalJson, CliFlags, DiffOutcome, GridDynamics, GridOptions,
-    JobArtifact, Runbook, Shard, SweepPlan,
+    diff, figures_json, CanonicalJson, CliFlags, DiffOutcome, JobArtifact, Runbook, Shard,
+    SweepPlan,
 };
 use proptest::prelude::*;
 
@@ -30,15 +30,6 @@ fn golden_plan_hashes_are_stable() {
     assert_eq!(all_ci.plan_hash(), "dacc5d847eacf0be");
     assert_eq!(all_ci.jobs[0].id, "table12");
     assert_eq!(all_ci.jobs[0].hash, "468b0406040b601c");
-
-    let grid_default = SweepPlan::uplink_grid(
-        &GridOptions::default(),
-        experiments::DEFAULT_LOCATIONS,
-        2012,
-    )
-    .unwrap();
-    assert_eq!(grid_default.jobs.len(), 15);
-    assert_eq!(grid_default.plan_hash(), "bae5c62b05ce2c77");
 }
 
 #[test]
@@ -184,11 +175,9 @@ fn hostile_seed() -> &'static HostileSeed {
                 .serialize(),
             figures_json(&plan, &artifacts).unwrap(),
             "2/3".to_string(),
-            "fading:0.05:0.5".to_string(),
             "table12,fig8".to_string(),
             "table12,fig8 --locations 9999 --seed 7 --threads 2 --json out.json".to_string(),
-            "--plan grid --ks 4,8 --traces 2 --dynamics static,fading:0.05:0.5 --locations 40 \
-             --shard 2/3 --out shard2 --artifacts a,b --figures f.json"
+            "--plan all --locations 40 --shard 2/3 --out shard2 --artifacts a,b --figures f.json"
                 .to_string(),
         ];
         HostileSeed { plan, corpus }
@@ -243,7 +232,6 @@ proptest! {
         }
         let _ = Runbook::parse(&text);
         let _ = Shard::parse(&text);
-        let _ = GridDynamics::parse(&text);
         let _ = SweepPlan::figure_list(&text, 1, 2012);
         let args: Vec<String> = text.split_whitespace().map(str::to_string).collect();
         if let Ok(flags) = CliFlags::parse(&args) {
@@ -259,18 +247,13 @@ fn cli_flags_parse_and_reject_bad_values() {
     let args =
         |text: &str| -> Vec<String> { text.split_whitespace().map(str::to_string).collect() };
     let flags = CliFlags::parse(&args(
-        "fig10 --locations 3 --seed 7 --threads 0 --shard 2/3 --ks 4,16 --traces 2 \
-         --dynamics static,fading:0.1:0.5 --json j --out o --figures f --artifacts a,b",
+        "fig10 --locations 3 --seed 7 --threads 0 --shard 2/3 --json j --out o --figures f \
+         --artifacts a,b",
     ))
     .unwrap();
     assert_eq!(flags.positional, ["fig10"]);
     assert_eq!((flags.locations, flags.seed, flags.threads), (3, 7, 1));
     assert_eq!((flags.shard.index, flags.shard.count), (2, 3));
-    assert_eq!(
-        (flags.grid.ks.as_slice(), flags.grid.traces),
-        (&[4, 16][..], 2)
-    );
-    assert_eq!(flags.grid.dynamics.len(), 2);
     assert_eq!(flags.json_path.as_deref(), Some("j"));
     assert_eq!(flags.artifacts, ["a", "b"]);
     for bad in [
@@ -280,46 +263,36 @@ fn cli_flags_parse_and_reject_bad_values() {
         "--seed x",
         "--threads 1.5",
         "--shard 4/3",
-        "--ks 4,x",
-        "--dynamics wind",
         "--frobnicate 1",
     ] {
         assert!(CliFlags::parse(&args(bad)).is_err(), "`{bad}` parsed");
+    }
+    for gone in ["--ks 4,16", "--traces 2", "--dynamics static"] {
+        let err = CliFlags::parse(&args(gone)).unwrap_err();
+        assert!(err.starts_with("unknown flag"), "`{gone}`: {err}");
     }
 }
 
 /// A location count past the documented maximum is a plan error, so
 /// `reproduce` exits 2 with a message instead of aborting on an
-/// allocation; so is a grid that expands past its job bound.
+/// allocation.
 #[test]
 fn plans_reject_too_many_locations() {
-    let grid = GridOptions::default();
-    for name in ["all", "grid", "table12,fig10"] {
+    for name in ["all", "table12,fig10"] {
         for locations in [MAX_LOCATIONS + 1, 1 << 32, u64::MAX] {
             assert!(
-                SweepPlan::from_name(name, locations, 2012, &grid).is_err(),
+                SweepPlan::from_name(name, locations, 2012).is_err(),
                 "plan `{name}` at {locations} locations"
             );
         }
     }
     assert!(SweepPlan::all(MAX_LOCATIONS, 2012).is_ok());
     assert!(SweepPlan::figure_list("fig10", MAX_LOCATIONS, 2012).is_ok());
-    let wide = GridOptions {
-        traces: MAX_GRID_JOBS,
-        ..GridOptions::default()
-    };
-    assert!(SweepPlan::uplink_grid(&wide, 1, 2012).is_err());
-    let endless = GridOptions {
-        traces: u64::MAX,
-        ..GridOptions::default()
-    };
-    assert!(SweepPlan::uplink_grid(&endless, MAX_LOCATIONS, 2012).is_err());
 
     let bin = env!("CARGO_BIN_EXE_reproduce");
     for args in [
         &["fig10", "--locations", "18446744073709551615"][..],
         &["fig10", "--locations", "4294967296"][..],
-        &["plan", "--plan", "grid", "--traces", "18446744073709551615"][..],
     ] {
         let output = Command::new(bin).args(args).output().unwrap();
         assert_eq!(output.status.code(), Some(2), "reproduce {args:?}");
@@ -330,69 +303,15 @@ fn plans_reject_too_many_locations() {
 
 #[test]
 fn plans_reject_zero_locations() {
-    let grid = GridOptions::default();
-    for name in ["all", "grid", "table12,fig10"] {
+    for name in ["all", "table12,fig10"] {
         assert!(
-            SweepPlan::from_name(name, 0, 2012, &grid).is_err(),
+            SweepPlan::from_name(name, 0, 2012).is_err(),
             "plan `{name}`"
         );
-        assert!(SweepPlan::from_name(name, 1, 2012, &grid).is_ok());
+        assert!(SweepPlan::from_name(name, 1, 2012).is_ok());
     }
     assert!(SweepPlan::figure_list("fig10", 0, 2012).is_err());
     assert!(SweepPlan::all(0, 2012).is_err());
-}
-
-/// Out-of-range grid input is a plan error, so every CLI form exits 2 with
-/// a message before it writes an artifact — the runner's scenario and
-/// fading `expect`s, and the canonical writer's finite-float rule, hold.
-#[test]
-fn grid_plans_reject_out_of_range_input() {
-    for bad in [
-        "fading:-1:0.5",
-        "fading:0.1:1.5",
-        "fading:NaN:0.5",
-        "fading:inf:0.5",
-        "fading:0.1:NaN",
-    ] {
-        assert!(GridDynamics::parse(bad).is_err(), "`{bad}` parsed");
-    }
-    let zero_k = GridOptions {
-        ks: vec![2, 0],
-        ..GridOptions::default()
-    };
-    assert!(SweepPlan::uplink_grid(&zero_k, 1, 2012).is_err());
-    let bad_fading = GridOptions {
-        dynamics: vec![GridDynamics::Fading {
-            doppler: -1.0,
-            los: 0.5,
-        }],
-        ..GridOptions::default()
-    };
-    assert!(SweepPlan::uplink_grid(&bad_fading, 1, 2012).is_err());
-
-    let bin = env!("CARGO_BIN_EXE_reproduce");
-    let out = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("grid-input");
-    let _ = std::fs::remove_dir_all(&out);
-    let out = out.to_string_lossy().into_owned();
-    for args in [
-        &[
-            "run",
-            "--plan",
-            "grid",
-            "--dynamics",
-            "fading:-1:0.5",
-            "--out",
-            &out,
-        ][..],
-        &["run", "--plan", "grid", "--ks", "0", "--out", &out][..],
-        &["plan", "--plan", "grid", "--dynamics", "fading:NaN:0.5"][..],
-    ] {
-        let output = Command::new(bin).args(args).output().unwrap();
-        assert_eq!(output.status.code(), Some(2), "reproduce {args:?}");
-        assert!(output.stdout.is_empty(), "reproduce {args:?}");
-        assert!(!output.stderr.is_empty(), "reproduce {args:?}");
-    }
-    assert!(!Path::new(&out).exists(), "a rejected plan wrote artifacts");
 }
 
 /// The thread-count determinism contract for every figure cheap enough for
@@ -551,17 +470,27 @@ fn reproduce_binary_shard_merge_diff_pipeline() {
         "{titles:?}"
     );
 
-    // Unknown figures exit non-zero and list the registry; grid jobs have
-    // no tables, so the figure form points to `run`/`merge`.
-    let output = Command::new(bin).arg("fig99").output().unwrap();
-    assert_eq!(output.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(stderr.contains("unknown figure `fig99`"));
-    assert!(stderr.contains("fig11_large") && stderr.contains("headline"));
-    let output = Command::new(bin).arg("grid").output().unwrap();
-    assert_eq!(output.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&output.stderr).contains("reproduce run --plan grid"));
-    assert!(output.stdout.is_empty());
+    // Unknown figures exit 2, list the registry and print nothing; `grid`
+    // is no plan family, just an unknown figure, and its flags are unknown.
+    for name in ["fig99", "grid"] {
+        let output = Command::new(bin).arg(name).output().unwrap();
+        assert_eq!(output.status.code(), Some(2));
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.contains(&format!("unknown figure `{name}`")));
+        assert!(stderr.contains("fig11_large") && stderr.contains("headline"));
+        assert!(output.stdout.is_empty());
+    }
+    let grid_out = path("grid-out");
+    for args in [
+        &["plan", "--plan", "grid"][..],
+        &["run", "--plan", "grid", "--out", &grid_out][..],
+        &["fig10", "--ks", "4"][..],
+    ] {
+        let output = Command::new(bin).args(args).output().unwrap();
+        assert_eq!(output.status.code(), Some(2), "reproduce {args:?}");
+        assert!(output.stdout.is_empty(), "reproduce {args:?}");
+    }
+    assert!(!Path::new(&grid_out).exists());
 
     // Zero locations would average over nothing: every form's plan rejects
     // them before running, exits 2, and writes nothing.

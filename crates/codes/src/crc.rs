@@ -1,13 +1,11 @@
-//! Cyclic redundancy checks used by EPC Gen-2 and by Buzz messages.
+//! The cyclic redundancy check of Buzz messages.
 //!
-//! * **CRC-5** (polynomial `x^5 + x^3 + 1`, preset `01001`) protects Gen-2
-//!   Query commands; the paper's uplink experiments attach a 5-bit CRC to each
-//!   32-bit tag message (§9).
-//! * **CRC-16** (CCITT polynomial `x^16 + x^12 + x^5 + 1`, preset `0xFFFF`,
-//!   final XOR `0xFFFF`) protects RN16 handles and EPC reads.
+//! **CRC-5** (polynomial `x^5 + x^3 + 1`, preset `01001`) protects Gen-2
+//! Query commands; the paper's uplink experiments attach a 5-bit CRC to each
+//! 32-bit tag message (§9).
 //!
-//! Both are implemented bit-serially over `bool` slices because every caller
-//! in this workspace works with bit vectors, and messages are at most a few
+//! It is implemented bit-serially over `bool` slices because every caller in
+//! this workspace works with bit vectors, and messages are at most a few
 //! hundred bits long.
 
 use crate::{CodeError, CodeResult};
@@ -70,71 +68,6 @@ impl Crc5 {
     }
 }
 
-/// The CRC-16/CCITT used for Gen-2 RN16 handles and EPC memory reads.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Crc16 {
-    _private: (),
-}
-
-impl Crc16 {
-    /// Polynomial x^16 + x^12 + x^5 + 1.
-    const POLY: u16 = 0x1021;
-    const PRESET: u16 = 0xFFFF;
-    const FINAL_XOR: u16 = 0xFFFF;
-
-    /// Creates a CRC-16 engine.
-    #[must_use]
-    pub fn new() -> Self {
-        Self { _private: () }
-    }
-
-    /// Computes the CRC over a bit slice, returning the 16-bit value.
-    #[must_use]
-    pub fn compute_value(&self, bits: &[bool]) -> u16 {
-        let mut reg = Self::PRESET;
-        for &bit in bits {
-            let msb = (reg >> 15) & 1;
-            let feedback = msb ^ u16::from(bit);
-            reg <<= 1;
-            if feedback == 1 {
-                reg ^= Self::POLY;
-            }
-        }
-        reg ^ Self::FINAL_XOR
-    }
-
-    /// Computes the CRC over a bit slice, returned as 16 bits MSB first.
-    #[must_use]
-    pub fn compute(&self, bits: &[bool]) -> Vec<bool> {
-        let value = self.compute_value(bits);
-        (0..16).rev().map(|i| (value >> i) & 1 == 1).collect()
-    }
-
-    /// Appends the CRC to a copy of `bits`.
-    #[must_use]
-    pub fn append(&self, bits: &[bool]) -> Vec<bool> {
-        let mut out = bits.to_vec();
-        out.extend(self.compute(bits));
-        out
-    }
-
-    /// Checks a bit string whose last 16 bits are the CRC of the rest.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodeError::LengthMismatch`] if fewer than 16 bits are given.
-    pub fn check(&self, bits_with_crc: &[bool]) -> CodeResult<bool> {
-        if bits_with_crc.len() < 16 {
-            return Err(CodeError::LengthMismatch {
-                expected: 16,
-                actual: bits_with_crc.len(),
-            });
-        }
-        let (data, crc) = bits_with_crc.split_at(bits_with_crc.len() - 16);
-        Ok(self.compute(data) == crc)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,41 +109,6 @@ mod tests {
     }
 
     #[test]
-    fn crc16_known_vector() {
-        // CRC-16/CCITT-FALSE of the ASCII bytes "123456789" is 0x29B1.
-        let bytes = b"123456789";
-        let bits: Vec<bool> = bytes
-            .iter()
-            .flat_map(|&b| (0..8).rev().map(move |i| (b >> i) & 1 == 1))
-            .collect();
-        // Our engine applies a final XOR of 0xFFFF (per Gen-2); undo it to
-        // compare against the CCITT-FALSE reference value.
-        let value = Crc16::new().compute_value(&bits) ^ 0xFFFF;
-        assert_eq!(value, 0x29B1);
-    }
-
-    #[test]
-    fn crc16_detects_burst_errors() {
-        let crc = Crc16::new();
-        let mut stream = BitStream::seed_from_u64(2);
-        let data = stream.take_bits(96);
-        let framed = crc.append(&data);
-        assert!(crc.check(&framed).unwrap());
-        for start in [0usize, 10, 40, 90] {
-            let mut corrupted = framed.clone();
-            for b in corrupted.iter_mut().skip(start).take(8) {
-                *b = !*b;
-            }
-            assert!(!crc.check(&corrupted).unwrap());
-        }
-    }
-
-    #[test]
-    fn crc16_check_requires_minimum_length() {
-        assert!(Crc16::new().check(&[true; 15]).is_err());
-    }
-
-    #[test]
     fn crc5_golden_vectors() {
         // Pinned outputs: the CRC is part of the protocol wire format, so any
         // drift here silently breaks tag/reader agreement.
@@ -240,34 +138,6 @@ mod tests {
         for len in [1usize, 16, 32, 100] {
             let framed = crc.append(&stream.take_bits(len));
             assert!(crc.compute(&framed).iter().all(|&b| !b));
-        }
-    }
-
-    #[test]
-    fn crc16_golden_vectors() {
-        // EPC Gen-2 uses the CRC-16/GENIBUS parameterization (poly 0x1021,
-        // preset 0xFFFF, final XOR 0xFFFF); its published check value for the
-        // ASCII bytes "123456789" is 0xD64E.
-        let crc = Crc16::new();
-        let bits: Vec<bool> = b"123456789"
-            .iter()
-            .flat_map(|&b| (0..8).rev().map(move |i| (b >> i) & 1 == 1))
-            .collect();
-        assert_eq!(crc.compute_value(&bits), 0xD64E);
-        // Additional pinned vectors for wire-format stability.
-        assert_eq!(crc.compute_value(&u64_to_bits(0, 16).unwrap()), 0xE2F0);
-        assert_eq!(crc.compute_value(&u64_to_bits(0xABCD, 16).unwrap()), 0x2B95);
-    }
-
-    #[test]
-    fn crc16_residue_is_constant() {
-        // The GENIBUS residue: recomputing over data + appended CRC always
-        // yields 0x1D0F pre-XOR, i.e. 0xE2F0 out of this engine.
-        let crc = Crc16::new();
-        let mut stream = BitStream::seed_from_u64(16);
-        for len in [1usize, 16, 96, 200] {
-            let framed = crc.append(&stream.take_bits(len));
-            assert_eq!(crc.compute_value(&framed), 0xE2F0);
         }
     }
 

@@ -3,9 +3,8 @@
 //! Everything in this crate operates on plain bit vectors and is shared by the
 //! Buzz protocol, the EPC Gen-2 substrate, and the TDMA/CDMA baselines:
 //!
-//! * [`crc`] — the CRC-5 and CRC-16 checks defined by EPC Gen-2 (the paper's
-//!   uplink messages carry a 5-bit CRC; RN16 handles and EPC reads use
-//!   CRC-16),
+//! * [`crc`] — the CRC-5 check defined by EPC Gen-2, which the paper's
+//!   uplink messages carry,
 //! * [`walsh`] — Walsh–Hadamard orthogonal spreading codes for the CDMA
 //!   baseline,
 //! * [`rn16`] — the temporary-id spaces Buzz uses once `K` is known, in
@@ -25,7 +24,7 @@ pub mod message;
 pub mod rn16;
 pub mod walsh;
 
-pub use crc::{Crc16, Crc5};
+pub use crc::Crc5;
 pub use message::Message;
 pub use rn16::TemporaryIdSpace;
 pub use walsh::WalshCode;

@@ -6,17 +6,16 @@
 //! `K` (§5.1-B), which is what makes the reader-side compressive-sensing
 //! decode tractable.
 
-use backscatter_prng::{Rng64, Xoshiro256};
-
 use crate::{CodeError, CodeResult};
 
 /// A temporary-id space of configurable size.
 ///
 /// Buzz sizes the space as `a · c · K̂` once `K̂` is known; Gen-2's FSA
 /// implicitly uses the full 2^16 RN16 space.  Tags draw ids uniformly at
-/// random from the space, so collisions (two tags drawing the same id) happen
-/// with the usual birthday probability — the identification protocols must
-/// tolerate and detect them.
+/// random from the space (identification derives each from the tag's
+/// global id and the round), so collisions (two tags drawing the same id)
+/// happen with the usual birthday probability — the identification
+/// protocols must tolerate and detect them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TemporaryIdSpace {
     size: u64,
@@ -58,19 +57,6 @@ impl TemporaryIdSpace {
     pub fn size(&self) -> u64 {
         self.size
     }
-
-    /// Draws a uniform temporary id from the space.
-    #[must_use]
-    pub fn draw(&self, rng: &mut Xoshiro256) -> u64 {
-        rng.next_bounded(self.size)
-    }
-
-    /// Draws one temporary id per tag; ids may clash (and whether they do is
-    /// the caller's problem, as in the real protocol).
-    #[must_use]
-    pub fn draw_many(&self, rng: &mut Xoshiro256, count: usize) -> Vec<u64> {
-        (0..count).map(|_| self.draw(rng)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -91,14 +77,5 @@ mod tests {
         assert_eq!(space.size(), 2560);
         // Far smaller than Gen-2's 2^16 RN16 space.
         assert!(space.size() < 1 << 16);
-    }
-
-    #[test]
-    fn draws_stay_in_range() {
-        let space = TemporaryIdSpace::new(100).unwrap();
-        let mut rng = Xoshiro256::seed_from_u64(7);
-        for id in space.draw_many(&mut rng, 10_000) {
-            assert!(id < 100);
-        }
     }
 }

@@ -331,11 +331,9 @@ impl<'a> DataPhase<'a> {
     ) -> BuzzResult<Vec<Complex>> {
         let noise_factor = faults.map_or(1.0, |f| f.noise_power_factor);
         self.tag_transmissions[tag] += 1;
-        let mut bits = vec![false; self.tags.len()];
         let mut symbols = Vec::with_capacity(self.framed_bits());
         for pos in 0..self.framed_bits() {
-            bits[tag] = self.framed[tag][pos];
-            symbols.push(medium.observe_with_noise_factor(&bits, noise_factor)?);
+            symbols.push(medium.observe_single(tag, self.framed[tag][pos], noise_factor)?);
         }
         self.time_s += self.framed_bits() as f64 / PAPER_TIMING.uplink_bps + PAPER_TIMING.t2_s;
         Ok(symbols)

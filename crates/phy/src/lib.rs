@@ -43,7 +43,7 @@ pub mod signal;
 pub mod snr;
 pub mod sync;
 
-pub use channel::{Channel, ChannelModel, FadingModel, PathLoss};
+pub use channel::{Channel, ChannelModel};
 pub use complex::Complex;
 pub use linecode::Miller;
 pub use noise::AwgnSource;

@@ -139,11 +139,17 @@ impl ClockModel {
     }
 }
 
+/// Interval between the two reader pulses a tag calibrates against,
+/// microseconds.
+const CALIBRATION_INTERVAL_US: f64 = 10_000.0;
+/// The tag clock's nominal tick rate, hertz.
+const TICK_RATE_HZ: f64 = 1.0e6;
+
 /// The reader-driven drift-correction procedure of §8.1.
 ///
-/// The tag counts its own clock ticks between two reader pulses separated by a
-/// known interval; the ratio of counted to expected ticks estimates the drift,
-/// and the tag subsequently inserts (or skips) ticks to compensate.
+/// The tag counts its own clock ticks between two reader pulses 10 ms apart
+/// at a nominal 1 MHz; the ratio of counted to expected ticks estimates the
+/// drift, and the tag subsequently inserts (or skips) ticks to compensate.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriftCorrection {
     /// The estimated drift in ppm (what the tag measured).
@@ -151,28 +157,19 @@ pub struct DriftCorrection {
 }
 
 impl DriftCorrection {
-    /// Estimates a tag clock's drift by counting ticks over a calibration
+    /// Estimates a tag clock's drift by counting ticks over the calibration
     /// interval, quantized to whole ticks — which is why the correction is
     /// good but not perfect.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PhyError::InvalidParameter`] for non-positive interval or
-    /// tick rate.
-    pub fn calibrate(clock: ClockModel, interval_us: f64, tick_rate_hz: f64) -> PhyResult<Self> {
-        if !(interval_us > 0.0 && tick_rate_hz > 0.0) {
-            return Err(PhyError::InvalidParameter(
-                "calibration interval and tick rate must be positive",
-            ));
-        }
-        let expected_ticks = interval_us * 1e-6 * tick_rate_hz;
+    #[must_use]
+    pub fn calibrate(clock: ClockModel) -> Self {
+        let expected_ticks = CALIBRATION_INTERVAL_US * 1e-6 * TICK_RATE_HZ;
         // The tag's clock runs at (1 + drift) of nominal, so it counts more
         // (or fewer) ticks in the same true interval; counting quantizes.
         let counted_ticks = (expected_ticks * (1.0 + clock.drift_ppm * 1e-6)).round();
         let estimated = (counted_ticks / expected_ticks - 1.0) * 1e6;
-        Ok(Self {
+        Self {
             estimated_ppm: estimated,
-        })
+        }
     }
 
     /// The residual drift (ppm) left after applying this correction to a
@@ -247,16 +244,9 @@ mod tests {
         // After calibration against the reader clock, residual misalignment at
         // 2 ms must be a small fraction of a symbol (Fig. 8b).
         let clock = ClockModel::new(1560.0);
-        let corr = DriftCorrection::calibrate(clock, 10_000.0, 1.0e6).unwrap();
+        let corr = DriftCorrection::calibrate(clock);
         let resid = (2000.0 * corr.residual_ppm(clock) * 1e-6 / 12.5).abs();
         assert!(resid < 0.02, "residual fraction = {resid}");
-    }
-
-    #[test]
-    fn calibrate_validates_inputs() {
-        let clock = ClockModel::new(100.0);
-        assert!(DriftCorrection::calibrate(clock, 0.0, 1.0e6).is_err());
-        assert!(DriftCorrection::calibrate(clock, 10.0, 0.0).is_err());
     }
 
     #[test]

@@ -357,9 +357,9 @@ impl ScenarioDynamics for TagChurn {
 /// fade(t) = 1 + √((1 − los)/paths) · Σ_p (exp(i·(±ω_p·t + φ_p)) − exp(i·φ_p))
 /// ```
 ///
-/// where the per-path angular rates `ω_p ∈ [doppler/4, doppler]`, drift
-/// signs, and phases `φ_p` are drawn once per run from the dynamics stream
-/// seed.  The construction anchors `fade(0) = 1` exactly — the reader's
+/// over eight paths, where the per-path angular rates `ω_p ∈ [doppler/4,
+/// doppler]`, drift signs, and phases `φ_p` are drawn once per run from the
+/// dynamics stream seed.  The construction anchors `fade(0) = 1` exactly — the reader's
 /// identification-time channel estimates start correct, matching every other
 /// dynamics' slot-0 convention — and then wanders: the scattered paths
 /// decohere from their slot-0 alignment until the composite reaches a
@@ -374,13 +374,14 @@ pub struct CorrelatedFading {
     /// Maximum per-path angular rate in radians per slot (0 freezes the
     /// fading pattern at its slot-0 draw).
     pub doppler_rad_per_slot: f64,
-    /// Number of scattering paths summed per tag (≥ 1; more paths deepen
-    /// and smooth the fading distribution).
-    pub paths: usize,
     /// Fraction of channel energy in the static line-of-sight component, in
     /// `[0, 1]`.
     pub line_of_sight: f64,
 }
+
+/// Scattering paths [`CorrelatedFading`] sums per tag (more paths deepen and
+/// smooth the fading distribution).
+const FADING_PATHS: usize = 8;
 
 impl CorrelatedFading {
     /// Creates a correlated-fading dynamics.
@@ -388,15 +389,12 @@ impl CorrelatedFading {
     /// # Errors
     ///
     /// Returns [`SimError::InvalidParameter`] for a negative or non-finite
-    /// doppler, zero paths, or a line-of-sight fraction outside `[0, 1]`.
-    pub fn new(doppler_rad_per_slot: f64, paths: usize, line_of_sight: f64) -> SimResult<Self> {
+    /// doppler, or a line-of-sight fraction outside `[0, 1]`.
+    pub fn new(doppler_rad_per_slot: f64, line_of_sight: f64) -> SimResult<Self> {
         if !(doppler_rad_per_slot >= 0.0 && doppler_rad_per_slot.is_finite()) {
             return Err(SimError::InvalidParameter(
                 "doppler must be finite and non-negative",
             ));
-        }
-        if paths == 0 {
-            return Err(SimError::InvalidParameter("fading needs at least one path"));
         }
         if !(0.0..=1.0).contains(&line_of_sight) {
             return Err(SimError::InvalidParameter(
@@ -405,7 +403,6 @@ impl CorrelatedFading {
         }
         Ok(Self {
             doppler_rad_per_slot,
-            paths,
             line_of_sight,
         })
     }
@@ -416,9 +413,9 @@ impl CorrelatedFading {
     #[must_use]
     pub fn fade(&self, stream_seed: u64, tag: usize, slot: u64) -> Complex {
         let mut tag_rng = tag_stream(stream_seed, tag);
-        let scatter_amp = ((1.0 - self.line_of_sight) / self.paths as f64).sqrt();
+        let scatter_amp = ((1.0 - self.line_of_sight) / FADING_PATHS as f64).sqrt();
         let mut fade = Complex::ONE;
-        for _ in 0..self.paths {
+        for _ in 0..FADING_PATHS {
             let rate = self.doppler_rad_per_slot * (0.25 + 0.75 * tag_rng.next_f64());
             let sign = if tag_rng.next_bit() { 1.0 } else { -1.0 };
             let phase = tag_rng.next_f64() * core::f64::consts::TAU;
@@ -603,11 +600,9 @@ mod tests {
 
     #[test]
     fn correlated_fading_validates_and_is_deterministic() {
-        assert!(CorrelatedFading::new(-0.1, 4, 0.5).is_err());
-        assert!(CorrelatedFading::new(0.05, 0, 0.5).is_err());
-        assert!(CorrelatedFading::new(0.05, 4, 1.5).is_err());
-        assert!(CorrelatedFading::new(0.05, 4, 0.5).is_ok());
-        let f = CorrelatedFading::new(0.05, 8, 0.5).unwrap();
+        assert!(CorrelatedFading::new(-0.1, 0.5).is_err());
+        assert!(CorrelatedFading::new(0.05, 1.5).is_err());
+        let f = CorrelatedFading::new(0.05, 0.5).unwrap();
         let (a, scale_a) = apply_once(&f, 123, 9);
         let (b, scale_b) = apply_once(&f, 123, 9);
         assert_eq!(a, b, "fading must be a pure function of the slot");
@@ -620,7 +615,7 @@ mod tests {
         // The point of *correlated* fading: adjacent slots move the channel
         // far less than distant slots, per tag, and full line-of-sight
         // disables fading entirely.
-        let f = CorrelatedFading::new(0.05, 8, 0.3).unwrap();
+        let f = CorrelatedFading::new(0.05, 0.3).unwrap();
         for tag in 0..4 {
             let mut adjacent = 0.0f64;
             let mut distant = 0.0f64;
@@ -635,9 +630,9 @@ mod tests {
                 "tag {tag}: adjacent drift {adjacent} vs distant {distant}"
             );
         }
-        let frozen = CorrelatedFading::new(0.0, 8, 0.3).unwrap();
+        let frozen = CorrelatedFading::new(0.0, 0.3).unwrap();
         assert_eq!(frozen.fade(7, 0, 0), frozen.fade(7, 0, 999));
-        let los_only = CorrelatedFading::new(0.05, 8, 1.0).unwrap();
+        let los_only = CorrelatedFading::new(0.05, 1.0).unwrap();
         for t in [0u64, 17, 400] {
             assert!((los_only.fade(7, 0, t) - Complex::ONE).abs() < 1e-12);
         }
@@ -647,7 +642,7 @@ mod tests {
     fn correlated_fading_slot_zero_is_the_base_channel() {
         // The slot-0 convention every dynamics honours: the reader's
         // identification-time estimates start correct.
-        let f = CorrelatedFading::new(0.05, 8, 0.5).unwrap();
+        let f = CorrelatedFading::new(0.05, 0.5).unwrap();
         for tag in 0..5 {
             assert!(
                 (f.fade(11, tag, 0) - Complex::ONE).abs() < 1e-12,
@@ -665,7 +660,7 @@ mod tests {
         // Deep fades are what distinguish multipath fading from pure phase
         // drift: over a long window some slot must attenuate the channel
         // well below its base amplitude, and some slot must sit near it.
-        let f = CorrelatedFading::new(0.05, 8, 0.2).unwrap();
+        let f = CorrelatedFading::new(0.05, 0.2).unwrap();
         let mut min_mag = f64::INFINITY;
         let mut max_mag = 0.0f64;
         for t in 0..4_000u64 {

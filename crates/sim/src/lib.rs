@@ -40,9 +40,7 @@ pub use faults::{
 };
 pub use geometry::{cart_layout, Position, TablePlacement};
 pub use medium::{Medium, MediumConfig};
-pub use scenario::{
-    PersistentTag, Placement, Scenario, ScenarioBuilder, ScenarioConfig, SnrProfile,
-};
+pub use scenario::{PersistentTag, Scenario, ScenarioBuilder, ScenarioConfig};
 pub use tag::SimTag;
 
 /// Errors produced by the simulator.

@@ -258,16 +258,51 @@ impl Medium {
         bits: &[bool],
         power_factor: f64,
     ) -> SimResult<Complex> {
+        self.check_bits(bits)?;
+        let clean = self.clean_symbol(bits);
+        self.add_noise(clean, power_factor)
+    }
+
+    /// Like [`Medium::observe_with_noise_factor`] for a slot in which at most
+    /// tag `tag` reflects: its channel when `reflects`, nothing otherwise.
+    /// Bit-identical to the one-hot (or all-`false`) bit vector, with no
+    /// vector to build and no channel to scan — the TDMA poll and the
+    /// data phase's singleton replies observe one tag per chip.
+    ///
+    /// # Errors
+    ///
+    /// Returns an invalid-parameter error for a tag index out of range, or
+    /// for a non-finite or negative factor.
+    pub fn observe_single(
+        &mut self,
+        tag: usize,
+        reflects: bool,
+        power_factor: f64,
+    ) -> SimResult<Complex> {
+        let channel = self
+            .channels
+            .get(tag)
+            .ok_or(SimError::InvalidParameter("tag index out of range"))?;
+        // `clean_symbol` folds from zero; adding the channel to zero keeps
+        // its bits (a `-0.0` part comes out `+0.0` there too).
+        let clean = if reflects {
+            Complex::ZERO + channel.coefficient
+        } else {
+            Complex::ZERO
+        };
+        self.add_noise(clean, power_factor)
+    }
+
+    /// `clean` plus one noise draw with its power scaled by `power_factor`;
+    /// a factor of exactly 1 adds the draw [`Medium::observe`] would (the
+    /// amplitude scale is then exactly 1).
+    fn add_noise(&mut self, clean: Complex, power_factor: f64) -> SimResult<Complex> {
         if !power_factor.is_finite() || power_factor < 0.0 {
             return Err(SimError::InvalidParameter(
                 "noise power factor must be finite and non-negative",
             ));
         }
-        if power_factor == 1.0 {
-            return self.observe(bits);
-        }
-        self.check_bits(bits)?;
-        Ok(self.clean_symbol(bits) + self.noise_sample() * power_factor.sqrt())
+        Ok(clean + self.noise_sample() * power_factor.sqrt())
     }
 
     /// One received symbol *including* the carrier-leakage baseline — what a
@@ -295,25 +330,7 @@ impl Medium {
     /// Returns a length-mismatch error if `weights` does not cover every tag,
     /// or an invalid-parameter error if any weight is outside `[0, 1]`.
     pub fn observe_fractional(&mut self, weights: &[f64]) -> SimResult<Complex> {
-        if weights.len() != self.channels.len() {
-            return Err(SimError::Phy(backscatter_phy::PhyError::LengthMismatch {
-                expected: self.channels.len(),
-                actual: weights.len(),
-            }));
-        }
-        if weights.iter().any(|w| !(0.0..=1.0).contains(w)) {
-            return Err(SimError::InvalidParameter(
-                "fractional reflection weights must be in [0, 1]",
-            ));
-        }
-        let clean: Complex = self
-            .channels
-            .iter()
-            .zip(weights)
-            .map(|(c, &w)| c.coefficient * w)
-            .sum();
-        let noise = self.noise_sample();
-        Ok(clean + noise)
+        self.observe_fractional_with_noise_factor(weights, 1.0)
     }
 
     /// Like [`Medium::observe_fractional`], but with the noise power scaled
@@ -330,14 +347,6 @@ impl Medium {
         weights: &[f64],
         power_factor: f64,
     ) -> SimResult<Complex> {
-        if !power_factor.is_finite() || power_factor < 0.0 {
-            return Err(SimError::InvalidParameter(
-                "noise power factor must be finite and non-negative",
-            ));
-        }
-        if power_factor == 1.0 {
-            return self.observe_fractional(weights);
-        }
         if weights.len() != self.channels.len() {
             return Err(SimError::Phy(backscatter_phy::PhyError::LengthMismatch {
                 expected: self.channels.len(),
@@ -355,7 +364,7 @@ impl Medium {
             .zip(weights)
             .map(|(c, &w)| c.coefficient * w)
             .sum();
-        Ok(clean + self.noise_sample() * power_factor.sqrt())
+        self.add_noise(clean, power_factor)
     }
 
     /// The reader's empty/occupied decision for a slot, integrating over the
@@ -545,6 +554,8 @@ mod tests {
 
     #[test]
     fn noise_factor_scales_the_same_draw() {
+        use crate::dynamics::BurstyInterference;
+
         let mut plain = medium_with(&[(1.0, 0.0)], 1e-4);
         let mut scaled = medium_with(&[(1.0, 0.0)], 1e-4);
         // Silence observations expose the raw noise draw: a factor of 4 in
@@ -560,6 +571,41 @@ mod tests {
         assert!(scaled
             .observe_with_noise_factor(&[true], f64::INFINITY)
             .is_err());
+
+        // A single-tag observation is the one-hot observation bit for bit,
+        // reflecting or silent, at factors 1 and 4, and after a slot whose
+        // dynamics scale the noise.
+        let channels = [(0.3, -0.2), (-0.7, 0.4), (0.1, 0.9)];
+        let mut one_hot = medium_with(&channels, 1e-3);
+        let mut single = medium_with(&channels, 1e-3);
+        let compare = |one_hot: &mut Medium, single: &mut Medium| {
+            for tag in 0..3 {
+                for reflects in [true, false] {
+                    for factor in [1.0, 4.0] {
+                        let mut bits = [false; 3];
+                        bits[tag] = reflects;
+                        let a = one_hot.observe_with_noise_factor(&bits, factor).unwrap();
+                        let b = single.observe_single(tag, reflects, factor).unwrap();
+                        assert_eq!(a.re.to_bits(), b.re.to_bits());
+                        assert_eq!(a.im.to_bits(), b.im.to_bits());
+                    }
+                }
+            }
+        };
+        compare(&mut one_hot, &mut single);
+        let noisy = |m: Medium| {
+            m.with_dynamics(
+                vec![Arc::new(BurstyInterference::new(1, 1, 9.0).unwrap())],
+                5,
+            )
+        };
+        let (mut one_hot, mut single) = (noisy(one_hot), noisy(single));
+        one_hot.begin_slot(3);
+        single.begin_slot(3);
+        assert!(single.slot_noise_power() > 8.0 * single.noise_power());
+        compare(&mut one_hot, &mut single);
+        assert!(single.observe_single(3, true, 1.0).is_err());
+        assert!(single.observe_single(0, true, -1.0).is_err());
     }
 
     #[test]

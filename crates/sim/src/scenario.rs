@@ -12,7 +12,7 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 use backscatter_codes::message::Message;
-use backscatter_phy::channel::{ChannelModel, FadingModel, PathLoss};
+use backscatter_phy::channel::ChannelModel;
 use backscatter_phy::snr::snr_db_to_linear;
 use backscatter_phy::sync::{ClockModel, SyncJitter};
 use backscatter_prng::{NodeSeed, Rng64, SplitMix64, Xoshiro256};
@@ -40,9 +40,8 @@ pub struct ScenarioConfig {
     /// §8.2 microbenchmark).
     pub message_bits: usize,
     /// Median per-tag SNR target in dB; the noise power is chosen so the
-    /// median-strength tag sees this SNR.  `None` keeps the default noise
-    /// floor.
-    pub median_snr_db: Option<f64>,
+    /// median-strength tag sees this SNR.
+    pub median_snr_db: f64,
     /// Starting voltage of each tag's capacitor, volts.
     pub starting_voltage_v: f64,
 }
@@ -99,41 +98,16 @@ pub struct PersistentTag {
     pub message: Message,
 }
 
-/// How the builder pins the noise floor.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SnrProfile {
-    /// A fixed low ambient noise floor (the default-noise behaviour of
-    /// [`ScenarioConfig`] with `median_snr_db: None`).
-    AmbientFloor,
-    /// Choose the noise power so the median-strength tag sees this SNR (dB).
-    MedianDb(f64),
-}
-
-/// Where the tags sit relative to the reader.
-///
-/// Currently one family — the paper's cart — parameterized by its distance;
-/// expressed as an enum so new placement families (shelf rows, conveyor
-/// belts) slot in without another builder method.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Placement {
-    /// The paper's movable cart at the given distance from the reader.
-    Cart {
-        /// Distance from the reader to the near edge of the cart, meters.
-        distance_m: f64,
-    },
-}
-
 /// Fluent constructor for [`Scenario`]s: start from a preset (or
 /// [`Scenario::builder`]), override what the experiment varies, attach any
 /// number of composable [`ScenarioDynamics`], then [`ScenarioBuilder::build`].
 ///
 /// ```
-/// use backscatter_sim::scenario::{Scenario, SnrProfile};
+/// use backscatter_sim::scenario::Scenario;
 /// use backscatter_sim::dynamics::Mobility;
 ///
 /// let scenario = Scenario::builder(8)
 ///     .seed(42)
-///     .snr_profile(SnrProfile::MedianDb(18.0))
 ///     .dynamics(Mobility::walking_pace())
 ///     .build()
 ///     .unwrap();
@@ -167,7 +141,7 @@ impl ScenarioBuilder {
                 seed,
                 cart_distance_m: 0.25,
                 message_bits: 32,
-                median_snr_db: Some(22.0),
+                median_snr_db: 22.0,
                 starting_voltage_v: 3.0,
             },
             dynamics: Vec::new(),
@@ -181,34 +155,16 @@ impl ScenarioBuilder {
     /// lowered to `median_snr_db`.
     #[must_use]
     pub fn challenging(k: usize, seed: u64, median_snr_db: f64) -> Self {
-        Self::paper_uplink(k, seed)
-            .snr_profile(SnrProfile::MedianDb(median_snr_db))
-            .placement(Placement::Cart { distance_m: 0.9 })
+        let mut builder = Self::paper_uplink(k, seed);
+        builder.config.cart_distance_m = 0.9;
+        builder.config.median_snr_db = median_snr_db;
+        builder
     }
 
     /// Sets the master seed (the "experiment location").
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
         self.config.seed = seed;
-        self
-    }
-
-    /// Sets how the noise floor is chosen.
-    #[must_use]
-    pub fn snr_profile(mut self, profile: SnrProfile) -> Self {
-        self.config.median_snr_db = match profile {
-            SnrProfile::AmbientFloor => None,
-            SnrProfile::MedianDb(db) => Some(db),
-        };
-        self
-    }
-
-    /// Sets the tag placement.
-    #[must_use]
-    pub fn placement(mut self, placement: Placement) -> Self {
-        match placement {
-            Placement::Cart { distance_m } => self.config.cart_distance_m = distance_m,
-        }
         self
     }
 
@@ -278,12 +234,6 @@ impl ScenarioBuilder {
     pub fn persistent_tags(mut self, tags: Vec<PersistentTag>) -> Self {
         self.persistent = tags;
         self
-    }
-
-    /// The configuration [`ScenarioBuilder::build`] validates and builds.
-    #[must_use]
-    pub fn config(&self) -> &ScenarioConfig {
-        &self.config
     }
 
     /// Builds the scenario.
@@ -363,27 +313,13 @@ impl Scenario {
         let placement = cart_layout(config.k, config.cart_distance_m, rng.next_u64())?;
         let distances = placement.tag_distances_m();
 
-        let mut channel_model = ChannelModel::new(
-            rng.next_u64(),
-            PathLoss::LogDistance {
-                reference_m: 0.6,
-                reference_power: 1.0,
-                exponent: 4.0,
-            },
-            FadingModel::Rician { k_factor: 10.0 },
-            0.8,
-        )?;
-        let channels = channel_model.draw_many(&distances);
+        let channels = ChannelModel::new(rng.next_u64()).draw_many(&distances);
 
-        // Choose the noise floor: either pinned to the target median SNR or a
-        // fixed low floor.
+        // Pin the noise floor to the target median SNR.
         let mut powers: Vec<f64> = channels.iter().map(|c| c.power()).collect();
         powers.sort_by(|a, b| a.partial_cmp(b).unwrap_or(core::cmp::Ordering::Equal));
         let median_power = powers[powers.len() / 2];
-        let noise_power = match config.median_snr_db {
-            Some(db) => median_power / snr_db_to_linear(db),
-            None => 1e-6,
-        };
+        let noise_power = median_power / snr_db_to_linear(config.median_snr_db);
 
         let jitter = SyncJitter::moo();
         // Distinctness check via a set: the rejection loop draws the same
@@ -546,7 +482,10 @@ mod tests {
 
     #[test]
     fn config_validation() {
-        let paper = *ScenarioBuilder::paper_uplink(8, 1).config();
+        let paper = *ScenarioBuilder::paper_uplink(8, 1)
+            .build()
+            .unwrap()
+            .config();
         assert!(paper.validate().is_ok());
         let mut c = paper;
         c.k = 0;
@@ -632,17 +571,18 @@ mod tests {
             seed: 42,
             cart_distance_m: 0.25,
             message_bits: 32,
-            median_snr_db: Some(22.0),
+            median_snr_db: 22.0,
             starting_voltage_v: 3.0,
         };
-        assert_eq!(*ScenarioBuilder::paper_uplink(8, 42).config(), paper);
+        let config = |builder: ScenarioBuilder| *builder.build().unwrap().config();
+        assert_eq!(config(ScenarioBuilder::paper_uplink(8, 42)), paper);
         assert_eq!(
-            *ScenarioBuilder::challenging(4, 7, 6.0).config(),
+            config(ScenarioBuilder::challenging(4, 7, 6.0)),
             ScenarioConfig {
                 k: 4,
                 seed: 7,
                 cart_distance_m: 0.9,
-                median_snr_db: Some(6.0),
+                median_snr_db: 6.0,
                 ..paper
             }
         );
@@ -650,38 +590,26 @@ mod tests {
 
     #[test]
     fn builder_overrides_reach_the_config() {
-        let builder = Scenario::builder(5)
+        let scenario = Scenario::builder(5)
             .seed(9)
-            .snr_profile(SnrProfile::MedianDb(12.5))
-            .placement(Placement::Cart { distance_m: 0.7 })
             .message_bits(96)
             .global_id_space(5_000)
-            .starting_voltage_v(4.5);
-        let c = *builder.config();
+            .starting_voltage_v(4.5)
+            .build()
+            .unwrap();
+        let c = scenario.config();
         assert_eq!(c.k, 5);
         assert_eq!(c.seed, 9);
-        assert_eq!(c.median_snr_db, Some(12.5));
-        assert_eq!(c.cart_distance_m, 0.7);
         assert_eq!(c.message_bits, 96);
         assert_eq!(c.global_id_space, 5_000);
         assert_eq!(c.starting_voltage_v, 4.5);
-        let scenario = builder.build().unwrap();
         assert!(scenario.dynamics().is_empty());
-
-        let floor = Scenario::builder(2)
-            .snr_profile(SnrProfile::AmbientFloor)
-            .build()
-            .unwrap();
-        assert_eq!(floor.config().median_snr_db, None);
     }
 
     #[test]
     fn builder_validation_still_applies() {
         assert!(Scenario::builder(0).build().is_err());
-        assert!(Scenario::builder(4)
-            .placement(Placement::Cart { distance_m: -1.0 })
-            .build()
-            .is_err());
+        assert!(Scenario::builder(4).global_id_space(3).build().is_err());
     }
 
     #[test]

@@ -48,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         for trial in 0..trials {
             let mut scenario = Scenario::builder(k)
                 .seed(4600 + trial)
-                .dynamics(CorrelatedFading::new(doppler, 8, los)?)
+                .dynamics(CorrelatedFading::new(doppler, los)?)
                 .build()?;
             let outcomes = run_panel(&panel, &mut scenario, trial)?;
             for (sum, outcome) in sums.iter_mut().zip(&outcomes) {

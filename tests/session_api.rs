@@ -4,8 +4,6 @@
 //!   **bit-identical** [`SessionOutcome`] for every scheme, driven through
 //!   `&dyn Protocol` — the `BuzzOutcome` determinism contract of
 //!   `tests/manifest_integrity.rs` extended across the whole panel.
-//! * Builder equivalence: a hand-assembled `Scenario::builder(...)` reaches
-//!   the same scenario as the preset it spells out.
 //! * Dynamics: scenarios carrying dynamics stay deterministic end-to-end and
 //!   actually change what the protocols experience.
 
@@ -13,7 +11,7 @@ use buzz_suite::baselines::{CdmaProtocol, FsaIdentification, FsaWithEstimatedK, 
 use buzz_suite::protocol::protocol::{BuzzConfig, BuzzProtocol};
 use buzz_suite::protocol::session::{run_panel, Protocol, SessionOutcome};
 use buzz_suite::sim::dynamics::{BurstyInterference, HeterogeneousTagPower, Mobility};
-use buzz_suite::sim::scenario::{Placement, Scenario, ScenarioBuilder, SnrProfile};
+use buzz_suite::sim::scenario::{Scenario, ScenarioBuilder};
 
 /// Runs the full four-scheme panel (plus FSA+K̂) over a fresh scenario built
 /// from `builder`, returning every outcome in panel order.
@@ -58,25 +56,6 @@ fn every_scheme_reports_through_the_common_shape() {
     // Buzz fills diagnostics; the identification baselines do not.
     assert!(outcomes[0].diagnostics.is_some());
     assert!(outcomes[3].diagnostics.is_none());
-}
-
-#[test]
-fn hand_assembled_builder_matches_the_preset() {
-    let preset = ScenarioBuilder::challenging(4, 3, 6.0).build().unwrap();
-    let manual = Scenario::builder(4)
-        .seed(3)
-        .snr_profile(SnrProfile::MedianDb(6.0))
-        .placement(Placement::Cart { distance_m: 0.9 })
-        .build()
-        .unwrap();
-    assert_eq!(manual.config(), preset.config());
-    assert_eq!(manual.noise_power(), preset.noise_power());
-    for (a, b) in manual.tags().iter().zip(preset.tags()) {
-        assert_eq!(a.global_id, b.global_id);
-        assert_eq!(a.channel, b.channel);
-        assert_eq!(a.message, b.message);
-        assert_eq!(a.initial_offset_us, b.initial_offset_us);
-    }
 }
 
 #[test]
