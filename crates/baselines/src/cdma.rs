@@ -94,28 +94,20 @@ impl CdmaProtocol {
         let mut received = Vec::with_capacity(total_chips);
         let mut erased_periods = vec![false; framed_bits];
         let mut restart_lost = false;
-        let mut period_noise_factor = 1.0;
         for chip_idx in 0..total_chips {
             // Each bit period (one code length) is one "slot" for scenario
-            // dynamics (no-op on static media).
+            // dynamics and faults (no-op on static media).
             if chip_idx % sf == 0 {
-                let period = (chip_idx / sf) as u64;
-                medium.begin_slot(period);
-                period_noise_factor = 1.0;
-                if let Some(f) = medium.slot_faults(period) {
-                    for &t in &f.tags_reset {
-                        if t < k {
-                            for chip in &mut chip_streams[t][chip_idx..] {
-                                *chip = false;
-                            }
+                let f = medium.begin_slot((chip_idx / sf) as u64);
+                for &t in &f.tags_reset {
+                    if t < k {
+                        for chip in &mut chip_streams[t][chip_idx..] {
+                            *chip = false;
                         }
                     }
-                    erased_periods[chip_idx / sf] = f.collision_erased;
-                    period_noise_factor = f.noise_power_factor;
-                    if f.reader_restart {
-                        restart_lost = true;
-                    }
                 }
+                erased_periods[chip_idx / sf] = f.collision_erased;
+                restart_lost |= f.reader_restart;
             }
             let elapsed_us = chip_idx as f64 * chip_us;
             let weights: Vec<f64> = (0..k)
@@ -132,8 +124,7 @@ impl CdmaProtocol {
                     ((1.0 - f) * current + f * previous).clamp(0.0, 1.0)
                 })
                 .collect();
-            received
-                .push(medium.observe_fractional_with_noise_factor(&weights, period_noise_factor)?);
+            received.push(medium.observe_fractional(&weights)?);
         }
 
         // The OOK mapping leaves a data-dependent common term on every chip
@@ -305,7 +296,7 @@ mod tests {
     fn faults_corrupt_the_shared_frame() {
         use backscatter_sim::faults::{ReaderRestart, SlotErasure, TagDropout};
 
-        // Zero-rate fault plan: byte-identical to the fault-free run.
+        // Zero-rate faults: byte-identical to the fault-free run.
         let clean = |faulted: bool| {
             let mut builder = ScenarioBuilder::paper_uplink(4, 17);
             if faulted {

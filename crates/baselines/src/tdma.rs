@@ -68,7 +68,7 @@ impl TdmaProtocol {
         // Poll worklist: index order, with one restart-driven re-poll of the
         // whole population (a restarted reader has lost its inventory
         // records, so it starts the round over).  `slot` is the global poll
-        // counter that scenario dynamics and fault plans index.
+        // counter that scenario dynamics and faults index.
         let mut queue: Vec<usize> = (0..tags.len()).collect();
         let mut qi = 0usize;
         let mut slot: u64 = 0;
@@ -79,24 +79,21 @@ impl TdmaProtocol {
             let i = queue[qi];
             let tag = &tags[i];
             // Each tag's polling round is one "slot" for scenario dynamics
-            // (no-op on static media).
-            medium.begin_slot(slot);
-            let faults = medium.slot_faults(slot);
+            // and faults (no-op on static media).
+            let faults = medium.begin_slot(slot);
             slot += 1;
-            if let Some(f) = &faults {
-                for &t in &f.tags_reset {
-                    if t < tag_dead.len() {
-                        tag_dead[t] = true;
-                    }
+            for &t in &faults.tags_reset {
+                if t < tag_dead.len() {
+                    tag_dead[t] = true;
                 }
-                if f.reader_restart && !restarted {
-                    restarted = true;
-                    delivered.fill(false);
-                    queue = (0..tags.len()).collect();
-                    qi = 0;
-                    time_s += PAPER_TIMING.t2_s;
-                    continue;
-                }
+            }
+            if faults.reader_restart && !restarted {
+                restarted = true;
+                delivered.fill(false);
+                queue = (0..tags.len()).collect();
+                qi = 0;
+                time_s += PAPER_TIMING.t2_s;
+                continue;
             }
             qi += 1;
             let framed = tag.message.framed();
@@ -105,11 +102,10 @@ impl TdmaProtocol {
             // slot: time passes, nothing is on the air.  (`collision_erased`
             // models frame-sync loss on superposed collisions and does not
             // affect these singleton replies.)
-            if faults.as_ref().is_some_and(|f| f.feedback_lost) || tag_dead[i] {
+            if faults.feedback_lost || tag_dead[i] {
                 time_s += duration_s + PAPER_TIMING.t2_s;
                 continue;
             }
-            let noise_factor = faults.as_ref().map_or(1.0, |f| f.noise_power_factor);
             let chips = self.code.encode(&framed);
             let h = tag.channel.coefficient;
 
@@ -119,12 +115,12 @@ impl TdmaProtocol {
             // noise of the other schemes.
             let mut received = Vec::with_capacity(chips.len());
             for &chip in &chips {
-                let mut y = medium.observe_single(i, chip, noise_factor)?;
+                let mut y = medium.observe_single(i, chip)?;
                 if noise_scale > 1.0 {
                     let extra = medium.noise_power() * (noise_scale - 1.0);
                     // Draw the extra noise through the medium's own source by
                     // scaling an independent observation of silence.
-                    let silence = medium.observe_single(i, false, noise_factor)?;
+                    let silence = medium.observe_single(i, false)?;
                     y += silence * (extra / medium.noise_power().max(f64::MIN_POSITIVE)).sqrt();
                 }
                 received.push(y);
@@ -248,7 +244,7 @@ mod tests {
     fn faults_degrade_polls_and_a_restart_repolls_once() {
         use backscatter_sim::faults::{FeedbackLoss, ReaderRestart, TagDropout};
 
-        // Zero-rate fault plan: byte-identical to the fault-free run.
+        // Zero-rate faults: byte-identical to the fault-free run.
         let clean = |faulted: bool| {
             let mut builder = ScenarioBuilder::paper_uplink(4, 15);
             if faulted {

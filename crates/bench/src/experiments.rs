@@ -697,8 +697,8 @@ pub fn fig_fading(locations: u64, base_seed: u64, threads: usize) -> ExperimentR
     report
 }
 
-/// The fault grid `fig_resilience` sweeps: a label per row plus the injector
-/// set it attaches.  Split out so the figure and its regression tests agree
+/// The fault grid `fig_resilience` sweeps: a label per row plus the faults
+/// it attaches.  Split out so the figure and its regression tests agree
 /// on the grid by construction.
 const RESILIENCE_FAULTS: [&str; 8] = [
     "clean",

@@ -95,13 +95,6 @@ pub enum BuzzError {
     /// The identification phase could not assign distinct temporary ids within
     /// its retry budget.
     IdentificationFailed,
-    /// The data phase hit its slot budget before decoding every message.
-    TransferStalled {
-        /// Number of messages decoded before stalling.
-        decoded: usize,
-        /// Number of messages expected.
-        expected: usize,
-    },
 }
 
 impl core::fmt::Display for BuzzError {
@@ -114,10 +107,6 @@ impl core::fmt::Display for BuzzError {
             BuzzError::IdentificationFailed => {
                 write!(f, "identification failed to assign distinct temporary ids")
             }
-            BuzzError::TransferStalled { decoded, expected } => write!(
-                f,
-                "data transfer stalled after decoding {decoded} of {expected} messages"
-            ),
         }
     }
 }
@@ -160,11 +149,5 @@ mod tests {
         assert!(BuzzError::IdentificationFailed
             .to_string()
             .contains("identification"));
-        assert!(BuzzError::TransferStalled {
-            decoded: 1,
-            expected: 4
-        }
-        .to_string()
-        .contains("1 of 4"));
     }
 }

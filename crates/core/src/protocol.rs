@@ -127,8 +127,10 @@ impl BuzzProtocol {
     /// The session's first step: who the reader will decode.  Periodic
     /// networks have a static schedule, so tag `i` holds temporary id `i`
     /// and the reader knows every channel; otherwise identification
-    /// (§5) assigns the ids and estimates the channels.  Identification runs
-    /// fault-free: a fault plan indexes *data* slots.
+    /// (§5) assigns the ids and estimates the channels.  Identification
+    /// reads no control-plane fault: erasures, lost feedback, resets and
+    /// restarts act on *data* slots, while frame noise scales an
+    /// identification slot the way an interference burst does.
     pub(crate) fn discover(
         &self,
         scenario: &mut Scenario,
@@ -344,7 +346,7 @@ mod tests {
         // re-derived every position on each call read 39 wrong.  Over 300
         // locations the three read 28, 10 and 124 wrong messages of 11,864
         // offered to identified sessions.
-        // `buzz+r` runs the same sessions with no fault plan.  Its recovery
+        // `buzz+r` runs the same sessions with no faults.  Its recovery
         // loop still fires in 25 of them — a missed tag or a phantom column
         // stalls the decode — and its TDMA fallback recovers two of plain
         // Buzz's wrong messages.

@@ -37,7 +37,7 @@
 //! extra work is reported in [`RecoveryDiagnostics`] on the session outcome,
 //! so harnesses can separate "delivered" from "delivered cheaply".
 //!
-//! With no fault plan attached, `buzz+r` draws the plain protocol's noise
+//! With no faults attached, `buzz+r` draws the plain protocol's noise
 //! stream (epoch 0 participation is the plain temporary-id stream) and
 //! matches the plain session until its stall detector fires.  In periodic
 //! mode that did not happen in 1,600 fault-free `paper_uplink` sessions
@@ -98,8 +98,8 @@ pub struct RecoveryConfig {
     /// Snapshot the decoder every this many data slots (`0` disables
     /// checkpointing, making a reader restart start the decode over from
     /// nothing, as in the plain protocol — though the session still
-    /// continues instead of aborting).  A medium without a fault plan
-    /// raises no reader restart, so its sessions take no snapshots.
+    /// continues instead of aborting).  A medium without faults raises
+    /// no reader restart, so its sessions take no snapshots.
     pub checkpoint_interval: usize,
 }
 
@@ -188,7 +188,7 @@ impl ResilientBuzzProtocol {
 
         while phase.slots < budget {
             let faults = phase.begin_slot(medium, slot);
-            if faults.as_ref().is_some_and(|f| f.reader_restart) {
+            if faults.reader_restart {
                 // Restore the last checkpoint (or start the decode over
                 // when none was taken): only the slots observed since are
                 // lost, not the session.  Locks taken after the snapshot no
@@ -223,7 +223,7 @@ impl ResilientBuzzProtocol {
             // One rateless collision slot at the current epoch.  An erased
             // slot leaves the residual unchanged, which is exactly the
             // plateau the stall detector looks for.
-            let decoded = phase.collision_slot(medium, slot, epoch, faults.as_ref())?;
+            let decoded = phase.collision_slot(medium, slot, epoch, &faults)?;
             slot += 1;
             if decoded.is_some() {
                 if phase.all_decoded() {
@@ -232,7 +232,7 @@ impl ResilientBuzzProtocol {
                 data_slots += 1;
                 last_residual = phase.residual_power();
                 // Only a reader-restart fault reads the checkpoint, and a
-                // medium without a fault plan never raises one.
+                // medium without faults never raises one.
                 if interval > 0 && data_slots.is_multiple_of(interval) && medium.has_faults() {
                     checkpoint = Some(Checkpoint {
                         decoder: phase.decoder.clone(),
@@ -270,8 +270,7 @@ impl ResilientBuzzProtocol {
             while !delivered && requests_spent < MAX_REQUEST_RETRIES {
                 requests_spent += 1;
                 diag.extra_slot_requests += 1;
-                medium.begin_slot(slot);
-                delivered = !medium.slot_faults(slot).is_some_and(|f| f.feedback_lost);
+                delivered = !medium.begin_slot(slot).feedback_lost;
                 if !delivered {
                     diag.feedback_retries += 1;
                 }
@@ -340,13 +339,13 @@ fn poll_unresolved(
             // `collision_erased` does NOT apply: it models frame-sync loss
             // on the superposed collision waveform, and a singleton reply
             // uses a conventional preamble.
-            if faults.as_ref().is_some_and(|f| f.feedback_lost) || phase.tag_dead[tag] {
+            if faults.feedback_lost || phase.tag_dead[tag] {
                 phase.time_s += timing.t2_s;
                 continue;
             }
             // Matched filter against the reader's channel estimate.
             let bits: Vec<bool> = phase
-                .singleton_reply(medium, tag, faults.as_ref())?
+                .singleton_reply(medium, tag)?
                 .into_iter()
                 .map(|y| (y * h.conj()).re > h.norm_sqr() / 2.0)
                 .collect();
@@ -414,7 +413,7 @@ mod tests {
 
     #[test]
     fn fault_free_session_matches_the_plain_protocol() {
-        // In periodic mode with no fault plan, buzz+r must decode the
+        // In periodic mode with no faults, buzz+r must decode the
         // identical slot stream: same deliveries, same slot count, and no
         // recovery machinery fired.  (Through identification it may stall;
         // the full-pipeline lock census in `protocol.rs` pins how often.)
@@ -560,8 +559,8 @@ mod tests {
 
     #[test]
     fn full_protocol_with_identification_survives_faults() {
-        // Non-periodic: identification runs fault-free (faults index data
-        // slots), then the resilient transfer rides out a restart.
+        // Non-periodic: identification ignores the restart drawn at its own
+        // slot 2, then the resilient transfer rides out the data phase's.
         let mut scenario = ScenarioBuilder::paper_uplink(6, 360)
             .fault(ReaderRestart::new(2))
             .build()

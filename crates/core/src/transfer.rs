@@ -232,13 +232,12 @@ impl<'a> DataPhase<'a> {
         new_decoder(self.discovered, self.framed_bits(), self.schedule, medium)
     }
 
-    /// Opens air slot `slot`: scenarios with dynamics (mobility,
-    /// interference bursts) evolve the medium, static ones take a no-op, and
-    /// the tags the slot's faults brown out go dark.  Returns those faults.
-    pub(crate) fn begin_slot(&mut self, medium: &mut Medium, slot: u64) -> Option<SlotFaults> {
-        medium.begin_slot(slot);
-        let faults = medium.slot_faults(slot);
-        for &t in faults.iter().flat_map(|f| &f.tags_reset) {
+    /// Opens air slot `slot`: scenarios with dynamics or faults evolve the
+    /// medium, static ones take a no-op, and the tags the slot's faults
+    /// brown out go dark.  Returns those faults.
+    pub(crate) fn begin_slot(&mut self, medium: &mut Medium, slot: u64) -> SlotFaults {
+        let faults = medium.begin_slot(slot);
+        for &t in &faults.tags_reset {
             if let Some(dead) = self.tag_dead.get_mut(t) {
                 *dead = true;
             }
@@ -267,7 +266,7 @@ impl<'a> DataPhase<'a> {
         medium: &mut Medium,
         slot: u64,
         epoch: u64,
-        faults: Option<&SlotFaults>,
+        faults: &SlotFaults,
     ) -> BuzzResult<Option<usize>> {
         // Tag side: every live tag decides from its own temporary id.
         let participation: Vec<bool> = self
@@ -280,18 +279,17 @@ impl<'a> DataPhase<'a> {
             *count += usize::from(p);
         }
         // The collision on the air, one symbol per framed-bit position.
-        let noise_factor = faults.map_or(1.0, |f| f.noise_power_factor);
         let mut bits = vec![false; self.tags.len()];
         let mut symbols = Vec::with_capacity(self.framed_bits());
         for pos in 0..self.framed_bits() {
             for (i, bit) in bits.iter_mut().enumerate() {
                 *bit = participation[i] && self.framed[i][pos];
             }
-            symbols.push(medium.observe_with_noise_factor(&bits, noise_factor)?);
+            symbols.push(medium.observe(&bits)?);
         }
         self.time_s += self.slot_s();
 
-        if faults.is_some_and(|f| f.collision_erased) {
+        if faults.collision_erased {
             // Frame-sync loss: the slot aired (the tags spent the energy
             // and the time passed) but the reader discards the observation.
             self.slots += 1;
@@ -327,13 +325,11 @@ impl<'a> DataPhase<'a> {
         &mut self,
         medium: &mut Medium,
         tag: usize,
-        faults: Option<&SlotFaults>,
     ) -> BuzzResult<Vec<Complex>> {
-        let noise_factor = faults.map_or(1.0, |f| f.noise_power_factor);
         self.tag_transmissions[tag] += 1;
         let mut symbols = Vec::with_capacity(self.framed_bits());
         for pos in 0..self.framed_bits() {
-            symbols.push(medium.observe_single(tag, self.framed[tag][pos], noise_factor)?);
+            symbols.push(medium.observe_single(tag, self.framed[tag][pos])?);
         }
         self.time_s += self.framed_bits() as f64 / PAPER_TIMING.uplink_bps + PAPER_TIMING.t2_s;
         Ok(symbols)
@@ -437,14 +433,14 @@ impl DataTransfer {
         let mut phase = DataPhase::new(&self.config, tags, discovered, medium)?;
         for slot in 0..(BUDGET_FACTOR * phase.population()) as u64 {
             let faults = phase.begin_slot(medium, slot);
-            if faults.as_ref().is_some_and(|f| f.reader_restart) {
+            if faults.reader_restart {
                 // The plain protocol keeps no checkpoint: the restart wipes
                 // all undecoded session RAM and the transfer is lost (the
                 // resuming variant lives in `crate::recovery`).
                 phase.state = None;
                 break;
             }
-            phase.collision_slot(medium, slot, 0, faults.as_ref())?;
+            phase.collision_slot(medium, slot, 0, &faults)?;
             if phase.all_decoded() {
                 break;
             }
@@ -558,7 +554,7 @@ mod tests {
         for slot in 0..24u64 {
             let epoch = if slot < 12 { 0 } else { 3 };
             phase
-                .collision_slot(&mut medium, slot, epoch, None)
+                .collision_slot(&mut medium, slot, epoch, &SlotFaults::default())
                 .unwrap();
             for tag in 0..k {
                 let column = phase.decoder.d.col(tag).len();
@@ -594,9 +590,7 @@ mod tests {
                     *dark = Some(slot as usize);
                 }
             }
-            phase
-                .collision_slot(&mut medium, slot, 0, faults.as_ref())
-                .unwrap();
+            phase.collision_slot(&mut medium, slot, 0, &faults).unwrap();
         }
         let mut rows_while_dark = 0;
         for (tag, dark) in dark_from.iter().enumerate() {
@@ -631,7 +625,7 @@ mod tests {
         for slot in 0..slots {
             let before = phase.tag_transmissions.clone();
             phase
-                .collision_slot(medium, slot, epoch_of(slot), None)
+                .collision_slot(medium, slot, epoch_of(slot), &SlotFaults::default())
                 .unwrap();
             for (tag, slots) in aired.iter_mut().enumerate() {
                 if phase.tag_transmissions[tag] > before[tag] {

@@ -1,4 +1,5 @@
-//! Pluggable per-slot scenario dynamics.
+//! Pluggable per-slot effects: physical dynamics and the one trait
+//! control-plane faults share with them.
 //!
 //! The paper's experiments keep the environment frozen while the compared
 //! schemes run back-to-back, but real deployments are not static: carts move,
@@ -7,29 +8,31 @@
 //! effect as a *pure function* of the slot index (plus deterministic seed
 //! material), so dynamic scenarios keep the repo-wide reproducibility
 //! contract: the same `(ScenarioConfig, dynamics, seed)` triple always
-//! produces the same channel/noise trajectory, for every protocol.
+//! produces the same channel/noise trajectory, for every protocol.  The
+//! control-plane faults of [`crate::faults`] implement the same trait and
+//! write the slot's [`SlotFaults`].
 //!
-//! Dynamics are attached through [`crate::scenario::ScenarioBuilder`] and
+//! Effects are attached through [`crate::scenario::ScenarioBuilder`] and
 //! applied by the [`crate::medium::Medium`] at slot boundaries
 //! ([`crate::medium::Medium::begin_slot`]): each slot starts from the
-//! scenario's *base* channels and noise floor, then every attached dynamics
-//! perturbs that slot's view in order.  A scenario with no dynamics never
-//! pays for the machinery — `begin_slot` is a no-op and the medium behaves
-//! exactly as it did before dynamics existed.
+//! scenario's *base* channels and noise floor, then every attached effect
+//! perturbs that slot's view in order.  A scenario with no effects never
+//! pays for the machinery — `begin_slot` returns at once and the medium
+//! behaves exactly as it did before dynamics existed.
 //!
 //! # Time-base caveat
 //!
-//! "Slot" is *protocol-local*: Buzz advances the dynamics once per
-//! identification or collision slot (12.5 µs symbols), CDMA once per spread
-//! bit period, and TDMA once per whole-message polling round, so one
-//! dynamics instance describes
-//! a per-slot-index perturbation sequence, not a wall-clock trajectory
-//! shared across schemes.  Cross-scheme tables built over dynamic scenarios
+//! "Slot" is *protocol-local*, for dynamics and faults alike: Buzz counts
+//! air slots (identification's 12.5 µs symbols, then the data phase's
+//! collision, request and poll slots, each phase from 0), CDMA spread bit
+//! periods, and TDMA whole-message polling rounds, so one effect describes
+//! a per-slot-index sequence, not a wall-clock trajectory shared across
+//! schemes.  Cross-scheme tables built over dynamic or faulty scenarios
 //! compare each scheme against its own slot clock — calibrate rates
 //! per-scheme (or keep them qualitative) before reading such a table as an
 //! apples-to-apples wall-clock experiment.  Schemes simulated without a PHY
-//! medium at all (Gen-2 FSA's analytic inventory model) never observe
-//! dynamics; they serve as an unaffected control in the examples.
+//! medium at all (Gen-2 FSA's analytic inventory model) never observe these
+//! effects; they serve as an unaffected control in the examples.
 
 use core::fmt;
 
@@ -37,12 +40,14 @@ use backscatter_phy::channel::Channel;
 use backscatter_phy::complex::Complex;
 use backscatter_prng::{Rng64, SplitMix64, Xoshiro256};
 
+use crate::faults::SlotFaults;
 use crate::{SimError, SimResult};
 
 /// The per-slot view a [`ScenarioDynamics`] implementation perturbs.
 ///
-/// `channels` starts each slot as a copy of the scenario's base channels and
-/// `noise_scale` starts at `1.0`; dynamics mutate both in attachment order.
+/// `channels` starts each slot as a copy of the scenario's base channels,
+/// `noise_scale` starts at `1.0` and `faults` fault-free; effects mutate
+/// them in attachment order, dynamics before faults.
 #[derive(Debug)]
 pub struct SlotView<'a> {
     /// The slot index since the start of the protocol phase.
@@ -53,12 +58,14 @@ pub struct SlotView<'a> {
     /// Multiplier on the medium's base noise power for this slot.
     pub noise_scale: &'a mut f64,
     /// A seed that is stable across every slot of one run for one attached
-    /// dynamics instance — derive per-tag constants (drift directions, power
-    /// offsets) from it so they do not get redrawn every slot.
+    /// effect — derive per-tag constants (drift directions, power offsets)
+    /// from it so they do not get redrawn every slot.
     pub stream_seed: u64,
-    /// A generator seeded per `(dynamics, slot)` for effects that *should*
-    /// vary slot to slot (jitter, burst phases).
+    /// A generator seeded per `(effect, slot)` for effects that *should*
+    /// vary slot to slot (jitter, burst phases, fault draws).
     pub rng: &'a mut Xoshiro256,
+    /// The control-plane faults in effect for this slot.
+    pub faults: &'a mut SlotFaults,
 }
 
 /// One composable time-varying effect on the shared medium.
@@ -67,10 +74,7 @@ pub struct SlotView<'a> {
 /// from `SlotView::slot`, `SlotView::stream_seed`, and `SlotView::rng` —
 /// never from ambient state — so that scenario runs stay bit-reproducible.
 pub trait ScenarioDynamics: fmt::Debug + Send + Sync {
-    /// A short label for reports and debugging.
-    fn name(&self) -> &'static str;
-
-    /// Perturbs one slot's channels/noise in place.
+    /// Perturbs one slot's channels, noise or faults in place.
     fn apply(&self, view: &mut SlotView<'_>);
 }
 
@@ -132,10 +136,6 @@ impl Mobility {
 }
 
 impl ScenarioDynamics for Mobility {
-    fn name(&self) -> &'static str {
-        "mobility"
-    }
-
     fn apply(&self, view: &mut SlotView<'_>) {
         let slot = view.slot as f64;
         for (i, channel) in view.channels.iter_mut().enumerate() {
@@ -210,22 +210,19 @@ impl BurstyInterference {
     /// Whether `slot` falls inside a burst for the given stream seed.
     #[must_use]
     pub fn is_burst_slot(&self, stream_seed: u64, slot: u64) -> bool {
-        if self.burst_slots == 0 {
-            return false;
-        }
-        let frame = slot / self.period_slots;
-        let mut frame_rng = Xoshiro256::seed_from_u64(SplitMix64::mix(stream_seed, frame));
-        let offset = frame_rng.next_bounded(self.period_slots);
-        let pos = slot % self.period_slots;
-        (pos + self.period_slots - offset) % self.period_slots < self.burst_slots
+        in_burst(stream_seed, slot, self.period_slots, self.burst_slots)
     }
 }
 
-impl ScenarioDynamics for BurstyInterference {
-    fn name(&self) -> &'static str {
-        "bursty-interference"
-    }
+/// Whether `slot` falls in the one run of `burst` slots that each frame of
+/// `period` slots carries, at an offset drawn per frame from `stream_seed`.
+pub(crate) fn in_burst(stream_seed: u64, slot: u64, period: u64, burst: u64) -> bool {
+    let mut frame_rng = Xoshiro256::seed_from_u64(SplitMix64::mix(stream_seed, slot / period));
+    let offset = frame_rng.next_bounded(period);
+    (slot % period + period - offset) % period < burst
+}
 
+impl ScenarioDynamics for BurstyInterference {
     fn apply(&self, view: &mut SlotView<'_>) {
         if self.is_burst_slot(view.stream_seed, view.slot) {
             *view.noise_scale *= self.noise_multiplier;
@@ -263,10 +260,6 @@ impl HeterogeneousTagPower {
 }
 
 impl ScenarioDynamics for HeterogeneousTagPower {
-    fn name(&self) -> &'static str {
-        "heterogeneous-tag-power"
-    }
-
     fn apply(&self, view: &mut SlotView<'_>) {
         for (i, channel) in view.channels.iter_mut().enumerate() {
             let mut tag_rng = tag_stream(view.stream_seed, i);
@@ -334,10 +327,6 @@ impl TagChurn {
 }
 
 impl ScenarioDynamics for TagChurn {
-    fn name(&self) -> &'static str {
-        "tag-churn"
-    }
-
     fn apply(&self, view: &mut SlotView<'_>) {
         for (tag, channel) in view.channels.iter_mut().enumerate() {
             if self.is_away(view.stream_seed, tag, view.slot) {
@@ -427,10 +416,6 @@ impl CorrelatedFading {
 }
 
 impl ScenarioDynamics for CorrelatedFading {
-    fn name(&self) -> &'static str {
-        "correlated-fading"
-    }
-
     fn apply(&self, view: &mut SlotView<'_>) {
         for (tag, channel) in view.channels.iter_mut().enumerate() {
             channel.coefficient *= self.fade(view.stream_seed, tag, view.slot);
@@ -464,6 +449,7 @@ mod tests {
             noise_scale: &mut noise_scale,
             stream_seed,
             rng: &mut rng,
+            faults: &mut SlotFaults::default(),
         };
         dynamics.apply(&mut view);
         (channels, noise_scale)
@@ -689,6 +675,7 @@ mod tests {
                 noise_scale: &mut noise_scale,
                 stream_seed: 5,
                 rng: &mut rng,
+                faults: &mut SlotFaults::default(),
             };
             dynamics.apply(&mut view);
         }

@@ -1,35 +1,28 @@
-//! Deterministic fault injection for protocol sessions.
+//! Seeded control-plane faults for protocol sessions.
 //!
-//! Where [`crate::dynamics`] perturbs the *physical* layer (channels, noise),
-//! a [`FaultPlan`] perturbs the *control* plane: slots the reader fails to
+//! Where the physical dynamics of [`crate::dynamics`] perturb channels and
+//! noise, these perturb the *control* plane: slots the reader fails to
 //! frame-sync on, downlink feedback that never reaches the tags, tags that
 //! brown out and reset mid-transfer, CRC-corrupting frame noise, and the
-//! reader process itself restarting at a chosen slot.  Every injector draws
-//! from the same seeded PRNG family as the dynamics, so any failure a sweep
-//! surfaces is replayable bit-for-bit from `(scenario seed, noise seed)`.
-//!
-//! The plan is deliberately *pure*: [`FaultPlan::slot_faults`] is a function
-//! of the slot index alone (no interior mutability), so protocols may consult
-//! the same slot several times (e.g. once for the uplink and once for the
-//! feedback decision) and replays across thread counts stay byte-identical.
-
-use std::fmt;
-use std::sync::Arc;
+//! reader process itself restarting at a chosen slot.  Each fault is a
+//! [`ScenarioDynamics`] attached with
+//! [`crate::scenario::ScenarioBuilder::fault`]; the medium applies the
+//! faults after the dynamics when a slot starts, and
+//! [`crate::medium::Medium::begin_slot`] returns the slot's [`SlotFaults`].
+//! Faults draw from their own salted streams, so attaching one never moves
+//! a dynamics trajectory, and any failure a sweep surfaces replays
+//! bit-for-bit from `(scenario seed, noise seed)`.  Every draw is a pure
+//! function of the slot index, so replays across thread counts stay
+//! byte-identical.
 
 use backscatter_prng::{Rng64, SplitMix64, Xoshiro256};
 
+use crate::dynamics::{in_burst, ScenarioDynamics, SlotView};
 use crate::{SimError, SimResult};
 
-/// Per-injector stream salt, distinct from the dynamics salt (`0xd1a_0001`)
-/// so a fault plan never correlates with co-attached dynamics.
-const FAULT_STREAM_SALT: u64 = 0xfa17_0001;
-
-/// Per-tag stream salt within an injector stream.
-const TAG_STREAM_SALT: u64 = 0x7a9_1001;
-
-/// The control-plane faults in effect for one slot, produced by
-/// [`FaultPlan::slot_faults`].
-#[derive(Debug, Clone, PartialEq)]
+/// The control-plane faults in effect for one slot, returned by
+/// [`crate::medium::Medium::begin_slot`].
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SlotFaults {
     /// The reader lost frame sync on this collision slot: tags transmit (and
     /// spend energy) but the reader discards the observation.  Singleton
@@ -39,131 +32,12 @@ pub struct SlotFaults {
     /// The downlink feedback sent at this slot (ACK / extra-slot request /
     /// poll command) is lost or corrupted and no tag acts on it.
     pub feedback_lost: bool,
-    /// Multiplier (≥ 1) on the noise power for this slot's observations —
-    /// CRC-corrupting frame noise.
-    pub noise_power_factor: f64,
     /// The reader process restarts at this slot: all undecoded session RAM
     /// is lost unless the protocol checkpoints.
     pub reader_restart: bool,
     /// Tags (by index) that reset at this slot and stay dark for the rest of
     /// the session.
     pub tags_reset: Vec<usize>,
-}
-
-impl SlotFaults {
-    /// A fault-free slot.
-    #[must_use]
-    pub fn none() -> Self {
-        Self {
-            collision_erased: false,
-            feedback_lost: false,
-            noise_power_factor: 1.0,
-            reader_restart: false,
-            tags_reset: Vec::new(),
-        }
-    }
-
-    /// Whether this slot carries any fault at all.
-    #[must_use]
-    pub fn any(&self) -> bool {
-        self.collision_erased
-            || self.feedback_lost
-            || self.noise_power_factor != 1.0
-            || self.reader_restart
-            || !self.tags_reset.is_empty()
-    }
-}
-
-impl Default for SlotFaults {
-    fn default() -> Self {
-        Self::none()
-    }
-}
-
-/// The view handed to each [`FaultInjector`] for one slot, mirroring
-/// [`crate::dynamics::SlotView`].
-pub struct FaultView<'a> {
-    /// The slot index (global across the session).
-    pub slot: u64,
-    /// Number of tags in the scenario (for per-tag faults).
-    pub num_tags: usize,
-    /// The injector's session-constant stream seed; derive per-frame or
-    /// per-tag sub-streams from it with [`tag_stream`] or
-    /// [`backscatter_prng::SplitMix64::mix`].
-    pub stream_seed: u64,
-    /// A per-(injector, slot) PRNG: identical slot indices always see
-    /// identical draws, regardless of visit order or repetition.
-    pub rng: &'a mut Xoshiro256,
-    /// The fault flags to fill in.
-    pub faults: &'a mut SlotFaults,
-}
-
-/// One seeded control-plane fault source, composable into a [`FaultPlan`].
-pub trait FaultInjector: fmt::Debug + Send + Sync {
-    /// A short stable name (for reports and logs).
-    fn name(&self) -> &'static str;
-    /// Applies this injector's faults for the view's slot.
-    fn apply(&self, view: &mut FaultView<'_>);
-}
-
-/// A deterministic per-tag stream within an injector stream: tag-level
-/// decisions (does tag `t` drop out, and when) must not depend on how many
-/// slots have been visited so far.
-#[must_use]
-pub fn tag_stream(stream_seed: u64, tag: usize) -> Xoshiro256 {
-    Xoshiro256::seed_from_u64(SplitMix64::mix(stream_seed, TAG_STREAM_SALT + tag as u64))
-}
-
-/// A composed, seeded set of [`FaultInjector`]s.
-///
-/// `slot_faults` is pure: the same `(plan seed, slot, num_tags)` always
-/// produces the same [`SlotFaults`], so the plan can be shared (`Arc`) across
-/// threads and consulted repeatedly without drift.
-#[derive(Debug, Clone)]
-pub struct FaultPlan {
-    seed: u64,
-    injectors: Vec<Arc<dyn FaultInjector>>,
-}
-
-impl FaultPlan {
-    /// Creates a plan over `injectors` seeded by `seed`.
-    #[must_use]
-    pub fn new(seed: u64, injectors: Vec<Arc<dyn FaultInjector>>) -> Self {
-        Self { seed, injectors }
-    }
-
-    /// The plan's injectors.
-    #[must_use]
-    pub fn injectors(&self) -> &[Arc<dyn FaultInjector>] {
-        &self.injectors
-    }
-
-    /// Whether the plan contains any injector.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.injectors.is_empty()
-    }
-
-    /// The faults in effect for `slot`, given `num_tags` tags.
-    #[must_use]
-    pub fn slot_faults(&self, slot: u64, num_tags: usize) -> SlotFaults {
-        let mut faults = SlotFaults::none();
-        for (index, injector) in self.injectors.iter().enumerate() {
-            let stream_seed = SplitMix64::mix(self.seed, FAULT_STREAM_SALT + index as u64);
-            let mut rng = Xoshiro256::seed_from_u64(SplitMix64::mix(stream_seed, slot));
-            let mut view = FaultView {
-                slot,
-                num_tags,
-                stream_seed,
-                rng: &mut rng,
-                faults: &mut faults,
-            };
-            injector.apply(&mut view);
-        }
-        faults.tags_reset.sort_unstable();
-        faults.tags_reset.dedup();
-        faults
-    }
 }
 
 /// Independent per-slot frame-sync loss on collision slots: each slot is
@@ -189,15 +63,9 @@ impl SlotErasure {
     }
 }
 
-impl FaultInjector for SlotErasure {
-    fn name(&self) -> &'static str {
-        "slot-erasure"
-    }
-
-    fn apply(&self, view: &mut FaultView<'_>) {
-        if view.rng.next_f64() < self.probability {
-            view.faults.collision_erased = true;
-        }
+impl ScenarioDynamics for SlotErasure {
+    fn apply(&self, view: &mut SlotView<'_>) {
+        view.faults.collision_erased |= view.rng.next_f64() < self.probability;
     }
 }
 
@@ -230,19 +98,10 @@ impl BurstSlotLoss {
     }
 }
 
-impl FaultInjector for BurstSlotLoss {
-    fn name(&self) -> &'static str {
-        "burst-slot-loss"
-    }
-
-    fn apply(&self, view: &mut FaultView<'_>) {
-        let frame = view.slot / self.period_slots;
-        let pos = view.slot % self.period_slots;
-        let mut frame_rng = Xoshiro256::seed_from_u64(SplitMix64::mix(view.stream_seed, frame));
-        let offset = frame_rng.next_bounded(self.period_slots);
-        if (pos + self.period_slots - offset) % self.period_slots < self.burst_slots {
-            view.faults.collision_erased = true;
-        }
+impl ScenarioDynamics for BurstSlotLoss {
+    fn apply(&self, view: &mut SlotView<'_>) {
+        let (period, burst) = (self.period_slots, self.burst_slots);
+        view.faults.collision_erased |= in_burst(view.stream_seed, view.slot, period, burst);
     }
 }
 
@@ -269,22 +128,15 @@ impl FeedbackLoss {
     }
 }
 
-impl FaultInjector for FeedbackLoss {
-    fn name(&self) -> &'static str {
-        "feedback-loss"
-    }
-
-    fn apply(&self, view: &mut FaultView<'_>) {
-        // Burn one draw after the decision so co-resident injectors never see
-        // correlated streams even if this one grows more draws later.
-        if view.rng.next_f64() < self.probability {
-            view.faults.feedback_lost = true;
-        }
+impl ScenarioDynamics for FeedbackLoss {
+    fn apply(&self, view: &mut SlotView<'_>) {
+        view.faults.feedback_lost |= view.rng.next_f64() < self.probability;
     }
 }
 
 /// CRC-corrupting frame noise: with probability `probability` a slot's
-/// observations see `power_factor` times the nominal noise power.
+/// observations see `power_factor` times its noise power, scaled the way
+/// [`crate::dynamics::BurstyInterference`] scales a burst slot.
 #[derive(Debug, Clone, Copy)]
 pub struct FrameNoise {
     probability: f64,
@@ -316,17 +168,16 @@ impl FrameNoise {
     }
 }
 
-impl FaultInjector for FrameNoise {
-    fn name(&self) -> &'static str {
-        "frame-noise"
-    }
-
-    fn apply(&self, view: &mut FaultView<'_>) {
+impl ScenarioDynamics for FrameNoise {
+    fn apply(&self, view: &mut SlotView<'_>) {
         if view.rng.next_f64() < self.probability {
-            view.faults.noise_power_factor = view.faults.noise_power_factor.max(self.power_factor);
+            *view.noise_scale *= self.power_factor;
         }
     }
 }
+
+/// Per-tag stream salt within a [`TagDropout`] stream.
+const TAG_STREAM_SALT: u64 = 0x7a9_1001;
 
 /// Mid-transfer tag reset/dropout: each tag independently browns out with
 /// probability `probability`, at a slot drawn uniformly from
@@ -361,17 +212,16 @@ impl TagDropout {
     }
 }
 
-impl FaultInjector for TagDropout {
-    fn name(&self) -> &'static str {
-        "tag-dropout"
-    }
-
-    fn apply(&self, view: &mut FaultView<'_>) {
+impl ScenarioDynamics for TagDropout {
+    fn apply(&self, view: &mut SlotView<'_>) {
         // Per-tag decisions come from per-tag streams keyed on the
         // session-constant stream seed, so the drop schedule is a pure
-        // function of the plan seed — not of the slots visited so far.
-        for tag in 0..view.num_tags {
-            let mut rng = tag_stream(view.stream_seed, tag);
+        // function of the medium's seed — not of the slots visited so far.
+        for tag in 0..view.channels.len() {
+            let mut rng = Xoshiro256::seed_from_u64(SplitMix64::mix(
+                view.stream_seed,
+                TAG_STREAM_SALT + tag as u64,
+            ));
             if rng.next_f64() >= self.probability {
                 continue;
             }
@@ -398,24 +248,40 @@ impl ReaderRestart {
     }
 }
 
-impl FaultInjector for ReaderRestart {
-    fn name(&self) -> &'static str {
-        "reader-restart"
-    }
-
-    fn apply(&self, view: &mut FaultView<'_>) {
-        if view.slot == self.at_slot {
-            view.faults.reader_restart = true;
-        }
+impl ScenarioDynamics for ReaderRestart {
+    fn apply(&self, view: &mut SlotView<'_>) {
+        view.faults.reader_restart |= view.slot == self.at_slot;
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use std::sync::Arc;
 
-    fn plan(injectors: Vec<Arc<dyn FaultInjector>>) -> FaultPlan {
-        FaultPlan::new(0xbadc0de, injectors)
+    use backscatter_phy::channel::Channel;
+    use backscatter_phy::complex::Complex;
+
+    use super::*;
+    use crate::dynamics::Mobility;
+    use crate::medium::{Medium, MediumConfig};
+
+    /// A `num_tags`-tag medium carrying `dynamics` and `faults`.
+    fn medium(
+        num_tags: usize,
+        seed: u64,
+        dynamics: Vec<Arc<dyn ScenarioDynamics>>,
+        faults: Vec<Arc<dyn ScenarioDynamics>>,
+    ) -> Medium {
+        let channels = (0..num_tags)
+            .map(|i| Channel::from_coefficient(Complex::new(1.0, i as f64)))
+            .collect();
+        Medium::new(channels, MediumConfig::default())
+            .unwrap()
+            .with_effects(dynamics, faults, seed)
+    }
+
+    fn plan(num_tags: usize, faults: Vec<Arc<dyn ScenarioDynamics>>) -> Medium {
+        medium(num_tags, 0xbadc0de, Vec::new(), faults)
     }
 
     #[test]
@@ -432,43 +298,47 @@ mod tests {
 
     #[test]
     fn slot_faults_is_pure_and_order_independent() {
-        let p = plan(vec![
-            Arc::new(SlotErasure::new(0.4).unwrap()),
-            Arc::new(FeedbackLoss::new(0.3).unwrap()),
-            Arc::new(FrameNoise::new(0.3, 16.0).unwrap()),
-            Arc::new(TagDropout::new(0.5, 32).unwrap()),
-        ]);
-        let forward: Vec<SlotFaults> = (0..64).map(|s| p.slot_faults(s, 4)).collect();
-        let backward: Vec<SlotFaults> = (0..64).rev().map(|s| p.slot_faults(s, 4)).collect();
+        let mut m = plan(
+            4,
+            vec![
+                Arc::new(SlotErasure::new(0.4).unwrap()),
+                Arc::new(FeedbackLoss::new(0.3).unwrap()),
+                Arc::new(FrameNoise::new(0.3, 16.0).unwrap()),
+                Arc::new(TagDropout::new(0.5, 32).unwrap()),
+            ],
+        );
+        let mut visit = |s: u64| (m.begin_slot(s), m.slot_noise_power() / m.noise_power());
+        let forward: Vec<_> = (0..64).map(&mut visit).collect();
+        let backward: Vec<_> = (0..64).rev().map(&mut visit).collect();
         for (slot, faults) in forward.iter().enumerate() {
             assert_eq!(faults, &backward[63 - slot]);
-            // Re-consulting the same slot is identical too.
-            assert_eq!(faults, &p.slot_faults(slot as u64, 4));
+            // Re-visiting the same slot is identical too.
+            assert_eq!(faults, &visit(slot as u64));
         }
         // Some slot actually carries each kind of fault at these rates.
-        assert!(forward.iter().any(|f| f.collision_erased));
-        assert!(forward.iter().any(|f| f.feedback_lost));
-        assert!(forward.iter().any(|f| f.noise_power_factor > 1.0));
-        assert!(forward.iter().any(|f| !f.tags_reset.is_empty()));
+        assert!(forward.iter().any(|(f, _)| f.collision_erased));
+        assert!(forward.iter().any(|(f, _)| f.feedback_lost));
+        assert!(forward.iter().any(|&(_, noise)| noise > 1.0));
+        assert!(forward.iter().any(|(f, _)| !f.tags_reset.is_empty()));
     }
 
     #[test]
     fn different_seeds_give_different_erasure_patterns() {
         let erasures = |seed: u64| -> Vec<bool> {
-            let p = FaultPlan::new(seed, vec![Arc::new(SlotErasure::new(0.5).unwrap())]);
-            (0..64)
-                .map(|s| p.slot_faults(s, 1).collision_erased)
-                .collect()
+            let faults: Vec<Arc<dyn ScenarioDynamics>> =
+                vec![Arc::new(SlotErasure::new(0.5).unwrap())];
+            let mut m = medium(1, seed, Vec::new(), faults);
+            (0..64).map(|s| m.begin_slot(s).collision_erased).collect()
         };
         assert_ne!(erasures(1), erasures(2));
     }
 
     #[test]
     fn burst_loss_erases_exactly_burst_slots_per_frame() {
-        let p = plan(vec![Arc::new(BurstSlotLoss::new(8, 3).unwrap())]);
+        let mut m = plan(1, vec![Arc::new(BurstSlotLoss::new(8, 3).unwrap())]);
         for frame in 0..8u64 {
             let erased = (0..8)
-                .filter(|pos| p.slot_faults(frame * 8 + pos, 1).collision_erased)
+                .filter(|pos| m.begin_slot(frame * 8 + pos).collision_erased)
                 .count();
             assert_eq!(erased, 3, "frame {frame}");
         }
@@ -476,10 +346,10 @@ mod tests {
 
     #[test]
     fn dropout_schedule_is_per_tag_and_sticky_to_one_slot() {
-        let p = plan(vec![Arc::new(TagDropout::new(1.0, 16).unwrap())]);
+        let mut m = plan(5, vec![Arc::new(TagDropout::new(1.0, 16).unwrap())]);
         let mut reset_slots = [None; 5];
         for slot in 0..=16u64 {
-            for &tag in &p.slot_faults(slot, 5).tags_reset {
+            for tag in m.begin_slot(slot).tags_reset {
                 assert!(reset_slots[tag].is_none(), "tag {tag} reset twice");
                 reset_slots[tag] = Some(slot);
             }
@@ -493,38 +363,43 @@ mod tests {
 
     #[test]
     fn reader_restart_fires_only_at_its_slot() {
-        let p = plan(vec![Arc::new(ReaderRestart::new(7))]);
+        let mut m = plan(1, vec![Arc::new(ReaderRestart::new(7))]);
         for slot in 0..32u64 {
-            assert_eq!(p.slot_faults(slot, 1).reader_restart, slot == 7);
+            assert_eq!(m.begin_slot(slot).reader_restart, slot == 7);
         }
     }
 
     #[test]
     fn empty_plan_is_fault_free() {
-        let p = plan(vec![]);
-        assert!(p.is_empty());
+        let mut m = plan(3, vec![]);
+        assert!(!m.has_faults());
         for slot in 0..16u64 {
-            let f = p.slot_faults(slot, 3);
-            assert!(!f.any());
-            assert_eq!(f, SlotFaults::none());
+            assert_eq!(m.begin_slot(slot), SlotFaults::default());
+            assert_eq!(m.slot_noise_power(), m.noise_power());
         }
     }
 
     #[test]
-    fn injector_names_are_stable() {
-        let named: Vec<(&str, Arc<dyn FaultInjector>)> = vec![
-            ("slot-erasure", Arc::new(SlotErasure::new(0.1).unwrap())),
-            (
-                "burst-slot-loss",
-                Arc::new(BurstSlotLoss::new(4, 1).unwrap()),
-            ),
-            ("feedback-loss", Arc::new(FeedbackLoss::new(0.1).unwrap())),
-            ("frame-noise", Arc::new(FrameNoise::new(0.1, 4.0).unwrap())),
-            ("tag-dropout", Arc::new(TagDropout::new(0.1, 8).unwrap())),
-            ("reader-restart", Arc::new(ReaderRestart::new(3))),
-        ];
-        for (expect, injector) in named {
-            assert_eq!(injector.name(), expect);
+    fn faults_and_dynamics_draw_independent_streams() {
+        // Attaching a fault beside a dynamics moves neither: the channels
+        // follow the dynamics-only medium and the erasures the fault-only
+        // one, slot for slot.
+        let mobility = || -> Vec<Arc<dyn ScenarioDynamics>> {
+            vec![Arc::new(Mobility::new(0.1, 0.2).unwrap())]
+        };
+        let erasure =
+            || -> Vec<Arc<dyn ScenarioDynamics>> { vec![Arc::new(SlotErasure::new(0.5).unwrap())] };
+        let mut both = medium(3, 17, mobility(), erasure());
+        let mut moving = medium(3, 17, mobility(), Vec::new());
+        let mut erasing = medium(3, 17, Vec::new(), erasure());
+        let mut erased = 0;
+        for slot in 0..64u64 {
+            let faults = both.begin_slot(slot);
+            assert_eq!(moving.begin_slot(slot), SlotFaults::default());
+            assert_eq!(both.channels(), moving.channels(), "slot {slot}");
+            assert_eq!(faults, erasing.begin_slot(slot), "slot {slot}");
+            erased += usize::from(faults.collision_erased);
         }
+        assert!((1..64).contains(&erased), "erased {erased} of 64");
     }
 }

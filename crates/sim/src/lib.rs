@@ -13,10 +13,13 @@
 //! * [`medium`] — the shared air interface: superposition of the reflections
 //!   of whichever tags transmit in a slot, plus carrier leakage and AWGN,
 //! * [`dynamics`] — composable per-slot effects (mobility drift, bursty
-//!   interference, heterogeneous tag power) attached through the scenario
-//!   builder,
-//! * [`faults`] — seeded control-plane fault injection (slot erasures,
-//!   feedback loss, tag resets, reader restarts) for robustness experiments,
+//!   interference, heterogeneous tag power, churn, correlated fading)
+//!   attached through the scenario builder, and the one
+//!   [`ScenarioDynamics`] trait every per-slot effect implements,
+//! * [`faults`] — seeded control-plane faults (slot erasures, feedback loss,
+//!   frame noise, tag resets, reader restarts) for robustness experiments:
+//!   per-slot effects the medium applies after the dynamics, whose
+//!   [`SlotFaults`] [`Medium::begin_slot`] returns,
 //! * [`tag`] — the per-tag state bundle (seed, message, channel, clock),
 //! * [`scenario`] — reproducible experiment construction: "K tags at this
 //!   location with this SNR", matching how the paper parameterizes its runs.
@@ -35,8 +38,7 @@ pub mod tag;
 pub use dynamics::{BurstyInterference, HeterogeneousTagPower, Mobility, ScenarioDynamics};
 pub use energy::TransmissionProfile;
 pub use faults::{
-    BurstSlotLoss, FaultInjector, FaultPlan, FeedbackLoss, FrameNoise, ReaderRestart, SlotErasure,
-    SlotFaults, TagDropout,
+    BurstSlotLoss, FeedbackLoss, FrameNoise, ReaderRestart, SlotErasure, SlotFaults, TagDropout,
 };
 pub use geometry::{cart_layout, Position, TablePlacement};
 pub use medium::{Medium, MediumConfig};

@@ -7,6 +7,13 @@
 //! physical layer, so all schemes experience identical channels and noise for
 //! a given scenario — mirroring how the paper runs the compared schemes
 //! back-to-back without moving the tags.
+//!
+//! The medium also carries the scenario's per-slot effects: the physical
+//! dynamics of [`crate::dynamics`] and the control-plane faults of
+//! [`crate::faults`].  [`Medium::begin_slot`] applies both lists when a slot
+//! starts — the dynamics move the channels and scale the noise, the faults
+//! scale the noise (frame noise) or report the slot's [`SlotFaults`] — and
+//! every observation in the slot sees the result.
 
 use std::sync::Arc;
 
@@ -18,7 +25,7 @@ use backscatter_phy::signal::{PowerDetector, SlotObservation};
 use backscatter_prng::{SplitMix64, Xoshiro256};
 
 use crate::dynamics::{ScenarioDynamics, SlotView};
-use crate::faults::{FaultPlan, SlotFaults};
+use crate::faults::SlotFaults;
 use crate::{SimError, SimResult};
 
 /// Number of independent noise looks averaged for an occupancy (power)
@@ -26,6 +33,12 @@ use crate::{SimError, SimResult};
 /// which suppresses noise for the empty/occupied decision relative to a
 /// single symbol draw.
 const OCCUPANCY_INTEGRATION: usize = 16;
+
+/// Stream salts of the `i`-th attached dynamics and the `j`-th attached
+/// fault: the two lists draw from disjoint stream families, so attaching a
+/// fault never perturbs a dynamics trajectory.
+const DYNAMICS_STREAM_SALT: u64 = 0xd1a_0001;
+const FAULT_STREAM_SALT: u64 = 0xfa17_0001;
 
 /// Configuration of a [`Medium`].
 #[derive(Debug, Clone, Copy)]
@@ -58,14 +71,14 @@ pub struct Medium {
     noise: AwgnSource,
     detector: PowerDetector,
     config: MediumConfig,
-    /// Per-slot effects applied at slot boundaries (empty = static medium).
+    /// Physical effects applied at slot boundaries (empty = static medium).
     dynamics: Vec<Arc<dyn ScenarioDynamics>>,
-    /// Seed material for the dynamics streams.
-    dynamics_seed: u64,
-    /// Control-plane fault plan, if any (`None` = fault-free sessions).
-    faults: Option<Arc<FaultPlan>>,
+    /// Control-plane faults applied after them (empty = fault-free sessions).
+    faults: Vec<Arc<dyn ScenarioDynamics>>,
+    /// Seed material for both effect lists' streams.
+    effects_seed: u64,
     /// Amplitude multiplier on the noise source for the current slot
-    /// (`sqrt` of the dynamics' power scale; 1.0 when static).
+    /// (`sqrt` of the effects' power scale; 1.0 when static).
     noise_amplitude_scale: f64,
 }
 
@@ -93,52 +106,67 @@ impl Medium {
             detector,
             config,
             dynamics: Vec::new(),
-            dynamics_seed: 0,
-            faults: None,
+            faults: Vec::new(),
+            effects_seed: 0,
             noise_amplitude_scale: 1.0,
         })
     }
 
-    /// Attaches per-slot dynamics to the medium.  `dynamics_seed` pins the
-    /// dynamics' pseudorandom streams (drift directions, burst phases), so
-    /// the same seed reproduces the same trajectory.
+    /// Attaches per-slot dynamics and control-plane faults to the medium.
+    /// `seed` pins both lists' pseudorandom streams (drift directions, burst
+    /// phases, fault draws), so the same seed reproduces the same
+    /// trajectory.
     ///
-    /// Protocols drive the dynamics by calling [`Medium::begin_slot`] at slot
-    /// boundaries; with no dynamics attached that call is free and the medium
-    /// is bit-identical to a pre-dynamics one.
+    /// Protocols drive the effects by calling [`Medium::begin_slot`] at slot
+    /// boundaries; with nothing attached that call is free and the medium
+    /// is bit-identical to a static one.
     #[must_use]
-    pub fn with_dynamics(
+    pub fn with_effects(
         mut self,
         dynamics: Vec<Arc<dyn ScenarioDynamics>>,
-        dynamics_seed: u64,
+        faults: Vec<Arc<dyn ScenarioDynamics>>,
+        seed: u64,
     ) -> Self {
         self.dynamics = dynamics;
-        self.dynamics_seed = dynamics_seed;
+        self.faults = faults;
+        self.effects_seed = seed;
         self
     }
 
     /// Starts slot `slot`: resets the per-slot channels/noise to the base
-    /// state and applies every attached dynamics in order.  A no-op when no
-    /// dynamics are attached, so static scenarios take this path for free.
-    pub fn begin_slot(&mut self, slot: u64) {
-        if self.dynamics.is_empty() {
-            return;
+    /// state, applies every attached dynamics and then every attached fault
+    /// in order, and returns the slot's faults.  Returns fault-free at once
+    /// when nothing is attached, so static scenarios take this path for
+    /// free.  Pure in the slot index: starting the same slot twice yields
+    /// the same state and faults.
+    pub fn begin_slot(&mut self, slot: u64) -> SlotFaults {
+        let mut faults = SlotFaults::default();
+        if self.dynamics.is_empty() && self.faults.is_empty() {
+            return faults;
         }
         self.channels.copy_from_slice(&self.base_channels);
         let mut noise_scale = 1.0f64;
-        for (index, dynamics) in self.dynamics.iter().enumerate() {
-            let stream_seed = SplitMix64::mix(self.dynamics_seed, 0xd1a_0001 + index as u64);
-            let mut rng = Xoshiro256::seed_from_u64(SplitMix64::mix(stream_seed, slot));
-            let mut view = SlotView {
-                slot,
-                channels: &mut self.channels,
-                noise_scale: &mut noise_scale,
-                stream_seed,
-                rng: &mut rng,
-            };
-            dynamics.apply(&mut view);
+        for (effects, salt) in [
+            (&self.dynamics, DYNAMICS_STREAM_SALT),
+            (&self.faults, FAULT_STREAM_SALT),
+        ] {
+            for (index, effect) in effects.iter().enumerate() {
+                let stream_seed = SplitMix64::mix(self.effects_seed, salt + index as u64);
+                let mut rng = Xoshiro256::seed_from_u64(SplitMix64::mix(stream_seed, slot));
+                effect.apply(&mut SlotView {
+                    slot,
+                    channels: &mut self.channels,
+                    noise_scale: &mut noise_scale,
+                    stream_seed,
+                    rng: &mut rng,
+                    faults: &mut faults,
+                });
+            }
         }
         self.noise_amplitude_scale = noise_scale.max(0.0).sqrt();
+        faults.tags_reset.sort_unstable();
+        faults.tags_reset.dedup();
+        faults
     }
 
     /// The attached dynamics (empty for a static medium).
@@ -147,35 +175,14 @@ impl Medium {
         &self.dynamics
     }
 
-    /// Attaches a control-plane fault plan.  Protocols consult it through
-    /// [`Medium::slot_faults`]; with no plan attached that call returns
-    /// `None` and the medium is bit-identical to a pre-faults one.
-    #[must_use]
-    pub fn with_faults(mut self, plan: Arc<FaultPlan>) -> Self {
-        if !plan.is_empty() {
-            self.faults = Some(plan);
-        }
-        self
-    }
-
-    /// Whether a (non-empty) fault plan is attached.
+    /// Whether any control-plane fault is attached.
     #[must_use]
     pub fn has_faults(&self) -> bool {
-        self.faults.is_some()
-    }
-
-    /// The control-plane faults for `slot`, or `None` when no fault plan is
-    /// attached.  Pure in the slot index: consulting the same slot twice
-    /// yields identical faults.
-    #[must_use]
-    pub fn slot_faults(&self, slot: u64) -> Option<SlotFaults> {
-        self.faults
-            .as_ref()
-            .map(|plan| plan.slot_faults(slot, self.channels.len()))
+        !self.faults.is_empty()
     }
 
     /// The effective noise power for the current slot (base noise times the
-    /// dynamics' scale).
+    /// effects' scale).
     #[must_use]
     pub fn slot_noise_power(&self) -> f64 {
         self.config.noise_power * self.noise_amplitude_scale * self.noise_amplitude_scale
@@ -210,11 +217,12 @@ impl Medium {
         self.leakage
     }
 
-    fn check_bits(&self, bits: &[bool]) -> SimResult<()> {
-        if bits.len() != self.channels.len() {
+    /// Checks that a per-tag input of length `len` covers every tag.
+    fn check_len(&self, len: usize) -> SimResult<()> {
+        if len != self.channels.len() {
             return Err(SimError::Phy(backscatter_phy::PhyError::LengthMismatch {
                 expected: self.channels.len(),
-                actual: bits.len(),
+                actual: len,
             }));
         }
         Ok(())
@@ -240,45 +248,20 @@ impl Medium {
     ///
     /// Returns a length-mismatch error if `bits` does not cover every tag.
     pub fn observe(&mut self, bits: &[bool]) -> SimResult<Complex> {
-        self.check_bits(bits)?;
+        self.check_len(bits.len())?;
         Ok(self.clean_symbol(bits) + self.noise_sample())
     }
 
-    /// Like [`Medium::observe`], but with the noise power scaled by
-    /// `power_factor` for this one symbol — the hook fault plans use to model
-    /// CRC-corrupting frame noise.  A factor of exactly 1 is draw-identical
-    /// to a plain `observe` call, so fault-free slots stay byte-reproducible.
-    ///
-    /// # Errors
-    ///
-    /// Returns a length-mismatch error if `bits` does not cover every tag, or
-    /// an invalid-parameter error for a non-finite or negative factor.
-    pub fn observe_with_noise_factor(
-        &mut self,
-        bits: &[bool],
-        power_factor: f64,
-    ) -> SimResult<Complex> {
-        self.check_bits(bits)?;
-        let clean = self.clean_symbol(bits);
-        self.add_noise(clean, power_factor)
-    }
-
-    /// Like [`Medium::observe_with_noise_factor`] for a slot in which at most
-    /// tag `tag` reflects: its channel when `reflects`, nothing otherwise.
+    /// Like [`Medium::observe`] for a slot in which at most tag `tag`
+    /// reflects: its channel when `reflects`, nothing otherwise.
     /// Bit-identical to the one-hot (or all-`false`) bit vector, with no
     /// vector to build and no channel to scan — the TDMA poll and the
     /// data phase's singleton replies observe one tag per chip.
     ///
     /// # Errors
     ///
-    /// Returns an invalid-parameter error for a tag index out of range, or
-    /// for a non-finite or negative factor.
-    pub fn observe_single(
-        &mut self,
-        tag: usize,
-        reflects: bool,
-        power_factor: f64,
-    ) -> SimResult<Complex> {
+    /// Returns an invalid-parameter error for a tag index out of range.
+    pub fn observe_single(&mut self, tag: usize, reflects: bool) -> SimResult<Complex> {
         let channel = self
             .channels
             .get(tag)
@@ -290,19 +273,7 @@ impl Medium {
         } else {
             Complex::ZERO
         };
-        self.add_noise(clean, power_factor)
-    }
-
-    /// `clean` plus one noise draw with its power scaled by `power_factor`;
-    /// a factor of exactly 1 adds the draw [`Medium::observe`] would (the
-    /// amplitude scale is then exactly 1).
-    fn add_noise(&mut self, clean: Complex, power_factor: f64) -> SimResult<Complex> {
-        if !power_factor.is_finite() || power_factor < 0.0 {
-            return Err(SimError::InvalidParameter(
-                "noise power factor must be finite and non-negative",
-            ));
-        }
-        Ok(clean + self.noise_sample() * power_factor.sqrt())
+        Ok(clean + self.noise_sample())
     }
 
     /// One received symbol *including* the carrier-leakage baseline — what a
@@ -330,29 +301,7 @@ impl Medium {
     /// Returns a length-mismatch error if `weights` does not cover every tag,
     /// or an invalid-parameter error if any weight is outside `[0, 1]`.
     pub fn observe_fractional(&mut self, weights: &[f64]) -> SimResult<Complex> {
-        self.observe_fractional_with_noise_factor(weights, 1.0)
-    }
-
-    /// Like [`Medium::observe_fractional`], but with the noise power scaled
-    /// by `power_factor` for this one symbol (the CDMA baseline's hook for
-    /// fault-plan frame noise).  A factor of exactly 1 is draw-identical to a
-    /// plain `observe_fractional` call.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Medium::observe_fractional`], plus an invalid-parameter error
-    /// for a non-finite or negative factor.
-    pub fn observe_fractional_with_noise_factor(
-        &mut self,
-        weights: &[f64],
-        power_factor: f64,
-    ) -> SimResult<Complex> {
-        if weights.len() != self.channels.len() {
-            return Err(SimError::Phy(backscatter_phy::PhyError::LengthMismatch {
-                expected: self.channels.len(),
-                actual: weights.len(),
-            }));
-        }
+        self.check_len(weights.len())?;
         if weights.iter().any(|w| !(0.0..=1.0).contains(w)) {
             return Err(SimError::InvalidParameter(
                 "fractional reflection weights must be in [0, 1]",
@@ -364,7 +313,7 @@ impl Medium {
             .zip(weights)
             .map(|(c, &w)| c.coefficient * w)
             .sum();
-        self.add_noise(clean, power_factor)
+        Ok(clean + self.noise_sample())
     }
 
     /// The reader's empty/occupied decision for a slot, integrating over the
@@ -374,7 +323,7 @@ impl Medium {
     ///
     /// Returns a length-mismatch error if `bits` does not cover every tag.
     pub fn observe_occupancy(&mut self, bits: &[bool]) -> SimResult<SlotObservation> {
-        self.check_bits(bits)?;
+        self.check_len(bits.len())?;
         let clean = self.clean_symbol(bits);
         let n = OCCUPANCY_INTEGRATION;
         // Average power over n independent looks at the same slot.
@@ -512,7 +461,7 @@ mod tests {
         ];
         let mut m = Medium::new(channels.clone(), MediumConfig::default())
             .unwrap()
-            .with_dynamics(dynamics, 77);
+            .with_effects(dynamics, Vec::new(), 77);
 
         // Slot 0: mobility leaves slot-0 channels at their base value.
         m.begin_slot(0);
@@ -554,84 +503,73 @@ mod tests {
 
     #[test]
     fn noise_factor_scales_the_same_draw() {
-        use crate::dynamics::BurstyInterference;
+        use crate::faults::FrameNoise;
 
-        let mut plain = medium_with(&[(1.0, 0.0)], 1e-4);
-        let mut scaled = medium_with(&[(1.0, 0.0)], 1e-4);
-        // Silence observations expose the raw noise draw: a factor of 4 in
-        // power is exactly 2x the amplitude of the identical seeded draw.
-        let n = plain.observe(&[false]).unwrap();
-        let boosted = scaled.observe_with_noise_factor(&[false], 4.0).unwrap();
-        assert!((boosted - n * 2.0).abs() < 1e-12);
-        // Factor 1 takes the plain path bit-for-bit.
-        let a = plain.observe(&[true]).unwrap();
-        let b = scaled.observe_with_noise_factor(&[true], 1.0).unwrap();
-        assert_eq!(a, b);
-        assert!(scaled.observe_with_noise_factor(&[true], -1.0).is_err());
-        assert!(scaled
-            .observe_with_noise_factor(&[true], f64::INFINITY)
-            .is_err());
-
-        // A single-tag observation is the one-hot observation bit for bit,
-        // reflecting or silent, at factors 1 and 4, and after a slot whose
-        // dynamics scale the noise.
-        let channels = [(0.3, -0.2), (-0.7, 0.4), (0.1, 0.9)];
-        let mut one_hot = medium_with(&channels, 1e-3);
-        let mut single = medium_with(&channels, 1e-3);
-        let compare = |one_hot: &mut Medium, single: &mut Medium| {
-            for tag in 0..3 {
-                for reflects in [true, false] {
-                    for factor in [1.0, 4.0] {
-                        let mut bits = [false; 3];
-                        bits[tag] = reflects;
-                        let a = one_hot.observe_with_noise_factor(&bits, factor).unwrap();
-                        let b = single.observe_single(tag, reflects, factor).unwrap();
-                        assert_eq!(a.re.to_bits(), b.re.to_bits());
-                        assert_eq!(a.im.to_bits(), b.im.to_bits());
-                    }
-                }
-            }
-        };
-        compare(&mut one_hot, &mut single);
+        // A frame-noise slot scales the noise the way a burst slot does.
         let noisy = |m: Medium| {
-            m.with_dynamics(
-                vec![Arc::new(BurstyInterference::new(1, 1, 9.0).unwrap())],
+            m.with_effects(
+                Vec::new(),
+                vec![Arc::new(FrameNoise::new(1.0, 4.0).unwrap())],
                 5,
             )
         };
+        let mut plain = medium_with(&[(1.0, 0.0)], 1e-4);
+        let mut scaled = noisy(medium_with(&[(1.0, 0.0)], 1e-4));
+        assert_eq!(scaled.begin_slot(3), SlotFaults::default());
+        assert_eq!(scaled.slot_noise_power(), 4.0 * scaled.noise_power());
+        // Silence observations expose the raw noise draw: a factor of 4 in
+        // power is exactly 2x the amplitude of the identical seeded draw.
+        let n = plain.observe(&[false]).unwrap();
+        let boosted = scaled.observe(&[false]).unwrap();
+        assert_eq!(boosted, n * 2.0);
+
+        // A single-tag observation is the one-hot observation bit for bit,
+        // reflecting or silent, in a plain slot and in a noise-scaled slot.
+        let channels = [(0.3, -0.2), (-0.7, 0.4), (0.1, 0.9)];
+        let compare = |one_hot: &mut Medium, single: &mut Medium| {
+            for tag in 0..3 {
+                for reflects in [true, false] {
+                    let mut bits = [false; 3];
+                    bits[tag] = reflects;
+                    let a = one_hot.observe(&bits).unwrap();
+                    let b = single.observe_single(tag, reflects).unwrap();
+                    assert_eq!(a.re.to_bits(), b.re.to_bits());
+                    assert_eq!(a.im.to_bits(), b.im.to_bits());
+                }
+            }
+        };
+        let (mut one_hot, mut single) =
+            (medium_with(&channels, 1e-3), medium_with(&channels, 1e-3));
+        compare(&mut one_hot, &mut single);
         let (mut one_hot, mut single) = (noisy(one_hot), noisy(single));
         one_hot.begin_slot(3);
         single.begin_slot(3);
-        assert!(single.slot_noise_power() > 8.0 * single.noise_power());
+        assert_eq!(single.slot_noise_power(), 4.0 * single.noise_power());
         compare(&mut one_hot, &mut single);
-        assert!(single.observe_single(3, true, 1.0).is_err());
-        assert!(single.observe_single(0, true, -1.0).is_err());
+        assert!(single.observe_single(3, true).is_err());
     }
 
     #[test]
     fn fault_plan_attaches_and_is_pure() {
-        use crate::faults::{FaultPlan, ReaderRestart, SlotErasure};
+        use crate::faults::{ReaderRestart, SlotErasure};
 
-        let m = medium_with(&[(1.0, 0.0), (0.5, 0.2)], 1e-4);
+        let mut m = medium_with(&[(1.0, 0.0), (0.5, 0.2)], 1e-4);
         assert!(!m.has_faults());
-        assert!(m.slot_faults(3).is_none());
+        assert_eq!(m.begin_slot(3), SlotFaults::default());
 
-        // An empty plan is dropped, keeping the fault-free fast path.
-        let empty =
-            medium_with(&[(1.0, 0.0)], 1e-4).with_faults(Arc::new(FaultPlan::new(9, Vec::new())));
+        // An empty fault list keeps the fault-free fast path.
+        let empty = medium_with(&[(1.0, 0.0)], 1e-4).with_effects(Vec::new(), Vec::new(), 9);
         assert!(!empty.has_faults());
 
-        let plan = Arc::new(FaultPlan::new(
-            42,
-            vec![
-                Arc::new(SlotErasure::new(0.5).unwrap()),
-                Arc::new(ReaderRestart::new(6)),
-            ],
-        ));
-        let m = medium_with(&[(1.0, 0.0), (0.5, 0.2)], 1e-4).with_faults(plan);
+        let faults: Vec<Arc<dyn ScenarioDynamics>> = vec![
+            Arc::new(SlotErasure::new(0.5).unwrap()),
+            Arc::new(ReaderRestart::new(6)),
+        ];
+        let mut m =
+            medium_with(&[(1.0, 0.0), (0.5, 0.2)], 1e-4).with_effects(Vec::new(), faults, 42);
         assert!(m.has_faults());
-        let first: Vec<_> = (0..16).map(|s| m.slot_faults(s).unwrap()).collect();
-        let second: Vec<_> = (0..16).map(|s| m.slot_faults(s).unwrap()).collect();
+        let first: Vec<_> = (0..16).map(|s| m.begin_slot(s)).collect();
+        let second: Vec<_> = (0..16).map(|s| m.begin_slot(s)).collect();
         assert_eq!(first, second);
         assert!(first[6].reader_restart);
         assert!(first.iter().any(|f| f.collision_erased));

@@ -18,7 +18,6 @@ use backscatter_phy::sync::{ClockModel, SyncJitter};
 use backscatter_prng::{NodeSeed, Rng64, SplitMix64, Xoshiro256};
 
 use crate::dynamics::ScenarioDynamics;
-use crate::faults::{FaultInjector, FaultPlan};
 use crate::geometry::{cart_layout, TablePlacement};
 use crate::medium::{Medium, MediumConfig};
 use crate::tag::SimTag;
@@ -117,7 +116,7 @@ pub struct PersistentTag {
 pub struct ScenarioBuilder {
     config: ScenarioConfig,
     dynamics: Vec<Arc<dyn ScenarioDynamics>>,
-    faults: Vec<Arc<dyn FaultInjector>>,
+    faults: Vec<Arc<dyn ScenarioDynamics>>,
     persistent: Vec<PersistentTag>,
 }
 
@@ -208,13 +207,14 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Appends one composable control-plane [`FaultInjector`] (slot erasure,
-    /// feedback loss, tag dropout, reader restart, …).  Like dynamics, the
-    /// fault realization is seeded per `(scenario seed, noise seed)` and is
-    /// identical for every protocol run over the same medium, so compared
-    /// schemes face the same failures.
+    /// Appends one composable control-plane fault (slot erasure, feedback
+    /// loss, tag dropout, reader restart, … from [`crate::faults`]).  Faults
+    /// apply after the dynamics at every slot boundary, from their own
+    /// stream family; like dynamics, the fault realization is seeded per
+    /// `(scenario seed, noise seed)` and is identical for every protocol run
+    /// over the same medium, so compared schemes face the same failures.
     #[must_use]
-    pub fn fault(mut self, fault: impl FaultInjector + 'static) -> Self {
+    pub fn fault(mut self, fault: impl ScenarioDynamics + 'static) -> Self {
         self.faults.push(Arc::new(fault));
         self
     }
@@ -260,9 +260,9 @@ pub struct Scenario {
     /// Per-slot dynamics every medium built from this scenario carries
     /// (empty for the paper's static scenarios).
     dynamics: Vec<Arc<dyn ScenarioDynamics>>,
-    /// Control-plane fault injectors every medium built from this scenario
-    /// carries (empty for fault-free sessions).
-    faults: Vec<Arc<dyn FaultInjector>>,
+    /// Control-plane faults every medium built from this scenario carries,
+    /// applied after the dynamics (empty for fault-free sessions).
+    faults: Vec<Arc<dyn ScenarioDynamics>>,
 }
 
 impl Scenario {
@@ -408,32 +408,22 @@ impl Scenario {
     /// Propagates medium construction errors.
     pub fn medium(&self, noise_seed: u64) -> SimResult<Medium> {
         let channels = self.tags.iter().map(|t| t.channel).collect();
-        let mut medium = Medium::new(
+        // The effects' realization follows the noise realization: one
+        // location (config seed) re-observed with a new `noise_seed` sees
+        // new burst phases, drift rates and fault draws, the way repeated
+        // trace collection would.
+        Ok(Medium::new(
             channels,
             MediumConfig {
                 noise_power: self.noise_power,
                 noise_seed,
             },
-        )?;
-        if !self.dynamics.is_empty() {
-            // The dynamics realization follows the noise realization: one
-            // location (config seed) re-observed with a new `noise_seed` sees
-            // new burst phases and drift rates, the way repeated trace
-            // collection would.
-            medium = medium.with_dynamics(
-                self.dynamics.clone(),
-                SplitMix64::mix(self.config.seed, noise_seed),
-            );
-        }
-        if !self.faults.is_empty() {
-            // Faults get their own stream family (salted inside the plan) so
-            // attaching injectors never perturbs the dynamics realization.
-            medium = medium.with_faults(Arc::new(FaultPlan::new(
-                SplitMix64::mix(self.config.seed, noise_seed),
-                self.faults.clone(),
-            )));
-        }
-        Ok(medium)
+        )?
+        .with_effects(
+            self.dynamics.clone(),
+            self.faults.clone(),
+            SplitMix64::mix(self.config.seed, noise_seed),
+        ))
     }
 
     /// The per-slot dynamics attached to this scenario (empty for the
@@ -443,10 +433,10 @@ impl Scenario {
         &self.dynamics
     }
 
-    /// The control-plane fault injectors attached to this scenario (empty for
+    /// The control-plane faults attached to this scenario (empty for
     /// fault-free sessions).
     #[must_use]
-    pub fn faults(&self) -> &[Arc<dyn FaultInjector>] {
+    pub fn faults(&self) -> &[Arc<dyn ScenarioDynamics>] {
         &self.faults
     }
 
@@ -658,23 +648,20 @@ mod tests {
         assert_eq!(scenario.faults().len(), 2);
         // No dynamics attached: the channel/noise path stays static even with
         // faults riding along.
-        let medium = scenario.medium(1).unwrap();
+        let mut medium = scenario.medium(1).unwrap();
         assert!(medium.dynamics().is_empty());
         assert!(medium.has_faults());
-        assert!(medium.slot_faults(9).unwrap().reader_restart);
+        assert!(medium.begin_slot(9).reader_restart);
+        assert_eq!(medium.channels(), scenario.medium(1).unwrap().channels());
 
         // Same (scenario seed, noise seed) => same fault realization;
         // different noise seed => a different one.
-        let a = scenario.medium(1).unwrap();
-        let b = scenario.medium(1).unwrap();
-        let c = scenario.medium(2).unwrap();
-        let pattern = |m: &Medium| -> Vec<bool> {
-            (0..64)
-                .map(|s| m.slot_faults(s).unwrap().collision_erased)
-                .collect()
+        let pattern = |noise_seed: u64| -> Vec<bool> {
+            let mut m = scenario.medium(noise_seed).unwrap();
+            (0..64).map(|s| m.begin_slot(s).collision_erased).collect()
         };
-        assert_eq!(pattern(&a), pattern(&b));
-        assert_ne!(pattern(&a), pattern(&c));
+        assert_eq!(pattern(1), pattern(1));
+        assert_ne!(pattern(1), pattern(2));
     }
 
     #[test]

@@ -1,16 +1,16 @@
 //! Fault injection and session recovery: Buzz with and without the
 //! recovery layer under control-plane faults.
 //!
-//! Attaches seeded `FaultInjector`s from `backscatter_sim::faults` to a
-//! shelf scenario — slot erasures that starve the collision decoder, lost
-//! downlink feedback, tag dropouts, a mid-session reader restart — and
-//! drives the plain protocol, the resilient wrapper
-//! (`buzz::recovery::ResilientBuzzProtocol`), and the TDMA baseline through
-//! the unified `&[&dyn Protocol]` session API.  The plain session delivers
-//! zero when the decoder starves or the reader loses state; `buzz+r`
-//! detects the stall, reseeds participation epochs, restores its decoder
-//! checkpoint, and — when all else fails — degrades to polling only the
-//! unresolved tags, Gen-2 style.
+//! Attaches seeded faults from `backscatter_sim::faults` (per-slot effects
+//! the medium applies after the dynamics) to a shelf scenario — slot
+//! erasures that starve the collision decoder, lost downlink feedback, tag
+//! dropouts, a mid-session reader restart — and drives the plain protocol,
+//! the resilient wrapper (`buzz::recovery::ResilientBuzzProtocol`), and the
+//! TDMA baseline through the unified `&[&dyn Protocol]` session API.  The
+//! plain session delivers zero when the decoder starves or the reader loses
+//! state; `buzz+r` detects the stall, reseeds participation epochs, restores
+//! its decoder checkpoint, and — when all else fails — degrades to polling
+//! only the unresolved tags, Gen-2 style.
 //!
 //! Run with: `cargo run --release --example fault_injection`
 
@@ -21,7 +21,7 @@ use buzz::protocol::{BuzzConfig, BuzzProtocol};
 use buzz::recovery::{RecoveryConfig, ResilientBuzzProtocol};
 use buzz::session::{Protocol, SessionOutcome};
 
-/// Builds the scenario for one (fault regime, trial) cell.  Every injector
+/// Builds the scenario for one (fault regime, trial) cell.  Every fault
 /// draws from its own seeded stream, so reruns are byte-identical.
 fn build_scenario(
     fault: &str,

@@ -5,10 +5,12 @@
 //!   **zero** while `buzz+r` recovers at least what TDMA manages — the two
 //!   pinned points of the resilience figure, re-checked here at the
 //!   integration level through `&dyn Protocol`.
-//! * Fault-free equivalence: a scenario carrying only zero-rate injectors
-//!   must be byte-identical to one with no fault plan at all, for every
-//!   scheme on the panel.
-//! * Conservation (property): under arbitrary fault plans no protocol
+//! * Fault-free equivalence: a scenario carrying only zero-rate faults must
+//!   be byte-identical to one with no faults at all, for every scheme on
+//!   the panel.
+//! * One noise path: frame noise scales a slot's noise exactly as an
+//!   interference burst does, for every scheme and through identification.
+//! * Conservation (property): under arbitrary fault sets no protocol
 //!   panics, and every session accounts for the full offered load —
 //!   `delivered + lost == K`.
 
@@ -16,6 +18,7 @@ use buzz_suite::baselines::{CdmaProtocol, TdmaProtocol};
 use buzz_suite::protocol::protocol::{BuzzConfig, BuzzProtocol};
 use buzz_suite::protocol::recovery::{RecoveryConfig, ResilientBuzzProtocol};
 use buzz_suite::protocol::session::{Protocol, SessionOutcome};
+use buzz_suite::sim::dynamics::BurstyInterference;
 use buzz_suite::sim::faults::{
     BurstSlotLoss, FeedbackLoss, FrameNoise, ReaderRestart, SlotErasure, TagDropout,
 };
@@ -87,8 +90,8 @@ fn total_erasure_operating_point_across_the_panel() {
 
 #[test]
 fn zero_rate_fault_plan_is_byte_identical_to_no_plan() {
-    // Injectors that can never fire must leave every scheme's noise-draw
-    // stream untouched: same outcome bytes as a scenario with no plan.
+    // Faults that can never fire must leave every scheme's noise-draw
+    // stream untouched: same outcome bytes as a scenario with no faults.
     let with_plan = || {
         ScenarioBuilder::paper_uplink(5, 808)
             .fault(SlotErasure::new(0.0).unwrap())
@@ -116,8 +119,46 @@ fn zero_rate_fault_plan_is_byte_identical_to_no_plan() {
     }
 }
 
+#[test]
+fn frame_noise_and_burst_interference_are_one_noise_path() {
+    // Frame noise that fires in every slot and an interference burst that
+    // covers every slot scale each slot's noise by the same factor, so each
+    // scheme must see the same session — the full pipeline's
+    // identification slots included.  The full pipeline runs at 1.25x: from
+    // about 1.6x every identification slot reads occupied, and K̂ runs away.
+    let buzz = BuzzProtocol::new(periodic_config()).unwrap();
+    let resilient =
+        ResilientBuzzProtocol::new(periodic_config(), RecoveryConfig::default()).unwrap();
+    let tdma = TdmaProtocol::paper_default().unwrap();
+    let cdma = CdmaProtocol;
+    let full = BuzzProtocol::new(BuzzConfig::default()).unwrap();
+    let panel: [(&dyn Protocol, f64); 5] = [
+        (&buzz, 4.0),
+        (&resilient, 4.0),
+        (&tdma, 4.0),
+        (&cdma, 4.0),
+        (&full, 1.25),
+    ];
+    let build = || ScenarioBuilder::paper_uplink(6, 830);
+    for (protocol, noisy) in panel {
+        for factor in [1.0, noisy] {
+            let noise = build().fault(FrameNoise::new(1.0, factor).unwrap());
+            let burst = build().dynamics(BurstyInterference::new(1, 1, factor).unwrap());
+            assert_eq!(
+                run_one(protocol, noise, 5),
+                run_one(protocol, burst, 5),
+                "{} at {factor}x noise",
+                protocol.name()
+            );
+        }
+    }
+    // The scaled noise does reach identification.
+    let noisy = build().fault(FrameNoise::new(1.0, 1.25).unwrap());
+    assert_ne!(run_one(&full, noisy, 5), run_one(&full, build(), 5));
+}
+
 proptest! {
-    /// Conservation under arbitrary fault plans: no protocol panics, and
+    /// Conservation under arbitrary fault sets: no protocol panics, and
     /// every session accounts for the whole offered load.
     #[test]
     fn faulted_sessions_conserve_the_offered_load(

@@ -129,9 +129,6 @@ fn full_buzz_identification_runs_under_dynamics() {
     #[derive(Debug, Default)]
     struct CountingDynamics(AtomicUsize);
     impl ScenarioDynamics for CountingDynamics {
-        fn name(&self) -> &'static str {
-            "counting"
-        }
         fn apply(&self, _view: &mut SlotView<'_>) {
             self.0.fetch_add(1, Ordering::Relaxed);
         }
