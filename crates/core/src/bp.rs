@@ -31,20 +31,21 @@
 //!
 //! (algebraically identical to `Σ_j |r_j|² − |r_j − c_i|²`).  The parts of
 //! that formula no bit position changes live in one per-node table on the
-//! decoder, `GainTerms`: the self-energy `deg_i·|h_i|²`, the pair scan's bound
-//! `max_shared_i·|h_i|²` and the lock flag.  Every write to a channel or a
-//! lock goes through the setter that refreshes its node's terms, and
-//! `add_slot` refreshes the new row's participants, so a gain reads one
-//! table entry instead of a column length, a lock probe and a norm.  A flip
+//! decoder, `GainTerms`: the self-energy `deg_i·|h_i|²`, the channel power
+//! `|h_i|²` the pair scan's bound scales, that bound at the node's largest
+//! shared-slot count and the lock flag.  Every write to a channel or a lock
+//! goes through the setter that refreshes its node's terms, and `add_slot`
+//! refreshes the new row's participants, so a gain reads one table entry
+//! instead of a column length, a lock probe and a norm.  A flip
 //! of node `f` touches only the slots in `col(f)` and the nodes in those
 //! slots' rows: residuals and sums absorb the `−c_f` delta and the gains
 //! that moved refresh in `O(1)` each.  The argmax (ties to the highest
 //! index) is cached: a pass that recomputes every gain finds it in the same
 //! loop, a point update marks it stale, and the next query rescans.  The
 //! pair-flip escape uses the participation matrix's neighbour index
-//! (columns sharing ≥ 1 slot, with multiplicity), so it costs one `O(1)`
-//! evaluation per *colliding* pair instead of a residual walk over every
-//! `(i, l)` combination.  The worklist's persistent states and its
+//! (columns sharing ≥ 1 slot, with multiplicity), so it costs at most one
+//! `O(1)` evaluation per *colliding* pair instead of a residual walk over
+//! every `(i, l)` combination.  The worklist's persistent states and its
 //! cold-restart battery run this one kernel.
 //!
 //! # The dense regime
@@ -57,18 +58,21 @@
 //! long while, and every position stays dirty.  Three exact measures keep
 //! that regime cheap — none changes a decoded bit:
 //!
-//! * **One pruned pair scan** (`PositionState::best_pair`).  A pair can
-//!   only beat zero joint gain if one endpoint's `−G` is below
-//!   `max_shared·|h|²` (its largest shared-slot count, kept per column by
-//!   the participation matrix, times its channel power; the bound
-//!   is a `GainTerms` entry), so only such *candidate* endpoints walk their
-//!   neighbour lists.  The walk has no per-partner branch: it
-//!   reads each partner's signed change `c_l = ±h_l` from a table filled
-//!   once per scan, locked partners drop out through their `−∞` gains, and
-//!   candidate–candidate pairs are met from both ends.  `+` and `×` commute
-//!   exactly in IEEE arithmetic, so a pair's joint gain has the same bits
-//!   from either end, and the lexicographic tie-break makes the scan return
-//!   exactly the pair the exhaustive scan returns.
+//! * **One pruned pair scan** (`PositionState::best_pair`).  A pair sharing
+//!   `n` slots can only beat zero joint gain if, at one endpoint, `−G` is
+//!   below `n·|h|²` (the AM-GM split of the cross term, one half per
+//!   endpoint).  The participation matrix keeps each neighbour list ordered
+//!   by shared-slot count, largest first, so a node walks its list only
+//!   while its own half passes at the entry's count (tested once per block
+//!   of equal counts) and stops at the first entry that fails.  At large K
+//!   most nodes fail at their head, which the scan tests from a `GainTerms`
+//!   entry without touching the list.  The walk has no other per-partner
+//!   branch: it reads each partner's signed change `c_l = ±h_l` from a
+//!   table filled once per scan, locked partners drop out through their
+//!   `−∞` gains, and pairs whose halves both pass are met from both ends.
+//!   `+` and `×` commute exactly in IEEE arithmetic, so a pair's joint gain
+//!   has the same bits from either end, and the lexicographic tie-break
+//!   makes the scan return exactly the pair the exhaustive scan returns.
 //! * **Fused gain and argmax pass.**  A flip whose reach (the flipped
 //!   nodes' neighbour-list lengths plus one each) covers at least `K/4`
 //!   nodes updates the residuals and sums without touched-marking, then one
@@ -242,13 +246,18 @@ impl DecodeState {
 }
 
 /// A node's position-independent flip-gain terms: the inputs `gain_of` and
-/// the pair scan's candidate test would otherwise re-derive from the
-/// matrix's offsets, the lock table and the channel on every call.
+/// the pair scan's bound would otherwise re-derive from the matrix's
+/// offsets, the lock table and the channel on every call.
 #[derive(Debug, Clone, Copy)]
 struct GainTerms {
     /// `deg_i·|h_i|²`, the self-energy a flip subtracts.
     energy: f64,
-    /// `max_shared_i·|h_i|²`, the pair scan's candidate bound.
+    /// `|h_i|²`, which the pair scan's bound multiplies by a pair's
+    /// shared-slot count.
+    power: f64,
+    /// `max_shared_i·|h_i|²`, that bound at the node's largest count (its
+    /// neighbour list's head): a node that fails it walks nothing, and the
+    /// scan rejects it without touching the list.
     pair_bound: f64,
     /// Whether the node is locked (its gain pinned to −∞).
     locked: bool,
@@ -623,32 +632,42 @@ impl PositionState {
     /// unlocked nodes, lexicographically first among equal gains, or `None`
     /// when no pair gains more than `1e-9`.
     ///
-    /// The scan skips pairs that provably cannot win.  With `m_i` the
-    /// largest number of slots node `i` shares with any other node, and
-    /// `n_il ≤ min(m_i, m_l)`, `|Re(c_i·conj(c_l))| ≤ |h_i|·|h_l|`:
+    /// The scan skips pairs that provably cannot win.  With
+    /// `|Re(c_i·conj(c_l))| ≤ |h_i|·|h_l|` and `2ab ≤ a² + b²`, a pair
+    /// sharing `n` slots splits into one half per endpoint:
     ///
     /// ```text
-    /// G_i + G_l − 2·n_il·Re(c_i·conj(c_l))
-    ///     ≤ G_i + G_l + 2·n_il·|h_i|·|h_l|
-    ///     ≤ 2·|h_i|·|h_l|·(n_il − √(m_i·m_l))   when −G ≥ m·|h|² at both ends
-    ///     ≤ 0,
+    /// G_i + G_l − 2·n·Re(c_i·conj(c_l))
+    ///     ≤ G_i + G_l + 2·n·|h_i|·|h_l|
+    ///     ≤ (G_i + n·|h_i|²) + (G_l + n·|h_l|²),
     /// ```
     ///
-    /// so a pair can only win if one endpoint is a *candidate* — `−G_i`
-    /// below `m_i·|h_i|²` plus a relative slack that covers the rounding of
-    /// the computed gain — and only candidates walk their neighbour lists.
-    /// A locked node's `−∞` gain fails the candidate test and sinks every
-    /// joint gain it enters, and a pair of candidates is simply evaluated
-    /// from both ends: the joint gain is a sum of commuted IEEE products and
-    /// sums, so both ends compute the same bits.  The result is exactly the
-    /// exhaustive scan's ([`PositionState::best_pair_exhaustive`] in the
-    /// tests), while the dense collisions of large sessions leave most nodes
-    /// far below their bound.  The signed-change table lives in the state,
-    /// so the scan allocates nothing.
+    /// so a pair can only win if the half of one endpoint is positive, up to
+    /// a relative slack that covers the rounding of the computed gains.  Each
+    /// node `c` therefore walks its neighbour list only while its own half
+    /// passes, `G_c + n·|h_c|² > −SLACK·(1 + |G_c|)` at the entry's count
+    /// `n`.  The list is ordered by count, largest first, and the half rises
+    /// with `n`, so the entries that pass form a prefix and the walk stops at
+    /// the first one that fails, testing the bound once per block of equal
+    /// counts; a node that fails at its head (its largest
+    /// count, whose bound `GainTerms::pair_bound` caches) walks nothing and
+    /// is rejected without touching its list.  Every pair that can gain more
+    /// than `1e-9` is
+    /// thus met from an endpoint whose half passes.  A locked node's `−∞`
+    /// gain fails at once and sinks every joint gain it enters, and a pair
+    /// whose halves both pass is simply evaluated from both ends: the joint
+    /// gain is a sum of commuted IEEE products and sums, so both ends compute
+    /// the same bits.  With the lexicographic tie-break the result is exactly
+    /// the exhaustive scan's ([`PositionState::best_pair_exhaustive`] in the
+    /// tests).  In the dense collisions of large sessions most nodes fail at
+    /// their head, and most walks stop early: on the `large_k` benchmark
+    /// about a fifth of the entries belong to nodes whose head passes, and
+    /// the walks evaluate a third of those.  The signed-change table lives in
+    /// the state, so the scan allocates nothing.
     fn best_pair(&mut self, decoder: &BitFlippingDecoder) -> Option<[usize; 2]> {
-        /// Relative slack of the candidate test.  It dwarfs the `~1e-15`
-        /// relative rounding of a computed joint gain, so pruned pairs stay
-        /// below zero, and only ever admits extra candidates.
+        /// Relative slack of the walk's bound.  It dwarfs the `~1e-15`
+        /// relative rounding of a computed joint gain, so skipped pairs stay
+        /// below zero, and only ever lengthens a walk.
         const SLACK: f64 = 1e-9;
         for (node, change) in self.changes.iter_mut().enumerate() {
             *change = signed_change(decoder.channels[node], self.b[node]);
@@ -657,16 +676,28 @@ impl PositionState {
         let mut best: Option<[usize; 2]> = None;
         for c in 0..self.b.len() {
             let gc = self.gains[c];
-            let bound = decoder.terms[c].pair_bound;
-            let candidate = gc + bound > -SLACK * (1.0 + gc.abs());
-            if !candidate {
+            let terms = decoder.terms[c];
+            let floor = -SLACK * (1.0 + gc.abs());
+            // The bound at the head's count, cached: most nodes of a dense
+            // session fail it and never touch their list.
+            if gc + terms.pair_bound <= floor {
                 continue;
             }
             let cc = self.changes[c];
+            // The smallest count known to pass: the bound moves only where
+            // the count does, so each count block is tested once.
+            let mut passing = u32::MAX;
             for &(l, shared) in decoder.d.neighbors(c) {
+                if shared < passing {
+                    if gc + f64::from(shared) * terms.power <= floor {
+                        break;
+                    }
+                    passing = shared;
+                }
+                let l = l as usize;
                 let cl = self.changes[l];
                 let cross = cc.re * cl.re + cc.im * cl.im;
-                let joint_gain = gc + self.gains[l] - 2.0 * shared as f64 * cross;
+                let joint_gain = gc + self.gains[l] - 2.0 * f64::from(shared) * cross;
                 if joint_gain >= best_gain {
                     let pair = if c < l { [c, l] } else { [l, c] };
                     if joint_gain > best_gain || best.is_some_and(|b| pair < b) {
@@ -679,9 +710,10 @@ impl PositionState {
         best
     }
 
-    /// The historical exhaustive pair scan (every unlocked node's neighbour
-    /// list per call), the reference [`PositionState::best_pair`] is pinned
-    /// to.
+    /// The exhaustive pair scan (every unlocked node's whole neighbour list
+    /// per call), the reference [`PositionState::best_pair`] is pinned to:
+    /// the best joint gain above `1e-9`, lexicographically first among
+    /// equal gains.
     #[cfg(test)]
     fn best_pair_exhaustive(&self, decoder: &BitFlippingDecoder) -> Option<[usize; 2]> {
         let mut best: Option<(f64, [usize; 2])> = None;
@@ -691,13 +723,17 @@ impl PositionState {
             }
             let ci = self.change_of(decoder, i);
             for &(l, shared) in decoder.d.neighbors(i) {
+                let l = l as usize;
                 if l <= i || decoder.locked[l].is_some() {
                     continue;
                 }
                 let cl = self.change_of(decoder, l);
                 let cross = ci.re * cl.re + ci.im * cl.im;
-                let joint_gain = self.gains[i] + self.gains[l] - 2.0 * shared as f64 * cross;
-                if joint_gain > 1e-9 && best.as_ref().is_none_or(|(g, _)| joint_gain > *g) {
+                let joint_gain = self.gains[i] + self.gains[l] - 2.0 * f64::from(shared) * cross;
+                let wins = best
+                    .as_ref()
+                    .is_none_or(|&(g, pair)| joint_gain > g || (joint_gain == g && [i, l] < pair));
+                if joint_gain > 1e-9 && wins {
                     best = Some((joint_gain, [i, l]));
                 }
             }
@@ -774,7 +810,8 @@ impl BitFlippingDecoder {
         let power = self.channels[node].norm_sqr();
         GainTerms {
             energy: self.d.col(node).len() as f64 * power,
-            pair_bound: self.d.max_shared(node) as f64 * power,
+            power,
+            pair_bound: f64::from(self.d.max_shared(node)) * power,
             locked: self.locked[node].is_some(),
         }
     }
@@ -2155,11 +2192,14 @@ mod tests {
             }
             for i in 0..k {
                 for &(l, shared) in decoder.d.neighbors(i) {
-                    prop_assume!(l > i);
+                    let l = l as usize;
+                    if l < i {
+                        continue;
+                    }
                     let ci = state.change_of(&decoder, i);
                     let cl = state.change_of(&decoder, l);
                     let cross = ci.re * cl.re + ci.im * cl.im;
-                    let joint = state.gains[i] + state.gains[l] - 2.0 * shared as f64 * cross;
+                    let joint = state.gains[i] + state.gains[l] - 2.0 * f64::from(shared) * cross;
                     assert_close(joint, reference_pair_gain(&decoder, &state, i, l), "pair gain")?;
                 }
             }
@@ -2287,6 +2327,67 @@ mod tests {
         }
     }
 
+    /// The pair scan at the participation floor of a large session: K = 180
+    /// at p = 0.15 over 80 rows (27 colliders per slot, neighbour lists of
+    /// many counts), with a fifth of the nodes locked.  Every local minimum
+    /// of one random-start descent per bit position (93 of them, 56 escaped
+    /// by a pair) asks both scans for their pair.
+    #[test]
+    fn pruned_pair_scan_matches_the_exhaustive_scan_at_the_participation_floor() {
+        let k = 180;
+        let channels = diverse_channels(k, 0xf100);
+        let (mut decoder, frames) = make_problem(&channels, 80, 0.15, 0.03, 7);
+        lock_at_random(&mut decoder, &frames, 11);
+        let (mut scans, mut pairs) = (0, 0);
+        for (position, restart) in (0..decoder.message_bits).zip((1..4).cycle()) {
+            let mut state = PositionState::new(&decoder, position, restart);
+            loop {
+                let (best, gain) = state.best_single();
+                if gain > 1e-12 {
+                    state.flip_all(&decoder, &[best]);
+                    continue;
+                }
+                let pair = state.best_pair(&decoder);
+                assert_eq!(
+                    pair,
+                    state.best_pair_exhaustive(&decoder),
+                    "position {position}, restart {restart}, scan {scans}"
+                );
+                scans += 1;
+                let Some(pair) = pair else { break };
+                pairs += 1;
+                state.flip_all(&decoder, &pair);
+            }
+        }
+        assert!(pairs > 0, "setup: some local minimum escapes by a pair");
+    }
+
+    /// Both scans break ties among equal joint gains toward the
+    /// lexicographically smallest pair, whatever order the neighbour lists
+    /// hold.  Four nodes with unit channels: node 0 shares two rows with
+    /// each other node, but its list holds them as 3, 1, 2, and the pairs
+    /// `(0, 1)`, `(0, 2)` and `(0, 3)` tie at the best joint gain, 11.
+    #[test]
+    fn pair_scans_break_ties_toward_the_smallest_pair() {
+        let mut decoder = BitFlippingDecoder::new(vec![Complex::ONE; 4], 6, 0.0).unwrap();
+        for participants in [[0, 3].as_slice(), &[0, 1, 2, 3], &[0, 1, 2]] {
+            let mask: Vec<bool> = (0..4).map(|i| participants.contains(&i)).collect();
+            decoder
+                .add_slot(&mask, vec![Complex::new(2.0, 0.0); 6])
+                .unwrap();
+        }
+        let order: Vec<u32> = decoder.d.neighbors(0).iter().map(|&(l, _)| l).collect();
+        assert_eq!(
+            order,
+            [3, 1, 2],
+            "setup: node 0's list is not column-sorted"
+        );
+        let mut state = PositionState::new(&decoder, 0, 0);
+        assert_eq!(state.gains, [9.0, 6.0, 6.0, 6.0], "setup: gains");
+        assert_eq!(state.best_pair_exhaustive(&decoder), Some([0, 1]));
+        assert_eq!(state.best_pair(&decoder), Some([0, 1]));
+    }
+
     proptest! {
         /// The linear gain recompute is exact: after random single and pair
         /// flips, with a fifth of the nodes locked, recomputing every gain
@@ -2372,7 +2473,10 @@ mod tests {
     /// Asserts the decoder's term table equals a from-scratch rebuild, bit
     /// for bit.
     fn assert_terms_fresh(decoder: &BitFlippingDecoder, what: &str) {
-        let bits = |t: GainTerms| (t.energy.to_bits(), t.pair_bound.to_bits(), t.locked);
+        let bits = |t: GainTerms| {
+            let words = [t.energy, t.power, t.pair_bound].map(f64::to_bits);
+            (words, t.locked)
+        };
         for node in 0..decoder.channels.len() {
             assert_eq!(
                 bits(decoder.terms[node]),

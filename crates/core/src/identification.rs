@@ -168,9 +168,11 @@ impl Identifier {
     ///
     /// # Errors
     ///
-    /// Returns [`BuzzError::IdentificationFailed`] if distinct temporary ids
-    /// could not be assigned within the retry budget, or propagates lower
-    /// layer errors.
+    /// Returns [`BuzzError::IdentificationFailed`] if stage 1's estimator
+    /// runs out of steps without an estimate (every estimation slot reads
+    /// occupied, as under noise well above the medium's base power) or
+    /// distinct temporary ids could not be assigned within the retry budget,
+    /// or propagates lower layer errors.
     pub fn run(
         &self,
         scenario: &mut Scenario,

@@ -92,8 +92,9 @@ pub enum BuzzError {
     Recovery(sparse_recovery::RecoveryError),
     /// A coding operation failed.
     Code(backscatter_codes::CodeError),
-    /// The identification phase could not assign distinct temporary ids within
-    /// its retry budget.
+    /// The identification phase could not estimate the population (stage
+    /// 1's steps ran out with every slot still busy) or assign distinct
+    /// temporary ids within its retry budget.
     IdentificationFailed,
 }
 
@@ -105,7 +106,10 @@ impl core::fmt::Display for BuzzError {
             BuzzError::Recovery(e) => write!(f, "sparse recovery error: {e}"),
             BuzzError::Code(e) => write!(f, "coding error: {e}"),
             BuzzError::IdentificationFailed => {
-                write!(f, "identification failed to assign distinct temporary ids")
+                write!(
+                    f,
+                    "identification failed to estimate the population or assign distinct temporary ids"
+                )
             }
         }
     }

@@ -41,13 +41,20 @@
 //! [`ParticipationMatrix`] is `D` as the reader grows it: one row appended
 //! per collision slot, never edited.  It keeps the views the decoders walk:
 //! rows as flat CSR segments (whose offsets are stable edge ids, which
-//! message passing keys its per-edge state on), each column's rows, and a
+//! message passing keys its per-edge state on), each column's rows, a
 //! per-column neighbour index (the other columns sharing at least one row,
-//! with the shared-row count) together with each column's largest shared
-//! count and the number of colliding column pairs.  The neighbour index turns
-//! the bit-flipping decoder's neighbour-of-neighbour touch set and pair-flip
-//! search into list walks, and gives the pair search the bound it prunes
-//! with.
+//! with the shared-row count) and the number of colliding column pairs.  The
+//! neighbour index turns the bit-flipping decoder's neighbour-of-neighbour
+//! touch set and pair-flip search into list walks.
+//!
+//! Each neighbour list is ordered by shared-row count, largest first, so its
+//! head carries the column's largest count and the pair search, whose bound
+//! rises with the count, walks only a prefix of it.  Appending a row keeps
+//! that order in `O(1)` per shared-row increment, with no sort: entries of
+//! equal count form one block, and an entry whose count grows swaps with the
+//! head of its block (found through a per-column table of block starts, the
+//! entry itself through a dense `K × K` position index) before its count
+//! moves up by one.  Within a block the order is whatever those swaps left.
 
 use std::ops::Range;
 
@@ -113,11 +120,17 @@ pub(crate) struct ParticipationMatrix {
     /// Per column, the rows holding a 1 in it, ascending.
     cols: Vec<Vec<usize>>,
     /// Per column, every other column sharing ≥ 1 row with it as
-    /// `(column, shared_row_count)`, sorted by column.
-    neighbors: Vec<Vec<(usize, usize)>>,
-    /// Per column, the largest shared-row count in its neighbour list (0 for
-    /// a column that shares no row).
-    max_shared: Vec<usize>,
+    /// `(column, shared_row_count)`, ordered by count, largest first.
+    neighbors: Vec<Vec<(u32, u32)>>,
+    /// Per column, entry `n` is how many of its neighbours share more than
+    /// `n` rows with it: the index where its block of count-`n` entries
+    /// starts.  Entry 0 is the list's length, and the table is one longer
+    /// than the column's largest count.
+    block_starts: Vec<Vec<u32>>,
+    /// `position[a·K + b]` is one plus the index of column `b` in column
+    /// `a`'s neighbour list, or 0 while the two share no row.  It takes
+    /// `4·K²` bytes (360 KB at K = 300), allocated zeroed.
+    position: Vec<u32>,
     /// Number of distinct column pairs sharing ≥ 1 row.
     pairs: usize,
 }
@@ -126,12 +139,15 @@ impl ParticipationMatrix {
     /// An empty matrix over `k` columns.
     #[must_use]
     pub(crate) fn new(k: usize) -> Self {
+        // Neighbour entries and positions store column indices as `u32`.
+        assert!(u32::try_from(k).is_ok(), "too many columns: {k}");
         Self {
             row_ptr: vec![0],
             row_cols: Vec::new(),
             cols: vec![Vec::new(); k],
             neighbors: vec![Vec::new(); k],
-            max_shared: vec![0; k],
+            block_starts: vec![vec![0]; k],
+            position: vec![0; k * k],
             pairs: 0,
         }
     }
@@ -147,34 +163,42 @@ impl ParticipationMatrix {
         for (i, &a) in participants.iter().enumerate() {
             self.cols[a].push(row);
             for &b in &participants[i + 1..] {
-                self.link(a, b);
+                if self.count_shared_row(a, b) == 1 {
+                    self.pairs += 1;
+                }
+                self.count_shared_row(b, a);
             }
         }
         self.row_cols.extend_from_slice(participants);
         self.row_ptr.push(self.row_cols.len());
     }
 
-    /// Records one more shared row between columns `a` and `b` in both
-    /// neighbour lists, bumping their maxima and, for a first shared row,
-    /// the pair count.
-    fn link(&mut self, a: usize, b: usize) {
-        for (from, to) in [(a, b), (b, a)] {
-            let list = &mut self.neighbors[from];
-            let shared = match list.binary_search_by_key(&to, |&(c, _)| c) {
-                Ok(i) => {
-                    list[i].1 += 1;
-                    list[i].1
-                }
-                Err(i) => {
-                    list.insert(i, (to, 1));
-                    1
-                }
-            };
-            self.max_shared[from] = self.max_shared[from].max(shared);
-            if shared == 1 && from == a {
-                self.pairs += 1;
-            }
+    /// Records one more row shared by column `from` with column `to` in
+    /// `from`'s neighbour list, keeping the list in count order, and
+    /// returns the new count.  A first shared row enters at the end, which
+    /// is the head of the (empty) count-0 block; the entry then swaps with
+    /// the head of its count block, so incrementing it leaves every larger
+    /// count before it and every smaller or equal one after it.
+    fn count_shared_row(&mut self, from: usize, to: usize) -> u32 {
+        let base = from * self.cols.len();
+        let list = &mut self.neighbors[from];
+        let starts = &mut self.block_starts[from];
+        if self.position[base + to] == 0 {
+            list.push((to as u32, 0));
+            self.position[base + to] = list.len() as u32;
         }
+        let at = self.position[base + to] as usize - 1;
+        let count = list[at].1 as usize;
+        let head = starts[count] as usize;
+        list.swap(at, head);
+        self.position[base + list[at].0 as usize] = at as u32 + 1;
+        self.position[base + to] = head as u32 + 1;
+        list[head].1 += 1;
+        starts[count] += 1;
+        if starts.len() == count + 1 {
+            starts.push(0);
+        }
+        list[head].1
     }
 
     /// Number of rows (collision slots) so far.
@@ -212,17 +236,18 @@ impl ParticipationMatrix {
     }
 
     /// The columns sharing at least one row with `col`, as
-    /// `(column, shared_row_count)` sorted by column.
+    /// `(column, shared_row_count)` ordered by count, largest first (equal
+    /// counts in no fixed order).
     #[must_use]
-    pub(crate) fn neighbors(&self, col: usize) -> &[(usize, usize)] {
+    pub(crate) fn neighbors(&self, col: usize) -> &[(u32, u32)] {
         &self.neighbors[col]
     }
 
     /// The largest shared-row count between `col` and any other column (0
-    /// for a column that shares no row).
+    /// for a column that shares no row): its neighbour list's head.
     #[must_use]
-    pub(crate) fn max_shared(&self, col: usize) -> usize {
-        self.max_shared[col]
+    pub(crate) fn max_shared(&self, col: usize) -> u32 {
+        self.neighbors[col].first().map_or(0, |&(_, shared)| shared)
     }
 
     /// How many distinct column pairs share at least one row.
@@ -334,13 +359,20 @@ mod tests {
         d.push_row(&[2]);
         assert!(d.neighbors(2).is_empty());
         assert_eq!(d.max_shared(2), 0);
+        // A first shared row enters at the end of the list...
         d.push_row(&[1, 2]);
-        assert_eq!(d.neighbors(1), &[(0, 2), (2, 1), (3, 1)]);
+        assert_eq!(d.neighbors(1), &[(0, 2), (3, 1), (2, 1)]);
         assert_eq!(d.neighbors(2), &[(1, 1)]);
-        // Per-column maxima and the pair count ride along.
+        // ...and a growing count first swaps to the head of its block.
+        d.push_row(&[1, 2]);
+        assert_eq!(d.neighbors(1), &[(0, 2), (2, 2), (3, 1)]);
+        d.push_row(&[1, 2]);
+        assert_eq!(d.neighbors(1), &[(2, 3), (0, 2), (3, 1)]);
+        // Each head carries its column's largest count; the pair count
+        // rides along.
         assert_eq!(
             [0, 1, 2, 3].map(|c| d.max_shared(c)),
-            [2, 2, 1, 1],
+            [2, 3, 3, 1],
             "max shared rows per column"
         );
         assert_eq!(d.colliding_pairs(), 4, "{{0,1}} {{0,3}} {{1,3}} {{1,2}}");
@@ -350,8 +382,11 @@ mod tests {
         /// Every view of a matrix grown by `push_row` equals a brute-force
         /// recount of the rows pushed, before and after every push: `row`,
         /// `col` and `nnz`, earlier rows' `row_range` unchanged by later
-        /// pushes, and the neighbour index with its shared counts, maxima
-        /// and pair count.  Empty rows and a single column are included.
+        /// pushes, and the neighbour index: each list holds exactly the
+        /// recounted `(column, count)` set in count order, largest first
+        /// (so its head is the largest count, 0 for an empty list), its
+        /// position index and block starts agree with it, and the pair count
+        /// matches.  Empty rows and a single column are included.
         #[test]
         fn every_view_matches_a_recount_of_the_pushed_rows(
             k in 1usize..12,
@@ -386,15 +421,41 @@ mod tests {
                         .filter(|&r| pushed[r].contains(&c))
                         .collect();
                     prop_assert_eq!(d.col(c), &col[..]);
-                    let neighbors: Vec<(usize, usize)> = (0..k)
+                    let mut neighbors: Vec<(u32, u32)> = (0..k)
                         .filter(|&l| l != c)
-                        .map(|l| (l, col.iter().filter(|&&r| pushed[r].contains(&l)).count()))
+                        .map(|l| {
+                            let shared = col.iter().filter(|&&r| pushed[r].contains(&l));
+                            (l as u32, shared.count() as u32)
+                        })
                         .filter(|&(_, shared)| shared > 0)
                         .collect();
-                    prop_assert_eq!(d.neighbors(c), &neighbors[..]);
-                    let max = neighbors.iter().map(|&(_, shared)| shared).max().unwrap_or(0);
+                    let list = d.neighbors(c);
+                    prop_assert!(
+                        list.windows(2).all(|w| w[0].1 >= w[1].1),
+                        "column {} is not in count order: {:?}", c, list
+                    );
+                    let by_count = |entries: &mut [(u32, u32)]| {
+                        entries.sort_unstable_by_key(|&(l, shared)| (std::cmp::Reverse(shared), l));
+                    };
+                    let mut held = list.to_vec();
+                    by_count(&mut held);
+                    by_count(&mut neighbors);
+                    prop_assert_eq!(&held, &neighbors);
+                    let max = neighbors.first().map_or(0, |&(_, shared)| shared);
                     prop_assert_eq!(d.max_shared(c), max);
-                    pairs += neighbors.iter().filter(|&&(l, _)| l > c).count();
+                    // The private indexes agree with the list they locate.
+                    for (at, &(l, _)) in list.iter().enumerate() {
+                        prop_assert_eq!(d.position[c * k + l as usize] as usize, at + 1);
+                    }
+                    let starts: Vec<u32> = (0..=max)
+                        .map(|n| list.iter().filter(|&&(_, shared)| shared > n).count() as u32)
+                        .collect();
+                    prop_assert_eq!(&d.block_starts[c], &starts);
+                    prop_assert_eq!(
+                        d.position[c * k..(c + 1) * k].iter().filter(|&&at| at > 0).count(),
+                        list.len()
+                    );
+                    pairs += neighbors.iter().filter(|&&(l, _)| l as usize > c).count();
                 }
                 prop_assert_eq!(d.colliding_pairs(), pairs);
             }

@@ -270,7 +270,7 @@ impl ResilientBuzzProtocol {
             while !delivered && requests_spent < MAX_REQUEST_RETRIES {
                 requests_spent += 1;
                 diag.extra_slot_requests += 1;
-                delivered = !medium.begin_slot(slot).feedback_lost;
+                delivered = !phase.begin_slot(medium, slot).feedback_lost;
                 if !delivered {
                     diag.feedback_retries += 1;
                 }
@@ -291,7 +291,7 @@ impl ResilientBuzzProtocol {
                 if phase.slots >= budget {
                     break;
                 }
-                medium.begin_slot(slot);
+                phase.begin_slot(medium, slot);
                 diag.backoff_slots += 1;
                 phase.idle_slot();
                 slot += 1;

@@ -16,6 +16,9 @@
 //!
 //! The estimator here is *passive*: the caller (the Buzz reader driver) runs
 //! the air protocol, counts empty slots per step, and feeds the counts in.
+//! An estimator whose step budget runs out before the empty fraction crosses
+//! the threshold gives no estimate: at that step's `p_j` a capped fraction
+//! would invert to billions of tags.
 
 use crate::{RecoveryError, RecoveryResult};
 
@@ -24,7 +27,8 @@ use crate::{RecoveryError, RecoveryResult};
 const TERMINATION_THRESHOLD: f64 = 0.75;
 
 /// Hard cap on the number of steps (a safety bound; `2^MAX_STEPS` bounds the
-/// largest population the estimator can distinguish).
+/// largest population the estimator can distinguish).  An estimator that
+/// reaches it without terminating gives no estimate.
 const MAX_STEPS: usize = 32;
 
 /// The estimator's final output.
@@ -86,15 +90,17 @@ impl KEstimator {
         Some(0.5f64.powi(self.step as i32 + 1))
     }
 
-    /// Whether an estimate is available (or the step budget is exhausted).
+    /// Whether an estimate is available or the step budget is exhausted (in
+    /// which case none ever will be).
     #[must_use]
     pub fn is_done(&self) -> bool {
         self.estimate.is_some() || self.step >= MAX_STEPS
     }
 
     /// Records the outcome of one step: how many of the step's slots were
-    /// observed empty.  Returns the estimate if this step terminated the
-    /// procedure.
+    /// observed empty.  Returns the estimate if this step's empty fraction
+    /// terminated the procedure; the last step of the budget that does not
+    /// returns `None`, and the estimator is then done without an estimate.
     ///
     /// # Errors
     ///
@@ -115,7 +121,7 @@ impl KEstimator {
         let p_j = 0.5f64.powi(self.step as i32);
         let e_j = empty_slots as f64 / s as f64;
 
-        if e_j >= TERMINATION_THRESHOLD || self.step >= MAX_STEPS {
+        if e_j >= TERMINATION_THRESHOLD {
             // Handle the all-empty case by capping E at 1 − 1/s (the paper's
             // footnote 2), so the logarithm stays finite.
             let capped = e_j.min(1.0 - 1.0 / s as f64).max(1.0 / (2.0 * s as f64));
@@ -136,7 +142,7 @@ impl KEstimator {
     /// # Errors
     ///
     /// Returns [`RecoveryError::NotReady`] if the estimator has not
-    /// terminated.
+    /// terminated, or ran out of steps without an estimate.
     pub fn estimate(&self) -> RecoveryResult<KEstimate> {
         self.estimate.ok_or(RecoveryError::NotReady)
     }
@@ -199,6 +205,21 @@ mod tests {
         assert!(est.record_step(4).is_err());
         assert_eq!(est.estimate().unwrap(), e);
         assert_eq!(est.next_probability(), None);
+    }
+
+    #[test]
+    fn exhausted_budget_gives_no_estimate() {
+        // Every slot occupied: the empty fraction never crosses the
+        // threshold, so the budget runs out and no estimate comes.
+        let mut est = KEstimator::new(4).unwrap();
+        for _ in 0..MAX_STEPS {
+            assert!(est.next_probability().is_some());
+            assert_eq!(est.record_step(0), Ok(None));
+        }
+        assert!(est.is_done());
+        assert_eq!(est.next_probability(), None);
+        assert_eq!(est.estimate(), Err(RecoveryError::NotReady));
+        assert_eq!(est.record_step(0), Err(RecoveryError::NotReady));
     }
 
     #[test]

@@ -10,6 +10,9 @@
 //!   the panel.
 //! * One noise path: frame noise scales a slot's noise exactly as an
 //!   interference burst does, for every scheme and through identification.
+//! * Dark tags and saturated identification: a tag reset at any slot of
+//!   `buzz+r`'s stall handling stays dark through the fallback polls, and
+//!   noise that leaves no estimation slot empty is a typed error.
 //! * Conservation (property): under arbitrary fault sets no protocol
 //!   panics, and every session accounts for the full offered load —
 //!   `delivered + lost == K`.
@@ -18,6 +21,7 @@ use buzz_suite::baselines::{CdmaProtocol, TdmaProtocol};
 use buzz_suite::protocol::protocol::{BuzzConfig, BuzzProtocol};
 use buzz_suite::protocol::recovery::{RecoveryConfig, ResilientBuzzProtocol};
 use buzz_suite::protocol::session::{Protocol, SessionOutcome};
+use buzz_suite::protocol::BuzzError;
 use buzz_suite::sim::dynamics::BurstyInterference;
 use buzz_suite::sim::faults::{
     BurstSlotLoss, FeedbackLoss, FrameNoise, ReaderRestart, SlotErasure, TagDropout,
@@ -125,7 +129,8 @@ fn frame_noise_and_burst_interference_are_one_noise_path() {
     // covers every slot scale each slot's noise by the same factor, so each
     // scheme must see the same session — the full pipeline's
     // identification slots included.  The full pipeline runs at 1.25x: from
-    // about 1.6x every identification slot reads occupied, and K̂ runs away.
+    // about 1.6x every identification slot reads occupied, and the session
+    // fails (`identification_under_saturating_noise_is_a_typed_error`).
     let buzz = BuzzProtocol::new(periodic_config()).unwrap();
     let resilient =
         ResilientBuzzProtocol::new(periodic_config(), RecoveryConfig::default()).unwrap();
@@ -155,6 +160,41 @@ fn frame_noise_and_burst_interference_are_one_noise_path() {
     // The scaled noise does reach identification.
     let noisy = build().fault(FrameNoise::new(1.0, 1.25).unwrap());
     assert_ne!(run_one(&full, noisy, 5), run_one(&full, build(), 5));
+}
+
+#[test]
+fn dropped_tags_stay_dark_through_requests_backoff_and_fallback() {
+    // Every collision slot erased and every tag browned out by slot 12:
+    // `buzz+r` stalls, spends request and backoff slots, then polls.  A
+    // reset drawn at a request or backoff slot darkens its tag too, so by
+    // the fallback every tag is dark and no poll is answered.
+    let resilient =
+        ResilientBuzzProtocol::new(periodic_config(), RecoveryConfig::default()).unwrap();
+    let delivered: Vec<usize> = (0..10)
+        .map(|s| {
+            let build = ScenarioBuilder::paper_uplink(6, 700 + s)
+                .fault(SlotErasure::new(1.0).unwrap())
+                .fault(TagDropout::new(1.0, 12).unwrap());
+            run_one(&resilient, build, 3).delivered_messages
+        })
+        .collect();
+    assert_eq!(delivered, [0; 10]);
+}
+
+#[test]
+fn identification_under_saturating_noise_is_a_typed_error() {
+    // At 4x the base noise every estimation slot reads occupied, so stage 1
+    // runs out of steps: the session fails with a typed error instead of
+    // sizing its buckets from a runaway estimate.
+    let full = BuzzProtocol::new(BuzzConfig::default()).unwrap();
+    let mut scenario = ScenarioBuilder::paper_uplink(6, 830)
+        .fault(FrameNoise::new(1.0, 4.0).unwrap())
+        .build()
+        .unwrap();
+    assert_eq!(
+        full.run(&mut scenario, 5),
+        Err(BuzzError::IdentificationFailed)
+    );
 }
 
 proptest! {
