@@ -157,7 +157,8 @@ fn bench_decoders_large_k(c: &mut Criterion) {
     }
 
     // The Fig. 11 regime measurement: a whole rateless session per
-    // iteration, in which the worklist only revisits perturbed positions.
+    // iteration, in which every decode call's sweep descends each bit
+    // position from its persistent state.
     group.sample_size(buzz_bench::samples(3));
     for &k in &[32usize, 64, 100, 150] {
         let (channels, bits, stream) = build_slot_stream(k, 3 * k, 4.0);

@@ -1,5 +1,5 @@
 //! Fleet-layer benchmark: end-to-end [`backscatter_fleet::run_fleet`] runs —
-//! the epoch planner, the work-stealing executor, and the session physics
+//! the epoch planner, the executor, and the session physics
 //! together — at a small and a medium operating point, serial and with four
 //! workers.  The `serial`/`threads4` pair is the number to watch when
 //! touching the executor: the parallel entry must scale, and both must stay

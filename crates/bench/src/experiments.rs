@@ -863,7 +863,7 @@ fn fleet_config(readers: usize, population: usize, base_seed: u64) -> FleetConfi
 /// Unlike those figures this one does not average over locations — the fleet
 /// run is itself the ensemble (hundreds of sessions per cell of the grid) —
 /// so `locations` does not appear; `threads` shards sessions across the
-/// repository's work-stealing executor with byte-identical output.
+/// repository's one executor with byte-identical output.
 #[must_use]
 pub fn fig_fleet(base_seed: u64, threads: usize) -> ExperimentReport {
     let mut report = ExperimentReport::new(

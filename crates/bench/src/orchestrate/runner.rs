@@ -9,7 +9,7 @@
 //! [`run_shard`] executes any contiguous [`Shard`] of a plan's job list.
 //! Jobs run sequentially within the shard; each job shards its own scenario
 //! matrix across `threads` workers through the experiment machinery it
-//! already uses (the one work-stealing executor,
+//! already uses (the one executor,
 //! [`buzz::executor::work_steal_map`], behind the figure grids and
 //! `fig_fleet` alike), so output is byte-identical for every `threads` value
 //! *and* every shard split.

@@ -57,8 +57,8 @@
 //! module): it puts `0.15·K` colliders in every slot once K ≥ 27 at the
 //! large-K target of 4, so a large session's collision graph
 //! is nearly complete: every flip touches most gains, no tag can lock for a
-//! long while, and every position stays dirty.  Three exact measures keep
-//! that regime cheap — none changes a decoded bit:
+//! long while, and every position keeps moving as slots arrive.  Three exact
+//! measures keep that regime cheap — none changes a decoded bit:
 //!
 //! * **One pruned pair scan** (`PositionState::best_pair`).  A pair sharing
 //!   `n` slots can only beat zero joint gain if, at one endpoint, `−G` is
@@ -86,7 +86,7 @@
 //!   maxima in independent lanes, which the compiler vectorizes, then the
 //!   last index reaching their maximum.  That is exactly what a forward
 //!   `>=` fold returns, without the fold's chain of dependent compares.
-//! * **Position-parallel sweep.**  The dirty positions of a sweep are
+//! * **Position-parallel sweep.**  The bit positions of a sweep are
 //!   independent, so once the matrix has `PARALLEL_SWEEP_MIN_PAIRS` (512)
 //!   colliding pairs (a count the participation matrix keeps) their
 //!   descents and cold-restart batteries run on every available hardware
@@ -105,22 +105,20 @@
 //!
 //! [`DecodeSchedule`] selects how `decode` spends that machinery.  The one
 //! hard-decision schedule, [`DecodeSchedule::Worklist`] (the default), keeps
-//! one *persistent* `PositionState` per bit position across calls and only
-//! revisits **dirty** positions: a position is dirtied when a newly appended
-//! slot touches one of its unlocked nodes, when locking a node flips that
-//! node's bit there (the perturbation walks the node's column to the shared
-//! slots and each slot's row to the neighbours whose gains move), or when a
-//! channel refit perturbs a slot the position's residuals depend on.
-//! Converged positions are skipped entirely — skipping is provably a no-op,
-//! because a skipped position's state is a descent fixed point and `descend`
-//! on a fixed point performs zero flips — and every sparse partial update
-//! (`append_row`, lock pinning, audit un-pinning, refit deltas that reach few
-//! nodes) rewrites only the gains it moved.  This is what makes the rateless
-//! loop's cost per slot proportional to the *perturbed* neighbourhood rather
-//! than to `positions × nodes`, the difference between K = 16 and K = 150
-//! being practical.  When a session stalls, one sweep races every position's
-//! warm state against a battery of cold restarts (see `COLD_RESTARTS`), so
-//! early-evidence local minima cannot survive indefinitely.
+//! one *persistent* `PositionState` per bit position across calls, and every
+//! sweep descends every position from where the previous one left it.  Every
+//! update between sweeps (`append_row`, lock pinning, audit un-pinning,
+//! refit deltas) rewrites only the residuals, sums and gains it moved, so a
+//! new slot costs its own participants' gains rather than `positions ×
+//! nodes`, and a position the update did not move is still a descent fixed
+//! point: descending it costs one argmax and one pair scan, at which most
+//! nodes of a dense session fail at their head.  Skipping the positions no
+//! update moved would save little: a slot with any unlocked participant
+//! moves every position, and on the benchmark's workloads 1.5–19 % of the
+//! descents fall on unmoved positions.  When a session stalls, one sweep
+//! races every position's warm state against a battery of cold restarts
+//! (see `COLD_RESTARTS`), so early-evidence local minima cannot survive
+//! indefinitely.
 //! [`DecodeSchedule::MessagePassing`] is the soft-decision schedule of
 //! [`crate::mp`].
 
@@ -137,10 +135,10 @@ use crate::{BuzzError, BuzzResult};
 /// How [`BitFlippingDecoder::decode`] schedules per-position work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DecodeSchedule {
-    /// Hard-decision bit flipping, worklist-driven: persistent per-position
-    /// descent states, dirty propagation through the participation matrix's
-    /// neighbour structure, converged positions skipped, and a cold-restart
-    /// battery when the session stalls.  The default, and the schedule the
+    /// Hard-decision bit flipping over persistent per-position descent
+    /// states: each decode call's sweeps descend every bit position from
+    /// where the previous call left it, and a cold-restart battery races
+    /// them when the session stalls.  The default, and the schedule the
     /// paper figures run.
     #[default]
     Worklist,
@@ -203,11 +201,6 @@ pub struct BitFlippingDecoder {
     /// [`DecodeSchedule::MessagePassing`], built lazily on the first
     /// message-passing decode.
     pub(crate) mp: Option<Box<crate::mp::MessagePassingState>>,
-    /// Diagnostics/verification knob: when set, the worklist schedule visits
-    /// every position each pass instead of only the dirty ones.  Skipping is
-    /// designed to be a no-op, and the differential tests pin that by
-    /// comparing a skipping decoder against a force-full one bit for bit.
-    force_full_worklist: bool,
 }
 
 /// A remembered candidate frame used by the stability locking gate.
@@ -312,8 +305,7 @@ struct PositionState {
 /// Cold restarts per position: one deterministic all-zeros start plus three
 /// pseudorandom ones.  The worklist schedule runs this battery in the first
 /// sweep of an escalated call (a stalled session, see `decode_worklist_on`),
-/// which dirties every position and races each one's warm state against the
-/// battery.
+/// which races every position's warm state against the battery.
 const COLD_RESTARTS: u64 = 4;
 
 /// Consecutive new-evidence decode calls a candidate must survive unchanged
@@ -344,7 +336,7 @@ const STABLE_LOCK_STREAK: u32 = 8;
 const MIN_SOFT_LOCK_EVIDENCE: usize = 3;
 
 /// Colliding-pair count of the participation matrix from which a worklist
-/// sweep descends its dirty positions on parallel workers.  Below it a
+/// sweep descends its positions on parallel workers.  Below it a
 /// sweep's descents are too cheap to pay for a parallel map (35–38 µs for
 /// one spawned worker beside the calling thread on a 2-core x86-64 VM).
 /// Every K ≤ 16 session (at most 120 pairs) stays serial, leaving the
@@ -548,12 +540,8 @@ impl PositionState {
     /// Absorbs one freshly appended participation row (`row` must be the
     /// next unseen slot): computes its residual under the current candidate
     /// bits, folds it into the participants' residual sums, and refreshes
-    /// their gains point-wise.  Returns whether any
-    /// *unlocked* node's gain moved — the signal the worklist scheduler uses
-    /// to decide whether the position needs revisiting (a slot whose
-    /// participants are all locked, or that nobody joined, cannot change the
-    /// descent's fixed point).
-    fn append_row(&mut self, decoder: &BitFlippingDecoder, row: usize, position: usize) -> bool {
+    /// their gains point-wise.
+    fn append_row(&mut self, decoder: &BitFlippingDecoder, row: usize, position: usize) {
         debug_assert_eq!(row, self.residual.len(), "rows must be absorbed in order");
         let cols = decoder.d.row(row);
         let fit: Complex = cols
@@ -563,13 +551,10 @@ impl PositionState {
             .sum();
         let r = decoder.y[row][position] - fit;
         self.residual.push(r);
-        let mut any_unlocked = false;
         for &i in cols {
             self.residual_sums[i] += r;
             self.refresh_gain(decoder, i);
-            any_unlocked |= decoder.locked[i].is_none();
         }
-        any_unlocked
     }
 
     /// The `(node, gain)` of the most profitable single flip, ties to the
@@ -750,7 +735,6 @@ impl BitFlippingDecoder {
             schedule: DecodeSchedule::default(),
             worklist: None,
             mp: None,
-            force_full_worklist: false,
         };
         decoder.terms = (0..k).map(|node| decoder.terms_of(node)).collect();
         Ok(decoder)
@@ -813,14 +797,6 @@ impl BitFlippingDecoder {
         self.schedule
     }
 
-    /// Verification knob for [`DecodeSchedule::Worklist`]: visit every
-    /// position each pass instead of only the dirty ones.  Skipping converged
-    /// positions is designed to be a no-op; the differential tests pin that
-    /// by running a skipping decoder against a force-full one bit for bit.
-    pub fn force_full_worklist(&mut self, on: bool) {
-        self.force_full_worklist = on;
-    }
-
     /// Mean per-(slot, position) residual power of `frames` against the
     /// accumulated observations: `mean_{j,pos} |y_{j,pos} − Σ_i D_{j,i}
     /// h_i·frames[i][pos]|²`.  This is the quantity whose plateau a recovery
@@ -851,16 +827,6 @@ impl BitFlippingDecoder {
             }
         }
         total / (l * p) as f64
-    }
-
-    /// How many times the worklist schedule has descended each bit position
-    /// (`None` before the first worklist decode, or under
-    /// [`DecodeSchedule::MessagePassing`]).  A position a
-    /// decode call skipped keeps its previous count — the observable behind
-    /// "converged positions are genuinely skipped".
-    #[must_use]
-    pub fn worklist_position_visits(&self) -> Option<&[u64]> {
-        self.worklist.as_deref().map(|wl| wl.visits.as_slice())
     }
 
     /// Cumulative number of message-passing sweeps performed across all
@@ -934,9 +900,9 @@ impl BitFlippingDecoder {
         }
     }
 
-    /// The worklist decode: persistent per-position states, only dirty
-    /// positions revisited.  See the module docs for the dirtiness rules.
-    /// Dense sweeps run on every available hardware thread.
+    /// The worklist decode: persistent per-position states, every position
+    /// descended in every sweep (see the module docs).  Dense sweeps run on
+    /// every available hardware thread.
     pub(crate) fn decode_worklist(&mut self) -> BuzzResult<DecodeState> {
         // Whether this session's sweeps are dense enough to run in parallel
         // (the matrix only grows, so the answer is fixed within the call).
@@ -984,16 +950,15 @@ impl BitFlippingDecoder {
             && self.d.rows() >= wl.next_escalation_rows;
         if escalate {
             wl.next_escalation_rows = (self.d.rows() + 2).max(self.d.rows() * 3 / 2);
-            wl.dirty.fill(true);
         }
 
         let mut newly_decoded = Vec::new();
         loop {
             self.sweep(&mut wl, escalate, workers);
-            // The cold battery belongs to the call's first sweep only:
-            // re-running it in later passes would race against a *changed*
-            // locked set and could move positions the dirty tracking never
-            // marked, breaking the skip-is-a-no-op invariant.
+            // The cold battery belongs to the call's first sweep only: a
+            // second race inside the call, against the locks the first pass
+            // added, would change the outcome and repeat four cold descents
+            // per position.
             escalate = false;
 
             let per_slot_residual: Vec<f64> =
@@ -1020,8 +985,7 @@ impl BitFlippingDecoder {
 
         // Channel refits perturb the residuals of every slot a refitted node
         // participates in; propagate those deltas into the persistent states
-        // (dirtying the affected positions) so the next call descends from a
-        // consistent ledger.
+        // so the next call descends from consistent residuals.
         if !self.locked.iter().all(Option::is_some) && self.d.rows() >= 3 {
             let changes = self.reestimate_channels(&wl.frames);
             self.apply_channel_changes_to_worklist(&mut wl, &changes);
@@ -1042,16 +1006,15 @@ impl BitFlippingDecoder {
         Ok(state)
     }
 
-    /// One sweep of the worklist schedule: descends every dirty position
-    /// (skipping everything that provably converged) and, under `escalate`,
-    /// races each against the cold-restart battery, then refreshes the
-    /// candidate frames and the slot-power ledger.
+    /// One sweep of the worklist schedule: descends every position and,
+    /// under `escalate`, races each against the cold-restart battery, then
+    /// refreshes the candidate frames and sums the slot-power ledger afresh.
     ///
     /// The descents are independent — each reads only the immutable decoder
     /// and its own [`PositionState`] — so they run on up to `workers`
-    /// threads through the work-stealing executor, and the frames and the
-    /// ledger are folded afterwards, serially and in position order.  The
-    /// sweep's outcome is therefore bit-identical at any worker count.
+    /// threads through the executor, and the frames and the ledger are
+    /// folded afterwards, serially and in position order.  The sweep's
+    /// outcome is therefore bit-identical at any worker count.
     ///
     /// Workers allocate nothing: the cold-restart scratch (one state per
     /// concurrently running descent) is built here and re-seeded by
@@ -1061,21 +1024,11 @@ impl BitFlippingDecoder {
     fn sweep(&self, wl: &mut WorklistState, escalate: bool, workers: usize) {
         let WorklistState {
             positions,
-            dirty,
-            visits,
             frames,
-            position_slot_power,
             slot_power_total,
             ..
         } = wl;
-        let mut work: Vec<(usize, &mut PositionState)> = Vec::with_capacity(positions.len());
-        for (position, state) in positions.iter_mut().enumerate() {
-            if dirty[position] || self.force_full_worklist {
-                dirty[position] = false;
-                visits[position] += 1;
-                work.push((position, state));
-            }
-        }
+        let work: Vec<(usize, &mut PositionState)> = positions.iter_mut().enumerate().collect();
         let concurrent = workers.min(work.len()).max(1);
         let scratch = Mutex::new(if escalate {
             (0..concurrent)
@@ -1084,7 +1037,7 @@ impl BitFlippingDecoder {
         } else {
             Vec::new()
         });
-        let swept = work_steal_map(workers, work, |(position, state)| {
+        work_steal_map(workers, work, |(position, state)| {
             self.descend(state);
             if escalate {
                 let mut cold = scratch
@@ -1098,20 +1051,15 @@ impl BitFlippingDecoder {
                     .expect("scratch pool lock poisoned")
                     .push(cold);
             }
-            position
         });
-        for position in swept {
-            // Refresh the candidate frame column and the slot-power ledger
-            // for this position (the ledger is diffed, so clean positions
-            // contribute their cached values for free).
-            let state = &positions[position];
+        slot_power_total.clear();
+        slot_power_total.resize(self.d.rows(), 0.0);
+        for (position, state) in positions.iter().enumerate() {
             for (node, frame) in frames.iter_mut().enumerate() {
                 frame[position] = state.b[node];
             }
-            for (j, cached) in position_slot_power[position].iter_mut().enumerate() {
-                let power = state.residual[j].norm_sqr();
-                slot_power_total[j] += power - *cached;
-                *cached = power;
+            for (total, r) in slot_power_total.iter_mut().zip(&state.residual) {
+                *total += r.norm_sqr();
             }
         }
     }
@@ -1137,26 +1085,22 @@ impl BitFlippingDecoder {
 
     /// Pins the freshly locked nodes into every persistent position state:
     /// where the candidate bit disagrees with the verified frame the node is
-    /// flipped (the perturbation propagates through its column to the
-    /// shared slots and on to the neighbours' gains, dirtying the position);
-    /// where it already agrees only the gain is pinned, which cannot
-    /// invalidate a converged fixed point.
+    /// flipped (the perturbation moves its slots' residuals and its
+    /// neighbours' sums and gains); where it already agrees only the gain is
+    /// pinned.  `lock_pass` locked each node to its candidate frame in
+    /// `wl.frames`, so that frame already is the verified one.
     fn apply_locks_to_worklist(&self, wl: &mut WorklistState, locked_now: &[usize]) {
         for &node in locked_now {
             let frame = self.locked[node]
-                .clone()
+                .as_deref()
                 .expect("lock_pass recorded this node");
-            for (position, &want) in frame.iter().enumerate() {
-                let state = &mut wl.positions[position];
+            for (state, &want) in wl.positions.iter_mut().zip(frame) {
                 if state.b[node] != want {
                     state.flip_all(self, &[node]);
-                    wl.dirty[position] = true;
                 } else {
                     state.refresh_gain(self, node);
                 }
             }
-            // The candidate frame of a locked node is its verified frame.
-            wl.frames[node] = frame;
             wl.lock_rows[node] = self.d.rows();
         }
     }
@@ -1168,8 +1112,8 @@ impl BitFlippingDecoder {
     /// own-slot residual climbs far above the plausibility threshold after
     /// it has gathered fresh evidence is unlocked again: its gains are
     /// un-pinned in every persistent state (point updates that leave the
-    /// argmax stale), its stability snapshot is cleared, and every
-    /// position is dirtied so the next descents can rewrite its bits.
+    /// argmax stale) and its stability snapshot is cleared, so the next
+    /// sweep's descents can rewrite its bits.
     /// Correct locks pass the audit — their slots stay explained — so this
     /// is a safety net with no steady-state cost.
     fn audit_locks(&mut self, wl: &mut WorklistState) {
@@ -1255,9 +1199,8 @@ impl BitFlippingDecoder {
         self.set_lock(node, None);
         self.previous_candidates[node] = None;
         wl.lock_rows[node] = usize::MAX;
-        for (position, state) in wl.positions.iter_mut().enumerate() {
+        for state in &mut wl.positions {
             state.refresh_gain(self, node);
-            wl.dirty[position] = true;
         }
         // The erased bits need fresh evidence-driven descents; treat the
         // unlock like a stall so escalation re-arms promptly.
@@ -1275,14 +1218,12 @@ impl BitFlippingDecoder {
     ) {
         for &(node, delta) in changes {
             let frame = self.locked[node]
-                .clone()
+                .as_deref()
                 .expect("channel refits only move locked nodes");
-            for (position, &bit) in frame.iter().enumerate() {
-                if !bit {
-                    continue;
+            for (state, &bit) in wl.positions.iter_mut().zip(frame) {
+                if bit {
+                    state.shift_slots(self, node, delta);
                 }
-                wl.positions[position].shift_slots(self, node, delta);
-                wl.dirty[position] = true;
             }
         }
     }
@@ -1330,26 +1271,25 @@ impl BitFlippingDecoder {
             if !matches!(Message::verify(&frames[node]), Ok(Some(_))) {
                 continue;
             }
-            // The windowed view of the node's participations (identical to
-            // the full column when `window_start == 0`; columns are sorted).
-            let windowed_slots: Vec<usize> = self
-                .d
-                .col(node)
-                .iter()
-                .copied()
-                .filter(|&j| j >= window_start)
-                .collect();
+            // The windowed view of the node's participations (the full
+            // column when `window_start == 0`; columns are sorted).
+            let col = self.d.col(node);
+            let windowed_slots = &col[col.partition_point(|&j| j < window_start)..];
+            if windowed_slots.is_empty() {
+                // The node never transmitted yet (in the window): any CRC
+                // match is accidental.
+                continue;
+            }
             // A node whose slots are all *clean* — every co-participant
             // already locked — is measured directly, with no overfit
             // freedom: that is how a weak straggler legitimately locks from
             // one or two looks once the rest of the population is resolved.
-            let clean_observations = !windowed_slots.is_empty()
-                && windowed_slots.iter().all(|&j| {
-                    self.d
-                        .row(j)
-                        .iter()
-                        .all(|&i| i == node || self.locked[i].is_some())
-                });
+            let clean_observations = windowed_slots.iter().all(|&j| {
+                self.d
+                    .row(j)
+                    .iter()
+                    .all(|&i| i == node || self.locked[i].is_some())
+            });
             if !clean_observations {
                 if self.schedule == DecodeSchedule::MessagePassing
                     && windowed_slots.len() < MIN_SOFT_LOCK_EVIDENCE
@@ -1369,20 +1309,23 @@ impl BitFlippingDecoder {
                     continue;
                 }
             }
-            let fit_ok = self.fit_is_plausible(node, per_slot_residual, window_start);
+            // Both fit bounds judge the mean residual over the node's
+            // windowed slots.  A node whose candidate bits are wrong leaves
+            // roughly `|h|²` of unexplained energy in its slots.
+            let mean_residual = windowed_slots
+                .iter()
+                .map(|&j| per_slot_residual[j])
+                .sum::<f64>()
+                / windowed_slots.len() as f64;
+            let signal_power = self.channels[node].norm_sqr();
+            // Goodness of fit: the residual is explained by noise (plus a
+            // small tolerance), or small relative to the node's own signal.
+            let fit_ok = mean_residual <= (4.0 * self.noise_power + 0.05 * signal_power).max(1e-12);
             // The stability path tolerates a residual floor above the noise
             // (unmodelled interference, imperfect channel estimates) but
-            // still insists that the node's *own* signal is mostly explained
-            // — a wrong frame leaves ≈|h|² of unexplained energy in the
-            // node's slots and is rejected regardless of how stable it looks.
-            let own_fit_ok = !windowed_slots.is_empty() && {
-                let mean_residual: f64 = windowed_slots
-                    .iter()
-                    .map(|&j| per_slot_residual[j])
-                    .sum::<f64>()
-                    / windowed_slots.len() as f64;
-                mean_residual <= 0.5 * self.channels[node].norm_sqr() + 4.0 * self.noise_power
-            };
+            // still insists that the node's *own* signal is mostly explained,
+            // so a wrong frame is rejected regardless of how stable it looks.
+            let own_fit_ok = mean_residual <= 0.5 * signal_power + 4.0 * self.noise_power;
             let stable_ok = own_fit_ok
                 && match &self.previous_candidates[node] {
                     Some(snapshot) => {
@@ -1554,36 +1497,6 @@ impl BitFlippingDecoder {
         changes
     }
 
-    /// Whether the current fit over the slots `node` participated in is good
-    /// enough to trust a CRC match: the mean residual in those slots must be
-    /// explained by noise (plus a small tolerance), or be small relative to
-    /// the node's own signal power.  A node whose candidate bits are wrong
-    /// leaves roughly `|h|²` of unexplained energy in its slots and fails the
-    /// check.
-    fn fit_is_plausible(
-        &self,
-        node: usize,
-        per_slot_residual: &[f64],
-        window_start: usize,
-    ) -> bool {
-        let slots: Vec<usize> = self
-            .d
-            .col(node)
-            .iter()
-            .copied()
-            .filter(|&j| j >= window_start)
-            .collect();
-        if slots.is_empty() {
-            // The node never transmitted yet (in the window): any CRC match
-            // is accidental.
-            return false;
-        }
-        let mean_residual: f64 =
-            slots.iter().map(|&j| per_slot_residual[j]).sum::<f64>() / slots.len() as f64;
-        let signal_power = self.channels[node].norm_sqr();
-        mean_residual <= (4.0 * self.noise_power + 0.05 * signal_power).max(1e-12)
-    }
-
     /// One greedy descent from the state's current starting point.
     fn descend(&self, state: &mut PositionState) {
         for _ in 0..self.max_flips_per_position {
@@ -1605,33 +1518,25 @@ impl BitFlippingDecoder {
 }
 
 /// The persistent scheduling state of [`DecodeSchedule::Worklist`]: one
-/// descent state per bit position, the dirty set, and the ledgers the
-/// locking gates read (candidate frames, per-slot residual power).
+/// descent state per bit position and the ledgers the locking gates read
+/// (candidate frames, per-slot residual power).
 ///
-/// Invariant: `slot_power_total[j]` is always the sum over positions of
-/// `position_slot_power[·][j]`, and a *clean* position's cached powers match
-/// its state's residuals exactly — dirty positions may lag (lock flips and
-/// refit deltas perturb residuals between descents), which is safe because
-/// the gates only read the ledger after every dirty position has been
-/// descended and refreshed.
+/// Invariant: after each sweep, `frames` holds every state's bits and
+/// `slot_power_total[j]` is the sum, in position order, of every state's
+/// `|residual[j]|²`.  Lock flips and refit deltas move residuals between
+/// sweeps and leave the ledger stale until the next sweep; the gates read
+/// it only after a sweep.
 #[derive(Debug, Clone)]
 struct WorklistState {
     /// One persistent descent state per bit position.
     positions: Vec<PositionState>,
     /// Rows of the participation matrix already absorbed by every state.
     synced_rows: usize,
-    /// Candidate frame per node, column-refreshed as positions are visited.
+    /// Candidate frame per node, column-refreshed by every sweep.
     frames: Vec<Vec<bool>>,
-    /// Cached per-position, per-slot residual power.
-    position_slot_power: Vec<Vec<f64>>,
     /// Per-slot residual power summed over positions (the locking gates'
-    /// input, kept consistent by diffing against the per-position cache).
+    /// input), summed afresh by every sweep.
     slot_power_total: Vec<f64>,
-    /// Positions whose fixed point may have moved since their last descent.
-    dirty: Vec<bool>,
-    /// How many times each position has been descended (the "converged
-    /// positions are genuinely skipped" observable).
-    visits: Vec<u64>,
     /// Decode calls since the last successful lock (stall detector).
     calls_since_lock: u32,
     /// Row count at which the next stall escalation may fire (multiplicative
@@ -1643,8 +1548,8 @@ struct WorklistState {
 }
 
 impl WorklistState {
-    /// Builds persistent states over the decoder's current matrix, all
-    /// positions dirty (the first decode visits everything once).
+    /// Builds persistent states over the decoder's current matrix, from
+    /// the all-zeros start.
     fn new(decoder: &BitFlippingDecoder) -> Self {
         let k = decoder.channels.len();
         let p = decoder.message_bits;
@@ -1662,10 +1567,7 @@ impl WorklistState {
             positions,
             synced_rows: l,
             frames,
-            position_slot_power: vec![vec![0.0; l]; p],
-            slot_power_total: vec![0.0; l],
-            dirty: vec![true; p],
-            visits: vec![0; p],
+            slot_power_total: Vec::new(),
             calls_since_lock: 0,
             next_escalation_rows: 0,
             lock_rows: decoder
@@ -1677,27 +1579,12 @@ impl WorklistState {
     }
 
     /// Absorbs every participation row appended since the last decode call
-    /// into each persistent state, extending the slot-power ledgers and
-    /// dirtying the positions where an unlocked node's gain moved.
+    /// into each persistent state.
     fn sync_new_rows(&mut self, decoder: &BitFlippingDecoder) {
         let l = decoder.d.rows();
-        if self.synced_rows == l {
-            return;
-        }
-        self.slot_power_total.resize(l, 0.0);
         for (position, state) in self.positions.iter_mut().enumerate() {
-            let mut perturbed = false;
             for row in self.synced_rows..l {
-                perturbed |= state.append_row(decoder, row, position);
-            }
-            let powers = &mut self.position_slot_power[position];
-            for row in self.synced_rows..l {
-                let power = state.residual[row].norm_sqr();
-                powers.push(power);
-                self.slot_power_total[row] += power;
-            }
-            if perturbed {
-                self.dirty[position] = true;
+                state.append_row(decoder, row, position);
             }
         }
         self.synced_rows = l;
@@ -2205,49 +2092,6 @@ mod tests {
             })
             .collect();
         (participants, symbols)
-    }
-
-    proptest! {
-        /// The worklist scheduler's tentpole invariant: skipping converged
-        /// positions is a no-op.  A dirty-set decoder and a force-full-visit
-        /// decoder fed the same slot stream produce bit-identical
-        /// `DecodeState`s (payloads, newly-decoded order, candidate frames)
-        /// and identical refitted channels after every single decode call.
-        #[test]
-        fn worklist_skipping_matches_force_full_bit_for_bit(
-            seed in 0u64..100_000,
-            k in 2usize..7,
-            slots in 3usize..14,
-            noise in 0usize..3,
-        ) {
-            let noise = noise as f64 * 0.03;
-            let channels = diverse_channels(k, seed ^ 0x11aa);
-            let frames: Vec<Vec<bool>> = (0..k)
-                .map(|i| {
-                    Message::standard_32bit(seed * 100 + i as u64)
-                        .unwrap()
-                        .framed()
-                })
-                .collect();
-            let seeds: Vec<NodeSeed> = (0..k as u64).map(|i| NodeSeed(seed * 77 + i)).collect();
-            let mut lazy =
-                BitFlippingDecoder::new(channels.clone(), frames[0].len(), noise * noise / 6.0)
-                    .unwrap()
-                    .with_schedule(DecodeSchedule::Worklist);
-            let mut eager = lazy.clone();
-            eager.force_full_worklist(true);
-            let mut noise_rng = Xoshiro256::seed_from_u64(seed ^ 0xabcdef);
-            for slot in 0..slots as u64 {
-                let (participants, symbols) =
-                    make_slot(&channels, &frames, &seeds, slot, 0.5, noise, &mut noise_rng);
-                lazy.add_slot(&participants, symbols.clone()).unwrap();
-                eager.add_slot(&participants, symbols).unwrap();
-                let a = lazy.decode().unwrap();
-                let b = eager.decode().unwrap();
-                prop_assert_eq!(&a, &b, "slot {}", slot);
-                prop_assert_eq!(&lazy.channels, &eager.channels, "channels, slot {}", slot);
-            }
-        }
     }
 
     /// Locks each node to its true frame with probability 1/5.
@@ -2769,10 +2613,13 @@ mod tests {
 
     #[test]
     fn stored_gains_equal_gain_of_through_locks_audits_and_refits() {
-        // The gain invariant the linear recompute relies on, over a whole
-        // dense, noisy worklist session: after every decode call the term
-        // table equals a from-scratch rebuild, and every persistent state's
-        // stored gains carry exactly the per-call gains' bits.  Node 0's
+        // The state's gain invariant, which lets a flip's neighbour walk
+        // leave every gain it does not reach untouched, over a whole dense,
+        // noisy worklist session: after every decode call the term table
+        // equals a from-scratch rebuild, and every persistent state's
+        // stored gains carry exactly the per-call gains' bits.  The session
+        // is dense enough that a flip's walk reaches at least a quarter of
+        // the nodes.  Node 0's
         // channel turns mid-session, so its lock goes stale and the audit
         // erases it and refits its channel; node K − 1 is a phantom that
         // never transmits, so its gain stays a signed zero, which the
@@ -2829,7 +2676,10 @@ mod tests {
             }
         }
         let reach = decoder.d.neighbors(phantom - 1).len() + 1;
-        assert!(reach * 4 >= k, "setup: flips take the linear recompute");
+        assert!(
+            reach * 4 >= k,
+            "setup: a flip's neighbour walk reaches at least a quarter of the nodes"
+        );
         assert!(locks > 0, "setup: a node locked");
         assert!(erasures > 0, "setup: the audit erased a lock");
         assert!(refits > 0, "setup: a channel refit moved an estimate");
@@ -3110,36 +2960,6 @@ mod tests {
     }
 
     #[test]
-    fn worklist_skips_converged_positions() {
-        // Once every message is locked, slots that cannot move any unlocked
-        // gain (empty slots, slots whose participants are all locked) must
-        // not trigger a single descent — the pass-visit counter freezes.
-        let channels = diverse_channels(4, 5);
-        let (mut decoder, _frames) = make_problem(&channels, 14, 0.7, 0.0, 5);
-        let state = decoder.decode().unwrap();
-        assert!(state.all_decoded(), "setup: everyone decodes noiselessly");
-        let visits_after_decode = decoder.worklist_position_visits().unwrap().to_vec();
-        assert!(visits_after_decode.iter().all(|&v| v >= 1));
-
-        // An empty slot and an all-locked collision slot arrive.
-        let p = decoder.message_bits;
-        decoder
-            .add_slot(&[false; 4], vec![Complex::ZERO; p])
-            .unwrap();
-        decoder.decode().unwrap();
-        decoder
-            .add_slot(&[true; 4], vec![Complex::new(0.3, -0.1); p])
-            .unwrap();
-        let after = decoder.decode().unwrap();
-        assert!(after.all_decoded());
-        assert_eq!(
-            decoder.worklist_position_visits().unwrap(),
-            &visits_after_decode[..],
-            "converged positions were revisited"
-        );
-    }
-
-    #[test]
     fn worklist_decodes_every_message_to_the_ground_truth() {
         // Over the rateless loop the worklist delivers every message, and
         // every payload is the ground truth.
@@ -3189,15 +3009,15 @@ mod tests {
         let (mut decoder, _frames) = make_problem(&channels, 6, 0.8, 0.0, 9);
         assert_eq!(decoder.schedule(), DecodeSchedule::Worklist);
         decoder.decode().unwrap();
-        assert!(decoder.worklist_position_visits().is_some());
+        assert!(decoder.worklist.is_some());
         let mut decoder = decoder.with_schedule(DecodeSchedule::MessagePassing);
         assert_eq!(decoder.schedule(), DecodeSchedule::MessagePassing);
-        assert!(decoder.worklist_position_visits().is_none());
+        assert!(decoder.worklist.is_none());
         decoder.decode().unwrap();
         assert!(decoder.message_passing_sweeps().is_some());
         let decoder = decoder.with_schedule(DecodeSchedule::Worklist);
         assert!(decoder.message_passing_sweeps().is_none());
-        assert!(decoder.worklist_position_visits().is_none());
+        assert!(decoder.worklist.is_none());
     }
 
     #[test]
@@ -3228,11 +3048,12 @@ mod tests {
     #[test]
     fn decode_residual_power_matches_brute_force_refit() {
         // The per-slot residual power the locking gates consume is the
-        // worklist's ledger, diffed from the incrementally maintained
-        // position residuals sweep after sweep, through lock flips, audits,
+        // worklist's ledger, summed by every sweep from the incrementally
+        // maintained position residuals, through lock flips, audits,
         // channel refits and cold-restart batteries.  After every sweep it
-        // must agree with an explicit `‖y − D·H·B̂‖²` recompute from the
-        // candidate frames.
+        // must hold exactly the position-order sum of the states' residual
+        // powers, and agree with an explicit `‖y − D·H·B̂‖²` recompute from
+        // the candidate frames.
         let (k, noise, seed) = (6usize, 0.05, 21u64);
         let channels = diverse_channels(k, seed);
         let frames: Vec<Vec<bool>> = (0..k)
@@ -3276,6 +3097,12 @@ mod tests {
                     })
                     .sum();
                 let ledger = wl.slot_power_total[j];
+                let summed: f64 = wl.positions.iter().map(|s| s.residual[j].norm_sqr()).sum();
+                assert_eq!(
+                    ledger.to_bits(),
+                    summed.to_bits(),
+                    "slot {slot}, row {j}: ledger {ledger} vs position-order sum {summed}"
+                );
                 assert!(
                     (ledger - brute).abs() <= 1e-9 * (1.0 + brute.abs()),
                     "slot {slot}, row {j}: ledger {ledger} vs brute {brute}"

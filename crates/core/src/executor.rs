@@ -1,14 +1,14 @@
-//! The repository's one thread pool: a deterministic work-stealing map.
+//! The repository's one thread pool: a deterministic self-scheduling map.
 //!
 //! Work items rarely cost the same: a fleet's clean cell decodes in a
 //! fraction of the time a recovery-heavy cell takes, a figure grid mixes
 //! cheap and expensive scenarios, and the bit positions of one decode sweep
 //! converge at different speeds.  A static partition would leave workers idle
-//! behind one expensive item, so each worker starts with a contiguous block
-//! of the items (good locality, zero contention on the happy path) and, when
-//! its own deque drains, steals from the back of the longest remaining deque.
+//! behind one expensive item, so the workers share one counter: each one,
+//! the caller included, takes the next unclaimed index whenever it is free,
+//! until none is left.
 //!
-//! Determinism: stealing only changes *which thread* runs an item and
+//! Determinism: the counter only decides *which thread* runs an item and
 //! *when* — never the item's input (each closure call sees only its own
 //! item) nor where its result lands (results are written to the item's
 //! original index).  So for a pure closure the output vector is
@@ -17,8 +17,8 @@
 //! ([`crate::bp`]) honour the repo-wide `--threads N == --threads 1`
 //! contract.
 
-use std::collections::VecDeque;
 use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 /// The default worker count: one per hardware thread available to the
@@ -35,8 +35,10 @@ pub fn available_threads() -> usize {
     })
 }
 
-/// Maps `f` over `items` using up to `threads` work-stealing workers,
-/// returning results in input order.
+/// Maps `f` over `items` using up to `threads` workers, returning results
+/// in input order.  The workers claim items one at a time, in input order,
+/// by bumping one shared counter, so a worker stuck on an expensive item
+/// never holds cheap ones back.
 ///
 /// With `threads <= 1` (or at most one item) the map runs inline on the
 /// caller's thread with no synchronization at all; otherwise the caller
@@ -56,64 +58,39 @@ where
 
     let len = items.len();
     let workers = threads.min(len);
-    // Item and result cells indexed by original position: whoever pops index
-    // `i` from any deque takes item `i` and writes result `i`.
+    // Item and result cells indexed by original position: whoever claims
+    // index `i` takes item `i` and writes result `i`.
     let cells: Vec<Mutex<Option<T>>> = items.into_iter().map(|it| Mutex::new(Some(it))).collect();
     let results: Vec<Mutex<Option<R>>> = (0..len).map(|_| Mutex::new(None)).collect();
-    // Seed each worker with a contiguous block, like a static partition;
-    // stealing only kicks in when the blocks turn out to be uneven in cost.
-    let deques: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-        .map(|w| {
-            let start = w * len / workers;
-            let end = (w + 1) * len / workers;
-            Mutex::new((start..end).collect())
-        })
-        .collect();
+    let next = AtomicUsize::new(0);
 
-    // One worker's loop: its own block front-to-back, then steals.
-    let work = |me: usize| loop {
-        let mut next = deques[me].lock().expect("deque lock poisoned").pop_front();
-        if next.is_none() {
-            // Steal from the back of the currently longest deque.
-            let mut best: Option<(usize, usize)> = None;
-            for (other, deque) in deques.iter().enumerate() {
-                if other == me {
-                    continue;
-                }
-                let remaining = deque.lock().expect("deque lock poisoned").len();
-                if remaining > 0 && best.is_none_or(|(_, n)| remaining > n) {
-                    best = Some((other, remaining));
-                }
-            }
-            if let Some((victim, _)) = best {
-                next = deques[victim]
-                    .lock()
-                    .expect("deque lock poisoned")
-                    .pop_back();
-            }
-        }
-        let Some(index) = next else {
-            // Every deque was empty at scan time.  Items already popped are
-            // owned by their poppers, so nothing is lost.
+    // One worker's loop: claim the next index until every one is claimed.
+    // `Relaxed` suffices: the counter publishes no data (each item and
+    // result sits behind its own mutex, and the scope's join hands the
+    // results back), and its read-modify-writes alone give every index to
+    // exactly one worker.
+    let work = || loop {
+        let index = next.fetch_add(1, Ordering::Relaxed);
+        if index >= len {
             break;
-        };
+        }
         let item = cells[index]
             .lock()
             .expect("item lock poisoned")
             .take()
-            .expect("each index is popped exactly once");
+            .expect("each index is claimed exactly once");
         let out = f(item);
         *results[index].lock().expect("result lock poisoned") = Some(out);
     };
-    // The calling thread runs worker 0, so a map spawns `workers − 1`
-    // threads: one spawn beside the caller costs 35–38 µs on a 2-core
-    // x86-64 VM, two spawned workers 53–54 µs.
+    // The calling thread runs the first worker, so a map spawns
+    // `workers − 1` threads: one spawn beside the caller costs 35–38 µs on
+    // a 2-core x86-64 VM, two spawned workers 53–54 µs.
     std::thread::scope(|scope| {
         let work = &work;
-        for me in 1..workers {
-            scope.spawn(move || work(me));
+        for _ in 1..workers {
+            scope.spawn(work);
         }
-        work(0);
+        work();
     });
 
     results
@@ -170,8 +147,8 @@ mod tests {
     #[test]
     fn every_item_runs_exactly_once_under_uneven_cost() {
         let calls = AtomicUsize::new(0);
-        // Front-loaded cost: the first block is far more expensive than the
-        // rest, so the later workers must steal to finish.
+        // Front-loaded cost: the first items are far more expensive than
+        // the rest, so the other workers take the cheap ones meanwhile.
         let items: Vec<usize> = (0..100).collect();
         let out = work_steal_map(8, items, |i| {
             calls.fetch_add(1, Ordering::Relaxed);

@@ -28,7 +28,7 @@
 //!   and [`session::SessionOutcome`] type every compared scheme (Buzz and
 //!   the TDMA/CDMA/FSA baselines) speaks, so comparison harnesses are
 //!   written once against `&[&dyn session::Protocol]`.
-//! * **Executor** ([`executor`]): the deterministic work-stealing thread
+//! * **Executor** ([`executor`]): the deterministic self-scheduling thread
 //!   pool every parallel loop in the repository runs on — figure grids,
 //!   fleets, and the decoder's position-parallel sweep.
 //! * **Toy example** ([`toy`]): the §3.2 illustration (Tables 1 and 2) of why

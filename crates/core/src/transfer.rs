@@ -47,8 +47,8 @@ pub struct TransferConfig {
     pub target_collision_size: f64,
     /// How the reader's decoder schedules its per-position work.  The
     /// default ([`DecodeSchedule::Worklist`]) is the hard-decision
-    /// bit-flipping decoder the paper figures run, which only revisits
-    /// perturbed positions as slots arrive;
+    /// bit-flipping decoder the paper figures run, which carries one
+    /// descent state per bit position from call to call as slots arrive;
     /// [`DecodeSchedule::MessagePassing`] is the soft-decision decoder with
     /// channel tracking for time-varying (fading) channels — see
     /// [`crate::mp`] for when each paradigm wins.

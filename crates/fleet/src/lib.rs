@@ -13,7 +13,7 @@
 //!   and depart between epochs (`TagChurn`-style presence), and expire
 //!   messages that have been carried too long,
 //! * [`warehouse`] — the epoch loop: deterministic tag→reader assignment,
-//!   parallel session execution on the repository's work-stealing executor
+//!   parallel session execution on the repository's one executor
 //!   ([`buzz::executor::work_steal_map`]: a stalled decode must not idle the
 //!   other workers), an event-ordered merge of the completions,
 //!   and the aggregate [`FleetOutcome`] headline — total msgs/s, p50/p99

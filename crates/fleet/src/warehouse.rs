@@ -6,7 +6,7 @@
 //! runs one session over cell `i` through the shared [`Protocol`] trait.
 //! Planning (who reads whom, which messages are offered) and committing
 //! (which deliveries clear pending state) are serial and reader-ordered;
-//! only the physics — the sessions themselves — runs on the work-stealing
+//! only the physics — the sessions themselves — runs on the repository's
 //! executor.  Since a session is a pure function of its plan, the committed
 //! state and every reported number are byte-identical for any `threads`.
 //!
