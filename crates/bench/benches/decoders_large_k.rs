@@ -128,8 +128,8 @@ fn run_session(
     let mut decoder = BitFlippingDecoder::new(channels.to_vec(), message_bits, 1e-4).unwrap();
     for (slot, (participants, symbols)) in stream.iter().enumerate() {
         decoder.add_slot(participants, symbols.clone()).unwrap();
-        let state = decoder.decode().unwrap();
-        if state.all_decoded() {
+        decoder.decode().unwrap();
+        if decoder.all_decoded() {
             return slot + 1;
         }
     }

@@ -101,8 +101,8 @@ fn run_session(
         .with_schedule(schedule);
     for (slot, (participants, symbols)) in stream.iter().enumerate() {
         decoder.add_slot(participants, symbols.clone()).unwrap();
-        let state = decoder.decode().unwrap();
-        if state.all_decoded() {
+        decoder.decode().unwrap();
+        if decoder.all_decoded() {
             return slot + 1;
         }
     }

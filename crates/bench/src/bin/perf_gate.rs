@@ -1,19 +1,24 @@
 //! `perf_gate` — the CI performance-regression gate.
 //!
-//! Compares a bench run's output (the criterion shim's
-//! `bench <suite>/<id>: N iters, mean X ms/iter` lines) against a
-//! checked-in `*.baseline.json`, failing when any shared entry regressed by
-//! more than the allowed factor.  Usage:
+//! Compares the output of one or more passes of a bench suite (the
+//! criterion shim's `bench <suite>/<id>: N iters, mean X ms/iter` lines)
+//! against a checked-in `*.baseline.json`, failing when any shared entry
+//! regressed by more than the allowed factor.  Usage:
 //!
 //! ```text
-//! cargo bench -p backscatter_bench --bench decoders_large_k | tee bench.out
+//! for pass in 1 2 3; do
+//!     BENCH_SMOKE=1 cargo bench -p backscatter_bench --bench decoders_large_k | tee bench-$pass.out
+//! done
 //! cargo run --release -p backscatter_bench --bin perf_gate -- \
 //!     --baseline crates/bench/benches/decoders_large_k.baseline.json \
-//!     --bench-output bench.out [--factor 1.5] [--floor-ms 0.05] \
-//!     [--summary summary.md]
+//!     --bench-output bench-1.out --bench-output bench-2.out --bench-output bench-3.out \
+//!     [--factor 1.5] [--floor-ms 0.05] [--summary summary.md]
 //! ```
 //!
-//! An entry regresses when `measured > baseline * factor + floor`.  The
+//! Each `--bench-output` is one pass, and the gate reads each entry's
+//! median over the passes (CI runs three): one slow pass on a noisy host
+//! then fails nothing, while code that is slower in most passes still
+//! fails.  An entry regresses when `median > baseline * factor + floor`.  The
 //! absolute floor (default 0.05 ms) keeps microsecond-scale entries — pure
 //! scheduler/timer noise on shared CI runners — from flaking a purely
 //! relative gate, while leaving millisecond-scale regressions fully gated.
@@ -21,9 +26,9 @@
 //! The gate prints a markdown table (and appends it to `--summary` when
 //! given — CI passes `$GITHUB_STEP_SUMMARY`), then exits non-zero if any
 //! entry regressed.  Entries present on only one side also fail the gate:
-//! a baseline entry missing from the bench output means a benchmark was
-//! silently dropped (which would disarm the gate for good), and a measured
-//! entry missing from the baseline means a new benchmark landed without a
+//! a baseline entry missing from any pass means a benchmark was silently
+//! dropped (which would disarm the gate for good), and a measured entry
+//! missing from the baseline means a new benchmark landed without a
 //! recorded reference — re-record the baseline to admit it.  A malformed
 //! command line exits 2 with the usage message: an unknown flag, a missing
 //! or unparsable value, a factor that is not finite and positive, or a
@@ -109,27 +114,44 @@ enum Verdict {
     Ok(f64),
     /// Slower than `factor ×` baseline.
     Regressed(f64),
-    /// Present in the baseline but absent from the bench output.
+    /// Present in the baseline but absent from at least one pass.
     Missing,
 }
 
-/// Gates `measured` against `baseline`: per baseline entry, the measured
-/// mean must stay under `factor ×` the recorded mean plus the absolute
-/// `floor_ms` grace (which is what keeps microsecond entries gateable).
+/// The median of `id`'s means over `passes` (the mean of the middle two
+/// for an even count), or `None` when any pass lacks it.
+fn median_ms(passes: &[Vec<Entry>], id: &str) -> Option<f64> {
+    let mut means = passes
+        .iter()
+        .map(|pass| pass.iter().find(|m| m.id == id).map(|m| m.mean_ms))
+        .collect::<Option<Vec<f64>>>()?;
+    means.sort_by(f64::total_cmp);
+    let mid = means.len() / 2;
+    match means.len() {
+        0 => None,
+        n if n % 2 == 1 => Some(means[mid]),
+        _ => Some((means[mid - 1] + means[mid]) / 2.0),
+    }
+}
+
+/// Gates the bench `passes` against `baseline`: per baseline entry, the
+/// median of its measured means must stay under `factor ×` the recorded
+/// mean plus the absolute `floor_ms` grace (which is what keeps
+/// microsecond entries gateable).
 fn gate(
     baseline: &[Entry],
-    measured: &[Entry],
+    passes: &[Vec<Entry>],
     factor: f64,
     floor_ms: f64,
 ) -> Vec<(String, f64, Verdict)> {
     baseline
         .iter()
         .map(|b| {
-            let verdict = match measured.iter().find(|m| m.id == b.id) {
+            let verdict = match median_ms(passes, &b.id) {
                 None => Verdict::Missing,
-                Some(m) => {
-                    let ratio = m.mean_ms / b.mean_ms.max(1e-12);
-                    if m.mean_ms > b.mean_ms * factor + floor_ms {
+                Some(measured_ms) => {
+                    let ratio = measured_ms / b.mean_ms.max(1e-12);
+                    if measured_ms > b.mean_ms * factor + floor_ms {
                         Verdict::Regressed(ratio)
                     } else {
                         Verdict::Ok(ratio)
@@ -144,23 +166,23 @@ fn gate(
 /// Renders the gate results as a markdown table plus a one-line verdict.
 fn render_markdown(
     rows: &[(String, f64, Verdict)],
-    measured: &[Entry],
+    passes: &[Vec<Entry>],
     factor: f64,
 ) -> (String, bool) {
     let mut out = String::new();
     let mut failed = false;
-    let _ = writeln!(out, "### Bench regression gate (allowed: {factor:.2}x)\n");
+    let _ = writeln!(
+        out,
+        "### Bench regression gate (allowed: {factor:.2}x, median of {} passes)\n",
+        passes.len()
+    );
     let _ = writeln!(
         out,
         "| benchmark | baseline (ms) | measured (ms) | ratio | verdict |"
     );
     let _ = writeln!(out, "|---|---|---|---|---|");
     for (id, base_ms, verdict) in rows {
-        let measured_ms = measured
-            .iter()
-            .find(|m| &m.id == id)
-            .map(|m| format!("{:.3}", m.mean_ms))
-            .unwrap_or_else(|| "—".into());
+        let measured_ms = median_ms(passes, id).map_or_else(|| "—".into(), |ms| format!("{ms:.3}"));
         let (ratio, emoji) = match verdict {
             Verdict::Ok(r) => (format!("{r:.2}x"), "✅"),
             Verdict::Regressed(r) => {
@@ -177,15 +199,19 @@ fn render_markdown(
             "| `{id}` | {base_ms:.3} | {measured_ms} | {ratio} | {emoji} |"
         );
     }
-    for m in measured {
-        if !rows.iter().any(|(id, _, _)| id == &m.id) {
-            failed = true;
-            let _ = writeln!(
-                out,
-                "| `{}` | — | {:.3} | — | ❌ not in baseline (re-record it) |",
-                m.id, m.mean_ms
-            );
+    let mut unrecorded: Vec<&str> = Vec::new();
+    for m in passes.iter().flatten() {
+        if !rows.iter().any(|(id, _, _)| id == &m.id) && !unrecorded.contains(&m.id.as_str()) {
+            unrecorded.push(&m.id);
         }
+    }
+    for id in unrecorded {
+        failed = true;
+        let measured_ms = median_ms(passes, id).map_or_else(|| "—".into(), |ms| format!("{ms:.3}"));
+        let _ = writeln!(
+            out,
+            "| `{id}` | — | {measured_ms} | — | ❌ not in baseline (re-record it) |"
+        );
     }
     let _ = writeln!(
         out,
@@ -200,21 +226,24 @@ fn render_markdown(
 }
 
 const USAGE: &str = "usage: perf_gate --baseline <json> --bench-output <file> \
-                     [--factor 1.5] [--floor-ms 0.05] [--summary <md>]";
+                     [--bench-output <file> ...] [--factor 1.5] [--floor-ms 0.05] \
+                     [--summary <md>]";
 
 /// The gate's command line.
 #[derive(Debug, PartialEq)]
 struct Options {
     baseline_path: String,
-    bench_output_path: String,
+    /// One bench output per pass.
+    bench_output_paths: Vec<String>,
     factor: f64,
     floor_ms: f64,
     summary_path: Option<String>,
 }
 
-/// Parses the command line.  A missing or unparsable value, a factor that is
-/// not finite and positive, a floor that is not finite and non-negative, an
-/// unknown flag and a missing `--baseline` or `--bench-output` are errors:
+/// Parses the command line; `--bench-output` repeats, once per pass.  A
+/// missing or unparsable value, a factor that is not finite and positive, a
+/// floor that is not finite and non-negative, an unknown flag and a missing
+/// `--baseline` or `--bench-output` are errors:
 /// a gate that silently fell back to a default, or compared against `NaN`
 /// or infinity, would pass every run.
 fn parse_args(args: &[String]) -> Result<Options, String> {
@@ -226,7 +255,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     }
     let mut options = Options {
         baseline_path: String::new(),
-        bench_output_path: String::new(),
+        bench_output_paths: Vec::new(),
         factor: 1.5,
         floor_ms: 0.05,
         summary_path: None,
@@ -236,14 +265,17 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         let mut value = || it.next().ok_or_else(|| format!("{flag} needs a value"));
         match flag.as_str() {
             "--baseline" => options.baseline_path = value()?.clone(),
-            "--bench-output" => options.bench_output_path = value()?.clone(),
+            "--bench-output" => options.bench_output_paths.push(value()?.clone()),
             "--factor" => options.factor = number(flag, value()?, |f| f > 0.0)?,
             "--floor-ms" => options.floor_ms = number(flag, value()?, |f| f >= 0.0)?,
             "--summary" => options.summary_path = Some(value()?.clone()),
             other => return Err(format!("unknown flag {other}")),
         }
     }
-    if options.baseline_path.is_empty() || options.bench_output_path.is_empty() {
+    if options.baseline_path.is_empty()
+        || options.bench_output_paths.is_empty()
+        || options.bench_output_paths.iter().any(String::is_empty)
+    {
         return Err("--baseline and --bench-output are required".into());
     }
     Ok(options)
@@ -253,7 +285,7 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Options {
         baseline_path,
-        bench_output_path,
+        bench_output_paths,
         factor,
         floor_ms,
         summary_path,
@@ -271,13 +303,16 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let bench_text = match std::fs::read_to_string(&bench_output_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read {bench_output_path}: {e}");
-            return ExitCode::from(2);
+    let mut passes = Vec::new();
+    for path in &bench_output_paths {
+        match std::fs::read_to_string(path) {
+            Ok(text) => passes.push(parse_bench_output(&text)),
+            Err(e) => {
+                eprintln!("cannot read {path}: {e}");
+                return ExitCode::from(2);
+            }
         }
-    };
+    }
     let baseline = match parse_baseline(&baseline_text) {
         Ok(baseline) => baseline,
         Err(e) => {
@@ -285,13 +320,12 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let measured = parse_bench_output(&bench_text);
     if baseline.is_empty() {
         eprintln!("no entries parsed from {baseline_path}; refusing to pass an empty gate");
         return ExitCode::from(2);
     }
-    let rows = gate(&baseline, &measured, factor, floor_ms);
-    let (markdown, failed) = render_markdown(&rows, &measured, factor);
+    let rows = gate(&baseline, &passes, factor, floor_ms);
+    let (markdown, failed) = render_markdown(&rows, &passes, factor);
     println!("{markdown}");
     if let Some(path) = summary_path {
         if let Err(e) = std::fs::OpenOptions::new()
@@ -313,6 +347,7 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::slice;
 
     const BASELINE: &str = r#"{
   "results": [
@@ -372,11 +407,11 @@ bench decoders_large_k/session_worklist/64: 3 iters, mean 20.100 ms/iter\n";
                 mean_ms: 5.0, // faster
             },
         ];
-        let rows = gate(&baseline, &measured, 1.5, 0.05);
+        let rows = gate(&baseline, slice::from_ref(&measured), 1.5, 0.05);
         assert!(rows
             .iter()
             .all(|(_, _, verdict)| matches!(verdict, Verdict::Ok(_))));
-        let (markdown, failed) = render_markdown(&rows, &measured, 1.5);
+        let (markdown, failed) = render_markdown(&rows, slice::from_ref(&measured), 1.5);
         assert!(!failed);
         assert!(markdown.contains("**PASS**"));
     }
@@ -396,8 +431,8 @@ bench decoders_large_k/session_worklist/64: 3 iters, mean 20.100 ms/iter\n";
                 mean_ms: 24.613 * 2.0,
             },
         ];
-        let rows = gate(&baseline, &measured, 1.5, 0.05);
-        let (markdown, failed) = render_markdown(&rows, &measured, 1.5);
+        let rows = gate(&baseline, slice::from_ref(&measured), 1.5, 0.05);
+        let (markdown, failed) = render_markdown(&rows, slice::from_ref(&measured), 1.5);
         assert!(failed);
         assert!(markdown.contains("❌ regressed"));
         assert!(matches!(rows[1].2, Verdict::Regressed(r) if (r - 2.0).abs() < 1e-9));
@@ -427,11 +462,11 @@ bench decoders_large_k/session_worklist/64: 3 iters, mean 20.100 ms/iter\n";
                 mean_ms: 200.0,
             },
         ];
-        let rows = gate(&baseline, &measured, 1.5, 0.05);
+        let rows = gate(&baseline, slice::from_ref(&measured), 1.5, 0.05);
         assert!(matches!(rows[0].2, Verdict::Ok(_)));
         assert!(matches!(rows[1].2, Verdict::Regressed(_)));
         // With no floor, the tiny entry's 2x ratio fails as before.
-        let rows = gate(&baseline, &measured, 1.5, 0.0);
+        let rows = gate(&baseline, slice::from_ref(&measured), 1.5, 0.0);
         assert!(matches!(rows[0].2, Verdict::Regressed(_)));
     }
 
@@ -442,12 +477,97 @@ bench decoders_large_k/session_worklist/64: 3 iters, mean 20.100 ms/iter\n";
             id: "decoders_large_k/brand_new/32".into(),
             mean_ms: 1.0,
         }];
-        let rows = gate(&baseline, &measured, 1.5, 0.05);
+        let rows = gate(&baseline, slice::from_ref(&measured), 1.5, 0.05);
         assert!(rows.iter().all(|(_, _, v)| *v == Verdict::Missing));
-        let (markdown, failed) = render_markdown(&rows, &measured, 1.5);
+        let (markdown, failed) = render_markdown(&rows, slice::from_ref(&measured), 1.5);
         assert!(failed);
         assert!(markdown.contains("missing from bench output"));
         assert!(markdown.contains("❌ not in baseline"));
+    }
+
+    /// One pass of the two `BASELINE` entries at the given means.
+    fn pass(dense_ms: f64, sparse_ms: f64) -> Vec<Entry> {
+        vec![
+            Entry {
+                id: "decoders_large_k/session_worklist_dense/100".into(),
+                mean_ms: dense_ms,
+            },
+            Entry {
+                id: "decoders_large_k/session_worklist/64".into(),
+                mean_ms: sparse_ms,
+            },
+        ]
+    }
+
+    #[test]
+    fn the_gate_reads_each_entrys_median_over_the_passes() {
+        // One slow pass in three is host noise, and its median passes; slow
+        // in two passes of three is a regression.
+        let baseline = parse_baseline(BASELINE).unwrap();
+        let one_spike = [
+            pass(127.705, 24.613),
+            pass(127.705 * 3.0, 24.613),
+            pass(120.0, 24.613 * 3.0),
+        ];
+        let rows = gate(&baseline, &one_spike, 1.5, 0.05);
+        assert_eq!(rows[0].2, Verdict::Ok(1.0));
+        assert_eq!(rows[1].2, Verdict::Ok(1.0));
+        let (markdown, failed) = render_markdown(&rows, &one_spike, 1.5);
+        assert!(!failed);
+        assert!(markdown.contains("median of 3 passes"));
+        assert!(markdown.contains("| 127.705 | 1.00x |"));
+
+        let two_slow = [
+            pass(127.705 * 2.0, 24.613),
+            pass(127.705, 24.613),
+            pass(127.705 * 2.0, 24.613),
+        ];
+        let rows = gate(&baseline, &two_slow, 1.5, 0.05);
+        assert!(matches!(rows[0].2, Verdict::Regressed(r) if (r - 2.0).abs() < 1e-9));
+        assert_eq!(rows[1].2, Verdict::Ok(1.0));
+        let (markdown, failed) = render_markdown(&rows, &two_slow, 1.5);
+        assert!(failed);
+        assert!(markdown.contains("❌ regressed"));
+
+        // An even count reads the mean of the middle two.
+        let id = "decoders_large_k/session_worklist/64";
+        let even = [
+            pass(0.0, 4.0),
+            pass(0.0, 1.0),
+            pass(0.0, 2.0),
+            pass(0.0, 9.0),
+        ];
+        assert_eq!(median_ms(&even, id), Some(3.0));
+    }
+
+    #[test]
+    fn an_entry_missing_from_one_pass_fails_the_gate() {
+        // A baseline entry that one pass lacks is missing, whatever the
+        // other passes read; an unrecorded entry in one pass fails too.
+        let baseline = parse_baseline(BASELINE).unwrap();
+        let mut partial = pass(127.705, 24.613);
+        partial.pop();
+        let passes = [pass(127.705, 24.613), partial, pass(127.705, 24.613)];
+        let rows = gate(&baseline, &passes, 1.5, 0.05);
+        assert_eq!(rows[0].2, Verdict::Ok(1.0));
+        assert_eq!(rows[1].2, Verdict::Missing);
+        let (markdown, failed) = render_markdown(&rows, &passes, 1.5);
+        assert!(failed);
+        assert!(markdown.contains("missing from bench output"));
+
+        let mut extra = pass(127.705, 24.613);
+        extra.push(Entry {
+            id: "decoders_large_k/brand_new/32".into(),
+            mean_ms: 1.0,
+        });
+        let passes = [pass(127.705, 24.613), extra, pass(127.705, 24.613)];
+        let rows = gate(&baseline, &passes, 1.5, 0.05);
+        assert!(rows.iter().all(|(_, _, v)| matches!(v, Verdict::Ok(_))));
+        let (markdown, failed) = render_markdown(&rows, &passes, 1.5);
+        assert!(failed);
+        assert!(
+            markdown.contains("| `decoders_large_k/brand_new/32` | — | — | — | ❌ not in baseline")
+        );
     }
 
     fn args(list: &[&str]) -> Vec<String> {
@@ -462,7 +582,7 @@ bench decoders_large_k/session_worklist/64: 3 iters, mean 20.100 ms/iter\n";
             options,
             Options {
                 baseline_path: "b.json".into(),
-                bench_output_path: "o.txt".into(),
+                bench_output_paths: vec!["o.txt".into()],
                 factor: 1.5,
                 floor_ms: 0.05,
                 summary_path: None,
@@ -473,6 +593,11 @@ bench decoders_large_k/session_worklist/64: 3 iters, mean 20.100 ms/iter\n";
         let options = parse_args(&args(&all)).unwrap();
         assert_eq!((options.factor, options.floor_ms), (2.0, 0.0));
         assert_eq!(options.summary_path.as_deref(), Some("s.md"));
+        // One `--bench-output` per pass, in order.
+        let mut passes = required.to_vec();
+        passes.extend(["--bench-output", "p2.txt", "--bench-output", "p3.txt"]);
+        let options = parse_args(&args(&passes)).unwrap();
+        assert_eq!(options.bench_output_paths, ["o.txt", "p2.txt", "p3.txt"]);
     }
 
     #[test]
@@ -507,6 +632,9 @@ bench decoders_large_k/session_worklist/64: 3 iters, mean 20.100 ms/iter\n";
         assert!(parse_args(&args(&["--baseline", "b.json"])).is_err());
         assert!(parse_args(&args(&["--bench-output", "o.txt"])).is_err());
         assert!(parse_args(&args(&["--baseline", "", "--bench-output", "o.txt"])).is_err());
+        let mut empty_pass = required.to_vec();
+        empty_pass.extend(["--bench-output", ""]);
+        assert!(parse_args(&args(&empty_pass)).is_err());
     }
 
     #[test]
@@ -524,17 +652,17 @@ bench decoders_large_k/session_worklist/64: 3 iters, mean 20.100 ms/iter\n";
                 mean_ms: 24.613,
             },
         ];
-        let rows = gate(&baseline, &measured, 1.5, 0.05);
-        let (_, failed) = render_markdown(&rows, &measured, 1.5);
+        let rows = gate(&baseline, slice::from_ref(&measured), 1.5, 0.05);
+        let (_, failed) = render_markdown(&rows, slice::from_ref(&measured), 1.5);
         assert!(!failed);
 
         measured.push(Entry {
             id: "decoders_large_k/brand_new/32".into(),
             mean_ms: 1.0,
         });
-        let rows = gate(&baseline, &measured, 1.5, 0.05);
+        let rows = gate(&baseline, slice::from_ref(&measured), 1.5, 0.05);
         assert!(rows.iter().all(|(_, _, v)| matches!(v, Verdict::Ok(_))));
-        let (markdown, failed) = render_markdown(&rows, &measured, 1.5);
+        let (markdown, failed) = render_markdown(&rows, slice::from_ref(&measured), 1.5);
         assert!(failed);
         assert!(markdown.contains("❌ not in baseline"));
         assert!(markdown.contains("**FAIL**"));

@@ -17,7 +17,11 @@
 //! The decoder is *incremental* (rateless): as new collision slots arrive the
 //! caller appends them and re-decodes; messages whose CRC already passed are
 //! locked (their gains pinned to −∞, matching the paper's optimization for the
-//! near-far effect) so later iterations cannot corrupt them.
+//! near-far effect) so later iterations cannot corrupt them.  The decoder is
+//! the one holder of what it has decoded: `decode` returns only the nodes the
+//! call newly locked, and the locked payloads, whether every node is locked
+//! and the residual power of the current candidate frames are asked of the
+//! decoder itself.
 //!
 //! # Hot-path design
 //!
@@ -213,32 +217,6 @@ struct CandidateSnapshot {
     /// How many consecutive new-evidence decode calls left the candidate
     /// unchanged.
     stable_streak: u32,
-}
-
-/// The outcome of one decode pass.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DecodeState {
-    /// Per-node decoded *payloads* for every node whose CRC has passed
-    /// (`None` for still-undecoded nodes).
-    pub decoded_payloads: Vec<Option<Vec<bool>>>,
-    /// Node indices newly decoded during this pass.
-    pub newly_decoded: Vec<usize>,
-    /// The current best-guess framed bits for every node (locked or not).
-    pub candidate_frames: Vec<Vec<bool>>,
-}
-
-impl DecodeState {
-    /// Number of nodes decoded so far.
-    #[must_use]
-    pub fn decoded_count(&self) -> usize {
-        self.decoded_payloads.iter().filter(|p| p.is_some()).count()
-    }
-
-    /// Whether every node has been decoded.
-    #[must_use]
-    pub fn all_decoded(&self) -> bool {
-        self.decoded_payloads.iter().all(Option::is_some)
-    }
 }
 
 /// A node's position-independent flip-gain terms: the inputs `gain_of` and
@@ -797,21 +775,25 @@ impl BitFlippingDecoder {
         self.schedule
     }
 
-    /// Mean per-(slot, position) residual power of `frames` against the
+    /// Mean per-(slot, position) residual power of the schedule's candidate
+    /// frames (`b̂`, the verified frame for a locked node) against the
     /// accumulated observations: `mean_{j,pos} |y_{j,pos} − Σ_i D_{j,i}
-    /// h_i·frames[i][pos]|²`.  This is the quantity whose plateau a recovery
+    /// h_i·b̂_{i,pos}|²`.  This is the quantity whose plateau a recovery
     /// layer watches for decode-stall detection (`crate::recovery`): on a
     /// converging session fresh slots keep pulling it toward the noise floor,
     /// while a diverged decode leaves it flat far above it.
     ///
-    /// `frames` is indexed `[node][position]` — pass
-    /// [`DecodeState::candidate_frames`].  Returns 0 before any slot arrives.
+    /// `+∞` before the first decode, which is what builds the frames.
     #[must_use]
-    pub fn residual_power(&self, frames: &[Vec<bool>]) -> f64 {
+    pub fn residual_power(&self) -> f64 {
+        let frames = match self.schedule {
+            DecodeSchedule::Worklist => self.worklist.as_deref().map(|wl| &wl.frames),
+            DecodeSchedule::MessagePassing => self.mp.as_deref().map(|mp| &mp.frames),
+        };
+        let Some(frames) = frames else {
+            return f64::INFINITY;
+        };
         let l = self.d.rows();
-        if l == 0 || frames.len() != self.channels.len() {
-            return 0.0;
-        }
         let p = self.message_bits;
         let mut total = 0.0;
         for j in 0..l {
@@ -882,13 +864,16 @@ impl BitFlippingDecoder {
     }
 
     /// Runs one decode pass over all bit positions, locks any node whose
-    /// candidate frame now passes its CRC, and reports progress.
+    /// candidate frame now passes its CRC, and returns the nodes this call
+    /// newly locked (a lock the post-lock audit erased in the same call is
+    /// not among them).  The decoded payloads are then
+    /// [`BitFlippingDecoder::decoded_payloads`].
     ///
     /// # Errors
     ///
     /// Returns [`BuzzError::InvalidParameter`] if called before any slot has
     /// been added.
-    pub fn decode(&mut self) -> BuzzResult<DecodeState> {
+    pub fn decode(&mut self) -> BuzzResult<Vec<usize>> {
         if self.y.is_empty() {
             return Err(BuzzError::InvalidParameter(
                 "decode requires at least one collision slot",
@@ -903,7 +888,7 @@ impl BitFlippingDecoder {
     /// The worklist decode: persistent per-position states, every position
     /// descended in every sweep (see the module docs).  Dense sweeps run on
     /// every available hardware thread.
-    pub(crate) fn decode_worklist(&mut self) -> BuzzResult<DecodeState> {
+    pub(crate) fn decode_worklist(&mut self) -> BuzzResult<Vec<usize>> {
         // Whether this session's sweeps are dense enough to run in parallel
         // (the matrix only grows, so the answer is fixed within the call).
         // Below the gate the thread count is never asked for: its first
@@ -920,7 +905,7 @@ impl BitFlippingDecoder {
     /// [`BitFlippingDecoder::decode_worklist`] with up to `workers` threads
     /// per sweep.  The outcome does not depend on `workers`; the tests pin
     /// that by decoding the same session at several counts.
-    fn decode_worklist_on(&mut self, workers: usize) -> BuzzResult<DecodeState> {
+    fn decode_worklist_on(&mut self, workers: usize) -> BuzzResult<Vec<usize>> {
         let p = self.message_bits;
         // The worklist is detached from `self` while decoding so the states
         // can be mutated against `&self` context (locks are applied between
@@ -945,7 +930,7 @@ impl BitFlippingDecoder {
         // evidence schedule (the next escalation waits for ~1.5× the rows),
         // so a session pays O(log rows) batteries, not one per call.
         // Everything derives from decoder state, so determinism is preserved.
-        let mut escalate = !self.locked.iter().all(Option::is_some)
+        let mut escalate = !self.all_decoded()
             && wl.calls_since_lock >= 2
             && self.d.rows() >= wl.next_escalation_rows;
         if escalate {
@@ -964,11 +949,8 @@ impl BitFlippingDecoder {
             let per_slot_residual: Vec<f64> =
                 wl.slot_power_total.iter().map(|&t| t / p as f64).collect();
             let locked_now = self.lock_pass(&wl.frames, &per_slot_residual, 0, &mut newly_decoded);
-            if !locked_now.is_empty() {
-                self.apply_locks_to_worklist(&mut wl, &locked_now);
-            }
-            let all_locked = self.locked.iter().all(Option::is_some);
-            if locked_now.is_empty() || all_locked {
+            self.apply_locks_to_worklist(&mut wl, &locked_now);
+            if locked_now.is_empty() || self.all_decoded() {
                 break;
             }
         }
@@ -986,7 +968,7 @@ impl BitFlippingDecoder {
         // Channel refits perturb the residuals of every slot a refitted node
         // participates in; propagate those deltas into the persistent states
         // so the next call descends from consistent residuals.
-        if !self.locked.iter().all(Option::is_some) && self.d.rows() >= 3 {
+        if !self.all_decoded() && self.d.rows() >= 3 {
             let changes = self.reestimate_channels(&wl.frames);
             self.apply_channel_changes_to_worklist(&mut wl, &changes);
         }
@@ -997,13 +979,8 @@ impl BitFlippingDecoder {
             wl.calls_since_lock = 0;
         }
 
-        let state = DecodeState {
-            decoded_payloads: self.decoded_payloads(),
-            newly_decoded,
-            candidate_frames: wl.frames.clone(),
-        };
         self.worklist = Some(wl);
-        Ok(state)
+        Ok(newly_decoded)
     }
 
     /// One sweep of the worklist schedule: descends every position and,
@@ -1083,23 +1060,14 @@ impl BitFlippingDecoder {
         }
     }
 
-    /// Pins the freshly locked nodes into every persistent position state:
-    /// where the candidate bit disagrees with the verified frame the node is
-    /// flipped (the perturbation moves its slots' residuals and its
-    /// neighbours' sums and gains); where it already agrees only the gain is
-    /// pinned.  `lock_pass` locked each node to its candidate frame in
-    /// `wl.frames`, so that frame already is the verified one.
+    /// Pins the freshly locked nodes' gains to −∞ in every persistent
+    /// position state.  No bit moves: `lock_pass` locked each node to its
+    /// candidate frame in `wl.frames`, which the preceding sweep copied from
+    /// the states' bits.
     fn apply_locks_to_worklist(&self, wl: &mut WorklistState, locked_now: &[usize]) {
         for &node in locked_now {
-            let frame = self.locked[node]
-                .as_deref()
-                .expect("lock_pass recorded this node");
-            for (state, &want) in wl.positions.iter_mut().zip(frame) {
-                if state.b[node] != want {
-                    state.flip_all(self, &[node]);
-                } else {
-                    state.refresh_gain(self, node);
-                }
+            for state in &mut wl.positions {
+                state.refresh_gain(self, node);
             }
             wl.lock_rows[node] = self.d.rows();
         }
@@ -1370,12 +1338,20 @@ impl BitFlippingDecoder {
         }
     }
 
-    /// The locked payloads (CRC stripped), `None` for undecoded nodes.
-    pub(crate) fn decoded_payloads(&self) -> Vec<Option<Vec<bool>>> {
+    /// The locked (CRC-verified) payloads, CRC stripped, per node; `None`
+    /// for undecoded nodes.
+    #[must_use]
+    pub fn decoded_payloads(&self) -> Vec<Option<Vec<bool>>> {
         self.locked
             .iter()
             .map(|l| l.as_ref().map(|f| f[..f.len() - 5].to_vec()))
             .collect()
+    }
+
+    /// Whether every node is locked.
+    #[must_use]
+    pub fn all_decoded(&self) -> bool {
+        self.locked.iter().all(Option::is_some)
     }
 
     /// Refits the channel estimates of *locked* nodes by least squares.
@@ -1523,9 +1499,9 @@ impl BitFlippingDecoder {
 ///
 /// Invariant: after each sweep, `frames` holds every state's bits and
 /// `slot_power_total[j]` is the sum, in position order, of every state's
-/// `|residual[j]|²`.  Lock flips and refit deltas move residuals between
-/// sweeps and leave the ledger stale until the next sweep; the gates read
-/// it only after a sweep.
+/// `|residual[j]|²`.  Refit deltas move residuals between sweeps and leave
+/// the ledger stale until the next sweep; the gates read it only after a
+/// sweep.
 #[derive(Debug, Clone)]
 struct WorklistState {
     /// One persistent descent state per bit position.
@@ -1700,13 +1676,13 @@ mod tests {
     fn single_node_decodes_from_one_slot() {
         let channels = vec![Complex::new(0.8, -0.3)];
         let (mut decoder, frames) = make_problem(&channels, 1, 1.0, 0.0, 1);
-        let state = decoder.decode().unwrap();
-        assert!(state.all_decoded());
+        let newly_decoded = decoder.decode().unwrap();
+        assert!(decoder.all_decoded());
         assert_eq!(
-            state.decoded_payloads[0].as_ref().unwrap(),
+            decoder.decoded_payloads()[0].as_ref().unwrap(),
             &frames[0][..32]
         );
-        assert_eq!(state.newly_decoded, vec![0]);
+        assert_eq!(newly_decoded, vec![0]);
     }
 
     #[test]
@@ -1715,10 +1691,11 @@ mod tests {
         // point constellation is decodable from a single collision.
         let channels = vec![Complex::new(1.0, 0.1), Complex::new(-0.2, 0.7)];
         let (mut decoder, frames) = make_problem(&channels, 2, 1.0, 0.0, 2);
-        let state = decoder.decode().unwrap();
-        assert!(state.all_decoded());
+        decoder.decode().unwrap();
+        assert!(decoder.all_decoded());
+        let payloads = decoder.decoded_payloads();
         for (i, frame) in frames.iter().enumerate() {
-            assert_eq!(state.decoded_payloads[i].as_ref().unwrap(), &frame[..32]);
+            assert_eq!(payloads[i].as_ref().unwrap(), &frame[..32]);
         }
     }
 
@@ -1726,14 +1703,15 @@ mod tests {
     fn eight_nodes_decode_with_sparse_collisions_and_noise() {
         let channels = diverse_channels(8, 3);
         let (mut decoder, frames) = make_problem(&channels, 24, 0.5, 0.05, 3);
-        let state = decoder.decode().unwrap();
+        decoder.decode().unwrap();
+        let payloads = decoder.decoded_payloads();
         assert!(
-            state.all_decoded(),
+            decoder.all_decoded(),
             "decoded only {} of 8",
-            state.decoded_count()
+            payloads.iter().flatten().count()
         );
         for (i, frame) in frames.iter().enumerate() {
-            assert_eq!(state.decoded_payloads[i].as_ref().unwrap(), &frame[..32]);
+            assert_eq!(payloads[i].as_ref().unwrap(), &frame[..32]);
         }
     }
 
@@ -1774,16 +1752,15 @@ mod tests {
                 })
                 .collect();
             decoder.add_slot(&participants, symbols).unwrap();
-            let state = decoder.decode().unwrap();
+            decoder.decode().unwrap();
+            let payloads = decoder.decoded_payloads();
             // Locked nodes never disappear from the decoded set.
             for &node in &previously_decoded {
-                assert!(state.decoded_payloads[node].is_some());
+                assert!(payloads[node].is_some());
             }
-            previously_decoded = (0..k)
-                .filter(|&n| state.decoded_payloads[n].is_some())
-                .collect();
-            decoded_after.push(state.decoded_count());
-            if state.all_decoded() {
+            previously_decoded = (0..k).filter(|&n| payloads[n].is_some()).collect();
+            decoded_after.push(payloads.iter().flatten().count());
+            if decoder.all_decoded() {
                 break;
             }
         }
@@ -1832,13 +1809,14 @@ mod tests {
                 })
                 .collect();
             decoder.add_slot(&participants, symbols).unwrap();
-            let state = decoder.decode().unwrap();
+            decoder.decode().unwrap();
+            let payloads = decoder.decoded_payloads();
             for i in 0..k {
-                if state.decoded_payloads[i].is_some() && first_decoded[i].is_none() {
+                if payloads[i].is_some() && first_decoded[i].is_none() {
                     first_decoded[i] = Some(slot as usize);
                 }
             }
-            if state.all_decoded() {
+            if decoder.all_decoded() {
                 break;
             }
         }
@@ -1859,9 +1837,10 @@ mod tests {
             payloads: &mut Vec<Option<Vec<bool>>>,
             what: &str,
         ) -> usize {
-            let state = decoder.decode().unwrap();
+            decoder.decode().unwrap();
+            let now_decoded = decoder.decoded_payloads();
             let mut erased = 0;
-            for (node, (before, now)) in payloads.iter().zip(&state.decoded_payloads).enumerate() {
+            for (node, (before, now)) in payloads.iter().zip(&now_decoded).enumerate() {
                 match (before, now) {
                     (Some(b), Some(n)) => assert_eq!(b, n, "{what}: node {node} replaced"),
                     (Some(_), None) => erased += 1,
@@ -1869,7 +1848,7 @@ mod tests {
                 }
             }
             assert!(erased <= 1, "{what}: {erased} locks erased in one call");
-            *payloads = state.decoded_payloads;
+            *payloads = now_decoded;
             erased
         }
         let k = 4;
@@ -2665,12 +2644,12 @@ mod tests {
             decoder.add_slot(&participants, symbols).unwrap();
             assert_terms_fresh(&decoder, &format!("slot {slot}, after add_slot"));
             let estimates = decoder.channels.clone();
-            let outcome = decoder.decode().unwrap();
+            let newly_decoded = decoder.decode().unwrap();
             assert!(decoder.worklist.is_some(), "worklist decode");
             assert_gain_kernel_fresh(&decoder, &format!("slot {slot}"));
             refits += usize::from(decoder.channels != estimates);
-            locks += outcome.newly_decoded.len();
-            for (was, now) in decoded.iter_mut().zip(&outcome.decoded_payloads) {
+            locks += newly_decoded.len();
+            for (was, now) in decoded.iter_mut().zip(decoder.decoded_payloads()) {
                 erasures += usize::from(*was && now.is_none());
                 *was = now.is_some();
             }
@@ -2718,10 +2697,10 @@ mod tests {
             participants[phantom] = false;
             decoder.add_slot(&participants, symbols).unwrap();
             let before = decoder.channels.clone();
-            let outcome = decoder.decode().unwrap();
+            let newly_decoded = decoder.decode().unwrap();
             assert_gain_kernel_fresh(&decoder, &format!("slot {slot}"));
             soft_refits += usize::from(decoder.channels != before);
-            locks += outcome.newly_decoded.len();
+            locks += newly_decoded.len();
         }
         assert!(soft_refits > 0, "setup: the soft refit moved a channel");
         assert!(locks > 0, "setup: a node locked");
@@ -2859,7 +2838,6 @@ mod tests {
                 .collect()
         };
         let (mut refits_with_locks, mut nonempty) = (0, 0);
-        let mut candidate_frames: Option<Vec<Vec<bool>>> = None;
         for slot in 0..4 * k as u64 {
             let participants: Vec<bool> = (0..k)
                 .map(|i| i != phantom && seeds[i].participates_in_slot(slot, p))
@@ -2881,7 +2859,8 @@ mod tests {
             decoder.add_slot(&participants, symbols).unwrap();
             // The previous call's candidate frames against the new slot's
             // evidence: the state the next call's refit starts from.
-            if let Some(frames) = &candidate_frames {
+            if let Some(wl) = decoder.worklist.as_deref() {
+                let frames = &wl.frames;
                 refits_with_locks += usize::from(decoder.locked.iter().any(Option::is_some));
                 let mut fast = decoder.clone();
                 let mut reference = decoder.clone();
@@ -2891,7 +2870,7 @@ mod tests {
                 assert_eq!(channel_bits(&fast), channel_bits(&reference), "slot {slot}");
                 nonempty += usize::from(!changes.is_empty());
             }
-            candidate_frames = Some(decoder.decode().unwrap().candidate_frames);
+            decoder.decode().unwrap();
         }
         assert!(refits_with_locks > k, "setup: refits around locks");
         assert!(nonempty > k, "setup: refits moved channels");
@@ -2935,17 +2914,20 @@ mod tests {
                 noise,
                 &mut noise_rng,
             );
+            // Each call's newly locked nodes, payloads and candidate frames.
             let mut outcomes = Vec::new();
             for (workers, decoder) in (1..).zip(decoders.iter_mut()) {
                 decoder.add_slot(&participants, symbols.clone()).unwrap();
-                outcomes.push(decoder.decode_worklist_on(workers).unwrap());
+                let newly_decoded = decoder.decode_worklist_on(workers).unwrap();
+                let frames = decoder.worklist.as_ref().unwrap().frames.clone();
+                outcomes.push((newly_decoded, decoder.decoded_payloads(), frames));
             }
             for (decoder, outcome) in decoders.iter().zip(&outcomes).skip(1) {
                 assert_eq!(outcome, &outcomes[0], "slot {slot}");
                 assert_eq!(decoder.channels, decoders[0].channels, "slot {slot}");
             }
             gated |= decoders[0].d.colliding_pairs() >= PARALLEL_SWEEP_MIN_PAIRS;
-            if outcomes[0].all_decoded() {
+            if decoders[0].all_decoded() {
                 done = true;
                 break;
             }
@@ -2979,22 +2961,19 @@ mod tests {
                 BitFlippingDecoder::new(channels.clone(), frames[0].len(), noise * noise / 6.0)
                     .unwrap();
             let mut noise_rng = Xoshiro256::seed_from_u64(seed ^ 0xabcdef);
-            let mut last = None;
             for slot in 0..40u64 {
                 let (participants, symbols) =
                     make_slot(&channels, &frames, &seeds, slot, 0.5, noise, &mut noise_rng);
                 decoder.add_slot(&participants, symbols).unwrap();
-                let state = decoder.decode().unwrap();
-                let done = state.all_decoded();
-                last = Some(state);
-                if done {
+                decoder.decode().unwrap();
+                if decoder.all_decoded() {
                     break;
                 }
             }
-            let state = last.unwrap();
-            assert!(state.all_decoded(), "seed {seed}: worklist incomplete");
+            assert!(decoder.all_decoded(), "seed {seed}: worklist incomplete");
+            let payloads = decoder.decoded_payloads();
             for (i, frame) in frames.iter().enumerate() {
-                assert_eq!(state.decoded_payloads[i].as_ref().unwrap(), &frame[..32]);
+                assert_eq!(payloads[i].as_ref().unwrap(), &frame[..32]);
             }
         }
     }
@@ -3049,11 +3028,14 @@ mod tests {
     fn decode_residual_power_matches_brute_force_refit() {
         // The per-slot residual power the locking gates consume is the
         // worklist's ledger, summed by every sweep from the incrementally
-        // maintained position residuals, through lock flips, audits,
+        // maintained position residuals, through lock pins, audits,
         // channel refits and cold-restart batteries.  After every sweep it
         // must hold exactly the position-order sum of the states' residual
         // powers, and agree with an explicit `‖y − D·H·B̂‖²` recompute from
-        // the candidate frames.
+        // the candidate frames.  The decoder's `residual_power` (the stall
+        // detector's signal) reads the schedule's own candidate frames: under
+        // either schedule it is `+∞` before the first decode and agrees with
+        // the same recompute after every decode.
         let (k, noise, seed) = (6usize, 0.05, 21u64);
         let channels = diverse_channels(k, seed);
         let frames: Vec<Vec<bool>> = (0..k)
@@ -3064,55 +3046,85 @@ mod tests {
             })
             .collect();
         let seeds: Vec<NodeSeed> = (0..k as u64).map(|i| NodeSeed(seed * 77 + i)).collect();
-        let mut decoder =
-            BitFlippingDecoder::new(channels.clone(), frames[0].len(), noise * noise / 6.0)
-                .unwrap();
-        let mut noise_rng = Xoshiro256::seed_from_u64(seed ^ 0xabcdef);
-        let p = decoder.message_bits;
-        let mut locked_sweeps = 0;
-        for slot in 0..18u64 {
-            let (participants, symbols) =
-                make_slot(&channels, &frames, &seeds, slot, 0.5, noise, &mut noise_rng);
-            decoder.add_slot(&participants, symbols).unwrap();
-            let mut wl = match decoder.worklist.take() {
-                Some(mut wl) => {
-                    wl.sync_new_rows(&decoder);
-                    wl
+        // `|y_j − Σ_i D_{j,i}·h_i·b̂_i|²` summed over positions, per row.
+        let brute_rows = |decoder: &BitFlippingDecoder, candidates: &[Vec<bool>]| -> Vec<f64> {
+            (0..decoder.d.rows())
+                .map(|j| {
+                    (0..decoder.message_bits)
+                        .map(|pos| {
+                            let fit: Complex = decoder
+                                .d
+                                .row(j)
+                                .iter()
+                                .filter(|&&i| candidates[i][pos])
+                                .map(|&i| decoder.channels[i])
+                                .sum();
+                            (decoder.y[j][pos] - fit).norm_sqr()
+                        })
+                        .sum()
+                })
+                .collect()
+        };
+        for schedule in [DecodeSchedule::Worklist, DecodeSchedule::MessagePassing] {
+            let mut decoder =
+                BitFlippingDecoder::new(channels.clone(), frames[0].len(), noise * noise / 6.0)
+                    .unwrap()
+                    .with_schedule(schedule);
+            assert_eq!(decoder.residual_power(), f64::INFINITY, "{schedule:?}");
+            let mut noise_rng = Xoshiro256::seed_from_u64(seed ^ 0xabcdef);
+            let p = decoder.message_bits;
+            let mut locked_sweeps = 0;
+            for slot in 0..18u64 {
+                let (participants, symbols) =
+                    make_slot(&channels, &frames, &seeds, slot, 0.5, noise, &mut noise_rng);
+                decoder.add_slot(&participants, symbols).unwrap();
+                if slot == 0 {
+                    assert_eq!(decoder.residual_power(), f64::INFINITY, "{schedule:?}");
                 }
-                None => Box::new(WorklistState::new(&decoder)),
-            };
-            decoder.sweep(&mut wl, slot % 4 == 3, 1);
-            locked_sweeps += usize::from(decoder.locked.iter().any(Option::is_some));
-            for j in 0..decoder.d.rows() {
-                let brute: f64 = (0..p)
-                    .map(|pos| {
-                        let fit: Complex = decoder
-                            .d
-                            .row(j)
-                            .iter()
-                            .filter(|&&i| wl.frames[i][pos])
-                            .map(|&i| decoder.channels[i])
-                            .sum();
-                        (decoder.y[j][pos] - fit).norm_sqr()
-                    })
-                    .sum();
-                let ledger = wl.slot_power_total[j];
-                let summed: f64 = wl.positions.iter().map(|s| s.residual[j].norm_sqr()).sum();
-                assert_eq!(
-                    ledger.to_bits(),
-                    summed.to_bits(),
-                    "slot {slot}, row {j}: ledger {ledger} vs position-order sum {summed}"
-                );
+                locked_sweeps += usize::from(decoder.locked.iter().any(Option::is_some));
+                if schedule == DecodeSchedule::Worklist {
+                    let mut wl = match decoder.worklist.take() {
+                        Some(mut wl) => {
+                            wl.sync_new_rows(&decoder);
+                            wl
+                        }
+                        None => Box::new(WorklistState::new(&decoder)),
+                    };
+                    decoder.sweep(&mut wl, slot % 4 == 3, 1);
+                    let brute = brute_rows(&decoder, &wl.frames);
+                    for (j, &brute) in brute.iter().enumerate() {
+                        let ledger = wl.slot_power_total[j];
+                        let summed: f64 =
+                            wl.positions.iter().map(|s| s.residual[j].norm_sqr()).sum();
+                        assert_eq!(
+                            ledger.to_bits(),
+                            summed.to_bits(),
+                            "slot {slot}, row {j}: ledger {ledger} vs position-order sum {summed}"
+                        );
+                        assert!(
+                            (ledger - brute).abs() <= 1e-9 * (1.0 + brute.abs()),
+                            "slot {slot}, row {j}: ledger {ledger} vs brute {brute}"
+                        );
+                    }
+                    decoder.worklist = Some(wl);
+                }
+                decoder.decode().unwrap();
+                let candidates = match schedule {
+                    DecodeSchedule::Worklist => &decoder.worklist.as_ref().unwrap().frames,
+                    DecodeSchedule::MessagePassing => &decoder.mp.as_ref().unwrap().frames,
+                };
+                let brute = brute_rows(&decoder, candidates).iter().sum::<f64>()
+                    / (decoder.d.rows() * p) as f64;
+                let power = decoder.residual_power();
                 assert!(
-                    (ledger - brute).abs() <= 1e-9 * (1.0 + brute.abs()),
-                    "slot {slot}, row {j}: ledger {ledger} vs brute {brute}"
+                    (power - brute).abs() <= 1e-9 * (1.0 + brute),
+                    "{schedule:?}, slot {slot}: residual_power {power} vs brute {brute}"
                 );
+                if decoder.all_decoded() {
+                    break;
+                }
             }
-            decoder.worklist = Some(wl);
-            if decoder.decode().unwrap().all_decoded() {
-                break;
-            }
+            assert!(locked_sweeps > 0, "setup: {schedule:?} ran around locks");
         }
-        assert!(locked_sweeps > 0, "setup: sweeps ran around locks");
     }
 }

@@ -72,7 +72,7 @@ pub mod session;
 pub mod toy;
 pub mod transfer;
 
-pub use bp::{BitFlippingDecoder, DecodeState};
+pub use bp::BitFlippingDecoder;
 pub use identification::{IdentificationConfig, IdentificationOutcome, Identifier};
 pub use protocol::{BuzzConfig, BuzzOutcome, BuzzProtocol};
 pub use recovery::{RecoveryConfig, ResilientBuzzProtocol};

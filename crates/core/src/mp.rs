@@ -54,7 +54,7 @@
 
 use backscatter_phy::complex::Complex;
 
-use crate::bp::{BitFlippingDecoder, DecodeState};
+use crate::bp::BitFlippingDecoder;
 use crate::BuzzResult;
 
 /// Fraction each check→bit message moves toward its newly computed value per
@@ -124,7 +124,7 @@ pub(crate) struct MessagePassingState {
     llr: Vec<Vec<f64>>,
     /// Hard-decision candidate frames, `frames[node][position]` (the locked
     /// frame verbatim for locked nodes).
-    frames: Vec<Vec<bool>>,
+    pub(crate) frames: Vec<Vec<bool>>,
     /// Cumulative sweeps across all decode calls (the determinism
     /// observable).
     sweeps: u64,
@@ -318,7 +318,7 @@ impl BitFlippingDecoder {
     /// One decode call of the message-passing schedule: damped soft sweeps
     /// over the slot window, hard-decision frames, the shared CRC/confidence
     /// locking gates (windowed), then soft channel tracking.
-    pub(crate) fn decode_message_passing(&mut self) -> BuzzResult<DecodeState> {
+    pub(crate) fn decode_message_passing(&mut self) -> BuzzResult<Vec<usize>> {
         let p = self.message_bits;
         let mut mp = match self.mp.take() {
             Some(mut mp) => {
@@ -348,25 +348,19 @@ impl BitFlippingDecoder {
                 // the snapshot below see them.
                 mp.refresh_frames(self);
             }
-            let all_locked = self.locked().iter().all(Option::is_some);
-            if locked_now.is_empty() || all_locked {
+            if locked_now.is_empty() || self.all_decoded() {
                 break;
             }
         }
 
         self.snapshot_candidates(&mp.frames);
 
-        if !self.locked().iter().all(Option::is_some) {
+        if !self.all_decoded() {
             self.reestimate_channels_soft(&mp);
         }
 
-        let state = DecodeState {
-            decoded_payloads: self.decoded_payloads(),
-            newly_decoded,
-            candidate_frames: mp.frames.clone(),
-        };
         self.mp = Some(mp);
-        Ok(state)
+        Ok(newly_decoded)
     }
 
     /// Confidence-weighted channel tracking: refits the channels of *all*
@@ -560,7 +554,8 @@ mod tests {
                 .collect();
             decoder.add_slot(&participants, symbols).unwrap();
             used = slot + 1;
-            if decoder.decode().unwrap().all_decoded() {
+            decoder.decode().unwrap();
+            if decoder.all_decoded() {
                 break;
             }
         }
@@ -568,7 +563,8 @@ mod tests {
     }
 
     fn payloads(decoder: &mut BitFlippingDecoder) -> Vec<Option<Vec<bool>>> {
-        decoder.decode().unwrap().decoded_payloads
+        decoder.decode().unwrap();
+        decoder.decoded_payloads()
     }
 
     #[test]

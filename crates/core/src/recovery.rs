@@ -15,10 +15,11 @@
 //! module's `DataPhase`) under a recovery loop:
 //!
 //! * **Decode-stall detection** — the reader tracks the residual power of its
-//!   decoder ([`crate::bp::BitFlippingDecoder::residual_power`]) over a
-//!   sliding window; a plateau with no new locks means the incoming slots are
-//!   not helping (erased, a degenerate participation pattern, or a column
-//!   the decoder cannot explain).
+//!   decoder's candidate frames
+//!   ([`crate::bp::BitFlippingDecoder::residual_power`], read after each
+//!   decode) over a sliding window; a plateau with no new locks means the
+//!   incoming slots are not helping (erased, a degenerate participation
+//!   pattern, or a column the decoder cannot explain).
 //! * **Extra-slot requests with exponential backoff** — on a stall the reader
 //!   issues a downlink request that reseeds every tag's participation stream
 //!   (a new *epoch*), waits out a backoff that doubles per stall, and
@@ -26,6 +27,10 @@
 //! * **Checkpointed restart resume** — the decoder is snapshotted every few
 //!   slots; a reader restart restores the snapshot and resumes, losing only
 //!   the slots observed since the checkpoint instead of the whole session.
+//!   The decoder holds the session's decode state (its rows, locks and
+//!   candidate frames), so the snapshot is the decoder and the slots of its
+//!   locks, and the restored locks are delivered even when no decode
+//!   follows the restore.
 //! * **Graceful degradation to TDMA** — when the stall budget is exhausted
 //!   (or the slot budget runs out), the reader falls back to polling **only
 //!   the unresolved tags** one at a time, Gen-2 style.  A singleton poll
@@ -111,11 +116,9 @@ impl Default for RecoveryConfig {
     }
 }
 
-/// Decoder snapshot plus the bookkeeping needed to resume from it.
+/// Decoder snapshot plus the progress bookkeeping needed to resume from it.
 struct Checkpoint {
     decoder: BitFlippingDecoder,
-    data_slots: usize,
-    last_residual: f64,
     /// The slot of each lock the snapshot holds, the decoder's part of the
     /// progress series.
     lock_slots: Vec<Option<usize>>,
@@ -179,9 +182,10 @@ impl ResilientBuzzProtocol {
         let mut diag = RecoveryDiagnostics::default();
         let mut epoch: u64 = 0;
         let mut slot: u64 = 0; // air-slot counter (faults + dynamics)
-        let mut data_slots: usize = 0; // rows the decoder currently holds
         let mut requests_spent = 0usize;
-        let mut last_residual = f64::INFINITY;
+        // The decoder's residual power after its latest decode; an erased
+        // slot leaves it as it was.
+        let mut residual = f64::INFINITY;
         // (residual, newly decoded) per slot over the stall window.
         let mut window: Vec<(f64, usize)> = Vec::with_capacity(STALL_WINDOW + 1);
         let mut checkpoint: Option<Checkpoint> = None;
@@ -194,25 +198,17 @@ impl ResilientBuzzProtocol {
                 // lost, not the session.  Locks taken after the snapshot no
                 // longer exist on the restarted reader, so their slots leave
                 // the progress series with them.
-                let since = match checkpoint.take() {
+                let rows = phase.decoder.slots();
+                match checkpoint.take() {
                     Some(cp) => {
-                        let since = data_slots - cp.data_slots;
                         phase.decoder = cp.decoder;
                         phase.lock_slots = cp.lock_slots;
-                        data_slots = cp.data_slots;
-                        last_residual = cp.last_residual;
-                        since
                     }
-                    None => {
-                        phase.decoder = phase.fresh_decoder(medium)?;
-                        phase.lock_slots.fill(None);
-                        last_residual = f64::INFINITY;
-                        std::mem::take(&mut data_slots)
-                    }
-                };
+                    None => phase.reset_decoder(medium)?,
+                }
                 diag.checkpoint_restores += 1;
-                diag.wasted_slots += since;
-                phase.state = None;
+                diag.wasted_slots += rows - phase.decoder.slots();
+                residual = phase.decoder.residual_power();
                 window.clear();
                 // Re-acquisition occupies this slot; nothing is on the air.
                 phase.idle_slot();
@@ -226,18 +222,18 @@ impl ResilientBuzzProtocol {
             let decoded = phase.collision_slot(medium, slot, epoch, &faults)?;
             slot += 1;
             if decoded.is_some() {
-                if phase.all_decoded() {
+                if phase.decoder.all_decoded() {
                     break;
                 }
-                data_slots += 1;
-                last_residual = phase.residual_power();
+                residual = phase.decoder.residual_power();
                 // Only a reader-restart fault reads the checkpoint, and a
                 // medium without faults never raises one.
-                if interval > 0 && data_slots.is_multiple_of(interval) && medium.has_faults() {
+                if interval > 0
+                    && phase.decoder.slots().is_multiple_of(interval)
+                    && medium.has_faults()
+                {
                     checkpoint = Some(Checkpoint {
                         decoder: phase.decoder.clone(),
-                        data_slots,
-                        last_residual,
                         lock_slots: phase.lock_slots.clone(),
                     });
                 }
@@ -245,7 +241,7 @@ impl ResilientBuzzProtocol {
 
             // Stall detection: a full window with no locks and no relative
             // residual improvement means the incoming slots are useless.
-            window.push((last_residual, decoded.unwrap_or(0)));
+            window.push((residual, decoded.unwrap_or(0)));
             if window.len() > STALL_WINDOW {
                 window.remove(0);
             }
@@ -299,7 +295,7 @@ impl ResilientBuzzProtocol {
             window.clear();
         }
 
-        let mut payloads = phase.take_payloads();
+        let mut payloads = phase.decoder.decoded_payloads();
         poll_unresolved(&mut phase, medium, slot, &mut payloads, &mut diag)?;
         Ok((phase.finish(payloads), diag))
     }

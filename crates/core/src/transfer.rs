@@ -24,7 +24,7 @@ use backscatter_sim::faults::SlotFaults;
 use backscatter_sim::medium::Medium;
 use backscatter_sim::tag::SimTag;
 
-use crate::bp::{BitFlippingDecoder, DecodeSchedule, DecodeState};
+use crate::bp::{BitFlippingDecoder, DecodeSchedule};
 use crate::identification::DiscoveredTag;
 use crate::participation::{self, DEFAULT_TARGET_COLLISION_SIZE};
 use crate::{BuzzError, BuzzResult};
@@ -143,7 +143,8 @@ impl TransferOutcome {
 /// One data phase in progress: the tags on the air, the reader's decoder,
 /// and the accounting both session loops share — air time, per-tag
 /// transmissions, browned-out tags, and the slot each decoded message is
-/// counted at in the per-slot progress series.
+/// counted at in the per-slot progress series.  What has been decoded is
+/// asked of the decoder, which holds it.
 pub(crate) struct DataPhase<'a> {
     pub(crate) tags: &'a [SimTag],
     pub(crate) discovered: &'a [DiscoveredTag],
@@ -154,8 +155,6 @@ pub(crate) struct DataPhase<'a> {
     probability: f64,
     schedule: DecodeSchedule,
     pub(crate) decoder: BitFlippingDecoder,
-    /// The latest decode (`None` before the first, and after a restart).
-    pub(crate) state: Option<DecodeState>,
     /// Air slots so far, each an entry of the Fig. 9 series.
     pub(crate) slots: usize,
     /// Per reader column, the air slot of the lock the decoder holds for it
@@ -202,7 +201,6 @@ impl<'a> DataPhase<'a> {
             probability,
             schedule: config.decode_schedule,
             decoder,
-            state: None,
             slots: 0,
             lock_slots: vec![None; discovered.len()],
             tag_transmissions: vec![0; tags.len()],
@@ -226,10 +224,13 @@ impl<'a> DataPhase<'a> {
         self.framed_bits() as f64 * PAPER_TIMING.uplink_symbol_s()
     }
 
-    /// A decoder that has observed nothing, as after a reader restart with
-    /// no checkpoint.
-    pub(crate) fn fresh_decoder(&self, medium: &Medium) -> BuzzResult<BitFlippingDecoder> {
-        new_decoder(self.discovered, self.framed_bits(), self.schedule, medium)
+    /// Swaps in a decoder that has observed nothing, as a reader restart
+    /// with no checkpoint leaves it; the slots of the locks it held leave
+    /// the progress series with them.
+    pub(crate) fn reset_decoder(&mut self, medium: &Medium) -> BuzzResult<()> {
+        self.decoder = new_decoder(self.discovered, self.framed_bits(), self.schedule, medium)?;
+        self.lock_slots.fill(None);
+        Ok(())
     }
 
     /// Opens air slot `slot`: scenarios with dynamics or faults evolve the
@@ -303,20 +304,18 @@ impl<'a> DataPhase<'a> {
             .map(|d| self.participates(d.temporary_id, epoch, slot))
             .collect();
         self.decoder.add_slot(&row, symbols)?;
-        let state = self.decoder.decode()?;
+        let newly_decoded = self.decoder.decode()?;
         // An erased lock withdraws its slot; a new one is counted here.
-        for (lock, payload) in self.lock_slots.iter_mut().zip(&state.decoded_payloads) {
-            if payload.is_none() {
+        for (lock, frame) in self.lock_slots.iter_mut().zip(self.decoder.locked()) {
+            if frame.is_none() {
                 *lock = None;
             }
         }
-        for &node in &state.newly_decoded {
+        for &node in &newly_decoded {
             self.lock_slots[node] = Some(self.slots);
         }
         self.slots += 1;
-        let newly = state.newly_decoded.len();
-        self.state = Some(state);
-        Ok(Some(newly))
+        Ok(Some(newly_decoded.len()))
     }
 
     /// Airs one singleton reply: only tag `tag` transmits its framed
@@ -333,26 +332,6 @@ impl<'a> DataPhase<'a> {
         }
         self.time_s += self.framed_bits() as f64 / PAPER_TIMING.uplink_bps + PAPER_TIMING.t2_s;
         Ok(symbols)
-    }
-
-    /// Whether the latest decode holds every message.
-    pub(crate) fn all_decoded(&self) -> bool {
-        self.state.as_ref().is_some_and(DecodeState::all_decoded)
-    }
-
-    /// The decoder's residual power under its latest candidate frames
-    /// (infinite before any decode), the stall detector's progress signal.
-    pub(crate) fn residual_power(&self) -> f64 {
-        self.state.as_ref().map_or(f64::INFINITY, |s| {
-            self.decoder.residual_power(&s.candidate_frames)
-        })
-    }
-
-    /// Takes the decoded payloads out of the latest decode, in column order.
-    pub(crate) fn take_payloads(&mut self) -> Vec<Option<Vec<bool>>> {
-        self.state
-            .take()
-            .map_or_else(|| vec![None; self.discovered.len()], |s| s.decoded_payloads)
     }
 
     /// Ends the phase — the reader drops its carrier — with the payloads
@@ -435,17 +414,17 @@ impl DataTransfer {
             let faults = phase.begin_slot(medium, slot);
             if faults.reader_restart {
                 // The plain protocol keeps no checkpoint: the restart wipes
-                // all undecoded session RAM and the transfer is lost (the
-                // resuming variant lives in `crate::recovery`).
-                phase.state = None;
+                // the decoder and the transfer is lost (the resuming variant
+                // lives in `crate::recovery`).
+                phase.reset_decoder(medium)?;
                 break;
             }
             phase.collision_slot(medium, slot, 0, &faults)?;
-            if phase.all_decoded() {
+            if phase.decoder.all_decoded() {
                 break;
             }
         }
-        let payloads = phase.take_payloads();
+        let payloads = phase.decoder.decoded_payloads();
         Ok(phase.finish(payloads))
     }
 }

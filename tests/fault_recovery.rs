@@ -93,6 +93,38 @@ fn total_erasure_operating_point_across_the_panel() {
 }
 
 #[test]
+fn restored_locks_are_delivered_when_no_decode_follows_the_restore() {
+    // The reader restarts at slot 4 and restores a checkpoint that holds 7
+    // of the 8 locks.  The burst's erased slots then plateau the residual
+    // into a stall, all four extra-slot requests are lost, and the session
+    // ends before another decode.  The payloads must come from the restored
+    // decoder, so its 7 locks are delivered and only the eighth column is
+    // polled (the feedback loss drops both polls).  A record of the latest
+    // decode, which the restore resets, would send all 8 columns to the
+    // fallback (16 polls) and deliver none.
+    let resilient = ResilientBuzzProtocol::new(
+        periodic_config(),
+        RecoveryConfig {
+            checkpoint_interval: 2,
+        },
+    )
+    .unwrap();
+    let build = ScenarioBuilder::paper_uplink(8, 901)
+        .fault(BurstSlotLoss::new(48, 20).unwrap())
+        .fault(ReaderRestart::new(4))
+        .fault(FeedbackLoss::new(1.0).unwrap());
+    let out = run_one(&resilient, build, 8);
+    let diag = out.diagnostics.unwrap().recovery.unwrap();
+    assert_eq!(diag.checkpoint_restores, 1);
+    assert_eq!(diag.stalls_detected, 1);
+    assert_eq!(diag.extra_slot_requests, 4);
+    assert_eq!(diag.feedback_retries, 4);
+    assert_eq!(out.delivered_messages, 7);
+    assert_eq!(diag.fallback_polls, 2);
+    assert_eq!(diag.fallback_delivered, 0);
+}
+
+#[test]
 fn zero_rate_fault_plan_is_byte_identical_to_no_plan() {
     // Faults that can never fire must leave every scheme's noise-draw
     // stream untouched: same outcome bytes as a scenario with no faults.
